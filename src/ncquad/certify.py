@@ -15,22 +15,33 @@ their inputs; ``replay_node`` re-derives every dimension from leaves and
 rules alone, so a certificate can be re-validated without trusting any
 cached conclusion.
 
-``full_pipeline`` chains all stages for one input quintuple and produces
-a deterministic, canonically serialized certificate.
+``Analysis`` holds the artifacts of one input quintuple, each computed
+once on first use; ``full_pipeline`` reads them stage by stage and
+produces a deterministic, canonically serialized certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
 from .fileformat import field_to_str, input_digest, scalar_json
-from .grassmann import hom_R_K_dim, hom_R_O_dim, line_relation
-from .quintuples import Quintuple, is_geometric, relations, truncated_dims
+from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
+from .quintuples import (
+    DimTable,
+    GeometricityReport,
+    Quintuple,
+    RelationData,
+    is_geometric,
+    relations,
+    truncated_dims,
+)
 from .squares import (
     BLOCK_GRAM,
     GeometricSquare,
+    MutationReport,
     NotGeneric,
     QuiverAlgebra,
     block_quiver,
@@ -309,16 +320,16 @@ class ExtTable:
         }
 
 
-def ext_table(square: GeometricSquare) -> ExtTable:
-    """The complete table; requires the two lines of the square disjoint.
+def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
+    """The complete table of a square; ``lines``, the relation of its two
+    lines, must be disjoint.
 
     Any leaf or exactness failure raises ExtTableError carrying the
     failing derivation node.
     """
-    lr = line_relation(square.line(0), square.line(1))
-    if lr.verdict != "disjoint":
+    if lines.verdict != "disjoint":
         raise ExtTableError(
-            f"lines are not disjoint (verdict {lr.verdict}); "
+            f"lines are not disjoint (verdict {lines.verdict}); "
             "disjoint-support leaves are unavailable")
 
     cells = {}
@@ -509,6 +520,64 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
     }
 
 
+class Analysis:
+    """The artifacts of one input under one line convention, each computed
+    on first use and then kept: geometricity report, relation data,
+    window table, square, line relation, block and linear quivers,
+    mutation and Ext table.  Each stage function is handed the artifacts
+    it needs, never the quintuple, so no stage rebuilds another's result.
+
+    An artifact whose construction fails raises on access and is not
+    kept: ``square`` (and everything built on it) raises NotGeneric off
+    the open locus U', ``linear_quiver`` and ``mutation`` raise
+    ValueError on an invalid window, ``ext_table`` raises ExtTableError.
+    """
+
+    def __init__(self, q: Quintuple, convention: str = "ruling"):
+        self.q = q
+        self.convention = convention
+
+    @cached_property
+    def geometricity(self) -> GeometricityReport:
+        return is_geometric(self.q)
+
+    @cached_property
+    def relations(self) -> RelationData:
+        return relations(self.q)
+
+    @cached_property
+    def window(self) -> DimTable:
+        return truncated_dims(self.relations)
+
+    @cached_property
+    def square(self) -> GeometricSquare:
+        return square_from_quintuple(self.q, self.convention)
+
+    @cached_property
+    def lines(self) -> LineRelation:
+        return line_relation(self.square.line(0), self.square.line(1))
+
+    @cached_property
+    def block_quiver(self) -> QuiverAlgebra:
+        return block_quiver(self.square)
+
+    @cached_property
+    def linear_quiver(self) -> QuiverAlgebra:
+        return linear_quiver(self.relations, self.window)
+
+    @cached_property
+    def mutation(self) -> tuple[QuiverAlgebra, MutationReport]:
+        try:
+            block = self.block_quiver
+        except NotGeneric:
+            block = None
+        return mutate_linear_to_block(self.relations, block)
+
+    @cached_property
+    def ext_table(self) -> ExtTable:
+        return ext_table(self.square, self.lines)
+
+
 def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     """Run every stage in order; the first failure fixes the verdict.
 
@@ -517,6 +586,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     gram.
     """
     field = q.field
+    analysis = Analysis(q, convention)
     stages = []
 
     def degenerate(stage, reason):
@@ -530,15 +600,15 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
             verdict={"certified": False, "stage": stage, "reason": reason},
         )
 
-    geo = is_geometric(q)
+    geo = analysis.geometricity
     stages.append({"stage": "geometricity", "passed": geo.passed,
                    "report": _geometricity_json(geo, field)})
     if not geo.passed:
         return degenerate("geometricity",
                           f"pure witness at slot pairs {geo.failing_pairs()}")
 
-    rel = relations(q)
-    table = truncated_dims(q)
+    rel = analysis.relations
+    table = analysis.window
     rel_ok = rel.valid and table.valid
     stages.append({
         "stage": "relations",
@@ -554,23 +624,23 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
                           f"window mismatches {table.mismatches}")
 
     try:
-        square = square_from_quintuple(q, convention)
+        square = analysis.square
     except NotGeneric as exc:
         stages.append({"stage": "determinant", "passed": False, "det": "0"})
         return degenerate("determinant", exc.reason)
     stages.append({"stage": "determinant", "passed": True,
                    "det": scalar_json(square.contraction_det)})
 
-    lr = line_relation(square.line(0), square.line(1))
+    lr = analysis.lines
     lines_ok = lr.verdict == "disjoint"
     stages.append({"stage": "lines", "passed": lines_ok,
                    "relation": _line_relation_json(lr, field)})
     if not lines_ok:
         return degenerate("lines", lr.verdict.capitalize())
 
-    bq = block_quiver(square)
-    lq = linear_quiver(q)
-    mutated, mreport = mutate_linear_to_block(q)
+    bq = analysis.block_quiver
+    lq = analysis.linear_quiver
+    _, mreport = analysis.mutation
     base_changed = gram_base_change(lq)
     quiver_ok = (
         bq.relation_dim == 4
@@ -599,7 +669,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         return degenerate("quiver", "; ".join(mreport.notes) or "dimension mismatch")
 
     try:
-        etable = ext_table(square)
+        etable = analysis.ext_table
     except ExtTableError as exc:
         stages.append({"stage": "ext_table", "passed": False, "error": str(exc)})
         return degenerate("ext_table", str(exc))

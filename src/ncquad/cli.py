@@ -1,9 +1,15 @@
 """Command-line interface.
 
 Exit codes are uniform across commands: 0 success/certified, 1
-mathematical failure (with the failing stage named), 2 input error.
+mathematical failure (with the failing stage named), 2 input error, 3
+internal error (a bug in ncquad, reported with its exception type).
 The line convention defaults to "ruling" and may be preset through the
-NCQ_DEFAULT_CONVENTION environment variable; flags win over it.
+NCQ_DEFAULT_CONVENTION environment variable; flags win over it, and an
+unknown value falls back to "ruling" with a warning on stderr.
+
+``check``, ``quiver`` and ``mutate`` read the artifacts they print from
+one ``certify.Analysis`` of the input, as ``certify`` does through
+``full_pipeline``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .blowup import coh_p1, coh_p1xp2, coh_p2
-from .certify import full_pipeline
+from .certify import Analysis, full_pipeline
 from .fileformat import (
     InputError,
     canonical_json_bytes,
@@ -25,18 +31,22 @@ from .fileformat import (
     serialize_quintuple_meta,
 )
 from .fields import QQ
-from .quintuples import build_type_a, is_geometric, relations, truncated_dims
-from .squares import NotGeneric, block_quiver, gram_base_change, linear_quiver, \
-    mutate_linear_to_block, square_from_quintuple
+from .quintuples import build_type_a
+from .squares import CONVENTIONS, NotGeneric, gram_base_change
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _default_convention() -> str:
     env = os.environ.get("NCQ_DEFAULT_CONVENTION", "ruling")
-    return env if env in ("ruling", "literal") else "ruling"
+    if env in CONVENTIONS:
+        return env
+    print(f"warning: ignoring NCQ_DEFAULT_CONVENTION={env!r} (expected one of "
+          f"{', '.join(CONVENTIONS)}); using 'ruling'", file=sys.stderr)
+    return "ruling"
 
 
 def _print_gram(name, gram):
@@ -47,9 +57,10 @@ def _print_gram(name, gram):
 
 def cmd_check(args) -> int:
     q, meta = load_quintuple(args.path)
-    geo = is_geometric(q)
-    rel = relations(q)
-    table = truncated_dims(q)
+    analysis = Analysis(q)
+    geo = analysis.geometricity
+    rel = analysis.relations
+    table = analysis.window
     ok = geo.passed and rel.valid and table.valid
     report = {
         "input": serialize_quintuple_meta(meta),
@@ -151,8 +162,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_quiver(args) -> int:
     q, _ = load_quintuple(args.path)
+    analysis = Analysis(q, args.convention)
     try:
-        lq = linear_quiver(q)
+        lq = analysis.linear_quiver
     except ValueError as exc:
         print(f"invalid window: {exc}")
         return EXIT_MATH
@@ -161,7 +173,7 @@ def cmd_quiver(args) -> int:
           f"total dim {lq.total_dim}")
     _print_gram("linear Gram", lq.gram)
     try:
-        bq = block_quiver(square_from_quintuple(q, args.convention))
+        bq = analysis.block_quiver
     except NotGeneric as exc:
         print(f"no block quiver: {exc}")
         return EXIT_MATH
@@ -174,9 +186,10 @@ def cmd_quiver(args) -> int:
 
 def cmd_mutate(args) -> int:
     q, _ = load_quintuple(args.path)
+    analysis = Analysis(q)
     try:
-        lq = linear_quiver(q)
-        mutated, report = mutate_linear_to_block(q)
+        lq = analysis.linear_quiver
+        mutated, report = analysis.mutation
     except ValueError as exc:
         print(f"invalid window: {exc}")
         return EXIT_MATH
@@ -206,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full embedding pipeline")
     p.add_argument("path")
-    p.add_argument("--convention", choices=("ruling", "literal"),
-                   default=_default_convention())
+    p.add_argument("--convention", choices=CONVENTIONS)
     p.add_argument("--json", metavar="OUT", help="write the certificate JSON here")
     p.set_defaults(func=cmd_certify)
 
@@ -216,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=20)
-    p.add_argument("--convention", choices=("ruling", "literal"),
-                   default=_default_convention())
+    p.add_argument("--convention", choices=CONVENTIONS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cohomology", help="line-bundle cohomology tables")
@@ -228,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver", help="linear and block quiver dimensions")
     p.add_argument("path")
-    p.add_argument("--convention", choices=("ruling", "literal"),
-                   default=_default_convention())
+    p.add_argument("--convention", choices=CONVENTIONS)
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("mutate", help="mutation and Gram base-change check")
@@ -242,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "convention" in vars(args) and args.convention is None:
+        args.convention = _default_convention()
     try:
         return args.func(args)
     except InputError as exc:
@@ -251,9 +263,9 @@ def main(argv=None) -> int:
         # mathematical rejection (excluded locus, degenerate data)
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except Exception as exc:  # never panic: unexpected issues are input errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:  # never panic; anything else is a bug in ncquad
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -334,13 +334,13 @@ class DimTable:
         return self.cells[(i, j)][1]
 
 
-def truncated_dims(q: Quintuple) -> DimTable:
-    """A_{i,j} by quotient linear algebra on the window 0 <= i <= j <= 4.
+def truncated_dims(rel: RelationData) -> DimTable:
+    """A_{i,j} by quotient linear algebra on the window 0 <= i <= j <= 4,
+    from the relation data of a quintuple.
 
     Widths 0..2 have no relations (relations are cubic); width 3 quotients
     by R_i; width 4 quotients by R0 x V3 + V0 x R1.
     """
-    rel = relations(q)
     dim_r0, dim_r1 = rel.r0.ncols, rel.r1.ncols
     dim_w = rel.w_line.ncols
     cells = {}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .grassmann import EmbeddedLine
 from .linalg import Matrix
-from .quintuples import Quintuple, contraction_matrix, hilbert_dims, relations, truncated_dims
+from .quintuples import DimTable, Quintuple, RelationData, contraction_matrix, hilbert_dims
 
 CONVENTIONS = ("ruling", "literal")
 
@@ -205,15 +205,14 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
 _XY = ("x", "y")
 
 
-def linear_quiver(q: Quintuple) -> QuiverAlgebra:
-    """The linear collection of a quintuple: four vertices in a row with
-    arrow spaces V2, V1, V0 and relation space R_0 inside the length-3
-    path space V0 x V1 x V2; total dimension 24."""
-    table = truncated_dims(q)
+def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
+    """The linear collection of a quintuple, from its relation data and
+    window table: four vertices in a row with arrow spaces V2, V1, V0 and
+    relation space R_0 inside the length-3 path space V0 x V1 x V2; total
+    dimension 24."""
     if not table.valid:
         raise ValueError(f"invalid window: mismatched cells {table.mismatches}")
-    rel = relations(q)
-    field = q.field
+    field = rel.r0.field
     # length-3 path space basis, flat index 4a+2b+c over (V0, V1, V2)
     path_basis = tuple(
         f"{_XY[a]}0{_XY[b]}1{_XY[c]}2" for a in range(2) for b in range(2) for c in range(2)
@@ -255,20 +254,22 @@ class MutationReport:
     notes: tuple = ()
 
 
-def mutate_linear_to_block(q: Quintuple) -> tuple[QuiverAlgebra, MutationReport]:
+def mutate_linear_to_block(
+    rel: RelationData, block: QuiverAlgebra | None
+) -> tuple[QuiverAlgebra, MutationReport]:
     """Right-mutate the first two objects of the linear collection.
 
     The mutated object O(-1,0) has Hom(O(-1,0), O(0,0)) = R_0 (dimension
     2); complete orthogonality of the middle pair is the bijectivity of
     the multiplication V1 x V2 -> A_{1,3} (both sides 4-dimensional).
-    The result is compared structurally with the block quiver of the
-    associated square: vertex count, arrow dimensions, per-leg
-    composition ranks, relation dimension, Gram matrix.
+    The result is compared structurally with ``block``, the block quiver
+    of the associated square (None when the input has no square): vertex
+    count, arrow dimensions, per-leg composition ranks, relation
+    dimension, Gram matrix.
     """
-    rel = relations(q)
     if not rel.valid:
         raise ValueError(f"invalid window: {rel.issues}")
-    field = q.field
+    field = rel.r0.field
     r0 = rel.r0
     new_hom_dim = r0.ncols
 
@@ -324,13 +325,10 @@ def mutate_linear_to_block(q: Quintuple) -> tuple[QuiverAlgebra, MutationReport]
 
     notes = []
     structural = orth
-    try:
-        block = block_quiver(square_from_quintuple(q))
-    except NotGeneric as exc:
-        block = None
-        notes.append(f"no associated square: {exc}")
+    if block is None:
+        notes.append("no associated square")
         structural = False
-    if block is not None:
+    else:
         checks = (
             len(mutated.vertices) == len(block.vertices),
             sorted(mutated.arrow_dims.values()) == sorted(block.arrow_dims.values()),

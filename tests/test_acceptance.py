@@ -26,7 +26,7 @@ from ncquad.blowup import (
     restrict_to_E,
     sod_length,
 )
-from ncquad.certify import ext_table, full_pipeline, gram_of
+from ncquad.certify import Analysis, full_pipeline, gram_of
 from ncquad.fields import GF, QQ
 from ncquad.grassmann import hom_R_K_dim, hom_R_O_dim, line_from_phi, line_relation
 from ncquad.linalg import Matrix
@@ -45,8 +45,6 @@ from ncquad.squares import (
     BLOCK_GRAM,
     block_quiver,
     gram_base_change,
-    linear_quiver,
-    mutate_linear_to_block,
     square_from_quintuple,
 )
 from ncquad.tensors import Tensor
@@ -79,7 +77,7 @@ def test_criterion_01_hilbert_dims(certified_samples):
     with criterion(1, "hilbert-dims"):
         assert tuple(hilbert_dims(n) for n in range(7)) == (1, 2, 4, 6, 9, 12, 16)
         for q in [build_linear_quadric()] + [q for _, q in certified_samples]:
-            table = truncated_dims(q)
+            table = truncated_dims(relations(q))
             assert table.valid
             for (i, j), (got, want) in table.cells.items():
                 assert got == want == hilbert_dims(j - i)
@@ -162,7 +160,7 @@ def test_criterion_05_quiver_dimensions(certified_samples):
             assert bq.relation_dim == 4
             assert bq.total_dim == 16
             assert bq.gram == ((1, 2, 2, 4), (0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 1))
-            lq = linear_quiver(q)
+            lq = Analysis(q, "ruling").linear_quiver
             assert lq.total_dim == 24
             assert lq.gram == ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 
@@ -170,9 +168,9 @@ def test_criterion_05_quiver_dimensions(certified_samples):
 def test_criterion_06_mutation(certified_samples):
     with criterion(6, "mutation"):
         for _, q in [((), build_linear_quadric())] + certified_samples:
-            lq = linear_quiver(q)
-            assert gram_base_change(lq) == BLOCK_GRAM
-            mutated, report = mutate_linear_to_block(q)
+            analysis = Analysis(q, "ruling")
+            assert gram_base_change(analysis.linear_quiver) == BLOCK_GRAM
+            mutated, report = analysis.mutation
             assert report.orthogonality_bijective
             assert report.a13_dim == 4
             assert mutated.gram == BLOCK_GRAM
@@ -238,8 +236,7 @@ def test_criterion_10_certification():
             c = full_pipeline(q, "ruling")
             if c.certified:
                 certified += 1
-                sq = square_from_quintuple(q, "ruling")
-                assert gram_of(ext_table(sq)) == BLOCK_GRAM
+                assert gram_of(Analysis(q, "ruling").ext_table) == BLOCK_GRAM
         assert certified >= 90
 
 

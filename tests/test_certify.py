@@ -1,11 +1,15 @@
 import copy
 import json
 import random
+import sys
+from collections import Counter
+from importlib import import_module
 
 import pytest
 
 from helpers import random_type_a_triple
 from ncquad.certify import (
+    Analysis,
     ExtTableError,
     full_pipeline,
     ext_table,
@@ -14,13 +18,18 @@ from ncquad.certify import (
     replay_table,
 )
 from ncquad.fileformat import canonical_json_bytes, input_digest
+from ncquad.grassmann import line_relation
 from ncquad.quintuples import build_linear_quadric, build_type_a
-from ncquad.squares import BLOCK_GRAM, gram_base_change, linear_quiver, square_from_quintuple
+from ncquad.squares import BLOCK_GRAM, gram_base_change, square_from_quintuple
+
+
+def _table(sq):
+    return ext_table(sq, line_relation(sq.line(0), sq.line(1)))
 
 
 def test_ext_table_expected_cells():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    t = _table(sq)
     assert t.dims(0, 0) == (1, 0, 0, 0, 0)
     assert t.dims(0, 1) == (2, 0, 0, 0, 0)
     assert t.dims(0, 2) == (2, 0, 0, 0, 0)
@@ -38,7 +47,7 @@ def test_ext_table_expected_cells():
 
 def test_ext_table_leaf_values_in_derivations():
     sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = ext_table(sq)
+    t = _table(sq)
     cell = t.cells[(0, 1)]["derivation"]
     assert cell["rule"] == "les-covariant"
     assert cell["hom"]["value"] == 2                     # Hom(p*R, C_i) leaf
@@ -53,12 +62,12 @@ def test_ext_table_leaf_values_in_derivations():
 def test_ext_table_requires_disjoint_lines():
     sq = square_from_quintuple(build_type_a(0, 1, 1), "literal")
     with pytest.raises(ExtTableError, match="disjoint"):
-        ext_table(sq)
+        _table(sq)
 
 
 def test_gram_of_equals_block_gram():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    t = _table(sq)
     assert gram_of(t) == BLOCK_GRAM
     total = sum(sum(r) for r in gram_of(t))
     assert total == 16
@@ -66,7 +75,7 @@ def test_gram_of_equals_block_gram():
 
 def test_replay_validates_and_detects_tampering():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    t = _table(sq)
     assert replay_table(t, sq)
     # tamper with a stored dimension: replay must refuse it
     node = copy.deepcopy(t.cells[(0, 1)]["derivation"])
@@ -123,9 +132,9 @@ def test_triple_gram_agreement_on_certified():
         cert = full_pipeline(q, "ruling")
         if not cert.certified:
             continue
-        sq = square_from_quintuple(q, "ruling")
-        assert gram_of(ext_table(sq)) == BLOCK_GRAM
-        assert gram_base_change(linear_quiver(q)) == BLOCK_GRAM
+        analysis = Analysis(q, "ruling")
+        assert gram_of(analysis.ext_table) == BLOCK_GRAM
+        assert gram_base_change(analysis.linear_quiver) == BLOCK_GRAM
         done += 1
 
 
@@ -153,3 +162,37 @@ def test_degenerate_reports_first_failing_stage():
     assert cert.verdict["stage"] == "geometricity"
     # stage list stops at the failure
     assert [s["stage"] for s in cert.stages] == ["geometricity"]
+
+
+COUNTED_STAGES = (
+    ("quintuples", "relations"),
+    ("quintuples", "truncated_dims"),
+    ("squares", "square_from_quintuple"),
+    ("squares", "block_quiver"),
+    ("squares", "linear_quiver"),
+    ("grassmann", "line_relation"),
+)
+
+
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every ncquad binding of each stage function, so a call made
+    # through any module's import of it is counted
+    for modname, name in COUNTED_STAGES:
+        original = getattr(import_module(f"ncquad.{modname}"), name)
+        wrapper = counting(name, original)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("ncquad")]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    cert = full_pipeline(build_type_a(1, 2, 3), convention)
+    assert cert.certified
+    assert counts == {name: 1 for _, name in COUNTED_STAGES}

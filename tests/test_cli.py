@@ -1,6 +1,6 @@
 import json
 
-from ncquad.cli import main
+from ncquad.cli import EXIT_INTERNAL, main
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
     load_quintuple,
@@ -146,3 +146,35 @@ def test_bad_field_spec(tmp_path):
     assert main(["check", str(path)]) == 2
     path.write_text(json.dumps({"family": "linear", "field": "R"}))
     assert main(["check", str(path)]) == 2
+
+
+def test_bad_convention_env_warns_once_and_falls_back(monkeypatch, capsys):
+    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "diagonal")
+    assert main(["certify", str(corpus_path("typea-0-1-1"))]) == 0
+    captured = capsys.readouterr()
+    assert "convention: ruling" in captured.out
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "NCQ_DEFAULT_CONVENTION" in warnings[0] and "'diagonal'" in warnings[0]
+    # commands without a convention do not read it
+    assert main(["check", str(corpus_path("linear"))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_valid_convention_env_does_not_warn(monkeypatch, capsys):
+    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "literal")
+    assert main(["certify", str(corpus_path("typea-1-2-3"))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    import ncquad.certify
+
+    def broken(*args, **kwargs):
+        raise AssertionError("plane at a common root is not decomposable")
+
+    monkeypatch.setattr(ncquad.certify, "line_relation", broken)
+    assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError")
+    assert "input error" not in err

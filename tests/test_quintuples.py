@@ -180,14 +180,14 @@ def test_hilbert_dims_sequence():
 
 def test_truncated_dims_linear_and_type_a():
     for q in (build_linear_quadric(), build_type_a(1, 2, 3)):
-        t = truncated_dims(q)
+        t = truncated_dims(relations(q))
         assert t.valid
         for (i, j), (got, want) in t.cells.items():
             assert got == want == hilbert_dims(j - i)
 
 
 def test_truncated_dims_pure_tensor_mismatch():
-    t = truncated_dims(pure_tensor_quintuple())
+    t = truncated_dims(relations(pure_tensor_quintuple()))
     assert not t.valid
     assert t.computed(0, 3) == 7
     assert (0, 3) in t.mismatches

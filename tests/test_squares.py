@@ -6,7 +6,13 @@ import pytest
 from helpers import random_invertible_fp, random_invertible_qq, random_type_a_triple
 from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix, span_contains
-from ncquad.quintuples import build_linear_quadric, build_type_a, contraction_matrix
+from ncquad.quintuples import (
+    build_linear_quadric,
+    build_type_a,
+    contraction_matrix,
+    relations,
+    truncated_dims,
+)
 from ncquad.squares import (
     BLOCK_GRAM,
     LINEAR_GRAM,
@@ -176,9 +182,14 @@ def test_block_gram_assembly():
     assert sum(sum(r) for r in BLOCK_GRAM) == 16
 
 
+def _linear_quiver(q):
+    rel = relations(q)
+    return linear_quiver(rel, truncated_dims(rel))
+
+
 def test_linear_quiver_linear_quadric():
     q = build_linear_quadric()
-    lq = linear_quiver(q)
+    lq = _linear_quiver(q)
     assert lq.gram == LINEAR_GRAM
     assert lq.total_dim == 24
     assert lq.relation_dim == 2
@@ -203,20 +214,23 @@ def test_linear_quiver_rejects_invalid_window():
     entries = [QQ.zero] * 16
     entries[0] = QQ.one
     with pytest.raises(ValueError):
-        linear_quiver(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)))
+        _linear_quiver(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)))
 
 
 def test_mutation_matches_block():
     rng = random.Random(54)
     for q in (build_linear_quadric(), build_type_a(1, 2, 3),
               random_type_a_triple(rng)[1]):
-        mutated, report = mutate_linear_to_block(q)
-        assert report.orthogonality_bijective
-        assert report.a13_dim == 4
-        assert report.new_hom_dim == 2
         try:
             bq = block_quiver(square_from_quintuple(q))
         except NotGeneric:
+            bq = None
+        mutated, report = mutate_linear_to_block(relations(q), bq)
+        assert report.orthogonality_bijective
+        assert report.a13_dim == 4
+        assert report.new_hom_dim == 2
+        if bq is None:
+            assert not report.structural_match
             continue
         assert report.structural_match
         assert mutated.gram == bq.gram == BLOCK_GRAM
@@ -242,5 +256,5 @@ def test_base_change_on_every_certified_sample():
     rng = random.Random(55)
     for _ in range(20):
         _, q = random_type_a_triple(rng)
-        lq = linear_quiver(q)
+        lq = _linear_quiver(q)
         assert gram_base_change(lq) == BLOCK_GRAM
