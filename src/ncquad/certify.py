@@ -40,6 +40,7 @@ from .quintuples import (
 )
 from .squares import (
     BLOCK_GRAM,
+    CONVENTIONS,
     GeometricSquare,
     MutationReport,
     NotGeneric,
@@ -531,9 +532,12 @@ class Analysis:
     kept: ``square`` (and everything built on it) raises NotGeneric off
     the open locus U', ``linear_quiver`` and ``mutation`` raise
     ValueError on an invalid window, ``ext_table`` raises ExtTableError.
+    An unknown convention raises ValueError here, before any stage runs.
     """
 
     def __init__(self, q: Quintuple, convention: str = "ruling"):
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {convention!r}")
         self.q = q
         self.convention = convention
 

@@ -74,14 +74,19 @@ def point_from_quotient(f: Matrix) -> GPoint:
 
 @dataclass(frozen=True)
 class EmbeddedLine:
-    """A line P^1 -> G induced by phi: V ~ U0 x U1 and a contracted factor."""
+    """A line P^1 -> G induced by phi: V ~ U0 x U1 and a contracted factor.
+
+    ``phi_inv`` is the inverse of ``phi``: ``line_from_phi`` computes it,
+    and a geometric square hands over the one it stores."""
 
     phi: Matrix
+    phi_inv: Matrix
     contracted_factor: int
 
     def __post_init__(self):
-        if self.phi.nrows != 4 or self.phi.ncols != 4:
-            raise ValueError("phi must be 4x4")
+        for m in (self.phi, self.phi_inv):
+            if m.nrows != 4 or m.ncols != 4:
+                raise ValueError("phi must be 4x4")
         if self.contracted_factor not in (0, 1):
             raise ValueError("contracted factor is 0 or 1")
 
@@ -95,7 +100,7 @@ class EmbeddedLine:
         s, t = fld.of(s), fld.of(t)
         if not (s or t):
             raise ValueError("(0:0) is not a parameter")
-        phi_inv = self.phi.inverse()
+        phi_inv = self.phi_inv
         if fld != self.field:
             phi_inv = lift_matrix(phi_inv, fld)
         cols = []
@@ -118,11 +123,10 @@ def line_from_phi(phi: Matrix, contracted_factor: int = 0) -> EmbeddedLine:
     """Embedded line from an invertible factorization matrix.
 
     ``contracted_factor`` picks which tensor factor of the codomain is
-    contracted away by the parameter functional.
+    contracted away by the parameter functional.  Raises ValueError when
+    phi is singular.
     """
-    if phi.det() == phi.field.zero:
-        raise ValueError("phi must be invertible")
-    return EmbeddedLine(phi, contracted_factor)
+    return EmbeddedLine(phi, phi.inverse(), contracted_factor)
 
 
 def lift_matrix(m: Matrix, ext) -> Matrix:
@@ -152,7 +156,7 @@ def splitting_type_restrictions(line: EmbeddedLine) -> SplittingTypes:
     Five sample points per chart pin the polynomial down exactly.
     """
     field = line.field
-    phi_inv = line.phi.inverse()
+    phi_inv = line.phi_inv
 
     def vec(u0, u1, b):
         v = [field.zero] * 4
@@ -282,7 +286,7 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
     if l1.field != field:
         raise ValueError("lines over different fields")
     T = l0.phi if l0.contracted_factor == 0 else _swap_matrix(field) * l0.phi
-    M = T * l1.phi.inverse()
+    M = T * l1.phi_inv
 
     # moving plane basis n_i(k) = kx * A_i + ky * B_i
     if l1.contracted_factor == 0:
@@ -300,7 +304,7 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
         _polar2(B[0], B[1]),
     ))
 
-    psi = l1.phi * l0.phi.inverse()
+    psi = l1.phi * l0.phi_inv
     rr = reshuffle_rank(psi)
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
@@ -393,7 +397,7 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     beta swap for factor 1).  Conjugation by phi carries V* coordinates to
     U0* x U1* coordinates."""
     field = line.field
-    phi_inv = line.phi.inverse()
+    phi_inv = line.phi_inv
     # products (u0 s + u1 t) * (k-component of the contracted functional):
     # u index 0 -> s, 1 -> t; contracted-factor basis index 0 -> -t, 1 -> s
     poly = {

@@ -1,16 +1,28 @@
 """Exact dense linear algebra over the scalar fields.
 
-Rank and kernels over the rationals go through fraction-free (Bareiss)
-elimination on denominator-cleared integer rows, which keeps intermediate
-entries polynomially bounded; prime fields and quadratic extensions use
-plain Gauss elimination.  Everything returns exact values; matrices are
-immutable after construction.
+Over the rationals every operation runs on Python integers: each row (for
+a product, each column of the right factor too) is scaled once by the lcm
+of its denominators, the work is done on those integer rows, and each
+output entry is built as a single ``Fraction(num, den)``.  Rank and
+kernels use fraction-free (Bareiss) elimination, which keeps intermediate
+entries polynomially bounded, and the inverse uses fraction-free
+Gauss-Jordan elimination.  The results are the same values, and so the
+same bytes, as plain Fraction elimination would give, because each is
+uniquely determined by the matrix: the rank, the determinant, the
+inverse, a product, and the reduced kernel basis (the identity on the
+free columns, which are the complement of the lexicographically first
+independent set of columns).  ``Fraction`` is a normal form, so equal
+values are equal objects.
+
+Prime fields and quadratic extensions use plain Gauss elimination on
+field elements.  Matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .fields import RationalField
 
@@ -21,7 +33,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols: int | None = None):
-        rows = [tuple(field.of(x) for x in row) for row in rows]
+        of = field.of
+        rows = [tuple(map(of, row)) for row in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -115,11 +128,13 @@ class Matrix:
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        ocols = other.cols()
-        rows = [
-            [_dot(r, c, self.field) for c in ocols]
-            for r in self.rows
-        ]
+        if isinstance(self.field, RationalField):
+            left = [_int_row(r) for r in self.rows]
+            right = [_int_row(c) for c in other.cols()]
+            rows = [[Fraction(sum(map(mul, a, b)), la * lb) for b, lb in right] for a, la in left]
+        else:
+            ocols = other.cols()
+            rows = [[_dot(r, c, self.field) for c in ocols] for r in self.rows]
         return Matrix(self.field, rows, ncols=other.ncols)
 
     def __rmul__(self, other):
@@ -130,6 +145,10 @@ class Matrix:
         vec = tuple(self.field.of(x) for x in vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
+        if isinstance(self.field, RationalField):
+            v, lv = _int_row(vec)
+            return tuple(Fraction(sum(map(mul, a, v)), la * lv)
+                         for a, la in map(_int_row, self.rows))
         return tuple(_dot(r, vec, self.field) for r in self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -141,11 +160,6 @@ class Matrix:
             ncols=self.ncols + other.ncols,
         )
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if other.ncols != self.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, list(self.rows) + list(other.rows), ncols=self.ncols)
-
     def _shape_check(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
@@ -155,18 +169,14 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def _echelon(self):
-        """Row echelon data: (rows, pivot column list, divide).
+        """Row echelon data: (rows, pivot column list).
 
-        Over QQ the rows come back integer valued (Bareiss) and ``divide``
-        is exact Fraction division; over other fields plain elimination is
-        used.  Only the row space matters to callers.
+        Over QQ the rows are integer valued (Bareiss); over other fields
+        plain elimination is used.  Only the row space matters to callers.
         """
         if isinstance(self.field, RationalField):
-            int_rows = [_clear_denominators(r) for r in self.rows]
-            ech, pivots = _bareiss_echelon(int_rows, self.ncols)
-            return ech, pivots, lambda a, b: Fraction(a, b) if isinstance(a, int) else a / b
-        ech, pivots = _field_echelon([list(r) for r in self.rows], self.ncols)
-        return ech, pivots, lambda a, b: a / b
+            return _bareiss_echelon([_int_row(r)[0] for r in self.rows], self.ncols)
+        return _field_echelon([list(r) for r in self.rows], self.ncols)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -176,8 +186,12 @@ class Matrix:
 
         rank + (number of returned columns) == ncols, always.
         """
-        ech, pivots, div = self._echelon()
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
+        ech, pivots = self._echelon()
+        pivot_set = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivot_set]
+        if isinstance(self.field, RationalField):
+            cols = [_int_kernel_vector(ech, pivots, f, self.ncols) for f in free]
+            return Matrix.from_cols(self.field, cols, nrows=self.ncols)
         zero, one = self.field.zero, self.field.one
         cols = []
         for f in free:
@@ -189,7 +203,7 @@ class Matrix:
                 s = zero
                 for c in range(pc + 1, self.ncols):
                     if x[c] != zero:
-                        s = s + self.field.of(div(ech[r][c], ech[r][pc])) * x[c]
+                        s = s + self.field.of(ech[r][c] / ech[r][pc]) * x[c]
                 x[pc] = -s
             cols.append(tuple(x))
         return Matrix.from_cols(self.field, cols, nrows=self.ncols)
@@ -201,16 +215,13 @@ class Matrix:
         if n == 0:
             return self.field.one
         if isinstance(self.field, RationalField):
-            scale = Fraction(1)
-            int_rows = []
+            int_rows, scale = [], 1
             for r in self.rows:
-                lcm = 1
-                for x in r:
-                    lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+                ints, lcm = _int_row(r)
+                int_rows.append(ints)
                 scale *= lcm
-                int_rows.append([int(x * lcm) for x in r])
             d, sign = _bareiss_det(int_rows)
-            return Fraction(sign * d) / scale
+            return Fraction(sign * d, scale)
         rows = [list(r) for r in self.rows]
         det = self.field.one
         for c in range(n):
@@ -237,6 +248,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
+        if isinstance(self.field, RationalField):
+            return Matrix(self.field, _int_inverse(self.rows), ncols=n)
         aug = [list(r) + [self.field.one if i == j else self.field.zero for j in range(n)]
                for i, r in enumerate(self.rows)]
         for c in range(n):
@@ -273,16 +286,17 @@ def _dot(u, v, field):
     return s
 
 
-def _clear_denominators(row) -> list[int]:
-    lcm = 1
-    for x in row:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return [int(x * lcm) for x in row]
+def _int_row(row) -> tuple[list[int], int]:
+    """(ints, l) with row == ints / l, l the lcm of the denominators."""
+    lcm = math.lcm(*[x.denominator for x in row])
+    if lcm == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (lcm // x.denominator) for x in row], lcm
 
 
 def _bareiss_echelon(rows, ncols):
-    """Fraction-free row echelon form of integer rows; exact divisions only."""
-    rows = [list(r) for r in rows]
+    """Fraction-free row echelon form of integer rows, eliminated in place;
+    exact divisions only."""
     m = len(rows)
     pivots = []
     r = 0
@@ -308,6 +322,67 @@ def _bareiss_echelon(rows, ncols):
         if r == m:
             break
     return rows[:r], pivots
+
+
+def _int_kernel_vector(ech, pivots, f, ncols) -> list[Fraction]:
+    """The reduced kernel vector of integer echelon rows that is 1 at the
+    free column f and 0 at the other free columns.
+
+    Back-substitution keeps the vector as integers over one running
+    denominator; each step divides out the gcd of the new entry's
+    numerator and pivot before widening that denominator.
+    """
+    y = [0] * ncols
+    y[f] = den = 1
+    for r in range(len(pivots) - 1, -1, -1):
+        row, pc = ech[r], pivots[r]
+        s = sum(map(mul, row[pc + 1:], y[pc + 1:]))
+        if s:
+            p = row[pc]
+            g = math.gcd(s, p)
+            s, p = s // g, p // g
+            if p != 1:
+                y = [v * p for v in y]
+                den *= p
+            y[pc] = -s
+    return [Fraction(v, den) for v in y]
+
+
+def _int_inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix by fraction-free Gauss-Jordan
+    elimination on [A_int | I], A_int the row-wise denominator-cleared
+    matrix.
+
+    Each step divides exactly by the previous pivot, so the left block
+    ends as d*I with d = det(A_int) up to sign, and the right block as
+    d * A_int^{-1}.  Row j of A is row j of A_int over l_j, so entry
+    (i, j) of A^{-1} is right[i][j] * l_j / d.
+    """
+    n = len(rows)
+    aug, lcms = [], []
+    for i, r in enumerate(rows):
+        ints, lcm = _int_row(r)
+        ints.extend(1 if j == i else 0 for j in range(n))
+        aug.append(ints)
+        lcms.append(lcm)
+    prev = 1
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if aug[i][c]:
+                piv = i
+                break
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        prow = aug[c]
+        pc = prow[c]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(pc * a - f * b) // prev for a, b in zip(aug[i], prow)]
+        prev = pc
+    return [[Fraction(r[n + j] * lcms[j], prev) for j in range(n)] for r in aug]
 
 
 def _bareiss_det(rows) -> tuple[int, int]:
@@ -366,7 +441,7 @@ def _field_echelon(rows, ncols):
 
 def column_space_basis(m: Matrix) -> Matrix:
     """The original columns of m sitting at the pivot positions."""
-    _, pivots, _ = m._echelon()
+    _, pivots = m._echelon()
     return Matrix.from_cols(m.field, [m.col(j) for j in pivots], nrows=m.nrows)
 
 
@@ -375,19 +450,6 @@ def span_contains(space: Matrix, vec) -> bool:
     if v.nrows != space.nrows:
         raise ValueError("ambient mismatch")
     return space.hstack(v).rank() == space.rank()
-
-
-def span_equal(a: Matrix, b: Matrix) -> bool:
-    if a.nrows != b.nrows:
-        raise ValueError("ambient mismatch")
-    ra, rb = a.rank(), b.rank()
-    return ra == rb == a.hstack(b).rank()
-
-
-def sum_basis(a: Matrix, b: Matrix) -> Matrix:
-    if a.nrows != b.nrows:
-        raise ValueError("ambient mismatch")
-    return column_space_basis(a.hstack(b))
 
 
 def intersect_subspaces(a: Matrix, b: Matrix) -> Matrix:

@@ -46,8 +46,13 @@ class NotGeneric(Exception):
 
 @dataclass(frozen=True)
 class GeometricSquare:
+    """The septuple, with phi0 and phi1 stored next to their inverses,
+    which the lines consume and the constructor already knows."""
+
     phi0: Matrix
     phi1: Matrix
+    phi0_inv: Matrix
+    phi1_inv: Matrix
     convention: str = "ruling"
     factor_labels: tuple = (("V0", "V1"), ("V2*", "V3*"))
     contraction_det: object = None
@@ -55,7 +60,7 @@ class GeometricSquare:
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        for phi in (self.phi0, self.phi1):
+        for phi in (self.phi0, self.phi1, self.phi0_inv, self.phi1_inv):
             if phi.nrows != 4 or phi.ncols != 4:
                 raise ValueError("phi matrices must be 4x4")
 
@@ -63,17 +68,14 @@ class GeometricSquare:
     def field(self):
         return self.phi0.field
 
-    @property
-    def psi(self) -> Matrix:
-        return self.phi1 * self.phi0.inverse()
-
     def line(self, i: int) -> EmbeddedLine:
         """The two embedded lines; line 1's contracted factor follows the
         convention flag."""
         if i == 0:
-            return EmbeddedLine(self.phi0, 0)
+            return EmbeddedLine(self.phi0, self.phi0_inv, 0)
         if i == 1:
-            return EmbeddedLine(self.phi1, 0 if self.convention == "literal" else 1)
+            return EmbeddedLine(self.phi1, self.phi1_inv,
+                                0 if self.convention == "literal" else 1)
         raise ValueError("line index is 0 or 1")
 
 
@@ -89,9 +91,12 @@ def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> Geometric
     det = m.det()
     if not det:
         raise NotGeneric("determinant", "det <-, w> = 0")
+    ident = Matrix.identity(q.field, 4)
     return GeometricSquare(
-        phi0=Matrix.identity(q.field, 4),
+        phi0=ident,
         phi1=m.inverse(),
+        phi0_inv=ident,
+        phi1_inv=m,
         convention=convention,
         contraction_det=det,
     )

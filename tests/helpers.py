@@ -10,6 +10,7 @@ pair annihilates the tensor.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
@@ -32,6 +33,85 @@ def random_invertible_qq(rng, n, height=9):
         m = random_matrix_qq(rng, n, n, height)
         if m.det():
             return m
+
+
+# -- naive Fraction linear algebra (oracle for the QQ kernels) -------------
+#
+# Plain Gauss-Jordan, the Leibniz formula and the triple loop on Fraction
+# entries, sharing no code with ncquad.linalg.  Matrices are lists of rows.
+
+
+def rref_oracle(rows, ncols):
+    """Reduced row echelon form: (nonzero rows, pivot columns)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def kernel_oracle(rows, ncols):
+    """Reduced kernel basis: one vector per free column f, equal to 1 at f
+    and 0 at the other free columns."""
+    red, pivots = rref_oracle(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def det_oracle(rows):
+    """Leibniz formula: the signed sum over all permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def inverse_oracle(rows):
+    """Right half of the reduced form of [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = rref_oracle(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [tuple(r[n:]) for r in red]
+
+
+def matmul_oracle(a, b, ncols):
+    """Product of an m x k and a k x ncols matrix by the triple loop."""
+    k = len(b)
+    return [tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(ncols))
+            for i in range(len(a))]
+
+
+def span_equal(a, b) -> bool:
+    """Whether two matrices over one field have the same column span."""
+    if a.nrows != b.nrows:
+        raise ValueError("ambient mismatch")
+    ra, rb = a.rank(), b.rank()
+    return ra == rb == a.hstack(b).rank()
 
 
 def random_matrix_fp(rng, field, nrows, ncols):

@@ -19,6 +19,7 @@ from ncquad.certify import (
 )
 from ncquad.fileformat import canonical_json_bytes, input_digest
 from ncquad.grassmann import line_relation
+from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, build_type_a
 from ncquad.squares import BLOCK_GRAM, gram_base_change, square_from_quintuple
 
@@ -150,18 +151,32 @@ def test_full_pipeline_over_prime_field():
         full_pipeline(q, "ruling").to_dict())
 
 
-def test_degenerate_reports_first_failing_stage():
+def _pure_tensor():
+    """The quintuple with w[0,0,0,0] = 1 and every other entry 0."""
     from ncquad.quintuples import SLOT_LABELS, Quintuple
     from ncquad.fields import QQ
     from ncquad.tensors import Tensor
 
     entries = [QQ.zero] * 16
     entries[0] = QQ.one
-    cert = full_pipeline(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)))
+    return Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
+
+
+def test_degenerate_reports_first_failing_stage():
+    cert = full_pipeline(_pure_tensor())
     assert not cert.certified
     assert cert.verdict["stage"] == "geometricity"
     # stage list stops at the failure
     assert [s["stage"] for s in cert.stages] == ["geometricity"]
+
+
+def test_unknown_convention_rejected_before_any_stage():
+    # the pure tensor stops at geometricity, before the square would
+    # notice the convention
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        full_pipeline(_pure_tensor(), "bogus")
+    with pytest.raises(ValueError, match="unknown convention"):
+        Analysis(build_type_a(1, 2, 3), "bogus")
 
 
 COUNTED_STAGES = (
@@ -193,6 +208,10 @@ def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
             if vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, wrapper)
 
+    # the square's constructor inverts the contraction matrix; the lines
+    # read phi^{-1} from the square instead of inverting again
+    monkeypatch.setattr(Matrix, "inverse", counting("Matrix.inverse", Matrix.inverse))
+
     cert = full_pipeline(build_type_a(1, 2, 3), convention)
     assert cert.certified
-    assert counts == {name: 1 for _, name in COUNTED_STAGES}
+    assert counts == {**{name: 1 for _, name in COUNTED_STAGES}, "Matrix.inverse": 1}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible_fp, random_invertible_qq
+from helpers import random_invertible_fp, random_invertible_qq, span_equal
 from ncquad.fields import GF, QQ, QuadraticExtension
 from ncquad.grassmann import (
     hom_R_K_dim,
@@ -14,7 +14,7 @@ from ncquad.grassmann import (
     reshuffle_rank,
     splitting_type_restrictions,
 )
-from ncquad.linalg import Matrix, span_equal
+from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, build_type_a
 from ncquad.squares import square_from_quintuple
 

@@ -1,16 +1,26 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_matrix_fp, random_matrix_qq
+from helpers import (
+    det_oracle,
+    inverse_oracle,
+    kernel_oracle,
+    matmul_oracle,
+    random_matrix_fp,
+    random_matrix_qq,
+    rref_oracle,
+    span_equal,
+)
 from ncquad.fields import GF, QQ
 from ncquad.linalg import (
     Matrix,
     column_space_basis,
     intersect_subspaces,
     span_contains,
-    span_equal,
-    sum_basis,
 )
 
 
@@ -94,8 +104,7 @@ def test_intersect_dimension_formula():
         a = random_matrix_qq(rng, n, rng.randint(1, n))
         b = random_matrix_qq(rng, n, rng.randint(1, n))
         i = intersect_subspaces(a, b)
-        s = sum_basis(a, b)
-        assert i.ncols == a.rank() + b.rank() - s.ncols
+        assert i.ncols == a.rank() + b.rank() - a.hstack(b).rank()
         # symmetry up to span equality
         i2 = intersect_subspaces(b, a)
         if i.ncols:
@@ -170,3 +179,93 @@ def test_matrix_over_quadratic_extension():
     singular = Matrix(ext, [[th, ext.of(2)], [ext.one, th]])
     assert singular.det() == ext.zero
     assert singular.kernel_basis().ncols == 1
+
+
+# -- the QQ kernels against the naive Fraction oracle ----------------------
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+)
+
+
+@st.composite
+def _qq_rows(draw, nrows, ncols):
+    """nrows x ncols lists of Fractions with mixed signs and denominators up
+    to 30; about half are products of thinner factors, so rank deficient,
+    and some rows and columns are zeroed out."""
+    if nrows and ncols and draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = [[draw(_entries) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(_entries) for _ in range(ncols)] for _ in range(k)]
+        rows = [list(r) for r in matmul_oracle(left, right, ncols)]
+    else:
+        rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            rows[i] = [Fraction(0)] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for r in rows:
+                r[j] = Fraction(0)
+    return rows
+
+
+@st.composite
+def _qq_matrix(draw, max_rows=6, max_cols=8):
+    nrows, ncols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    return draw(_qq_rows(nrows, ncols)), ncols
+
+
+@st.composite
+def _qq_square(draw):
+    n = draw(st.integers(0, 6))
+    return draw(_qq_rows(n, n))
+
+
+def _qq(rows, ncols):
+    return Matrix(QQ, rows, ncols=ncols)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_qq_matrix())
+def test_qq_rank_kernel_column_space_match_oracle(data):
+    rows, ncols = data
+    m = _qq(rows, ncols)
+    _, pivots = rref_oracle(rows, ncols)
+    assert m.rank() == len(pivots)
+    k = m.kernel_basis()
+    assert (k.nrows, k.ncols) == (ncols, ncols - len(pivots))
+    assert k.cols() == kernel_oracle(rows, ncols)
+    basis = column_space_basis(m)
+    assert basis.nrows == len(rows)
+    assert basis.cols() == [tuple(r[j] for r in rows) for j in pivots]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_qq_square())
+def test_qq_det_inverse_match_oracle(rows):
+    n = len(rows)
+    m = _qq(rows, n)
+    assert m.det() == det_oracle(rows)
+    inv = inverse_oracle(rows)
+    if inv is None:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        got = m.inverse()
+        assert list(got.rows) == inv
+        assert m * got == Matrix.identity(QQ, n)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 8), st.integers(0, 6), st.data())
+def test_qq_product_and_apply_match_oracle(nrows, inner, ncols, data):
+    a = data.draw(_qq_rows(nrows, inner))
+    b = data.draw(_qq_rows(inner, ncols))
+    vec = data.draw(st.lists(_entries, min_size=inner, max_size=inner))
+    ma, mb = _qq(a, inner), _qq(b, ncols)
+    prod = ma * mb
+    assert (prod.nrows, prod.ncols) == (nrows, ncols)
+    assert list(prod.rows) == matmul_oracle(a, b, ncols)
+    assert ma.apply(vec) == tuple(r[0] for r in matmul_oracle(a, [[x] for x in vec], 1))

@@ -9,9 +9,10 @@ from helpers import (
     nonresidue_int,
     random_quintuple_fp,
     random_type_a_triple,
+    span_equal,
 )
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, span_contains, span_equal
+from ncquad.linalg import Matrix, span_contains
 from ncquad.quintuples import (
     SLOT_LABELS,
     Quintuple,
