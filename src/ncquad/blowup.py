@@ -10,6 +10,7 @@ consumed downstream is about integers attached to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 
@@ -49,8 +50,12 @@ def coh_p2(n: int) -> CohTable:
     return CohTable("P2", (n,), (h0, 0, h2))
 
 
+@cache
 def coh_p1xp2(m: int, n: int) -> CohTable:
-    """Kuenneth product of P^1 and P^2 cohomology; degrees 0..3."""
+    """Kuenneth product of P^1 and P^2 cohomology; degrees 0..3.
+
+    Memoized: the value is a frozen table of ints that depends on the
+    integer twist alone."""
     a, b = coh_p1(m), coh_p2(n)
     dims = tuple(
         sum(a.h(i) * b.h(k - i) for i in range(k + 1)) for k in range(4)

@@ -23,7 +23,7 @@ produces a deterministic, canonically serialized certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
@@ -185,10 +185,12 @@ def _solve_contravariant(node: dict) -> list:
 # -- shared subtrees -------------------------------------------------------
 
 
+@cache
 def _twists():
     """Restriction bookkeeping used by the Serre leaves: omega restricted to
     an exceptional divisor, and the pulled-back rank-2 bundle restricted as
-    O(-1,0)^2 (subbundle splitting type of the line)."""
+    O(-1,0)^2 (subbundle splitting type of the line).  A constant of the
+    rule set, so it is computed once per process."""
     om = restrict_to_E(canonical_class(), 0)          # (-4, -2)
     oe = (1, 0)
     serre_o = (oe[0] + om.m, oe[1] + om.n)            # (-3, -2)

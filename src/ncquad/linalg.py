@@ -16,6 +16,13 @@ values are equal objects.
 
 Prime fields and quadratic extensions use plain Gauss elimination on
 field elements.  Matrices are immutable after construction.
+
+The public constructors (``Matrix(field, rows)``, ``Matrix.from_cols``)
+coerce every entry through ``field.of``, since callers pass ints and
+strings.  Every matrix this module builds from its own results
+(transposes, sums, products, stacks, inverses, kernels, column spaces,
+intersections) is made by ``Matrix._normal``, which takes the entries as
+they are: field arithmetic already returns elements in normal form.
 """
 
 from __future__ import annotations
@@ -47,17 +54,30 @@ class Matrix:
         self.rows = tuple(rows)
 
     @classmethod
+    def _normal(cls, field, rows, ncols: int) -> "Matrix":
+        """A matrix on rows whose entries are already elements of ``field``
+        in normal form: no coercion and no ragged-row check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = tuple(map(tuple, rows))
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
+    def _normal_cols(cls, field, cols, nrows: int) -> "Matrix":
+        """``_normal`` from a list of columns of length ``nrows``."""
+        return cls._normal(field, zip(*cols) if cols else [()] * nrows, len(cols))
+
+    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._normal(field, [[one if i == j else zero for j in range(n)]
+                                   for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        m = cls(field, [[zero] * ncols for _ in range(nrows)])
-        if nrows == 0:
-            m = cls(field, [], ncols=ncols)
-        return m
+        return cls._normal(field, [[field.zero] * ncols] * nrows, ncols)
 
     @classmethod
     def from_cols(cls, field, cols, nrows: int | None = None) -> "Matrix":
@@ -86,7 +106,7 @@ class Matrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix._normal_cols(self.field, self.rows, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -102,26 +122,26 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
-        return Matrix(
+        return Matrix._normal(
             self.field,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
-        return Matrix(
+        return Matrix._normal(
             self.field,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._normal(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = self.field.of(c)
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._normal(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -135,7 +155,7 @@ class Matrix:
         else:
             ocols = other.cols()
             rows = [[_dot(r, c, self.field) for c in ocols] for r in self.rows]
-        return Matrix(self.field, rows, ncols=other.ncols)
+        return Matrix._normal(self.field, rows, other.ncols)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -154,10 +174,12 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.nrows != self.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(
+        if other.field != self.field:
+            raise ValueError("field mismatch")
+        return Matrix._normal(
             self.field,
             [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
+            self.ncols + other.ncols,
         )
 
     def _shape_check(self, other: "Matrix"):
@@ -191,7 +213,7 @@ class Matrix:
         free = [c for c in range(self.ncols) if c not in pivot_set]
         if isinstance(self.field, RationalField):
             cols = [_int_kernel_vector(ech, pivots, f, self.ncols) for f in free]
-            return Matrix.from_cols(self.field, cols, nrows=self.ncols)
+            return Matrix._normal_cols(self.field, cols, self.ncols)
         zero, one = self.field.zero, self.field.one
         cols = []
         for f in free:
@@ -205,8 +227,8 @@ class Matrix:
                     if x[c] != zero:
                         s = s + self.field.of(ech[r][c] / ech[r][pc]) * x[c]
                 x[pc] = -s
-            cols.append(tuple(x))
-        return Matrix.from_cols(self.field, cols, nrows=self.ncols)
+            cols.append(x)
+        return Matrix._normal_cols(self.field, cols, self.ncols)
 
     def det(self):
         if self.nrows != self.ncols:
@@ -249,7 +271,7 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         if isinstance(self.field, RationalField):
-            return Matrix(self.field, _int_inverse(self.rows), ncols=n)
+            return Matrix._normal(self.field, _int_inverse(self.rows), n)
         aug = [list(r) + [self.field.one if i == j else self.field.zero for j in range(n)]
                for i, r in enumerate(self.rows)]
         for c in range(n):
@@ -267,7 +289,7 @@ class Matrix:
                 if i != c and aug[i][c]:
                     f = aug[i][c]
                     aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return Matrix(self.field, [r[n:] for r in aug], ncols=n)
+        return Matrix._normal(self.field, [r[n:] for r in aug], n)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
@@ -442,7 +464,7 @@ def _field_echelon(rows, ncols):
 def column_space_basis(m: Matrix) -> Matrix:
     """The original columns of m sitting at the pivot positions."""
     _, pivots = m._echelon()
-    return Matrix.from_cols(m.field, [m.col(j) for j in pivots], nrows=m.nrows)
+    return Matrix._normal(m.field, [[r[j] for j in pivots] for r in m.rows], len(pivots))
 
 
 def span_contains(space: Matrix, vec) -> bool:
@@ -464,10 +486,10 @@ def intersect_subspaces(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
         raise ValueError("ambient mismatch")
     if a.ncols == 0 or b.ncols == 0:
-        return Matrix.from_cols(a.field, [], nrows=a.nrows)
+        return Matrix._normal_cols(a.field, [], a.nrows)
     ker = a.hstack(-b).kernel_basis()
     cand = []
     for j in range(ker.ncols):
         x = ker.col(j)[: a.ncols]
         cand.append(a.apply(x))
-    return column_space_basis(Matrix.from_cols(a.field, cand, nrows=a.nrows))
+    return column_space_basis(Matrix._normal_cols(a.field, cand, a.nrows))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QQ, QuadraticExtension
+from .fields import QQ
 from .forms import BinaryForm, root_structure
 from .linalg import Matrix, column_space_basis, intersect_subspaces, span_contains
 from .tensors import Tensor
@@ -226,19 +226,6 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
     return GeometricityReport(tuple(reports))
 
 
-def verify_witness(q: Quintuple, j: int, witness: PureWitness) -> bool:
-    """Check that <phi x chi, w> = 0 at slot pair (j, j+1)."""
-    w = q.w
-    if witness.extension_disc is not None:
-        ext = QuadraticExtension(q.field, witness.extension_disc)
-        w = Tensor(ext, w.shape, [ext.of(x) for x in w.entries], w.slots)
-    first = w.contract(j % 4, witness.phi)
-    # after removing slot j, slot (j+1) mod 4 sits at position j if j < 3, else 0
-    pos = j % 4 if j % 4 < 3 else 0
-    second = first.contract(pos, witness.chi)
-    return second.is_zero()
-
-
 @dataclass(frozen=True)
 class RelationData:
     """R_0, R_1 and the one-dimensional intersection line carrying w."""
@@ -260,14 +247,14 @@ class RelationData:
 def relations(q: Quintuple) -> RelationData:
     """R_0 = span of slot-3 contractions of w, R_1 = span of slot-0
     contractions; flags (not exceptions) when a rank drops below the
-    regular values (2, 2, 1)."""
+    regular values (2, 2, 1).
+
+    The contraction of w by the basis functional e_d of slot 3 (of slot
+    0) is column d of the flattening with that slot alone on the columns,
+    so both spans are column spaces of flattenings."""
     field = q.field
-    e0 = (field.one, field.zero)
-    e1 = (field.zero, field.one)
-    r0 = column_space_basis(Matrix.from_cols(
-        field, [q.w.contract(3, f).flatten() for f in (e0, e1)], nrows=8))
-    r1 = column_space_basis(Matrix.from_cols(
-        field, [q.w.contract(0, f).flatten() for f in (e0, e1)], nrows=8))
+    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
+    r1 = column_space_basis(q.w.reshape((1, 2, 3), (0,)))
 
     # R0 x V3 and V0 x R1 inside the full 16-dim tensor space
     cols_a = []

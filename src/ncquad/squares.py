@@ -328,6 +328,7 @@ def mutate_linear_to_block(
         gram=gram,
     )
 
+    leg_ranks = mutated.leg_ranks()
     notes = []
     structural = orth
     if block is None:
@@ -340,7 +341,7 @@ def mutate_linear_to_block(
             mutated.relation_dim == block.relation_dim,
             mutated.gram == block.gram,
             mutated.total_dim == block.total_dim,
-            mutated.leg_ranks() == block.leg_ranks(),
+            leg_ranks == block.leg_ranks(),
         )
         if not all(checks):
             notes.append("structural mismatch with the block quiver")
@@ -349,7 +350,7 @@ def mutate_linear_to_block(
         orthogonality_bijective=orth,
         a13_dim=a13_dim,
         new_hom_dim=new_hom_dim,
-        leg_ranks=mutated.leg_ranks(),
+        leg_ranks=leg_ranks,
         structural_match=structural,
         notes=tuple(notes),
     )

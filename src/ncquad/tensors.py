@@ -1,13 +1,42 @@
-"""Multilinear algebra: dense tensors with labeled slots, contraction by
-functionals, and reshaping into matrices.
+"""Multilinear algebra: dense tensors with labeled slots and their
+flattenings into matrices.
 
 Shapes stay tiny here (axes of length 2, arity at most 4); entries are
-exact scalars, stored flat in row-major order.
+exact scalars, stored flat in row-major order.  A flattening is a pure
+copy: ``reshape`` reads the flat entry index of every matrix cell from a
+table cached per (shape, row slots, column slots) and moves the entries,
+already in normal form, into the matrix without arithmetic or coercion.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .linalg import Matrix
+
+
+def _strides(shape) -> list[int]:
+    strides = [1] * len(shape)
+    for k in range(len(shape) - 2, -1, -1):
+        strides[k] = strides[k + 1] * shape[k + 1]
+    return strides
+
+
+@cache
+def _flattening_index(shape, row_slots, col_slots):
+    """(rows, ncols): for each matrix row, the flat entry indices of its
+    cells, for the flattening of a tensor of ``shape`` with multi-indices
+    over ``row_slots`` and ``col_slots`` (row-major in each group)."""
+    strides = _strides(shape)
+
+    def offsets(group):
+        out = [0]
+        for s in group:
+            out = [o + i * strides[s] for o in out for i in range(shape[s])]
+        return out
+
+    cols = offsets(col_slots)
+    return tuple(tuple(r + c for c in cols) for r in offsets(row_slots)), len(cols)
 
 
 class Tensor:
@@ -31,124 +60,28 @@ class Tensor:
         self.slots = slots
         self.entries = entries
 
-    @classmethod
-    def from_nested(cls, field, nested, slots) -> "Tensor":
-        shape = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            shape.append(len(probe))
-            probe = probe[0]
-        flat = []
-
-        def walk(node, depth):
-            if depth == len(shape):
-                flat.append(node)
-                return
-            if len(node) != shape[depth]:
-                raise ValueError("ragged nested entries")
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return cls(field, shape, flat, slots)
-
     @property
     def arity(self) -> int:
         return len(self.shape)
 
-    def _strides(self) -> list[int]:
-        strides = [1] * self.arity
-        for k in range(self.arity - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.shape[k + 1]
-        return strides
-
     def entry(self, idx):
-        strides = self._strides()
-        flat = sum(i * s for i, s in zip(idx, strides))
+        flat = sum(i * s for i, s in zip(idx, _strides(self.shape)))
         return self.entries[flat]
 
     def is_zero(self) -> bool:
         return all(not x for x in self.entries)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for x in self.entries if x)
-
-    def contract(self, slot: int, functional) -> "Tensor":
-        """Pair axis ``slot`` against a functional (coefficient sequence).
-
-        The arity drops by one; the result is linear in both the tensor
-        and the functional.
-        """
-        if not 0 <= slot < self.arity:
-            raise ValueError(f"slot {slot} out of range for arity {self.arity}")
-        functional = tuple(self.field.of(c) for c in functional)
-        if len(functional) != self.shape[slot]:
-            raise ValueError("functional length does not match the slot")
-        strides = self._strides()
-        new_shape = self.shape[:slot] + self.shape[slot + 1 :]
-        new_slots = self.slots[:slot] + self.slots[slot + 1 :]
-        size = 1
-        for s in new_shape:
-            size *= s
-        new_strides = [1] * len(new_shape)
-        for k in range(len(new_shape) - 2, -1, -1):
-            new_strides[k] = new_strides[k + 1] * new_shape[k + 1]
-        out = []
-        for flat in range(size):
-            idx = []
-            rem = flat
-            for st in new_strides:
-                idx.append(rem // st)
-                rem %= st
-            full = idx[:slot] + [0] + idx[slot:]
-            s = self.field.zero
-            for a, c in enumerate(functional):
-                full[slot] = a
-                s = s + c * self.entries[sum(i * st for i, st in zip(full, strides))]
-            out.append(s)
-        return Tensor(self.field, new_shape, out, new_slots)
-
     def reshape(self, row_slots, col_slots) -> Matrix:
         """Matrix whose (row, col) multi-indices run over the given slot
-        positions, row-major in each group."""
+        positions, row-major in each group; an empty group gives one row
+        (or column)."""
         row_slots = tuple(row_slots)
         col_slots = tuple(col_slots)
         if sorted(row_slots + col_slots) != list(range(self.arity)):
             raise ValueError("row and column slots must partition the axes")
-        strides = self._strides()
-
-        def group_indices(slot_group):
-            dims = [self.shape[s] for s in slot_group]
-            total = 1
-            for d in dims:
-                total *= d
-            out = []
-            for flat in range(total):
-                idx = []
-                rem = flat
-                for k in range(len(dims)):
-                    block = 1
-                    for d in dims[k + 1 :]:
-                        block *= d
-                    idx.append(rem // block)
-                    rem %= block
-                out.append(tuple(idx))
-            return out
-
-        rows_idx = group_indices(row_slots)
-        cols_idx = group_indices(col_slots)
-        rows = []
-        for ri in rows_idx:
-            row = []
-            for ci in cols_idx:
-                full = [0] * self.arity
-                for s, v in zip(row_slots, ri):
-                    full[s] = v
-                for s, v in zip(col_slots, ci):
-                    full[s] = v
-                row.append(self.entries[sum(i * st for i, st in zip(full, strides))])
-            rows.append(row)
-        return Matrix(self.field, rows, ncols=len(cols_idx))
+        table, ncols = _flattening_index(self.shape, row_slots, col_slots)
+        pick = self.entries.__getitem__
+        return Matrix._normal(self.field, [tuple(map(pick, row)) for row in table], ncols)
 
     def flatten(self) -> tuple:
         return self.entries
@@ -162,7 +95,7 @@ class Tensor:
                 for i in range(self.shape[depth])
             ]
 
-        return build(0, 0, self._strides())
+        return build(0, 0, _strides(self.shape))
 
     def scale(self, c) -> "Tensor":
         c = self.field.of(c)

@@ -10,7 +10,7 @@ pair annihilates the tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
@@ -146,6 +146,44 @@ def random_type_a_triple(rng, height=20):
             return (a, b, c), build_type_a(a, b, c)
         except ValueError:
             continue
+
+
+# -- contraction by functionals (oracle for the flattenings of w) ---------
+#
+# Per-entry sums over Tensor.entry, sharing no code with Tensor.reshape.
+
+
+def contract(t: Tensor, slot: int, functional) -> Tensor:
+    """Pair axis ``slot`` of ``t`` against a functional (coefficient
+    sequence); the arity drops by one."""
+    if not 0 <= slot < len(t.shape):
+        raise ValueError(f"slot {slot} out of range for arity {len(t.shape)}")
+    field = t.field
+    functional = [field.of(c) for c in functional]
+    if len(functional) != t.shape[slot]:
+        raise ValueError("functional length does not match the slot")
+    rest = t.shape[:slot] + t.shape[slot + 1:]
+    out = []
+    for idx in product(*(range(n) for n in rest)):
+        s = field.zero
+        for a, c in enumerate(functional):
+            s = s + c * t.entry(idx[:slot] + (a,) + idx[slot:])
+        out.append(s)
+    return Tensor(field, rest, out, t.slots[:slot] + t.slots[slot + 1:])
+
+
+def verify_witness(q: Quintuple, j: int, witness) -> bool:
+    """Check that <phi x chi, w> = 0 at slot pair (j, j+1)."""
+    from ncquad.fields import QuadraticExtension
+
+    w = q.w
+    if witness.extension_disc is not None:
+        ext = QuadraticExtension(q.field, witness.extension_disc)
+        w = Tensor(ext, w.shape, [ext.of(x) for x in w.entries], w.slots)
+    first = contract(w, j % 4, witness.phi)
+    # after removing slot j, slot (j+1) mod 4 sits at position j if j < 3, else 0
+    pos = j % 4 if j % 4 < 3 else 0
+    return contract(first, pos, witness.chi).is_zero()
 
 
 # -- exhaustive pure-pair enumeration over F_{p^2} -------------------------

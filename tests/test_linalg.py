@@ -269,3 +269,66 @@ def test_qq_product_and_apply_match_oracle(nrows, inner, ncols, data):
     assert (prod.nrows, prod.ncols) == (nrows, ncols)
     assert list(prod.rows) == matmul_oracle(a, b, ncols)
     assert ma.apply(vec) == tuple(r[0] for r in matmul_oracle(a, [[x] for x in vec], 1))
+
+
+# -- results stay in the field's normal form -------------------------------
+
+
+def _entry_types(m):
+    return {type(x) for r in m.rows for x in r}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_results_hold_only_field_elements(field):
+    from helpers import random_invertible_fp, random_invertible_qq
+    from ncquad.fields import FpElement
+    from ncquad.tensors import Tensor
+
+    kind = Fraction if field is QQ else FpElement
+    rng = random.Random(85)
+    for _ in range(10):
+        if field is QQ:
+            a = random_matrix_qq(rng, 4, 5, height=3)
+            b = random_matrix_qq(rng, 4, 5, height=3)
+            c = random_matrix_qq(rng, 5, 3, height=3)
+            sq = random_invertible_qq(rng, 4, height=3)
+            w = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(16)]
+        else:
+            a = random_matrix_fp(rng, field, 4, 5)
+            b = random_matrix_fp(rng, field, 4, 5)
+            c = random_matrix_fp(rng, field, 5, 3)
+            sq = random_invertible_fp(rng, field, 4)
+            w = [rng.randrange(5) for _ in range(16)]
+        low = a * Matrix(field, [[1, 0, 0, 0, 0]] * 5)   # rank <= 1
+        t = Tensor(field, (2, 2, 2, 2), w, ("A", "B", "C", "D"))
+        results = [
+            a.transpose(), -a, a + b, a - b, a * c, a * 3, a.hstack(b),
+            sq.inverse(), a.kernel_basis(), low.kernel_basis(),
+            column_space_basis(a), column_space_basis(low),
+            intersect_subspaces(a, b), intersect_subspaces(low, b),
+            intersect_subspaces(a, Matrix.from_cols(field, [], nrows=4)),
+            t.reshape((0, 1), (2, 3)), t.reshape((3, 1, 0), (2,)),
+        ]
+        for m in results:
+            assert _entry_types(m) <= {kind}
+            assert all(type(r) is tuple for r in m.rows)
+            assert all(len(r) == m.ncols for r in m.rows)
+
+
+def test_public_constructors_still_coerce():
+    m = Matrix(QQ, [[1, "1/2"]])
+    assert m.rows == ((Fraction(1), Fraction(1, 2)),)
+    assert _entry_types(m) == {Fraction}
+    c = Matrix.from_cols(QQ, [(1, "2/3"), ("-1", 0)])
+    assert c.rows == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
+    assert _entry_types(c) == {Fraction}
+    F = GF(5)
+    from ncquad.fields import FpElement
+
+    assert _entry_types(Matrix(F, [[1, "1/2"]])) == {FpElement}
+    assert Matrix(F, [[1, "1/2"]]) == Matrix(F, [[F.one, F.of(3)]])
+
+
+def test_hstack_rejects_mixed_fields():
+    with pytest.raises(ValueError, match="field mismatch"):
+        Matrix(QQ, [[1]]).hstack(Matrix(GF(5), [[1]]))

@@ -10,6 +10,7 @@ from helpers import (
     random_quintuple_fp,
     random_type_a_triple,
     span_equal,
+    verify_witness,
 )
 from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix, span_contains
@@ -23,7 +24,6 @@ from ncquad.quintuples import (
     is_geometric,
     relations,
     truncated_dims,
-    verify_witness,
 )
 from ncquad.tensors import Tensor
 
@@ -36,7 +36,7 @@ def pure_tensor_quintuple(field=QQ) -> Quintuple:
 
 def test_linear_quadric_entries():
     q = build_linear_quadric()
-    assert q.w.nonzero_count() == 4
+    assert sum(1 for x in q.w.entries if x) == 4
     assert sorted(int(x) for x in q.w.entries if x) == [-1, -1, 1, 1]
     assert q.w.entry((0, 0, 1, 1)) == 1
     assert q.w.entry((1, 0, 0, 1)) == -1
@@ -91,7 +91,7 @@ def test_type_a_excluded_locus():
 
 def test_type_a_accepted_has_eight_terms():
     q = build_type_a(1, 2, 3)
-    assert q.w.nonzero_count() == 8
+    assert sum(1 for x in q.w.entries if x) == 8
 
 
 def test_pure_tensor_fails_everywhere():

@@ -1,17 +1,24 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import contract, random_quintuple_fp, random_type_a_triple
+from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
-from ncquad.quintuples import build_linear_quadric
+from ncquad.fileformat import load_quintuple
+from ncquad.linalg import Matrix, column_space_basis
+from ncquad.quintuples import build_linear_quadric, relations
 from ncquad.tensors import Tensor
 
 
 def test_contract_pure_tensor():
     # e_x (x) e_y contracted against x* in slot 0 leaves e_y
     t = Tensor(QQ, (2, 2), [0, 1, 0, 0], ("A", "B"))
-    out = t.contract(0, (1, 0))
+    out = contract(t, 0, (1, 0))
     assert out.shape == (2,) and out.slots == ("B",)
     assert out.entries == (QQ.zero, QQ.one)
 
@@ -20,16 +27,16 @@ def test_contract_linear_quadric_slots_23():
     # contracting w by x2* then x3* picks out the coefficient of x2 x3,
     # leaving y0 (x) y1
     q = build_linear_quadric()
-    step = q.w.contract(3, (1, 0))        # x3*
-    out = step.contract(2, (1, 0))        # x2*
+    step = contract(q.w, 3, (1, 0))        # x3*
+    out = contract(step, 2, (1, 0))        # x2*
     assert out.slots == ("V0", "V1")
     assert out.entry((1, 1)) == 1
-    assert out.nonzero_count() == 1
+    assert sum(1 for x in out.entries if x) == 1
 
 
 def test_contract_by_zero_functional():
     q = build_linear_quadric()
-    out = q.w.contract(1, (0, 0))
+    out = contract(q.w, 1, (0, 0))
     assert out.is_zero()
 
 
@@ -43,15 +50,15 @@ def test_contract_multilinearity():
         phi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         chi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         combo = tuple(a * p + b * c for p, c in zip(phi, chi))
-        lhs = t.contract(slot, combo)
-        rhs = t.contract(slot, phi).scale(a) + t.contract(slot, chi).scale(b)
+        lhs = contract(t, slot, combo)
+        rhs = contract(t, slot, phi).scale(a) + contract(t, slot, chi).scale(b)
         assert lhs == rhs
 
 
 def test_contract_slot_out_of_range():
     t = Tensor(QQ, (2, 2), [1, 0, 0, 1], ("A", "B"))
     with pytest.raises(ValueError):
-        t.contract(2, (1, 0))
+        contract(t, 2, (1, 0))
 
 
 def test_slot_labels_distinct():
@@ -86,16 +93,10 @@ def test_contract_commutes_with_reduction_mod_p():
         phi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         slot = rng.randrange(4)
         reduced = Tensor(F, t.shape, [F.of(x) for x in t.entries], t.slots)
-        lhs = reduced.contract(slot, tuple(F.of(x) for x in phi))
-        over_q = t.contract(slot, phi)
+        lhs = contract(reduced, slot, tuple(F.of(x) for x in phi))
+        over_q = contract(t, slot, phi)
         rhs = Tensor(F, over_q.shape, [F.of(x) for x in over_q.entries], over_q.slots)
         assert lhs == rhs
-
-
-def test_nested_roundtrip():
-    q = build_linear_quadric()
-    rebuilt = Tensor.from_nested(QQ, q.w.as_nested(), q.w.slots)
-    assert rebuilt == q.w
 
 
 def test_contraction_matrix_rank_four():
@@ -104,3 +105,90 @@ def test_contraction_matrix_rank_four():
     from ncquad.quintuples import contraction_matrix
 
     assert contraction_matrix(build_linear_quadric(), 2).rank() == 4
+
+
+# -- the index path of reshape against a per-entry oracle -----------------
+
+
+def _reshape_oracle(t, row_slots, col_slots):
+    """Rows of the flattening, one Tensor.entry lookup per cell."""
+    def multi(group):
+        return list(product(*(range(t.shape[s]) for s in group)))
+
+    rows = []
+    for ri in multi(row_slots):
+        row = []
+        for ci in multi(col_slots):
+            idx = [0] * len(t.shape)
+            for s, v in zip(row_slots + col_slots, ri + ci):
+                idx[s] = v
+            row.append(t.entry(tuple(idx)))
+        rows.append(tuple(row))
+    return rows
+
+
+@st.composite
+def _small_tensor(draw):
+    field = draw(st.sampled_from((QQ, GF(5))))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    size = 1
+    for n in shape:
+        size *= n
+    if field is QQ:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    else:
+        scalar = st.integers(0, 4)
+    entries = draw(st.lists(scalar, min_size=size, max_size=size))
+    return Tensor(field, shape, entries, tuple(f"S{k}" for k in range(len(shape))))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_small_tensor())
+def test_reshape_matches_entry_oracle_on_every_split(t):
+    arity = len(t.shape)
+    for order in permutations(range(arity)):
+        for cut in range(arity + 1):
+            rows, cols = order[:cut], order[cut:]
+            m = t.reshape(rows, cols)
+            expected = _reshape_oracle(t, rows, cols)
+            assert (m.nrows, m.ncols) == (len(expected), len(expected[0]))
+            assert list(m.rows) == expected
+            assert m == Matrix(t.field, expected)
+    rest = tuple(range(1, arity))
+    bad = (
+        (tuple(range(arity)), (0,)),          # slot 0 twice
+        (rest, ()),                           # slot 0 missing
+        (rest, (arity,)),                     # slot 0 replaced: out of range
+        (rest, (-1,)),                        # slot 0 replaced: negative
+    )
+    for rows, cols in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="partition"):
+                t.reshape(rows, cols)
+
+
+def _relation_inputs():
+    for name in corpus_names():
+        yield load_quintuple(str(corpus_path(name)))[0]
+    rng = random.Random(84)
+    for _ in range(10):
+        yield random_type_a_triple(rng)[1]
+    F = GF(5)
+    for _ in range(20):
+        yield random_quintuple_fp(rng, F)
+
+
+def test_relations_equal_contraction_spans():
+    # R0 (R1) is spanned by the contractions of w by the basis functionals
+    # of slot 3 (slot 0)
+    checked = 0
+    for q in _relation_inputs():
+        field = q.field
+        basis = ((field.one, field.zero), (field.zero, field.one))
+        rel = relations(q)
+        for got, slot in ((rel.r0, 3), (rel.r1, 0)):
+            span = Matrix.from_cols(field, [contract(q.w, slot, e).entries for e in basis],
+                                    nrows=8)
+            assert got == column_space_basis(span)
+        checked += 1
+    assert checked == len(corpus_names()) + 30
