@@ -9,13 +9,13 @@ consumed downstream is about integers attached to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 
+from .records import Record
 
-@dataclass(frozen=True)
-class CohTable:
+
+class CohTable(Record):
     """Dimensions of H^0..H^dim for one line bundle on one space."""
 
     space: str
@@ -76,8 +76,7 @@ def euler_p1xp2(m: int, n: int) -> int:
     return (m + 1) * (n + 1) * (n + 2) // 2
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(Record):
     """a*H + b*E0 + c*E1 on the blow-up, H the pulled-back Pluecker class."""
 
     h: int
@@ -97,8 +96,7 @@ class PicClass:
         return PicClass(k * self.h, k * self.e0, k * self.e1)
 
 
-@dataclass(frozen=True)
-class EPair:
+class EPair(Record):
     """O(m, n) = O_{P^1}(m) box O_{P^2}(n) on an exceptional divisor."""
 
     m: int
@@ -121,10 +119,6 @@ def exceptional(i: int) -> PicClass:
     if i == 1:
         return PicClass(0, 0, 1)
     raise ValueError("exceptional divisor index is 0 or 1")
-
-
-def total_exceptional() -> PicClass:
-    return PicClass(0, 1, 1)
 
 
 def restrict_to_E(c: PicClass, i: int) -> EPair:
@@ -169,8 +163,7 @@ def sod_length(base_len: int, center_collection_lens, codim: int) -> int:
     return base_len + (codim - 1) * sum(center_collection_lens)
 
 
-@dataclass(frozen=True)
-class HKRTriple:
+class HKRTriple(Record):
     """(h0(wedge^2 T), h1(T), h2(O)) for the quadric surface P^1 x P^1.
 
     Kuenneth gives (9, 0, 0): wedge^2 T = O(2,2) with h0 = 9, T =

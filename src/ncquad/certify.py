@@ -22,7 +22,6 @@ produces a deterministic, canonically serialized certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import __version__ as _toolkit_version
@@ -38,6 +37,7 @@ from .quintuples import (
     relations,
     truncated_dims,
 )
+from .records import Record
 from .squares import (
     BLOCK_GRAM,
     CONVENTIONS,
@@ -304,8 +304,7 @@ def _cell_c_c(i: int, j: int) -> dict:
         _scale_node(2, _cell_o_c(j)))
 
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(Record):
     """Degree-indexed Ext dimensions for (p*R, C0, C1, O) with derivations."""
 
     objects: tuple
@@ -438,8 +437,7 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
 # -- full pipeline -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Machine-checkable record of the whole embedding pipeline for one
     input: every stage's exact data plus a single verdict."""
 

@@ -414,9 +414,6 @@ class QuadraticExtension:
     def format(self, x: QuadElement) -> str:
         return f"{self.base.format(x.a)}+{self.base.format(x.b)}*theta"
 
-    def minimal_polynomial(self) -> str:
-        return f"theta^2 - ({self.base.format(self.disc)})"
-
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticExtension)

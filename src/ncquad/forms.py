@@ -10,9 +10,8 @@ witnessed by a degree-0 gcd, never by numerics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import PrimeField, QuadraticExtension, RationalField
+from .records import Record
 
 
 class BinaryForm:
@@ -153,8 +152,7 @@ def binary_form_gcd(forms: list[BinaryForm]) -> BinaryForm:
     return BinaryForm(field, coeffs).monic()
 
 
-@dataclass(frozen=True)
-class RootStructure:
+class RootStructure(Record):
     """Classification of a nonzero binary quadratic over the closure.
 
     kind is one of "split-rational" (two distinct roots in the ground

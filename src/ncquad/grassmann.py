@@ -1,9 +1,8 @@
 """Lines in the Grassmannian G = Gr(1,3) of lines in P^3.
 
-A point of G is stored through its 2-dimensional kernel inside the fixed
-4-dimensional space V, together with the Pluecker vector of 2x2 minors.
-An embedded line comes from a factorization phi: V ~ U0 x U1 (a 4x4
-invertible matrix); its points are the kernels
+A point of G is a 2-dimensional kernel inside the fixed 4-dimensional
+space V.  An embedded line comes from a factorization phi: V ~ U0 x U1
+(a 4x4 invertible matrix); its points are the kernels
 
     K(s:t) = phi^{-1}( span(-t, s) x U1 )        (contracted factor 0)
     K(s:t) = phi^{-1}( U0 x span(-t, s) )        (contracted factor 1)
@@ -19,61 +18,12 @@ extension when necessary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .forms import BinaryForm, binary_form_gcd, root_structure
 from .linalg import Matrix
-
-PLUECKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True)
-class GPoint:
-    """A point of Gr(1,3): 2-dim kernel in V plus its Pluecker vector."""
-
-    kernel: Matrix
-    pluecker: tuple
-
-    @classmethod
-    def from_kernel(cls, kernel: Matrix) -> "GPoint":
-        if kernel.nrows != 4 or kernel.ncols != 2:
-            raise ValueError("kernel must be a 4x2 basis matrix")
-        if kernel.rank() != 2:
-            raise ValueError("kernel basis is degenerate")
-        field = kernel.field
-        p = []
-        for i, j in PLUECKER_PAIRS:
-            p.append(kernel[i, 0] * kernel[j, 1] - kernel[j, 0] * kernel[i, 1])
-        # normalize: first nonzero coordinate 1
-        for x in p:
-            if x:
-                inv = field.one / x
-                p = [inv * y for y in p]
-                break
-        pt = cls(kernel, tuple(p))
-        if not pt.satisfies_pluecker():
-            raise AssertionError("Pluecker relation violated; minor bookkeeping bug")
-        return pt
-
-    def satisfies_pluecker(self) -> bool:
-        p01, p02, p03, p12, p13, p23 = self.pluecker
-        return not (p01 * p23 - p02 * p13 + p03 * p12)
-
-    def same_point(self, other: "GPoint") -> bool:
-        return self.pluecker == other.pluecker
+from .records import Record
 
 
-def point_from_quotient(f: Matrix) -> GPoint:
-    """Point of G from a rank-2 quotient map f: V ->> k^2 (a 2x4 matrix)."""
-    if f.nrows != 2 or f.ncols != 4:
-        raise ValueError("expected a 2x4 matrix")
-    if f.rank() != 2:
-        raise ValueError("quotient map must have rank 2")
-    return GPoint.from_kernel(f.kernel_basis())
-
-
-@dataclass(frozen=True)
-class EmbeddedLine:
+class EmbeddedLine(Record):
     """A line P^1 -> G induced by phi: V ~ U0 x U1 and a contracted factor.
 
     ``phi_inv`` is the inverse of ``phi``: ``line_from_phi`` computes it,
@@ -115,9 +65,6 @@ class EmbeddedLine:
             cols.append(phi_inv.apply(vec))
         return Matrix.from_cols(fld, cols, nrows=4)
 
-    def point_at(self, s, t) -> GPoint:
-        return GPoint.from_kernel(self.kernel_at(s, t))
-
 
 def line_from_phi(phi: Matrix, contracted_factor: int = 0) -> EmbeddedLine:
     """Embedded line from an invertible factorization matrix.
@@ -133,8 +80,7 @@ def lift_matrix(m: Matrix, ext) -> Matrix:
     return Matrix(ext, [[ext.of(x) for x in row] for row in m.rows], ncols=m.ncols)
 
 
-@dataclass(frozen=True)
-class SplittingTypes:
+class SplittingTypes(Record):
     """Splitting types of the tautological bundles and the normal bundle
     along an embedded line, plus the degree of the restricted canonical
     bundle of G."""
@@ -191,8 +137,7 @@ def splitting_type_restrictions(line: EmbeddedLine) -> SplittingTypes:
     return SplittingTypes((-1, -1), (1, 1), (2, 2, 2), -8, certified)
 
 
-@dataclass(frozen=True)
-class MeetWitness:
+class MeetWitness(Record):
     """An intersection point: parameters on both lines, plus the minimal
     polynomial data when the coordinates need a quadratic extension."""
 
@@ -201,8 +146,7 @@ class MeetWitness:
     extension_disc: object = None
 
 
-@dataclass(frozen=True)
-class LineRelation:
+class LineRelation(Record):
     verdict: str                     # "disjoint" | "meet" | "coincide"
     count: int = 0
     witnesses: tuple = ()
@@ -424,7 +368,7 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
                         if pc:
                             col[3 * out + mi] = col[3 * out + mi] + field.of(pc) * coeff
             cols.append(tuple(col))
-    m = Matrix.from_cols(field, cols, nrows=6)
+    m = Matrix._normal_cols(field, cols, 6)
     return 8 - m.rank()
 
 

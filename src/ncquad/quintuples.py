@@ -22,20 +22,19 @@ over the closure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import QQ
 from .forms import BinaryForm, root_structure
 from .linalg import Matrix, column_space_basis, intersect_subspaces, span_contains
+from .records import Record
 from .tensors import Tensor
 
 SLOT_LABELS = ("V0", "V1", "V2", "V3")
 BASIS_LABELS = ("x", "y")
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(Record):
     """Four basis-labeled 2-dimensional spaces plus the 16-coefficient w."""
 
     w: Tensor
@@ -114,8 +113,7 @@ def contraction_matrix(q: Quintuple, j: int) -> Matrix:
     return q.w.reshape(rows, cols)
 
 
-@dataclass(frozen=True)
-class PureWitness:
+class PureWitness(Record):
     """A nonzero pure functional pair annihilating w at one slot pair.
 
     Coordinates live in the ground field, or in
@@ -128,8 +126,7 @@ class PureWitness:
     extension_disc: object = None
 
 
-@dataclass(frozen=True)
-class SlotPairReport:
+class SlotPairReport(Record):
     j: int
     passed: bool
     kernel_dim: int
@@ -137,8 +134,7 @@ class SlotPairReport:
     certificate: str = ""
 
 
-@dataclass(frozen=True)
-class GeometricityReport:
+class GeometricityReport(Record):
     pairs: tuple
 
     @property
@@ -226,8 +222,7 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
     return GeometricityReport(tuple(reports))
 
 
-@dataclass(frozen=True)
-class RelationData:
+class RelationData(Record):
     """R_0, R_1 and the one-dimensional intersection line carrying w."""
 
     r0: Matrix        # basis of R_0 inside V0xV1xV2 (8-dim ambient)
@@ -273,8 +268,8 @@ def relations(q: Quintuple) -> RelationData:
             for i in range(8):
                 vec[8 * a + i] = r[i]
             cols_b.append(tuple(vec))
-    span_a = Matrix.from_cols(field, cols_a, nrows=16)
-    span_b = Matrix.from_cols(field, cols_b, nrows=16)
+    span_a = Matrix._normal_cols(field, cols_a, 16)
+    span_b = Matrix._normal_cols(field, cols_b, 16)
     w_line = intersect_subspaces(span_a, span_b)
 
     issues = []
@@ -303,8 +298,7 @@ def hilbert_dims(n: int) -> int:
     return 2 * hilbert_dims(n - 1) - 2 * hilbert_dims(n - 3) + hilbert_dims(n - 4)
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(Record):
     """Window dims A_{i,j}, 0 <= i <= j <= 4, against the resolution values."""
 
     cells: dict

@@ -18,12 +18,11 @@ fixed convention and both are computed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QQ
 from .grassmann import EmbeddedLine
 from .linalg import Matrix
 from .quintuples import DimTable, Quintuple, RelationData, contraction_matrix, hilbert_dims
+from .records import Record
 
 CONVENTIONS = ("ruling", "literal")
 
@@ -44,8 +43,7 @@ class NotGeneric(Exception):
         super().__init__(f"{stage}: {reason}" if reason else stage)
 
 
-@dataclass(frozen=True)
-class GeometricSquare:
+class GeometricSquare(Record):
     """The septuple, with phi0 and phi1 stored next to their inverses,
     which the lines consume and the constructor already knows."""
 
@@ -106,16 +104,14 @@ def _dual_label(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     source: int
     target: int
     labels: tuple
     space: str
 
 
-@dataclass(frozen=True)
-class QuiverAlgebra:
+class QuiverAlgebra(Record):
     """Vertices, basis-labeled arrow spaces, a relation subspace inside the
     long path space, and the Gram matrix of Hom dimensions.
 
@@ -147,10 +143,10 @@ class QuiverAlgebra:
         ranks = []
         ncols = self.composition.ncols
         for off in range(0, ncols, 4):
-            block = Matrix.from_cols(
+            block = Matrix._normal_cols(
                 self.composition.field,
                 [self.composition.col(j) for j in range(off, off + 4)],
-                nrows=self.composition.nrows,
+                self.composition.nrows,
             )
             ranks.append(block.rank())
         return tuple(ranks)
@@ -188,7 +184,7 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
                 lam[2 * a_idx + b_idx] = field.one
                 cols.append(phit.apply(lam))
                 path_basis.append(f"{out_sym}{o + 1}{in_sym}{n + 1}")
-    comp = Matrix.from_cols(field, cols, nrows=4)
+    comp = Matrix._normal_cols(field, cols, 4)
     rel = comp.kernel_basis()
 
     arrows = (
@@ -249,8 +245,7 @@ def _quotient_matrix(subspace: Matrix, field) -> Matrix:
     return ann.transpose()
 
 
-@dataclass(frozen=True)
-class MutationReport:
+class MutationReport(Record):
     orthogonality_bijective: bool
     a13_dim: int
     new_hom_dim: int
@@ -304,7 +299,7 @@ def mutate_linear_to_block(
                     col[2 * a + b] = r[4 * a + 2 * b + z]
             cols.append(tuple(col))
             path_basis.append(f"r{k + 1}z{z + 1}")
-    comp = Matrix.from_cols(field, cols, nrows=4)
+    comp = Matrix._normal_cols(field, cols, 4)
     relations_basis = comp.kernel_basis()
 
     gram = (

@@ -97,20 +97,6 @@ class Tensor:
 
         return build(0, 0, _strides(self.shape))
 
-    def scale(self, c) -> "Tensor":
-        c = self.field.of(c)
-        return Tensor(self.field, self.shape, [c * x for x in self.entries], self.slots)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape or self.slots != other.slots or self.field != other.field:
-            raise ValueError("tensor shape/slot mismatch")
-        return Tensor(
-            self.field,
-            self.shape,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            self.slots,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)

@@ -186,6 +186,64 @@ def verify_witness(q: Quintuple, j: int, witness) -> bool:
     return contract(first, pos, witness.chi).is_zero()
 
 
+# -- Pluecker coordinates (oracle for points of Gr(1,3)) ------------------
+#
+# A point is a 2-dim kernel in V with its normalized vector of 2x2 minors;
+# two kernels span the same plane iff their vectors agree.
+
+PLUECKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class GPoint:
+    """A point of Gr(1,3): 2-dim kernel in V plus its Pluecker vector."""
+
+    def __init__(self, kernel, pluecker: tuple):
+        self.kernel = kernel
+        self.pluecker = pluecker
+
+    @classmethod
+    def from_kernel(cls, kernel) -> "GPoint":
+        if kernel.nrows != 4 or kernel.ncols != 2:
+            raise ValueError("kernel must be a 4x2 basis matrix")
+        if kernel.rank() != 2:
+            raise ValueError("kernel basis is degenerate")
+        field = kernel.field
+        p = []
+        for i, j in PLUECKER_PAIRS:
+            p.append(kernel[i, 0] * kernel[j, 1] - kernel[j, 0] * kernel[i, 1])
+        # normalize: first nonzero coordinate 1
+        for x in p:
+            if x:
+                inv = field.one / x
+                p = [inv * y for y in p]
+                break
+        pt = cls(kernel, tuple(p))
+        if not pt.satisfies_pluecker():
+            raise AssertionError("Pluecker relation violated; minor bookkeeping bug")
+        return pt
+
+    def satisfies_pluecker(self) -> bool:
+        p01, p02, p03, p12, p13, p23 = self.pluecker
+        return not (p01 * p23 - p02 * p13 + p03 * p12)
+
+    def same_point(self, other: "GPoint") -> bool:
+        return self.pluecker == other.pluecker
+
+
+def point_from_quotient(f) -> GPoint:
+    """Point of G from a rank-2 quotient map f: V ->> k^2 (a 2x4 matrix)."""
+    if f.nrows != 2 or f.ncols != 4:
+        raise ValueError("expected a 2x4 matrix")
+    if f.rank() != 2:
+        raise ValueError("quotient map must have rank 2")
+    return GPoint.from_kernel(f.kernel_basis())
+
+
+def point_at(line, s, t) -> GPoint:
+    """The point K(s:t) of an embedded line."""
+    return GPoint.from_kernel(line.kernel_at(s, t))
+
+
 # -- exhaustive pure-pair enumeration over F_{p^2} -------------------------
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ncquad.cli import EXIT_INTERNAL, main
 from ncquad.corpus import corpus_names, corpus_path
@@ -178,3 +182,15 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: AssertionError")
     assert "input error" not in err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site from pre-loading modules, so the child sees exactly
+    # what importing the CLI pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, ncquad.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible_fp, random_invertible_qq, span_equal
+from helpers import (
+    point_at,
+    point_from_quotient,
+    random_invertible_fp,
+    random_invertible_qq,
+    span_equal,
+)
 from ncquad.fields import GF, QQ, QuadraticExtension
 from ncquad.grassmann import (
     hom_R_K_dim,
     hom_R_O_dim,
     line_from_phi,
     line_relation,
-    point_from_quotient,
     reshuffle_rank,
     splitting_type_restrictions,
 )
@@ -102,7 +107,7 @@ def test_parametrization_injective():
     for _ in range(10):
         phi = random_invertible_qq(rng, 4)
         line = line_from_phi(phi, 0)
-        points = [line.point_at(s, t).pluecker for (s, t) in params]
+        points = [point_at(line, s, t).pluecker for (s, t) in params]
         assert len(set(points)) == len(params)
 
 

@@ -51,7 +51,9 @@ def test_contract_multilinearity():
         chi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         combo = tuple(a * p + b * c for p, c in zip(phi, chi))
         lhs = contract(t, slot, combo)
-        rhs = contract(t, slot, phi).scale(a) + contract(t, slot, chi).scale(b)
+        left, right = contract(t, slot, phi), contract(t, slot, chi)
+        rhs = Tensor(QQ, left.shape, [a * x + b * y for x, y in zip(left.entries, right.entries)],
+                     left.slots)
         assert lhs == rhs
 
 
