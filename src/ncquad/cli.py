@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from .fileformat import (
     InputError,
     canonical_json_bytes,
     load_quintuple,
-    serialize_quintuple_meta,
 )
 from .fields import QQ
 from .quintuples import build_type_a
@@ -63,7 +61,7 @@ def cmd_check(args) -> int:
     table = analysis.window
     ok = geo.passed and rel.valid and table.valid
     report = {
-        "input": serialize_quintuple_meta(meta),
+        "input": dict(meta),
         "geometric": geo.passed,
         "failing_pairs": geo.failing_pairs(),
         "relation_dims": list(rel.dims),
@@ -102,6 +100,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import random  # only sweep draws samples; keeps it out of every other command's start
+
     if args.family != "type-a":
         print(f"unknown family {args.family!r}", file=sys.stderr)
         return EXIT_INPUT

@@ -396,9 +396,6 @@ class QuadraticExtension:
             return x
         return QuadElement(self.base.of(x), self.base.zero, self)
 
-    def from_pair(self, a, b) -> QuadElement:
-        return QuadElement(self.base.of(a), self.base.of(b), self)
-
     @property
     def theta(self) -> QuadElement:
         return QuadElement(self.base.zero, self.base.one, self)

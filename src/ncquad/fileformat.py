@@ -51,10 +51,6 @@ def field_from_str(s: str):
     raise InputError(f"unknown field spec {s!r}")
 
 
-def scalar_str(field, x) -> str:
-    return field.format(x)
-
-
 def scalar_json(x):
     """JSON value for one scalar: rationals and prime-field elements as
     strings, quadratic-extension elements as [a, b] coefficient pairs."""
@@ -98,9 +94,9 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
             q = build_type_a(a, b, c, field)
             meta = {
                 "family": "type-a",
-                "a": scalar_str(field, a),
-                "b": scalar_str(field, b),
-                "c": scalar_str(field, c),
+                "a": field.format(a),
+                "b": field.format(b),
+                "c": field.format(c),
                 "field": field_to_str(field),
             }
             return q, meta
@@ -135,14 +131,9 @@ def tensor_nested_strings(q: Quintuple):
     def conv(node):
         if isinstance(node, list):
             return [conv(x) for x in node]
-        return scalar_str(field, node)
+        return field.format(node)
 
     return conv(nested)
-
-
-def serialize_quintuple_meta(meta: dict) -> dict:
-    """The canonical file dict for a parsed input (round-trip identity)."""
-    return dict(meta)
 
 
 def canonical_json_bytes(obj) -> bytes:

@@ -30,20 +30,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def evaluate(self, s, t):
-        s, t = self.field.of(s), self.field.of(t)
-        d = self.degree
-        acc = self.field.zero
-        sp = [self.field.one]
-        tp = [self.field.one]
-        for _ in range(d):
-            sp.append(sp[-1] * s)
-            tp.append(tp[-1] * t)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * sp[d - i] * tp[i]
-        return acc
-
     def monic(self) -> "BinaryForm":
         for c in self.coeffs:
             if c:

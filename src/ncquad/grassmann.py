@@ -44,27 +44,6 @@ class EmbeddedLine(Record):
     def field(self):
         return self.phi.field
 
-    def kernel_at(self, s, t, fld=None) -> Matrix:
-        """Basis of K(s:t) as a 4x2 matrix, optionally over an extension."""
-        fld = fld or self.field
-        s, t = fld.of(s), fld.of(t)
-        if not (s or t):
-            raise ValueError("(0:0) is not a parameter")
-        phi_inv = self.phi_inv
-        if fld != self.field:
-            phi_inv = lift_matrix(phi_inv, fld)
-        cols = []
-        for b in range(2):
-            vec = [fld.zero] * 4
-            if self.contracted_factor == 0:
-                vec[0 * 2 + b] = -t
-                vec[1 * 2 + b] = s
-            else:
-                vec[b * 2 + 0] = -t
-                vec[b * 2 + 1] = s
-            cols.append(phi_inv.apply(vec))
-        return Matrix.from_cols(fld, cols, nrows=4)
-
 
 def line_from_phi(phi: Matrix, contracted_factor: int = 0) -> EmbeddedLine:
     """Embedded line from an invertible factorization matrix.
@@ -74,67 +53,6 @@ def line_from_phi(phi: Matrix, contracted_factor: int = 0) -> EmbeddedLine:
     phi is singular.
     """
     return EmbeddedLine(phi, phi.inverse(), contracted_factor)
-
-
-def lift_matrix(m: Matrix, ext) -> Matrix:
-    return Matrix(ext, [[ext.of(x) for x in row] for row in m.rows], ncols=m.ncols)
-
-
-class SplittingTypes(Record):
-    """Splitting types of the tautological bundles and the normal bundle
-    along an embedded line, plus the degree of the restricted canonical
-    bundle of G."""
-
-    subbundle: tuple          # R restricted: (-1, -1)
-    quotient: tuple           # Q restricted: (1, 1)
-    normal: tuple             # N: (2, 2, 2)
-    omega_degree: int         # deg of omega_G restricted: -8
-    immersion_certified: bool
-
-
-def splitting_type_restrictions(line: EmbeddedLine) -> SplittingTypes:
-    """((-1,-1), (1,1), (2,2,2)) with an exact immersion certificate.
-
-    The parametrized kernel basis is linear in the chart parameter; on each
-    affine chart the 4x4 determinant [K(p) | dK(p)] is a polynomial of
-    degree <= 4 which must be a nonzero constant (the tangent map into
-    Hom(K, V/K) never vanishes and the cokernel has constant rank 3).
-    Five sample points per chart pin the polynomial down exactly.
-    """
-    field = line.field
-    phi_inv = line.phi_inv
-
-    def vec(u0, u1, b):
-        v = [field.zero] * 4
-        if line.contracted_factor == 0:
-            v[b] = u0
-            v[2 + b] = u1
-        else:
-            v[2 * b] = u0
-            v[2 * b + 1] = u1
-        return phi_inv.apply(v)
-
-    def chart_dets(chart):
-        dets = []
-        for k in range(5):
-            s = field.of(k)
-            if chart == 0:   # t = 1, derivative d/ds ~ (0, 1)
-                cols = [vec(-field.one, s, 0), vec(-field.one, s, 1),
-                        vec(field.zero, field.one, 0), vec(field.zero, field.one, 1)]
-            else:            # s = 1, derivative d/dt ~ (-1, 0)
-                cols = [vec(-s, field.one, 0), vec(-s, field.one, 1),
-                        vec(-field.one, field.zero, 0), vec(-field.one, field.zero, 1)]
-            dets.append(Matrix.from_cols(field, cols, nrows=4).det())
-        return dets
-
-    certified = True
-    for chart in (0, 1):
-        dets = chart_dets(chart)
-        if (not dets[0]) or any(d != dets[0] for d in dets[1:]):
-            certified = False
-    # Degrees: deg Hom(R,Q)|_L = 8, so N has degree 8 - 2 = 6 in type (2,2,2);
-    # adjunction deg omega_P1 = deg omega_G|_L + deg det N gives -8.
-    return SplittingTypes((-1, -1), (1, 1), (2, 2, 2), -8, certified)
 
 
 class MeetWitness(Record):
@@ -171,28 +89,25 @@ def _polar2(u, v):
     return u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - v[1] * u[2]
 
 
-def _plane_type(n1, n2, field):
+def _rank_one(vecs) -> bool:
+    """Whether 2-vectors span exactly a line: some vector is nonzero and
+    every 2x2 minor vanishes.  Exact over any field."""
+    return any(a or b for a, b in vecs) and not any(
+        u[0] * v[1] - u[1] * v[0] for i, u in enumerate(vecs) for v in vecs[i + 1:])
+
+
+def _plane_type(n1, n2):
     """Type of a 2-dim plane of 2x2-singular matrices: "left" when all
     columns share one direction (plane = l x U1), "right" when all rows do
     (plane = U0 x m)."""
-    col_stack = Matrix.from_cols(
-        field,
-        [(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])],
-        nrows=2,
-    )
-    if col_stack.rank() == 1:
+    if _rank_one([(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])]):
         return "left"
-    row_stack = Matrix.from_cols(
-        field,
-        [(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])],
-        nrows=2,
-    )
-    if row_stack.rank() == 1:
+    if _rank_one([(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])]):
         return "right"
     return "neither"
 
 
-def _left_direction(n1, n2, field):
+def _left_direction(n1, n2):
     """The common column direction l of a left-type plane."""
     for v in (n1, n2):
         col0 = (v[0], v[2])
@@ -252,19 +167,17 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
     rr = reshuffle_rank(psi)
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
-    def plane_at(kx, ky, fld):
-        lift = (lambda v: tuple(fld.of(x) for x in v)) if fld != field else (lambda v: v)
-        n1 = tuple(kx * a + ky * b for a, b in zip(lift(A[0]), lift(B[0])))
-        n2 = tuple(kx * a + ky * b for a, b in zip(lift(A[1]), lift(B[1])))
-        return n1, n2
+    def plane_at(kx, ky):
+        # at a root in an extension kx lies there, and so does every entry
+        return [tuple(kx * a + ky * b for a, b in zip(A[i], B[i])) for i in (0, 1)]
 
     if q1.is_zero() and q2.is_zero() and bform.is_zero():
         # every plane of the family is fully decomposable; the ruling type
         # is constant along the family, but sample three parameters anyway
         types = set()
         for kx, ky in ((field.one, field.zero), (field.zero, field.one), (field.one, field.one)):
-            n1, n2 = plane_at(kx, ky, field)
-            types.add(_plane_type(n1, n2, field))
+            n1, n2 = plane_at(kx, ky)
+            types.add(_plane_type(n1, n2))
         if types != {"left"} and types != {"right"}:
             raise AssertionError(f"inconsistent decomposable family types: {types}")
         if types == {"left"}:
@@ -295,18 +208,14 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
 
     witnesses = []
     for (kx, ky), disc in roots:
-        if disc is None:
-            fld = field
-        else:
-            fld = kx.field  # the QuadraticExtension built by root_structure
-        n1, n2 = plane_at(kx, ky, fld)
-        ptype = _plane_type(n1, n2, fld)
+        n1, n2 = plane_at(kx, ky)
+        ptype = _plane_type(n1, n2)
         if ptype == "neither":
             # at a gcd root every vector of the plane is singular, so the
             # plane must sit in one ruling
             raise AssertionError("plane at a common root is not decomposable")
         if ptype == "left":
-            ell = _left_direction(n1, n2, fld)
+            ell = _left_direction(n1, n2)
             witnesses.append(MeetWitness(
                 param_l1=(kx, ky),
                 param_l0=(ell[1], -ell[0]),

@@ -1,28 +1,39 @@
-"""Exact dense linear algebra over the scalar fields.
+"""Exact dense linear algebra over QQ and the prime fields F_p.
 
-Over the rationals every operation runs on Python integers: each row (for
-a product, each column of the right factor too) is scaled once by the lcm
-of its denominators, the work is done on those integer rows, and each
-output entry is built as a single ``Fraction(num, den)``.  Rank and
-kernels use fraction-free (Bareiss) elimination, which keeps intermediate
-entries polynomially bounded, and the inverse uses fraction-free
-Gauss-Jordan elimination.  The results are the same values, and so the
-same bytes, as plain Fraction elimination would give, because each is
-uniquely determined by the matrix: the rank, the determinant, the
-inverse, a product, and the reduced kernel basis (the identity on the
-free columns, which are the complement of the lexicographically first
-independent set of columns).  ``Fraction`` is a normal form, so equal
-values are equal objects.
+Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``,
+on rows of Python integers.  ``_ints`` turns a row of field elements into
+integers: over QQ (p == 0) it scales the row by the lcm of its
+denominators, and mod p it takes the residues.  With p == 0 the echelon is
+fraction-free elimination over Z (Bareiss 1968), which divides exactly by
+the previous pivot and so keeps every entry a minor of the input; with
+p > 0 it is plain Gauss elimination mod p.  Everything else is read off
+that echelon:
 
-Prime fields and quadratic extensions use plain Gauss elimination on
-field elements.  Matrices are immutable after construction.
+* the rank is the number of pivots, and the column space is spanned by
+  the original columns at the pivots;
+* a kernel vector is back-substituted from the echelon rows
+  (``_int_kernel_vector``), over one running denominator on Z, or by a
+  direct solve mod p;
+* the determinant is the last Bareiss pivot over Z, or the signed
+  product of the pivots mod p;
+* the inverse is the kernel of [A_int | -diag(l)] at its free columns
+  n..2n-1, where A_int = diag(l) A is the row-scaled integer matrix.
 
-The public constructors (``Matrix(field, rows)``, ``Matrix.from_cols``)
-coerce every entry through ``field.of``, since callers pass ints and
-strings.  Every matrix this module builds from its own results
-(transposes, sums, products, stacks, inverses, kernels, column spaces,
-intersections) is made by ``Matrix._normal``, which takes the entries as
-they are: field arithmetic already returns elements in normal form.
+Products and ``apply`` work on the same integer rows.  A field element is
+built only for an output entry (``_maker``): one ``Fraction(num, den)``
+over QQ, one ``FpElement`` mod p.  Each result is uniquely determined by
+the matrix: the rank, the determinant, the inverse, a product, and the
+reduced kernel basis (the identity on the free columns, which are the
+complement of the lexicographically first independent set of columns).
+Both element types are normal forms, so the results are the same values,
+and the same bytes, that elimination on field elements would give.
+
+``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
+field.  The public constructors (``Matrix(field, rows)``,
+``Matrix.from_cols``) coerce every entry through ``field.of``, since
+callers pass ints and strings.  Every matrix this module builds from its
+own results is made by ``Matrix._normal``, which takes the entries as they
+are.  Matrices are immutable after construction.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .fields import RationalField
+from .fields import FpElement, PrimeField, RationalField
 
 
 class Matrix:
@@ -40,6 +51,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols: int | None = None):
+        if not isinstance(field, (RationalField, PrimeField)):
+            raise TypeError(f"matrices are over QQ or F_p, not {field!r}")
         of = field.of
         rows = [tuple(map(of, row)) for row in rows]
         if rows:
@@ -76,10 +89,6 @@ class Matrix:
                                    for i in range(n)], n)
 
     @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls._normal(field, [[field.zero] * ncols] * nrows, ncols)
-
-    @classmethod
     def from_cols(cls, field, cols, nrows: int | None = None) -> "Matrix":
         cols = [tuple(c) for c in cols]
         if cols:
@@ -88,9 +97,6 @@ class Matrix:
         if nrows is None:
             raise ValueError("empty column list needs an explicit nrows")
         return cls(field, [()] * nrows, ncols=0)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -120,56 +126,27 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, self.rows))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix._normal(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix._normal(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
     def __neg__(self) -> "Matrix":
         return Matrix._normal(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
-    def scale(self, c) -> "Matrix":
-        c = self.field.of(c)
-        return Matrix._normal(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self.scale(other)
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        if isinstance(self.field, RationalField):
-            left = [_int_row(r) for r in self.rows]
-            right = [_int_row(c) for c in other.cols()]
-            rows = [[Fraction(sum(map(mul, a, b)), la * lb) for b, lb in right] for a, la in left]
-        else:
-            ocols = other.cols()
-            rows = [[_dot(r, c, self.field) for c in ocols] for r in self.rows]
+        p, make = self.field.characteristic, _maker(self.field)
+        left = [_ints(r, p) for r in self.rows]
+        right = [_ints(c, p) for c in other.cols()]
+        rows = [[make(sum(map(mul, a, b)), la * lb) for b, lb in right] for a, la in left]
         return Matrix._normal(self.field, rows, other.ncols)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector (given as an iterable)."""
         vec = tuple(self.field.of(x) for x in vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        if isinstance(self.field, RationalField):
-            v, lv = _int_row(vec)
-            return tuple(Fraction(sum(map(mul, a, v)), la * lv)
-                         for a, la in map(_int_row, self.rows))
-        return tuple(_dot(r, vec, self.field) for r in self.rows)
+        p, make = self.field.characteristic, _maker(self.field)
+        v, lv = _ints(vec, p)
+        return tuple(make(sum(map(mul, a, v)), la * lv)
+                     for a, la in (_ints(r, p) for r in self.rows))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.nrows != self.nrows:
@@ -182,23 +159,12 @@ class Matrix:
             self.ncols + other.ncols,
         )
 
-    def _shape_check(self, other: "Matrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-
     # -- elimination ----------------------------------------------------
 
     def _echelon(self):
-        """Row echelon data: (rows, pivot column list).
-
-        Over QQ the rows are integer valued (Bareiss); over other fields
-        plain elimination is used.  Only the row space matters to callers.
-        """
-        if isinstance(self.field, RationalField):
-            return _bareiss_echelon([_int_row(r)[0] for r in self.rows], self.ncols)
-        return _field_echelon([list(r) for r in self.rows], self.ncols)
+        """``_int_echelon`` of the integer rows of this matrix."""
+        p = self.field.characteristic
+        return _int_echelon([_ints(r, p)[0] for r in self.rows], self.ncols, p)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -208,91 +174,51 @@ class Matrix:
 
         rank + (number of returned columns) == ncols, always.
         """
-        ech, pivots = self._echelon()
+        ech, pivots, _ = self._echelon()
+        p, make = self.field.characteristic, _maker(self.field)
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        if isinstance(self.field, RationalField):
-            cols = [_int_kernel_vector(ech, pivots, f, self.ncols) for f in free]
-            return Matrix._normal_cols(self.field, cols, self.ncols)
-        zero, one = self.field.zero, self.field.one
         cols = []
-        for f in free:
-            x = [zero] * self.ncols
-            x[f] = one
-            # back-substitute pivot coordinates, bottom row first
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                s = zero
-                for c in range(pc + 1, self.ncols):
-                    if x[c] != zero:
-                        s = s + self.field.of(ech[r][c] / ech[r][pc]) * x[c]
-                x[pc] = -s
-            cols.append(x)
+        for f in range(self.ncols):
+            if f not in pivot_set:
+                y, den = _int_kernel_vector(ech, pivots, f, self.ncols, p)
+                cols.append([make(v, den) for v in y])
         return Matrix._normal_cols(self.field, cols, self.ncols)
 
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
+        p, make = self.field.characteristic, _maker(self.field)
         if n == 0:
-            return self.field.one
-        if isinstance(self.field, RationalField):
-            int_rows, scale = [], 1
-            for r in self.rows:
-                ints, lcm = _int_row(r)
-                int_rows.append(ints)
-                scale *= lcm
-            d, sign = _bareiss_det(int_rows)
-            return Fraction(sign * d, scale)
-        rows = [list(r) for r in self.rows]
-        det = self.field.one
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                return self.field.zero
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = self.field.one / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    for j in range(c, n):
-                        rows[i][j] = rows[i][j] - f * rows[c][j]
-        return det
+            return make(1)
+        ints = [_ints(r, p) for r in self.rows]
+        ech, pivots, sign = _int_echelon([a for a, _ in ints], n, p)
+        if len(pivots) < n:
+            return make(0)
+        if p:
+            return make(sign * math.prod(row[r] for r, row in enumerate(ech)))
+        return make(sign * ech[-1][-1], math.prod(l for _, l in ints))
 
     def inverse(self) -> "Matrix":
+        """Column j is the x part of the kernel vector of [A_int | -diag(l)]
+        at the free column n + j: A_int x = l_j e_j, so A x = e_j."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        if isinstance(self.field, RationalField):
-            return Matrix._normal(self.field, _int_inverse(self.rows), n)
-        aug = [list(r) + [self.field.one if i == j else self.field.zero for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if aug[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = self.field.one / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return Matrix._normal(self.field, [r[n:] for r in aug], n)
-
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
+        p, make = self.field.characteristic, _maker(self.field)
+        aug = []
+        for i, r in enumerate(self.rows):
+            ints, lcm = _ints(r, p)
+            ints.extend(-lcm if j == i else 0 for j in range(n))
+            aug.append(ints)
+        ech, pivots, _ = _int_echelon(aug, 2 * n, p)
+        if n and pivots[-1] != n - 1:
+            raise ValueError("matrix is singular")
+        cols = []
+        for j in range(n):
+            y, den = _int_kernel_vector(ech, pivots, n + j, 2 * n, p)
+            cols.append([make(v, den) for v in y[:n]])
+        return Matrix._normal_cols(self.field, cols, n)
 
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
@@ -301,28 +227,38 @@ class Matrix:
         return f"Matrix({self.field!r}, [{body}])"
 
 
-def _dot(u, v, field):
-    s = field.zero
-    for a, b in zip(u, v):
-        s = s + a * b
-    return s
+def _maker(field):
+    """The constructor of one output entry num / den: ``Fraction`` over QQ;
+    mod p every den is 1, so an ``FpElement`` of num."""
+    if isinstance(field, RationalField):
+        return Fraction
+    return lambda num, den=1: FpElement(num, field)
 
 
-def _int_row(row) -> tuple[list[int], int]:
-    """(ints, l) with row == ints / l, l the lcm of the denominators."""
+def _ints(row, p) -> tuple[list[int], int]:
+    """(ints, l) with row == ints / l: over QQ (p == 0) l is the lcm of the
+    denominators; mod p the ints are the residues and l is 1."""
+    if p:
+        return [x.value for x in row], 1
     lcm = math.lcm(*[x.denominator for x in row])
     if lcm == 1:
         return [x.numerator for x in row], 1
     return [x.numerator * (lcm // x.denominator) for x in row], lcm
 
 
-def _bareiss_echelon(rows, ncols):
-    """Fraction-free row echelon form of integer rows, eliminated in place;
-    exact divisions only."""
+def _int_echelon(rows, ncols, p):
+    """Row echelon form of integer rows, eliminated in place:
+    (nonzero rows, pivot columns, sign of the row permutation).
+
+    With p == 0 this is fraction-free Bareiss elimination over Z: every
+    division is exact, and the last pivot of a nonsingular square matrix
+    is its determinant up to that sign.  With p > 0 it is Gauss
+    elimination on residues mod p, with the pivot rows left unscaled.
+    """
     m = len(rows)
     pivots = []
     r = 0
-    prev = 1
+    prev = sign = 1
     for c in range(ncols):
         piv = None
         for i in range(r, m):
@@ -333,129 +269,55 @@ def _bareiss_echelon(rows, ncols):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pc = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            for j in range(c, ncols):
-                rows[i][j] = (pc * rows[i][j] - ric * rows[r][j]) // prev
-        prev = pc
+        if p:
+            inv, prow = pow(pc, -1, p), rows[r][c:]
+            for i in range(r + 1, m):
+                f = rows[i][c] * inv % p
+                if f:
+                    rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], prow)]
+        else:
+            for i in range(r + 1, m):
+                ric = rows[i][c]
+                for j in range(c, ncols):
+                    rows[i][j] = (pc * rows[i][j] - ric * rows[r][j]) // prev
+            prev = pc
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows[:r], pivots
+    return rows[:r], pivots, sign
 
 
-def _int_kernel_vector(ech, pivots, f, ncols) -> list[Fraction]:
-    """The reduced kernel vector of integer echelon rows that is 1 at the
-    free column f and 0 at the other free columns.
+def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
+    """(y, den) such that y / den is the reduced kernel vector of the
+    echelon rows that is 1 at the free column f and 0 at the other free
+    columns.
 
-    Back-substitution keeps the vector as integers over one running
-    denominator; each step divides out the gcd of the new entry's
-    numerator and pivot before widening that denominator.
+    Over Z, back-substitution keeps the vector as integers over one
+    running denominator; each step divides out the gcd of the new entry's
+    numerator and pivot before widening that denominator.  Mod p each
+    pivot coordinate is solved directly, and den is 1.
     """
     y = [0] * ncols
     y[f] = den = 1
     for r in range(len(pivots) - 1, -1, -1):
         row, pc = ech[r], pivots[r]
         s = sum(map(mul, row[pc + 1:], y[pc + 1:]))
-        if s:
-            p = row[pc]
-            g = math.gcd(s, p)
-            s, p = s // g, p // g
-            if p != 1:
-                y = [v * p for v in y]
-                den *= p
-            y[pc] = -s
-    return [Fraction(v, den) for v in y]
-
-
-def _int_inverse(rows) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by fraction-free Gauss-Jordan
-    elimination on [A_int | I], A_int the row-wise denominator-cleared
-    matrix.
-
-    Each step divides exactly by the previous pivot, so the left block
-    ends as d*I with d = det(A_int) up to sign, and the right block as
-    d * A_int^{-1}.  Row j of A is row j of A_int over l_j, so entry
-    (i, j) of A^{-1} is right[i][j] * l_j / d.
-    """
-    n = len(rows)
-    aug, lcms = [], []
-    for i, r in enumerate(rows):
-        ints, lcm = _int_row(r)
-        ints.extend(1 if j == i else 0 for j in range(n))
-        aug.append(ints)
-        lcms.append(lcm)
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        prow = aug[c]
-        pc = prow[c]
-        for i in range(n):
-            if i != c:
-                f = aug[i][c]
-                aug[i] = [(pc * a - f * b) // prev for a, b in zip(aug[i], prow)]
-        prev = pc
-    return [[Fraction(r[n + j] * lcms[j], prev) for j in range(n)] for r in aug]
-
-
-def _bareiss_det(rows) -> tuple[int, int]:
-    """(|minor chain value|, sign) of a square integer matrix via Bareiss."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0, 1
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pc = rows[c][c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            for j in range(c, n):
-                rows[i][j] = (pc * rows[i][j] - ric * rows[c][j]) // prev
-        prev = pc
-    return rows[n - 1][n - 1], sign
-
-
-def _field_echelon(rows, ncols):
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+        if not s:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                for j in range(c, ncols):
-                    rows[i][j] = rows[i][j] - f * rows[r][j]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows[:r], pivots
+        if p:
+            y[pc] = -s * pow(row[pc], -1, p) % p
+            continue
+        piv = row[pc]
+        g = math.gcd(s, piv)
+        s, piv = s // g, piv // g
+        if piv != 1:
+            y = [v * piv for v in y]
+            den *= piv
+        y[pc] = -s
+    return y, den
 
 
 # -- subspaces (column spans) -------------------------------------------
@@ -463,7 +325,7 @@ def _field_echelon(rows, ncols):
 
 def column_space_basis(m: Matrix) -> Matrix:
     """The original columns of m sitting at the pivot positions."""
-    _, pivots = m._echelon()
+    pivots = m._echelon()[1]
     return Matrix._normal(m.field, [[r[j] for j in pivots] for r in m.rows], len(pivots))
 
 

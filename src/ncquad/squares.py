@@ -273,12 +273,12 @@ def mutate_linear_to_block(
     r0 = rel.r0
     new_hom_dim = r0.ncols
 
-    # orthogonality: multiplication V1 x V2 -> A_{1,3}; in the width-2
-    # window there are no relations, so the map is the canonical one on a
-    # 4-dimensional space and bijectivity is its rank
-    a13_dim = 4
-    mult_rank = Matrix.identity(field, 4).rank()
-    orth = (a13_dim == hilbert_dims(2) == mult_rank)
+    # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective
+    # for every input.  The relations R_i lie in V_i x V_{i+1} x V_{i+2},
+    # on paths of length 3, so the width-2 window A_{1,3} is all of
+    # V1 x V2, of dimension hilbert_dims(2) = 4, and the multiplication
+    # is its identity
+    a13_dim = hilbert_dims(2)
 
     # path space: leg via O(0,-1) is V0 x V1 (4), leg via O(-1,0) is
     # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1
@@ -325,7 +325,7 @@ def mutate_linear_to_block(
 
     leg_ranks = mutated.leg_ranks()
     notes = []
-    structural = orth
+    structural = True
     if block is None:
         notes.append("no associated square")
         structural = False
@@ -342,7 +342,7 @@ def mutate_linear_to_block(
             notes.append("structural mismatch with the block quiver")
             structural = False
     report = MutationReport(
-        orthogonality_bijective=orth,
+        orthogonality_bijective=True,
         a13_dim=a13_dim,
         new_hom_dim=new_hom_dim,
         leg_ranks=leg_ranks,

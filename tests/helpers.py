@@ -35,75 +35,141 @@ def random_invertible_qq(rng, n, height=9):
             return m
 
 
-# -- naive Fraction linear algebra (oracle for the QQ kernels) -------------
+# -- naive linear algebra (oracle for the QQ and F_p kernels) --------------
 #
-# Plain Gauss-Jordan, the Leibniz formula and the triple loop on Fraction
-# entries, sharing no code with ncquad.linalg.  Matrices are lists of rows.
+# Plain Gauss-Jordan, the Leibniz formula and the triple loop, sharing no
+# code with ncquad.linalg.  Matrices are lists of rows.  With p == 0 the
+# entries are Fractions; with p > 0 they are raw ints, reduced to 0..p-1.
 
 
-def rref_oracle(rows, ncols):
+def _reducer(p):
+    if p:
+        return lambda x: int(x) % p
+    return lambda x: x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _inv(x, p):
+    return pow(x, -1, p) if p else 1 / x
+
+
+def rref_oracle(rows, ncols, p=0):
     """Reduced row echelon form: (nonzero rows, pivot columns)."""
-    a = [[Fraction(x) for x in r] for r in rows]
+    red = _reducer(p)
+    a = [[red(x) for x in r] for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if p is None:
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        lead = a[r][c]
-        a[r] = [x / lead for x in a[r]]
+        a[r], a[piv] = a[piv], a[r]
+        lead = _inv(a[r][c], p)
+        a[r] = [red(x * lead) for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [red(x - f * y) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
     return a[:r], pivots
 
 
-def kernel_oracle(rows, ncols):
+def kernel_oracle(rows, ncols, p=0):
     """Reduced kernel basis: one vector per free column f, equal to 1 at f
     and 0 at the other free columns."""
-    red, pivots = rref_oracle(rows, ncols)
+    red = _reducer(p)
+    rref, pivots = rref_oracle(rows, ncols, p)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            x[pc] = -row[f]
+        x = [red(0)] * ncols
+        x[f] = red(1)
+        for row, pc in zip(rref, pivots):
+            x[pc] = red(-row[f])
         basis.append(tuple(x))
     return basis
 
 
-def det_oracle(rows):
+def det_oracle(rows, p=0):
     """Leibniz formula: the signed sum over all permutations."""
     n = len(rows)
-    total = Fraction(0)
+    total = 0
     for perm in permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = Fraction(-1 if inversions % 2 else 1)
+        term = -1 if inversions % 2 else 1
         for i in range(n):
             term *= rows[i][perm[i]]
         total += term
-    return total
+    return _reducer(p)(total)
 
 
-def inverse_oracle(rows):
+def inverse_oracle(rows, p=0):
     """Right half of the reduced form of [A | I]; None when A is singular."""
     n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref_oracle(aug, 2 * n)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    rref, pivots = rref_oracle(aug, 2 * n, p)
     if pivots[:n] != list(range(n)):
         return None
-    return [tuple(r[n:]) for r in red]
+    return [tuple(r[n:]) for r in rref]
 
 
-def matmul_oracle(a, b, ncols):
+def matmul_oracle(a, b, ncols, p=0):
     """Product of an m x k and a k x ncols matrix by the triple loop."""
+    red = _reducer(p)
     k = len(b)
-    return [tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(ncols))
+    return [tuple(red(sum((a[i][t] * b[t][j] for t in range(k)), red(0))) for j in range(ncols))
             for i in range(len(a))]
+
+
+def rank_oracle(rows, field) -> int:
+    """Rank of a list of rows of elements of any field (QQ, F_p or a
+    quadratic extension), by Gauss elimination on the elements."""
+    a = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def kernel_at(line, s, t, fld=None):
+    """Basis of the point K(s:t) of an embedded line, as the 4 rows of a
+    4x2 matrix over ``fld`` (default: the line's field), entry by entry."""
+    fld = fld or line.field
+    s, t = fld.of(s), fld.of(t)
+    if not (s or t):
+        raise ValueError("(0:0) is not a parameter")
+    phi_inv = [[fld.of(x) for x in r] for r in line.phi_inv.rows]
+    cols = []
+    for b in range(2):
+        vec = [fld.zero] * 4
+        if line.contracted_factor == 0:
+            vec[b], vec[2 + b] = -t, s
+        else:
+            vec[2 * b], vec[2 * b + 1] = -t, s
+        cols.append([sum((r[k] * vec[k] for k in range(4)), fld.zero) for r in phi_inv])
+    return [(cols[0][i], cols[1][i]) for i in range(4)]
+
+
+def evaluate(form, s, t):
+    """Value of a binary form at (s, t), term by term."""
+    fld = form.field
+    s, t = fld.of(s), fld.of(t)
+    d = form.degree
+    acc = fld.zero
+    for i, c in enumerate(form.coeffs):
+        term = c
+        for _ in range(d - i):
+            term = term * s
+        for _ in range(i):
+            term = term * t
+        acc = acc + term
+    return acc
 
 
 def span_equal(a, b) -> bool:
@@ -241,7 +307,9 @@ def point_from_quotient(f) -> GPoint:
 
 def point_at(line, s, t) -> GPoint:
     """The point K(s:t) of an embedded line."""
-    return GPoint.from_kernel(line.kernel_at(s, t))
+    from ncquad.linalg import Matrix
+
+    return GPoint.from_kernel(Matrix(line.field, kernel_at(line, s, t)))
 
 
 # -- exhaustive pure-pair enumeration over F_{p^2} -------------------------

@@ -9,7 +9,6 @@ from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
     load_quintuple,
     parse_quintuple_file,
-    serialize_quintuple_meta,
     tensor_nested_strings,
 )
 
@@ -122,7 +121,7 @@ def test_quiver_and_mutate_commands(capsys):
 def test_roundtrip_parse_serialize_parse():
     for name in corpus_names():
         q, meta = load_quintuple(str(corpus_path(name)))
-        doc = serialize_quintuple_meta(meta)
+        doc = dict(meta)
         q2, meta2 = parse_quintuple_file(doc)
         assert meta == meta2
         assert q.w == q2.w
@@ -133,7 +132,7 @@ def test_roundtrip_w_form(tmp_path):
     doc = {"w": tensor_nested_strings(q), "field": "Q"}
     q2, meta2 = parse_quintuple_file(doc)
     assert q2.w == q.w
-    q3, meta3 = parse_quintuple_file(serialize_quintuple_meta(meta2))
+    q3, meta3 = parse_quintuple_file(dict(meta2))
     assert meta2 == meta3 and q3.w == q2.w
 
 
@@ -189,8 +188,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # what importing the CLI pulls in
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    # random is imported by the sweep command alone
     code = ("import sys, ncquad.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

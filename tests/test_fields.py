@@ -63,7 +63,7 @@ def test_quadratic_extension_arithmetic():
     ext = QuadraticExtension(QQ, 5)
     th = ext.theta
     assert th * th == ext.of(5)
-    x = ext.from_pair(Fraction(1, 2), Fraction(3))
+    x = ext.of(Fraction(1, 2)) + ext.of(3) * th
     assert (x / x) == ext.one
     assert x * x - 2 * Fraction(1, 2) * Fraction(3) * th - ext.of(Fraction(1, 4) + 9 * 5) == ext.zero
     # reduction happens after every operation: (a + b th)^2 has no th^2 term
@@ -84,7 +84,7 @@ def test_extension_over_prime_field():
     ext = QuadraticExtension(F, F.nonresidue())
     rng = random.Random(1)
     for _ in range(30):
-        x = ext.from_pair(rng.randrange(11), rng.randrange(11))
+        x = ext.of(rng.randrange(11)) + ext.of(rng.randrange(11)) * ext.theta
         if x:
             assert x * (ext.one / x) == ext.one
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import evaluate
 from ncquad.fields import GF, QQ
 from ncquad.forms import BinaryForm, binary_form_gcd, root_structure
 
@@ -28,7 +29,7 @@ def test_gcd_of_multiples():
     g = form(1, -1, 0)            # s(s - t)
     h = binary_form_gcd([f, g])
     assert h.degree == 1
-    assert h.evaluate(1, 1) == 0  # root (1:1) from the common factor s - t
+    assert evaluate(h, 1, 1) == 0  # root (1:1) from the common factor s - t
 
 
 def test_gcd_all_zero_flagged():
@@ -44,14 +45,14 @@ def test_gcd_respects_t_powers():
     g = form(0, 0, 0, 1)          # t^3
     h = binary_form_gcd([f, g])
     assert h.degree == 2
-    assert h.evaluate(1, 0) == 0
+    assert evaluate(h, 1, 0) == 0
 
 
 def test_root_structure_split():
     rs = root_structure(form(0, 1, 0))    # st
     assert rs.kind == "split-rational"
     for s, t in rs.roots:
-        assert form(0, 1, 0).evaluate(s, t) == 0
+        assert evaluate(form(0, 1, 0), s, t) == 0
 
 
 def test_root_structure_double():
@@ -59,7 +60,7 @@ def test_root_structure_double():
     assert rs.kind == "double-rational"
     (s, t), = rs.roots
     assert t == 0 or s / t == 0   # root (0:1)
-    assert form(1, 0, 0).evaluate(s, t) == 0
+    assert evaluate(form(1, 0, 0), s, t) == 0
 
 
 def test_root_structure_irreducible():
@@ -85,7 +86,7 @@ def test_root_structure_rational_roots_evaluate_to_zero():
         else:
             assert rs.kind == "split-rational"
         for s, t in rs.roots:
-            assert f.evaluate(s, t) == 0
+            assert evaluate(f, s, t) == 0
 
 
 def test_root_structure_prime_field():
@@ -114,6 +115,6 @@ def test_degenerate_leading_coefficient():
     assert rs.kind == "split-rational"
     roots = set()
     for s, t in rs.roots:
-        assert form(0, 1, 2).evaluate(s, t) == 0
+        assert evaluate(form(0, 1, 2), s, t) == 0
         roots.add((s, t))
     assert len(roots) == 2

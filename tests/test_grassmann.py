@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    kernel_at,
     point_at,
     point_from_quotient,
     random_invertible_fp,
     random_invertible_qq,
+    rank_oracle,
     span_equal,
 )
 from ncquad.fields import GF, QQ, QuadraticExtension
@@ -17,7 +21,6 @@ from ncquad.grassmann import (
     line_from_phi,
     line_relation,
     reshuffle_rank,
-    splitting_type_restrictions,
 )
 from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, build_type_a
@@ -63,11 +66,11 @@ def test_identity_line_families():
     ident = Matrix.identity(QQ, 4)
     first = line_from_phi(ident, 0)
     # K(s:t) = span(-t, s) x U1: at (1:0) the kernel is y0 x U1 = e2, e3
-    k = first.kernel_at(1, 0)
+    k = Matrix(QQ, kernel_at(first, 1, 0))
     assert span_equal(k, Matrix.from_cols(
         QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4))
     second = line_from_phi(ident, 1)
-    k2 = second.kernel_at(1, 0)
+    k2 = Matrix(QQ, kernel_at(second, 1, 0))
     assert span_equal(k2, Matrix.from_cols(
         QQ, [(0, 1, 0, 0), (0, 0, 0, 1)], nrows=4))
 
@@ -78,7 +81,7 @@ def test_linear_quadric_line1_is_second_ruling():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     line1 = sq.line(1)
     for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3)):
-        k = line1.kernel_at(s, t)
+        k = Matrix(QQ, kernel_at(line1, s, t))
         # a plane of the form V0 x l contains vectors e_a x l: reshaped
         # columns must share the same right factor: rows of the reshape
         # span one direction
@@ -94,11 +97,10 @@ def test_kernel_dim_always_two():
         phi = random_invertible_qq(rng, 4)
         line = line_from_phi(phi, rng.randint(0, 1))
         for (s, t) in ((1, 0), (0, 1), (1, 1), (Fraction(2, 3), 1), (-5, 7)):
-            assert line.kernel_at(s, t).rank() == 2
+            assert rank_oracle(kernel_at(line, s, t), QQ) == 2
         # a generic parameter in a quadratic extension
         ext = QuadraticExtension(QQ, 2)
-        k = line.kernel_at(ext.theta, ext.one, fld=ext)
-        assert k.rank() == 2
+        assert rank_oracle(kernel_at(line, ext.theta, ext.one, fld=ext), ext) == 2
 
 
 def test_parametrization_injective():
@@ -109,19 +111,6 @@ def test_parametrization_injective():
         line = line_from_phi(phi, 0)
         points = [point_at(line, s, t).pluecker for (s, t) in params]
         assert len(set(points)) == len(params)
-
-
-def test_splitting_types():
-    rng = random.Random(35)
-    for _ in range(10):
-        phi = random_invertible_qq(rng, 4)
-        st = splitting_type_restrictions(line_from_phi(phi, rng.randint(0, 1)))
-        assert st.subbundle == (-1, -1)
-        assert st.quotient == (1, 1)
-        assert st.normal == (2, 2, 2)
-        assert sum(st.normal) == 6
-        assert st.omega_degree == -8
-        assert st.immersion_certified
 
 
 def test_line_relation_paper_examples():
@@ -175,15 +164,13 @@ def test_line_relation_symmetry():
 
 
 def _check_meet_witnesses(l0, l1, lr):
+    # the two kernels span one plane: each has rank 2, and so do both together
     for w in lr.witnesses:
-        if w.extension_disc is None:
-            k0 = l0.kernel_at(*w.param_l0)
-            k1 = l1.kernel_at(*w.param_l1)
-        else:
-            ext = QuadraticExtension(QQ, w.extension_disc)
-            k0 = l0.kernel_at(*w.param_l0, fld=ext)
-            k1 = l1.kernel_at(*w.param_l1, fld=ext)
-        assert span_equal(k0, k1)
+        fld = QQ if w.extension_disc is None else QuadraticExtension(QQ, w.extension_disc)
+        k0 = kernel_at(l0, *w.param_l0, fld=fld)
+        k1 = kernel_at(l1, *w.param_l1, fld=fld)
+        both = [a + b for a, b in zip(k0, k1)]
+        assert rank_oracle(k0, fld) == rank_oracle(k1, fld) == rank_oracle(both, fld) == 2
 
 
 def test_line_relation_engineered_rational_meets():
@@ -345,3 +332,49 @@ def test_hom_R_O():
     # composition surjectivity: 2-dim in-arrows times 2-dim out-arrows
     # cover all of Hom(R, O) through one line
     assert hom_R_O_dim() == 2 * 2
+
+
+# -- the rank-one test of _plane_type against the rank oracle --------------
+
+_PLANE_FIELDS = (QQ, GF(5), QuadraticExtension(QQ, 2))
+
+
+@st.composite
+def _element(draw, field):
+    if field is QQ:
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    if field.characteristic:
+        return field.of(draw(st.integers(0, 4)))
+    a, b = (Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))) for _ in range(2))
+    return field.of(a) + field.of(b) * field.theta
+
+
+@st.composite
+def _two_vectors(draw, field):
+    """Four 2-vectors, each zero, random, or a multiple of an earlier one."""
+    vecs = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(("zero", "random", "multiple") if vecs else ("zero", "random")))
+        if kind == "zero":
+            vecs.append((field.zero, field.zero))
+        elif kind == "random":
+            vecs.append((draw(_element(field)), draw(_element(field))))
+        else:
+            c, v = draw(_element(field)), draw(st.sampled_from(vecs))
+            vecs.append((c * v[0], c * v[1]))
+    return vecs
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_rank_one_matches_rank_oracle(data):
+    from ncquad.grassmann import _plane_type, _rank_one
+
+    field = data.draw(st.sampled_from(_PLANE_FIELDS))
+    vecs = data.draw(_two_vectors(field))
+    assert _rank_one(vecs) == (rank_oracle(vecs, field) == 1)
+    # as the columns of two 2x2 matrices n1, n2 (row-major), these vectors
+    # make a "left" plane exactly when they span one line
+    (a, c), (b, d), (e, g), (f, h) = vecs
+    left = _plane_type((a, b, c, d), (e, f, g, h)) == "left"
+    assert left == (rank_oracle(vecs, field) == 1)
