@@ -10,10 +10,11 @@ duality against the restricted canonical bundle, and pushforward
 adjunction.  Fully-faithfulness of the pullback and of the blow-up
 functors enters as tagged axioms, never as computation.
 
-Every derivation is stored as a tree whose nodes carry their rule and
-their inputs; ``replay_node`` re-derives every dimension from leaves and
-rules alone, so a certificate can be re-validated without trusting any
-cached conclusion.
+Every derivation is a tree of JSON-ready nodes carrying their rule, the
+fields that rule reads and their dims.  ``_rule_dims`` states each rule
+once: building a node stores its result, and ``replay_table`` recomputes
+it on every node, children first, so a certificate is re-validated
+without trusting any cached conclusion.
 
 ``Analysis`` holds the artifacts of one input quintuple, each computed
 once on first use; ``full_pipeline`` reads them stage by stage and
@@ -70,8 +71,7 @@ class ExtTableError(Exception):
         super().__init__(message)
 
 
-# the tagged categorical inputs and the dimension vectors they assert;
-# replay validates stored axiom nodes against this registry
+# the tagged categorical inputs and the dimension vectors they assert
 AXIOM_DIMS = {
     "pullback-exceptional:p*R": (1, 0, 0, 0, 0),
     "exceptional:O": (1, 0, 0, 0, 0),
@@ -81,64 +81,54 @@ AXIOM_DIMS = {
 }
 
 
-# -- derivation nodes (plain dicts, JSON-ready) ---------------------------
+# -- the rule set: node -> dims; ``hom[i]`` is dim Hom(R, K_i) --------------
 
 
-def _coh_leaf(m: int, n: int, copies: int, note: str) -> dict:
-    t = coh_p1xp2(m, n)
-    dims = [copies * t.h(k) for k in range(4)] + [0]
-    return {"rule": "coh-leaf", "m": m, "n": n, "copies": copies,
-            "note": note, "dims": dims}
+def _coh_leaf(node: dict, hom) -> list:
+    copies = node["copies"]
+    return [copies * h for h in coh_p1xp2(node["m"], node["n"]).dims] + [0]
 
 
-def _serre_node(child: dict, note: str) -> dict:
-    dims = [child["dims"][4 - k] for k in range(5)]
-    return {"rule": "serre-dual", "child": child, "note": note, "dims": dims}
+def _serre_dual(node: dict, hom) -> list:
+    return node["child"]["dims"][::-1]
 
 
-def _axiom_node(name: str, note: str) -> dict:
-    return {"rule": "axiom", "name": name, "dims": list(AXIOM_DIMS[name]), "note": note}
+def _axiom(node: dict, hom) -> list:
+    dims = AXIOM_DIMS.get(node["name"])
+    if dims is None:
+        raise ExtTableError(f"unknown axiom {node['name']!r}", node)
+    return list(dims)
 
 
-def _disjoint_node(i: int, j: int) -> dict:
-    return {"rule": "disjoint-support",
-            "objects": [f"O_E{i}(1,0)", f"O_E{j}(1,0)"],
-            "dims": [0, 0, 0, 0, 0]}
+def _disjoint_support(node: dict, hom) -> list:
+    a, b = node["objects"]
+    if a == b:
+        raise ExtTableError("disjoint-support needs two distinct exceptional divisors", node)
+    return [0, 0, 0, 0, 0]
 
 
-def _scale_node(copies: int, child: dict) -> dict:
-    return {"rule": "scale", "copies": copies, "child": child,
-            "dims": [copies * d for d in child["dims"]]}
+def _scale(node: dict, hom) -> list:
+    copies = node["copies"]
+    return [copies * d for d in node["child"]["dims"]]
 
 
-def _hom_r_o_leaf(value: int) -> dict:
-    return {"rule": "hom-R-O-leaf", "value": value}
+def _strong_pair(node: dict, hom) -> list:
+    value = hom_R_O_dim()
+    if node["hom"] != {"rule": "hom-R-O-leaf", "value": value}:
+        raise ExtTableError(f"strong-pair leaf is not Hom(R, O) = {value}", node)
+    return [value, 0, 0, 0, 0]
 
 
-def _hom_r_k_leaf(line: int, value: int) -> dict:
-    return {"rule": "hom-R-K-leaf", "line": line, "value": value}
-
-
-def _strong_pair_node(hom_leaf: dict, note: str) -> dict:
-    dims = [hom_leaf["value"], 0, 0, 0, 0]
-    return {"rule": "strong-pair", "hom": hom_leaf, "note": note, "dims": dims}
-
-
-def _covariant_node(x: str, i: int, hom_mode: str, hom_leaf, middle: dict,
-                    quotient: dict) -> dict:
-    node = {"rule": "les-covariant", "X": x, "i": i, "hom_mode": hom_mode,
-            "hom": hom_leaf, "middle": middle, "quotient": quotient}
-    node["dims"] = _solve_covariant(node)
-    return node
-
-
-def _solve_covariant(node: dict) -> list:
+def _les_covariant(node: dict, hom) -> list:
     mid, quo = node["middle"]["dims"], node["quotient"]["dims"]
-    if any(mid[k] for k in range(1, 5)):
+    if any(mid[1:]):
         raise ExtTableError("covariant rule needs vanishing higher Ext against the middle", node)
     mode = node["hom_mode"]
     if mode == "leaf":
-        h = node["hom"]["value"]
+        i = node["i"]
+        h = hom[i]
+        if node["hom"] != {"rule": "hom-R-K-leaf", "line": i, "value": h}:
+            raise ExtTableError(f"hom-R-K leaf is not Hom(R, K_{i}) = {h}", node)
     elif mode == "eval-iso":
         if mid[0] != quo[0]:
             raise ExtTableError("evaluation map cannot be bijective: H^0 dims differ", node)
@@ -152,21 +142,12 @@ def _solve_covariant(node: dict) -> list:
     if h > mid[0]:
         raise ExtTableError("Hom(X, C) cannot exceed Hom(X, O^2)", node)
     ext1 = quo[0] - mid[0] + h
-    if mode == "eval-iso":
-        ext1 = 0
     if ext1 < 0:
         raise ExtTableError("negative Ext^1 from exactness; leaf values inconsistent", node)
     return [h, ext1, quo[1], quo[2], quo[3]]
 
 
-def _contravariant_node(y: str, i: int, mode: str, sub: dict, middle: dict) -> dict:
-    node = {"rule": "les-contravariant", "Y": y, "i": i, "mode": mode,
-            "sub": sub, "middle": middle}
-    node["dims"] = _solve_contravariant(node)
-    return node
-
-
-def _solve_contravariant(node: dict) -> list:
+def _les_contravariant(node: dict, hom) -> list:
     sub, mid = node["sub"]["dims"], node["middle"]["dims"]
     mode = node["mode"]
     if mode == "sub-vanishes":
@@ -182,7 +163,41 @@ def _solve_contravariant(node: dict) -> list:
     raise ExtTableError(f"unknown contravariant mode {mode!r}", node)
 
 
-# -- shared subtrees -------------------------------------------------------
+_RULES = {
+    "coh-leaf": _coh_leaf,
+    "serre-dual": _serre_dual,
+    "axiom": _axiom,
+    "disjoint-support": _disjoint_support,
+    "scale": _scale,
+    "strong-pair": _strong_pair,
+    "les-covariant": _les_covariant,
+    "les-contravariant": _les_contravariant,
+}
+
+# the fields of each rule that hold derivation nodes; other rules are leaves
+_CHILDREN = {
+    "serre-dual": ("child",),
+    "scale": ("child",),
+    "les-covariant": ("middle", "quotient"),
+    "les-contravariant": ("sub", "middle"),
+}
+
+
+def _rule_dims(node: dict, hom) -> list:
+    try:
+        rule = _RULES[node["rule"]]
+    except KeyError:
+        raise ExtTableError(f"unknown rule {node['rule']!r}", node) from None
+    return rule(node, hom)
+
+
+def _node(hom, rule: str, /, **fields) -> dict:
+    fields["rule"] = rule
+    fields["dims"] = _rule_dims(fields, hom)
+    return fields
+
+
+# -- the cells of the table ----------------------------------------------------
 
 
 @cache
@@ -198,110 +213,69 @@ def _twists():
     return serre_o, serre_r
 
 
-def _cell_pr_pr() -> dict:
-    return _axiom_node(
-        "pullback-exceptional:p*R",
-        "Lp* is fully faithful and R is exceptional downstairs (tagged axiom)")
+_C = ("C0", "C1")
+_E = ("O_E0(1,0)", "O_E1(1,0)")     # the twisted structure sheaf of each divisor
+
+# the pairs among p*R and O that are tagged axioms: name and note
+_AXIOM_CELLS = {
+    ("p*R", "p*R"): ("pullback-exceptional:p*R",
+                     "Lp* is fully faithful and R is exceptional downstairs (tagged axiom)"),
+    ("O", "O"): ("exceptional:O", "the structure sheaf is exceptional"),
+    ("O", "p*R"): ("pair-backward:O,p*R",
+                   "no backward maps in the pulled-back exceptional pair"),
+}
 
 
-def _cell_o_o() -> dict:
-    return _axiom_node("exceptional:O", "the structure sheaf is exceptional")
-
-
-def _cell_pr_o(square: GeometricSquare) -> dict:
-    value = hom_R_O_dim()
-    node = _strong_pair_node(
-        _hom_r_o_leaf(value),
-        "pullback of the strong exceptional pair (R, O); forward Hom is V*")
-    if value != 4:
-        raise ExtTableError("Hom(R, O) leaf is not 4", node)
-    return node
-
-
-def _cell_o_pr() -> dict:
-    return _axiom_node("pair-backward:O,p*R",
-                       "no backward maps in the pulled-back exceptional pair")
-
-
-def _cell_oe_o(i: int) -> dict:
-    serre_o, _ = _twists()
-    return _serre_node(
-        _coh_leaf(serre_o[0], serre_o[1], 1,
-                  f"O_E{i}(1,0) twisted by omega restricted = O({serre_o[0]},{serre_o[1]})"),
-        "Ext^k(O_E(1,0), O) = H^(4-k)(E, O(-3,-2))* by Serre duality")
-
-
-def _cell_oe_pr(i: int) -> dict:
-    _, serre_r = _twists()
-    return _serre_node(
-        _coh_leaf(serre_r[0], serre_r[1], 2,
-                  "as above plus O(1,0) from the dual of the restricted subbundle"),
-        "Ext^k(O_E(1,0), p*R) = H^(4-k)(E, O(-2,-2)^2)* by Serre duality")
-
-
-def _cell_pr_oe(i: int) -> dict:
-    return _coh_leaf(2, 0, 2,
-                     f"Hom(p*R, O_E{i}(1,0)[k]) = H^k(E, O(2,0)^2): "
-                     "restricted subbundle O(-1,0)^2 dualized and twisted")
-
-
-def _cell_o_oe(i: int) -> dict:
-    return _coh_leaf(1, 0, 1, f"Hom(O, O_E{i}(1,0)[k]) = H^k(E, O(1,0))")
-
-
-def _cell_oe_oe(i: int, j: int) -> dict:
-    if i == j:
-        return _axiom_node(
-            f"orlov-exceptional:O_E{i}(1,0)",
-            "the blow-up functor is fully faithful on the center (tagged axiom)")
-    return _disjoint_node(i, j)
-
-
-def _cell_o_c(i: int) -> dict:
-    return _covariant_node(
-        "O", i, "eval-iso", None,
-        _scale_node(2, _cell_o_o()),
-        _cell_o_oe(i))
-
-
-def _cell_pr_c(square: GeometricSquare, i: int) -> dict:
-    value = hom_R_K_dim(square.line(i))
-    hom_leaf = _hom_r_k_leaf(i, value)
-    if value != 2:
-        raise ExtTableError(f"Hom(R, K_{i}) leaf is {value}, not 2", hom_leaf)
-    return _covariant_node(
-        "p*R", i, "leaf", hom_leaf,
-        _scale_node(2, _cell_pr_o(square)),
-        _cell_pr_oe(i))
-
-
-def _cell_oe_c(j: int, i: int) -> dict:
-    return _covariant_node(
-        f"O_E{j}(1,0)", i, "forced-zero", None,
-        _scale_node(2, _cell_oe_o(j)),
-        _cell_oe_oe(j, i))
-
-
-def _cell_c_pr(i: int) -> dict:
-    return _contravariant_node(
-        "p*R", i, "sub-vanishes",
-        _cell_oe_pr(i),
-        _scale_node(2, _cell_o_pr()))
-
-
-def _cell_c_o(i: int) -> dict:
-    return _contravariant_node(
-        "O", i, "sub-vanishes",
-        _cell_oe_o(i),
-        _scale_node(2, _cell_o_o()))
-
-
-def _cell_c_c(i: int, j: int) -> dict:
-    # Hom(-, C_j) applied to the sequence defining C_i
-    return _contravariant_node(
-        f"C{j}", i, "middle-vanishes",
-        _cell_oe_c(i, j),
-        _scale_node(2, _cell_o_c(j)))
+def _ext(hom, x: str, y: str) -> dict:
+    """The derivation of Ext^*(x, y) for x, y among p*R, O, the C_i and the
+    O_Ei(1,0).  A C_i is resolved by its defining sequence
+    0 -> C_i -> O^2 -> O_Ei(1,0) -> 0, in the first slot before the
+    second; every other pair is a leaf, a Serre dual or a tagged axiom."""
+    if x in _C:
+        i = _C.index(x)
+        return _node(hom, "les-contravariant", Y=y, i=i,
+                     mode="middle-vanishes" if y in _C else "sub-vanishes",
+                     sub=_ext(hom, _E[i], y),
+                     middle=_node(hom, "scale", copies=2, child=_ext(hom, "O", y)))
+    if y in _C:
+        i = _C.index(y)
+        if x == "p*R":
+            mode, leaf = "leaf", {"rule": "hom-R-K-leaf", "line": i, "value": hom[i]}
+        else:
+            mode, leaf = ("eval-iso" if x == "O" else "forced-zero"), None
+        return _node(hom, "les-covariant", X=x, i=i, hom_mode=mode, hom=leaf,
+                     middle=_node(hom, "scale", copies=2, child=_ext(hom, x, "O")),
+                     quotient=_ext(hom, x, _E[i]))
+    if x in _E and y in _E:
+        if x != y:
+            return _node(hom, "disjoint-support", objects=[x, y])
+        return _node(hom, "axiom", name=f"orlov-exceptional:{x}",
+                     note="the blow-up functor is fully faithful on the center (tagged axiom)")
+    if x in _E:
+        serre_o, serre_r = _twists()
+        if y == "O":
+            m, n = serre_o
+            leaf = _node(hom, "coh-leaf", m=m, n=n, copies=1,
+                         note=f"{x} twisted by omega restricted = O({m},{n})")
+            return _node(hom, "serre-dual", child=leaf,
+                         note="Ext^k(O_E(1,0), O) = H^(4-k)(E, O(-3,-2))* by Serre duality")
+        m, n = serre_r
+        leaf = _node(hom, "coh-leaf", m=m, n=n, copies=2,
+                     note="as above plus O(1,0) from the dual of the restricted subbundle")
+        return _node(hom, "serre-dual", child=leaf,
+                     note="Ext^k(O_E(1,0), p*R) = H^(4-k)(E, O(-2,-2)^2)* by Serre duality")
+    if y in _E:
+        if x == "O":
+            return _node(hom, "coh-leaf", m=1, n=0, copies=1,
+                         note=f"Hom(O, {y}[k]) = H^k(E, O(1,0))")
+        return _node(hom, "coh-leaf", m=2, n=0, copies=2,
+                     note=f"Hom(p*R, {y}[k]) = H^k(E, O(2,0)^2): "
+                          "restricted subbundle O(-1,0)^2 dualized and twisted")
+    if (x, y) == ("p*R", "O"):
+        return _node(hom, "strong-pair", hom={"rule": "hom-R-O-leaf", "value": hom_R_O_dim()},
+                     note="pullback of the strong exceptional pair (R, O); forward Hom is V*")
+    name, note = _AXIOM_CELLS[(x, y)]
+    return _node(hom, "axiom", name=name, note=note)
 
 
 class ExtTable(Record):
@@ -334,30 +308,22 @@ def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
             f"lines are not disjoint (verdict {lines.verdict}); "
             "disjoint-support leaves are unavailable")
 
-    cells = {}
-    cells[(0, 0)] = _cell_pr_pr()
-    cells[(0, 3)] = _cell_pr_o(square)
-    cells[(3, 0)] = _cell_o_pr()
-    cells[(3, 3)] = _cell_o_o()
-    for i in (0, 1):
-        cells[(0, i + 1)] = _cell_pr_c(square, i)
-        cells[(i + 1, 0)] = _cell_c_pr(i)
-        cells[(3, i + 1)] = _cell_o_c(i)
-        cells[(i + 1, 3)] = _cell_c_o(i)
-        for j in (0, 1):
-            cells[(i + 1, j + 1)] = _cell_c_c(i, j)
+    hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
+    for i, value in enumerate(hom):
+        if value != 2:
+            raise ExtTableError(f"Hom(R, K_{i}) leaf is {value}, not 2",
+                                {"rule": "hom-R-K-leaf", "line": i, "value": value})
 
-    table = {}
-    for (i, j), node in cells.items():
-        dims = list(node["dims"])
-        expected_hom = EXPECTED_HOM.get((i, j), 0)
-        expected = [expected_hom, 0, 0, 0, 0]
-        if dims != expected:
-            raise ExtTableError(
-                f"cell ({OBJECTS[i]}, {OBJECTS[j]}) has dims {dims}, expected {expected}",
-                node)
-        table[(i, j)] = {"dims": dims, "derivation": node}
-    return ExtTable(OBJECTS, table)
+    cells = {}
+    for i, x in enumerate(OBJECTS):
+        for j, y in enumerate(OBJECTS):
+            node = _ext(hom, x, y)
+            dims = list(node["dims"])
+            expected = [EXPECTED_HOM.get((i, j), 0), 0, 0, 0, 0]
+            if dims != expected:
+                raise ExtTableError(f"cell ({x}, {y}) has dims {dims}, expected {expected}", node)
+            cells[(i, j)] = {"dims": dims, "derivation": node}
+    return ExtTable(OBJECTS, cells)
 
 
 def gram_of(table: ExtTable) -> tuple:
@@ -374,63 +340,28 @@ def gram_of(table: ExtTable) -> tuple:
 # -- replay ----------------------------------------------------------------
 
 
-def replay_node(node: dict, square: GeometricSquare) -> list:
-    """Recompute a derivation node bottom-up from leaves and rules only,
-    verifying the stored dimensions along the way."""
-    rule = node["rule"]
-    if rule == "coh-leaf":
-        t = coh_p1xp2(node["m"], node["n"])
-        dims = [node["copies"] * t.h(k) for k in range(4)] + [0]
-    elif rule == "serre-dual":
-        child = replay_node(node["child"], square)
-        dims = [child[4 - k] for k in range(5)]
-    elif rule == "axiom":
-        known = AXIOM_DIMS.get(node["name"])
-        if known is None:
-            raise ExtTableError(f"unknown axiom {node['name']!r}", node)
-        dims = list(known)          # axioms are tagged inputs, pinned by name
-    elif rule == "disjoint-support":
-        dims = [0, 0, 0, 0, 0]
-    elif rule == "scale":
-        child = replay_node(node["child"], square)
-        dims = [node["copies"] * d for d in child]
-    elif rule == "strong-pair":
-        value = hom_R_O_dim()
-        if value != node["hom"]["value"]:
-            raise ExtTableError("hom-R-O leaf changed under replay", node)
-        dims = [value, 0, 0, 0, 0]
-    elif rule == "les-covariant":
-        mid = replay_node(node["middle"], square)
-        quo = replay_node(node["quotient"], square)
-        probe = dict(node)
-        probe["middle"] = {"dims": mid, "rule": "replayed"}
-        probe["quotient"] = {"dims": quo, "rule": "replayed"}
-        if node["hom_mode"] == "leaf":
-            fresh = hom_R_K_dim(square.line(node["hom"]["line"]))
-            if fresh != node["hom"]["value"]:
-                raise ExtTableError("hom-R-K leaf changed under replay", node)
-            probe["hom"] = {"value": fresh}
-        dims = _solve_covariant(probe)
-    elif rule == "les-contravariant":
-        sub = replay_node(node["sub"], square)
-        mid = replay_node(node["middle"], square)
-        probe = dict(node)
-        probe["sub"] = {"dims": sub, "rule": "replayed"}
-        probe["middle"] = {"dims": mid, "rule": "replayed"}
-        dims = _solve_contravariant(probe)
-    else:
-        raise ExtTableError(f"unknown rule {rule!r}", node)
-    if dims != list(node["dims"]):
-        raise ExtTableError(
-            f"replayed dims {dims} disagree with stored {node['dims']}", node)
-    return dims
+def _replay(node: dict, hom) -> None:
+    """Verify the children of ``node`` first, then re-derive its dims by
+    its rule and compare them with the stored ones."""
+    for key in _CHILDREN.get(node["rule"], ()):
+        _replay(node[key], hom)
+    dims = _rule_dims(node, hom)
+    if dims != node["dims"]:
+        raise ExtTableError(f"replayed dims {dims} disagree with stored {node['dims']}", node)
 
 
 def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
+    """Re-derive every cell of ``table`` from its leaves and rules alone;
+    raises ExtTableError at the first node whose stored dims disagree."""
+    hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
     for (i, j), cell in table.cells.items():
-        dims = replay_node(cell["derivation"], square)
-        if dims != list(cell["dims"]):
-            raise ExtTableError(f"cell ({i},{j}) replay mismatch", cell["derivation"])
+        node = cell["derivation"]
+        try:
+            _replay(node, hom)
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ExtTableError(f"cell ({i},{j}) has a malformed node: {exc!r}", node) from None
+        if node["dims"] != cell["dims"]:
+            raise ExtTableError(f"cell ({i},{j}) replay mismatch", node)
     return True
 
 
@@ -582,6 +513,18 @@ class Analysis:
         return ext_table(self.square, self.lines)
 
 
+def _certificate(q: Quintuple, convention: str, stages: list, verdict: dict) -> Certificate:
+    return Certificate(
+        schema="ncquad.certificate/1",
+        version=_toolkit_version,
+        digest=input_digest(q),
+        field=field_to_str(q.field),
+        convention=convention,
+        stages=tuple(stages),
+        verdict=verdict,
+    )
+
+
 def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     """Run every stage in order; the first failure fixes the verdict.
 
@@ -594,15 +537,8 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     stages = []
 
     def degenerate(stage, reason):
-        return Certificate(
-            schema="ncquad.certificate/1",
-            version=_toolkit_version,
-            digest=input_digest(q),
-            field=field_to_str(field),
-            convention=convention,
-            stages=tuple(stages),
-            verdict={"certified": False, "stage": stage, "reason": reason},
-        )
+        return _certificate(q, convention, stages,
+                            {"certified": False, "stage": stage, "reason": reason})
 
     geo = analysis.geometricity
     stages.append({"stage": "geometricity", "passed": geo.passed,
@@ -689,12 +625,4 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     if not gram_ok:
         return degenerate("gram", "Euler pairing disagrees with the block Gram")
 
-    return Certificate(
-        schema="ncquad.certificate/1",
-        version=_toolkit_version,
-        digest=input_digest(q),
-        field=field_to_str(field),
-        convention=convention,
-        stages=tuple(stages),
-        verdict={"certified": True},
-    )
+    return _certificate(q, convention, stages, {"certified": True})

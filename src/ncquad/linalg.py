@@ -132,6 +132,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+        if other.field != self.field:
+            raise ValueError("field mismatch")
         p, make = self.field.characteristic, _maker(self.field)
         left = [_ints(r, p) for r in self.rows]
         right = [_ints(c, p) for c in other.cols()]
@@ -149,10 +151,10 @@ class Matrix:
                      for a, la in (_ints(r, p) for r in self.rows))
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        if other.nrows != self.nrows:
-            raise ValueError("row count mismatch in hstack")
         if other.field != self.field:
             raise ValueError("field mismatch")
+        if other.nrows != self.nrows:
+            raise ValueError("row count mismatch in hstack")
         return Matrix._normal(
             self.field,
             [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],

@@ -18,7 +18,6 @@ fixed convention and both are computed on demand.
 
 from __future__ import annotations
 
-from .fields import QQ
 from .grassmann import EmbeddedLine
 from .linalg import Matrix
 from .quintuples import DimTable, Quintuple, RelationData, contraction_matrix, hilbert_dims
@@ -121,7 +120,6 @@ class QuiverAlgebra(Record):
 
     vertices: tuple
     arrows: tuple
-    path_basis: tuple
     relation_basis: Matrix
     composition: Matrix
     gram: tuple
@@ -171,11 +169,8 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
         legs.append((line.phi, cf, out_space, in_space))
 
     cols = []
-    path_basis = []
-    arrow_names = (("b", "a"), ("d", "c"))
-    for leg_idx, (phi, cf, _, _) in enumerate(legs):
+    for phi, cf, _, _ in legs:
         phit = phi.transpose()
-        out_sym, in_sym = arrow_names[leg_idx]
         for o in range(2):
             for n in range(2):
                 lam = [field.zero] * 4
@@ -183,7 +178,6 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
                 b_idx = n if cf == 0 else o
                 lam[2 * a_idx + b_idx] = field.one
                 cols.append(phit.apply(lam))
-                path_basis.append(f"{out_sym}{o + 1}{in_sym}{n + 1}")
     comp = Matrix._normal_cols(field, cols, 4)
     rel = comp.kernel_basis()
 
@@ -196,14 +190,10 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
-        path_basis=tuple(path_basis),
         relation_basis=rel,
         composition=comp,
         gram=BLOCK_GRAM,
     )
-
-
-_XY = ("x", "y")
 
 
 def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
@@ -213,14 +203,10 @@ def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
     dimension 24."""
     if not table.valid:
         raise ValueError(f"invalid window: mismatched cells {table.mismatches}")
-    field = rel.r0.field
-    # length-3 path space basis, flat index 4a+2b+c over (V0, V1, V2)
-    path_basis = tuple(
-        f"{_XY[a]}0{_XY[b]}1{_XY[c]}2" for a in range(2) for b in range(2) for c in range(2)
-    )
     # composition of all three arrow spaces into A_{0,3} is the quotient
-    # by R_0; store the quotient projection as the composition map
-    comp = _quotient_matrix(rel.r0, field)
+    # by R_0; store the quotient projection as the composition map: its
+    # rows span the annihilator of R_0, so its kernel is exactly R_0
+    comp = rel.r0.transpose().kernel_basis().transpose()
     arrows = (
         Arrow(0, 1, ("x2", "y2"), "V2"),
         Arrow(1, 2, ("x1", "y1"), "V1"),
@@ -229,20 +215,10 @@ def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("O(-1,-2)", "O(-1,-1)", "O(0,-1)", "O(0,0)"),
         arrows=arrows,
-        path_basis=path_basis,
         relation_basis=rel.r0,
         composition=comp,
         gram=LINEAR_GRAM,
     )
-
-
-def _quotient_matrix(subspace: Matrix, field) -> Matrix:
-    """A matrix whose kernel is exactly the given column span (projection
-    onto a complement, used to present quotient spaces)."""
-    n = subspace.nrows
-    # rows spanning the annihilator of the subspace
-    ann = subspace.transpose().kernel_basis()   # n x (n - rank)
-    return ann.transpose()
 
 
 class MutationReport(Record):
@@ -283,13 +259,11 @@ def mutate_linear_to_block(
     # path space: leg via O(0,-1) is V0 x V1 (4), leg via O(-1,0) is
     # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1
     cols = []
-    path_basis = []
     for o in range(2):
         for n in range(2):
             e = [field.zero] * 4
             e[2 * o + n] = field.one
             cols.append(tuple(e))
-            path_basis.append(f"{_XY[o]}0{_XY[n]}1")
     for k in range(r0.ncols):
         r = r0.col(k)   # indexed by 4a+2b+c
         for z in range(2):
@@ -298,7 +272,6 @@ def mutate_linear_to_block(
                 for b in range(2):
                     col[2 * a + b] = r[4 * a + 2 * b + z]
             cols.append(tuple(col))
-            path_basis.append(f"r{k + 1}z{z + 1}")
     comp = Matrix._normal_cols(field, cols, 4)
     relations_basis = comp.kernel_basis()
 
@@ -317,7 +290,6 @@ def mutate_linear_to_block(
     mutated = QuiverAlgebra(
         vertices=("O(-1,-1)", "O(0,-1)", "O(-1,0)", "O(0,0)"),
         arrows=arrows,
-        path_basis=tuple(path_basis),
         relation_basis=relations_basis,
         composition=comp,
         gram=gram,
@@ -363,18 +335,8 @@ def _int_transpose(a):
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
-def base_change_inverse() -> tuple:
-    m = Matrix(QQ, [list(r) for r in KTHEORY_BASE_CHANGE]).inverse()
-    return tuple(tuple(int(x) for x in row) for row in m.rows)
-
-
-def apply_base_change(gram: tuple, change: tuple) -> tuple:
-    return _int_matmul(_int_matmul(change, tuple(map(tuple, gram))), _int_transpose(change))
-
-
-def gram_base_change(linear, inverse: bool = False) -> tuple:
-    """Transform the linear Gram matrix by the K-theory base change of the
-    mutation (or back); the forward image must equal the block Gram."""
-    gram = linear.gram if isinstance(linear, QuiverAlgebra) else tuple(map(tuple, linear))
-    change = base_change_inverse() if inverse else KTHEORY_BASE_CHANGE
-    return apply_base_change(gram, change)
+def gram_base_change(linear: QuiverAlgebra) -> tuple:
+    """Transform the Gram matrix of the linear quiver by the K-theory base
+    change of the mutation; the image must equal the block Gram."""
+    change = KTHEORY_BASE_CHANGE
+    return _int_matmul(_int_matmul(change, linear.gram), _int_transpose(change))

@@ -10,11 +10,11 @@ import pytest
 from helpers import random_type_a_triple
 from ncquad.certify import (
     Analysis,
+    ExtTable,
     ExtTableError,
     full_pipeline,
     ext_table,
     gram_of,
-    replay_node,
     replay_table,
 )
 from ncquad.fileformat import canonical_json_bytes, input_digest
@@ -74,20 +74,90 @@ def test_gram_of_equals_block_gram():
     assert total == 16
 
 
+def _tampered(t, key, *path):
+    """A copy of table ``t`` and the node at ``path`` under cell ``key``."""
+    cells = copy.deepcopy(t.cells)
+    node = cells[key]["derivation"]
+    for field in path:
+        node = node[field]
+    return ExtTable(t.objects, cells), node
+
+
 def test_replay_validates_and_detects_tampering():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     t = _table(sq)
     assert replay_table(t, sq)
     # tamper with a stored dimension: replay must refuse it
-    node = copy.deepcopy(t.cells[(0, 1)]["derivation"])
+    bad, node = _tampered(t, (0, 1))
     node["dims"][0] = 3
     with pytest.raises(ExtTableError):
-        replay_node(node, sq)
+        replay_table(bad, sq)
     # tamper with a leaf inside the tree as well
-    node2 = copy.deepcopy(t.cells[(0, 1)]["derivation"])
-    node2["quotient"]["dims"][0] = 7
+    bad, node = _tampered(t, (0, 1), "quotient")
+    node["dims"][0] = 7
     with pytest.raises(ExtTableError):
-        replay_node(node2, sq)
+        replay_table(bad, sq)
+
+
+def _node_paths(node, path=()):
+    """Key paths to every derivation node (every dict with stored dims)
+    below and including ``node``, found by walking all dict values."""
+    if "dims" in node:
+        yield path
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _node_paths(value, path + (key,))
+
+
+def test_replay_rejects_every_single_dim_bump():
+    sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
+    t = _table(sq)
+    cases = 0
+    for key, cell in t.cells.items():
+        for path in _node_paths(cell["derivation"]):
+            for k in range(5):
+                bad, node = _tampered(t, key, *path)
+                node["dims"][k] += 1
+                with pytest.raises(ExtTableError):
+                    replay_table(bad, sq)
+                cases += 1
+    assert cases == 420
+    assert replay_table(t, sq)
+
+
+@pytest.mark.parametrize("key, path, field, value, reason", [
+    ((0, 1), ("hom",), "value", 3, "hom-R-K leaf"),
+    ((0, 2), ("hom",), "line", 0, "hom-R-K leaf"),
+    ((0, 3), ("hom",), "value", 5, "strong-pair leaf"),
+    ((0, 1), ("middle", "child", "hom"), "value", 3, "strong-pair leaf"),
+    ((0, 0), (), "name", "pair-backward:O,p*R", "disagree with stored"),
+    ((3, 3), (), "name", "exceptional:P", "unknown axiom"),
+    ((0, 3), (), "rule", "axiom", "malformed node"),
+    ((1, 1), ("middle",), "rule", "bogus", "unknown rule"),
+    ((0, 1), (), "hom_mode", "forced-zero", "forced-zero mode"),
+    ((3, 1), (), "hom_mode", "leaf", "hom-R-K leaf"),
+    ((3, 1), (), "hom_mode", "bogus", "unknown covariant mode"),
+    ((1, 3), (), "mode", "middle-vanishes", "middle-vanishes mode"),
+    ((1, 0), (), "mode", "bogus", "unknown contravariant mode"),
+    ((1, 2), ("sub", "quotient"), "objects", ["O_E0(1,0)", "O_E0(1,0)"], "distinct"),
+])
+def test_replay_rejects_tampered_fields(key, path, field, value, reason):
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    t = _table(sq)
+    bad, node = _tampered(t, key, *path)
+    assert node[field] != value
+    node[field] = value
+    with pytest.raises(ExtTableError, match=reason):
+        replay_table(bad, sq)
+
+
+def test_hom_leaf_failure_reason_is_pinned(monkeypatch):
+    monkeypatch.setattr("ncquad.certify.hom_R_K_dim", lambda line: 3)
+    cert = full_pipeline(build_type_a(1, 2, 3), "ruling")
+    assert cert.verdict == {"certified": False, "stage": "ext_table",
+                            "reason": "Hom(R, K_0) leaf is 3, not 2"}
+    assert cert.stages[-1] == {"stage": "ext_table", "passed": False,
+                               "error": "Hom(R, K_0) leaf is 3, not 2"}
 
 
 def test_full_pipeline_paper_verdicts():

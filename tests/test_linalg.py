@@ -396,3 +396,11 @@ def test_public_constructors_still_coerce():
 def test_hstack_rejects_mixed_fields():
     with pytest.raises(ValueError, match="field mismatch"):
         Matrix(QQ, [[1]]).hstack(Matrix(GF(5), [[1]]))
+
+
+def test_product_and_hstack_reject_mixed_fields():
+    a, b = Matrix(QQ, [[1, 2]]), Matrix(GF(5), [[1], [2]])
+    with pytest.raises(ValueError, match="field mismatch"):
+        a * b
+    with pytest.raises(ValueError, match="field mismatch"):
+        a.hstack(b)

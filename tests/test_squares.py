@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from helpers import random_invertible_fp, random_invertible_qq, random_type_a_triple
+from helpers import (
+    inverse_oracle,
+    random_invertible_fp,
+    random_invertible_qq,
+    random_type_a_triple,
+)
 from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix, span_contains
 from ncquad.quintuples import (
@@ -15,11 +20,10 @@ from ncquad.quintuples import (
 )
 from ncquad.squares import (
     BLOCK_GRAM,
+    KTHEORY_BASE_CHANGE,
     LINEAR_GRAM,
     GeometricSquare,
     NotGeneric,
-    apply_base_change,
-    base_change_inverse,
     block_quiver,
     gram_base_change,
     linear_quiver,
@@ -240,17 +244,22 @@ def test_mutation_matches_block():
 
 
 def test_gram_base_change_values():
-    lq_gram = LINEAR_GRAM
-    changed = gram_base_change(lq_gram)
+    changed = gram_base_change(_linear_quiver(build_linear_quadric()))
     assert changed == BLOCK_GRAM
     # spot entries from the bilinear expansion
     assert changed[2][3] == 2 * 4 - 6 == 2
     assert changed[1][2] == 0
     assert changed[2][2] == 4 * 1 - 2 * 2 + 1 == 1
-    # idempotence through the inverse
-    assert gram_base_change(changed, inverse=True) == LINEAR_GRAM
-    minv = base_change_inverse()
-    assert apply_base_change(changed, minv) == LINEAR_GRAM
+    # the inverse base change is integral and carries the block Gram back
+    minv = inverse_oracle(KTHEORY_BASE_CHANGE)
+    assert all(x.denominator == 1 for row in minv for x in row)
+    minv = [[int(x) for x in row] for row in minv]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+    back = mul(mul(minv, changed), [list(col) for col in zip(*minv)])
+    assert back == [list(row) for row in LINEAR_GRAM]
 
 
 def test_base_change_on_every_certified_sample():
