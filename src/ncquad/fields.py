@@ -260,12 +260,6 @@ class PrimeField:
             raise ValueError(f"{x.value} is not a square mod {self.p}")
         return FpElement(r, self)
 
-    def nonresidue(self) -> FpElement:
-        n = 2
-        while pow(n, (self.p - 1) // 2, self.p) != self.p - 1:
-            n += 1
-        return FpElement(n, self)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

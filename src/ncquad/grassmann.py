@@ -248,37 +248,24 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     p -> gamma|_{K(p)}, i.e. (u0 s + u1 t)(alpha_1 s - alpha_0 t) * beta
     on pure gamma = alpha x beta (contracted factor 0; roles of alpha and
     beta swap for factor 1).  Conjugation by phi carries V* coordinates to
-    U0* x U1* coordinates."""
+    U0* x U1* coordinates.
+
+    Row 3*o + m holds the coefficient of s^(2-m) t^m in output slot o (the
+    non-contracted index).  The product of u_u and the k-th basis
+    functional of the contracted factor (k = 0 -> -t, 1 -> s) is the
+    single monomial m = u + 1 - k, negated when k = 0, so column (u, c)
+    carries g[2k+o] at row 3*o + u + 1 - k, where g = row c of phi^{-1}
+    (g[2o+k] when the contracted factor is 1)."""
     field = line.field
-    phi_inv = line.phi_inv
-    # products (u0 s + u1 t) * (k-component of the contracted functional):
-    # u index 0 -> s, 1 -> t; contracted-factor basis index 0 -> -t, 1 -> s
-    poly = {
-        (0, 0): (0, -1, 0),   # s * (-t)
-        (0, 1): (1, 0, 0),    # s * s
-        (1, 0): (0, 0, -1),   # t * (-t)
-        (1, 1): (0, 1, 0),    # t * s
-    }
-    cols = []
-    for u in range(2):
-        for c in range(4):
-            g = phi_inv.row(c)   # gamma_c in U0* x U1* coordinates
-            col = [field.zero] * 6
-            for a in range(2):
-                for b in range(2):
-                    coeff = g[2 * a + b]
-                    if not coeff:
-                        continue
-                    if line.contracted_factor == 0:
-                        pol, out = poly[(u, a)], b
-                    else:
-                        pol, out = poly[(u, b)], a
-                    for mi, pc in enumerate(pol):
-                        if pc:
-                            col[3 * out + mi] = col[3 * out + mi] + field.of(pc) * coeff
-            cols.append(tuple(col))
-    m = Matrix._normal_cols(field, cols, 6)
-    return 8 - m.rank()
+    cf = line.contracted_factor
+    rows = [[field.zero] * 8 for _ in range(6)]
+    for c, g in enumerate(line.phi_inv.rows):
+        for o in range(2):
+            for k in range(2):
+                x = g[2 * k + o] if cf == 0 else g[2 * o + k]
+                for u in range(2):
+                    rows[3 * o + u + 1 - k][4 * u + c] = x if k else -x
+    return 8 - Matrix._normal(field, rows, 8).rank()
 
 
 def hom_R_O_dim() -> int:

@@ -19,9 +19,9 @@ that echelon:
 * the inverse is the kernel of [A_int | -diag(l)] at its free columns
   n..2n-1, where A_int = diag(l) A is the row-scaled integer matrix.
 
-Products and ``apply`` work on the same integer rows.  A field element is
-built only for an output entry (``_maker``): one ``Fraction(num, den)``
-over QQ, one ``FpElement`` mod p.  Each result is uniquely determined by
+Products work on the same integer rows.  A field element is built only
+for an output entry (``_maker``): one ``Fraction(num, den)`` over QQ, one
+``FpElement`` mod p.  Each result is uniquely determined by
 the matrix: the rank, the determinant, the inverse, a product, and the
 reduced kernel basis (the identity on the free columns, which are the
 complement of the lexicographically first independent set of columns).
@@ -29,11 +29,11 @@ Both element types are normal forms, so the results are the same values,
 and the same bytes, that elimination on field elements would give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  The public constructors (``Matrix(field, rows)``,
-``Matrix.from_cols``) coerce every entry through ``field.of``, since
-callers pass ints and strings.  Every matrix this module builds from its
-own results is made by ``Matrix._normal``, which takes the entries as they
-are.  Matrices are immutable after construction.
+field.  The public constructor ``Matrix(field, rows)`` coerces every
+entry through ``field.of``, since callers pass ints and strings.  Every
+matrix this module builds from its own results is made by
+``Matrix._normal``, which takes the entries as they are.  Matrices are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -88,31 +88,15 @@ class Matrix:
         return cls._normal(field, [[one if i == j else zero for j in range(n)]
                                    for i in range(n)], n)
 
-    @classmethod
-    def from_cols(cls, field, cols, nrows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
-        if nrows is None:
-            raise ValueError("empty column list needs an explicit nrows")
-        return cls(field, [()] * nrows, ncols=0)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
     def cols(self) -> list[tuple]:
         return [self.col(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix._normal_cols(self.field, self.rows, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -126,9 +110,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, self.rows))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._normal(self.field, [[-a for a in r] for r in self.rows], self.ncols)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
@@ -139,27 +120,6 @@ class Matrix:
         right = [_ints(c, p) for c in other.cols()]
         rows = [[make(sum(map(mul, a, b)), la * lb) for b, lb in right] for a, la in left]
         return Matrix._normal(self.field, rows, other.ncols)
-
-    def apply(self, vec) -> tuple:
-        """Matrix times column vector (given as an iterable)."""
-        vec = tuple(self.field.of(x) for x in vec)
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        p, make = self.field.characteristic, _maker(self.field)
-        v, lv = _ints(vec, p)
-        return tuple(make(sum(map(mul, a, v)), la * lv)
-                     for a, la in (_ints(r, p) for r in self.rows))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        if other.nrows != self.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return Matrix._normal(
-            self.field,
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
 
     # -- elimination ----------------------------------------------------
 
@@ -322,38 +282,7 @@ def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
     return y, den
 
 
-# -- subspaces (column spans) -------------------------------------------
-
-
 def column_space_basis(m: Matrix) -> Matrix:
     """The original columns of m sitting at the pivot positions."""
     pivots = m._echelon()[1]
     return Matrix._normal(m.field, [[r[j] for j in pivots] for r in m.rows], len(pivots))
-
-
-def span_contains(space: Matrix, vec) -> bool:
-    v = Matrix.from_cols(space.field, [tuple(space.field.of(x) for x in vec)])
-    if v.nrows != space.nrows:
-        raise ValueError("ambient mismatch")
-    return space.hstack(v).rank() == space.rank()
-
-
-def intersect_subspaces(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of (column span of a) intersect (column span of b).
-
-    Solves a.x = b.y: kernel vectors (x; y) of [a | -b] are mapped through
-    a, then pruned to an independent set.  dim satisfies
-    dim(a) + dim(b) - dim(a + b).
-    """
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.nrows != b.nrows:
-        raise ValueError("ambient mismatch")
-    if a.ncols == 0 or b.ncols == 0:
-        return Matrix._normal_cols(a.field, [], a.nrows)
-    ker = a.hstack(-b).kernel_basis()
-    cand = []
-    for j in range(ker.ncols):
-        x = ker.col(j)[: a.ncols]
-        cand.append(a.apply(x))
-    return column_space_basis(Matrix._normal_cols(a.field, cand, a.nrows))

@@ -3,6 +3,10 @@ V_0 x V_1 x V_2 x V_3, the geometricity decision procedure, relation
 extraction, and the dimension table of the associated cubic regular
 algebra window.
 
+Relation extraction keeps a basis of R_0, which the mutation reads, and
+only the dimensions of R_1 and of the line (R0 x V3) ∩ (V0 x R1), each
+one rank of a matrix whose entries are entries of w.
+
 Conventions, fixed throughout the package:
 
 * each V_i has ordered basis (x_i, y_i); basis index 0 is x, 1 is y;
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 from .fields import QQ
 from .forms import BinaryForm, root_structure
-from .linalg import Matrix, column_space_basis, intersect_subspaces, span_contains
+from .linalg import Matrix, column_space_basis
 from .records import Record
 from .tensors import Tensor
 
@@ -223,11 +227,12 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
 
 
 class RelationData(Record):
-    """R_0, R_1 and the one-dimensional intersection line carrying w."""
+    """R_0 with its basis, and the dimensions of R_1 and of the
+    intersection (R0 x V3) ∩ (V0 x R1), which carries w."""
 
     r0: Matrix        # basis of R_0 inside V0xV1xV2 (8-dim ambient)
-    r1: Matrix        # basis of R_1 inside V1xV2xV3
-    w_line: Matrix    # basis of (R0 x V3) ∩ (V0 x R1) inside the 16-dim space
+    r1_dim: int       # dim R_1 inside V1xV2xV3
+    w_dim: int        # dim (R0 x V3) ∩ (V0 x R1) inside the 16-dim space
     issues: tuple = ()
 
     @property
@@ -236,7 +241,7 @@ class RelationData(Record):
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (self.r0.ncols, self.r1.ncols, self.w_line.ncols)
+        return (self.r0.ncols, self.r1_dim, self.w_dim)
 
 
 def relations(q: Quintuple) -> RelationData:
@@ -246,42 +251,37 @@ def relations(q: Quintuple) -> RelationData:
 
     The contraction of w by the basis functional e_d of slot 3 (of slot
     0) is column d of the flattening with that slot alone on the columns,
-    so both spans are column spaces of flattenings."""
-    field = q.field
-    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
-    r1 = column_space_basis(q.w.reshape((1, 2, 3), (0,)))
+    so both spans are column spaces of flattenings.  R0 x V3 and V0 x R1
+    are then spanned by the contractions placed at each basis index of
+    the free slot, whose entries are entries of w, and
 
-    # R0 x V3 and V0 x R1 inside the full 16-dim tensor space
-    cols_a = []
-    for k in range(r0.ncols):
-        r = r0.col(k)   # indexed by 4a+2b+c
-        for d in range(2):
-            vec = [field.zero] * 16
-            for i in range(8):
-                vec[2 * i + d] = r[i]
-            cols_a.append(tuple(vec))
-    cols_b = []
-    for a in range(2):
-        for k in range(r1.ncols):
-            r = r1.col(k)   # indexed by 4b+2c+d
-            vec = [field.zero] * 16
-            for i in range(8):
-                vec[8 * a + i] = r[i]
-            cols_b.append(tuple(vec))
-    span_a = Matrix._normal_cols(field, cols_a, 16)
-    span_b = Matrix._normal_cols(field, cols_b, 16)
-    w_line = intersect_subspaces(span_a, span_b)
+        dim (R0 x V3 ∩ V0 x R1) = 2 dim R0 + 2 dim R1 - rank[R0 x V3 | V0 x R1].
+
+    w = sum_d (column d) x e_d lies in R0 x V3, and likewise in V0 x R1,
+    so it lies in the intersection; when that is a line, the nonzero w
+    spans it."""
+    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
+    r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
+
+    # column (s, d) of R0 x V3 is (contraction by e_d) x e_s: its entry
+    # 2i + s, i = 4a+2b+c, is w[2i + d]; column (s, a) of V0 x R1 is
+    # e_s x (contraction by e_a): its entry 8s + i, i = 4b+2c+d, is w[8a + i]
+    w, zero = q.w.entries, q.field.zero
+    cols = [[w[t - s + d] if t % 2 == s else zero for t in range(16)]
+            for s in range(2) for d in range(2)]
+    cols += [[w[t % 8 + 8 * a] if t // 8 == s else zero for t in range(16)]
+             for s in range(2) for a in range(2)]
+    span_rank = Matrix._normal_cols(q.field, cols, 16).rank()
+    w_dim = 2 * r0.ncols + 2 * r1_dim - span_rank
 
     issues = []
     if r0.ncols != 2:
         issues.append(f"dim R0 = {r0.ncols} != 2")
-    if r1.ncols != 2:
-        issues.append(f"dim R1 = {r1.ncols} != 2")
-    if w_line.ncols != 1:
-        issues.append(f"dim (R0xV3 ∩ V0xR1) = {w_line.ncols} != 1")
-    elif not span_contains(w_line, q.w.flatten()):
-        issues.append("w does not span the intersection line")
-    return RelationData(r0, r1, w_line, tuple(issues))
+    if r1_dim != 2:
+        issues.append(f"dim R1 = {r1_dim} != 2")
+    if w_dim != 1:
+        issues.append(f"dim (R0xV3 ∩ V0xR1) = {w_dim} != 1")
+    return RelationData(r0, r1_dim, w_dim, tuple(issues))
 
 
 @lru_cache(maxsize=None)
@@ -308,12 +308,6 @@ class DimTable(Record):
     def valid(self) -> bool:
         return not self.mismatches
 
-    def computed(self, i: int, j: int) -> int:
-        return self.cells[(i, j)][0]
-
-    def expected(self, i: int, j: int) -> int:
-        return self.cells[(i, j)][1]
-
 
 def truncated_dims(rel: RelationData) -> DimTable:
     """A_{i,j} by quotient linear algebra on the window 0 <= i <= j <= 4,
@@ -322,8 +316,7 @@ def truncated_dims(rel: RelationData) -> DimTable:
     Widths 0..2 have no relations (relations are cubic); width 3 quotients
     by R_i; width 4 quotients by R0 x V3 + V0 x R1.
     """
-    dim_r0, dim_r1 = rel.r0.ncols, rel.r1.ncols
-    dim_w = rel.w_line.ncols
+    dim_r0, dim_r1, dim_w = rel.dims
     cells = {}
     for i in range(5):
         cells[(i, i)] = (1, hilbert_dims(0))

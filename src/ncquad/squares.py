@@ -14,6 +14,11 @@ default is "ruling", the unique choice under which the commutative
 quadric's square reproduces the two disjoint rulings of the blown-up
 Grassmannian; the worked examples are inconsistent under any single
 fixed convention and both are computed on demand.
+
+A quiver algebra here is its dimensions: the relation dimension and the
+rank of each leg of the long composition, each one rank of a matrix
+picked from phi_i or from the basis of R_0; no relation basis or
+composition map is kept.
 """
 
 from __future__ import annotations
@@ -111,43 +116,29 @@ class Arrow(Record):
 
 
 class QuiverAlgebra(Record):
-    """Vertices, basis-labeled arrow spaces, a relation subspace inside the
-    long path space, and the Gram matrix of Hom dimensions.
+    """Vertices, basis-labeled arrow spaces, the dimension of the relation
+    subspace inside the long path space, and the Gram matrix of Hom
+    dimensions.
 
+    ``leg_ranks`` holds, for a quiver whose long paths compose through
+    separate legs, the rank of each leg's block of the composition map.
     For the strong exceptional collections modeled here the total algebra
     dimension equals the sum of all Gram entries.
     """
 
     vertices: tuple
     arrows: tuple
-    relation_basis: Matrix
-    composition: Matrix
+    relation_dim: int
     gram: tuple
+    leg_ranks: tuple = ()
 
     @property
     def arrow_dims(self) -> dict:
         return {(a.source, a.target): len(a.labels) for a in self.arrows}
 
     @property
-    def relation_dim(self) -> int:
-        return self.relation_basis.ncols
-
-    @property
     def total_dim(self) -> int:
         return sum(sum(row) for row in self.gram)
-
-    def leg_ranks(self) -> tuple:
-        """Ranks of the per-leg blocks of the long composition map."""
-        ranks = []
-        ncols = self.composition.ncols
-        for off in range(0, ncols, 4):
-            block = Matrix._normal_cols(
-                self.composition.field,
-                [self.composition.col(j) for j in range(off, off + 4)],
-                self.composition.nrows,
-            )
-            ranks.append(block.rank())
-        return tuple(ranks)
 
 
 def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
@@ -157,7 +148,10 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
 
     Arrow spaces: in(K_i) is the dual of the non-contracted factor of
     line i, out(K_i) the dual of the contracted one; length-2 paths
-    compose through phi_i transposed.
+    compose through phi_i transposed, so the path (o, n) of leg i (out
+    index o, in index n) lands on row 2o+n of phi_i, or row 2n+o when
+    the contracted factor is 1.  The relation dimension is 8 minus the
+    rank of those 8 rows.
     """
     field = square.field
     legs = []
@@ -166,33 +160,23 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
         cf = line.contracted_factor
         out_space = _dual_label(square.factor_labels[i][cf])
         in_space = _dual_label(square.factor_labels[i][1 - cf])
-        legs.append((line.phi, cf, out_space, in_space))
-
-    cols = []
-    for phi, cf, _, _ in legs:
-        phit = phi.transpose()
-        for o in range(2):
-            for n in range(2):
-                lam = [field.zero] * 4
-                a_idx = o if cf == 0 else n
-                b_idx = n if cf == 0 else o
-                lam[2 * a_idx + b_idx] = field.one
-                cols.append(phit.apply(lam))
-    comp = Matrix._normal_cols(field, cols, 4)
-    rel = comp.kernel_basis()
+        rows = [line.phi.rows[2 * o + n if cf == 0 else 2 * n + o]
+                for o in range(2) for n in range(2)]
+        legs.append((rows, out_space, in_space))
+    paths = legs[0][0] + legs[1][0]
 
     arrows = (
-        Arrow(0, 1, ("a1", "a2"), legs[0][3]),
-        Arrow(0, 2, ("c1", "c2"), legs[1][3]),
-        Arrow(1, 3, ("b1", "b2"), legs[0][2]),
-        Arrow(2, 3, ("d1", "d2"), legs[1][2]),
+        Arrow(0, 1, ("a1", "a2"), legs[0][2]),
+        Arrow(0, 2, ("c1", "c2"), legs[1][2]),
+        Arrow(1, 3, ("b1", "b2"), legs[0][1]),
+        Arrow(2, 3, ("d1", "d2"), legs[1][1]),
     )
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
-        relation_basis=rel,
-        composition=comp,
+        relation_dim=8 - Matrix._normal(field, paths, 4).rank(),
         gram=BLOCK_GRAM,
+        leg_ranks=tuple(Matrix._normal(field, rows, 4).rank() for rows, _, _ in legs),
     )
 
 
@@ -203,10 +187,6 @@ def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
     dimension 24."""
     if not table.valid:
         raise ValueError(f"invalid window: mismatched cells {table.mismatches}")
-    # composition of all three arrow spaces into A_{0,3} is the quotient
-    # by R_0; store the quotient projection as the composition map: its
-    # rows span the annihilator of R_0, so its kernel is exactly R_0
-    comp = rel.r0.transpose().kernel_basis().transpose()
     arrows = (
         Arrow(0, 1, ("x2", "y2"), "V2"),
         Arrow(1, 2, ("x1", "y1"), "V1"),
@@ -215,8 +195,7 @@ def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("O(-1,-2)", "O(-1,-1)", "O(0,-1)", "O(0,0)"),
         arrows=arrows,
-        relation_basis=rel.r0,
-        composition=comp,
+        relation_dim=rel.r0.ncols,
         gram=LINEAR_GRAM,
     )
 
@@ -225,7 +204,6 @@ class MutationReport(Record):
     orthogonality_bijective: bool
     a13_dim: int
     new_hom_dim: int
-    leg_ranks: tuple
     structural_match: bool
     notes: tuple = ()
 
@@ -239,13 +217,12 @@ def mutate_linear_to_block(
     2); complete orthogonality of the middle pair is the bijectivity of
     the multiplication V1 x V2 -> A_{1,3} (both sides 4-dimensional).
     The result is compared structurally with ``block``, the block quiver
-    of the associated square (None when the input has no square): vertex
-    count, arrow dimensions, per-leg composition ranks, relation
-    dimension, Gram matrix.
+    of the associated square (None when the input has no square): arrow
+    dimensions, relation dimension, per-leg composition ranks, Gram
+    matrix.
     """
     if not rel.valid:
         raise ValueError(f"invalid window: {rel.issues}")
-    field = rel.r0.field
     r0 = rel.r0
     new_hom_dim = r0.ncols
 
@@ -257,23 +234,13 @@ def mutate_linear_to_block(
     a13_dim = hilbert_dims(2)
 
     # path space: leg via O(0,-1) is V0 x V1 (4), leg via O(-1,0) is
-    # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1
-    cols = []
-    for o in range(2):
-        for n in range(2):
-            e = [field.zero] * 4
-            e[2 * o + n] = field.one
-            cols.append(tuple(e))
-    for k in range(r0.ncols):
-        r = r0.col(k)   # indexed by 4a+2b+c
-        for z in range(2):
-            col = [field.zero] * 4
-            for a in range(2):
-                for b in range(2):
-                    col[2 * a + b] = r[4 * a + 2 * b + z]
-            cols.append(tuple(col))
-    comp = Matrix._normal_cols(field, cols, 4)
-    relations_basis = comp.kernel_basis()
+    # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1.  The first leg
+    # is the identity, of rank 4, so the composition is onto and the
+    # relations have dimension 4 + 2 dim R0 - 4.  Path (k, z) of the
+    # second leg is relation k contracted by e_z at V2: the entries
+    # 4a+2b+z of its basis vector
+    r0_leg = Matrix._normal_cols(
+        r0.field, [r0.col(k)[z::2] for k in range(new_hom_dim) for z in range(2)], 4)
 
     gram = (
         (1, 2, 2, 4),
@@ -290,34 +257,26 @@ def mutate_linear_to_block(
     mutated = QuiverAlgebra(
         vertices=("O(-1,-1)", "O(0,-1)", "O(-1,0)", "O(0,0)"),
         arrows=arrows,
-        relation_basis=relations_basis,
-        composition=comp,
+        relation_dim=2 * new_hom_dim,
         gram=gram,
+        leg_ranks=(4, r0_leg.rank()),
     )
 
-    leg_ranks = mutated.leg_ranks()
     notes = []
     structural = True
     if block is None:
         notes.append("no associated square")
         structural = False
-    else:
-        checks = (
-            len(mutated.vertices) == len(block.vertices),
-            sorted(mutated.arrow_dims.values()) == sorted(block.arrow_dims.values()),
-            mutated.relation_dim == block.relation_dim,
-            mutated.gram == block.gram,
-            mutated.total_dim == block.total_dim,
-            leg_ranks == block.leg_ranks(),
-        )
-        if not all(checks):
-            notes.append("structural mismatch with the block quiver")
-            structural = False
+    elif (sorted(mutated.arrow_dims.values()) != sorted(block.arrow_dims.values())
+          or mutated.relation_dim != block.relation_dim
+          or mutated.leg_ranks != block.leg_ranks
+          or mutated.gram != block.gram):
+        notes.append("structural mismatch with the block quiver")
+        structural = False
     report = MutationReport(
         orthogonality_bijective=True,
         a13_dim=a13_dim,
         new_hom_dim=new_hom_dim,
-        leg_ranks=leg_ranks,
         structural_match=structural,
         notes=tuple(notes),
     )

@@ -172,12 +172,180 @@ def evaluate(form, s, t):
     return acc
 
 
+# -- column spans (oracle tools built on Matrix(field, rows)) -------------
+
+
+def from_cols(field, cols, nrows=None):
+    """The matrix with the given columns, each entry coerced by field.of."""
+    from ncquad.linalg import Matrix
+
+    cols = [tuple(c) for c in cols]
+    if cols:
+        return Matrix(field, list(zip(*cols)))
+    if nrows is None:
+        raise ValueError("empty column list needs an explicit nrows")
+    return Matrix(field, [()] * nrows, ncols=0)
+
+
+def transpose(m):
+    return from_cols(m.field, m.rows, m.ncols)
+
+
+def apply(m, vec) -> tuple:
+    """Matrix times column vector, through the matrix product."""
+    return (m * from_cols(m.field, [vec])).col(0)
+
+
+def hstack(a, b):
+    """[a | b] for two matrices over one field with equal row counts."""
+    from ncquad.linalg import Matrix
+
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.nrows != b.nrows:
+        raise ValueError("row count mismatch in hstack")
+    return Matrix(a.field, [r1 + r2 for r1, r2 in zip(a.rows, b.rows)], a.ncols + b.ncols)
+
+
 def span_equal(a, b) -> bool:
     """Whether two matrices over one field have the same column span."""
     if a.nrows != b.nrows:
         raise ValueError("ambient mismatch")
     ra, rb = a.rank(), b.rank()
-    return ra == rb == a.hstack(b).rank()
+    return ra == rb == hstack(a, b).rank()
+
+
+def span_contains(space, vec) -> bool:
+    v = from_cols(space.field, [vec])
+    if v.nrows != space.nrows:
+        raise ValueError("ambient mismatch")
+    return hstack(space, v).rank() == space.rank()
+
+
+def intersect_subspaces(a, b):
+    """Basis of (column span of a) ∩ (column span of b), by kernel: the
+    kernel vectors (x; y) of [a | -b] are mapped through a, then pruned to
+    an independent set."""
+    from ncquad.linalg import column_space_basis
+
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.nrows != b.nrows:
+        raise ValueError("ambient mismatch")
+    if a.ncols == 0 or b.ncols == 0:
+        return from_cols(a.field, [], a.nrows)
+    neg_b = from_cols(b.field, [[-x for x in c] for c in b.cols()], b.nrows)
+    ker = hstack(a, neg_b).kernel_basis()
+    cand = [apply(a, ker.col(j)[:a.ncols]) for j in range(ker.ncols)]
+    return column_space_basis(from_cols(a.field, cand, a.nrows))
+
+
+# -- the counted artifacts, built as full subspaces and maps -----------------
+#
+# Each oracle builds the basis or map that the library only counts, by the
+# construction it used before it counted: spans placed in the 16-dim tensor
+# space and intersected by kernel, the block composition as phi_i^T applied
+# to unit vectors, the mutated composition from unit vectors and R_0, and the
+# Hom(R, K_i) section matrix from a table of polynomial products.
+
+
+def relations_oracle(q):
+    """(dim R0, dim R1, basis of (R0 x V3) ∩ (V0 x R1))."""
+    from ncquad.linalg import column_space_basis
+
+    field = q.field
+    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
+    r1 = column_space_basis(q.w.reshape((1, 2, 3), (0,)))
+    cols_a, cols_b = [], []
+    for r in r0.cols():              # indexed by 4a+2b+c
+        for d in range(2):
+            vec = [field.zero] * 16
+            for i in range(8):
+                vec[2 * i + d] = r[i]
+            cols_a.append(vec)
+    for a in range(2):
+        for r in r1.cols():          # indexed by 4b+2c+d
+            vec = [field.zero] * 16
+            for i in range(8):
+                vec[8 * a + i] = r[i]
+            cols_b.append(vec)
+    line = intersect_subspaces(from_cols(field, cols_a, 16), from_cols(field, cols_b, 16))
+    return r0.ncols, r1.ncols, line
+
+
+def _composition_counts(comp, leg_width=4):
+    """(dim ker comp, ranks of the consecutive column blocks of comp)."""
+    legs = tuple(from_cols(comp.field, comp.cols()[off:off + leg_width], comp.nrows).rank()
+                 for off in range(0, comp.ncols, leg_width))
+    return comp.kernel_basis().ncols, legs
+
+
+def block_composition_oracle(square):
+    """The 4x8 composition of the block quiver: the path (o, n) of leg i is
+    phi_i^T applied to the unit vector of its (contracted, other) index."""
+    field = square.field
+    cols = []
+    for i in range(2):
+        line = square.line(i)
+        phit = transpose(line.phi)
+        for o in range(2):
+            for n in range(2):
+                a, b = (o, n) if line.contracted_factor == 0 else (n, o)
+                unit = [field.zero] * 4
+                unit[2 * a + b] = field.one
+                cols.append(apply(phit, unit))
+    return from_cols(field, cols, 4)
+
+
+def block_quiver_oracle(square):
+    """(relation dim, leg ranks) of the block quiver."""
+    return _composition_counts(block_composition_oracle(square))
+
+
+def mutation_oracle(r0):
+    """(relation dim, leg ranks) of the mutated quiver: the V0 x V1 leg is
+    four unit vectors, the R_0 leg holds each relation with its V2 index
+    fixed."""
+    field = r0.field
+    cols = []
+    for o in range(2):
+        for n in range(2):
+            unit = [field.zero] * 4
+            unit[2 * o + n] = field.one
+            cols.append(unit)
+    for r in r0.cols():              # indexed by 4a+2b+c
+        for z in range(2):
+            cols.append([r[4 * a + 2 * b + z] for a in range(2) for b in range(2)])
+    return _composition_counts(from_cols(field, cols, 4))
+
+
+# products (u0 s + u1 t) * (k-component of the contracted functional):
+# u index 0 -> s, 1 -> t; contracted-factor basis index 0 -> -t, 1 -> s;
+# coefficients of (s^2, st, t^2)
+_HOM_POLY = {
+    (0, 0): (0, -1, 0),   # s * (-t)
+    (0, 1): (1, 0, 0),    # s * s
+    (1, 0): (0, 0, -1),   # t * (-t)
+    (1, 1): (0, 1, 0),    # t * s
+}
+
+
+def hom_R_K_oracle(line) -> int:
+    """dim Hom(R, K) as 8 minus the rank of the 6x8 section matrix, summed
+    term by term from the product table."""
+    field = line.field
+    cols = []
+    for u in range(2):
+        for g in line.phi_inv.rows:      # gamma_c in U0* x U1* coordinates
+            col = [field.zero] * 6
+            for a in range(2):
+                for b in range(2):
+                    pol, out = (_HOM_POLY[(u, a)], b) if line.contracted_factor == 0 \
+                        else (_HOM_POLY[(u, b)], a)
+                    for m, c in enumerate(pol):
+                        col[3 * out + m] = col[3 * out + m] + field.of(c) * g[2 * a + b]
+            cols.append(col)
+    return 8 - from_cols(field, cols, 6).rank()
 
 
 def random_matrix_fp(rng, field, nrows, ncols):

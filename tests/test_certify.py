@@ -151,6 +151,29 @@ def test_replay_rejects_tampered_fields(key, path, field, value, reason):
         replay_table(bad, sq)
 
 
+def test_replay_rejects_a_consistent_table_with_wrong_values():
+    # every node replays, but the (p*R, p*R) cell derives the backward
+    # pair's zero and the Euler row 0 would read (0, 2, 2, 4)
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    t = _table(sq)
+    bad, node = _tampered(t, (0, 0))
+    node["name"] = "pair-backward:O,p*R"
+    node["dims"] = [0, 0, 0, 0, 0]
+    bad.cells[(0, 0)]["dims"] = [0, 0, 0, 0, 0]
+    assert gram_of(bad)[0] == (0, 2, 2, 4)
+    with pytest.raises(ExtTableError, match=r"cell \(0,0\) has dims \[0, 0, 0, 0, 0\], "
+                                            r"expected \[1, 0, 0, 0, 0\]"):
+        replay_table(bad, sq)
+
+
+def test_replay_rejects_a_table_with_a_missing_cell():
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    bad, _ = _tampered(_table(sq), (0, 3))
+    del bad.cells[(0, 3)]
+    with pytest.raises(ExtTableError, match=r"cell \(0,3\) is missing"):
+        replay_table(bad, sq)
+
+
 def test_hom_leaf_failure_reason_is_pinned(monkeypatch):
     monkeypatch.setattr("ncquad.certify.hom_R_K_dim", lambda line: 3)
     cert = full_pipeline(build_type_a(1, 2, 3), "ruling")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import nonresidue_int
 from ncquad.fields import GF, QQ, QuadraticExtension, is_prime
 
 
@@ -55,7 +56,7 @@ def test_prime_field_sqrt_roundtrip():
             assert F.is_square(sq)
             r = F.sqrt(sq)
             assert r * r == sq
-        nr = F.nonresidue()
+        nr = F.of(nonresidue_int(F.p))
         assert not F.is_square(nr)
 
 
@@ -81,7 +82,7 @@ def test_quadratic_extension_rejects_squares_and_towers():
 
 def test_extension_over_prime_field():
     F = GF(11)
-    ext = QuadraticExtension(F, F.nonresidue())
+    ext = QuadraticExtension(F, F.of(nonresidue_int(11)))
     rng = random.Random(1)
     for _ in range(30):
         x = ext.of(rng.randrange(11)) + ext.of(rng.randrange(11)) * ext.theta

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate
+from helpers import evaluate, nonresidue_int
 from ncquad.fields import GF, QQ
 from ncquad.forms import BinaryForm, binary_form_gcd, root_structure
 
@@ -94,7 +94,7 @@ def test_root_structure_prime_field():
     f = BinaryForm(F, [F.one, F.zero, -F.one])   # s^2 - t^2
     rs = root_structure(f)
     assert rs.kind == "split-rational"
-    nr = F.nonresidue()
+    nr = F.of(nonresidue_int(F.p))
     g = BinaryForm(F, [F.one, F.zero, -nr])      # s^2 - nr t^2
     rs = root_structure(g)
     assert rs.kind == "irreducible-quadratic"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    from_cols,
     kernel_at,
     point_at,
     point_from_quotient,
@@ -30,10 +31,10 @@ from ncquad.squares import square_from_quintuple
 def test_point_from_coordinate_quotient():
     f = Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]])
     pt = point_from_quotient(f)
-    expected = Matrix.from_cols(QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4)
+    expected = from_cols(QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4)
     expected = [QQ.of(x) for x in (0, 0, 0, 0, 0, 1)]
     assert list(pt.pluecker) == expected
-    assert span_equal(pt.kernel, Matrix.from_cols(
+    assert span_equal(pt.kernel, from_cols(
         QQ, [(QQ.zero, QQ.zero, QQ.one, QQ.zero), (QQ.zero, QQ.zero, QQ.zero, QQ.one)], nrows=4))
 
 
@@ -67,11 +68,11 @@ def test_identity_line_families():
     first = line_from_phi(ident, 0)
     # K(s:t) = span(-t, s) x U1: at (1:0) the kernel is y0 x U1 = e2, e3
     k = Matrix(QQ, kernel_at(first, 1, 0))
-    assert span_equal(k, Matrix.from_cols(
+    assert span_equal(k, from_cols(
         QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4))
     second = line_from_phi(ident, 1)
     k2 = Matrix(QQ, kernel_at(second, 1, 0))
-    assert span_equal(k2, Matrix.from_cols(
+    assert span_equal(k2, from_cols(
         QQ, [(0, 1, 0, 0), (0, 0, 0, 1)], nrows=4))
 
 
@@ -86,7 +87,7 @@ def test_linear_quadric_line1_is_second_ruling():
         # columns must share the same right factor: rows of the reshape
         # span one direction
         v1, v2 = k.col(0), k.col(1)
-        rows = Matrix.from_cols(
+        rows = from_cols(
             QQ, [(v1[0], v1[1]), (v1[2], v1[3]), (v2[0], v2[1]), (v2[2], v2[3])], nrows=2)
         assert rows.rank() == 1
 
@@ -182,7 +183,7 @@ def test_line_relation_engineered_rational_meets():
         x = random_invertible_qq(rng, 4, height=4)
         y = random_invertible_qq(rng, 4, height=4)
         cols = [tuple(y.col(0)), tuple(y.col(1)), tuple(x.col(2)), tuple(x.col(3))]
-        phi1_inv = Matrix.from_cols(QQ, cols, nrows=4)
+        phi1_inv = from_cols(QQ, cols, nrows=4)
         if not phi1_inv.det():
             continue
         l0 = line_from_phi(x.inverse(), 0)
@@ -204,9 +205,9 @@ def test_line_relation_conjugate_irrational_meet():
     found = 0
     for _ in range(40):
         u, v, w, z = ([Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4))
-        phi0_inv = Matrix.from_cols(
+        phi0_inv = from_cols(
             QQ, [tuple(-a for a in u), tuple(-a for a in w), tuple(v), tuple(z)], nrows=4)
-        phi1_inv = Matrix.from_cols(
+        phi1_inv = from_cols(
             QQ, [tuple(-2 * a for a in v), tuple(-a for a in w), tuple(u), tuple(z)], nrows=4)
         if not phi0_inv.det() or not phi1_inv.det():
             continue

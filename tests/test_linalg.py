@@ -7,22 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply,
     det_oracle,
+    from_cols,
+    hstack,
+    intersect_subspaces,
     inverse_oracle,
     kernel_oracle,
     matmul_oracle,
     random_matrix_fp,
     random_matrix_qq,
     rref_oracle,
+    span_contains,
     span_equal,
 )
 from ncquad.fields import GF, QQ
-from ncquad.linalg import (
-    Matrix,
-    column_space_basis,
-    intersect_subspaces,
-    span_contains,
-)
+from ncquad.linalg import Matrix, column_space_basis
 
 
 def test_rank_identity_and_zero():
@@ -50,7 +50,7 @@ def test_rank_plus_kernel_is_cols():
         k = m.kernel_basis()
         assert m.rank() + k.ncols == m.ncols
         for j in range(k.ncols):
-            assert all(x == 0 for x in m.apply(k.col(j)))
+            assert all(x == 0 for x in apply(m, k.col(j)))
 
 
 def test_rank_plus_kernel_prime_field():
@@ -61,7 +61,7 @@ def test_rank_plus_kernel_prime_field():
         k = m.kernel_basis()
         assert m.rank() + k.ncols == m.ncols
         for j in range(k.ncols):
-            assert all(not x for x in m.apply(k.col(j)))
+            assert all(not x for x in apply(m, k.col(j)))
 
 
 def test_det_and_inverse():
@@ -82,17 +82,17 @@ def test_det_matches_cofactor_3x3():
     rng = random.Random(6)
     for _ in range(25):
         m = random_matrix_qq(rng, 3, 3)
-        a, b, c = m.row(0)
-        d, e, f = m.row(1)
-        g, h, i = m.row(2)
+        a, b, c = m.rows[0]
+        d, e, f = m.rows[1]
+        g, h, i = m.rows[2]
         cof = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         assert m.det() == cof
 
 
 def test_intersect_simple():
     e = Matrix.identity(QQ, 4)
-    a = Matrix.from_cols(QQ, [e.col(0), e.col(1)])
-    b = Matrix.from_cols(QQ, [e.col(1), e.col(2)])
+    a = from_cols(QQ, [e.col(0), e.col(1)])
+    b = from_cols(QQ, [e.col(1), e.col(2)])
     i = intersect_subspaces(a, b)
     assert i.ncols == 1
     assert span_contains(i, e.col(1))
@@ -105,7 +105,7 @@ def test_intersect_dimension_formula():
         a = random_matrix_qq(rng, n, rng.randint(1, n))
         b = random_matrix_qq(rng, n, rng.randint(1, n))
         i = intersect_subspaces(a, b)
-        assert i.ncols == a.rank() + b.rank() - a.hstack(b).rank()
+        assert i.ncols == a.rank() + b.rank() - hstack(a, b).rank()
         # symmetry up to span equality
         i2 = intersect_subspaces(b, a)
         if i.ncols:
@@ -175,7 +175,7 @@ def test_matrix_rejects_quadratic_extension():
     with pytest.raises(TypeError, match="QQ or F_p"):
         Matrix(ext, [[ext.theta, ext.one], [ext.one, ext.theta]])
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Matrix.from_cols(ext, [(1, 2)])
+        from_cols(ext, [(1, 2)])
 
 
 def test_empty_shapes():
@@ -190,7 +190,7 @@ def test_empty_shapes():
         assert tall.kernel_basis() == empty
         assert column_space_basis(tall) == tall
         assert tall * wide == Matrix(field, [[0] * 3] * 3)
-        assert tall.apply(()) == (field.zero,) * 3
+        assert tall * Matrix(field, [], ncols=1) == Matrix(field, [[0]] * 3)
 
 
 # -- the QQ and F_p kernels against the naive oracles ----------------------
@@ -282,8 +282,9 @@ def _check_product_apply(a, b, vec, ncols, p):
     prod = ma * mb
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
     assert [_raw(r, p) for r in prod.rows] == matmul_oracle(a, b, ncols, p)
-    assert _raw(ma.apply(vec), p) == tuple(
-        r[0] for r in matmul_oracle(a, [[x] for x in vec], 1, p))
+    column = Matrix(_field(p), [[x] for x in vec], ncols=1)
+    assert [_raw(r, p) for r in (ma * column).rows] == matmul_oracle(
+        a, [[x] for x in vec], 1, p)
 
 
 _oracle_settings = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -353,24 +354,19 @@ def test_results_hold_only_field_elements(field):
     for _ in range(10):
         if field is QQ:
             a = random_matrix_qq(rng, 4, 5, height=3)
-            b = random_matrix_qq(rng, 4, 5, height=3)
             c = random_matrix_qq(rng, 5, 3, height=3)
             sq = random_invertible_qq(rng, 4, height=3)
             w = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(16)]
         else:
             a = random_matrix_fp(rng, field, 4, 5)
-            b = random_matrix_fp(rng, field, 4, 5)
             c = random_matrix_fp(rng, field, 5, 3)
             sq = random_invertible_fp(rng, field, 4)
             w = [rng.randrange(5) for _ in range(16)]
         low = a * Matrix(field, [[1, 0, 0, 0, 0]] * 5)   # rank <= 1
         t = Tensor(field, (2, 2, 2, 2), w, ("A", "B", "C", "D"))
         results = [
-            a.transpose(), -a, a * c, a.hstack(b),
-            sq.inverse(), a.kernel_basis(), low.kernel_basis(),
+            a * c, sq.inverse(), a.kernel_basis(), low.kernel_basis(),
             column_space_basis(a), column_space_basis(low),
-            intersect_subspaces(a, b), intersect_subspaces(low, b),
-            intersect_subspaces(a, Matrix.from_cols(field, [], nrows=4)),
             t.reshape((0, 1), (2, 3)), t.reshape((3, 1, 0), (2,)),
         ]
         for m in results:
@@ -383,7 +379,7 @@ def test_public_constructors_still_coerce():
     m = Matrix(QQ, [[1, "1/2"]])
     assert m.rows == ((Fraction(1), Fraction(1, 2)),)
     assert _entry_types(m) == {Fraction}
-    c = Matrix.from_cols(QQ, [(1, "2/3"), ("-1", 0)])
+    c = from_cols(QQ, [(1, "2/3"), ("-1", 0)])
     assert c.rows == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
     assert _entry_types(c) == {Fraction}
     F = GF(5)
@@ -395,7 +391,7 @@ def test_public_constructors_still_coerce():
 
 def test_hstack_rejects_mixed_fields():
     with pytest.raises(ValueError, match="field mismatch"):
-        Matrix(QQ, [[1]]).hstack(Matrix(GF(5), [[1]]))
+        hstack(Matrix(QQ, [[1]]), Matrix(GF(5), [[1]]))
 
 
 def test_product_and_hstack_reject_mixed_fields():
@@ -403,4 +399,4 @@ def test_product_and_hstack_reject_mixed_fields():
     with pytest.raises(ValueError, match="field mismatch"):
         a * b
     with pytest.raises(ValueError, match="field mismatch"):
-        a.hstack(b)
+        hstack(a, b)

@@ -6,14 +6,17 @@ import pytest
 from helpers import (
     enumeration_oracle_failing_pairs,
     enumeration_oracle_failing_pairs_rank,
+    from_cols,
     nonresidue_int,
     random_quintuple_fp,
     random_type_a_triple,
+    relations_oracle,
+    span_contains,
     span_equal,
     verify_witness,
 )
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, span_contains
+from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,
     Quintuple,
@@ -60,7 +63,7 @@ def test_linear_quadric_w_in_R0_V3():
             for i in range(8):
                 vec[2 * i + d] = Fraction(r[i])
             cols.append(tuple(vec))
-    space = Matrix.from_cols(QQ, cols, nrows=16)
+    space = from_cols(QQ, cols, nrows=16)
     assert span_contains(space, q.w.flatten())
 
 
@@ -153,9 +156,12 @@ def test_relations_linear_quadric_matches_displayed():
     r2 = [Fraction(0)] * 8
     r2[0b011] = Fraction(1)
     r2[0b110] = Fraction(-1)
-    expected = Matrix.from_cols(QQ, [tuple(r1), tuple(r2)], nrows=8)
+    expected = from_cols(QQ, [tuple(r1), tuple(r2)], nrows=8)
     assert span_equal(rel.r0, expected)
-    assert span_contains(rel.w_line, q.w.flatten())
+    # the intersection line, built as a subspace, is spanned by w
+    *_, line = relations_oracle(q)
+    assert line.ncols == rel.w_dim == 1
+    assert span_contains(line, q.w.flatten())
 
 
 def test_relations_pure_tensor_flagged():
@@ -190,7 +196,7 @@ def test_truncated_dims_linear_and_type_a():
 def test_truncated_dims_pure_tensor_mismatch():
     t = truncated_dims(relations(pure_tensor_quintuple()))
     assert not t.valid
-    assert t.computed(0, 3) == 7
+    assert t.cells[(0, 3)] == (7, 6)
     assert (0, 3) in t.mismatches
 
 

@@ -4,13 +4,18 @@ import random
 import pytest
 
 from helpers import (
+    apply,
+    block_composition_oracle,
+    block_quiver_oracle,
+    from_cols,
     inverse_oracle,
     random_invertible_fp,
     random_invertible_qq,
     random_type_a_triple,
+    span_contains,
+    transpose,
 )
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, span_contains
 from ncquad.quintuples import (
     build_linear_quadric,
     build_type_a,
@@ -72,7 +77,8 @@ def test_block_quiver_dimensions_any_square():
             assert bq.relation_dim == 4
             assert bq.total_dim == 16
             assert bq.gram == BLOCK_GRAM
-            assert bq.leg_ranks() == (4, 4)   # composition onto Hom(R,O) = V*
+            # composition onto Hom(R,O) = V*
+            assert (bq.relation_dim, bq.leg_ranks) == block_quiver_oracle(sq) == (4, (4, 4))
 
 
 def test_block_quiver_dimensions_prime_field():
@@ -89,9 +95,10 @@ def test_block_relations_linear_quadric_commutation_form():
     # b_i a_j = d_j c_i in the frozen bases: a = (x1*, y1*), b = (x0*, y0*),
     # c = (y2, -x2), d = (y3, -x3) under the ruling convention
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    bq = block_quiver(sq)
+    comp = block_composition_oracle(sq)
     c_coeffs = ((QQ.zero, QQ.one), (-QQ.one, QQ.zero))     # c1 = y2, c2 = -x2
     d_coeffs = ((QQ.zero, QQ.one), (-QQ.one, QQ.zero))     # d1 = y3, d2 = -x3
+    commutators = []
     for i in range(2):
         for j in range(2):
             vec = [QQ.zero] * 8
@@ -99,8 +106,10 @@ def test_block_relations_linear_quadric_commutation_form():
             for o in range(2):
                 for n in range(2):
                     vec[4 + 2 * o + n] -= d_coeffs[j][o] * c_coeffs[i][n]
-            assert all(not x for x in bq.composition.apply(vec))
-            assert span_contains(bq.relation_basis, vec)
+            assert all(not x for x in apply(comp, vec))
+            commutators.append(vec)
+    # the four commutation relations span the whole relation space
+    assert from_cols(QQ, commutators).rank() == block_quiver(sq).relation_dim == 4
 
 
 def test_block_path_algebra_oracle():
@@ -108,6 +117,7 @@ def test_block_path_algebra_oracle():
     # elements; associativity on all triples and dimension count
     sq = square_from_quintuple(build_type_a(1, 2, 3))
     bq = block_quiver(sq)
+    composition = block_composition_oracle(sq)
     field = QQ
     # basis: e_R, e_K0, e_K1, e_O, a1, a2, c1, c2, b1, b2, d1, d2, v0..v3
     names = ["eR", "eK0", "eK1", "eO", "a1", "a2", "c1", "c2",
@@ -146,7 +156,7 @@ def test_block_path_algebra_oracle():
             col = 4 + 2 * (int(x_name[1]) - 1) + (int(y_name[1]) - 1)
         else:
             return out
-        comp = bq.composition.col(col)
+        comp = composition.col(col)
         for k in range(4):
             out[idx[f"v{k}"]] = comp[k]
         return out
@@ -176,8 +186,7 @@ def test_block_path_algebra_oracle():
         assert left == right, (x, y, z)
 
     # total dimension: idempotents + arrows + span of long products
-    long_products = Matrix.from_cols(
-        field, [tuple(bq.composition.col(j)) for j in range(8)], nrows=4)
+    long_products = from_cols(field, [composition.col(j) for j in range(8)], nrows=4)
     assert 4 + 8 + long_products.rank() == 16
     assert 8 - long_products.rank() == bq.relation_dim
 
@@ -194,10 +203,11 @@ def _linear_quiver(q):
 
 def test_linear_quiver_linear_quadric():
     q = build_linear_quadric()
-    lq = _linear_quiver(q)
+    rel = relations(q)
+    lq = linear_quiver(rel, truncated_dims(rel))
     assert lq.gram == LINEAR_GRAM
     assert lq.total_dim == 24
-    assert lq.relation_dim == 2
+    assert lq.relation_dim == rel.r0.ncols == 2
     # relations are the displayed ones
     r1 = [QQ.zero] * 8
     r1[0b001] = QQ.one
@@ -205,11 +215,13 @@ def test_linear_quiver_linear_quadric():
     r2 = [QQ.zero] * 8
     r2[0b011] = QQ.one
     r2[0b110] = -QQ.one
-    assert span_contains(lq.relation_basis, r1)
-    assert span_contains(lq.relation_basis, r2)
-    # the composition map kills exactly the relations
-    assert all(not x for x in lq.composition.apply(r1))
-    assert lq.composition.rank() == 6
+    assert span_contains(rel.r0, r1)
+    assert span_contains(rel.r0, r2)
+    # the composition into A_{0,3} is the quotient by R_0: its rows span
+    # the annihilator of R_0, so it kills exactly the relations
+    composition = transpose(transpose(rel.r0).kernel_basis())
+    assert all(not x for x in apply(composition, r1))
+    assert composition.rank() == 6 == 8 - lq.relation_dim
 
 
 def test_linear_quiver_rejects_invalid_window():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contract, random_quintuple_fp, random_type_a_triple
+from helpers import contract, from_cols, random_quintuple_fp, random_type_a_triple
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple
@@ -188,9 +188,9 @@ def test_relations_equal_contraction_spans():
         field = q.field
         basis = ((field.one, field.zero), (field.zero, field.one))
         rel = relations(q)
-        for got, slot in ((rel.r0, 3), (rel.r1, 0)):
-            span = Matrix.from_cols(field, [contract(q.w, slot, e).entries for e in basis],
-                                    nrows=8)
-            assert got == column_space_basis(span)
+        spans = [from_cols(field, [contract(q.w, slot, e).entries for e in basis], nrows=8)
+                 for slot in (3, 0)]
+        assert rel.r0 == column_space_basis(spans[0])
+        assert rel.r1_dim == spans[1].rank()
         checked += 1
     assert checked == len(corpus_names()) + 30
