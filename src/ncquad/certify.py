@@ -353,9 +353,9 @@ def _replay(node: dict, hom) -> None:
 def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
     """Re-derive every cell of ``table`` from its leaves and rules alone
     and check it against the expected table; raises ExtTableError at the
-    first missing cell, at the first node whose stored dims disagree, or
-    at the first cell whose dims are not ``EXPECTED_HOM`` in degree 0 and
-    zero above."""
+    first missing cell, at the first node whose stored dims disagree, at
+    the first cell whose dims are not ``EXPECTED_HOM`` in degree 0 and
+    zero above, or at the first cell whose top node names another pair."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
     for k in range(16):
         i, j = divmod(k, 4)
@@ -365,6 +365,7 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
         node = cell["derivation"]
         try:
             _replay(node, hom)
+            named = _named_pair(node)
         except (KeyError, IndexError, TypeError) as exc:
             raise ExtTableError(f"cell ({i},{j}) has a malformed node: {exc!r}", node) from None
         if node["dims"] != cell["dims"]:
@@ -373,7 +374,25 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
         if cell["dims"] != expected:
             raise ExtTableError(
                 f"cell ({i},{j}) has dims {cell['dims']}, expected {expected}", node)
+        if named != (OBJECTS[i], OBJECTS[j]):
+            raise ExtTableError(f"cell ({i},{j}) derives the pair {named}", node)
     return True
+
+
+def _named_pair(node: dict):
+    """The pair (x, y) whose Ext the top node of a cell derives, as the
+    node names it: a C_i by its index, an axiom by its name."""
+    rule = node["rule"]
+    if rule == "les-contravariant":
+        return _C[node["i"]], node["Y"]
+    if rule == "les-covariant":
+        return node["X"], _C[node["i"]]
+    if rule == "axiom":
+        return next((pair for pair, (name, _) in _AXIOM_CELLS.items()
+                     if name == node["name"]), None)
+    if rule == "strong-pair":
+        return "p*R", "O"
+    return None
 
 
 # -- full pipeline -----------------------------------------------------------

@@ -108,6 +108,9 @@ def cmd_sweep(args) -> int:
     if args.samples < 1:
         print("need at least one sample", file=sys.stderr)
         return EXIT_INPUT
+    if args.height < 1:
+        print("the height must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     rng = random.Random(args.seed)
     height = args.height
     counts = {}

@@ -125,15 +125,12 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
 
 
 def tensor_nested_strings(q: Quintuple):
+    """The entries of w as exact strings, nested slot by slot."""
     field = q.field
-    nested = q.w.as_nested()
-
-    def conv(node):
-        if isinstance(node, list):
-            return [conv(x) for x in node]
-        return field.format(node)
-
-    return conv(nested)
+    nested = [field.format(x) for x in q.w.entries]
+    for n in reversed(q.w.shape[1:]):
+        nested = [nested[i:i + n] for i in range(0, len(nested), n)]
+    return nested
 
 
 def canonical_json_bytes(obj) -> bytes:

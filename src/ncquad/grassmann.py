@@ -18,8 +18,10 @@ extension when necessary.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .forms import BinaryForm, binary_form_gcd, root_structure
-from .linalg import Matrix
+from .linalg import Matrix, _integer_multiple, _pick
 from .records import Record
 
 
@@ -73,12 +75,7 @@ class LineRelation(Record):
     orientations: tuple = (0, 0)
 
 
-def _swap_matrix(field) -> Matrix:
-    rows = [[field.zero] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            rows[2 * b + a][2 * a + b] = field.one
-    return Matrix(field, rows)
+_SWAP_PICKS = tuple(4 * r + j for r in (0, 2, 1, 3) for j in range(4))
 
 
 def _det2(v):
@@ -118,17 +115,16 @@ def _left_direction(n1, n2):
     raise AssertionError("zero plane")
 
 
+# entry (2i'+i, 2j'+j) of the reshuffle is entry (2i'+j', 2i+j) of psi
+_RESHUFFLE_PICKS = tuple(4 * (2 * i1 + j1) + 2 * i0 + j0
+                         for i1 in range(2) for i0 in range(2)
+                         for j1 in range(2) for j0 in range(2))
+
+
 def reshuffle_rank(psi: Matrix) -> int:
     """Rank of the partial transpose R[2i'+i][2j'+j] = psi[2i'+j'][2i+j];
     rank one detects Kronecker-decomposable maps."""
-    field = psi.field
-    rows = [[field.zero] * 4 for _ in range(4)]
-    for i1 in range(2):
-        for i0 in range(2):
-            for j1 in range(2):
-                for j0 in range(2):
-                    rows[2 * i1 + i0][2 * j1 + j0] = psi[2 * i1 + j1, 2 * i0 + j0]
-    return Matrix(field, rows).rank()
+    return _pick(psi, 4, 4, _RESHUFFLE_PICKS).rank()
 
 
 def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
@@ -144,16 +140,17 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
     field = l0.field
     if l1.field != field:
         raise ValueError("lines over different fields")
-    T = l0.phi if l0.contracted_factor == 0 else _swap_matrix(field) * l0.phi
+    # swapping the factors of l0's codomain moves row 2a+b of phi to row 2b+a
+    T = l0.phi if l0.contracted_factor == 0 else _pick(l0.phi, 4, 4, _SWAP_PICKS)
     M = T * l1.phi_inv
 
-    # moving plane basis n_i(k) = kx * A_i + ky * B_i
-    if l1.contracted_factor == 0:
-        A = [M.col(2 + b) for b in range(2)]
-        B = [tuple(-x for x in M.col(b)) for b in range(2)]
-    else:
-        A = [M.col(2 * a + 1) for a in range(2)]
-        B = [tuple(-x for x in M.col(2 * a)) for a in range(2)]
+    # moving plane basis n_i(k) = kx * A_i + ky * B_i, A_i and -B_i columns
+    # of M.  Scaling M scales the three forms alike and leaves their monic
+    # gcd alone, so the forms are built from an integer multiple of M
+    a_cols, b_cols = ((2, 3), (0, 1)) if l1.contracted_factor == 0 else ((1, 3), (0, 2))
+    ints = _integer_multiple(M)
+    A = [ints[j::4] for j in a_cols]
+    B = [tuple(-x for x in ints[j::4]) for j in b_cols]
 
     q1 = BinaryForm(field, (_det2(A[0]), _polar2(A[0], B[0]), _det2(B[0])))
     q2 = BinaryForm(field, (_det2(A[1]), _polar2(A[1], B[1]), _det2(B[1])))
@@ -168,8 +165,12 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
     def plane_at(kx, ky):
-        # at a root in an extension kx lies there, and so does every entry
-        return [tuple(kx * a + ky * b for a, b in zip(A[i], B[i])) for i in (0, 1)]
+        # on field values of M, so a witness prints the same numbers under
+        # any scaling; at a root in an extension kx lies there, and so
+        # does every entry
+        a = [M.col(j) for j in a_cols]
+        b = [tuple(-x for x in M.col(j)) for j in b_cols]
+        return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
 
     if q1.is_zero() and q2.is_zero() and bform.is_zero():
         # every plane of the family is fully decomposable; the ruling type
@@ -256,16 +257,21 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     single monomial m = u + 1 - k, negated when k = 0, so column (u, c)
     carries g[2k+o] at row 3*o + u + 1 - k, where g = row c of phi^{-1}
     (g[2o+k] when the contracted factor is 1)."""
-    field = line.field
-    cf = line.contracted_factor
-    rows = [[field.zero] * 8 for _ in range(6)]
-    for c, g in enumerate(line.phi_inv.rows):
+    return 8 - _pick(line.phi_inv, 6, 8, _hom_picks(line.contracted_factor)).rank()
+
+
+@cache
+def _hom_picks(cf: int) -> tuple:
+    """The entries of the section-restriction matrix as picks from
+    phi^{-1}, for contracted factor ``cf``; see ``hom_R_K_dim``."""
+    picks = [None] * 48
+    for c in range(4):
         for o in range(2):
             for k in range(2):
-                x = g[2 * k + o] if cf == 0 else g[2 * o + k]
+                x = 4 * c + (2 * k + o if cf == 0 else 2 * o + k)
                 for u in range(2):
-                    rows[3 * o + u + 1 - k][4 * u + c] = x if k else -x
-    return 8 - Matrix._normal(field, rows, 8).rank()
+                    picks[8 * (3 * o + u + 1 - k) + 4 * u + c] = x if k else ~x
+    return tuple(picks)
 
 
 def hom_R_O_dim() -> int:

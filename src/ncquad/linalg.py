@@ -1,11 +1,16 @@
 """Exact dense linear algebra over QQ and the prime fields F_p.
 
+A ``Matrix`` stores integers, never field elements.  Over QQ it holds
+integer numerators, row-major in one flat tuple, over one common positive
+denominator: the matrix is ``_num / _den``.  Over F_p it holds residues
+in [0, p) and ``_den`` is 1.  The denominator need not be the least one,
+so equality and hashing compare the reduced form (``_key``).
+
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``,
-on rows of Python integers.  ``_ints`` turns a row of field elements into
-integers: over QQ (p == 0) it scales the row by the lcm of its
-denominators, and mod p it takes the residues.  With p == 0 the echelon is
-fraction-free elimination over Z (Bareiss 1968), which divides exactly by
-the previous pivot and so keeps every entry a minor of the input; with
+on rows copied from ``_num``.  A common denominator scales every row
+alike, so it changes no rank, pivot or kernel.  With p == 0 the echelon
+is fraction-free elimination over Z (Bareiss 1968), which divides exactly
+by the previous pivot and so keeps every entry a minor of the input; with
 p > 0 it is plain Gauss elimination mod p.  Everything else is read off
 that echelon:
 
@@ -14,33 +19,38 @@ that echelon:
 * a kernel vector is back-substituted from the echelon rows
   (``_int_kernel_vector``), over one running denominator on Z, or by a
   direct solve mod p;
-* the determinant is the last Bareiss pivot over Z, or the signed
-  product of the pivots mod p;
-* the inverse is the kernel of [A_int | -diag(l)] at its free columns
-  n..2n-1, where A_int = diag(l) A is the row-scaled integer matrix.
+* the determinant is the last Bareiss pivot over den^n on Z, or the
+  signed product of the pivots mod p;
+* the inverse of N / d is d times the kernel of [N | -I] at its free
+  columns n..2n-1.
 
-Products work on the same integer rows.  A field element is built only
-for an output entry (``_maker``): one ``Fraction(num, den)`` over QQ, one
-``FpElement`` mod p.  Each result is uniquely determined by
-the matrix: the rank, the determinant, the inverse, a product, and the
-reduced kernel basis (the identity on the free columns, which are the
-complement of the lexicographically first independent set of columns).
-Both element types are normal forms, so the results are the same values,
-and the same bytes, that elimination on field elements would give.
+A product multiplies numerators and denominators.  ``_pick`` builds a
+matrix whose entries are named entries of another one, negated or zero,
+which is how tensors, quivers and the Hom counts assemble their matrices
+without arithmetic.  ``_integer_multiple`` hands out the integers of one
+nonzero multiple of a matrix, for questions that scaling does not change.
+
+Field elements exist only at the boundary.  The public constructor
+``Matrix(field, rows)`` coerces every entry through ``field.of``, since
+callers pass ints and strings; ``rows``, ``col``, ``[i, j]`` and ``det``
+build each entry on demand (``_elements``): one ``Fraction(num, den)`` over
+QQ, one ``FpElement`` mod p.  Both are normal forms, so they are the same
+values, and the same bytes, that elimination on field elements would
+give.  Each result is uniquely determined by the matrix: the rank, the
+determinant, the inverse, a product, and the reduced kernel basis (the
+identity on the free columns, which are the complement of the
+lexicographically first independent set of columns).
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  The public constructor ``Matrix(field, rows)`` coerces every
-entry through ``field.of``, since callers pass ints and strings.  Every
-matrix this module builds from its own results is made by
-``Matrix._normal``, which takes the entries as they are.  Matrices are
-immutable after construction.
+field.  Matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import mul, neg
 
 from .fields import FpElement, PrimeField, RationalField
 
@@ -48,55 +58,72 @@ from .fields import FpElement, PrimeField, RationalField
 class Matrix:
     """Immutable rectangular matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "_num", "_den")
 
     def __init__(self, field, rows, ncols: int | None = None):
         if not isinstance(field, (RationalField, PrimeField)):
             raise TypeError(f"matrices are over QQ or F_p, not {field!r}")
-        of = field.of
-        rows = [tuple(map(of, row)) for row in rows]
+        rows = [[field.of(x) for x in row] for row in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
         elif ncols is None:
             ncols = 0
+        flat = [x for r in rows for x in r]
+        if field.characteristic:
+            num, den = [x.value for x in flat], 1
+        else:
+            den = math.lcm(*[x.denominator for x in flat])
+            num = [x.numerator * (den // x.denominator) for x in flat]
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = tuple(rows)
+        self._num = tuple(num)
+        self._den = den
 
     @classmethod
-    def _normal(cls, field, rows, ncols: int) -> "Matrix":
-        """A matrix on rows whose entries are already elements of ``field``
-        in normal form: no coercion and no ragged-row check."""
+    def _of_num(cls, field, num, den: int, nrows: int, ncols: int) -> "Matrix":
+        """The matrix num / den from flat row-major integers that are
+        already reduced mod p over F_p (den is then 1)."""
         m = object.__new__(cls)
         m.field = field
-        m.rows = tuple(map(tuple, rows))
-        m.nrows = len(m.rows)
+        m.nrows = nrows
         m.ncols = ncols
+        m._num = tuple(num)
+        m._den = den
         return m
 
     @classmethod
-    def _normal_cols(cls, field, cols, nrows: int) -> "Matrix":
-        """``_normal`` from a list of columns of length ``nrows``."""
-        return cls._normal(field, zip(*cols) if cols else [()] * nrows, len(cols))
-
-    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls._normal(field, [[one if i == j else zero for j in range(n)]
-                                   for i in range(n)], n)
+        return cls._of_num(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
+
+    @property
+    def rows(self) -> tuple:
+        n = self.ncols
+        return tuple(_elements(self.field, self._num[i * n:(i + 1) * n], self._den)
+                     for i in range(self.nrows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry {ij} outside a {self.nrows}x{self.ncols} matrix")
+        return _elements(self.field, (self._num[i * self.ncols + j],), self._den)[0]
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
+        return _elements(self.field, self._num[j::self.ncols], self._den)
 
     def cols(self) -> list[tuple]:
         return [self.col(j) for j in range(self.ncols)]
+
+    def _key(self):
+        """(numerators, denominator) in lowest terms."""
+        g = math.gcd(self._den, *self._num)
+        if g == 1:
+            return self._num, self._den
+        return tuple(x // g for x in self._num), self._den // g
 
     def __eq__(self, other):
         return (
@@ -104,29 +131,32 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._key() == other._key()
         )
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+        return hash((self.field, self.nrows, self.ncols, self._key()))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         if other.field != self.field:
             raise ValueError("field mismatch")
-        p, make = self.field.characteristic, _maker(self.field)
-        left = [_ints(r, p) for r in self.rows]
-        right = [_ints(c, p) for c in other.cols()]
-        rows = [[make(sum(map(mul, a, b)), la * lb) for b, lb in right] for a, la in left]
-        return Matrix._normal(self.field, rows, other.ncols)
+        p, n, k = self.field.characteristic, self.ncols, other.ncols
+        a, b = self._num, other._num
+        right = [b[j::k] for j in range(k)]
+        num = [sum(map(mul, a[i * n:(i + 1) * n], c)) for i in range(self.nrows) for c in right]
+        if p:
+            num = [x % p for x in num]
+        return Matrix._of_num(self.field, num, self._den * other._den, self.nrows, k)
 
     # -- elimination ----------------------------------------------------
 
     def _echelon(self):
-        """``_int_echelon`` of the integer rows of this matrix."""
-        p = self.field.characteristic
-        return _int_echelon([_ints(r, p)[0] for r in self.rows], self.ncols, p)
+        """``_int_echelon`` of a copy of the integer rows."""
+        num, n = self._num, self.ncols
+        rows = [list(num[i * n:(i + 1) * n]) for i in range(self.nrows)]
+        return _int_echelon(rows, n, self.field.characteristic)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -137,50 +167,41 @@ class Matrix:
         rank + (number of returned columns) == ncols, always.
         """
         ech, pivots, _ = self._echelon()
-        p, make = self.field.characteristic, _maker(self.field)
+        p, n = self.field.characteristic, self.ncols
         pivot_set = set(pivots)
-        cols = []
-        for f in range(self.ncols):
-            if f not in pivot_set:
-                y, den = _int_kernel_vector(ech, pivots, f, self.ncols, p)
-                cols.append([make(v, den) for v in y])
-        return Matrix._normal_cols(self.field, cols, self.ncols)
+        cols = [_int_kernel_vector(ech, pivots, f, n, p)
+                for f in range(n) if f not in pivot_set]
+        return _of_int_cols(self.field, cols, n, 1)
 
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        p, make = self.field.characteristic, _maker(self.field)
-        if n == 0:
-            return make(1)
-        ints = [_ints(r, p) for r in self.rows]
-        ech, pivots, sign = _int_echelon([a for a, _ in ints], n, p)
+        ech, pivots, sign = self._echelon()
         if len(pivots) < n:
-            return make(0)
-        if p:
-            return make(sign * math.prod(row[r] for r, row in enumerate(ech)))
-        return make(sign * ech[-1][-1], math.prod(l for _, l in ints))
+            value = 0
+        elif self.field.characteristic:
+            value = sign * math.prod(row[r] for r, row in enumerate(ech))
+        else:
+            value = sign * ech[-1][-1] if n else 1
+        return _elements(self.field, (value,), self._den ** n)[0]
 
     def inverse(self) -> "Matrix":
-        """Column j is the x part of the kernel vector of [A_int | -diag(l)]
-        at the free column n + j: A_int x = l_j e_j, so A x = e_j."""
+        """Column j of N^-1 is the x part of the kernel vector of [N | -I]
+        at the free column n + j: N x = e_j.  Then (N / d)^-1 = d N^-1."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        p, make = self.field.characteristic, _maker(self.field)
-        aug = []
-        for i, r in enumerate(self.rows):
-            ints, lcm = _ints(r, p)
-            ints.extend(-lcm if j == i else 0 for j in range(n))
-            aug.append(ints)
+        p, num = self.field.characteristic, self._num
+        aug = [list(num[i * n:(i + 1) * n]) + [-(j == i) for j in range(n)] for i in range(n)]
         ech, pivots, _ = _int_echelon(aug, 2 * n, p)
         if n and pivots[-1] != n - 1:
             raise ValueError("matrix is singular")
         cols = []
         for j in range(n):
             y, den = _int_kernel_vector(ech, pivots, n + j, 2 * n, p)
-            cols.append([make(v, den) for v in y[:n]])
-        return Matrix._normal_cols(self.field, cols, n)
+            cols.append((y[:n], den))
+        return _of_int_cols(self.field, cols, n, self._den)
 
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
@@ -189,23 +210,48 @@ class Matrix:
         return f"Matrix({self.field!r}, [{body}])"
 
 
-def _maker(field):
-    """The constructor of one output entry num / den: ``Fraction`` over QQ;
-    mod p every den is 1, so an ``FpElement`` of num."""
-    if isinstance(field, RationalField):
-        return Fraction
-    return lambda num, den=1: FpElement(num, field)
+def _elements(field, num, den: int) -> tuple:
+    """The field elements num[k] / den in normal form: ``Fraction``s over
+    QQ; mod p every den is 1, so the ``FpElement``s of num."""
+    if field.characteristic:
+        return tuple(map(FpElement, num, repeat(field)))
+    return tuple(map(Fraction, num, repeat(den)))
 
 
-def _ints(row, p) -> tuple[list[int], int]:
-    """(ints, l) with row == ints / l: over QQ (p == 0) l is the lcm of the
-    denominators; mod p the ints are the residues and l is 1."""
-    if p:
-        return [x.value for x in row], 1
-    lcm = math.lcm(*[x.denominator for x in row])
-    if lcm == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (lcm // x.denominator) for x in row], lcm
+def _of_int_cols(field, cols, nrows: int, scale: int) -> Matrix:
+    """The matrix whose column j is scale * y / den for the pair
+    (y, den) = cols[j], over the common denominator of its columns.  Mod p
+    the y are residues and scale and every den are 1."""
+    lcm = math.lcm(*[d for _, d in cols])
+    g = math.gcd(scale, lcm)
+    factors = [scale // g * (lcm // d) for _, d in cols]
+    num = [y[i] * f for i in range(nrows) for (y, _), f in zip(cols, factors)]
+    return Matrix._of_num(field, num, lcm // g, nrows, len(cols))
+
+
+def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
+    """The nrows x ncols matrix whose flat row-major entries are named by
+    ``picks``: an index k >= 0 is entry k of m (row-major), ~k its
+    negation, and None is zero."""
+    num, p = m._num, m.field.characteristic
+    minus = (lambda x: -x % p) if p else neg
+    out = [0 if k is None else num[k] if k >= 0 else minus(num[~k]) for k in picks]
+    return Matrix._of_num(m.field, out, m._den, nrows, ncols)
+
+
+def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
+    """``top`` over ``bottom``, two matrices with the same columns."""
+    den = math.lcm(top._den, bottom._den)
+    num = ([x * (den // top._den) for x in top._num]
+           + [x * (den // bottom._den) for x in bottom._num])
+    return Matrix._of_num(top.field, num, den, top.nrows + bottom.nrows, top.ncols)
+
+
+def _integer_multiple(m: Matrix) -> tuple:
+    """The flat row-major entries of c * m for one nonzero scalar c, as
+    integers: the numerators over QQ, the residues mod p.  Enough for any
+    question whose answer is unchanged by scaling."""
+    return m._num
 
 
 def _int_echelon(rows, ncols, p):
@@ -285,4 +331,5 @@ def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
 def column_space_basis(m: Matrix) -> Matrix:
     """The original columns of m sitting at the pivot positions."""
     pivots = m._echelon()[1]
-    return Matrix._normal(m.field, [[r[j] for j in pivots] for r in m.rows], len(pivots))
+    n = m.ncols
+    return _pick(m, m.nrows, len(pivots), [i * n + j for i in range(m.nrows) for j in pivots])

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .fields import QQ
 from .forms import BinaryForm, root_structure
-from .linalg import Matrix, column_space_basis
+from .linalg import Matrix, _integer_multiple, _pick, column_space_basis
 from .records import Record
 from .tensors import Tensor
 
@@ -48,10 +48,6 @@ class Quintuple(Record):
             raise ValueError("w must have shape (2,2,2,2) with slots V0..V3")
         if self.w.is_zero():
             raise ValueError("w must be nonzero")
-        from .fields import PrimeField, RationalField
-
-        if not isinstance(self.w.field, (RationalField, PrimeField)):
-            raise ValueError("quintuples live over QQ or a prime field")
 
     @property
     def field(self):
@@ -207,14 +203,15 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
             reports.append(SlotPairReport(j, True, 0, certificate="contraction matrix invertible"))
             continue
         if kd == 1:
-            v = K.col(0)
-            det = v[0] * v[3] - v[1] * v[2]
-            if det:
+            # singularity is unchanged by scaling, so integers decide it
+            a, b, c, d = _integer_multiple(K)
+            if field.of(a * d - b * c):
                 reports.append(SlotPairReport(
                     j, True, 1,
                     certificate="kernel spanned by a nonsingular 2x2 element",
                 ))
             else:
+                v = K.col(0)
                 u, w = _rank_one_factor(v[0], v[1], v[2], v[3], field)
                 reports.append(SlotPairReport(
                     j, False, 1, witness=PureWitness(u, w),
@@ -244,6 +241,17 @@ class RelationData(Record):
         return (self.r0.ncols, self.r1_dim, self.w_dim)
 
 
+# the spanning vectors of R0 x V3 and V0 x R1, one per row, as entries of
+# w: vector (s, d) of R0 x V3 is (contraction by e_d) x e_s, whose entry
+# 2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of V0 x R1 is
+# e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d, is w[8a + i]
+_SPAN_PICKS = tuple(
+    [t - s + d if t % 2 == s else None
+     for s in range(2) for d in range(2) for t in range(16)]
+    + [t % 8 + 8 * a if t // 8 == s else None
+       for s in range(2) for a in range(2) for t in range(16)])
+
+
 def relations(q: Quintuple) -> RelationData:
     """R_0 = span of slot-3 contractions of w, R_1 = span of slot-0
     contractions; flags (not exceptions) when a rank drops below the
@@ -263,15 +271,7 @@ def relations(q: Quintuple) -> RelationData:
     r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
 
-    # column (s, d) of R0 x V3 is (contraction by e_d) x e_s: its entry
-    # 2i + s, i = 4a+2b+c, is w[2i + d]; column (s, a) of V0 x R1 is
-    # e_s x (contraction by e_a): its entry 8s + i, i = 4b+2c+d, is w[8a + i]
-    w, zero = q.w.entries, q.field.zero
-    cols = [[w[t - s + d] if t % 2 == s else zero for t in range(16)]
-            for s in range(2) for d in range(2)]
-    cols += [[w[t % 8 + 8 * a] if t // 8 == s else zero for t in range(16)]
-             for s in range(2) for a in range(2)]
-    span_rank = Matrix._normal_cols(q.field, cols, 16).rank()
+    span_rank = _pick(q.w.reshape((), (0, 1, 2, 3)), 8, 16, _SPAN_PICKS).rank()
     w_dim = 2 * r0.ncols + 2 * r1_dim - span_rank
 
     issues = []

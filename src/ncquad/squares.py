@@ -24,7 +24,7 @@ composition map is kept.
 from __future__ import annotations
 
 from .grassmann import EmbeddedLine
-from .linalg import Matrix
+from .linalg import Matrix, _pick, _vstack
 from .quintuples import DimTable, Quintuple, RelationData, contraction_matrix, hilbert_dims
 from .records import Record
 
@@ -153,17 +153,16 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     the contracted factor is 1.  The relation dimension is 8 minus the
     rank of those 8 rows.
     """
-    field = square.field
     legs = []
     for i in range(2):
         line = square.line(i)
         cf = line.contracted_factor
         out_space = _dual_label(square.factor_labels[i][cf])
         in_space = _dual_label(square.factor_labels[i][1 - cf])
-        rows = [line.phi.rows[2 * o + n if cf == 0 else 2 * n + o]
-                for o in range(2) for n in range(2)]
+        rows = _pick(line.phi, 4, 4, [4 * (2 * o + n if cf == 0 else 2 * n + o) + j
+                                      for o in range(2) for n in range(2) for j in range(4)])
         legs.append((rows, out_space, in_space))
-    paths = legs[0][0] + legs[1][0]
+    paths = _vstack(legs[0][0], legs[1][0])
 
     arrows = (
         Arrow(0, 1, ("a1", "a2"), legs[0][2]),
@@ -174,9 +173,9 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
-        relation_dim=8 - Matrix._normal(field, paths, 4).rank(),
+        relation_dim=8 - paths.rank(),
         gram=BLOCK_GRAM,
-        leg_ranks=tuple(Matrix._normal(field, rows, 4).rank() for rows, _, _ in legs),
+        leg_ranks=tuple(rows.rank() for rows, _, _ in legs),
     )
 
 
@@ -238,9 +237,10 @@ def mutate_linear_to_block(
     # is the identity, of rank 4, so the composition is onto and the
     # relations have dimension 4 + 2 dim R0 - 4.  Path (k, z) of the
     # second leg is relation k contracted by e_z at V2: the entries
-    # 4a+2b+z of its basis vector
-    r0_leg = Matrix._normal_cols(
-        r0.field, [r0.col(k)[z::2] for k in range(new_hom_dim) for z in range(2)], 4)
+    # 4a+2b+z of its basis vector, picked here as row (k, z)
+    r0_leg = _pick(r0, 2 * new_hom_dim, 4, [(2 * i + z) * new_hom_dim + k
+                                           for k in range(new_hom_dim)
+                                           for z in range(2) for i in range(4)])
 
     gram = (
         (1, 2, 2, 4),

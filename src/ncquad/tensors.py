@@ -2,17 +2,18 @@
 flattenings into matrices.
 
 Shapes stay tiny here (axes of length 2, arity at most 4); entries are
-exact scalars, stored flat in row-major order.  A flattening is a pure
-copy: ``reshape`` reads the flat entry index of every matrix cell from a
-table cached per (shape, row slots, column slots) and moves the entries,
-already in normal form, into the matrix without arithmetic or coercion.
+exact scalars of QQ or F_p, held in row-major order as the one row of a
+``Matrix``, so they share its integer form.  A flattening is a pure copy:
+``reshape`` reads the flat entry index of every matrix cell from a table
+cached per (shape, row slots, column slots) and picks those entries,
+without arithmetic or coercion.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .linalg import Matrix
+from .linalg import Matrix, _pick
 
 
 def _strides(shape) -> list[int]:
@@ -24,9 +25,9 @@ def _strides(shape) -> list[int]:
 
 @cache
 def _flattening_index(shape, row_slots, col_slots):
-    """(rows, ncols): for each matrix row, the flat entry indices of its
-    cells, for the flattening of a tensor of ``shape`` with multi-indices
-    over ``row_slots`` and ``col_slots`` (row-major in each group)."""
+    """(nrows, ncols, picks): the flat entry index of every cell, row-major,
+    of the flattening of a tensor of ``shape`` with multi-indices over
+    ``row_slots`` and ``col_slots`` (row-major in each group)."""
     strides = _strides(shape)
 
     def offsets(group):
@@ -35,12 +36,12 @@ def _flattening_index(shape, row_slots, col_slots):
             out = [o + i * strides[s] for o in out for i in range(shape[s])]
         return out
 
-    cols = offsets(col_slots)
-    return tuple(tuple(r + c for c in cols) for r in offsets(row_slots)), len(cols)
+    rows, cols = offsets(row_slots), offsets(col_slots)
+    return len(rows), len(cols), tuple(r + c for r in rows for c in cols)
 
 
 class Tensor:
-    __slots__ = ("field", "shape", "slots", "entries")
+    __slots__ = ("field", "shape", "slots", "_row")
 
     def __init__(self, field, shape, entries, slots):
         shape = tuple(int(s) for s in shape)
@@ -49,24 +50,28 @@ class Tensor:
             raise ValueError("one slot label per axis")
         if len(set(slots)) != len(slots):
             raise ValueError("slot labels must be pairwise distinct")
-        entries = tuple(field.of(x) for x in entries)
+        row = Matrix(field, [entries])
         size = 1
         for s in shape:
             size *= s
-        if len(entries) != size:
-            raise ValueError(f"expected {size} entries, got {len(entries)}")
+        if row.ncols != size:
+            raise ValueError(f"expected {size} entries, got {row.ncols}")
         self.field = field
         self.shape = shape
         self.slots = slots
-        self.entries = entries
+        self._row = row
 
     @property
     def arity(self) -> int:
         return len(self.shape)
 
+    @property
+    def entries(self) -> tuple:
+        return self._row.rows[0]
+
     def entry(self, idx):
         flat = sum(i * s for i, s in zip(idx, _strides(self.shape)))
-        return self.entries[flat]
+        return self._row[0, flat]
 
     def is_zero(self) -> bool:
         return all(not x for x in self.entries)
@@ -79,23 +84,10 @@ class Tensor:
         col_slots = tuple(col_slots)
         if sorted(row_slots + col_slots) != list(range(self.arity)):
             raise ValueError("row and column slots must partition the axes")
-        table, ncols = _flattening_index(self.shape, row_slots, col_slots)
-        pick = self.entries.__getitem__
-        return Matrix._normal(self.field, [tuple(map(pick, row)) for row in table], ncols)
+        return _pick(self._row, *_flattening_index(self.shape, row_slots, col_slots))
 
     def flatten(self) -> tuple:
         return self.entries
-
-    def as_nested(self):
-        def build(depth, offset, strides):
-            if depth == self.arity:
-                return self.entries[offset]
-            return [
-                build(depth + 1, offset + i * strides[depth], strides)
-                for i in range(self.shape[depth])
-            ]
-
-        return build(0, 0, _strides(self.shape))
 
     def __eq__(self, other):
         return (
@@ -103,11 +95,11 @@ class Tensor:
             and self.field == other.field
             and self.shape == other.shape
             and self.slots == other.slots
-            and self.entries == other.entries
+            and self._row == other._row
         )
 
     def __hash__(self):
-        return hash((self.field, self.shape, self.slots, self.entries))
+        return hash((self.shape, self.slots, self._row))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, slots={self.slots})"

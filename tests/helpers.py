@@ -407,17 +407,27 @@ def contract(t: Tensor, slot: int, functional) -> Tensor:
 
 
 def verify_witness(q: Quintuple, j: int, witness) -> bool:
-    """Check that <phi x chi, w> = 0 at slot pair (j, j+1)."""
+    """Check that <phi x chi, w> = 0 at slot pair (j, j+1), entry by entry
+    of w, lifted into QuadraticExtension(field, disc) when the witness
+    lives there."""
     from ncquad.fields import QuadraticExtension
 
-    w = q.w
+    lift = lambda x: x
     if witness.extension_disc is not None:
-        ext = QuadraticExtension(q.field, witness.extension_disc)
-        w = Tensor(ext, w.shape, [ext.of(x) for x in w.entries], w.slots)
-    first = contract(w, j % 4, witness.phi)
-    # after removing slot j, slot (j+1) mod 4 sits at position j if j < 3, else 0
-    pos = j % 4 if j % 4 < 3 else 0
-    return contract(first, pos, witness.chi).is_zero()
+        lift = QuadraticExtension(q.field, witness.extension_disc).of
+    a, b = j % 4, (j + 1) % 4
+    others = [k for k in range(4) if k not in (a, b)]
+    for rest in product(range(2), repeat=2):
+        total = 0
+        for x, y in product(range(2), repeat=2):
+            idx = [0] * 4
+            idx[a], idx[b] = x, y
+            for k, i in zip(others, rest):
+                idx[k] = i
+            total = total + witness.phi[x] * witness.chi[y] * lift(q.w.entry(tuple(idx)))
+        if total:
+            return False
+    return True
 
 
 # -- Pluecker coordinates (oracle for points of Gr(1,3)) ------------------

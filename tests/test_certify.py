@@ -166,6 +166,29 @@ def test_replay_rejects_a_consistent_table_with_wrong_values():
         replay_table(bad, sq)
 
 
+def _swapped(t, a, b):
+    cells = copy.deepcopy(t.cells)
+    cells[a], cells[b] = cells[b], cells[a]
+    return ExtTable(t.objects, cells)
+
+
+def test_replay_rejects_swapped_cells_with_equal_dims():
+    # (C0, C1) and (C1, C0) both derive zero, each from its own C_i; every
+    # node replays, so only the pair a cell's top node names tells them apart
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    t = _table(sq)
+    with pytest.raises(ExtTableError, match=r"cell \(1,2\) derives the pair \('C1', 'C0'\)"):
+        replay_table(_swapped(t, (1, 2), (2, 1)), sq)
+    # so does every other swap of two cells with equal dims
+    keys = sorted(t.cells)
+    swaps = [(a, b) for n, a in enumerate(keys) for b in keys[n + 1:]
+             if t.cells[a]["dims"] == t.cells[b]["dims"]]
+    assert len(swaps) == 33
+    for a, b in swaps:
+        with pytest.raises(ExtTableError, match="derives the pair"):
+            replay_table(_swapped(t, a, b), sq)
+
+
 def test_replay_rejects_a_table_with_a_missing_cell():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     bad, _ = _tampered(_table(sq), (0, 3))

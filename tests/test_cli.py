@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ncquad.cli import EXIT_INTERNAL, main
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
@@ -93,6 +95,13 @@ def test_sweep_deterministic(capsys):
     doc = json.loads(first)
     assert doc["samples"] == 20
     assert sum(doc["counts"].values()) == 20
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--height", "0"),
+                                         ("--height", "-3")])
+def test_sweep_rejects_an_empty_draw_as_input_error(flag, value, capsys):
+    assert main(["sweep", flag, value]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cohomology_command(capsys):

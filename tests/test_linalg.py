@@ -251,6 +251,13 @@ def _raw(seq, p):
     return tuple(x.value for x in seq) if p else tuple(seq)
 
 
+def _check_value_equality(m):
+    """A result equals, and hashes like, the matrix rebuilt from its
+    entries, whatever common denominator either one holds."""
+    again = Matrix(m.field, m.rows, ncols=m.ncols)
+    assert m == again and hash(m) == hash(again)
+
+
 def _check_rank_kernel_column_space(rows, ncols, p):
     m = Matrix(_field(p), rows, ncols=ncols)
     _, pivots = rref_oracle(rows, ncols, p)
@@ -275,6 +282,7 @@ def _check_det_inverse(rows, p):
         got = m.inverse()
         assert [_raw(r, p) for r in got.rows] == inv
         assert m * got == Matrix.identity(m.field, n)
+        _check_value_equality(got)
 
 
 def _check_product_apply(a, b, vec, ncols, p):
@@ -282,6 +290,7 @@ def _check_product_apply(a, b, vec, ncols, p):
     prod = ma * mb
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
     assert [_raw(r, p) for r in prod.rows] == matmul_oracle(a, b, ncols, p)
+    _check_value_equality(prod)
     column = Matrix(_field(p), [[x] for x in vec], ncols=1)
     assert [_raw(r, p) for r in (ma * column).rows] == matmul_oracle(
         a, [[x] for x in vec], 1, p)
@@ -387,6 +396,18 @@ def test_public_constructors_still_coerce():
 
     assert _entry_types(Matrix(F, [[1, "1/2"]])) == {FpElement}
     assert Matrix(F, [[1, "1/2"]]) == Matrix(F, [[F.one, F.of(3)]])
+
+
+def test_equality_and_hash_ignore_the_common_denominator():
+    quarter = Matrix(QQ, [[1, 2]]) * Matrix(QQ, [["1/2"], ["1/4"]])   # 1, as 4/4
+    one = Matrix(QQ, [[1]])
+    assert quarter == one and hash(quarter) == hash(one)
+    assert quarter.rows == ((Fraction(1),),)
+    assert quarter != Matrix(QQ, [["1/4"]])
+    half = Matrix(QQ, [["1/2", 0], [0, "1/3"]])
+    assert half.inverse() == Matrix(QQ, [[2, 0], [0, 3]])
+    assert half * half.inverse() == Matrix.identity(QQ, 2)
+    assert len({half.inverse(), Matrix(QQ, [[2, 0], [0, 3]])}) == 1
 
 
 def test_hstack_rejects_mixed_fields():

@@ -19,6 +19,7 @@ from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,
+    PureWitness,
     Quintuple,
     build_linear_quadric,
     build_type_a,
@@ -117,6 +118,22 @@ def test_witnesses_verify_on_random_failures():
             if not p.passed and p.witness is not None:
                 assert verify_witness(q, p.j, p.witness)
                 checked += 1
+
+
+def test_witnesses_over_a_quadratic_extension_verify():
+    # the slot-(0,1) kernel is spanned by (1,0,0,1) and (0,1,-2,0), and
+    # det(s v1 + t v2) = s^2 + 2 t^2 has no rational root
+    entries = [0] * 16
+    for (a, b, c, d), x in {(0, 0, 0, 0): 1, (1, 1, 0, 0): -1,
+                            (0, 1, 0, 1): 2, (1, 0, 0, 1): 1}.items():
+        entries[8 * a + 4 * b + 2 * c + d] = x
+    q = Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
+    pairs = is_geometric(q).pairs
+    assert [p.witness.extension_disc for p in pairs] == [-2, None, None, -8]
+    for p in pairs:
+        assert verify_witness(q, p.j, p.witness)
+    w = pairs[0].witness
+    assert not verify_witness(q, 0, PureWitness(w.phi, (w.chi[0], -w.chi[1]), w.extension_disc))
 
 
 def test_is_geometric_invariant_under_basis_change():

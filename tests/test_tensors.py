@@ -73,6 +73,16 @@ def test_entry_count_enforced():
         Tensor(QQ, (2, 2, 2), [1, 0], ("A", "B", "C"))
 
 
+def test_tensor_holds_qq_or_fp_entries_only():
+    from ncquad.fields import QuadraticExtension
+
+    ext = QuadraticExtension(QQ, 2)
+    with pytest.raises(TypeError, match="QQ or F_p"):
+        Tensor(ext, (2,), [ext.theta, ext.one], ("A",))
+    assert Tensor(QQ, (2,), ["1/2", "-1/3"], ("A",)).entries == (Fraction(1, 2), Fraction(-1, 3))
+    assert Tensor(GF(5), (2,), ["1/2", -1], ("A",)).entries == (GF(5).of(3), GF(5).of(4))
+
+
 def test_reshape_roundtrip_indices():
     rng = random.Random(82)
     entries = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
