@@ -16,9 +16,16 @@ once: building a node stores its result, and ``replay_table`` recomputes
 it on every node, children first, so a certificate is re-validated
 without trusting any cached conclusion.
 
+Past the per-input checks (disjoint lines, both Hom(R, K_i) leaves equal
+to 2) the table depends on the rule set alone, so it is derived, and
+encoded as canonical JSON, once per process and shared read-only by
+every certificate (``DerivedTable``); ``canonical_json_bytes`` splices
+its text into each certificate's bytes.
+
 ``Analysis`` holds the artifacts of one input quintuple, each computed
 once on first use; ``full_pipeline`` reads them stage by stage and
-produces a deterministic, canonically serialized certificate.
+produces a deterministic certificate whose ``to_dict()`` is serialized
+by ``canonical_json_bytes``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import cache, cached_property
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
-from .fileformat import field_to_str, input_digest, scalar_json
+from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import (
     DimTable,
@@ -200,12 +207,10 @@ def _node(hom, rule: str, /, **fields) -> dict:
 # -- the cells of the table ----------------------------------------------------
 
 
-@cache
 def _twists():
     """Restriction bookkeeping used by the Serre leaves: omega restricted to
     an exceptional divisor, and the pulled-back rank-2 bundle restricted as
-    O(-1,0)^2 (subbundle splitting type of the line).  A constant of the
-    rule set, so it is computed once per process."""
+    O(-1,0)^2 (subbundle splitting type of the line)."""
     om = restrict_to_E(canonical_class(), 0)          # (-4, -2)
     oe = (1, 0)
     serre_o = (oe[0] + om.m, oe[1] + om.n)            # (-3, -2)
@@ -287,21 +292,42 @@ class ExtTable(Record):
     def dims(self, i: int, j: int) -> tuple:
         return tuple(self.cells[(i, j)]["dims"])
 
-    def as_dict(self) -> dict:
-        return {
-            "objects": list(self.objects),
-            "cells": {
-                f"{i},{j}": self.cells[(i, j)] for i in range(4) for j in range(4)
-            },
-        }
+
+class DerivedTable(FrozenJSON):
+    """The table the rule set derives for one pair of Hom(R, K_i) leaf
+    values, held as the canonical text of its JSON form
+    ``{"objects": [...], "cells": {"i,j": cell}}``, with its Euler pairing
+    ``euler``.  It is shared by every input with those leaf values, so it
+    is read-only: ``objects``, ``cells`` and ``dims`` read like those of an
+    ExtTable, each from a fresh parse of the text."""
+
+    __slots__ = ("euler",)
+
+    def __init__(self, table: ExtTable):
+        super().__init__({"objects": list(table.objects),
+                          "cells": {f"{i},{j}": cell for (i, j), cell in table.cells.items()}})
+        object.__setattr__(self, "euler", gram_of(table))
+
+    @property
+    def objects(self) -> tuple:
+        return tuple(self["objects"])
+
+    @property
+    def cells(self) -> dict:
+        return {tuple(map(int, key.split(","))): cell for key, cell in self["cells"].items()}
+
+    def dims(self, i: int, j: int) -> tuple:
+        return tuple(self["cells"][f"{i},{j}"]["dims"])
 
 
-def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
+def ext_table(square: GeometricSquare, lines: LineRelation) -> DerivedTable:
     """The complete table of a square; ``lines``, the relation of its two
     lines, must be disjoint.
 
-    Any leaf or exactness failure raises ExtTableError carrying the
-    failing derivation node.
+    Both checks run for every square: the lines are disjoint, and both
+    Hom(R, K_i) leaves are ranked and equal 2.  The table past them is
+    a constant of the rule set (``_derived``).  Any leaf or exactness
+    failure raises ExtTableError carrying the failing derivation node.
     """
     if lines.verdict != "disjoint":
         raise ExtTableError(
@@ -313,7 +339,14 @@ def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
         if value != 2:
             raise ExtTableError(f"Hom(R, K_{i}) leaf is {value}, not 2",
                                 {"rule": "hom-R-K-leaf", "line": i, "value": value})
+    return _derived(hom)
 
+
+@cache
+def _derived(hom: tuple) -> DerivedTable:
+    """The table for the leaf values ``hom``, which is all it depends on:
+    derived and encoded on the first input that reaches it, then shared,
+    so each pair of leaf values is derived once per process."""
     cells = {}
     for i, x in enumerate(OBJECTS):
         for j, y in enumerate(OBJECTS):
@@ -323,7 +356,7 @@ def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
             if dims != expected:
                 raise ExtTableError(f"cell ({x}, {y}) has dims {dims}, expected {expected}", node)
             cells[(i, j)] = {"dims": dims, "derivation": node}
-    return ExtTable(OBJECTS, cells)
+    return DerivedTable(ExtTable(OBJECTS, cells))
 
 
 def gram_of(table: ExtTable) -> tuple:
@@ -357,9 +390,10 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
     the first cell whose dims are not ``EXPECTED_HOM`` in degree 0 and
     zero above, or at the first cell whose top node names another pair."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
+    cells = table.cells
     for k in range(16):
         i, j = divmod(k, 4)
-        cell = table.cells.get((i, j))
+        cell = cells.get((i, j))
         if cell is None:
             raise ExtTableError(f"cell ({i},{j}) is missing")
         node = cell["derivation"]
@@ -538,7 +572,7 @@ class Analysis:
         return mutate_linear_to_block(self.relations, block)
 
     @cached_property
-    def ext_table(self) -> ExtTable:
+    def ext_table(self) -> DerivedTable:
         return ext_table(self.square, self.lines)
 
 
@@ -634,11 +668,11 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         stages.append({"stage": "ext_table", "passed": False, "error": str(exc)})
         return degenerate("ext_table", str(exc))
     stages.append({"stage": "ext_table", "passed": True,
-                   "table": etable.as_dict(),
+                   "table": etable,
                    "axioms_tagged": ["pullback fully faithful",
                                      "blow-up functors fully faithful"]})
 
-    euler = gram_of(etable)
+    euler = etable.euler
     gram_ok = euler == BLOCK_GRAM
     stages.append({"stage": "gram", "passed": gram_ok,
                    "euler": [list(r) for r in euler]})

@@ -2,7 +2,8 @@
 
 Exit codes are uniform across commands: 0 success/certified, 1
 mathematical failure (with the failing stage named), 2 input error, 3
-internal error (a bug in ncquad, reported with its exception type).
+internal error (a bug in ncquad, reported with its exception type and
+the innermost ncquad function and module on its traceback).
 The line convention defaults to "ruling" and may be preset through the
 NCQ_DEFAULT_CONVENTION environment variable; flags win over it, and an
 unknown value falls back to "ruling" with a warning on stderr.
@@ -266,7 +267,14 @@ def main(argv=None) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
     except Exception as exc:  # never panic; anything else is a bug in ncquad
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # this path alone reads frames; cold start skips it
+
+        frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
+                 if f.f_globals.get("__name__", "").startswith("ncquad")][-1]
+        code = frame.f_code
+        print(f"internal error: {type(exc).__name__}: {exc} (raised in "
+              f"{getattr(code, 'co_qualname', code.co_name)}, module "
+              f"{frame.f_globals['__name__']})", file=sys.stderr)
         return EXIT_INTERNAL
 
 

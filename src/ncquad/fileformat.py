@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .fields import GF, QQ, FpElement, PrimeField, QuadElement, RationalField
@@ -133,8 +134,61 @@ def tensor_nested_strings(q: Quintuple):
     return nested
 
 
+class FrozenJSON(Mapping):
+    """A read-only JSON object held as its canonical text, for a value
+    derived once and shared by many documents.  Each read parses the text
+    afresh, so callers get plain data they may change without touching
+    the shared value; ``canonical_json_bytes`` writes the text as is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, doc: dict):
+        object.__setattr__(self, "text", canonical_json_bytes(doc).decode())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a read-only {type(self).__name__}")
+
+    def __deepcopy__(self, memo):
+        return self     # read-only, so it is its own copy
+
+    def __getitem__(self, key):
+        return json.loads(self.text)[key]
+
+    def __iter__(self):
+        return iter(json.loads(self.text))
+
+    def __len__(self) -> int:
+        return len(json.loads(self.text))
+
+
+# what the encoder writes for a FrozenJSON before its text is spliced in;
+# the NUL bytes keep it apart from every string ncquad puts in a document
+_SPLICE = "\x00frozen\x00"
+_SPLICED = json.dumps(_SPLICE)
+
+
 def canonical_json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+    """The canonical serialization of a certificate's ``to_dict()``, of an
+    input file and of everything else ncquad hashes or writes: sorted
+    keys, no whitespace, ASCII only.  A ``FrozenJSON`` inside ``obj`` is
+    written as its stored text; a document without one is encoded in a
+    single pass with no further work."""
+    texts = []
+
+    def splice(value):
+        if not isinstance(value, FrozenJSON):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        texts.append(value.text)
+        return _SPLICE
+
+    out = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                           default=splice).encode(obj)
+    if texts:
+        parts = out.split(_SPLICED)
+        if len(parts) != len(texts) + 1:
+            raise ValueError(f"{len(parts) - 1} splice markers for {len(texts)} frozen values")
+        out = parts[0] + "".join(text + part for text, part in zip(texts, parts[1:]))
+    return out.encode()
 
 
 def input_digest(q: Quintuple) -> str:

@@ -10,6 +10,9 @@ witnessed by a degree-0 gcd, never by numerics.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .fields import PrimeField, QuadraticExtension, RationalField
 from .records import Record
 
@@ -56,35 +59,45 @@ class BinaryForm:
         return " + ".join(terms) if terms else "0"
 
 
-# -- univariate helpers (ascending coefficient lists) ---------------------
+# -- univariate helpers (ascending integer coefficient lists) -------------
 
 
-def _strip(p):
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
+def _integers(coeffs, p: int) -> list:
+    """Integer coefficients of a nonzero form up to a unit: residues mod p,
+    or over QQ the numerators on a common denominator, made primitive."""
+    if p:
+        return [c.value for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
 
-def _poly_mod(a, b, field):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = field.one / lb
-    while len(a) - 1 >= db and _strip(a):
-        a = _strip(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] * inv
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - f * c
-        a = a[:-1]
-    return _strip(a)
-
-
-def _poly_gcd(a, b, field):
-    a, b = _strip(list(a)), _strip(list(b))
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    """A gcd of two nonzero polynomials with nonzero leading coefficients,
+    up to a unit: Euclid on residues mod p, or over Z (``p == 0``) the
+    primitive pseudo-remainder sequence, which stays in integers."""
     while b:
-        a, b = b, _poly_mod(a, b, field)
+        a = list(a)
+        lb, db = b[-1], len(b) - 1
+        inv = pow(lb, -1, p) if p else 0
+        while len(a) > db:
+            f, shift = a[-1], len(a) - 1 - db
+            if p:
+                f = f * inv % p
+                for i, c in enumerate(b):
+                    a[shift + i] = (a[shift + i] - f * c) % p
+            else:
+                a = [lb * x for x in a]
+                for i, c in enumerate(b):
+                    a[shift + i] -= f * c
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if a and not p:
+            content = gcd(*a)
+            a = [x // content for x in a]
+        a, b = b, a
     return a
 
 
@@ -94,7 +107,8 @@ def binary_form_gcd(forms: list[BinaryForm]) -> BinaryForm:
     Degree 0 means no common projective root over the algebraic closure.
     If every input is identically zero, the zero form (degree 0, zero
     coefficient) is returned; callers treat that as "identically
-    dependent".
+    dependent".  The gcd is taken on integers (see ``_poly_gcd``); field
+    elements are built only for the monic result.
     """
     if not forms:
         raise ValueError("empty form list")
@@ -108,6 +122,7 @@ def binary_form_gcd(forms: list[BinaryForm]) -> BinaryForm:
     if not nonzero:
         return BinaryForm(field, [field.zero])
 
+    p = field.p if isinstance(field, PrimeField) else 0
     s_mult = None
     t_mult = None
     polys = []
@@ -119,23 +134,26 @@ def binary_form_gcd(forms: list[BinaryForm]) -> BinaryForm:
         sm, tm = d - hi, lo
         s_mult = sm if s_mult is None else min(s_mult, sm)
         t_mult = tm if t_mult is None else min(t_mult, tm)
-        core = f.coeffs[lo : hi + 1]
         # dehomogenize at t=1: ascending powers of s
-        polys.append(list(reversed(core)))
+        polys.append(_integers(f.coeffs[lo:hi + 1][::-1], p))
     g = polys[0]
-    for p in polys[1:]:
-        g = _poly_gcd(g, p, field)
+    for q in polys[1:]:
+        g = _poly_gcd(g, q, p)
         if len(g) == 1:
             break
-    if not g:
-        g = [field.one]
+    lead = g[-1]
+    if p:
+        inv = pow(lead, -1, p)
+        g = [c * inv % p for c in g]
+    else:
+        g = [Fraction(c, lead) for c in g]
     du = len(g) - 1
     total = du + s_mult + t_mult
-    coeffs = [field.zero] * (total + 1)
+    coeffs = [0] * (total + 1)
     for k, c in enumerate(g):
         # term c * s^(k + s_mult) * t^(du - k + t_mult)
         coeffs[total - (k + s_mult)] = c
-    return BinaryForm(field, coeffs).monic()
+    return BinaryForm(field, coeffs)
 
 
 class RootStructure(Record):

@@ -86,9 +86,6 @@ class Tensor:
             raise ValueError("row and column slots must partition the axes")
         return _pick(self._row, *_flattening_index(self.shape, row_slots, col_slots))
 
-    def flatten(self) -> tuple:
-        return self.entries
-
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)

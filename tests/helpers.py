@@ -172,6 +172,66 @@ def evaluate(form, s, t):
     return acc
 
 
+# -- Euclid on field elements (oracle for forms.binary_form_gcd) -----------
+#
+# The monic gcd by textbook Euclid, dividing by the leading field element
+# at every step; polynomials are ascending lists of field elements.
+
+
+def _strip(p):
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _poly_mod(a, b, field):
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv = field.one / lb
+    while len(a) - 1 >= db and _strip(a):
+        a = _strip(a)
+        if len(a) - 1 < db:
+            break
+        f = a[-1] * inv
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] = a[shift + i] - f * c
+        a = a[:-1]
+    return _strip(a)
+
+
+def euclid_form_gcd(forms):
+    """Monic gcd of binary forms over QQ or F_p, with the conventions of
+    ``binary_form_gcd``: the zero form when every input is zero."""
+    from ncquad.forms import BinaryForm
+
+    field = forms[0].field
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        return BinaryForm(field, [field.zero])
+    s_mult = t_mult = None
+    polys = []
+    for f in nonzero:
+        idx = [i for i, c in enumerate(f.coeffs) if c]
+        hi, lo = max(idx), min(idx)
+        sm, tm = f.degree - hi, lo
+        s_mult = sm if s_mult is None else min(s_mult, sm)
+        t_mult = tm if t_mult is None else min(t_mult, tm)
+        polys.append(list(reversed(f.coeffs[lo:hi + 1])))
+    g = polys[0]
+    for p in polys[1:]:
+        a, b = _strip(list(g)), _strip(list(p))
+        while b:
+            a, b = b, _poly_mod(a, b, field)
+        g = a
+    du = len(g) - 1
+    total = du + s_mult + t_mult
+    coeffs = [field.zero] * (total + 1)
+    for k, c in enumerate(g):
+        coeffs[total - (k + s_mult)] = c
+    return BinaryForm(field, coeffs).monic()
+
+
 # -- column spans (oracle tools built on Matrix(field, rows)) -------------
 
 

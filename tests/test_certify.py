@@ -1,14 +1,19 @@
 import copy
+import hashlib
 import json
 import random
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 from helpers import random_type_a_triple
+import ncquad.certify
 from ncquad.certify import (
+    OBJECTS,
     Analysis,
     ExtTable,
     ExtTableError,
@@ -17,7 +22,13 @@ from ncquad.certify import (
     gram_of,
     replay_table,
 )
-from ncquad.fileformat import canonical_json_bytes, input_digest
+from ncquad.corpus import corpus_path
+from ncquad.fileformat import (
+    canonical_json_bytes,
+    input_digest,
+    load_quintuple,
+    parse_quintuple_file,
+)
 from ncquad.grassmann import line_relation
 from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, build_type_a
@@ -331,3 +342,79 @@ def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
     cert = full_pipeline(build_type_a(1, 2, 3), convention)
     assert cert.certified
     assert counts == {**{name: 1 for _, name in COUNTED_STAGES}, "Matrix.inverse": 1}
+
+
+def _vandalize(value):
+    """Change in place every dict and list reachable from ``value``; a
+    read-only mapping is walked through the values it hands out."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _vandalize(item)
+        for key in list(value):
+            value[key] = "vandalized"
+        value["vandalized"] = [0]
+    elif isinstance(value, list):
+        for item in value:
+            _vandalize(item)
+        value[:] = ["vandalized"]
+    elif isinstance(value, Mapping):
+        for item in value.values():
+            _vandalize(item)
+        with pytest.raises(TypeError):
+            value["cells"] = {}
+
+
+def _golden_certified(convention):
+    """(quintuple, sha256) of every certified golden entry under ``convention``."""
+    doc = json.loads(Path(__file__).with_name("golden.json").read_text())
+    for entry in doc["corpus"] + doc["seeded"]:
+        if entry["convention"] == convention and entry["verdict"] == "certified":
+            if "name" in entry:
+                q, _ = load_quintuple(str(corpus_path(entry["name"])))
+            else:
+                q, _ = parse_quintuple_file(entry["input"])
+            yield q, entry["sha256"]
+
+
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_shared_ext_table_survives_mutating_what_callers_get(convention):
+    q = build_type_a(1, 2, 3)
+    _vandalize(full_pipeline(q, convention).to_dict())
+    table = Analysis(q, convention).ext_table
+    _vandalize(table.cells)
+    for name in ("text", "euler"):
+        with pytest.raises(AttributeError, match="read-only DerivedTable"):
+            setattr(table, name, None)
+    assert table.dims(0, 3) == (4, 0, 0, 0, 0)
+    assert replay_table(table, square_from_quintuple(q, convention))
+    goldens = list(_golden_certified(convention))
+    assert goldens
+    for other, sha256 in goldens:
+        cert_bytes = canonical_json_bytes(full_pipeline(other, convention).to_dict())
+        assert hashlib.sha256(cert_bytes).hexdigest() == sha256
+
+
+def test_ext_table_is_derived_once_per_process(monkeypatch):
+    # count the top-level derivations of a cell: one per cell of one table
+    top, depth = Counter(), [0]
+    original = ncquad.certify._ext
+
+    def counting(hom, x, y):
+        if depth[0] == 0:
+            top[(x, y)] += 1
+        depth[0] += 1
+        try:
+            return original(hom, x, y)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ncquad.certify, "_ext", counting)
+    ncquad.certify._derived.cache_clear()
+    rng = random.Random(72)
+    certified = Counter()
+    while min(certified["ruling"], certified["literal"]) < 20:
+        _, q = random_type_a_triple(rng)
+        for convention in ("ruling", "literal"):
+            if certified[convention] < 20 and full_pipeline(q, convention).certified:
+                certified[convention] += 1
+    assert top == {(x, y): 1 for x in OBJECTS for y in OBJECTS}

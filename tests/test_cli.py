@@ -192,14 +192,29 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert "input error" not in err
 
 
+def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsys):
+    import ncquad.certify
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage exploded")
+
+    # the innermost ncquad frame is the Analysis property that calls the stage
+    monkeypatch.setattr(ncquad.certify, "block_quiver", broken)
+    assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("internal error: RuntimeError: stage exploded (raised in ")
+    assert err.endswith("block_quiver, module ncquad.certify)")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S keeps site from pre-loading modules, so the child sees exactly
     # what importing the CLI pulls in
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    # random is imported by the sweep command alone
-    code = ("import sys, ncquad.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules))")
+    # random is imported by the sweep command alone, traceback by the
+    # internal-error path alone
+    code = ("import sys, ncquad.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'random', 'traceback') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

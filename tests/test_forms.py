@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import evaluate, nonresidue_int
+from helpers import euclid_form_gcd, evaluate, nonresidue_int
 from ncquad.fields import GF, QQ
 from ncquad.forms import BinaryForm, binary_form_gcd, root_structure
 
@@ -46,6 +48,46 @@ def test_gcd_respects_t_powers():
     h = binary_form_gcd([f, g])
     assert h.degree == 2
     assert evaluate(h, 1, 0) == 0
+
+
+def _times(f, g):
+    """Product of two coefficient lists in descending s-powers."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+_FIELDS = {"QQ": QQ, "F_5": GF(5), "F_10007": GF(10007)}
+
+
+@st.composite
+def _form_lists(draw):
+    """One to four forms over one field, multiples of a drawn common factor
+    (of degree 0 to 2, possibly a power of s or t alone) plus noise; some
+    of them zero."""
+    name = draw(st.sampled_from(sorted(_FIELDS)))
+    field = _FIELDS[name]
+    if field is QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        coeff = st.integers(0, field.p - 1) | st.integers(-3, 3)
+    common = draw(st.lists(coeff, min_size=1, max_size=3))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        cofactor = draw(st.lists(coeff, min_size=1, max_size=3))
+        coeffs = _times(common, cofactor)
+        if draw(st.booleans()):
+            coeffs = [c + draw(coeff) for c in coeffs]
+        forms.append(BinaryForm(field, coeffs))
+    return forms
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_form_lists())
+def test_gcd_matches_euclid_oracle(forms):
+    assert binary_form_gcd(forms) == euclid_form_gcd(forms)
 
 
 def test_root_structure_split():

@@ -65,7 +65,7 @@ def test_linear_quadric_w_in_R0_V3():
                 vec[2 * i + d] = Fraction(r[i])
             cols.append(tuple(vec))
     space = from_cols(QQ, cols, nrows=16)
-    assert span_contains(space, q.w.flatten())
+    assert span_contains(space, q.w.entries)
 
 
 def test_linear_quadric_geometric_all_pairs():
@@ -178,7 +178,7 @@ def test_relations_linear_quadric_matches_displayed():
     # the intersection line, built as a subspace, is spanned by w
     *_, line = relations_oracle(q)
     assert line.ncols == rel.w_dim == 1
-    assert span_contains(line, q.w.flatten())
+    assert span_contains(line, q.w.entries)
 
 
 def test_relations_pure_tensor_flagged():

@@ -79,7 +79,7 @@ def test_counts_match_oracles_on_inputs():
         assert rel.dims == (r0_dim, r1_dim, line.ncols)
         # w lies in both spans, so in the intersection, and spans it when
         # it is a line
-        assert span_contains(line, q.w.flatten())
+        assert span_contains(line, q.w.entries)
         seen["rel"].add(rel.dims)
         for convention in CONVENTIONS:
             try:
