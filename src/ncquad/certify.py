@@ -16,11 +16,12 @@ once: building a node stores its result, and ``replay_table`` recomputes
 it on every node, children first, so a certificate is re-validated
 without trusting any cached conclusion.
 
-Past the per-input checks (disjoint lines, both Hom(R, K_i) leaves equal
-to 2) the table depends on the rule set alone, so it is derived, and
-encoded as canonical JSON, once per process and shared read-only by
-every certificate (``DerivedTable``); ``canonical_json_bytes`` splices
-its text into each certificate's bytes.
+Every input runs the checks the table rests on (disjoint lines, both
+Hom(R, K_i) leaves equal to 2) and derives the two cells (p*R, C_i) that
+read those leaves.  The other 14 cells depend on the rule set alone, so
+they are derived, and encoded as canonical JSON, once per process and
+shared read-only by every table (``SharedCell``); ``canonical_json_bytes``
+splices their text into each certificate's bytes.
 
 ``Analysis`` holds the artifacts of one input quintuple, each computed
 once on first use; ``full_pipeline`` reads them stage by stage and
@@ -292,42 +293,64 @@ class ExtTable(Record):
     def dims(self, i: int, j: int) -> tuple:
         return tuple(self.cells[(i, j)]["dims"])
 
-
-class DerivedTable(FrozenJSON):
-    """The table the rule set derives for one pair of Hom(R, K_i) leaf
-    values, held as the canonical text of its JSON form
-    ``{"objects": [...], "cells": {"i,j": cell}}``, with its Euler pairing
-    ``euler``.  It is shared by every input with those leaf values, so it
-    is read-only: ``objects``, ``cells`` and ``dims`` read like those of an
-    ExtTable, each from a fresh parse of the text."""
-
-    __slots__ = ("euler",)
-
-    def __init__(self, table: ExtTable):
-        super().__init__({"objects": list(table.objects),
-                          "cells": {f"{i},{j}": cell for (i, j), cell in table.cells.items()}})
-        object.__setattr__(self, "euler", gram_of(table))
-
-    @property
-    def objects(self) -> tuple:
-        return tuple(self["objects"])
-
-    @property
-    def cells(self) -> dict:
-        return {tuple(map(int, key.split(","))): cell for key, cell in self["cells"].items()}
-
-    def dims(self, i: int, j: int) -> tuple:
-        return tuple(self["cells"][f"{i},{j}"]["dims"])
+    def as_dict(self) -> dict:
+        return {
+            "objects": list(self.objects),
+            "cells": {
+                f"{i},{j}": self.cells[(i, j)] for i in range(4) for j in range(4)
+            },
+        }
 
 
-def ext_table(square: GeometricSquare, lines: LineRelation) -> DerivedTable:
+class SharedCell(FrozenJSON):
+    """A cell whose derivation reads no input, held as the canonical text
+    of ``{"dims": [...], "derivation": node}`` and shared read-only by
+    every table.  Its dims are kept beside the text, so ``cell["dims"]``
+    is a fresh list read without a parse."""
+
+    __slots__ = ("_dims",)
+
+    def __init__(self, cell: dict):
+        super().__init__(cell)
+        object.__setattr__(self, "_dims", tuple(cell["dims"]))
+
+    def __getitem__(self, key):
+        return list(self._dims) if key == "dims" else super().__getitem__(key)
+
+
+# the cells (p*R, C_i), the only ones whose derivation reads Hom(R, K_i)
+_INPUT_CELLS = ((0, 1), (0, 2))
+
+
+def _cell(hom, i: int, j: int) -> dict:
+    x, y = OBJECTS[i], OBJECTS[j]
+    node = _ext(hom, x, y)
+    dims = list(node["dims"])
+    expected = [EXPECTED_HOM.get((i, j), 0), 0, 0, 0, 0]
+    if dims != expected:
+        raise ExtTableError(f"cell ({x}, {y}) has dims {dims}, expected {expected}", node)
+    return {"dims": dims, "derivation": node}
+
+
+@cache
+def _shared_cells() -> dict:
+    """(i, j) -> SharedCell for the 14 cells outside ``_INPUT_CELLS``.
+    They depend on the rule set alone (``hom`` is never read, so it is
+    None here), so they are derived and encoded on the first input that
+    reaches the table and then shared: once per process."""
+    return {(i, j): SharedCell(_cell(None, i, j))
+            for i in range(4) for j in range(4) if (i, j) not in _INPUT_CELLS}
+
+
+def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
     """The complete table of a square; ``lines``, the relation of its two
     lines, must be disjoint.
 
     Both checks run for every square: the lines are disjoint, and both
-    Hom(R, K_i) leaves are ranked and equal 2.  The table past them is
-    a constant of the rule set (``_derived``).  Any leaf or exactness
-    failure raises ExtTableError carrying the failing derivation node.
+    Hom(R, K_i) leaves are ranked and equal 2.  The two cells that read
+    those leaves are then derived from them; the other 14 are the shared
+    ``_shared_cells``.  Any leaf or exactness failure raises ExtTableError
+    carrying the failing derivation node.
     """
     if lines.verdict != "disjoint":
         raise ExtTableError(
@@ -339,24 +362,12 @@ def ext_table(square: GeometricSquare, lines: LineRelation) -> DerivedTable:
         if value != 2:
             raise ExtTableError(f"Hom(R, K_{i}) leaf is {value}, not 2",
                                 {"rule": "hom-R-K-leaf", "line": i, "value": value})
-    return _derived(hom)
-
-
-@cache
-def _derived(hom: tuple) -> DerivedTable:
-    """The table for the leaf values ``hom``, which is all it depends on:
-    derived and encoded on the first input that reaches it, then shared,
-    so each pair of leaf values is derived once per process."""
+    shared = _shared_cells()
     cells = {}
-    for i, x in enumerate(OBJECTS):
-        for j, y in enumerate(OBJECTS):
-            node = _ext(hom, x, y)
-            dims = list(node["dims"])
-            expected = [EXPECTED_HOM.get((i, j), 0), 0, 0, 0, 0]
-            if dims != expected:
-                raise ExtTableError(f"cell ({x}, {y}) has dims {dims}, expected {expected}", node)
-            cells[(i, j)] = {"dims": dims, "derivation": node}
-    return DerivedTable(ExtTable(OBJECTS, cells))
+    for i in range(4):
+        for j in range(4):
+            cells[(i, j)] = shared[(i, j)] if (i, j) in shared else _cell(hom, i, j)
+    return ExtTable(OBJECTS, cells)
 
 
 def gram_of(table: ExtTable) -> tuple:
@@ -390,10 +401,9 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
     the first cell whose dims are not ``EXPECTED_HOM`` in degree 0 and
     zero above, or at the first cell whose top node names another pair."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
-    cells = table.cells
     for k in range(16):
         i, j = divmod(k, 4)
-        cell = cells.get((i, j))
+        cell = table.cells.get((i, j))
         if cell is None:
             raise ExtTableError(f"cell ({i},{j}) is missing")
         node = cell["derivation"]
@@ -572,7 +582,7 @@ class Analysis:
         return mutate_linear_to_block(self.relations, block)
 
     @cached_property
-    def ext_table(self) -> DerivedTable:
+    def ext_table(self) -> ExtTable:
         return ext_table(self.square, self.lines)
 
 
@@ -668,11 +678,11 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         stages.append({"stage": "ext_table", "passed": False, "error": str(exc)})
         return degenerate("ext_table", str(exc))
     stages.append({"stage": "ext_table", "passed": True,
-                   "table": etable,
+                   "table": etable.as_dict(),
                    "axioms_tagged": ["pullback fully faithful",
                                      "blow-up functors fully faithful"]})
 
-    euler = etable.euler
+    euler = gram_of(etable)
     gram_ok = euler == BLOCK_GRAM
     stages.append({"stage": "gram", "passed": gram_ok,
                    "euler": [list(r) for r in euler]})

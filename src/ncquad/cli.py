@@ -269,12 +269,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # never panic; anything else is a bug in ncquad
         import traceback  # this path alone reads frames; cold start skips it
 
+        # modules by their import names: ``python -m ncquad.cli`` runs this
+        # one as __main__; main's own frame comes first, so one matches
         frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
-                 if f.f_globals.get("__name__", "").startswith("ncquad")][-1]
+                 if getattr(f.f_globals.get("__spec__"), "name", "").startswith("ncquad.")][-1]
+        module = frame.f_globals["__spec__"].name
         code = frame.f_code
         print(f"internal error: {type(exc).__name__}: {exc} (raised in "
-              f"{getattr(code, 'co_qualname', code.co_name)}, module "
-              f"{frame.f_globals['__name__']})", file=sys.stderr)
+              f"{getattr(code, 'co_qualname', code.co_name)}, module {module})",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

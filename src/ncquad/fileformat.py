@@ -136,9 +136,10 @@ def tensor_nested_strings(q: Quintuple):
 
 class FrozenJSON(Mapping):
     """A read-only JSON object held as its canonical text, for a value
-    derived once and shared by many documents.  Each read parses the text
-    afresh, so callers get plain data they may change without touching
-    the shared value; ``canonical_json_bytes`` writes the text as is."""
+    derived once and shared by many documents.  Each read, and a deep
+    copy, parses the text afresh, so callers get plain data they may
+    change without touching the shared value; ``canonical_json_bytes``
+    writes the text as is."""
 
     __slots__ = ("text",)
 
@@ -149,7 +150,7 @@ class FrozenJSON(Mapping):
         raise AttributeError(f"cannot assign to {name!r} of a read-only {type(self).__name__}")
 
     def __deepcopy__(self, memo):
-        return self     # read-only, so it is its own copy
+        return json.loads(self.text)    # a plain document the caller may change
 
     def __getitem__(self, key):
         return json.loads(self.text)[key]

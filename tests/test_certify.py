@@ -17,6 +17,7 @@ from ncquad.certify import (
     Analysis,
     ExtTable,
     ExtTableError,
+    SharedCell,
     full_pipeline,
     ext_table,
     gram_of,
@@ -377,16 +378,20 @@ def _golden_certified(convention):
 
 
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
-def test_shared_ext_table_survives_mutating_what_callers_get(convention):
+def test_shared_cells_survive_mutating_what_callers_get(convention):
     q = build_type_a(1, 2, 3)
     _vandalize(full_pipeline(q, convention).to_dict())
     table = Analysis(q, convention).ext_table
+    shared = [cell for cell in table.cells.values() if isinstance(cell, SharedCell)]
+    assert len(shared) == 14
+    for cell in shared:
+        with pytest.raises(AttributeError, match="read-only SharedCell"):
+            cell.text = "{}"
     _vandalize(table.cells)
-    for name in ("text", "euler"):
-        with pytest.raises(AttributeError, match="read-only DerivedTable"):
-            setattr(table, name, None)
-    assert table.dims(0, 3) == (4, 0, 0, 0, 0)
-    assert replay_table(table, square_from_quintuple(q, convention))
+    square = square_from_quintuple(q, convention)
+    fresh = ext_table(square, line_relation(square.line(0), square.line(1)))
+    assert fresh.dims(0, 3) == (4, 0, 0, 0, 0)
+    assert replay_table(fresh, square)
     goldens = list(_golden_certified(convention))
     assert goldens
     for other, sha256 in goldens:
@@ -394,8 +399,9 @@ def test_shared_ext_table_survives_mutating_what_callers_get(convention):
         assert hashlib.sha256(cert_bytes).hexdigest() == sha256
 
 
-def test_ext_table_is_derived_once_per_process(monkeypatch):
-    # count the top-level derivations of a cell: one per cell of one table
+def test_shared_cells_are_derived_once_per_process(monkeypatch):
+    # count the top-level derivations of each cell: the 14 shared cells
+    # once, the two (p*R, C_i) cells once per table
     top, depth = Counter(), [0]
     original = ncquad.certify._ext
 
@@ -409,7 +415,7 @@ def test_ext_table_is_derived_once_per_process(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(ncquad.certify, "_ext", counting)
-    ncquad.certify._derived.cache_clear()
+    ncquad.certify._shared_cells.cache_clear()
     rng = random.Random(72)
     certified = Counter()
     while min(certified["ruling"], certified["literal"]) < 20:
@@ -417,4 +423,8 @@ def test_ext_table_is_derived_once_per_process(monkeypatch):
         for convention in ("ruling", "literal"):
             if certified[convention] < 20 and full_pipeline(q, convention).certified:
                 certified[convention] += 1
-    assert top == {(x, y): 1 for x in OBJECTS for y in OBJECTS}
+    input_cells = {("p*R", "C0"), ("p*R", "C1")}
+    assert top == {(x, y): 40 if (x, y) in input_cells else 1 for x in OBJECTS for y in OBJECTS}
+    # only the per-input cells hold a Hom(R, K_i) leaf
+    for cell in ncquad.certify._shared_cells().values():
+        assert "hom-R-K-leaf" not in cell.text

@@ -206,6 +206,20 @@ def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsy
     assert err.endswith("block_quiver, module ncquad.certify)")
 
 
+def test_internal_error_under_python_m_names_the_cli_module(tmp_path):
+    # run as a script, the cli module is __main__; open() in cmd_certify
+    # raises, so no deeper ncquad frame exists
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncquad.cli", "certify", str(corpus_path("linear")),
+         "--json", str(tmp_path / "missing" / "out.json")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stderr.startswith("internal error: FileNotFoundError: ")
+    assert proc.stderr.strip().endswith("(raised in cmd_certify, module ncquad.cli)")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S keeps site from pre-loading modules, so the child sees exactly
     # what importing the CLI pulls in

@@ -27,7 +27,10 @@ def test_frozen_reads_are_fresh_copies():
         frozen["a"] = {}
     with pytest.raises(AttributeError, match="read-only FrozenJSON"):
         frozen.text = "{}"
-    assert copy.deepcopy({"f": frozen})["f"] is frozen
+    copied = copy.deepcopy({"f": frozen})["f"]
+    assert type(copied) is dict and copied == DOC
+    copied["a"]["k"].append(1)
+    assert frozen.text == text
 
 
 def test_other_objects_still_refuse_to_serialize():
