@@ -372,13 +372,14 @@ def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
 
 def gram_of(table: ExtTable) -> tuple:
     """Euler pairing of the table: alternating sums per cell."""
-    return tuple(
-        tuple(
-            sum((-1) ** k * d for k, d in enumerate(table.dims(i, j)))
-            for j in range(4)
-        )
-        for i in range(4)
-    )
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            dims = table.dims(i, j)
+            row.append(sum(dims[0::2]) - sum(dims[1::2]))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # -- replay ----------------------------------------------------------------
