@@ -39,9 +39,11 @@ from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import (
     DimTable,
+    Flattenings,
     GeometricityReport,
     Quintuple,
     RelationData,
+    flattenings,
     is_geometric,
     relations,
     truncated_dims,
@@ -528,10 +530,12 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
 
 class Analysis:
     """The artifacts of one input under one line convention, each computed
-    on first use and then kept: geometricity report, relation data,
-    window table, square, line relation, block and linear quivers,
-    mutation and Ext table.  Each stage function is handed the artifacts
-    it needs, never the quintuple, so no stage rebuilds another's result.
+    on first use and then kept: the contraction matrices, geometricity
+    report, relation data, window table, square, line relation, block and
+    linear quivers, mutation and Ext table.  Each stage function is handed
+    the artifacts it needs, so no stage rebuilds another's result:
+    geometricity, the square and the mutation read one ``Flattenings``,
+    whose M_0 and M_1 are each eliminated once.
 
     An artifact whose construction fails raises on access and is not
     kept: ``square`` (and everything built on it) raises NotGeneric off
@@ -547,8 +551,12 @@ class Analysis:
         self.convention = convention
 
     @cached_property
+    def flattenings(self) -> Flattenings:
+        return flattenings(self.q)
+
+    @cached_property
     def geometricity(self) -> GeometricityReport:
-        return is_geometric(self.q)
+        return is_geometric(self.q, self.flattenings)
 
     @cached_property
     def relations(self) -> RelationData:
@@ -560,7 +568,7 @@ class Analysis:
 
     @cached_property
     def square(self) -> GeometricSquare:
-        return square_from_quintuple(self.q, self.convention)
+        return square_from_quintuple(self.q, self.convention, self.flattenings)
 
     @cached_property
     def lines(self) -> LineRelation:
@@ -580,7 +588,7 @@ class Analysis:
             block = self.block_quiver
         except NotGeneric:
             block = None
-        return mutate_linear_to_block(self.relations, block)
+        return mutate_linear_to_block(self.relations, block, self.flattenings)
 
     @cached_property
     def ext_table(self) -> ExtTable:

@@ -28,8 +28,8 @@ from .records import Record
 class EmbeddedLine(Record):
     """A line P^1 -> G induced by phi: V ~ U0 x U1 and a contracted factor.
 
-    ``phi_inv`` is the inverse of ``phi``: ``line_from_phi`` computes it,
-    and a geometric square hands over the one it stores."""
+    ``phi_inv`` is the inverse of ``phi``, handed over by the geometric
+    square that stores it, so a line never inverts a matrix."""
 
     phi: Matrix
     phi_inv: Matrix
@@ -45,16 +45,6 @@ class EmbeddedLine(Record):
     @property
     def field(self):
         return self.phi.field
-
-
-def line_from_phi(phi: Matrix, contracted_factor: int = 0) -> EmbeddedLine:
-    """Embedded line from an invertible factorization matrix.
-
-    ``contracted_factor`` picks which tensor factor of the codomain is
-    contracted away by the parameter functional.  Raises ValueError when
-    phi is singular.
-    """
-    return EmbeddedLine(phi, phi.inverse(), contracted_factor)
 
 
 class MeetWitness(Record):

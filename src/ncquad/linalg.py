@@ -7,7 +7,10 @@ in [0, p) and ``_den`` is 1.  The denominator need not be the least one,
 so equality and hashing compare the reduced form (``_key``).
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``,
-on rows copied from ``_num``.  A common denominator scales every row
+on rows copied from ``_num``.  A matrix keeps its echelon after the first
+elimination, so ``rank``, ``kernel_basis``, ``det`` and
+``column_space_basis`` of one matrix run it once between them;
+``inverse`` eliminates [N | -I] of its own.  A common denominator scales every row
 alike, so it changes no rank, pivot or kernel.  With p == 0 the echelon
 is fraction-free elimination over Z (Bareiss 1968), which divides exactly
 by the previous pivot and so keeps every entry a minor of the input; with
@@ -42,7 +45,8 @@ identity on the free columns, which are the complement of the
 lexicographically first independent set of columns).
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  Matrices are immutable after construction.
+field.  Matrices are immutable after construction; the kept echelon is
+derived from the entries and never changes them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .fields import FpElement, PrimeField, RationalField
 class Matrix:
     """Immutable rectangular matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "_num", "_den")
+    __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech")
 
     def __init__(self, field, rows, ncols: int | None = None):
         if not isinstance(field, (RationalField, PrimeField)):
@@ -81,6 +85,7 @@ class Matrix:
         self.ncols = ncols
         self._num = tuple(num)
         self._den = den
+        self._ech = None
 
     @classmethod
     def _of_num(cls, field, num, den: int, nrows: int, ncols: int) -> "Matrix":
@@ -92,6 +97,7 @@ class Matrix:
         m.ncols = ncols
         m._num = tuple(num)
         m._den = den
+        m._ech = None
         return m
 
     @classmethod
@@ -153,10 +159,14 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def _echelon(self):
-        """``_int_echelon`` of a copy of the integer rows."""
-        num, n = self._num, self.ncols
-        rows = [list(num[i * n:(i + 1) * n]) for i in range(self.nrows)]
-        return _int_echelon(rows, n, self.field.characteristic)
+        """``_int_echelon`` of a copy of the integer rows, run on the first
+        call and kept, so ``rank``, ``kernel_basis`` and ``det`` of one
+        matrix read one elimination.  Nothing mutates the kept rows."""
+        if self._ech is None:
+            num, n = self._num, self.ncols
+            rows = [list(num[i * n:(i + 1) * n]) for i in range(self.nrows)]
+            self._ech = _int_echelon(rows, n, self.field.characteristic)
+        return self._ech
 
     def rank(self) -> int:
         return len(self._echelon()[1])

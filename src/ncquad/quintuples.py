@@ -22,6 +22,14 @@ tensor in ker M_j exists over the algebraic closure iff either the
 kernel is spanned by a single 2x2-singular element, or the kernel has
 dimension >= 2 (any such space of 2x2 matrices meets the rank-one cone
 over the closure).
+
+M_{j+2} is the transpose of M_j, so the four matrices are two pairs,
+(M_0, M_2) and (M_1, M_3), held together by one ``Flattenings`` per
+input.  Pair j + 2 reuses pair j's elimination: an invertible M_j makes
+M_{j+2} invertible too, and only a singular M_j sends M_{j+2} through an
+elimination of its own, for the reduced kernel basis its witness is read
+from.  The square reads det M_2 = det M_0 and the mutation rank M_2 =
+rank M_0 off the same elimination of M_0.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .fields import QQ
 from .forms import BinaryForm, root_structure
 from .linalg import Matrix, _integer_multiple, _pick, column_space_basis
 from .records import Record
-from .tensors import Tensor
+from .tensors import Tensor, _flattening_index
 
 SLOT_LABELS = ("V0", "V1", "V2", "V3")
 BASIS_LABELS = ("x", "y")
@@ -104,13 +112,49 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
     return Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
 
 
+# M_j picked from the 16 entries of w in flat order: rows over the slots
+# j+2, j+3 and columns over j, j+1, each group row-major
+_CONTRACTION_INDEX = tuple(
+    _flattening_index((2, 2, 2, 2), ((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
+    for j in range(4))
+
+
+class Flattenings:
+    """The contraction matrices M_0..M_3 of one tensor w, each picked on
+    first use from a matrix holding the 16 entries of w in flat order:
+    the row of ``q.w`` (``flattenings(q)``), or a basis of R_0 of
+    dimension 2, which is the (V0xV1xV2, V3) flattening of w itself.
+
+    M_{j+2} is M_j transposed, so rank M_{j+2} = rank M_j and
+    det M_2 = det M_0.  A ``Matrix`` keeps its echelon, so every rank,
+    kernel and determinant asked of M_0 or M_1 reads one elimination.
+    """
+
+    __slots__ = ("_entries", "_mats")
+
+    def __init__(self, entries: Matrix):
+        if entries.nrows * entries.ncols != 16:
+            raise ValueError("w has 16 entries")
+        self._entries = entries
+        self._mats = [None] * 4
+
+    def __getitem__(self, j: int) -> Matrix:
+        m = self._mats[j]
+        if m is None:
+            m = self._mats[j] = _pick(self._entries, *_CONTRACTION_INDEX[j])
+        return m
+
+
+def flattenings(q: Quintuple) -> Flattenings:
+    """The four contraction matrices of q, none eliminated yet."""
+    return Flattenings(q.w.reshape((), (0, 1, 2, 3)))
+
+
 def contraction_matrix(q: Quintuple, j: int) -> Matrix:
     """The 4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
-    phi x chi -> <phi x chi, w>; indices mod 4, multi-indices row-major."""
-    j %= 4
-    cols = (j, (j + 1) % 4)
-    rows = ((j + 2) % 4, (j + 3) % 4)
-    return q.w.reshape(rows, cols)
+    phi x chi -> <phi x chi, w>; indices mod 4, multi-indices row-major.
+    A fresh matrix: the stages of one input share one ``Flattenings``."""
+    return flattenings(q)[j % 4]
 
 
 class PureWitness(Record):
@@ -191,35 +235,44 @@ def _pure_kernel_witness(kernel: Matrix, field):
     )
 
 
-def is_geometric(q: Quintuple) -> GeometricityReport:
-    """Per-slot-pair geometricity report with explicit witnesses on failure."""
+def _invertible(j: int) -> SlotPairReport:
+    return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
+
+
+def _pair_report(j: int, K: Matrix, field) -> SlotPairReport:
+    """The report of slot pair j from the reduced kernel basis K of M_j."""
+    kd = K.ncols
+    if kd == 0:
+        return _invertible(j)
+    if kd == 1:
+        # singularity is unchanged by scaling, so integers decide it
+        a, b, c, d = _integer_multiple(K)
+        if field.of(a * d - b * c):
+            return SlotPairReport(j, True, 1,
+                                  certificate="kernel spanned by a nonsingular 2x2 element")
+        v = K.col(0)
+        u, w = _rank_one_factor(v[0], v[1], v[2], v[3], field)
+        return SlotPairReport(j, False, 1, witness=PureWitness(u, w),
+                              certificate="kernel spanned by a singular 2x2 element")
+    witness, note = _pure_kernel_witness(K, field)
+    return SlotPairReport(j, False, kd, witness=witness, certificate=note)
+
+
+def is_geometric(q: Quintuple, flat: Flattenings | None = None) -> GeometricityReport:
+    """Per-slot-pair geometricity report with explicit witnesses on failure.
+
+    ``flat`` holds the contraction matrices of q (built here when not
+    given).  M_0 and M_1 are eliminated; M_{j+2} = M_j^T is eliminated
+    only when M_j is singular, since an invertible M_j leaves it no
+    kernel."""
     field = q.field
-    reports = []
-    for j in range(4):
-        M = contraction_matrix(q, j)
-        K = M.kernel_basis()
-        kd = K.ncols
-        if kd == 0:
-            reports.append(SlotPairReport(j, True, 0, certificate="contraction matrix invertible"))
-            continue
-        if kd == 1:
-            # singularity is unchanged by scaling, so integers decide it
-            a, b, c, d = _integer_multiple(K)
-            if field.of(a * d - b * c):
-                reports.append(SlotPairReport(
-                    j, True, 1,
-                    certificate="kernel spanned by a nonsingular 2x2 element",
-                ))
-            else:
-                v = K.col(0)
-                u, w = _rank_one_factor(v[0], v[1], v[2], v[3], field)
-                reports.append(SlotPairReport(
-                    j, False, 1, witness=PureWitness(u, w),
-                    certificate="kernel spanned by a singular 2x2 element",
-                ))
-            continue
-        witness, note = _pure_kernel_witness(K, field)
-        reports.append(SlotPairReport(j, False, kd, witness=witness, certificate=note))
+    if flat is None:
+        flat = flattenings(q)
+    reports = [None] * 4
+    for j in (0, 1):
+        reports[j] = _pair_report(j, flat[j].kernel_basis(), field)
+        reports[j + 2] = (_pair_report(j + 2, flat[j + 2].kernel_basis(), field)
+                          if reports[j].kernel_dim else _invertible(j + 2))
     return GeometricityReport(tuple(reports))
 
 

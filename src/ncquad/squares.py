@@ -8,6 +8,10 @@ determinant of the slot-(2,3) contraction) yields the square
 
     (V0 x V1, V0, V1, V2*, V3*, id, phi_w),   phi_w = <-, w>^{-1}.
 
+<-, w> is the contraction matrix M_2, the transpose of M_0, so its
+determinant is det M_0, read off the elimination of M_0 that
+geometricity already ran; inverting it is the square's one elimination.
+
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
 default is "ruling", the unique choice under which the commutative
@@ -18,14 +22,28 @@ fixed convention and both are computed on demand.
 A quiver algebra here is its dimensions: the relation dimension and the
 rank of each leg of the long composition, each one rank of a matrix
 picked from phi_i or from the basis of R_0; no relation basis or
-composition map is kept.
+composition map is kept.  The mutation's R_0 leg is M_2 with its
+columns permuted, transposed, so its rank is rank M_2 = rank M_0, read
+off that same elimination.
+
+The K-theoretic base change of the linear Gram matrix is a product of
+module constants, computed once per process.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .grassmann import EmbeddedLine
 from .linalg import Matrix, _pick, _vstack
-from .quintuples import DimTable, Quintuple, RelationData, contraction_matrix, hilbert_dims
+from .quintuples import (
+    DimTable,
+    Flattenings,
+    Quintuple,
+    RelationData,
+    flattenings,
+    hilbert_dims,
+)
 from .records import Record
 
 CONVENTIONS = ("ruling", "literal")
@@ -81,16 +99,20 @@ class GeometricSquare(Record):
         raise ValueError("line index is 0 or 1")
 
 
-def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> GeometricSquare:
-    """The square (V0xV1, V0, V1, V2*, V3*, id, phi_w) of a quintuple.
+def square_from_quintuple(q: Quintuple, convention: str = "ruling",
+                          flat: Flattenings | None = None) -> GeometricSquare:
+    """The square (V0xV1, V0, V1, V2*, V3*, id, phi_w) of a quintuple;
+    ``flat`` holds its contraction matrices (built here when not given).
 
     Raises NotGeneric("determinant") when det <-, w> = 0 (the complement
     of the open locus U').
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    m = contraction_matrix(q, 2)   # V2* x V3* -> V0 x V1
-    det = m.det()
+    if flat is None:
+        flat = flattenings(q)
+    m = flat[2]   # V2* x V3* -> V0 x V1
+    det = flat[0].det()   # det M_2 = det M_0
     if not det:
         raise NotGeneric("determinant", "det <-, w> = 0")
     ident = Matrix.identity(q.field, 4)
@@ -208,7 +230,7 @@ class MutationReport(Record):
 
 
 def mutate_linear_to_block(
-    rel: RelationData, block: QuiverAlgebra | None
+    rel: RelationData, block: QuiverAlgebra | None, flat: Flattenings | None = None
 ) -> tuple[QuiverAlgebra, MutationReport]:
     """Right-mutate the first two objects of the linear collection.
 
@@ -218,12 +240,16 @@ def mutate_linear_to_block(
     The result is compared structurally with ``block``, the block quiver
     of the associated square (None when the input has no square): arrow
     dimensions, relation dimension, per-leg composition ranks, Gram
-    matrix.
+    matrix.  ``flat`` holds the contraction matrices of the quintuple
+    whose relations ``rel`` are; by default they are picked from R_0's
+    basis, which holds the 16 entries of w.
     """
     if not rel.valid:
         raise ValueError(f"invalid window: {rel.issues}")
     r0 = rel.r0
     new_hom_dim = r0.ncols
+    if flat is None:
+        flat = Flattenings(r0)
 
     # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective
     # for every input.  The relations R_i lie in V_i x V_{i+1} x V_{i+2},
@@ -236,11 +262,11 @@ def mutate_linear_to_block(
     # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1.  The first leg
     # is the identity, of rank 4, so the composition is onto and the
     # relations have dimension 4 + 2 dim R0 - 4.  Path (k, z) of the
-    # second leg is relation k contracted by e_z at V2: the entries
-    # 4a+2b+z of its basis vector, picked here as row (k, z)
-    r0_leg = _pick(r0, 2 * new_hom_dim, 4, [(2 * i + z) * new_hom_dim + k
-                                           for k in range(new_hom_dim)
-                                           for z in range(2) for i in range(4)])
+    # second leg is relation k contracted by e_z at V2.  A valid R_0 has
+    # dimension 2 and its basis is the (V0xV1xV2, V3) flattening of w, so
+    # the leg's entry at row (k, z), column (a, b) is w[a, b, z, k]: the
+    # leg is M_2 with its columns permuted, transposed, of rank
+    # rank M_2 = rank M_0
 
     gram = (
         (1, 2, 2, 4),
@@ -259,7 +285,7 @@ def mutate_linear_to_block(
         arrows=arrows,
         relation_dim=2 * new_hom_dim,
         gram=gram,
-        leg_ranks=(4, r0_leg.rank()),
+        leg_ranks=(4, flat[0].rank()),
     )
 
     notes = []
@@ -297,5 +323,12 @@ def _int_transpose(a):
 def gram_base_change(linear: QuiverAlgebra) -> tuple:
     """Transform the Gram matrix of the linear quiver by the K-theory base
     change of the mutation; the image must equal the block Gram."""
+    return _base_changed(linear.gram)
+
+
+@cache
+def _base_changed(gram: tuple) -> tuple:
+    """KTHEORY_BASE_CHANGE * gram * KTHEORY_BASE_CHANGE^T, once per Gram
+    matrix: every linear quiver has the constant ``LINEAR_GRAM``."""
     change = KTHEORY_BASE_CHANGE
-    return _int_matmul(_int_matmul(change, linear.gram), _int_transpose(change))
+    return _int_matmul(_int_matmul(change, gram), _int_transpose(change))

@@ -137,6 +137,14 @@ def rank_oracle(rows, field) -> int:
     return rank
 
 
+def line_from_phi(phi, contracted_factor=0):
+    """The embedded line of an invertible factorization matrix, with its
+    inverse computed here; raises ValueError when phi is singular."""
+    from ncquad.grassmann import EmbeddedLine
+
+    return EmbeddedLine(phi, phi.inverse(), contracted_factor)
+
+
 def kernel_at(line, s, t, fld=None):
     """Basis of the point K(s:t) of an embedded line, as the 4 rows of a
     4x2 matrix over ``fld`` (default: the line's field), entry by entry."""

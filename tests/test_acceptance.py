@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     enumeration_oracle_failing_pairs,
+    line_from_phi,
     nonresidue_int,
     random_invertible_fp,
     random_invertible_qq,
@@ -28,7 +29,7 @@ from ncquad.blowup import (
 )
 from ncquad.certify import Analysis, full_pipeline, gram_of
 from ncquad.fields import GF, QQ
-from ncquad.grassmann import hom_R_K_dim, hom_R_O_dim, line_from_phi, line_relation
+from ncquad.grassmann import hom_R_K_dim, hom_R_O_dim, line_relation
 from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,

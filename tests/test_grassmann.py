@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     from_cols,
     kernel_at,
+    line_from_phi,
     point_at,
     point_from_quotient,
     random_invertible_fp,
@@ -19,7 +20,6 @@ from ncquad.fields import GF, QQ, QuadraticExtension
 from ncquad.grassmann import (
     hom_R_K_dim,
     hom_R_O_dim,
-    line_from_phi,
     line_relation,
     reshuffle_rank,
 )
