@@ -120,10 +120,12 @@ _CONTRACTION_INDEX = tuple(
 
 
 class Flattenings:
-    """The contraction matrices M_0..M_3 of one tensor w, each picked on
-    first use from a matrix holding the 16 entries of w in flat order:
-    the row of ``q.w`` (``flattenings(q)``), or a basis of R_0 of
-    dimension 2, which is the (V0xV1xV2, V3) flattening of w itself.
+    """The contraction matrices M_0..M_3 of one tensor w, M_j being the
+    4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
+    phi x chi -> <phi x chi, w> (indices mod 4, multi-indices row-major).
+    Each is picked on first use from a matrix holding the 16 entries of w
+    in flat order: the row of ``q.w`` (``flattenings(q)``), or a basis of
+    R_0 of dimension 2, which is the (V0xV1xV2, V3) flattening of w.
 
     M_{j+2} is M_j transposed, so rank M_{j+2} = rank M_j and
     det M_2 = det M_0.  A ``Matrix`` keeps its echelon, so every rank,
@@ -148,13 +150,6 @@ class Flattenings:
 def flattenings(q: Quintuple) -> Flattenings:
     """The four contraction matrices of q, none eliminated yet."""
     return Flattenings(q.w.reshape((), (0, 1, 2, 3)))
-
-
-def contraction_matrix(q: Quintuple, j: int) -> Matrix:
-    """The 4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
-    phi x chi -> <phi x chi, w>; indices mod 4, multi-indices row-major.
-    A fresh matrix: the stages of one input share one ``Flattenings``."""
-    return flattenings(q)[j % 4]
 
 
 class PureWitness(Record):

@@ -137,6 +137,14 @@ def rank_oracle(rows, field) -> int:
     return rank
 
 
+def contraction_matrix(q, j):
+    """M_j, the 4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
+    phi x chi -> <phi x chi, w> (indices mod 4), by ``Tensor.reshape``:
+    the reference ``quintuples.Flattenings`` is checked against."""
+    j %= 4
+    return q.w.reshape(((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
+
+
 def line_from_phi(phi, contracted_factor=0):
     """The embedded line of an invertible factorization matrix, with its
     inverse computed here; raises ValueError when phi is singular."""
@@ -664,3 +672,74 @@ def nonresidue_int(p: int) -> int:
     while pow(n, (p - 1) // 2, p) != p - 1:
         n += 1
     return n
+
+
+# -- geometricity from the oracle kernels ------------------------------------
+
+
+def geometricity_oracle(q) -> dict:
+    """The geometricity report of q as ``certify._geometricity_json``
+    writes it, from ``kernel_oracle`` on each of the four contraction
+    matrices; no pair reuses another's kernel.  A witness is factored
+    from the oracle's basis by the pipeline's own factorization helpers,
+    which run no elimination."""
+    from ncquad.fileformat import scalar_json
+    from ncquad.quintuples import _pure_kernel_witness, _rank_one_factor
+
+    field = q.field
+    p = field.characteristic
+    raw = (lambda x: x.value) if p else (lambda x: x)
+    pairs = []
+    for j in range(4):
+        m = contraction_matrix(q, j)
+        basis = kernel_oracle([[raw(x) for x in r] for r in m.rows], 4, p)
+        witness = None
+        if not basis:
+            passed, note = True, "contraction matrix invertible"
+        elif len(basis) == 1:
+            v = [field.of(x) for x in basis[0]]
+            passed = bool(v[0] * v[3] - v[1] * v[2])
+            if passed:
+                note = "kernel spanned by a nonsingular 2x2 element"
+            else:
+                u, w = _rank_one_factor(*v, field)
+                witness, note = (u, w, None), "kernel spanned by a singular 2x2 element"
+        else:
+            pw, note = _pure_kernel_witness(from_cols(field, basis), field)
+            passed, witness = False, (pw.phi, pw.chi, pw.extension_disc)
+        entry = {"pair": [j, (j + 1) % 4], "passed": passed,
+                 "kernel_dim": len(basis), "certificate": note}
+        if witness is not None:
+            phi, chi, disc = witness
+            entry["witness"] = {"phi": [scalar_json(x) for x in phi],
+                                "chi": [scalar_json(x) for x in chi]}
+            if disc is not None:
+                entry["witness"]["extension_minpoly"] = f"theta^2-({disc})"
+        pairs.append(entry)
+    return {"passed": all(e["passed"] for e in pairs), "pairs": pairs}
+
+
+def random_tensor_fp(rng, field, density) -> Quintuple:
+    """A nonzero quintuple over F_p whose entries are each nonzero with
+    probability ``density``."""
+    while True:
+        entries = [field.of(rng.randrange(1, field.p)) if rng.random() < density else field.zero
+                   for _ in range(16)]
+        if any(entries):
+            return Quintuple(Tensor(field, (2, 2, 2, 2), entries, SLOT_LABELS))
+
+
+def change_basis(q, gs) -> Quintuple:
+    """The quintuple with w transformed by g_0 x g_1 x g_2 x g_3, for 2x2
+    matrices g_i acting on V_i: one slot at a time, by per-entry sums."""
+    field = q.field
+    w = list(q.w.entries)
+    for slot, g in enumerate(gs):
+        stride = 1 << (3 - slot)
+        out = [field.zero] * 16
+        for idx in range(16):
+            i = (idx // stride) % 2
+            base = idx - i * stride
+            out[idx] = g[i, 0] * w[base] + g[i, 1] * w[base + stride]
+        w = out
+    return Quintuple(Tensor(field, (2, 2, 2, 2), w, SLOT_LABELS))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    contraction_matrix,
     enumeration_oracle_failing_pairs,
     line_from_phi,
     nonresidue_int,
@@ -36,7 +37,6 @@ from ncquad.quintuples import (
     Quintuple,
     build_linear_quadric,
     build_type_a,
-    contraction_matrix,
     hilbert_dims,
     is_geometric,
     relations,

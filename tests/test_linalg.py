@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from helpers import (
     span_contains,
     span_equal,
 )
+import ncquad.linalg
 from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix, column_space_basis
 
@@ -421,3 +423,28 @@ def test_product_and_hstack_reject_mixed_fields():
         a * b
     with pytest.raises(ValueError, match="field mismatch"):
         hstack(a, b)
+
+
+def _check_det_after_kernel(rows, p):
+    """The determinant read off the echelon that ``kernel_basis`` kept
+    equals the Leibniz oracle, and reading it eliminates nothing."""
+    n = len(rows)
+    m = Matrix(_field(p), rows, ncols=n)
+    assert [_raw(c, p) for c in m.kernel_basis().cols()] == kernel_oracle(rows, n, p)
+    with mock.patch.object(ncquad.linalg, "_int_echelon",
+                           side_effect=AssertionError("eliminated again")):
+        assert _raw([m.det()], p) == (det_oracle(rows, p),)
+        assert m.rank() == len(rref_oracle(rows, n, p)[1])
+
+
+@_oracle_settings
+@given(_square())
+def test_qq_det_after_kernel_matches_oracle(rows):
+    _check_det_after_kernel(rows, 0)
+
+
+@_primes
+@_oracle_settings
+@given(st.data())
+def test_fp_det_after_kernel_matches_oracle(p, data):
+    _check_det_after_kernel(data.draw(_square(p)), p)

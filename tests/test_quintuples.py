@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    contraction_matrix,
     enumeration_oracle_failing_pairs,
     enumeration_oracle_failing_pairs_rank,
     from_cols,
@@ -23,7 +24,6 @@ from ncquad.quintuples import (
     Quintuple,
     build_linear_quadric,
     build_type_a,
-    contraction_matrix,
     hilbert_dims,
     is_geometric,
     relations,

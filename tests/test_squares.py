@@ -7,6 +7,7 @@ from helpers import (
     apply,
     block_composition_oracle,
     block_quiver_oracle,
+    contraction_matrix,
     from_cols,
     inverse_oracle,
     random_invertible_fp,
@@ -19,7 +20,6 @@ from ncquad.fields import GF, QQ
 from ncquad.quintuples import (
     build_linear_quadric,
     build_type_a,
-    contraction_matrix,
     relations,
     truncated_dims,
 )

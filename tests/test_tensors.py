@@ -114,7 +114,7 @@ def test_contract_commutes_with_reduction_mod_p():
 def test_contraction_matrix_rank_four():
     # the slot-(2,3) contraction matrix of the commutative quadric tensor
     # is invertible
-    from ncquad.quintuples import contraction_matrix
+    from helpers import contraction_matrix
 
     assert contraction_matrix(build_linear_quadric(), 2).rank() == 4
 
