@@ -9,8 +9,10 @@ determinant of the slot-(2,3) contraction) yields the square
     (V0 x V1, V0, V1, V2*, V3*, id, phi_w),   phi_w = <-, w>^{-1}.
 
 <-, w> is the contraction matrix M_2, the transpose of M_0, so its
-determinant is det M_0, read off the elimination of M_0 that
-geometricity already ran; inverting it is the square's one elimination.
+determinant is det M_0: over QQ the last pivot of the fraction-free
+echelon (Bareiss 1968) of M_0 that geometricity already ran, mod p the
+signed product of its pivots.  Inverting M_2 is the square's one
+elimination.
 
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
