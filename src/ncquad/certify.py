@@ -39,11 +39,9 @@ from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import (
     DimTable,
-    Flattenings,
     GeometricityReport,
     Quintuple,
     RelationData,
-    flattenings,
     is_geometric,
     relations,
     truncated_dims,
@@ -530,12 +528,13 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
 
 class Analysis:
     """The artifacts of one input under one line convention, each computed
-    on first use and then kept: the contraction matrices, geometricity
-    report, relation data, window table, square, line relation, block and
-    linear quivers, mutation and Ext table.  Each stage function is handed
-    the artifacts it needs, so no stage rebuilds another's result:
-    geometricity, the square and the mutation read one ``Flattenings``,
-    whose M_0 and M_1 are each eliminated once.
+    on first use and then kept: the geometricity report, relation data,
+    window table, square, line relation, block and linear quivers,
+    mutation and Ext table.  Each stage function is handed the artifacts
+    it needs, so no stage rebuilds another's result.  The contraction
+    matrices belong to the input (``Quintuple.contractions``):
+    geometricity, the square and the mutation read them, and M_0 and M_1
+    are each eliminated once per quintuple, whatever the convention.
 
     An artifact whose construction fails raises on access and is not
     kept: ``square`` (and everything built on it) raises NotGeneric off
@@ -551,12 +550,8 @@ class Analysis:
         self.convention = convention
 
     @cached_property
-    def flattenings(self) -> Flattenings:
-        return flattenings(self.q)
-
-    @cached_property
     def geometricity(self) -> GeometricityReport:
-        return is_geometric(self.q, self.flattenings)
+        return is_geometric(self.q)
 
     @cached_property
     def relations(self) -> RelationData:
@@ -568,7 +563,7 @@ class Analysis:
 
     @cached_property
     def square(self) -> GeometricSquare:
-        return square_from_quintuple(self.q, self.convention, self.flattenings)
+        return square_from_quintuple(self.q, self.convention)
 
     @cached_property
     def lines(self) -> LineRelation:
@@ -588,7 +583,7 @@ class Analysis:
             block = self.block_quiver
         except NotGeneric:
             block = None
-        return mutate_linear_to_block(self.relations, block, self.flattenings)
+        return mutate_linear_to_block(self.q, self.relations, block)
 
     @cached_property
     def ext_table(self) -> ExtTable:

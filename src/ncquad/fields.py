@@ -2,9 +2,9 @@
 degree-2 extensions of either.
 
 Every field object exposes ``zero``/``one``, ``of`` (coercion from ints,
-``Fraction``, strings and own elements), ``format``/``parse`` for exact
-string round-trips, and decidable element equality.  Questions about the
-algebraic closure are never answered numerically: they are reduced to
+``Fraction``, strings and own elements), ``format`` for exact strings
+that ``of`` reads back, and decidable element equality.  Questions about
+the algebraic closure are never answered numerically: they are reduced to
 square tests (``is_square``/``sqrt``) and to explicit arithmetic in
 ``QuadraticExtension``, i.e. in F[theta]/(theta^2 - d).
 """
@@ -14,13 +14,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster,
+# Strong pseudoprimes to twelve prime bases, Math. Comp. 86 (2017))
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Deterministic Miller-Rabin, exact for n < _MR_BOUND (about 3.3e24);
+    n >= _MR_BOUND raises ValueError rather than be guessed."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, not for {n}")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -97,9 +103,6 @@ class RationalField:
 
     def format(self, x: Fraction) -> str:
         return str(x)
-
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
 
     def is_square(self, x: Fraction) -> bool:
         x = self.of(x)
@@ -245,9 +248,6 @@ class PrimeField:
 
     def format(self, x: FpElement) -> str:
         return str(x.value)
-
-    def parse(self, s: str) -> FpElement:
-        return self.of(Fraction(s))
 
     def is_square(self, x) -> bool:
         x = self.of(x)

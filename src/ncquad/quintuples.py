@@ -24,17 +24,18 @@ dimension >= 2 (any such space of 2x2 matrices meets the rank-one cone
 over the closure).
 
 M_{j+2} is the transpose of M_j, so the four matrices are two pairs,
-(M_0, M_2) and (M_1, M_3), held together by one ``Flattenings`` per
-input.  Pair j + 2 reuses pair j's elimination: an invertible M_j makes
-M_{j+2} invertible too, and only a singular M_j sends M_{j+2} through an
-elimination of its own, for the reduced kernel basis its witness is read
-from.  The square reads det M_2 = det M_0 and the mutation rank M_2 =
-rank M_0 off the same elimination of M_0.
+(M_0, M_2) and (M_1, M_3).  ``Quintuple.contractions`` picks all four
+from w once per input, and a ``Matrix`` keeps its echelon, so pair j + 2
+reuses pair j's elimination: an invertible M_j makes M_{j+2} invertible
+too, and only a singular M_j sends M_{j+2} through an elimination of its
+own, for the reduced kernel basis its witness is read from.  The square
+reads det M_2 = det M_0 and the mutation rank M_2 = rank M_0 off the
+same elimination of M_0.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .fields import QQ
 from .forms import BinaryForm, root_structure
@@ -43,7 +44,12 @@ from .records import Record
 from .tensors import Tensor, _flattening_index
 
 SLOT_LABELS = ("V0", "V1", "V2", "V3")
-BASIS_LABELS = ("x", "y")
+
+# M_j picked from the 16 entries of w in flat order: rows over the slots
+# j+2, j+3 and columns over j, j+1, each group row-major
+_CONTRACTION_INDEX = tuple(
+    _flattening_index((2, 2, 2, 2), ((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
+    for j in range(4))
 
 
 class Quintuple(Record):
@@ -60,6 +66,16 @@ class Quintuple(Record):
     @property
     def field(self):
         return self.w.field
+
+    @cached_property
+    def contractions(self) -> tuple[Matrix, ...]:
+        """(M_0, M_1, M_2, M_3), M_j the 4x4 matrix of V_j^* x V_{j+1}^* ->
+        V_{j+2} x V_{j+3}, phi x chi -> <phi x chi, w> (indices mod 4,
+        multi-indices row-major), and M_{j+2} = M_j^T.  Kept beside the
+        field w, which alone ``==``, ``hash`` and ``repr`` read; each
+        matrix keeps its echelon, so it is eliminated once per input."""
+        entries = self.w.reshape((), (0, 1, 2, 3))
+        return tuple(_pick(entries, *index) for index in _CONTRACTION_INDEX)
 
 
 def build_linear_quadric(field=QQ) -> Quintuple:
@@ -110,46 +126,6 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
     flat = [entries.get((i0, i1, i2, i3), field.zero)
             for i0 in range(2) for i1 in range(2) for i2 in range(2) for i3 in range(2)]
     return Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
-
-
-# M_j picked from the 16 entries of w in flat order: rows over the slots
-# j+2, j+3 and columns over j, j+1, each group row-major
-_CONTRACTION_INDEX = tuple(
-    _flattening_index((2, 2, 2, 2), ((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
-    for j in range(4))
-
-
-class Flattenings:
-    """The contraction matrices M_0..M_3 of one tensor w, M_j being the
-    4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
-    phi x chi -> <phi x chi, w> (indices mod 4, multi-indices row-major).
-    Each is picked on first use from a matrix holding the 16 entries of w
-    in flat order: the row of ``q.w`` (``flattenings(q)``), or a basis of
-    R_0 of dimension 2, which is the (V0xV1xV2, V3) flattening of w.
-
-    M_{j+2} is M_j transposed, so rank M_{j+2} = rank M_j and
-    det M_2 = det M_0.  A ``Matrix`` keeps its echelon, so every rank,
-    kernel and determinant asked of M_0 or M_1 reads one elimination.
-    """
-
-    __slots__ = ("_entries", "_mats")
-
-    def __init__(self, entries: Matrix):
-        if entries.nrows * entries.ncols != 16:
-            raise ValueError("w has 16 entries")
-        self._entries = entries
-        self._mats = [None] * 4
-
-    def __getitem__(self, j: int) -> Matrix:
-        m = self._mats[j]
-        if m is None:
-            m = self._mats[j] = _pick(self._entries, *_CONTRACTION_INDEX[j])
-        return m
-
-
-def flattenings(q: Quintuple) -> Flattenings:
-    """The four contraction matrices of q, none eliminated yet."""
-    return Flattenings(q.w.reshape((), (0, 1, 2, 3)))
 
 
 class PureWitness(Record):
@@ -253,16 +229,13 @@ def _pair_report(j: int, K: Matrix, field) -> SlotPairReport:
     return SlotPairReport(j, False, kd, witness=witness, certificate=note)
 
 
-def is_geometric(q: Quintuple, flat: Flattenings | None = None) -> GeometricityReport:
+def is_geometric(q: Quintuple) -> GeometricityReport:
     """Per-slot-pair geometricity report with explicit witnesses on failure.
 
-    ``flat`` holds the contraction matrices of q (built here when not
-    given).  M_0 and M_1 are eliminated; M_{j+2} = M_j^T is eliminated
-    only when M_j is singular, since an invertible M_j leaves it no
-    kernel."""
+    M_0 and M_1 are eliminated; M_{j+2} = M_j^T is eliminated only when
+    M_j is singular, since an invertible M_j leaves it no kernel."""
     field = q.field
-    if flat is None:
-        flat = flattenings(q)
+    flat = q.contractions
     reports = [None] * 4
     for j in (0, 1):
         reports[j] = _pair_report(j, flat[j].kernel_basis(), field)

@@ -8,11 +8,11 @@ determinant of the slot-(2,3) contraction) yields the square
 
     (V0 x V1, V0, V1, V2*, V3*, id, phi_w),   phi_w = <-, w>^{-1}.
 
-<-, w> is the contraction matrix M_2, the transpose of M_0, so its
-determinant is det M_0: over QQ the last pivot of the fraction-free
-echelon (Bareiss 1968) of M_0 that geometricity already ran, mod p the
-signed product of its pivots.  Inverting M_2 is the square's one
-elimination.
+<-, w> is the contraction matrix M_2 of ``Quintuple.contractions``, the
+transpose of M_0, so its determinant is det M_0: over QQ the last pivot
+of the fraction-free echelon (Bareiss 1968) of M_0 that geometricity
+already ran, mod p the signed product of its pivots.  Inverting M_2 is
+the square's one elimination.
 
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
@@ -23,10 +23,10 @@ fixed convention and both are computed on demand.
 
 A quiver algebra here is its dimensions: the relation dimension and the
 rank of each leg of the long composition, each one rank of a matrix
-picked from phi_i or from the basis of R_0; no relation basis or
-composition map is kept.  The mutation's R_0 leg is M_2 with its
-columns permuted, transposed, so its rank is rank M_2 = rank M_0, read
-off that same elimination.
+picked from phi_i or from w; no relation basis or composition map is
+kept.  The mutation's R_0 leg is M_2 with its columns permuted,
+transposed, so its rank is rank M_2 = rank M_0, read off the quintuple's
+elimination of M_0.
 
 The K-theoretic base change of the linear Gram matrix is a product of
 module constants, computed once per process.
@@ -38,14 +38,7 @@ from functools import cache
 
 from .grassmann import EmbeddedLine
 from .linalg import Matrix, _pick, _vstack
-from .quintuples import (
-    DimTable,
-    Flattenings,
-    Quintuple,
-    RelationData,
-    flattenings,
-    hilbert_dims,
-)
+from .quintuples import DimTable, Quintuple, RelationData, hilbert_dims
 from .records import Record
 
 CONVENTIONS = ("ruling", "literal")
@@ -101,20 +94,16 @@ class GeometricSquare(Record):
         raise ValueError("line index is 0 or 1")
 
 
-def square_from_quintuple(q: Quintuple, convention: str = "ruling",
-                          flat: Flattenings | None = None) -> GeometricSquare:
-    """The square (V0xV1, V0, V1, V2*, V3*, id, phi_w) of a quintuple;
-    ``flat`` holds its contraction matrices (built here when not given).
+def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> GeometricSquare:
+    """The square (V0xV1, V0, V1, V2*, V3*, id, phi_w) of a quintuple.
 
     Raises NotGeneric("determinant") when det <-, w> = 0 (the complement
     of the open locus U').
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    if flat is None:
-        flat = flattenings(q)
-    m = flat[2]   # V2* x V3* -> V0 x V1
-    det = flat[0].det()   # det M_2 = det M_0
+    m0, _, m, _ = q.contractions   # m = M_2: V2* x V3* -> V0 x V1
+    det = m0.det()   # det M_2 = det M_0
     if not det:
         raise NotGeneric("determinant", "det <-, w> = 0")
     ident = Matrix.identity(q.field, 4)
@@ -232,7 +221,7 @@ class MutationReport(Record):
 
 
 def mutate_linear_to_block(
-    rel: RelationData, block: QuiverAlgebra | None, flat: Flattenings | None = None
+    q: Quintuple, rel: RelationData, block: QuiverAlgebra | None
 ) -> tuple[QuiverAlgebra, MutationReport]:
     """Right-mutate the first two objects of the linear collection.
 
@@ -242,16 +231,12 @@ def mutate_linear_to_block(
     The result is compared structurally with ``block``, the block quiver
     of the associated square (None when the input has no square): arrow
     dimensions, relation dimension, per-leg composition ranks, Gram
-    matrix.  ``flat`` holds the contraction matrices of the quintuple
-    whose relations ``rel`` are; by default they are picked from R_0's
-    basis, which holds the 16 entries of w.
+    matrix.  ``rel`` is the relation data of ``q``, whose contraction
+    matrices give the R_0 leg's rank.
     """
     if not rel.valid:
         raise ValueError(f"invalid window: {rel.issues}")
-    r0 = rel.r0
-    new_hom_dim = r0.ncols
-    if flat is None:
-        flat = Flattenings(r0)
+    new_hom_dim = rel.r0.ncols
 
     # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective
     # for every input.  The relations R_i lie in V_i x V_{i+1} x V_{i+2},
@@ -287,7 +272,7 @@ def mutate_linear_to_block(
         arrows=arrows,
         relation_dim=2 * new_hom_dim,
         gram=gram,
-        leg_ranks=(4, flat[0].rank()),
+        leg_ranks=(4, q.contractions[0].rank()),
     )
 
     notes = []

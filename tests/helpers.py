@@ -139,8 +139,9 @@ def rank_oracle(rows, field) -> int:
 
 def contraction_matrix(q, j):
     """M_j, the 4x4 matrix of V_j^* x V_{j+1}^* -> V_{j+2} x V_{j+3},
-    phi x chi -> <phi x chi, w> (indices mod 4), by ``Tensor.reshape``:
-    the reference ``quintuples.Flattenings`` is checked against."""
+    phi x chi -> <phi x chi, w> (indices mod 4), by ``Tensor.reshape``;
+    ``Quintuple.contractions`` picks the same entries through its own
+    index table, and ``contraction_oracle`` builds M_j by contraction."""
     j %= 4
     return q.w.reshape(((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
 
@@ -480,6 +481,28 @@ def contract(t: Tensor, slot: int, functional) -> Tensor:
             s = s + c * t.entry(idx[:slot] + (a,) + idx[slot:])
         out.append(s)
     return Tensor(field, rest, out, t.slots[:slot] + t.slots[slot + 1:])
+
+
+def contraction_oracle(q: Quintuple, j: int):
+    """M_j by contraction: column 2a + b is <e_a x e_b, w> at slot pair
+    (j, j+1), and its row 2c + d the entry at index c of slot j+2 and d
+    of slot j+3 (indices mod 4)."""
+    a_slot, b_slot = j % 4, (j + 1) % 4
+    rest = sorted({0, 1, 2, 3} - {a_slot, b_slot})
+    field = q.field
+    cols = []
+    for a, b in product(range(2), repeat=2):
+        units = {a_slot: [0, 0], b_slot: [0, 0]}
+        units[a_slot][a] = units[b_slot][b] = 1
+        # the higher slot first, so that the lower keeps its position
+        t = contract(q.w, max(units), units[max(units)])
+        t = contract(t, min(units), units[min(units)])
+        col = []
+        for c, d in product(range(2), repeat=2):
+            at = {(j + 2) % 4: c, (j + 3) % 4: d}
+            col.append(t.entry(tuple(at[k] for k in rest)))
+        cols.append(col)
+    return from_cols(field, cols)
 
 
 def verify_witness(q: Quintuple, j: int, witness) -> bool:

@@ -160,6 +160,17 @@ def test_bad_field_spec(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("modulus", ["318665857834031151167461",
+                                     "3317044064679887385961981"])
+def test_composite_or_undecided_modulus_exits_two(tmp_path, capsys, modulus):
+    # a strong pseudoprime to the bases 2..37 is composite, so Z/nZ is no
+    # field; a modulus at the deterministic bound is refused, not guessed
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"family": "linear", "field": f"Fp:{modulus}"}))
+    assert main(["certify", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_bad_convention_env_warns_once_and_falls_back(monkeypatch, capsys):
     monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "diagonal")
     assert main(["certify", str(corpus_path("typea-0-1-1"))]) == 0

@@ -13,7 +13,7 @@ def test_rationals_lowest_terms():
     assert x.denominator == 2
     assert QQ.of(Fraction(-2, -4)) == Fraction(1, 2)
     assert QQ.of(Fraction(-2, -4)).denominator == 2
-    assert QQ.parse(QQ.format(Fraction(-7, 3))) == Fraction(-7, 3)
+    assert QQ.of(QQ.format(Fraction(-7, 3))) == Fraction(-7, 3)
 
 
 def test_rational_squares():
@@ -93,3 +93,28 @@ def test_extension_over_prime_field():
 def test_is_prime():
     assert is_prime(2) and is_prime(101) and is_prime(2**61 - 1)
     assert not is_prime(1) and not is_prime(10007 * 3)
+
+
+# a strong pseudoprime to each of the twelve bases 2..37, and the least
+# one to the thirteen bases 2..41
+PSEUDOPRIME_12 = 399165290221 * 798330580441
+PSEUDOPRIME_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_the_twelve_base_pseudoprime():
+    assert PSEUDOPRIME_12 == 318665857834031151167461
+    assert not is_prime(PSEUDOPRIME_12)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(PSEUDOPRIME_12)
+    # below the bound the thirteen bases decide, primes included
+    assert is_prime(PSEUDOPRIME_13 - 168)
+    assert not is_prime(PSEUDOPRIME_13 - 2)
+    assert GF(2**80 - 65).p == 2**80 - 65
+
+
+def test_is_prime_refuses_moduli_at_the_bound():
+    for n in (PSEUDOPRIME_13, PSEUDOPRIME_13 + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="decided only below"):
+            GF(n)

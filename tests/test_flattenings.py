@@ -1,10 +1,11 @@
 """One elimination per contraction-matrix pair.
 
-M_{j+2} is the transpose of M_j, so geometricity, the square's
-determinant and the mutation's R_0 leg read the eliminations of M_0 and
-M_1.  These tests count the eliminations of certified inputs and check
-every read-off against oracles in ``helpers`` that share no elimination
-code with the pipeline.
+``Quintuple.contractions`` holds M_0..M_3, and M_{j+2} is the transpose
+of M_j, so geometricity, the square's determinant and the mutation's R_0
+leg read the eliminations of M_0 and M_1, once per quintuple.  These
+tests count the eliminations of certified inputs and check every
+read-off against oracles in ``helpers`` that share no elimination or
+index code with the pipeline.
 """
 
 import random
@@ -14,23 +15,22 @@ import pytest
 import ncquad.linalg
 from helpers import (
     contraction_matrix,
+    contraction_oracle,
     det_oracle,
     geometricity_oracle,
     mutation_oracle,
     random_tensor_fp,
     random_type_a_triple,
     transpose,
+    verify_witness,
 )
 from ncquad.certify import Analysis, _geometricity_json, full_pipeline
 from ncquad.fields import GF, QQ
-from ncquad.fileformat import canonical_json_bytes
-from ncquad.linalg import Matrix
+from ncquad.fileformat import canonical_json_bytes, input_digest
 from ncquad.quintuples import (
     SLOT_LABELS,
-    Flattenings,
     Quintuple,
     build_type_a,
-    flattenings,
     is_geometric,
     relations,
 )
@@ -69,19 +69,44 @@ def test_certified_type_a_input_eliminates_twelve_times(eliminations, convention
     assert eliminations[0] == 12
 
 
+def test_second_convention_on_the_same_quintuple_eliminates_ten_times(eliminations):
+    # the second run reads geometricity's eliminations of M_0 and M_1 off
+    # q; relations, the inverse, the lines, the quivers and the leaves
+    # belong to the convention's own analysis
+    q = build_type_a(1, 2, 3)
+    assert full_pipeline(q, "ruling").certified
+    assert eliminations[0] == 12
+    eliminations[0] = 0
+    assert full_pipeline(q, "literal").certified
+    assert eliminations[0] == 10
+
+
+def test_contractions_are_picked_once_and_kept_out_of_the_record():
+    q = build_type_a(1, 2, 3)
+    fresh = build_type_a(1, 2, 3)
+    assert q.contractions is q.contractions
+    before = (repr(q), hash(q), input_digest(q))
+    assert full_pipeline(q, "ruling").certified
+    assert q == fresh and fresh == q
+    assert (repr(q), hash(q), input_digest(q)) == before
+    assert before == (repr(fresh), hash(fresh), input_digest(fresh))
+    assert q.contractions is not fresh.contractions
+    assert q.contractions == fresh.contractions
+
+
 def test_singular_m1_still_eliminates_m3(eliminations):
     q = _quintuple(CERTIFIED_M1_SINGULAR)
-    flat = flattenings(q)
+    flat = q.contractions
     assert flat[0].rank() == 4 and flat[1].rank() == 3
     assert eliminations[0] == 2
-    report = is_geometric(q, flat)
+    report = is_geometric(q)
     assert eliminations[0] == 3
     assert [(p.passed, p.kernel_dim) for p in report.pairs] == [
         (True, 0), (True, 1), (True, 0), (True, 1)]
     assert flat[1].kernel_basis() != flat[3].kernel_basis()
 
     eliminations[0] = 0
-    cert = full_pipeline(q, "ruling")
+    cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
     assert eliminations[0] == 13
     assert cert.stages[0]["report"] == geometricity_oracle(q)
@@ -93,6 +118,7 @@ def test_singular_m1_witness_is_read_from_the_kernel_of_m3(eliminations):
     assert eliminations[0] == 3
     assert report.failing_pairs() == [1, 3]
     assert report.pairs[1].witness != report.pairs[3].witness
+    assert all(verify_witness(q, j, report.pairs[j].witness) for j in (1, 3))
     assert canonical_json_bytes(_geometricity_json(report)) == canonical_json_bytes(
         geometricity_oracle(q))
 
@@ -101,15 +127,14 @@ def test_flattenings_are_the_contraction_matrices_and_transpose_in_pairs():
     rng = random.Random(11)
     inputs = [random_type_a_triple(rng)[1] for _ in range(5)]
     inputs += [random_tensor_fp(rng, GF(p), d) for p in (5, 7) for d in (0.2, 0.6, 1.0)]
+    inputs.append(_quintuple(CERTIFIED_M1_SINGULAR))
     for q in inputs:
-        flat = flattenings(q)
+        flat = q.contractions
+        assert len(flat) == 4
         for j in range(4):
-            assert flat[j] == contraction_matrix(q, j)
-            assert flat[j] is flat[j]
+            assert flat[j] == contraction_matrix(q, j) == contraction_oracle(q, j)
         for j in range(2):
             assert flat[j + 2] == transpose(flat[j])
-    with pytest.raises(ValueError, match="16 entries"):
-        Flattenings(Matrix.identity(QQ, 3))
 
 
 def _random_inputs(rng, count):
@@ -150,7 +175,7 @@ def test_mutation_leg_rank_is_the_rank_of_the_flattening():
             continue
         valid += 1
         _, (_, leg_rank) = mutation_oracle(rel.r0)
-        assert leg_rank == flattenings(q)[0].rank() == Flattenings(rel.r0)[2].rank()
+        assert leg_rank == contraction_oracle(q, 2).rank() == q.contractions[0].rank()
         mutated, _ = Analysis(q).mutation
         assert mutated.leg_ranks == (4, leg_rank)
         ranks.add(leg_rank)
@@ -169,7 +194,7 @@ def test_square_determinant_is_det_m0():
         expected = field.of(det_oracle(rows, field.characteristic))
         analysis = Analysis(q)
         analysis.geometricity   # eliminates M_0 first, as the pipeline does
-        assert analysis.flattenings[0].det() == expected
+        assert q.contractions[0].det() == expected
         try:
             assert analysis.square.contraction_det == expected
         except NotGeneric as exc:

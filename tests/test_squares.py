@@ -242,7 +242,7 @@ def test_mutation_matches_block():
             bq = block_quiver(square_from_quintuple(q))
         except NotGeneric:
             bq = None
-        mutated, report = mutate_linear_to_block(relations(q), bq)
+        mutated, report = mutate_linear_to_block(q, relations(q), bq)
         assert report.orthogonality_bijective
         assert report.a13_dim == 4
         assert report.new_hom_dim == 2
