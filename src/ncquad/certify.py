@@ -23,35 +23,25 @@ they are derived, and encoded as canonical JSON, once per process and
 shared read-only by every table (``SharedCell``); ``canonical_json_bytes``
 splices their text into each certificate's bytes.
 
-``Analysis`` holds the artifacts of one input quintuple, each computed
-once on first use; ``full_pipeline`` reads them stage by stage and
-produces a deterministic certificate whose ``to_dict()`` is serialized
-by ``canonical_json_bytes``.
+``full_pipeline`` calls the stage functions in order, handing each the
+artifacts it needs, and produces a deterministic certificate whose
+``to_dict()`` is serialized by ``canonical_json_bytes``.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
-from .quintuples import (
-    DimTable,
-    GeometricityReport,
-    Quintuple,
-    RelationData,
-    is_geometric,
-    relations,
-    truncated_dims,
-)
+from .quintuples import Quintuple, is_geometric, relations, truncated_dims
 from .records import Record
 from .squares import (
     BLOCK_GRAM,
     CONVENTIONS,
     GeometricSquare,
-    MutationReport,
     NotGeneric,
     QuiverAlgebra,
     block_quiver,
@@ -526,70 +516,6 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
     }
 
 
-class Analysis:
-    """The artifacts of one input under one line convention, each computed
-    on first use and then kept: the geometricity report, relation data,
-    window table, square, line relation, block and linear quivers,
-    mutation and Ext table.  Each stage function is handed the artifacts
-    it needs, so no stage rebuilds another's result.  The contraction
-    matrices belong to the input (``Quintuple.contractions``):
-    geometricity, the square and the mutation read them, and M_0 and M_1
-    are each eliminated once per quintuple, whatever the convention.
-
-    An artifact whose construction fails raises on access and is not
-    kept: ``square`` (and everything built on it) raises NotGeneric off
-    the open locus U', ``linear_quiver`` and ``mutation`` raise
-    ValueError on an invalid window, ``ext_table`` raises ExtTableError.
-    An unknown convention raises ValueError here, before any stage runs.
-    """
-
-    def __init__(self, q: Quintuple, convention: str = "ruling"):
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {convention!r}")
-        self.q = q
-        self.convention = convention
-
-    @cached_property
-    def geometricity(self) -> GeometricityReport:
-        return is_geometric(self.q)
-
-    @cached_property
-    def relations(self) -> RelationData:
-        return relations(self.q)
-
-    @cached_property
-    def window(self) -> DimTable:
-        return truncated_dims(self.relations)
-
-    @cached_property
-    def square(self) -> GeometricSquare:
-        return square_from_quintuple(self.q, self.convention)
-
-    @cached_property
-    def lines(self) -> LineRelation:
-        return line_relation(self.square.line(0), self.square.line(1))
-
-    @cached_property
-    def block_quiver(self) -> QuiverAlgebra:
-        return block_quiver(self.square)
-
-    @cached_property
-    def linear_quiver(self) -> QuiverAlgebra:
-        return linear_quiver(self.relations, self.window)
-
-    @cached_property
-    def mutation(self) -> tuple[QuiverAlgebra, MutationReport]:
-        try:
-            block = self.block_quiver
-        except NotGeneric:
-            block = None
-        return mutate_linear_to_block(self.q, self.relations, block)
-
-    @cached_property
-    def ext_table(self) -> ExtTable:
-        return ext_table(self.square, self.lines)
-
-
 def _certificate(q: Quintuple, convention: str, stages: list, verdict: dict) -> Certificate:
     return Certificate(
         schema="ncquad.certificate/1",
@@ -607,24 +533,25 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
 
     Stages: geometricity, relations (with the window table), determinant,
     lines, quiver (block + linear + mutation cross-check), ext_table,
-    gram.
+    gram.  An unknown convention raises ValueError before any stage runs.
     """
-    analysis = Analysis(q, convention)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
     stages = []
 
     def degenerate(stage, reason):
         return _certificate(q, convention, stages,
                             {"certified": False, "stage": stage, "reason": reason})
 
-    geo = analysis.geometricity
+    geo = is_geometric(q)
     stages.append({"stage": "geometricity", "passed": geo.passed,
                    "report": _geometricity_json(geo)})
     if not geo.passed:
         return degenerate("geometricity",
                           f"pure witness at slot pairs {geo.failing_pairs()}")
 
-    rel = analysis.relations
-    table = analysis.window
+    rel = relations(q)
+    table = truncated_dims(rel)
     rel_ok = rel.valid and table.valid
     stages.append({
         "stage": "relations",
@@ -640,23 +567,23 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
                           f"window mismatches {table.mismatches}")
 
     try:
-        square = analysis.square
+        square = square_from_quintuple(q, convention)
     except NotGeneric as exc:
         stages.append({"stage": "determinant", "passed": False, "det": "0"})
         return degenerate("determinant", exc.reason)
     stages.append({"stage": "determinant", "passed": True,
                    "det": scalar_json(square.contraction_det)})
 
-    lr = analysis.lines
+    lr = line_relation(square.line(0), square.line(1))
     lines_ok = lr.verdict == "disjoint"
     stages.append({"stage": "lines", "passed": lines_ok,
                    "relation": _line_relation_json(lr)})
     if not lines_ok:
         return degenerate("lines", lr.verdict.capitalize())
 
-    bq = analysis.block_quiver
-    lq = analysis.linear_quiver
-    _, mreport = analysis.mutation
+    bq = block_quiver(square)
+    lq = linear_quiver(rel, table)
+    _, mreport = mutate_linear_to_block(q, rel, bq)
     base_changed = gram_base_change(lq)
     quiver_ok = bq.relation_dim == 4 and mreport.structural_match
     stages.append({
@@ -677,7 +604,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         return degenerate("quiver", "; ".join(mreport.notes) or "dimension mismatch")
 
     try:
-        etable = analysis.ext_table
+        etable = ext_table(square, lr)
     except ExtTableError as exc:
         stages.append({"stage": "ext_table", "passed": False, "error": str(exc)})
         return degenerate("ext_table", str(exc))

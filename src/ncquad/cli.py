@@ -3,49 +3,47 @@
 Exit codes are uniform across commands: 0 success/certified, 1
 mathematical failure (with the failing stage named), 2 input error, 3
 internal error (a bug in ncquad, reported with its exception type and
-the innermost ncquad function and module on its traceback).
-The line convention defaults to "ruling" and may be preset through the
-NCQ_DEFAULT_CONVENTION environment variable; flags win over it, and an
-unknown value falls back to "ruling" with a warning on stderr.
+the innermost ncquad function and module on its traceback).  The only
+mathematical failures raised rather than reported are the inputs that
+name no quintuple (``ExcludedInput``).  ``--convention`` defaults to
+"ruling".
 
-``check``, ``quiver`` and ``mutate`` read the artifacts they print from
-one ``certify.Analysis`` of the input, as ``certify`` does through
-``full_pipeline``.
+``certify`` runs ``full_pipeline``; ``check``, ``quiver`` and ``mutate``
+call the stage functions they print directly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .blowup import coh_p1, coh_p1xp2, coh_p2
-from .certify import Analysis, full_pipeline
+from .certify import full_pipeline
 from .fileformat import (
+    ExcludedInput,
     InputError,
     canonical_json_bytes,
     load_quintuple,
 )
 from .fields import QQ
-from .quintuples import build_type_a
-from .squares import CONVENTIONS, NotGeneric, gram_base_change
+from .quintuples import build_type_a, is_geometric, relations, truncated_dims
+from .squares import (
+    CONVENTIONS,
+    NotGeneric,
+    block_quiver,
+    gram_base_change,
+    linear_quiver,
+    mutate_linear_to_block,
+    square_from_quintuple,
+)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _default_convention() -> str:
-    env = os.environ.get("NCQ_DEFAULT_CONVENTION", "ruling")
-    if env in CONVENTIONS:
-        return env
-    print(f"warning: ignoring NCQ_DEFAULT_CONVENTION={env!r} (expected one of "
-          f"{', '.join(CONVENTIONS)}); using 'ruling'", file=sys.stderr)
-    return "ruling"
 
 
 def _print_gram(name, gram):
@@ -56,10 +54,9 @@ def _print_gram(name, gram):
 
 def cmd_check(args) -> int:
     q, meta = load_quintuple(args.path)
-    analysis = Analysis(q)
-    geo = analysis.geometricity
-    rel = analysis.relations
-    table = analysis.window
+    geo = is_geometric(q)
+    rel = relations(q)
+    table = truncated_dims(rel)
     ok = geo.passed and rel.valid and table.valid
     report = {
         "input": dict(meta),
@@ -166,9 +163,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_quiver(args) -> int:
     q, _ = load_quintuple(args.path)
-    analysis = Analysis(q, args.convention)
+    rel = relations(q)
     try:
-        lq = analysis.linear_quiver
+        lq = linear_quiver(rel, truncated_dims(rel))
     except ValueError as exc:
         print(f"invalid window: {exc}")
         return EXIT_MATH
@@ -177,7 +174,7 @@ def cmd_quiver(args) -> int:
           f"total dim {lq.total_dim}")
     _print_gram("linear Gram", lq.gram)
     try:
-        bq = analysis.block_quiver
+        bq = block_quiver(square_from_quintuple(q, args.convention))
     except NotGeneric as exc:
         print(f"no block quiver: {exc}")
         return EXIT_MATH
@@ -190,13 +187,17 @@ def cmd_quiver(args) -> int:
 
 def cmd_mutate(args) -> int:
     q, _ = load_quintuple(args.path)
-    analysis = Analysis(q)
+    rel = relations(q)
     try:
-        lq = analysis.linear_quiver
-        mutated, report = analysis.mutation
+        lq = linear_quiver(rel, truncated_dims(rel))
     except ValueError as exc:
         print(f"invalid window: {exc}")
         return EXIT_MATH
+    try:
+        bq = block_quiver(square_from_quintuple(q))
+    except NotGeneric:
+        bq = None
+    mutated, report = mutate_linear_to_block(q, rel, bq)
     _print_gram("linear Gram (before)", lq.gram)
     _print_gram("mutated Gram (after)", mutated.gram)
     changed = gram_base_change(lq)
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full embedding pipeline")
     p.add_argument("path")
-    p.add_argument("--convention", choices=CONVENTIONS)
+    p.add_argument("--convention", choices=CONVENTIONS, default="ruling")
     p.add_argument("--json", metavar="OUT", help="write the certificate JSON here")
     p.set_defaults(func=cmd_certify)
 
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=20)
-    p.add_argument("--convention", choices=CONVENTIONS)
+    p.add_argument("--convention", choices=CONVENTIONS, default="ruling")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cohomology", help="line-bundle cohomology tables")
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiver", help="linear and block quiver dimensions")
     p.add_argument("path")
-    p.add_argument("--convention", choices=CONVENTIONS)
+    p.add_argument("--convention", choices=CONVENTIONS, default="ruling")
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("mutate", help="mutation and Gram base-change check")
@@ -255,15 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "convention" in vars(args) and args.convention is None:
-        args.convention = _default_convention()
     try:
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        # mathematical rejection (excluded locus, degenerate data)
+    except ExcludedInput as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
     except Exception as exc:  # never panic; anything else is a bug in ncquad

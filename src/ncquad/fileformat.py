@@ -29,6 +29,12 @@ class InputError(ValueError):
     """Malformed or unsupported input file contents."""
 
 
+class ExcludedInput(ValueError):
+    """A well-formed file naming no admissible quintuple: a type-A point
+    on the excluded locus S, or w = 0.  A mathematical rejection, not an
+    input error."""
+
+
 def field_to_str(field) -> str:
     if isinstance(field, RationalField):
         return "Q"
@@ -38,6 +44,8 @@ def field_to_str(field) -> str:
 
 
 def field_from_str(s: str):
+    if not isinstance(s, str):
+        raise InputError(f"field spec must be a string, not {s!r}")
     if s == "Q":
         return QQ
     if s.startswith("Fp:"):
@@ -92,7 +100,10 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
                 raise InputError(f"type-a input needs coefficient {exc}") from None
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise InputError(f"bad coefficient: {exc}") from None
-            q = build_type_a(a, b, c, field)
+            try:
+                q = build_type_a(a, b, c, field)
+            except ValueError as exc:
+                raise ExcludedInput(str(exc)) from None
             meta = {
                 "family": "type-a",
                 "a": field.format(a),
@@ -120,7 +131,10 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
             walk(child, depth + 1)
 
     walk(nested, 0)
-    q = Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
+    try:
+        q = Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
+    except ValueError as exc:
+        raise ExcludedInput(str(exc)) from None
     meta = {"w": tensor_nested_strings(q), "field": field_to_str(field)}
     return q, meta
 
@@ -208,4 +222,8 @@ def load_quintuple(path: str) -> tuple[Quintuple, dict]:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to parse") from None
     return parse_quintuple_file(doc)

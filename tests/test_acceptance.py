@@ -28,7 +28,7 @@ from ncquad.blowup import (
     restrict_to_E,
     sod_length,
 )
-from ncquad.certify import Analysis, full_pipeline, gram_of
+from ncquad.certify import ext_table, full_pipeline, gram_of
 from ncquad.fields import GF, QQ
 from ncquad.grassmann import hom_R_K_dim, hom_R_O_dim, line_relation
 from ncquad.linalg import Matrix
@@ -46,6 +46,8 @@ from ncquad.squares import (
     BLOCK_GRAM,
     block_quiver,
     gram_base_change,
+    linear_quiver,
+    mutate_linear_to_block,
     square_from_quintuple,
 )
 from ncquad.tensors import Tensor
@@ -161,7 +163,8 @@ def test_criterion_05_quiver_dimensions(certified_samples):
             assert bq.relation_dim == 4
             assert bq.total_dim == 16
             assert bq.gram == ((1, 2, 2, 4), (0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 1))
-            lq = Analysis(q, "ruling").linear_quiver
+            rel = relations(q)
+            lq = linear_quiver(rel, truncated_dims(rel))
             assert lq.total_dim == 24
             assert lq.gram == ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 
@@ -169,9 +172,10 @@ def test_criterion_05_quiver_dimensions(certified_samples):
 def test_criterion_06_mutation(certified_samples):
     with criterion(6, "mutation"):
         for _, q in [((), build_linear_quadric())] + certified_samples:
-            analysis = Analysis(q, "ruling")
-            assert gram_base_change(analysis.linear_quiver) == BLOCK_GRAM
-            mutated, report = analysis.mutation
+            rel = relations(q)
+            assert gram_base_change(linear_quiver(rel, truncated_dims(rel))) == BLOCK_GRAM
+            bq = block_quiver(square_from_quintuple(q, "ruling"))
+            mutated, report = mutate_linear_to_block(q, rel, bq)
             assert report.orthogonality_bijective
             assert report.a13_dim == 4
             assert mutated.gram == BLOCK_GRAM
@@ -237,7 +241,9 @@ def test_criterion_10_certification():
             c = full_pipeline(q, "ruling")
             if c.certified:
                 certified += 1
-                assert gram_of(Analysis(q, "ruling").ext_table) == BLOCK_GRAM
+                square = square_from_quintuple(q, "ruling")
+                lines = line_relation(square.line(0), square.line(1))
+                assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
         assert certified >= 90
 
 

@@ -20,21 +20,20 @@ from helpers import (
     random_tensor_fp,
     random_type_a_triple,
 )
-from ncquad.certify import Analysis, full_pipeline
+from ncquad.certify import full_pipeline
 from ncquad.fields import GF, QQ
-from ncquad.quintuples import build_type_a
-from ncquad.squares import CONVENTIONS, NotGeneric
+from ncquad.quintuples import build_type_a, is_geometric, relations
+from ncquad.squares import CONVENTIONS, NotGeneric, square_from_quintuple
 
 
 def _decisions(q) -> tuple:
-    analysis = Analysis(q)
-    pairs = tuple((p.passed, p.kernel_dim) for p in analysis.geometricity.pairs)
+    pairs = tuple((p.passed, p.kernel_dim) for p in is_geometric(q).pairs)
     try:
-        vanishes = not analysis.square.contraction_det
+        vanishes = not square_from_quintuple(q).contraction_det
     except NotGeneric:
         vanishes = True
     stages = tuple(full_pipeline(q, c).verdict.get("stage", "certified") for c in CONVENTIONS)
-    return pairs, analysis.relations.dims, vanishes, stages
+    return pairs, relations(q).dims, vanishes, stages
 
 
 def _inputs(rng, field):

@@ -14,7 +14,6 @@ from helpers import random_type_a_triple
 import ncquad.certify
 from ncquad.certify import (
     OBJECTS,
-    Analysis,
     ExtTable,
     ExtTableError,
     SharedCell,
@@ -32,8 +31,13 @@ from ncquad.fileformat import (
 )
 from ncquad.grassmann import line_relation
 from ncquad.linalg import Matrix
-from ncquad.quintuples import build_linear_quadric, build_type_a
-from ncquad.squares import BLOCK_GRAM, gram_base_change, square_from_quintuple
+from ncquad.quintuples import build_linear_quadric, build_type_a, relations, truncated_dims
+from ncquad.squares import (
+    BLOCK_GRAM,
+    gram_base_change,
+    linear_quiver,
+    square_from_quintuple,
+)
 
 
 def _table(sq):
@@ -261,9 +265,11 @@ def test_triple_gram_agreement_on_certified():
         cert = full_pipeline(q, "ruling")
         if not cert.certified:
             continue
-        analysis = Analysis(q, "ruling")
-        assert gram_of(analysis.ext_table) == BLOCK_GRAM
-        assert gram_base_change(analysis.linear_quiver) == BLOCK_GRAM
+        square = square_from_quintuple(q, "ruling")
+        lines = line_relation(square.line(0), square.line(1))
+        assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
+        rel = relations(q)
+        assert gram_base_change(linear_quiver(rel, truncated_dims(rel))) == BLOCK_GRAM
         done += 1
 
 
@@ -298,13 +304,18 @@ def test_degenerate_reports_first_failing_stage():
     assert [s["stage"] for s in cert.stages] == ["geometricity"]
 
 
-def test_unknown_convention_rejected_before_any_stage():
+def test_unknown_convention_rejected_before_any_stage(monkeypatch):
     # the pure tensor stops at geometricity, before the square would
     # notice the convention
     with pytest.raises(ValueError, match="unknown convention 'bogus'"):
         full_pipeline(_pure_tensor(), "bogus")
+
+    def first_stage(q):
+        raise AssertionError("a stage ran before the convention was checked")
+
+    monkeypatch.setattr(ncquad.certify, "is_geometric", first_stage)
     with pytest.raises(ValueError, match="unknown convention"):
-        Analysis(build_type_a(1, 2, 3), "bogus")
+        full_pipeline(build_type_a(1, 2, 3), "bogus")
 
 
 COUNTED_STAGES = (
@@ -381,7 +392,8 @@ def _golden_certified(convention):
 def test_shared_cells_survive_mutating_what_callers_get(convention):
     q = build_type_a(1, 2, 3)
     _vandalize(full_pipeline(q, convention).to_dict())
-    table = Analysis(q, convention).ext_table
+    square = square_from_quintuple(q, convention)
+    table = ext_table(square, line_relation(square.line(0), square.line(1)))
     shared = [cell for cell in table.cells.values() if isinstance(cell, SharedCell)]
     assert len(shared) == 14
     for cell in shared:

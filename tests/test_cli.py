@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -78,12 +79,24 @@ def test_excluded_locus_exit_one(tmp_path, capsys):
     assert "excluded locus" in capsys.readouterr().err
 
 
-def test_convention_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "literal")
-    assert main(["certify", str(corpus_path("typea-0-1-1"))]) == 1
-    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "ruling")
-    assert main(["certify", str(corpus_path("typea-0-1-1"))]) == 0
-    capsys.readouterr()
+def test_zero_tensor_exit_one(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"w": [[[["0", "0"]] * 2] * 2] * 2}))
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err == "rejected: w must be nonzero\n"
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"family": "linear", "field": 5}).encode(),
+    json.dumps({"family": "linear", "field": None}).encode(),
+    b'{"family": "linear", "field": "Q\xff"}',
+    b"[" * 100_000,
+], ids=["field-int", "field-null", "not-utf8", "deep-nesting"])
+def test_malformed_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["certify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_sweep_deterministic(capsys):
@@ -125,6 +138,45 @@ def test_quiver_and_mutate_commands(capsys):
     out = capsys.readouterr().out
     assert "base change matches mutated Gram: True" in out
     assert main(["quiver", str(corpus_path("typea-1-1-2"))]) == 1
+
+
+# (corpus file, command) -> (exit code, sha256 of stdout); typea-1-1-2 has
+# det <-, w> = 0, so it covers the paths without a square
+_RULING, _LITERAL = "quiver --convention ruling", "quiver --convention literal"
+_STDOUT_PINS = {
+    ("linear", "check"): (0, "a810029f57d25f0e268b9c874f7cd053aa164941f53e3524cf65f322feb02158"),
+    ("linear", "check --json"): (0, "84813b8d59250b61d30ce51129632e1576b3bd417e4e45057ade45394eb0015c"),
+    ("linear", _RULING): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("linear", _LITERAL): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("linear", "mutate"): (0, "57f66ceb6508a4a197ff521b5a32f1823098f90fe094b3814568ef7a43ce4108"),
+    ("typea-0-1-1", "check"): (0, "a810029f57d25f0e268b9c874f7cd053aa164941f53e3524cf65f322feb02158"),
+    ("typea-0-1-1", "check --json"): (0, "cb2fbc65b7a28cc2cd87c87105ca8d9b37471a2516c27211171c8fa4746d776e"),
+    ("typea-0-1-1", _RULING): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("typea-0-1-1", _LITERAL): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("typea-0-1-1", "mutate"): (0, "57f66ceb6508a4a197ff521b5a32f1823098f90fe094b3814568ef7a43ce4108"),
+    ("typea-1-1-2", "check"): (0, "e188ca1d454d7b1f28924ce6c4174719409976812636be2ac6ea78bd2732f557"),
+    ("typea-1-1-2", "check --json"): (0, "d55aca3dbe48224ef4475cd726fa775ba80752f442db2c1d13a0d0593a248554"),
+    ("typea-1-1-2", _RULING): (1, "a9fa5dba6b15aa2d800f8abd17e549f4877085ba396ca11048f56feda4170db2"),
+    ("typea-1-1-2", _LITERAL): (1, "a9fa5dba6b15aa2d800f8abd17e549f4877085ba396ca11048f56feda4170db2"),
+    ("typea-1-1-2", "mutate"): (1, "d1301876b3a171a42378e87be5b536a380c646660cea32289daeb56b11965c9c"),
+    ("typea-1-2-3", "check"): (0, "a810029f57d25f0e268b9c874f7cd053aa164941f53e3524cf65f322feb02158"),
+    ("typea-1-2-3", "check --json"): (0, "eb8f5656c7def5ae68389c41144ae8ff0b4d196cb10f8bcd251fb1a9be558636"),
+    ("typea-1-2-3", _RULING): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("typea-1-2-3", _LITERAL): (0, "a88d0b86cc640a6acc9346df537847f080463f598e1f9f1f36e1e124c61cd7d1"),
+    ("typea-1-2-3", "mutate"): (0, "57f66ceb6508a4a197ff521b5a32f1823098f90fe094b3814568ef7a43ce4108"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(_STDOUT_PINS))
+def test_command_stdout_and_exit_code_are_pinned(name, command, capsys):
+    verb, *flags = command.split()
+    code = main([verb, str(corpus_path(name)), *flags])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_PINS[(name, command)]
+
+
+def test_stdout_pins_cover_the_corpus():
+    assert sorted({name + ".json" for name, _ in _STDOUT_PINS}) == corpus_names()
 
 
 def test_roundtrip_parse_serialize_parse():
@@ -171,25 +223,6 @@ def test_composite_or_undecided_modulus_exits_two(tmp_path, capsys, modulus):
     assert "input error" in capsys.readouterr().err
 
 
-def test_bad_convention_env_warns_once_and_falls_back(monkeypatch, capsys):
-    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "diagonal")
-    assert main(["certify", str(corpus_path("typea-0-1-1"))]) == 0
-    captured = capsys.readouterr()
-    assert "convention: ruling" in captured.out
-    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
-    assert len(warnings) == 1
-    assert "NCQ_DEFAULT_CONVENTION" in warnings[0] and "'diagonal'" in warnings[0]
-    # commands without a convention do not read it
-    assert main(["check", str(corpus_path("linear"))]) == 0
-    assert capsys.readouterr().err == ""
-
-
-def test_valid_convention_env_does_not_warn(monkeypatch, capsys):
-    monkeypatch.setenv("NCQ_DEFAULT_CONVENTION", "literal")
-    assert main(["certify", str(corpus_path("typea-1-2-3"))]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     import ncquad.certify
 
@@ -204,17 +237,30 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsys):
-    import ncquad.certify
+    import ncquad.squares
 
     def broken(*args, **kwargs):
         raise RuntimeError("stage exploded")
 
-    # the innermost ncquad frame is the Analysis property that calls the stage
-    monkeypatch.setattr(ncquad.certify, "block_quiver", broken)
+    # the innermost ncquad frame is the stage that calls the patched helper
+    monkeypatch.setattr(ncquad.squares, "_vstack", broken)
     assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error: RuntimeError: stage exploded (raised in ")
-    assert err.endswith("block_quiver, module ncquad.certify)")
+    assert err.endswith("block_quiver, module ncquad.squares)")
+
+
+def test_value_error_inside_a_stage_is_an_internal_error(monkeypatch, capsys):
+    import ncquad.certify
+
+    def broken(*args, **kwargs):
+        raise ValueError("unexpected shape")
+
+    monkeypatch.setattr(ncquad.certify, "block_quiver", broken)
+    assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: unexpected shape")
+    assert "rejected" not in err
 
 
 def test_internal_error_under_python_m_names_the_cli_module(tmp_path):

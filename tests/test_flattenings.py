@@ -24,7 +24,7 @@ from helpers import (
     transpose,
     verify_witness,
 )
-from ncquad.certify import Analysis, _geometricity_json, full_pipeline
+from ncquad.certify import _geometricity_json, full_pipeline
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import canonical_json_bytes, input_digest
 from ncquad.quintuples import (
@@ -34,7 +34,7 @@ from ncquad.quintuples import (
     is_geometric,
     relations,
 )
-from ncquad.squares import NotGeneric
+from ncquad.squares import NotGeneric, mutate_linear_to_block, square_from_quintuple
 from ncquad.tensors import Tensor
 
 # M_0 invertible, M_1 of rank 3: pairs 1 and 3 have different kernels
@@ -176,7 +176,7 @@ def test_mutation_leg_rank_is_the_rank_of_the_flattening():
         valid += 1
         _, (_, leg_rank) = mutation_oracle(rel.r0)
         assert leg_rank == contraction_oracle(q, 2).rank() == q.contractions[0].rank()
-        mutated, _ = Analysis(q).mutation
+        mutated, _ = mutate_linear_to_block(q, rel, None)
         assert mutated.leg_ranks == (4, leg_rank)
         ranks.add(leg_rank)
     assert valid > 300
@@ -192,11 +192,10 @@ def test_square_determinant_is_det_m0():
         raw = (lambda x: x.value) if field.characteristic else (lambda x: x)
         rows = [[raw(x) for x in r] for r in contraction_matrix(q, 2).rows]
         expected = field.of(det_oracle(rows, field.characteristic))
-        analysis = Analysis(q)
-        analysis.geometricity   # eliminates M_0 first, as the pipeline does
+        is_geometric(q)   # eliminates M_0 first, as the pipeline does
         assert q.contractions[0].det() == expected
         try:
-            assert analysis.square.contraction_det == expected
+            assert square_from_quintuple(q).contraction_det == expected
         except NotGeneric as exc:
             assert exc.stage == "determinant" and not expected
             vanished += 1
