@@ -552,7 +552,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
 
     rel = relations(q)
     table = truncated_dims(rel)
-    rel_ok = rel.valid and table.valid
+    rel_ok = rel.valid
     stages.append({
         "stage": "relations",
         "passed": rel_ok,
@@ -563,8 +563,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         "window_mismatches": [list(c) for c in table.mismatches],
     })
     if not rel_ok:
-        return degenerate("relations", "; ".join(rel.issues) or
-                          f"window mismatches {table.mismatches}")
+        return degenerate("relations", "; ".join(rel.issues))
 
     try:
         square = square_from_quintuple(q, convention)

@@ -33,13 +33,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def monic(self) -> "BinaryForm":
-        for c in self.coeffs:
-            if c:
-                inv = self.field.one / c
-                return BinaryForm(self.field, [inv * x for x in self.coeffs])
-        return self
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)

@@ -8,17 +8,16 @@ so equality and hashing compare the reduced form (``_key``).
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``,
 on rows copied from ``_num``.  A matrix keeps its echelon after the first
-elimination, so ``rank``, ``kernel_basis``, ``det`` and
-``column_space_basis`` of one matrix run it once between them;
-``inverse`` eliminates [N | -I] of its own.  A common denominator scales every row
-alike, so it changes no rank, pivot or kernel.  With p == 0 the echelon
-is fraction-free elimination over Z (Bareiss 1968), which divides exactly
-by the previous pivot and so keeps every entry a minor of the input; with
-p > 0 it is plain Gauss elimination mod p.  Everything else is read off
+elimination, so ``rank``, ``kernel_basis`` and ``det`` of one matrix
+run it once between them; ``inverse`` eliminates [N | -I] of its own.
+A common denominator scales every row alike, so it changes no rank,
+pivot or kernel.  With p == 0 the echelon is fraction-free elimination
+over Z (Bareiss 1968), which divides exactly by the previous pivot and so
+keeps every entry a minor of the input; with p > 0 it is plain Gauss
+elimination mod p.  Everything else is read off
 that echelon:
 
-* the rank is the number of pivots, and the column space is spanned by
-  the original columns at the pivots;
+* the rank is the number of pivots;
 * a kernel vector is back-substituted from the echelon rows
   (``_int_kernel_vector``), over one running denominator on Z, or by a
   direct solve mod p;
@@ -120,9 +119,6 @@ class Matrix:
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
         return _elements(self.field, self._num[j::self.ncols], self._den)
-
-    def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def _key(self):
         """(numerators, denominator) in lowest terms."""
@@ -337,9 +333,3 @@ def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
         y[pc] = -s
     return y, den
 
-
-def column_space_basis(m: Matrix) -> Matrix:
-    """The original columns of m sitting at the pivot positions."""
-    pivots = m._echelon()[1]
-    n = m.ncols
-    return _pick(m, m.nrows, len(pivots), [i * n + j for i in range(m.nrows) for j in pivots])

@@ -3,9 +3,9 @@ V_0 x V_1 x V_2 x V_3, the geometricity decision procedure, relation
 extraction, and the dimension table of the associated cubic regular
 algebra window.
 
-Relation extraction keeps a basis of R_0, which the mutation reads, and
-only the dimensions of R_1 and of the line (R0 x V3) ∩ (V0 x R1), each
-one rank of a matrix whose entries are entries of w.
+Relation extraction keeps only the dimensions of R_0, of R_1 and of the
+line (R0 x V3) ∩ (V0 x R1), each one rank of a matrix whose entries are
+entries of w.
 
 Conventions, fixed throughout the package:
 
@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 from .fields import QQ
 from .forms import BinaryForm, root_structure
-from .linalg import Matrix, _integer_multiple, _pick, column_space_basis
+from .linalg import Matrix, _integer_multiple, _pick
 from .records import Record
 from .tensors import Tensor, _flattening_index
 
@@ -245,10 +245,10 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
 
 
 class RelationData(Record):
-    """R_0 with its basis, and the dimensions of R_1 and of the
-    intersection (R0 x V3) ∩ (V0 x R1), which carries w."""
+    """The dimensions of R_0, of R_1 and of the intersection
+    (R0 x V3) ∩ (V0 x R1), which carries w."""
 
-    r0: Matrix        # basis of R_0 inside V0xV1xV2 (8-dim ambient)
+    r0_dim: int       # dim R_0 inside V0xV1xV2
     r1_dim: int       # dim R_1 inside V1xV2xV3
     w_dim: int        # dim (R0 x V3) ∩ (V0 x R1) inside the 16-dim space
     issues: tuple = ()
@@ -259,7 +259,7 @@ class RelationData(Record):
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (self.r0.ncols, self.r1_dim, self.w_dim)
+        return (self.r0_dim, self.r1_dim, self.w_dim)
 
 
 # the spanning vectors of R0 x V3 and V0 x R1, one per row, as entries of
@@ -289,20 +289,20 @@ def relations(q: Quintuple) -> RelationData:
     w = sum_d (column d) x e_d lies in R0 x V3, and likewise in V0 x R1,
     so it lies in the intersection; when that is a line, the nonzero w
     spans it."""
-    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
+    r0_dim = q.w.reshape((0, 1, 2), (3,)).rank()
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
 
     span_rank = _pick(q.w.reshape((), (0, 1, 2, 3)), 8, 16, _SPAN_PICKS).rank()
-    w_dim = 2 * r0.ncols + 2 * r1_dim - span_rank
+    w_dim = 2 * r0_dim + 2 * r1_dim - span_rank
 
     issues = []
-    if r0.ncols != 2:
-        issues.append(f"dim R0 = {r0.ncols} != 2")
+    if r0_dim != 2:
+        issues.append(f"dim R0 = {r0_dim} != 2")
     if r1_dim != 2:
         issues.append(f"dim R1 = {r1_dim} != 2")
     if w_dim != 1:
         issues.append(f"dim (R0xV3 ∩ V0xR1) = {w_dim} != 1")
-    return RelationData(r0, r1_dim, w_dim, tuple(issues))
+    return RelationData(r0_dim, r1_dim, w_dim, tuple(issues))
 
 
 @lru_cache(maxsize=None)

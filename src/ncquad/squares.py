@@ -46,6 +46,10 @@ CONVENTIONS = ("ruling", "literal")
 BLOCK_GRAM = ((1, 2, 2, 4), (0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 1))
 LINEAR_GRAM = ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 
+# the arrow spaces of the block quiver, per line i and factor: the duals
+# of the factors (V0, V1) of phi_0's codomain and (V2*, V3*) of phi_1's
+_ARROW_SPACES = (("V0*", "V1*"), ("V2", "V3"))
+
 # K-theory classes of the reordered collection in terms of the linear one:
 # (v1, v2, 2*v1 - v0, v3)
 KTHEORY_BASE_CHANGE = ((0, 1, 0, 0), (0, 0, 1, 0), (-1, 2, 0, 0), (0, 0, 0, 1))
@@ -69,7 +73,6 @@ class GeometricSquare(Record):
     phi0_inv: Matrix
     phi1_inv: Matrix
     convention: str = "ruling"
-    factor_labels: tuple = (("V0", "V1"), ("V2*", "V3*"))
     contraction_det: object = None
 
     def __post_init__(self):
@@ -115,10 +118,6 @@ def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> Geometric
         convention=convention,
         contraction_det=det,
     )
-
-
-def _dual_label(label: str) -> str:
-    return label[:-1] if label.endswith("*") else label + "*"
 
 
 class Arrow(Record):
@@ -170,8 +169,8 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     for i in range(2):
         line = square.line(i)
         cf = line.contracted_factor
-        out_space = _dual_label(square.factor_labels[i][cf])
-        in_space = _dual_label(square.factor_labels[i][1 - cf])
+        out_space = _ARROW_SPACES[i][cf]
+        in_space = _ARROW_SPACES[i][1 - cf]
         rows = _pick(line.phi, 4, 4, [4 * (2 * o + n if cf == 0 else 2 * n + o) + j
                                       for o in range(2) for n in range(2) for j in range(4)])
         legs.append((rows, out_space, in_space))
@@ -207,7 +206,7 @@ def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("O(-1,-2)", "O(-1,-1)", "O(0,-1)", "O(0,0)"),
         arrows=arrows,
-        relation_dim=rel.r0.ncols,
+        relation_dim=rel.r0_dim,
         gram=LINEAR_GRAM,
     )
 
@@ -231,12 +230,12 @@ def mutate_linear_to_block(
     The result is compared structurally with ``block``, the block quiver
     of the associated square (None when the input has no square): arrow
     dimensions, relation dimension, per-leg composition ranks, Gram
-    matrix.  ``rel`` is the relation data of ``q``, whose contraction
-    matrices give the R_0 leg's rank.
+    matrix.  ``rel`` is the relation data of ``q``; the contraction
+    matrices of ``q`` give the R_0 leg's rank.
     """
     if not rel.valid:
         raise ValueError(f"invalid window: {rel.issues}")
-    new_hom_dim = rel.r0.ncols
+    new_hom_dim = rel.r0_dim
 
     # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective
     # for every input.  The relations R_i lie in V_i x V_{i+1} x V_{i+2},

@@ -16,19 +16,14 @@ from functools import cache
 from .linalg import Matrix, _pick
 
 
-def _strides(shape) -> list[int]:
-    strides = [1] * len(shape)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    return strides
-
-
 @cache
 def _flattening_index(shape, row_slots, col_slots):
     """(nrows, ncols, picks): the flat entry index of every cell, row-major,
     of the flattening of a tensor of ``shape`` with multi-indices over
     ``row_slots`` and ``col_slots`` (row-major in each group)."""
-    strides = _strides(shape)
+    strides = [1] * len(shape)
+    for k in range(len(shape) - 2, -1, -1):
+        strides[k] = strides[k + 1] * shape[k + 1]
 
     def offsets(group):
         out = [0]
@@ -68,10 +63,6 @@ class Tensor:
     @property
     def entries(self) -> tuple:
         return self._row.rows[0]
-
-    def entry(self, idx):
-        flat = sum(i * s for i, s in zip(idx, _strides(self.shape)))
-        return self._row[0, flat]
 
     def is_zero(self) -> bool:
         return all(not x for x in self.entries)

@@ -16,6 +16,38 @@ from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
 
 
+# -- plain functions over the library's public types -------------------------
+
+
+def tensor_entry(t: Tensor, idx):
+    """The entry of t at the multi-index idx, row-major."""
+    flat = 0
+    for i, n in zip(idx, t.shape):
+        flat = flat * n + i
+    return t.entries[flat]
+
+
+def matrix_cols(m) -> list[tuple]:
+    return [m.col(j) for j in range(m.ncols)]
+
+
+def monic(form):
+    """The form divided by its first nonzero coefficient; zero stays zero."""
+    from ncquad.forms import BinaryForm
+
+    for c in form.coeffs:
+        if c:
+            inv = form.field.one / c
+            return BinaryForm(form.field, [inv * x for x in form.coeffs])
+    return form
+
+
+def euler_p1xp2(m: int, n: int) -> int:
+    """chi(O(m,n)) = (m+1)(n+1)(n+2)/2 on P^1 x P^2, the closed form the
+    Kuenneth tables must hit."""
+    return (m + 1) * (n + 1) * (n + 2) // 2
+
+
 def random_rational(rng, height=10) -> Fraction:
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
@@ -246,7 +278,7 @@ def euclid_form_gcd(forms):
     coeffs = [field.zero] * (total + 1)
     for k, c in enumerate(g):
         coeffs[total - (k + s_mult)] = c
-    return BinaryForm(field, coeffs).monic()
+    return monic(BinaryForm(field, coeffs))
 
 
 # -- column spans (oracle tools built on Matrix(field, rows)) -------------
@@ -299,22 +331,29 @@ def span_contains(space, vec) -> bool:
     return hstack(space, v).rank() == space.rank()
 
 
+def column_space_oracle(m):
+    """The original columns of m at the pivot columns of its reduced row
+    echelon form (``rref_oracle``)."""
+    p = m.field.characteristic
+    rows = [[x.value for x in r] for r in m.rows] if p else m.rows
+    _, pivots = rref_oracle(rows, m.ncols, p)
+    return from_cols(m.field, [m.col(j) for j in pivots], m.nrows)
+
+
 def intersect_subspaces(a, b):
     """Basis of (column span of a) ∩ (column span of b), by kernel: the
     kernel vectors (x; y) of [a | -b] are mapped through a, then pruned to
     an independent set."""
-    from ncquad.linalg import column_space_basis
-
     if a.field != b.field:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError("ambient mismatch")
     if a.ncols == 0 or b.ncols == 0:
         return from_cols(a.field, [], a.nrows)
-    neg_b = from_cols(b.field, [[-x for x in c] for c in b.cols()], b.nrows)
+    neg_b = from_cols(b.field, [[-x for x in c] for c in matrix_cols(b)], b.nrows)
     ker = hstack(a, neg_b).kernel_basis()
     cand = [apply(a, ker.col(j)[:a.ncols]) for j in range(ker.ncols)]
-    return column_space_basis(from_cols(a.field, cand, a.nrows))
+    return column_space_oracle(from_cols(a.field, cand, a.nrows))
 
 
 # -- the counted artifacts, built as full subspaces and maps -----------------
@@ -327,32 +366,30 @@ def intersect_subspaces(a, b):
 
 
 def relations_oracle(q):
-    """(dim R0, dim R1, basis of (R0 x V3) ∩ (V0 x R1))."""
-    from ncquad.linalg import column_space_basis
-
+    """(basis of R0, dim R1, basis of (R0 x V3) ∩ (V0 x R1))."""
     field = q.field
-    r0 = column_space_basis(q.w.reshape((0, 1, 2), (3,)))
-    r1 = column_space_basis(q.w.reshape((1, 2, 3), (0,)))
+    r0 = column_space_oracle(q.w.reshape((0, 1, 2), (3,)))
+    r1 = column_space_oracle(q.w.reshape((1, 2, 3), (0,)))
     cols_a, cols_b = [], []
-    for r in r0.cols():              # indexed by 4a+2b+c
+    for r in matrix_cols(r0):        # indexed by 4a+2b+c
         for d in range(2):
             vec = [field.zero] * 16
             for i in range(8):
                 vec[2 * i + d] = r[i]
             cols_a.append(vec)
     for a in range(2):
-        for r in r1.cols():          # indexed by 4b+2c+d
+        for r in matrix_cols(r1):    # indexed by 4b+2c+d
             vec = [field.zero] * 16
             for i in range(8):
                 vec[8 * a + i] = r[i]
             cols_b.append(vec)
     line = intersect_subspaces(from_cols(field, cols_a, 16), from_cols(field, cols_b, 16))
-    return r0.ncols, r1.ncols, line
+    return r0, r1.ncols, line
 
 
 def _composition_counts(comp, leg_width=4):
     """(dim ker comp, ranks of the consecutive column blocks of comp)."""
-    legs = tuple(from_cols(comp.field, comp.cols()[off:off + leg_width], comp.nrows).rank()
+    legs = tuple(from_cols(comp.field, matrix_cols(comp)[off:off + leg_width], comp.nrows).rank()
                  for off in range(0, comp.ncols, leg_width))
     return comp.kernel_basis().ncols, legs
 
@@ -390,7 +427,7 @@ def mutation_oracle(r0):
             unit = [field.zero] * 4
             unit[2 * o + n] = field.one
             cols.append(unit)
-    for r in r0.cols():              # indexed by 4a+2b+c
+    for r in matrix_cols(r0):        # indexed by 4a+2b+c
         for z in range(2):
             cols.append([r[4 * a + 2 * b + z] for a in range(2) for b in range(2)])
     return _composition_counts(from_cols(field, cols, 4))
@@ -461,7 +498,7 @@ def random_type_a_triple(rng, height=20):
 
 # -- contraction by functionals (oracle for the flattenings of w) ---------
 #
-# Per-entry sums over Tensor.entry, sharing no code with Tensor.reshape.
+# Per-entry sums over tensor_entry, sharing no code with Tensor.reshape.
 
 
 def contract(t: Tensor, slot: int, functional) -> Tensor:
@@ -478,7 +515,7 @@ def contract(t: Tensor, slot: int, functional) -> Tensor:
     for idx in product(*(range(n) for n in rest)):
         s = field.zero
         for a, c in enumerate(functional):
-            s = s + c * t.entry(idx[:slot] + (a,) + idx[slot:])
+            s = s + c * tensor_entry(t, idx[:slot] + (a,) + idx[slot:])
         out.append(s)
     return Tensor(field, rest, out, t.slots[:slot] + t.slots[slot + 1:])
 
@@ -500,7 +537,7 @@ def contraction_oracle(q: Quintuple, j: int):
         col = []
         for c, d in product(range(2), repeat=2):
             at = {(j + 2) % 4: c, (j + 3) % 4: d}
-            col.append(t.entry(tuple(at[k] for k in rest)))
+            col.append(tensor_entry(t, tuple(at[k] for k in rest)))
         cols.append(col)
     return from_cols(field, cols)
 
@@ -523,7 +560,7 @@ def verify_witness(q: Quintuple, j: int, witness) -> bool:
             idx[a], idx[b] = x, y
             for k, i in zip(others, rest):
                 idx[k] = i
-            total = total + witness.phi[x] * witness.chi[y] * lift(q.w.entry(tuple(idx)))
+            total = total + witness.phi[x] * witness.chi[y] * lift(tensor_entry(q.w, tuple(idx)))
         if total:
             return False
     return True
@@ -613,7 +650,7 @@ def _slot_tables(q: Quintuple, j: int):
                     idx[(j + 1) % 4] = b
                     idx[other[0]] = c
                     idx[other[1]] = d
-                    vals.append(q.w.entry(tuple(idx)).value)
+                    vals.append(tensor_entry(q.w, tuple(idx)).value)
             tables[a][b] = vals
     return tables
 

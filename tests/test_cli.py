@@ -140,6 +140,19 @@ def test_quiver_and_mutate_commands(capsys):
     assert main(["quiver", str(corpus_path("typea-1-1-2"))]) == 1
 
 
+@pytest.mark.parametrize("command", ["quiver", "mutate"])
+def test_invalid_window_is_reported_once(tmp_path, command, capsys):
+    # the pure tensor e_0000 over F_5 has dims (1, 1, 0), so its window
+    # misses the resolution values at three cells
+    w = [[[["0", "0"], ["0", "0"]] for _ in range(2)] for _ in range(2)]
+    w[0][0][0][0] = "1"
+    path = tmp_path / "pure.json"
+    path.write_text(json.dumps({"field": "Fp:5", "w": w}))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid window: mismatched cells ((0, 3), (0, 4), (1, 4))\n")
+
+
 # (corpus file, command) -> (exit code, sha256 of stdout); typea-1-1-2 has
 # det <-, w> = 0, so it covers the paths without a square
 _RULING, _LITERAL = "quiver --convention ruling", "quiver --convention literal"

@@ -10,10 +10,12 @@ from helpers import (
     from_cols,
     nonresidue_int,
     random_quintuple_fp,
+    random_tensor_fp,
     random_type_a_triple,
     relations_oracle,
     span_contains,
     span_equal,
+    tensor_entry,
     verify_witness,
 )
 from ncquad.fields import GF, QQ
@@ -42,10 +44,10 @@ def test_linear_quadric_entries():
     q = build_linear_quadric()
     assert sum(1 for x in q.w.entries if x) == 4
     assert sorted(int(x) for x in q.w.entries if x) == [-1, -1, 1, 1]
-    assert q.w.entry((0, 0, 1, 1)) == 1
-    assert q.w.entry((1, 0, 0, 1)) == -1
-    assert q.w.entry((0, 1, 1, 0)) == -1
-    assert q.w.entry((1, 1, 0, 0)) == 1
+    assert tensor_entry(q.w, (0, 0, 1, 1)) == 1
+    assert tensor_entry(q.w, (1, 0, 0, 1)) == -1
+    assert tensor_entry(q.w, (0, 1, 1, 0)) == -1
+    assert tensor_entry(q.w, (1, 1, 0, 0)) == 1
 
 
 def test_linear_quadric_w_in_R0_V3():
@@ -156,7 +158,7 @@ def test_is_geometric_invariant_under_basis_change():
                                     for j3 in range(2):
                                         acc += (gs[0][i0, j0] * gs[1][i1, j1]
                                                 * gs[2][i2, j2] * gs[3][i3, j3]
-                                                * q.w.entry((j0, j1, j2, j3)))
+                                                * tensor_entry(q.w, (j0, j1, j2, j3)))
                         entries.append(acc)
         q2 = Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
         assert is_geometric(q2).passed == base
@@ -174,9 +176,9 @@ def test_relations_linear_quadric_matches_displayed():
     r2[0b011] = Fraction(1)
     r2[0b110] = Fraction(-1)
     expected = from_cols(QQ, [tuple(r1), tuple(r2)], nrows=8)
-    assert span_equal(rel.r0, expected)
+    r0, _, line = relations_oracle(q)
+    assert span_equal(r0, expected)
     # the intersection line, built as a subspace, is spanned by w
-    *_, line = relations_oracle(q)
     assert line.ncols == rel.w_dim == 1
     assert span_contains(line, q.w.entries)
 
@@ -184,7 +186,7 @@ def test_relations_linear_quadric_matches_displayed():
 def test_relations_pure_tensor_flagged():
     rel = relations(pure_tensor_quintuple())
     assert not rel.valid
-    assert rel.r0.ncols == 1
+    assert rel.r0_dim == 1
 
 
 def test_relations_type_a():
@@ -215,6 +217,26 @@ def test_truncated_dims_pure_tensor_mismatch():
     assert not t.valid
     assert t.cells[(0, 3)] == (7, 6)
     assert (0, 3) in t.mismatches
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "F5", "F7"])
+def test_window_is_valid_exactly_when_the_relations_are(field):
+    # the cells (0,3), (1,4) and (0,4) read dim R0, dim R1 and the
+    # intersection dim, and their resolution values force (2, 2, 1)
+    rng = random.Random(4401)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 200:
+        density = rng.choice((0.2, 0.4, 1.0))
+        if field is QQ:
+            entries = [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(16)]
+            if not any(entries):
+                continue
+            q = Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
+        else:
+            q = random_tensor_fp(rng, field, density)
+        rel = relations(q)
+        assert truncated_dims(rel).valid == rel.valid
+        seen[rel.valid] += 1
 
 
 def test_type_a_slot23_contraction_structure():

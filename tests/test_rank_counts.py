@@ -74,8 +74,8 @@ def test_counts_match_oracles_on_inputs():
     for q in _inputs():
         seen["fields"].add(q.field)
         rel = relations(q)
-        r0_dim, r1_dim, line = relations_oracle(q)
-        assert rel.dims == (r0_dim, r1_dim, line.ncols)
+        r0, r1_dim, line = relations_oracle(q)
+        assert rel.dims == (r0.ncols, r1_dim, line.ncols)
         # w lies in both spans, so in the intersection, and spans it when
         # it is a line
         assert span_contains(line, q.w.entries)
@@ -88,7 +88,7 @@ def test_counts_match_oracles_on_inputs():
             if rel.valid:
                 mutated, report = mutate_linear_to_block(q, rel, block)
                 counts = (mutated.relation_dim, mutated.leg_ranks)
-                assert counts == mutation_oracle(rel.r0)
+                assert counts == mutation_oracle(r0)
                 seen["mutation"].add(counts)
                 assert report.structural_match == (block is not None)
     assert {QQ, GF(5), GF(7), GF(10007)} <= seen["fields"]
