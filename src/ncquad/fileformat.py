@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
 from .fields import GF, QQ, FpElement, PrimeField, QuadElement, RationalField
-from .quintuples import Quintuple, build_linear_quadric, build_type_a
+from .quintuples import SLOT_LABELS, Quintuple, build_linear_quadric, build_type_a
 from .tensors import Tensor
-from .quintuples import SLOT_LABELS
 
 
 class InputError(ValueError):
@@ -140,9 +140,12 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
 
 
 def tensor_nested_strings(q: Quintuple):
-    """The entries of w as exact strings, nested slot by slot."""
-    field = q.field
-    nested = [field.format(x) for x in q.w.entries]
+    """The entries of w as exact strings, nested slot by slot, written
+    from the integer row of w as ``str`` writes its field elements: each
+    numerator over the common denominator (1 mod p) after one gcd."""
+    num, den = q.w._row._num, q.w._row._den
+    gs = [math.gcd(x, den) for x in num]
+    nested = [str(x // g) if g == den else f"{x // g}/{den // g}" for x, g in zip(num, gs)]
     for n in reversed(q.w.shape[1:]):
         nested = [nested[i:i + n] for i in range(0, len(nested), n)]
     return nested

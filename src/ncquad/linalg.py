@@ -1,51 +1,45 @@
 """Exact dense linear algebra over QQ and the prime fields F_p.
 
-A ``Matrix`` stores integers, never field elements.  Over QQ it holds
-integer numerators, row-major in one flat tuple, over one common positive
-denominator: the matrix is ``_num / _den``.  Over F_p it holds residues
-in [0, p) and ``_den`` is 1.  The denominator need not be the least one,
-so equality and hashing compare the reduced form (``_key``).
+A ``Matrix`` stores integers, never field elements: over QQ integer
+numerators, row-major in one flat tuple, over one common positive
+denominator (the matrix is ``_num / _den``; equality and hashing compare
+the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
 
-Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``,
-on rows copied from ``_num``.  A matrix keeps its echelon after the first
-elimination, so ``rank``, ``kernel_basis`` and ``det`` of one matrix
-run it once between them; ``inverse`` eliminates [N | -I] of its own.
-A common denominator scales every row alike, so it changes no rank,
-pivot or kernel.  With p == 0 the echelon is fraction-free elimination
-over Z (Bareiss 1968), which divides exactly by the previous pivot and so
-keeps every entry a minor of the input; with p > 0 it is plain Gauss
-elimination mod p.  Everything else is read off
-that echelon:
+Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
+fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
+exact divisions keep every entry a minor of the input, and Gauss mod p
+for p > 0.  A common denominator changes no rank, pivot or kernel.  A
+matrix keeps its echelon after the first elimination, so ``rank``,
+``_kernel`` and ``det`` of one matrix share it; ``inverse`` eliminates
+[N | -I] of its own.  Everything else is read off the echelon:
 
 * the rank is the number of pivots;
-* a kernel vector is back-substituted from the echelon rows
-  (``_int_kernel_vector``), over one running denominator on Z, or by a
-  direct solve mod p;
+* the reduced kernel basis, unique since it is the identity on the free
+  columns (the complement of the lexicographically first independent
+  columns), is back-substituted by ``_int_kernel_vector`` over one
+  positive running denominator on Z, or solved mod p; ``_kernel`` hands
+  it out as those integers, and geometricity decides on them;
 * the determinant is the last Bareiss pivot over den^n on Z, or the
   signed product of the pivots mod p;
 * the inverse of N / d is d times the kernel of [N | -I] at its free
   columns n..2n-1.
 
 A product multiplies numerators and denominators.  ``_pick`` builds a
-matrix whose entries are named entries of another one, negated or zero,
-which is how tensors, quivers and the Hom counts assemble their matrices
-without arithmetic.  ``_integer_multiple`` hands out the integers of one
-nonzero multiple of a matrix, for questions that scaling does not change.
+matrix from named entries of another one, negated or zero, which is how
+tensors, quivers and the Hom counts assemble their matrices without
+arithmetic; ``_integer_multiple`` hands out the integers of a nonzero
+multiple, for questions that scaling does not change.
 
-Field elements exist only at the boundary.  The public constructor
-``Matrix(field, rows)`` coerces every entry through ``field.of``, since
-callers pass ints and strings; ``rows``, ``col``, ``[i, j]`` and ``det``
-build each entry on demand (``_elements``): one ``Fraction(num, den)`` over
-QQ, one ``FpElement`` mod p.  Both are normal forms, so they are the same
-values, and the same bytes, that elimination on field elements would
-give.  Each result is uniquely determined by the matrix: the rank, the
-determinant, the inverse, a product, and the reduced kernel basis (the
-identity on the free columns, which are the complement of the
-lexicographically first independent set of columns).
+Field elements exist only at the boundary.  ``Matrix(field, rows)``
+coerces every entry through ``field.of``, since callers pass ints and
+strings; ``rows``, ``col``, ``[i, j]`` and ``det`` build each entry on
+demand (``_elements``), one ``Fraction(num, den)`` over QQ or one
+``FpElement`` mod p, and geometricity builds only the witness coordinates
+a certificate prints.  Both are normal forms, so they are the values and
+bytes that elimination on field elements would give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  Matrices are immutable after construction; the kept echelon is
-derived from the entries and never changes them.
+field.  Matrices are immutable; the kept echelon never changes them.
 """
 
 from __future__ import annotations
@@ -156,8 +150,8 @@ class Matrix:
 
     def _echelon(self):
         """``_int_echelon`` of a copy of the integer rows, run on the first
-        call and kept, so ``rank``, ``kernel_basis`` and ``det`` of one
-        matrix read one elimination.  Nothing mutates the kept rows."""
+        call and kept, so ``rank``, ``_kernel`` and ``det`` of one matrix
+        read one elimination.  Nothing mutates the kept rows."""
         if self._ech is None:
             num, n = self._num, self.ncols
             rows = [list(num[i * n:(i + 1) * n]) for i in range(self.nrows)]
@@ -167,17 +161,15 @@ class Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def kernel_basis(self) -> "Matrix":
-        """Columns form a basis of the right null space.
-
-        rank + (number of returned columns) == ncols, always.
-        """
+    def _kernel(self) -> list:
+        """The reduced basis of the right null space, as integers read off
+        the kept echelon: for each free column f, in increasing order, the
+        pair (y, den) of ``_int_kernel_vector``, so y / den is 1 at f and 0
+        at the other free columns.  rank + len(result) == ncols, always."""
         ech, pivots, _ = self._echelon()
         p, n = self.field.characteristic, self.ncols
         pivot_set = set(pivots)
-        cols = [_int_kernel_vector(ech, pivots, f, n, p)
-                for f in range(n) if f not in pivot_set]
-        return _of_int_cols(self.field, cols, n, 1)
+        return [_int_kernel_vector(ech, pivots, f, n, p) for f in range(n) if f not in pivot_set]
 
     def det(self):
         if self.nrows != self.ncols:
@@ -218,8 +210,12 @@ class Matrix:
 
 def _elements(field, num, den: int) -> tuple:
     """The field elements num[k] / den in normal form: ``Fraction``s over
-    QQ; mod p every den is 1, so the ``FpElement``s of num."""
-    if field.characteristic:
+    QQ, ``FpElement``s mod p (den a unit there)."""
+    p = field.characteristic
+    if p:
+        if den != 1:
+            inv = pow(den, -1, p)
+            num = [x * inv for x in num]
         return tuple(map(FpElement, num, repeat(field)))
     return tuple(map(Fraction, num, repeat(den)))
 
@@ -305,9 +301,9 @@ def _int_echelon(rows, ncols, p):
 
 
 def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
-    """(y, den) such that y / den is the reduced kernel vector of the
-    echelon rows that is 1 at the free column f and 0 at the other free
-    columns.
+    """(y, den), den > 0, such that y / den is the reduced kernel vector
+    of the echelon rows that is 1 at the free column f and 0 at the other
+    free columns.
 
     Over Z, back-substitution keeps the vector as integers over one
     running denominator; each step divides out the gcd of the new entry's
@@ -331,5 +327,7 @@ def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:
             y = [v * piv for v in y]
             den *= piv
         y[pc] = -s
+    if den < 0:
+        y, den = [-v for v in y], -den
     return y, den
 

@@ -23,23 +23,26 @@ kernel is spanned by a single 2x2-singular element, or the kernel has
 dimension >= 2 (any such space of 2x2 matrices meets the rank-one cone
 over the closure).
 
-M_{j+2} is the transpose of M_j, so the four matrices are two pairs,
-(M_0, M_2) and (M_1, M_3).  ``Quintuple.contractions`` picks all four
-from w once per input, and a ``Matrix`` keeps its echelon, so pair j + 2
-reuses pair j's elimination: an invertible M_j makes M_{j+2} invertible
-too, and only a singular M_j sends M_{j+2} through an elimination of its
-own, for the reduced kernel basis its witness is read from.  The square
-reads det M_2 = det M_0 and the mutation rank M_2 = rank M_0 off the
-same elimination of M_0.
+M_{j+2} = M_j^T, so ``Quintuple.contractions`` picks all four from the
+integer row of w once per input, and a ``Matrix`` keeps its echelon: an
+invertible M_j makes M_{j+2} invertible too, and only a singular M_j
+sends M_{j+2} through an elimination of its own, for the kernel its
+witness is read from.  The square reads det M_0 and the mutation rank
+M_0 off the same elimination.  Geometricity decides on integers: the
+reduced kernel vectors of M_j off its echelon, the 2x2 determinants, and
+the discriminant and square root of det(s v1 + t v2).  Field elements
+are built only for the witness coordinates a certificate prints; a
+witness over a quadratic extension is combined in ``QuadraticExtension``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
-from .fields import QQ
-from .forms import BinaryForm, root_structure
-from .linalg import Matrix, _integer_multiple, _pick
+from .fields import QQ, QuadElement, QuadraticExtension, _sqrt_mod_p
+from .grassmann import _det2, _polar2
+from .linalg import Matrix, _elements, _pick
 from .records import Record
 from .tensors import Tensor, _flattening_index
 
@@ -74,8 +77,7 @@ class Quintuple(Record):
         multi-indices row-major), and M_{j+2} = M_j^T.  Kept beside the
         field w, which alone ``==``, ``hash`` and ``repr`` read; each
         matrix keeps its echelon, so it is eliminated once per input."""
-        entries = self.w.reshape((), (0, 1, 2, 3))
-        return tuple(_pick(entries, *index) for index in _CONTRACTION_INDEX)
+        return tuple(_pick(self.w._row, *index) for index in _CONTRACTION_INDEX)
 
 
 def build_linear_quadric(field=QQ) -> Quintuple:
@@ -160,73 +162,69 @@ class GeometricityReport(Record):
         return [p.j for p in self.pairs if not p.passed]
 
 
-def _rank_one_factor(k00, k01, k10, k11, field):
-    """Factor a nonzero singular 2x2 matrix as u x v (kappa[a][b] = u_a v_b)."""
-    if k00 or k01:
-        v = (k00, k01)
-        if k00:
-            lam = k10 / k00
-        else:
-            lam = k11 / k01
-        u = (field.one, lam)
-    else:
-        v = (k10, k11)
-        u = (field.zero, field.one)
-    return u, v
-
-
-def _pure_kernel_witness(kernel: Matrix, field):
-    """A pure tensor in the column span of a >=2 dimensional kernel of
-    2x2 matrices, over the field itself or a quadratic extension."""
-    v1, v2 = kernel.col(0), kernel.col(1)
-    det1 = v1[0] * v1[3] - v1[1] * v1[2]
-    det2 = v2[0] * v2[3] - v2[1] * v2[2]
-    polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
-    form = BinaryForm(field, (det1, polar, det2))
-    if form.is_zero():
-        if det1 == field.zero and any(v1):
-            u, v = _rank_one_factor(v1[0], v1[1], v1[2], v1[3], field)
-            return PureWitness(u, v), "kernel basis vector is itself singular"
-        u, v = _rank_one_factor(v2[0], v2[1], v2[2], v2[3], field)
-        return PureWitness(u, v), "kernel basis vector is itself singular"
-    rs = root_structure(form)
-    if rs.kind in ("split-rational", "double-rational"):
-        s, t = rs.roots[0]
-        combo = [s * a + t * b for a, b in zip(v1, v2)]
-        u, v = _rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
-        return PureWitness(u, v), "rational singular combination of kernel vectors"
-    ext = rs.extension
-    s, t = rs.roots[0]
-    lift = lambda x: ext.of(x)
-    combo = [s * lift(a) + t * lift(b) for a, b in zip(v1, v2)]
-    u, v = _rank_one_factor(combo[0], combo[1], combo[2], combo[3], ext)
-    return (
-        PureWitness(u, v, extension_disc=rs.discriminant),
-        f"singular combination exists only over theta^2 = {rs.discriminant}",
-    )
+def _rank_one_factor(k, den: int, field) -> PureWitness:
+    """The witness (phi, chi), phi_a chi_b = k[2a + b] / den, of the
+    integers k of a nonzero singular 2x2 matrix over den (residues mod p):
+    phi is (1, lam) or (0, 1), chi a nonzero row.  Its four coordinates
+    are the only field elements a rational witness needs."""
+    i = 0 if k[0] else 1
+    if k[i]:
+        return PureWitness(_elements(field, (k[i], k[i + 2]), k[i]), _elements(field, k[:2], den))
+    return PureWitness(_elements(field, (0, 1), 1), _elements(field, k[2:], den))
 
 
 def _invertible(j: int) -> SlotPairReport:
     return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
 
 
-def _pair_report(j: int, K: Matrix, field) -> SlotPairReport:
-    """The report of slot pair j from the reduced kernel basis K of M_j."""
-    kd = K.ncols
-    if kd == 0:
+def _pair_report(j: int, m: Matrix) -> SlotPairReport:
+    """The report of slot pair j, decided on the integers of the reduced
+    kernel vectors y / d of M_j that ``Matrix._kernel`` reads off its kept
+    echelon (residues mod p, where d = 1).
+
+    One vector fails exactly when a = det y vanishes.  For two or more,
+    det(s v1 + t v2) = (a s^2 + b st + c t^2) / (d1 d2)^2, with b the
+    polar form of y1 and y2 and c = det y2.  When a = 0, v1 itself is
+    singular.  Otherwise (r - b : 2a) is a root, r a square root of the
+    discriminant: rational when r exists (d1, d2 > 0 keep r / (d1 d2)
+    the root the field's square root gives), and then
+    ((r - b) y1 + 2a y2) / (d1^2 d2) is singular."""
+    kernel = m._kernel()
+    kd, field = len(kernel), m.field
+    if not kd:
         return _invertible(j)
+    p = field.characteristic
+    y1, d1 = kernel[0]
+    a = _det2(y1) % p if p else _det2(y1)
+    rational = "rational singular combination of kernel vectors"
     if kd == 1:
-        # singularity is unchanged by scaling, so integers decide it
-        a, b, c, d = _integer_multiple(K)
-        if field.of(a * d - b * c):
+        if a:
             return SlotPairReport(j, True, 1,
                                   certificate="kernel spanned by a nonsingular 2x2 element")
-        v = K.col(0)
-        u, w = _rank_one_factor(v[0], v[1], v[2], v[3], field)
-        return SlotPairReport(j, False, 1, witness=PureWitness(u, w),
-                              certificate="kernel spanned by a singular 2x2 element")
-    witness, note = _pure_kernel_witness(K, field)
-    return SlotPairReport(j, False, kd, witness=witness, certificate=note)
+        note = "kernel spanned by a singular 2x2 element"
+        return SlotPairReport(j, False, 1, _rank_one_factor(y1, d1, field), note)
+    y2, d2 = kernel[1]
+    b, c = (x % p if p else x for x in (_polar2(y1, y2), _det2(y2)))
+    if not a:
+        note = "kernel basis vector is itself singular" if not (b or c) else rational
+        return SlotPairReport(j, False, kd, _rank_one_factor(y1, d1, field), note)
+    disc = b * b - 4 * a * c
+    # the field's square root: ``_sqrt_mod_p``, or the nonnegative one on Z
+    r = _sqrt_mod_p(disc, p) if p else math.isqrt(disc) if disc >= 0 else None
+    if r is not None and (p or r * r == disc):
+        combo = [(r - b) * u + 2 * a * v for u, v in zip(y1, y2)]
+        combo = [x % p for x in combo] if p else combo
+        return SlotPairReport(j, False, kd, _rank_one_factor(combo, d1 * d1 * d2, field), rational)
+    # the root (theta - b : 2a), theta^2 = disc / (d1 d2)^2: the combination
+    # has rational part (2a y2 - b y1) / (d1^2 d2) and theta part v1, whose
+    # first row is nonzero since det v1 != 0
+    ext = QuadraticExtension(field, _elements(field, (disc,), (d1 * d2) ** 2)[0])
+    base = _elements(field, [2 * a * v - b * u for u, v in zip(y1, y2)], d1 * d1 * d2)
+    k = [QuadElement(x, t, ext) for x, t in zip(base, _elements(field, y1, d1))]
+    i = 0 if k[0] else 1
+    witness = PureWitness((ext.one, k[i + 2] / k[i]), (k[0], k[1]), extension_disc=ext.disc)
+    return SlotPairReport(j, False, kd, witness,
+                          f"singular combination exists only over theta^2 = {ext.disc}")
 
 
 def is_geometric(q: Quintuple) -> GeometricityReport:
@@ -234,12 +232,11 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
 
     M_0 and M_1 are eliminated; M_{j+2} = M_j^T is eliminated only when
     M_j is singular, since an invertible M_j leaves it no kernel."""
-    field = q.field
     flat = q.contractions
     reports = [None] * 4
     for j in (0, 1):
-        reports[j] = _pair_report(j, flat[j].kernel_basis(), field)
-        reports[j + 2] = (_pair_report(j + 2, flat[j + 2].kernel_basis(), field)
+        reports[j] = _pair_report(j, flat[j])
+        reports[j + 2] = (_pair_report(j + 2, flat[j + 2])
                           if reports[j].kernel_dim else _invertible(j + 2))
     return GeometricityReport(tuple(reports))
 

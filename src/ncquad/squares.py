@@ -230,11 +230,11 @@ def mutate_linear_to_block(
     The result is compared structurally with ``block``, the block quiver
     of the associated square (None when the input has no square): arrow
     dimensions, relation dimension, per-leg composition ranks, Gram
-    matrix.  ``rel`` is the relation data of ``q``; the contraction
-    matrices of ``q`` give the R_0 leg's rank.
+    matrix.  ``rel`` is the relation data of ``q`` and must be valid:
+    callers check ``rel.valid``, or pass ``linear_quiver`` first, before
+    they mutate.  The contraction matrices of ``q`` give the R_0 leg's
+    rank.
     """
-    if not rel.valid:
-        raise ValueError(f"invalid window: {rel.issues}")
     new_hom_dim = rel.r0_dim
 
     # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective

@@ -31,6 +31,15 @@ def matrix_cols(m) -> list[tuple]:
     return [m.col(j) for j in range(m.ncols)]
 
 
+def kernel_basis(m):
+    """The matrix whose columns are the reduced basis of the right null
+    space of m, built from the integers ``Matrix._kernel`` reads off the
+    kept echelon; rank + ncols of the result == m.ncols."""
+    from ncquad.linalg import _of_int_cols
+
+    return _of_int_cols(m.field, m._kernel(), m.ncols, 1)
+
+
 def monic(form):
     """The form divided by its first nonzero coefficient; zero stays zero."""
     from ncquad.forms import BinaryForm
@@ -351,7 +360,7 @@ def intersect_subspaces(a, b):
     if a.ncols == 0 or b.ncols == 0:
         return from_cols(a.field, [], a.nrows)
     neg_b = from_cols(b.field, [[-x for x in c] for c in matrix_cols(b)], b.nrows)
-    ker = hstack(a, neg_b).kernel_basis()
+    ker = kernel_basis(hstack(a, neg_b))
     cand = [apply(a, ker.col(j)[:a.ncols]) for j in range(ker.ncols)]
     return column_space_oracle(from_cols(a.field, cand, a.nrows))
 
@@ -391,7 +400,7 @@ def _composition_counts(comp, leg_width=4):
     """(dim ker comp, ranks of the consecutive column blocks of comp)."""
     legs = tuple(from_cols(comp.field, matrix_cols(comp)[off:off + leg_width], comp.nrows).rank()
                  for off in range(0, comp.ncols, leg_width))
-    return comp.kernel_basis().ncols, legs
+    return kernel_basis(comp).ncols, legs
 
 
 def block_composition_oracle(square):
@@ -616,7 +625,7 @@ def point_from_quotient(f) -> GPoint:
         raise ValueError("expected a 2x4 matrix")
     if f.rank() != 2:
         raise ValueError("quotient map must have rank 2")
-    return GPoint.from_kernel(f.kernel_basis())
+    return GPoint.from_kernel(kernel_basis(f))
 
 
 def point_at(line, s, t) -> GPoint:
@@ -734,6 +743,89 @@ def nonresidue_int(p: int) -> int:
     return n
 
 
+# -- geometricity on field elements (the reference for the integer path) ----
+
+
+def rank_one_factor(k00, k01, k10, k11, field):
+    """Factor a nonzero singular 2x2 matrix as u x v (kappa[a][b] = u_a v_b)."""
+    if k00 or k01:
+        v = (k00, k01)
+        if k00:
+            lam = k10 / k00
+        else:
+            lam = k11 / k01
+        u = (field.one, lam)
+    else:
+        v = (k10, k11)
+        u = (field.zero, field.one)
+    return u, v
+
+
+def reference_pure_kernel_witness(kernel, field):
+    """A pure tensor in the column span of a >=2 dimensional kernel of
+    2x2 matrices, over the field itself or a quadratic extension, found by
+    field-element arithmetic, ``BinaryForm`` and ``root_structure``."""
+    from ncquad.forms import BinaryForm, root_structure
+    from ncquad.quintuples import PureWitness
+
+    v1, v2 = kernel.col(0), kernel.col(1)
+    det1 = v1[0] * v1[3] - v1[1] * v1[2]
+    det2 = v2[0] * v2[3] - v2[1] * v2[2]
+    polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
+    form = BinaryForm(field, (det1, polar, det2))
+    if form.is_zero():
+        if det1 == field.zero and any(v1):
+            u, v = rank_one_factor(v1[0], v1[1], v1[2], v1[3], field)
+            return PureWitness(u, v), "kernel basis vector is itself singular"
+        u, v = rank_one_factor(v2[0], v2[1], v2[2], v2[3], field)
+        return PureWitness(u, v), "kernel basis vector is itself singular"
+    rs = root_structure(form)
+    if rs.kind in ("split-rational", "double-rational"):
+        s, t = rs.roots[0]
+        combo = [s * a + t * b for a, b in zip(v1, v2)]
+        u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
+        return PureWitness(u, v), "rational singular combination of kernel vectors"
+    ext = rs.extension
+    s, t = rs.roots[0]
+    lift = lambda x: ext.of(x)
+    combo = [s * lift(a) + t * lift(b) for a, b in zip(v1, v2)]
+    u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], ext)
+    return (
+        PureWitness(u, v, extension_disc=rs.discriminant),
+        f"singular combination exists only over theta^2 = {rs.discriminant}",
+    )
+
+
+def reference_pair_report(j: int, K, field):
+    """The report of slot pair j from the reduced kernel basis K of M_j,
+    a ``Matrix``, on field elements."""
+    from ncquad.quintuples import PureWitness, SlotPairReport
+
+    kd = K.ncols
+    if kd == 0:
+        return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
+    if kd == 1:
+        v = K.col(0)
+        if v[0] * v[3] - v[1] * v[2]:
+            return SlotPairReport(j, True, 1,
+                                  certificate="kernel spanned by a nonsingular 2x2 element")
+        u, w = rank_one_factor(v[0], v[1], v[2], v[3], field)
+        return SlotPairReport(j, False, 1, witness=PureWitness(u, w),
+                              certificate="kernel spanned by a singular 2x2 element")
+    witness, note = reference_pure_kernel_witness(K, field)
+    return SlotPairReport(j, False, kd, witness=witness, certificate=note)
+
+
+def reference_is_geometric(q):
+    """``is_geometric`` on field elements: every pair's report from the
+    ``kernel_basis`` matrix of its own contraction matrix."""
+    from ncquad.quintuples import GeometricityReport
+
+    return GeometricityReport(tuple(
+        reference_pair_report(j, kernel_basis(contraction_matrix(q, j)), q.field)
+        for j in range(4)))
+
+
 # -- geometricity from the oracle kernels ------------------------------------
 
 
@@ -741,10 +833,9 @@ def geometricity_oracle(q) -> dict:
     """The geometricity report of q as ``certify._geometricity_json``
     writes it, from ``kernel_oracle`` on each of the four contraction
     matrices; no pair reuses another's kernel.  A witness is factored
-    from the oracle's basis by the pipeline's own factorization helpers,
-    which run no elimination."""
+    from the oracle's basis by the field-element reference above, which
+    runs no elimination."""
     from ncquad.fileformat import scalar_json
-    from ncquad.quintuples import _pure_kernel_witness, _rank_one_factor
 
     field = q.field
     p = field.characteristic
@@ -762,10 +853,10 @@ def geometricity_oracle(q) -> dict:
             if passed:
                 note = "kernel spanned by a nonsingular 2x2 element"
             else:
-                u, w = _rank_one_factor(*v, field)
+                u, w = rank_one_factor(*v, field)
                 witness, note = (u, w, None), "kernel spanned by a singular 2x2 element"
         else:
-            pw, note = _pure_kernel_witness(from_cols(field, basis), field)
+            pw, note = reference_pure_kernel_witness(from_cols(field, basis), field)
             passed, witness = False, (pw.phi, pw.chi, pw.extension_disc)
         entry = {"pair": [j, (j + 1) % 4], "passed": passed,
                  "kernel_dim": len(basis), "certificate": note}

@@ -11,6 +11,7 @@ from helpers import (
     contraction_matrix,
     enumeration_oracle_failing_pairs,
     euler_p1xp2,
+    kernel_basis,
     line_from_phi,
     nonresidue_int,
     random_invertible_fp,
@@ -278,7 +279,7 @@ def test_criterion_11_oracle_agreement():
             mred = Matrix(big, [[big.of(x) for x in row] for row in m.rows],
                           ncols=m.ncols)
             assert m.rank() == mred.rank()
-            assert m.kernel_basis().ncols == mred.kernel_basis().ncols
+            assert kernel_basis(m).ncols == kernel_basis(mred).ncols
 
 
 def test_criterion_12_hkr_triple():
