@@ -34,6 +34,7 @@ from functools import cache
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
+from .fields import _exact_str
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import Quintuple, is_geometric, relations, truncated_dims
@@ -476,7 +477,7 @@ def _geometricity_json(report) -> dict:
         if p.witness is not None:
             w = {"phi": _json_vec(p.witness.phi), "chi": _json_vec(p.witness.chi)}
             if p.witness.extension_disc is not None:
-                w["extension_minpoly"] = f"theta^2-({p.witness.extension_disc})"
+                w["extension_minpoly"] = f"theta^2-({_exact_str(p.witness.extension_disc)})"
             entry["witness"] = w
         pairs.append(entry)
     return {"passed": report.passed, "pairs": pairs}
@@ -497,7 +498,7 @@ def _line_relation_json(lr) -> dict:
             "param_line0": _json_vec(w.param_l0),
         }
         if w.extension_disc is not None:
-            entry["extension_minpoly"] = f"theta^2-({w.extension_disc})"
+            entry["extension_minpoly"] = f"theta^2-({_exact_str(w.extension_disc)})"
         out["witnesses"].append(entry)
     return out
 
@@ -573,7 +574,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     stages.append({"stage": "determinant", "passed": True,
                    "det": scalar_json(square.contraction_det)})
 
-    lr = line_relation(square.line(0), square.line(1))
+    lr = line_relation(square.line(1))   # line 0 is the standard line
     lines_ok = lr.verdict == "disjoint"
     stages.append({"stage": "lines", "passed": lines_ok,
                    "relation": _line_relation_json(lr)})

@@ -75,6 +75,28 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
     return r
 
 
+def _exact_str(x) -> str:
+    """``str(x)`` of an int, a ``Fraction`` or a field element, also past the
+    interpreter's int-to-decimal limit (4300 digits since CPython 3.10.7)."""
+    try:
+        return str(x)
+    except ValueError:
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+        return _decimal(int(x))
+
+
+def _decimal(n: int) -> str:
+    """The digits of n in pieces of at most 600, below any limit CPython allows (640+)."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 30103 // 200000     # log10(2) < 0.30103
+    if half < 300:
+        return str(n)
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 class RationalField:
     """The rationals, with elements stored as ``fractions.Fraction``.
 
@@ -102,7 +124,7 @@ class RationalField:
         return Fraction(1)
 
     def format(self, x: Fraction) -> str:
-        return str(x)
+        return _exact_str(x)
 
     def is_square(self, x: Fraction) -> bool:
         x = self.of(x)
@@ -206,7 +228,7 @@ class FpElement:
         return hash((self.field.p, self.value))
 
     def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
+        return f"{_exact_str(self.value)} (mod {self.field.p})"
 
 
 class PrimeField:
@@ -413,7 +435,7 @@ class QuadraticExtension:
         )
 
     def __hash__(self):
-        return hash(("quad", self.base, str(self.disc)))
+        return hash(("quad", self.base, _exact_str(self.disc)))
 
     def __repr__(self) -> str:
         return f"{self.base!r}[theta]/(theta^2 - {self.disc})"

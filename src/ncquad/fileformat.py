@@ -20,7 +20,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .fields import GF, QQ, FpElement, PrimeField, QuadElement, RationalField
+from .fields import GF, QQ, FpElement, PrimeField, QuadElement, RationalField, _exact_str
 from .quintuples import SLOT_LABELS, Quintuple, build_linear_quadric, build_type_a
 from .tensors import Tensor
 
@@ -61,16 +61,16 @@ def field_from_str(s: str):
 
 
 def scalar_json(x):
-    """JSON value for one scalar: rationals and prime-field elements as
-    strings, quadratic-extension elements as [a, b] coefficient pairs."""
+    """JSON value for one scalar: rationals (``_exact_str``) and prime-field
+    elements as strings, quadratic-extension elements as [a, b] pairs."""
     if isinstance(x, Fraction):
-        return str(x)
+        return _exact_str(x)
     if isinstance(x, FpElement):
-        return str(x.value)
+        return str(x.value)    # a residue, below p < 2^82
     if isinstance(x, QuadElement):
         return [scalar_json(x.a), scalar_json(x.b)]
     if isinstance(x, int):
-        return str(x)
+        return _exact_str(x)
     raise TypeError(f"not a scalar: {x!r}")
 
 
@@ -145,7 +145,8 @@ def tensor_nested_strings(q: Quintuple):
     numerator over the common denominator (1 mod p) after one gcd."""
     num, den = q.w._row._num, q.w._row._den
     gs = [math.gcd(x, den) for x in num]
-    nested = [str(x // g) if g == den else f"{x // g}/{den // g}" for x, g in zip(num, gs)]
+    nested = [_exact_str(x // g) if g == den else f"{_exact_str(x // g)}/{_exact_str(den // g)}"
+              for x, g in zip(num, gs)]
     for n in reversed(q.w.shape[1:]):
         nested = [nested[i:i + n] for i in range(0, len(nested), n)]
     return nested
@@ -229,4 +230,6 @@ def load_quintuple(path: str) -> tuple[Quintuple, dict]:
         raise InputError(f"{path} is not UTF-8: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests too deeply to parse") from None
+    except ValueError as exc:    # a bare integer past the int-from-decimal digit limit
+        raise InputError(f"cannot parse {path}: {exc}") from None
     return parse_quintuple_file(doc)

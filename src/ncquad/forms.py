@@ -5,15 +5,18 @@ root classification of quadratics over the algebraic closure.
 Coefficients are stored by descending s-power: a form of degree d is
 sum(coeffs[i] * s^(d-i) * t^i).  A common projective root over the
 closure exists iff the gcd has positive degree, so "no common root" is
-witnessed by a degree-0 gcd, never by numerics.
+witnessed by a degree-0 gcd, never by numerics.  ``form_gcd`` takes and
+returns integer coefficients, residues mod p or integers for QQ, so the
+decision builds no field element; ``_monic`` makes a ``BinaryForm`` of a
+gcd whose roots are needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .fields import PrimeField, QuadraticExtension, RationalField
+from .fields import QuadraticExtension
 from .records import Record
 
 
@@ -52,18 +55,7 @@ class BinaryForm:
         return " + ".join(terms) if terms else "0"
 
 
-# -- univariate helpers (ascending integer coefficient lists) -------------
-
-
-def _integers(coeffs, p: int) -> list:
-    """Integer coefficients of a nonzero form up to a unit: residues mod p,
-    or over QQ the numerators on a common denominator, made primitive."""
-    if p:
-        return [c.value for c in coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = gcd(*ints)
-    return [c // content for c in ints]
+# -- gcd on integer coefficients ------------------------------------------
 
 
 def _poly_gcd(a: list, b: list, p: int) -> list:
@@ -94,59 +86,47 @@ def _poly_gcd(a: list, b: list, p: int) -> list:
     return a
 
 
-def binary_form_gcd(forms: list[BinaryForm]) -> BinaryForm:
-    """Monic gcd of a non-empty list of binary forms over QQ or F_p.
+def form_gcd(forms, p: int) -> list:
+    """A gcd, up to a unit, of a non-empty list of nonzero binary forms
+    given, and returned, by integer coefficients of descending s-power:
+    residues mod p, or for QQ (``p == 0``) any integer multiple of each
+    form.  One coefficient (degree 0) means no common projective root.
 
-    Degree 0 means no common projective root over the algebraic closure.
-    If every input is identically zero, the zero form (degree 0, zero
-    coefficient) is returned; callers treat that as "identically
-    dependent".  The gcd is taken on integers (see ``_poly_gcd``); field
-    elements are built only for the monic result.
-    """
-    if not forms:
-        raise ValueError("empty form list")
-    field = forms[0].field
-    if not isinstance(field, (RationalField, PrimeField)):
-        raise ValueError("binary_form_gcd expects forms over QQ or a prime field")
-    for f in forms:
-        if f.field != field:
-            raise ValueError("forms over different fields")
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return BinaryForm(field, [field.zero])
-
-    p = field.p if isinstance(field, PrimeField) else 0
-    s_mult = None
-    t_mult = None
+    Each form is s^a t^b times a core with nonzero ends; the gcd of the
+    cores dehomogenized at t = 1 (``_poly_gcd``) gets back the least
+    powers of s and t."""
+    s_mult = t_mult = None
     polys = []
-    for f in nonzero:
-        d = f.degree
-        idx = [i for i, c in enumerate(f.coeffs) if c]
-        hi, lo = max(idx), min(idx)
-        # f = s^(d-hi) * t^lo * core, core has nonzero ends
-        sm, tm = d - hi, lo
+    for f in forms:
+        idx = [i for i, c in enumerate(f) if c]
+        hi, lo = idx[-1], idx[0]
+        sm, tm = len(f) - 1 - hi, lo
         s_mult = sm if s_mult is None else min(s_mult, sm)
         t_mult = tm if t_mult is None else min(t_mult, tm)
-        # dehomogenize at t=1: ascending powers of s
-        polys.append(_integers(f.coeffs[lo:hi + 1][::-1], p))
+        polys.append(list(f[lo:hi + 1][::-1]))   # ascending powers of s
     g = polys[0]
     for q in polys[1:]:
         g = _poly_gcd(g, q, p)
         if len(g) == 1:
             break
-    lead = g[-1]
-    if p:
-        inv = pow(lead, -1, p)
-        g = [c * inv % p for c in g]
-    else:
-        g = [Fraction(c, lead) for c in g]
     du = len(g) - 1
     total = du + s_mult + t_mult
     coeffs = [0] * (total + 1)
     for k, c in enumerate(g):
         # term c * s^(k + s_mult) * t^(du - k + t_mult)
         coeffs[total - (k + s_mult)] = c
-    return BinaryForm(field, coeffs)
+    return coeffs
+
+
+def _monic(field, coeffs) -> BinaryForm:
+    """The form over QQ or F_p whose integer coefficients (residues mod p)
+    are ``coeffs``, divided by its first nonzero coefficient."""
+    lead = next(c for c in coeffs if c)
+    p = field.characteristic
+    if p:
+        inv = pow(lead, -1, p)
+        return BinaryForm(field, [c * inv % p for c in coeffs])
+    return BinaryForm(field, [Fraction(c, lead) for c in coeffs])
 
 
 class RootStructure(Record):

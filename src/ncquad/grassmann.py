@@ -8,28 +8,31 @@ space V.  An embedded line comes from a factorization phi: V ~ U0 x U1
     K(s:t) = phi^{-1}( U0 x span(-t, s) )        (contracted factor 1)
 
 so the parametrizing P^1 is the projectivization of the contracted
-factor.  Two such lines are compared exactly: whether some plane of one
-family equals a plane of the other reduces to common roots of three
-binary quadratics (the determinants of the 2x2 reshapes of a basis of
-the moving plane and their polar form), decided by gcd and discriminant
-arithmetic, with meet parameters returned exactly, in a quadratic
-extension when necessary.
+factor.  The standard line (phi = I, contracted factor 0) is line 0 of
+every square, and a line is compared with it exactly: whether some plane
+of its family equals a plane of the standard one reduces to common roots
+of three binary quadratics (the determinants of the 2x2 reshapes of a
+basis of the moving plane and their polar form).  They are integers, the
+numerators of phi^{-1} or its residues mod p, and so is their gcd; field
+elements are built only for meet parameters, returned exactly, in a
+quadratic extension when necessary.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .forms import BinaryForm, binary_form_gcd, root_structure
-from .linalg import Matrix, _integer_multiple, _pick
+from .forms import _monic, form_gcd, root_structure
+from .linalg import Matrix, _pick, _pick_kept
 from .records import Record
 
 
 class EmbeddedLine(Record):
     """A line P^1 -> G induced by phi: V ~ U0 x U1 and a contracted factor.
 
-    ``phi_inv`` is the inverse of ``phi``, handed over by the geometric
-    square that stores it, so a line never inverts a matrix."""
+    ``phi_inv`` is handed over by the geometric square that stores it, so
+    a line never inverts a matrix; only ranks are read from ``phi``, which
+    may be any nonzero multiple of the inverse."""
 
     phi: Matrix
     phi_inv: Matrix
@@ -63,9 +66,6 @@ class LineRelation(Record):
     flag: str = ""
     psi_reshuffle_rank: int = 0
     orientations: tuple = (0, 0)
-
-
-_SWAP_PICKS = tuple(4 * r + j for r in (0, 2, 1, 3) for j in range(4))
 
 
 def _det2(v):
@@ -117,42 +117,36 @@ def reshuffle_rank(psi: Matrix) -> int:
     return _pick(psi, 4, 4, _RESHUFFLE_PICKS).rank()
 
 
-def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
-    """Exact classifier for two embedded lines in the same G.
+def line_relation(line: EmbeddedLine) -> LineRelation:
+    """Exact classifier of ``line`` against the standard line, phi = I
+    with contracted factor 0, whose family is the left family {l x U1}.
 
-    Coordinates are normalized so that l0's family is the standard
-    left family {l x U1}; l1's moving plane P(k) is spanned by two
-    vectors linear in the parameter k.  P(k) is a point of l0's family
-    iff every element of P(k) is a singular 2x2 matrix with a common
-    left (column) factor; full decomposability is three binary
-    quadratics in k, and the verdict follows from their gcd.
+    The moving plane P(k) of ``line`` is spanned by two vectors linear in
+    the parameter k, columns of M = phi^{-1}.  P(k) is a point of the
+    standard family iff every element of P(k) is a singular 2x2 matrix
+    with a common left (column) factor; full decomposability is three
+    binary quadratics in k, and the verdict follows from their gcd.
+    Scaling M scales the three forms alike and leaves their gcd alone, so
+    the forms and the gcd are integers, from the numerators of M.
     """
-    field = l0.field
-    if l1.field != field:
-        raise ValueError("lines over different fields")
-    # swapping the factors of l0's codomain moves row 2a+b of phi to row 2b+a
-    T = l0.phi if l0.contracted_factor == 0 else _pick(l0.phi, 4, 4, _SWAP_PICKS)
-    M = T * l1.phi_inv
-
-    # moving plane basis n_i(k) = kx * A_i + ky * B_i, A_i and -B_i columns
-    # of M.  Scaling M scales the three forms alike and leaves their monic
-    # gcd alone, so the forms are built from an integer multiple of M
-    a_cols, b_cols = ((2, 3), (0, 1)) if l1.contracted_factor == 0 else ((1, 3), (0, 2))
-    ints = _integer_multiple(M)
+    field, p = line.field, line.field.characteristic
+    M = line.phi_inv
+    # moving plane basis n_i(k) = kx * A_i + ky * B_i, A_i and -B_i columns of M
+    a_cols, b_cols = ((2, 3), (0, 1)) if line.contracted_factor == 0 else ((1, 3), (0, 2))
+    ints = M._num
     A = [ints[j::4] for j in a_cols]
     B = [tuple(-x for x in ints[j::4]) for j in b_cols]
+    forms = (
+        (_det2(A[0]), _polar2(A[0], B[0]), _det2(B[0])),
+        (_det2(A[1]), _polar2(A[1], B[1]), _det2(B[1])),
+        (_polar2(A[0], A[1]), _polar2(A[0], B[1]) + _polar2(B[0], A[1]), _polar2(B[0], B[1])),
+    )
+    if p:
+        forms = [tuple(c % p for c in f) for f in forms]
+    forms = [f for f in forms if any(f)]
 
-    q1 = BinaryForm(field, (_det2(A[0]), _polar2(A[0], B[0]), _det2(B[0])))
-    q2 = BinaryForm(field, (_det2(A[1]), _polar2(A[1], B[1]), _det2(B[1])))
-    bform = BinaryForm(field, (
-        _polar2(A[0], A[1]),
-        _polar2(A[0], B[1]) + _polar2(B[0], A[1]),
-        _polar2(B[0], B[1]),
-    ))
-
-    psi = l1.phi * l0.phi_inv
-    rr = reshuffle_rank(psi)
-    orientations = (l0.contracted_factor, l1.contracted_factor)
+    rr = reshuffle_rank(line.phi)
+    orientations = (0, line.contracted_factor)
 
     def plane_at(kx, ky):
         # on field values of M, so a witness prints the same numbers under
@@ -162,7 +156,7 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
         b = [tuple(-x for x in M.col(j)) for j in b_cols]
         return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
 
-    if q1.is_zero() and q2.is_zero() and bform.is_zero():
+    if not forms:
         # every plane of the family is fully decomposable; the ruling type
         # is constant along the family, but sample three parameters anyway
         types = set()
@@ -180,9 +174,10 @@ def line_relation(l0: EmbeddedLine, l1: EmbeddedLine) -> LineRelation:
             orientations=orientations,
         )
 
-    gcd = binary_form_gcd([f for f in (q1, q2, bform) if not f.is_zero()])
-    if gcd.degree == 0:
+    gcd = form_gcd(forms, p)
+    if len(gcd) == 1:
         return LineRelation("disjoint", psi_reshuffle_rank=rr, orientations=orientations)
+    gcd = _monic(field, gcd)
 
     # distinct projective roots of the gcd, possibly in an extension
     if gcd.degree == 1:
@@ -247,7 +242,7 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     single monomial m = u + 1 - k, negated when k = 0, so column (u, c)
     carries g[2k+o] at row 3*o + u + 1 - k, where g = row c of phi^{-1}
     (g[2o+k] when the contracted factor is 1)."""
-    return 8 - _pick(line.phi_inv, 6, 8, _hom_picks(line.contracted_factor)).rank()
+    return 8 - _pick_kept(line.phi_inv, 6, 8, _hom_picks(line.contracted_factor)).rank()
 
 
 @cache

@@ -10,8 +10,8 @@ fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
 exact divisions keep every entry a minor of the input, and Gauss mod p
 for p > 0.  A common denominator changes no rank, pivot or kernel.  A
 matrix keeps its echelon after the first elimination, so ``rank``,
-``_kernel`` and ``det`` of one matrix share it; ``inverse`` eliminates
-[N | -I] of its own.  Everything else is read off the echelon:
+``_kernel`` and ``det`` of one matrix share it.  Everything else is read
+off the echelon:
 
 * the rank is the number of pivots;
 * the reduced kernel basis, unique since it is the identity on the free
@@ -20,15 +20,14 @@ matrix keeps its echelon after the first elimination, so ``rank``,
   positive running denominator on Z, or solved mod p; ``_kernel`` hands
   it out as those integers, and geometricity decides on them;
 * the determinant is the last Bareiss pivot over den^n on Z, or the
-  signed product of the pivots mod p;
-* the inverse of N / d is d times the kernel of [N | -I] at its free
-  columns n..2n-1.
+  signed product of the pivots mod p.
 
-A product multiplies numerators and denominators.  ``_pick`` builds a
-matrix from named entries of another one, negated or zero, which is how
-tensors, quivers and the Hom counts assemble their matrices without
-arithmetic; ``_integer_multiple`` hands out the integers of a nonzero
-multiple, for questions that scaling does not change.
+No inverse is eliminated: ``_adjugate`` writes adj N = det N * N^-1 of a
+4x4 matrix from 2x2 minors, for questions that scaling does not change.
+``_pick`` builds a matrix from named entries of another one, negated or
+zero, which is how tensors, quivers and the Hom counts assemble their
+matrices without arithmetic; ``_pick_kept`` picks from the shared
+identity once per process.
 
 Field elements exist only at the boundary.  ``Matrix(field, rows)``
 coerces every entry through ``field.of``, since callers pass ints and
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import mul, neg
 
@@ -94,7 +94,9 @@ class Matrix:
         return m
 
     @classmethod
+    @cache
     def identity(cls, field, n: int) -> "Matrix":
+        """The n x n identity, one shared matrix per field and size."""
         return cls._of_num(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
 
     @property
@@ -132,19 +134,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, self._key()))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        p, n, k = self.field.characteristic, self.ncols, other.ncols
-        a, b = self._num, other._num
-        right = [b[j::k] for j in range(k)]
-        num = [sum(map(mul, a[i * n:(i + 1) * n], c)) for i in range(self.nrows) for c in right]
-        if p:
-            num = [x % p for x in num]
-        return Matrix._of_num(self.field, num, self._den * other._den, self.nrows, k)
 
     # -- elimination ----------------------------------------------------
 
@@ -184,23 +173,6 @@ class Matrix:
             value = sign * ech[-1][-1] if n else 1
         return _elements(self.field, (value,), self._den ** n)[0]
 
-    def inverse(self) -> "Matrix":
-        """Column j of N^-1 is the x part of the kernel vector of [N | -I]
-        at the free column n + j: N x = e_j.  Then (N / d)^-1 = d N^-1."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        p, num = self.field.characteristic, self._num
-        aug = [list(num[i * n:(i + 1) * n]) + [-(j == i) for j in range(n)] for i in range(n)]
-        ech, pivots, _ = _int_echelon(aug, 2 * n, p)
-        if n and pivots[-1] != n - 1:
-            raise ValueError("matrix is singular")
-        cols = []
-        for j in range(n):
-            y, den = _int_kernel_vector(ech, pivots, n + j, 2 * n, p)
-            cols.append((y[:n], den))
-        return _of_int_cols(self.field, cols, n, self._den)
-
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
             return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
@@ -220,17 +192,6 @@ def _elements(field, num, den: int) -> tuple:
     return tuple(map(Fraction, num, repeat(den)))
 
 
-def _of_int_cols(field, cols, nrows: int, scale: int) -> Matrix:
-    """The matrix whose column j is scale * y / den for the pair
-    (y, den) = cols[j], over the common denominator of its columns.  Mod p
-    the y are residues and scale and every den are 1."""
-    lcm = math.lcm(*[d for _, d in cols])
-    g = math.gcd(scale, lcm)
-    factors = [scale // g * (lcm // d) for _, d in cols]
-    num = [y[i] * f for i in range(nrows) for (y, _), f in zip(cols, factors)]
-    return Matrix._of_num(field, num, lcm // g, nrows, len(cols))
-
-
 def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
     """The nrows x ncols matrix whose flat row-major entries are named by
     ``picks``: an index k >= 0 is entry k of m (row-major), ~k its
@@ -241,6 +202,19 @@ def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
     return Matrix._of_num(m.field, out, m._den, nrows, ncols)
 
 
+def _pick_kept(m: Matrix, nrows: int, ncols: int, picks: tuple) -> Matrix:
+    """``_pick``, except that from the shared 4x4 identity each matrix is
+    picked once per process, by field and picks, and keeps its echelon."""
+    if m is Matrix.identity(m.field, 4):
+        return _identity_pick(m.field, nrows, ncols, picks)
+    return _pick(m, nrows, ncols, picks)
+
+
+@cache
+def _identity_pick(field, nrows: int, ncols: int, picks: tuple) -> Matrix:
+    return _pick(Matrix.identity(field, 4), nrows, ncols, picks)
+
+
 def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
     """``top`` over ``bottom``, two matrices with the same columns."""
     den = math.lcm(top._den, bottom._den)
@@ -249,11 +223,32 @@ def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._of_num(top.field, num, den, top.nrows + bottom.nrows, top.ncols)
 
 
-def _integer_multiple(m: Matrix) -> tuple:
-    """The flat row-major entries of c * m for one nonzero scalar c, as
-    integers: the numerators over QQ, the residues mod p.  Enough for any
-    question whose answer is unchanged by scaling."""
-    return m._num
+def _adjugate(m: Matrix) -> Matrix:
+    """adj N = (det N / d) * m^-1 of a 4x4 matrix m = N / d, as integers
+    (residues mod p), by Laplace expansion along complementary rows: s_jk
+    and c_jk are the 2x2 minors of rows (0, 1) and (2, 3) on columns
+    j < k, and each cofactor is one row of the other pair against three of
+    them (Eberly, The Laplace Expansion Theorem, 2008)."""
+    (a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a22, a23, a30, a31, a32, a33) = m._num
+    s01, s02, s03 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    s12, s13, s23 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    c01, c02, c03 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    c12, c13, c23 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    adj = (
+        a11 * c23 - a12 * c13 + a13 * c12, a02 * c13 - a01 * c23 - a03 * c12,
+        a31 * s23 - a32 * s13 + a33 * s12, a22 * s13 - a21 * s23 - a23 * s12,
+        a12 * c03 - a10 * c23 - a13 * c02, a00 * c23 - a02 * c03 + a03 * c02,
+        a32 * s03 - a30 * s23 - a33 * s02, a20 * s23 - a22 * s03 + a23 * s02,
+        a10 * c13 - a11 * c03 + a13 * c01, a01 * c03 - a00 * c13 - a03 * c01,
+        a30 * s13 - a31 * s03 + a33 * s01, a21 * s03 - a20 * s13 - a23 * s01,
+        a11 * c02 - a10 * c12 - a12 * c01, a00 * c12 - a01 * c02 + a02 * c01,
+        a31 * s02 - a30 * s12 - a32 * s01, a20 * s12 - a21 * s02 + a22 * s01,
+    )
+    p = m.field.characteristic
+    if p:
+        adj = [x % p for x in adj]
+    return Matrix._of_num(m.field, adj, 1, 4, 4)
 
 
 def _int_echelon(rows, ncols, p):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
-from .fields import QQ, QuadElement, QuadraticExtension, _sqrt_mod_p
+from .fields import QQ, QuadElement, QuadraticExtension, _exact_str, _sqrt_mod_p
 from .grassmann import _det2, _polar2
 from .linalg import Matrix, _elements, _pick
 from .records import Record
@@ -63,7 +63,7 @@ class Quintuple(Record):
     def __post_init__(self):
         if self.w.shape != (2, 2, 2, 2) or self.w.slots != SLOT_LABELS:
             raise ValueError("w must have shape (2,2,2,2) with slots V0..V3")
-        if self.w.is_zero():
+        if not any(self.w._row._num):   # numerators, or residues mod p
             raise ValueError("w must be nonzero")
 
     @property
@@ -224,7 +224,7 @@ def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     i = 0 if k[0] else 1
     witness = PureWitness((ext.one, k[i + 2] / k[i]), (k[0], k[1]), extension_disc=ext.disc)
     return SlotPairReport(j, False, kd, witness,
-                          f"singular combination exists only over theta^2 = {ext.disc}")
+                          f"singular combination exists only over theta^2 = {_exact_str(ext.disc)}")
 
 
 def is_geometric(q: Quintuple) -> GeometricityReport:

@@ -11,8 +11,10 @@ determinant of the slot-(2,3) contraction) yields the square
 <-, w> is the contraction matrix M_2 of ``Quintuple.contractions``, the
 transpose of M_0, so its determinant is det M_0: over QQ the last pivot
 of the fraction-free echelon (Bareiss 1968) of M_0 that geometricity
-already ran, mod p the signed product of its pivots.  Inverting M_2 is
-the square's one elimination.
+already ran, mod p the signed product of its pivots.  Only ranks are
+read from phi_w, so the square holds it up to a nonzero scalar: phi_1 is
+the integer adjugate adj M_2, written from 2x2 minors with no
+elimination, and phi_0 is the shared identity.
 
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
@@ -37,7 +39,7 @@ from __future__ import annotations
 from functools import cache
 
 from .grassmann import EmbeddedLine
-from .linalg import Matrix, _pick, _vstack
+from .linalg import Matrix, _adjugate, _pick_kept, _vstack
 from .quintuples import DimTable, Quintuple, RelationData, hilbert_dims
 from .records import Record
 
@@ -49,6 +51,10 @@ LINEAR_GRAM = ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 # the arrow spaces of the block quiver, per line i and factor: the duals
 # of the factors (V0, V1) of phi_0's codomain and (V2*, V3*) of phi_1's
 _ARROW_SPACES = (("V0*", "V1*"), ("V2", "V3"))
+
+# the rows of phi on the paths (o, n) of a leg contracting factor cf (``block_quiver``)
+_LEG_PICKS = tuple(tuple(4 * (2 * o + n if cf == 0 else 2 * n + o) + j
+                         for o in range(2) for n in range(2) for j in range(4)) for cf in (0, 1))
 
 # K-theory classes of the reordered collection in terms of the linear one:
 # (v1, v2, 2*v1 - v0, v3)
@@ -66,7 +72,8 @@ class NotGeneric(Exception):
 
 class GeometricSquare(Record):
     """The septuple, with phi0 and phi1 stored next to their inverses,
-    which the lines consume and the constructor already knows."""
+    which the lines consume and the constructor already knows; phi_i may
+    be any nonzero multiple of the inverse of phi_i_inv."""
 
     phi0: Matrix
     phi1: Matrix
@@ -82,10 +89,6 @@ class GeometricSquare(Record):
             if phi.nrows != 4 or phi.ncols != 4:
                 raise ValueError("phi matrices must be 4x4")
 
-    @property
-    def field(self):
-        return self.phi0.field
-
     def line(self, i: int) -> EmbeddedLine:
         """The two embedded lines; line 1's contracted factor follows the
         convention flag."""
@@ -100,8 +103,9 @@ class GeometricSquare(Record):
 def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> GeometricSquare:
     """The square (V0xV1, V0, V1, V2*, V3*, id, phi_w) of a quintuple.
 
-    Raises NotGeneric("determinant") when det <-, w> = 0 (the complement
-    of the open locus U').
+    phi1 is adj N = (det N / d) * phi_w for M_2 = N / d.  Raises
+    NotGeneric("determinant") when det <-, w> = 0 (the complement of the
+    open locus U').
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -112,7 +116,7 @@ def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> Geometric
     ident = Matrix.identity(q.field, 4)
     return GeometricSquare(
         phi0=ident,
-        phi1=m.inverse(),
+        phi1=_adjugate(m),   # a nonzero multiple of phi_w = M_2^{-1}
         phi0_inv=ident,
         phi1_inv=m,
         convention=convention,
@@ -169,11 +173,8 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     for i in range(2):
         line = square.line(i)
         cf = line.contracted_factor
-        out_space = _ARROW_SPACES[i][cf]
-        in_space = _ARROW_SPACES[i][1 - cf]
-        rows = _pick(line.phi, 4, 4, [4 * (2 * o + n if cf == 0 else 2 * n + o) + j
-                                      for o in range(2) for n in range(2) for j in range(4)])
-        legs.append((rows, out_space, in_space))
+        rows = _pick_kept(line.phi, 4, 4, _LEG_PICKS[cf])
+        legs.append((rows, _ARROW_SPACES[i][cf], _ARROW_SPACES[i][1 - cf]))
     paths = _vstack(legs[0][0], legs[1][0])
 
     arrows = (

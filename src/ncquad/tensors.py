@@ -60,13 +60,6 @@ class Tensor:
     def arity(self) -> int:
         return len(self.shape)
 
-    @property
-    def entries(self) -> tuple:
-        return self._row.rows[0]
-
-    def is_zero(self) -> bool:
-        return all(not x for x in self.entries)
-
     def reshape(self, row_slots, col_slots) -> Matrix:
         """Matrix whose (row, col) multi-indices run over the given slot
         positions, row-major in each group; an empty group gives one row

@@ -19,25 +19,82 @@ from ncquad.tensors import Tensor
 # -- plain functions over the library's public types -------------------------
 
 
+def tensor_entries(t: Tensor) -> tuple:
+    """The entries of t as field elements, row-major."""
+    return t._row.rows[0]
+
+
 def tensor_entry(t: Tensor, idx):
     """The entry of t at the multi-index idx, row-major."""
     flat = 0
     for i, n in zip(idx, t.shape):
         flat = flat * n + i
-    return t.entries[flat]
+    return tensor_entries(t)[flat]
 
 
 def matrix_cols(m) -> list[tuple]:
     return [m.col(j) for j in range(m.ncols)]
 
 
+def _of_int_cols(field, cols, nrows: int, scale: int):
+    """The matrix whose column j is scale * y / den for the pair
+    (y, den) = cols[j], over the common denominator of its columns.  Mod p
+    the y are residues and scale and every den are 1."""
+    import math
+
+    from ncquad.linalg import Matrix
+
+    lcm = math.lcm(*[d for _, d in cols])
+    g = math.gcd(scale, lcm)
+    factors = [scale // g * (lcm // d) for _, d in cols]
+    num = [y[i] * f for i in range(nrows) for (y, _), f in zip(cols, factors)]
+    return Matrix._of_num(field, num, lcm // g, nrows, len(cols))
+
+
 def kernel_basis(m):
     """The matrix whose columns are the reduced basis of the right null
     space of m, built from the integers ``Matrix._kernel`` reads off the
     kept echelon; rank + ncols of the result == m.ncols."""
-    from ncquad.linalg import _of_int_cols
-
     return _of_int_cols(m.field, m._kernel(), m.ncols, 1)
+
+
+def matmul(a, b):
+    """The product a b of two matrices over one field: numerators multiply
+    by rows and columns, denominators by each other."""
+    from ncquad.linalg import Matrix
+
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    p, n, k = a.field.characteristic, a.ncols, b.ncols
+    right = [b._num[j::k] for j in range(k)]
+    num = [sum(x * y for x, y in zip(a._num[i * n:(i + 1) * n], c))
+           for i in range(a.nrows) for c in right]
+    if p:
+        num = [x % p for x in num]
+    return Matrix._of_num(a.field, num, a._den * b._den, a.nrows, k)
+
+
+def inverse(m):
+    """m^-1 from the kernel of [N | -I] for m = N / d: column j is the x
+    part of the kernel vector at the free column n + j, N x = e_j, and
+    (N / d)^-1 = d N^-1.  Raises ValueError when m is singular."""
+    from ncquad.linalg import _int_echelon, _int_kernel_vector
+
+    if m.nrows != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.nrows
+    p, num = m.field.characteristic, m._num
+    aug = [list(num[i * n:(i + 1) * n]) + [-(j == i) for j in range(n)] for i in range(n)]
+    ech, pivots, _ = _int_echelon(aug, 2 * n, p)
+    if n and pivots[-1] != n - 1:
+        raise ValueError("matrix is singular")
+    cols = []
+    for j in range(n):
+        y, den = _int_kernel_vector(ech, pivots, n + j, 2 * n, p)
+        cols.append((y[:n], den))
+    return _of_int_cols(m.field, cols, n, m._den)
 
 
 def monic(form):
@@ -192,7 +249,139 @@ def line_from_phi(phi, contracted_factor=0):
     inverse computed here; raises ValueError when phi is singular."""
     from ncquad.grassmann import EmbeddedLine
 
-    return EmbeddedLine(phi, phi.inverse(), contracted_factor)
+    return EmbeddedLine(phi, inverse(phi), contracted_factor)
+
+
+_SWAP_PICKS = tuple(4 * r + j for r in (0, 2, 1, 3) for j in range(4))
+
+
+def relative_line(l0, l1):
+    """l1 in the coordinates where l0 is the standard line (phi = I,
+    contracted factor 0): phi^{-1} is T l1.phi_inv and phi is
+    l1.phi T^{-1}, for T = l0.phi with its factors swapped when l0
+    contracts factor 1.  ``line_relation`` of it has the verdict, count
+    and witnesses of ``reference_line_relation(l0, l1)``, and also its
+    reshuffle rank and orientations when l0 contracts factor 0."""
+    from ncquad.grassmann import EmbeddedLine
+    from ncquad.linalg import _pick
+
+    if l0.contracted_factor == 0:
+        t, t_inv = l0.phi, l0.phi_inv
+    else:
+        t = _pick(l0.phi, 4, 4, _SWAP_PICKS)
+        t_inv = _pick(l0.phi_inv, 4, 4, [4 * r + j for r in range(4) for j in (0, 2, 1, 3)])
+    return EmbeddedLine(matmul(l1.phi, t_inv), matmul(t, l1.phi_inv), l1.contracted_factor)
+
+
+def reference_line_relation(l0, l1):
+    """The classifier of two arbitrary embedded lines, on field elements:
+    ``line_relation`` before it compared one line with the standard line.
+    It forms T l1.phi_inv and psi = l1.phi l0.phi_inv by matrix products,
+    builds the three quadratics as ``BinaryForm``s and takes their gcd by
+    ``euclid_form_gcd``, which shares no code with ``forms.form_gcd``."""
+    from ncquad.forms import BinaryForm, root_structure
+    from ncquad.grassmann import (
+        LineRelation,
+        MeetWitness,
+        _det2,
+        _left_direction,
+        _plane_type,
+        _polar2,
+        reshuffle_rank,
+    )
+    from ncquad.linalg import _pick
+
+    field = l0.field
+    if l1.field != field:
+        raise ValueError("lines over different fields")
+    # swapping the factors of l0's codomain moves row 2a+b of phi to row 2b+a
+    T = l0.phi if l0.contracted_factor == 0 else _pick(l0.phi, 4, 4, _SWAP_PICKS)
+    M = matmul(T, l1.phi_inv)
+
+    # moving plane basis n_i(k) = kx * A_i + ky * B_i, A_i and -B_i columns
+    # of M.  Scaling M scales the three forms alike and leaves their monic
+    # gcd alone, so the forms are built from an integer multiple of M
+    a_cols, b_cols = ((2, 3), (0, 1)) if l1.contracted_factor == 0 else ((1, 3), (0, 2))
+    ints = M._num
+    A = [ints[j::4] for j in a_cols]
+    B = [tuple(-x for x in ints[j::4]) for j in b_cols]
+
+    q1 = BinaryForm(field, (_det2(A[0]), _polar2(A[0], B[0]), _det2(B[0])))
+    q2 = BinaryForm(field, (_det2(A[1]), _polar2(A[1], B[1]), _det2(B[1])))
+    bform = BinaryForm(field, (
+        _polar2(A[0], A[1]),
+        _polar2(A[0], B[1]) + _polar2(B[0], A[1]),
+        _polar2(B[0], B[1]),
+    ))
+
+    psi = matmul(l1.phi, l0.phi_inv)
+    rr = reshuffle_rank(psi)
+    orientations = (l0.contracted_factor, l1.contracted_factor)
+
+    def plane_at(kx, ky):
+        a = [M.col(j) for j in a_cols]
+        b = [tuple(-x for x in M.col(j)) for j in b_cols]
+        return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
+
+    if q1.is_zero() and q2.is_zero() and bform.is_zero():
+        types = set()
+        for kx, ky in ((field.one, field.zero), (field.zero, field.one), (field.one, field.one)):
+            n1, n2 = plane_at(kx, ky)
+            types.add(_plane_type(n1, n2))
+        if types != {"left"} and types != {"right"}:
+            raise AssertionError(f"inconsistent decomposable family types: {types}")
+        if types == {"left"}:
+            return LineRelation("coincide", psi_reshuffle_rank=rr, orientations=orientations)
+        return LineRelation(
+            "disjoint",
+            flag="opposite decomposable family",
+            psi_reshuffle_rank=rr,
+            orientations=orientations,
+        )
+
+    gcd = euclid_form_gcd([f for f in (q1, q2, bform) if not f.is_zero()])
+    if gcd.degree == 0:
+        return LineRelation("disjoint", psi_reshuffle_rank=rr, orientations=orientations)
+
+    if gcd.degree == 1:
+        a, b = gcd.coeffs  # a*s + b*t
+        roots = [((-b, a), None)]
+    else:
+        rs = root_structure(gcd)
+        if rs.kind == "double-rational":
+            roots = [(rs.roots[0], None)]
+        elif rs.kind == "split-rational":
+            roots = [(rs.roots[0], None), (rs.roots[1], None)]
+        else:
+            roots = [(r, rs.discriminant) for r in rs.roots]
+
+    witnesses = []
+    for (kx, ky), disc in roots:
+        n1, n2 = plane_at(kx, ky)
+        ptype = _plane_type(n1, n2)
+        if ptype == "neither":
+            raise AssertionError("plane at a common root is not decomposable")
+        if ptype == "left":
+            ell = _left_direction(n1, n2)
+            witnesses.append(MeetWitness(
+                param_l1=(kx, ky),
+                param_l0=(ell[1], -ell[0]),
+                extension_disc=disc,
+            ))
+    if witnesses:
+        return LineRelation(
+            "meet",
+            count=len(witnesses),
+            witnesses=tuple(witnesses),
+            psi_reshuffle_rank=rr,
+            orientations=orientations,
+        )
+    return LineRelation(
+        "disjoint",
+        flag="decomposable only at opposite-ruling parameters",
+        psi_reshuffle_rank=rr,
+        orientations=orientations,
+    )
 
 
 def kernel_at(line, s, t, fld=None):
@@ -230,7 +419,30 @@ def evaluate(form, s, t):
     return acc
 
 
-# -- Euclid on field elements (oracle for forms.binary_form_gcd) -----------
+def binary_form_gcd(forms):
+    """Monic gcd of a non-empty list of ``BinaryForm``s over QQ or F_p by
+    ``forms.form_gcd`` on their integer coefficients; the zero form when
+    every input is zero."""
+    from math import lcm
+
+    from ncquad.forms import BinaryForm, _monic, form_gcd
+
+    field = forms[0].field
+    p = field.characteristic
+    ints = []
+    for f in forms:
+        if p:
+            ints.append([c.value for c in f.coeffs])
+        else:
+            den = lcm(*(c.denominator for c in f.coeffs))
+            ints.append([c.numerator * (den // c.denominator) for c in f.coeffs])
+    nonzero = [f for f in ints if any(f)]
+    if not nonzero:
+        return BinaryForm(field, [field.zero])
+    return _monic(field, form_gcd(nonzero, p))
+
+
+# -- Euclid on field elements (oracle for forms.form_gcd) ------------------
 #
 # The monic gcd by textbook Euclid, dividing by the leading field element
 # at every step; polynomials are ascending lists of field elements.
@@ -259,8 +471,9 @@ def _poly_mod(a, b, field):
 
 
 def euclid_form_gcd(forms):
-    """Monic gcd of binary forms over QQ or F_p, with the conventions of
-    ``binary_form_gcd``: the zero form when every input is zero."""
+    """Monic gcd of binary forms over QQ or F_p by textbook Euclid, with
+    the conventions of ``binary_form_gcd``: the zero form when every
+    input is zero."""
     from ncquad.forms import BinaryForm
 
     field = forms[0].field
@@ -311,7 +524,7 @@ def transpose(m):
 
 def apply(m, vec) -> tuple:
     """Matrix times column vector, through the matrix product."""
-    return (m * from_cols(m.field, [vec])).col(0)
+    return matmul(m, from_cols(m.field, [vec])).col(0)
 
 
 def hstack(a, b):
@@ -406,7 +619,7 @@ def _composition_counts(comp, leg_width=4):
 def block_composition_oracle(square):
     """The 4x8 composition of the block quiver: the path (o, n) of leg i is
     phi_i^T applied to the unit vector of its (contracted, other) index."""
-    field = square.field
+    field = square.phi0.field
     cols = []
     for i in range(2):
         line = square.line(i)
@@ -884,7 +1097,7 @@ def change_basis(q, gs) -> Quintuple:
     """The quintuple with w transformed by g_0 x g_1 x g_2 x g_3, for 2x2
     matrices g_i acting on V_i: one slot at a time, by per-entry sums."""
     field = q.field
-    w = list(q.w.entries)
+    w = list(tensor_entries(q.w))
     for slot, g in enumerate(gs):
         stride = 1 << (3 - slot)
         out = [field.zero] * 16

@@ -13,6 +13,7 @@ from helpers import (
     euler_p1xp2,
     kernel_basis,
     line_from_phi,
+    matmul,
     nonresidue_int,
     random_invertible_fp,
     random_invertible_qq,
@@ -124,7 +125,7 @@ def test_criterion_04_line_classifier_and_convention_discrepancy():
 
         def verdict(q, conv):
             sq = square_from_quintuple(q, conv)
-            return line_relation(sq.line(0), sq.line(1))
+            return line_relation(sq.line(1))
 
         lr_linear_ruling = verdict(linear, "ruling")
         assert lr_linear_ruling.verdict == "disjoint"
@@ -243,7 +244,7 @@ def test_criterion_10_certification():
             if c.certified:
                 certified += 1
                 square = square_from_quintuple(q, "ruling")
-                lines = line_relation(square.line(0), square.line(1))
+                lines = line_relation(square.line(1))
                 assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
         assert certified >= 90
 
@@ -270,7 +271,7 @@ def test_criterion_11_oracle_agreement():
             b = random_matrix_qq(rng, 4, 2)
             red = lambda m, f: Matrix(f, [[f.of(x) for x in row] for row in m.rows],
                                       ncols=m.ncols)
-            assert red(a, F101) * red(b, F101) == red(a * b, F101)
+            assert matmul(red(a, F101), red(b, F101)) == red(matmul(a, b), F101)
         # rank/kernel dims survive reduction mod a 61-bit prime (no minor of
         # a small-entry matrix can vanish mod it unless it vanishes over QQ)
         big = GF(2**61 - 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import tensor_entries
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import FrozenJSON, canonical_json_bytes, tensor_nested_strings
 from ncquad.linalg import Matrix
@@ -59,7 +60,7 @@ _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 def _nested_by_field(q):
     """w nested slot by slot from the field elements and ``field.format``."""
-    flat = [q.field.format(x) for x in q.w.entries]
+    flat = [q.field.format(x) for x in tensor_entries(q.w)]
     for n in (2, 2, 2):
         flat = [flat[i:i + n] for i in range(0, len(flat), n)]
     return flat

@@ -62,25 +62,50 @@ def eliminations(monkeypatch):
     return count
 
 
+@pytest.fixture
+def warm():
+    """Certify one QQ input under both conventions, so the ranks read off
+    the shared identity (block leg 0 and Hom(R, K_0) of the standard
+    line), which a process eliminates once, are already kept."""
+    for convention in ("ruling", "literal"):
+        assert full_pipeline(build_type_a(2, 3, 5), convention).certified
+
+
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
-def test_certified_type_a_input_eliminates_twelve_times(eliminations, convention):
-    # geometricity 2, relations 3, the inverse 1, the line classifier 1,
-    # the block quiver 3 and the two Hom(R, K_i) leaves 2; the determinant
-    # and the mutation's R_0 leg read the elimination of M_0
+def test_certified_type_a_input_eliminates_nine_times(warm, eliminations, convention):
+    # geometricity 2, relations 3, the line classifier's reshuffle rank 1,
+    # the block quiver 2 (leg 1 and the stacked paths) and Hom(R, K_1) 1;
+    # the determinant and the mutation's R_0 leg read the elimination of
+    # M_0, the square writes phi_1 as an adjugate with no elimination, and
+    # leg 0 and Hom(R, K_0) read the identity's kept ones
     assert full_pipeline(build_type_a(1, 2, 3), convention).certified
-    assert eliminations[0] == 12
+    assert eliminations[0] == 9
 
 
-def test_second_convention_on_the_same_quintuple_eliminates_ten_times(eliminations):
+def test_identity_ranks_are_eliminated_once_per_process(eliminations):
+    # in a fresh process the first certified input also ranks block leg 0
+    # and Hom(R, K_0), once each; the caches are keyed by field, and the
+    # standard line always contracts factor 0
+    kept = ncquad.linalg._identity_pick
+    kept.cache_clear()
+    assert full_pipeline(build_type_a(1, 2, 3), "ruling").certified
+    assert eliminations[0] == 11
+    eliminations[0] = 0
+    assert full_pipeline(build_type_a(1, 2, 3), "literal").certified
+    assert eliminations[0] == 9
+    assert kept.cache_info().currsize == 2
+
+
+def test_second_convention_on_the_same_quintuple_eliminates_seven_times(warm, eliminations):
     # the second run reads geometricity's eliminations of M_0 and M_1 off
-    # q; relations, the inverse, the lines, the quivers and the leaves
-    # belong to the convention's own analysis
+    # q; relations, the reshuffle rank, block leg 1, the stacked paths and
+    # Hom(R, K_1) belong to the convention's own analysis
     q = build_type_a(1, 2, 3)
     assert full_pipeline(q, "ruling").certified
-    assert eliminations[0] == 12
+    assert eliminations[0] == 9
     eliminations[0] = 0
     assert full_pipeline(q, "literal").certified
-    assert eliminations[0] == 10
+    assert eliminations[0] == 7
 
 
 def test_contractions_are_picked_once_and_kept_out_of_the_record():
@@ -96,7 +121,7 @@ def test_contractions_are_picked_once_and_kept_out_of_the_record():
     assert q.contractions == fresh.contractions
 
 
-def test_singular_m1_still_eliminates_m3(eliminations):
+def test_singular_m1_still_eliminates_m3(warm, eliminations):
     q = _quintuple(CERTIFIED_M1_SINGULAR)
     flat = q.contractions
     assert flat[0].rank() == 4 and flat[1].rank() == 3
@@ -110,7 +135,7 @@ def test_singular_m1_still_eliminates_m3(eliminations):
     eliminations[0] = 0
     cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
-    assert eliminations[0] == 13
+    assert eliminations[0] == 10
     assert cert.stages[0]["report"] == geometricity_oracle(q)
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import euclid_form_gcd, evaluate, nonresidue_int
+from helpers import binary_form_gcd, euclid_form_gcd, evaluate, nonresidue_int
 from ncquad.fields import GF, QQ
-from ncquad.forms import BinaryForm, binary_form_gcd, root_structure
+from ncquad.forms import BinaryForm, root_structure
 
 
 def form(*coeffs, field=QQ):

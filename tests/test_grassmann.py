@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    binary_form_gcd,
     from_cols,
+    inverse,
     kernel_at,
     kernel_basis,
     line_from_phi,
+    matmul,
     point_at,
     point_from_quotient,
     random_invertible_fp,
     random_invertible_qq,
     rank_oracle,
+    reference_line_relation,
+    relative_line,
     span_equal,
 )
 from ncquad.fields import GF, QQ, QuadraticExtension
@@ -47,7 +52,7 @@ def test_row_equivalent_quotients_same_point():
             continue
         g = random_invertible_qq(rng, 2, height=5)
         pt1 = point_from_quotient(f)
-        pt2 = point_from_quotient(g * f)
+        pt2 = point_from_quotient(matmul(g, f))
         assert pt1.same_point(pt2)
 
 
@@ -118,32 +123,32 @@ def test_parametrization_injective():
 def test_line_relation_paper_examples():
     linear = build_linear_quadric()
     sq = square_from_quintuple(linear, "ruling")
-    lr = line_relation(sq.line(0), sq.line(1))
+    lr = line_relation(sq.line(1))
     assert lr.verdict == "disjoint"
     assert lr.flag == "opposite decomposable family"
     assert lr.psi_reshuffle_rank == 1
 
     sq_lit = square_from_quintuple(linear, "literal")
-    lr_lit = line_relation(sq_lit.line(0), sq_lit.line(1))
+    lr_lit = line_relation(sq_lit.line(1))
     assert lr_lit.verdict == "coincide"
     assert lr_lit.psi_reshuffle_rank == 1
 
     q011 = build_type_a(0, 1, 1)
-    lr011 = line_relation(*(square_from_quintuple(q011, "literal").line(i) for i in (0, 1)))
+    lr011 = line_relation(square_from_quintuple(q011, "literal").line(1))
     assert lr011.verdict == "coincide"
     assert lr011.psi_reshuffle_rank == 1
 
     q123 = build_type_a(1, 2, 3)
     for conv in ("ruling", "literal"):
         sq = square_from_quintuple(q123, conv)
-        assert line_relation(sq.line(0), sq.line(1)).verdict == "disjoint"
+        assert line_relation(sq.line(1)).verdict == "disjoint"
 
 
 def test_type_a_123_gcd_has_no_root():
     # the three decomposability quadratics for (1:2:3) under the literal
     # convention are proportional to a(c kx^2 - b ky^2), a(c ky^2 - b kx^2),
     # (c^2 - b^2) kx ky; no common projective root
-    from ncquad.forms import BinaryForm, binary_form_gcd
+    from ncquad.forms import BinaryForm
 
     a, b, c = 1, 2, 3
     q1 = BinaryForm(QQ, (a * c, 0, -a * b))
@@ -153,16 +158,20 @@ def test_type_a_123_gcd_has_no_root():
 
 
 def test_line_relation_symmetry():
+    # each line in the coordinates where the other is the standard line
     rng = random.Random(36)
     for _ in range(25):
         phi0 = random_invertible_qq(rng, 4, height=5)
         phi1 = random_invertible_qq(rng, 4, height=5)
         l0 = line_from_phi(phi0, rng.randint(0, 1))
         l1 = line_from_phi(phi1, rng.randint(0, 1))
-        r01 = line_relation(l0, l1)
-        r10 = line_relation(l1, l0)
+        r01 = line_relation(relative_line(l0, l1))
+        r10 = line_relation(relative_line(l1, l0))
         assert r01.verdict == r10.verdict
         assert r01.count == r10.count
+        reference = reference_line_relation(l0, l1)
+        assert (r01.verdict, r01.count, r01.witnesses) == (
+            reference.verdict, reference.count, reference.witnesses)
 
 
 def _check_meet_witnesses(l0, l1, lr):
@@ -187,9 +196,10 @@ def test_line_relation_engineered_rational_meets():
         phi1_inv = from_cols(QQ, cols, nrows=4)
         if not phi1_inv.det():
             continue
-        l0 = line_from_phi(x.inverse(), 0)
-        l1 = line_from_phi(phi1_inv.inverse(), 0)
-        lr = line_relation(l0, l1)
+        l0 = line_from_phi(inverse(x), 0)
+        l1 = line_from_phi(inverse(phi1_inv), 0)
+        lr = line_relation(relative_line(l0, l1))
+        assert lr == reference_line_relation(l0, l1)
         if lr.verdict == "coincide":
             continue
         assert lr.verdict == "meet"
@@ -212,9 +222,10 @@ def test_line_relation_conjugate_irrational_meet():
             QQ, [tuple(-2 * a for a in v), tuple(-a for a in w), tuple(u), tuple(z)], nrows=4)
         if not phi0_inv.det() or not phi1_inv.det():
             continue
-        l0 = line_from_phi(phi0_inv.inverse(), 0)
-        l1 = line_from_phi(phi1_inv.inverse(), 0)
-        lr = line_relation(l0, l1)
+        l0 = line_from_phi(inverse(phi0_inv), 0)
+        l1 = line_from_phi(inverse(phi1_inv), 0)
+        lr = line_relation(relative_line(l0, l1))
+        assert lr == reference_line_relation(l0, l1)
         if lr.verdict != "meet":
             continue
         ext_witnesses = [w_ for w_ in lr.witnesses if w_.extension_disc is not None]
@@ -237,12 +248,12 @@ def test_line_relation_agrees_with_prime_field_reduction():
         phi0 = random_invertible_qq(rng, 4, height=6)
         phi1 = random_invertible_qq(rng, 4, height=6)
         cf0, cf1 = rng.randint(0, 1), rng.randint(0, 1)
-        lr = line_relation(line_from_phi(phi0, cf0), line_from_phi(phi1, cf1))
+        lr = line_relation(relative_line(line_from_phi(phi0, cf0), line_from_phi(phi1, cf1)))
         red = lambda m: Matrix(F, [[F.of(x) for x in row] for row in m.rows])
         r0, r1 = red(phi0), red(phi1)
         if not r0.det() or not r1.det():
             continue
-        lr_p = line_relation(line_from_phi(r0, cf0), line_from_phi(r1, cf1))
+        lr_p = line_relation(relative_line(line_from_phi(r0, cf0), line_from_phi(r1, cf1)))
         if lr.verdict == "disjoint":
             disjoint += 1
             assert lr_p.verdict == "disjoint"
@@ -264,8 +275,8 @@ def test_kronecker_psi_coincides_under_matching_orientation():
             for i1 in range(2) for j1 in range(2)
         ])
         l0 = line_from_phi(phi0, 0)
-        l1 = line_from_phi(kron * phi0, 0)
-        lr = line_relation(l0, l1)
+        l1 = line_from_phi(matmul(kron, phi0), 0)
+        lr = line_relation(relative_line(l0, l1))
         assert lr.verdict == "coincide"
         assert lr.psi_reshuffle_rank == 1
 
@@ -323,7 +334,7 @@ def test_hom_R_K_basis_invariance():
             [a[i1, i0] * b[j1, j0] for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
-        assert hom_R_K_dim(line_from_phi(kron * phi * g4, 0)) == base == 2
+        assert hom_R_K_dim(line_from_phi(matmul(matmul(kron, phi), g4), 0)) == base == 2
 
 
 def test_hom_R_O():

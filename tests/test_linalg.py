@@ -13,9 +13,11 @@ from helpers import (
     from_cols,
     hstack,
     intersect_subspaces,
+    inverse,
     inverse_oracle,
     kernel_basis,
     kernel_oracle,
+    matmul,
     matmul_oracle,
     matrix_cols,
     random_matrix_fp,
@@ -26,7 +28,7 @@ from helpers import (
 )
 import ncquad.linalg
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix
+from ncquad.linalg import Matrix, _adjugate
 
 
 def test_rank_identity_and_zero():
@@ -74,12 +76,12 @@ def test_det_and_inverse():
         m = random_matrix_qq(rng, 4, 4)
         d = m.det()
         if d:
-            inv = m.inverse()
-            assert m * inv == Matrix.identity(QQ, 4)
+            inv = inverse(m)
+            assert matmul(m, inv) == Matrix.identity(QQ, 4)
             assert inv.det() * d == 1
         else:
             with pytest.raises(ValueError):
-                m.inverse()
+                inverse(m)
 
 
 def test_det_matches_cofactor_3x3():
@@ -146,10 +148,10 @@ def test_reduction_mod_p_commutes_with_products():
     for _ in range(20):
         a = random_matrix_qq(rng, 3, 4)
         b = random_matrix_qq(rng, 4, 2)
-        ab = a * b
+        ab = matmul(a, b)
         ared = Matrix(F, [[F.of(x) for x in row] for row in a.rows])
         bred = Matrix(F, [[F.of(x) for x in row] for row in b.rows])
-        assert ared * bred == Matrix(F, [[F.of(x) for x in row] for row in ab.rows])
+        assert matmul(ared, bred) == Matrix(F, [[F.of(x) for x in row] for row in ab.rows])
 
 
 def test_rank_kernel_mod_large_prime():
@@ -178,14 +180,14 @@ def test_empty_shapes():
     for field in (QQ, GF(5), GF(10007)):
         empty = Matrix(field, [], ncols=0)
         assert empty.det() == field.one
-        assert empty.inverse() == empty
+        assert inverse(empty) == empty
         assert empty.rank() == 0 and kernel_basis(empty) == empty
         wide, tall = Matrix(field, [], ncols=3), Matrix(field, [()] * 3, ncols=0)
         assert wide.rank() == tall.rank() == 0
         assert kernel_basis(wide) == Matrix.identity(field, 3)
         assert kernel_basis(tall) == empty
-        assert tall * wide == Matrix(field, [[0] * 3] * 3)
-        assert tall * Matrix(field, [], ncols=1) == Matrix(field, [[0]] * 3)
+        assert matmul(tall, wide) == Matrix(field, [[0] * 3] * 3)
+        assert matmul(tall, Matrix(field, [], ncols=1)) == Matrix(field, [[0]] * 3)
 
 
 # -- the QQ and F_p kernels against the naive oracles ----------------------
@@ -274,22 +276,40 @@ def _check_det_inverse(rows, p):
     inv = inverse_oracle(rows, p)
     if inv is None:
         with pytest.raises(ValueError, match="singular"):
-            m.inverse()
+            inverse(m)
     else:
-        got = m.inverse()
+        got = inverse(m)
         assert [_raw(r, p) for r in got.rows] == inv
-        assert m * got == Matrix.identity(m.field, n)
+        assert matmul(m, got) == Matrix.identity(m.field, n)
         _check_value_equality(got)
+
+
+def _check_adjugate(rows, p):
+    # m = N / d; the adjugate is of the integer numerators N (residues mod
+    # p), so adj N * N = N * adj N = det N * I on integers, and adj N has
+    # rank 4, 1 or 0 as N has rank 4, 3 or less
+    m = Matrix(_field(p), rows, ncols=4)
+    adj = _adjugate(m)
+    assert adj.field == m.field and (adj.nrows, adj.ncols, adj._den) == (4, 4, 1)
+    n = [m._num[4 * i:4 * i + 4] for i in range(4)]
+    a = [adj._num[4 * i:4 * i + 4] for i in range(4)]
+    if p:
+        assert all(0 <= x < p for x in adj._num)
+    det = det_oracle(n, p)
+    scalar = [tuple(det if i == j else 0 for j in range(4)) for i in range(4)]
+    assert matmul_oracle(a, n, 4, p) == matmul_oracle(n, a, 4, p) == scalar
+    rank = len(rref_oracle(n, 4, p)[1])
+    assert len(rref_oracle(a, 4, p)[1]) == {4: 4, 3: 1}.get(rank, 0)
 
 
 def _check_product_apply(a, b, vec, ncols, p):
     ma, mb = Matrix(_field(p), a, ncols=len(vec)), Matrix(_field(p), b, ncols=ncols)
-    prod = ma * mb
+    prod = matmul(ma, mb)
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
     assert [_raw(r, p) for r in prod.rows] == matmul_oracle(a, b, ncols, p)
     _check_value_equality(prod)
     column = Matrix(_field(p), [[x] for x in vec], ncols=1)
-    assert [_raw(r, p) for r in (ma * column).rows] == matmul_oracle(
+    assert [_raw(r, p) for r in matmul(ma, column).rows] == matmul_oracle(
         a, [[x] for x in vec], 1, p)
 
 
@@ -307,6 +327,12 @@ def test_qq_rank_kernel_column_space_match_oracle(data):
 @given(_square())
 def test_qq_det_inverse_match_oracle(rows):
     _check_det_inverse(rows, 0)
+
+
+@_oracle_settings
+@given(_rows(4, 4))
+def test_qq_adjugate_times_matrix_is_det_identity(rows):
+    _check_adjugate(rows, 0)
 
 
 @_oracle_settings
@@ -330,6 +356,13 @@ def test_fp_rank_kernel_column_space_match_oracle(p, data):
 @given(st.data())
 def test_fp_det_inverse_match_oracle(p, data):
     _check_det_inverse(data.draw(_square(p)), p)
+
+
+@_primes
+@_oracle_settings
+@given(st.data())
+def test_fp_adjugate_times_matrix_is_det_identity(p, data):
+    _check_adjugate(data.draw(_rows(4, 4, p)), p)
 
 
 @_primes
@@ -368,10 +401,10 @@ def test_results_hold_only_field_elements(field):
             c = random_matrix_fp(rng, field, 5, 3)
             sq = random_invertible_fp(rng, field, 4)
             w = [rng.randrange(5) for _ in range(16)]
-        low = a * Matrix(field, [[1, 0, 0, 0, 0]] * 5)   # rank <= 1
+        low = matmul(a, Matrix(field, [[1, 0, 0, 0, 0]] * 5))   # rank <= 1
         t = Tensor(field, (2, 2, 2, 2), w, ("A", "B", "C", "D"))
         results = [
-            a * c, sq.inverse(), kernel_basis(a), kernel_basis(low),
+            matmul(a, c), inverse(sq), kernel_basis(a), kernel_basis(low),
             t.reshape((0, 1), (2, 3)), t.reshape((3, 1, 0), (2,)),
         ]
         for m in results:
@@ -395,15 +428,15 @@ def test_public_constructors_still_coerce():
 
 
 def test_equality_and_hash_ignore_the_common_denominator():
-    quarter = Matrix(QQ, [[1, 2]]) * Matrix(QQ, [["1/2"], ["1/4"]])   # 1, as 4/4
+    quarter = matmul(Matrix(QQ, [[1, 2]]), Matrix(QQ, [["1/2"], ["1/4"]]))   # 1, as 4/4
     one = Matrix(QQ, [[1]])
     assert quarter == one and hash(quarter) == hash(one)
     assert quarter.rows == ((Fraction(1),),)
     assert quarter != Matrix(QQ, [["1/4"]])
     half = Matrix(QQ, [["1/2", 0], [0, "1/3"]])
-    assert half.inverse() == Matrix(QQ, [[2, 0], [0, 3]])
-    assert half * half.inverse() == Matrix.identity(QQ, 2)
-    assert len({half.inverse(), Matrix(QQ, [[2, 0], [0, 3]])}) == 1
+    assert inverse(half) == Matrix(QQ, [[2, 0], [0, 3]])
+    assert matmul(half, inverse(half)) == Matrix.identity(QQ, 2)
+    assert len({inverse(half), Matrix(QQ, [[2, 0], [0, 3]])}) == 1
 
 
 def test_hstack_rejects_mixed_fields():
@@ -414,7 +447,7 @@ def test_hstack_rejects_mixed_fields():
 def test_product_and_hstack_reject_mixed_fields():
     a, b = Matrix(QQ, [[1, 2]]), Matrix(GF(5), [[1], [2]])
     with pytest.raises(ValueError, match="field mismatch"):
-        a * b
+        matmul(a, b)
     with pytest.raises(ValueError, match="field mismatch"):
         hstack(a, b)
 

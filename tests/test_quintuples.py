@@ -15,10 +15,11 @@ from helpers import (
     relations_oracle,
     span_contains,
     span_equal,
+    tensor_entries,
     tensor_entry,
     verify_witness,
 )
-from ncquad.fields import GF, QQ
+from ncquad.fields import GF, QQ, FpElement
 from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,
@@ -42,8 +43,8 @@ def pure_tensor_quintuple(field=QQ) -> Quintuple:
 
 def test_linear_quadric_entries():
     q = build_linear_quadric()
-    assert sum(1 for x in q.w.entries if x) == 4
-    assert sorted(int(x) for x in q.w.entries if x) == [-1, -1, 1, 1]
+    assert sum(1 for x in tensor_entries(q.w) if x) == 4
+    assert sorted(int(x) for x in tensor_entries(q.w) if x) == [-1, -1, 1, 1]
     assert tensor_entry(q.w, (0, 0, 1, 1)) == 1
     assert tensor_entry(q.w, (1, 0, 0, 1)) == -1
     assert tensor_entry(q.w, (0, 1, 1, 0)) == -1
@@ -67,7 +68,7 @@ def test_linear_quadric_w_in_R0_V3():
                 vec[2 * i + d] = Fraction(r[i])
             cols.append(tuple(vec))
     space = from_cols(QQ, cols, nrows=16)
-    assert span_contains(space, q.w.entries)
+    assert span_contains(space, tensor_entries(q.w))
 
 
 def test_linear_quadric_geometric_all_pairs():
@@ -95,9 +96,30 @@ def test_type_a_excluded_locus():
         build_type_a(0, 0, 0)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "F5"])
+def test_zero_tensor_raises_without_building_field_elements(field, monkeypatch):
+    # over F_5 the entries 5 and -10 are zero residues of nonzero integers
+    zeros = [Fraction(0)] * 16 if field is QQ else [5, -10] + [0] * 14
+    t = Tensor(field, (2, 2, 2, 2), zeros, SLOT_LABELS)
+    built = []
+    original = FpElement.__init__
+
+    def counting(self, value, fld):
+        built.append(value)
+        original(self, value, fld)
+
+    monkeypatch.setattr(FpElement, "__init__", counting)
+    with pytest.raises(ValueError, match="w must be nonzero"):
+        Quintuple(t)
+    one = Tensor(field, (2, 2, 2, 2), [0] * 15 + [1], SLOT_LABELS)
+    built.clear()
+    assert Quintuple(one).w == one
+    assert built == []
+
+
 def test_type_a_accepted_has_eight_terms():
     q = build_type_a(1, 2, 3)
-    assert sum(1 for x in q.w.entries if x) == 8
+    assert sum(1 for x in tensor_entries(q.w) if x) == 8
 
 
 def test_pure_tensor_fails_everywhere():
@@ -180,7 +202,7 @@ def test_relations_linear_quadric_matches_displayed():
     assert span_equal(r0, expected)
     # the intersection line, built as a subspace, is spanned by w
     assert line.ncols == rel.w_dim == 1
-    assert span_contains(line, q.w.entries)
+    assert span_contains(line, tensor_entries(q.w))
 
 
 def test_relations_pure_tensor_flagged():

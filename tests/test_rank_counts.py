@@ -18,6 +18,7 @@ from pathlib import Path
 from helpers import (
     block_quiver_oracle,
     hom_R_K_oracle,
+    matmul,
     mutation_oracle,
     random_matrix_fp,
     random_matrix_qq,
@@ -25,6 +26,7 @@ from helpers import (
     random_type_a_triple,
     relations_oracle,
     span_contains,
+    tensor_entries,
 )
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
@@ -78,7 +80,7 @@ def test_counts_match_oracles_on_inputs():
         assert rel.dims == (r0.ncols, r1_dim, line.ncols)
         # w lies in both spans, so in the intersection, and spans it when
         # it is a line
-        assert span_contains(line, q.w.entries)
+        assert span_contains(line, tensor_entries(q.w))
         seen["rel"].add(rel.dims)
         for convention in CONVENTIONS:
             try:
@@ -107,7 +109,7 @@ def _singular(rng, field, n):
     if rank == 0:
         return Matrix(field, [[0] * n] * n)
     draw = random_matrix_qq if field is QQ else (lambda r, a, b: random_matrix_fp(r, field, a, b))
-    return draw(rng, n, rank) * draw(rng, rank, n)
+    return matmul(draw(rng, n, rank), draw(rng, rank, n))
 
 
 def test_counts_match_oracles_off_the_regular_values():

@@ -9,8 +9,9 @@ from helpers import (
     block_quiver_oracle,
     contraction_matrix,
     from_cols,
-    kernel_basis,
+    inverse,
     inverse_oracle,
+    kernel_basis,
     random_invertible_fp,
     random_invertible_qq,
     random_type_a_triple,
@@ -71,7 +72,7 @@ def test_block_quiver_dimensions_any_square():
     for field, rand_inv in ((QQ, random_invertible_qq),):
         for _ in range(15):
             phi0, phi1 = rand_inv(rng, 4), rand_inv(rng, 4)
-            sq = GeometricSquare(phi0, phi1, phi0.inverse(), phi1.inverse(),
+            sq = GeometricSquare(phi0, phi1, inverse(phi0), inverse(phi1),
                                  convention=rng.choice(("ruling", "literal")))
             bq = block_quiver(sq)
             assert len(bq.vertices) == 4
@@ -88,7 +89,7 @@ def test_block_quiver_dimensions_prime_field():
     F = GF(31)
     for _ in range(10):
         phi0, phi1 = random_invertible_fp(rng, F, 4), random_invertible_fp(rng, F, 4)
-        sq = GeometricSquare(phi0, phi1, phi0.inverse(), phi1.inverse())
+        sq = GeometricSquare(phi0, phi1, inverse(phi0), inverse(phi1))
         bq = block_quiver(sq)
         assert bq.relation_dim == 4 and bq.total_dim == 16
 
