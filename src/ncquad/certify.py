@@ -21,7 +21,11 @@ Hom(R, K_i) leaves equal to 2) and derives the two cells (p*R, C_i) that
 read those leaves.  The other 14 cells depend on the rule set alone, so
 they are derived, and encoded as canonical JSON, once per process and
 shared read-only by every table (``SharedCell``); ``canonical_json_bytes``
-splices their text into each certificate's bytes.
+splices their text into each certificate's bytes.  The relations and
+quiver stage documents are shared the same way: each is a function of
+records of small integers and fixed strings, so ``_relations_stage`` and
+``_quiver_stage`` build and encode each distinct one once per process,
+while every rank behind those records still runs on every input.
 
 ``full_pipeline`` calls the stage functions in order, handing each the
 artifacts it needs, and produces a deterministic certificate whose
@@ -37,12 +41,13 @@ from .blowup import canonical_class, coh_p1xp2, restrict_to_E
 from .fields import _exact_str
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
-from .quintuples import Quintuple, is_geometric, relations, truncated_dims
+from .quintuples import Quintuple, RelationData, is_geometric, relations, truncated_dims
 from .records import Record
 from .squares import (
     BLOCK_GRAM,
     CONVENTIONS,
     GeometricSquare,
+    MutationReport,
     NotGeneric,
     QuiverAlgebra,
     block_quiver,
@@ -517,6 +522,50 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
     }
 
 
+# the two stage documents shared between inputs (see the module docstring);
+# their keys hold dims at most 8, ranks at most 4 and fixed strings
+
+
+@cache
+def _relations_stage(rel: RelationData) -> FrozenJSON:
+    """The relations stage document: dims, issues and the window."""
+    table = truncated_dims(rel)
+    return FrozenJSON({
+        "stage": "relations",
+        "passed": rel.valid,
+        "dims": dict(zip(("R0", "R1", "W"), rel.dims)),
+        "issues": list(rel.issues),
+        "window": {f"{i},{j}": list(table.cells[(i, j)])
+                   for (i, j) in sorted(table.cells)},
+        "window_mismatches": [list(c) for c in table.mismatches],
+    })
+
+
+def _quiver_passed(bq: QuiverAlgebra, mreport: MutationReport) -> bool:
+    return bq.relation_dim == 4 and mreport.structural_match
+
+
+@cache
+def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport,
+                  base_changed: tuple) -> FrozenJSON:
+    """The quiver stage document: both quiver dumps, the mutation report
+    and the base-changed linear Gram."""
+    return FrozenJSON({
+        "stage": "quiver",
+        "passed": _quiver_passed(bq, mreport),
+        "block": _quiver_json(bq),
+        "linear": _quiver_json(lq),
+        "mutation": {
+            "orthogonality_bijective": mreport.orthogonality_bijective,
+            "a13_dim": mreport.a13_dim,
+            "new_hom_dim": mreport.new_hom_dim,
+            "structural_match": mreport.structural_match,
+            "notes": list(mreport.notes),
+            "base_changed_linear_gram": [list(r) for r in base_changed],
+        },
+    })
+
+
 def _certificate(q: Quintuple, convention: str, stages: list, verdict: dict) -> Certificate:
     return Certificate(
         schema="ncquad.certificate/1",
@@ -553,17 +602,8 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
 
     rel = relations(q)
     table = truncated_dims(rel)
-    rel_ok = rel.valid
-    stages.append({
-        "stage": "relations",
-        "passed": rel_ok,
-        "dims": dict(zip(("R0", "R1", "W"), rel.dims)),
-        "issues": list(rel.issues),
-        "window": {f"{i},{j}": list(table.cells[(i, j)])
-                   for (i, j) in sorted(table.cells)},
-        "window_mismatches": [list(c) for c in table.mismatches],
-    })
-    if not rel_ok:
+    stages.append(_relations_stage(rel))
+    if not rel.valid:
         return degenerate("relations", "; ".join(rel.issues))
 
     try:
@@ -585,22 +625,8 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     lq = linear_quiver(rel, table)
     _, mreport = mutate_linear_to_block(q, rel, bq)
     base_changed = gram_base_change(lq)
-    quiver_ok = bq.relation_dim == 4 and mreport.structural_match
-    stages.append({
-        "stage": "quiver",
-        "passed": quiver_ok,
-        "block": _quiver_json(bq),
-        "linear": _quiver_json(lq),
-        "mutation": {
-            "orthogonality_bijective": mreport.orthogonality_bijective,
-            "a13_dim": mreport.a13_dim,
-            "new_hom_dim": mreport.new_hom_dim,
-            "structural_match": mreport.structural_match,
-            "notes": list(mreport.notes),
-            "base_changed_linear_gram": [list(r) for r in base_changed],
-        },
-    })
-    if not quiver_ok:
+    stages.append(_quiver_stage(bq, lq, mreport, base_changed))
+    if not _quiver_passed(bq, mreport):
         return degenerate("quiver", "; ".join(mreport.notes) or "dimension mismatch")
 
     try:

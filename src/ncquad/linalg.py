@@ -94,10 +94,9 @@ class Matrix:
         return m
 
     @classmethod
-    @cache
     def identity(cls, field, n: int) -> "Matrix":
         """The n x n identity, one shared matrix per field and size."""
-        return cls._of_num(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
+        return _identity(field, n)
 
     @property
     def rows(self) -> tuple:
@@ -202,17 +201,24 @@ def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
     return Matrix._of_num(m.field, out, m._den, nrows, ncols)
 
 
+@cache
+def _identity(field, n: int) -> Matrix:
+    """The shared n x n identity behind ``Matrix.identity``, which the
+    pickers below recognise without a public call."""
+    return Matrix._of_num(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
+
+
 def _pick_kept(m: Matrix, nrows: int, ncols: int, picks: tuple) -> Matrix:
     """``_pick``, except that from the shared 4x4 identity each matrix is
     picked once per process, by field and picks, and keeps its echelon."""
-    if m is Matrix.identity(m.field, 4):
+    if m is _identity(m.field, 4):
         return _identity_pick(m.field, nrows, ncols, picks)
     return _pick(m, nrows, ncols, picks)
 
 
 @cache
 def _identity_pick(field, nrows: int, ncols: int, picks: tuple) -> Matrix:
-    return _pick(Matrix.identity(field, 4), nrows, ncols, picks)
+    return _pick(_identity(field, 4), nrows, ncols, picks)
 
 
 def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
@@ -283,10 +289,12 @@ def _int_echelon(rows, ncols, p):
                 if f:
                     rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], prow)]
         else:
+            prow = rows[r]
             for i in range(r + 1, m):
-                ric = rows[i][c]
+                row = rows[i]
+                ric = row[c]
                 for j in range(c, ncols):
-                    rows[i][j] = (pc * rows[i][j] - ric * rows[r][j]) // prev
+                    row[j] = (pc * row[j] - ric * prow[j]) // prev
             prev = pc
         pivots.append(c)
         r += 1

@@ -285,7 +285,26 @@ def relations(q: Quintuple) -> RelationData:
 
     w = sum_d (column d) x e_d lies in R0 x V3, and likewise in V0 x R1,
     so it lies in the intersection; when that is a line, the nonzero w
-    spans it."""
+    spans it.
+
+    Rank M_1 >= 3 forces (2, 2, 1), so after geometricity, which passes
+    only when pair 1 has kernel dimension at most 1, this stage cannot
+    fail.  M_1 has rows over (i3, i0) and columns over k = (i1, i2), so
+    column k is the 2x2 slice W_k[i0, i3] = w[i0, k, i3].
+    * If dim R0 <= 1, then w = r x v with v in V3, and M_1 = v x (the
+      2x4 matrix of r), of rank <= 2; likewise w = u x r' with u in V0
+      when dim R1 <= 1.  So dim R0 = dim R1 = 2.
+    * Then α -> sum α[i3, d] c_d x e_i3 (c_d the slot-3 contractions) and
+      β -> sum β[i0, a] e_i0 x c'_a (c'_a the slot-0 contractions) are
+      injective on 2x2 matrices, and their slices are W_k αᵀ and β W_k,
+      so the intersection is {(α, β) : β W_k = W_k αᵀ for all k}.
+    * S = span{W_k} has dimension rank M_1 >= 3, so over the algebraic
+      closure it holds an invertible X0 (a space of singular 2x2
+      matrices has dimension <= 2), and αᵀ = X0^-1 β X0.  Then β
+      commutes with S X0^-1, a space of dimension >= 3 that contains I.
+      A non-scalar 2x2 matrix commutes only with the 2-dimensional span
+      of I and itself, so β = λI, α = λI and W = 1.  A rank does not
+      change under field extension, so W = 1 over the base field too."""
     r0_dim = q.w.reshape((0, 1, 2), (3,)).rank()
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
 

@@ -9,12 +9,14 @@ positional-or-keyword signature of its fields; it stores them through
 ``object.__setattr__`` and then calls ``__post_init__`` when the class
 defines one.  Instances are frozen: assignment and deletion raise
 ``AttributeError``.  ``==`` and ``hash`` act on the tuple of field
-values, and ``==`` against an instance of any other class is
-``NotImplemented``.  ``repr`` reads ``Name(field=value, ...)``.
+values, read by a generated ``_values`` with one attribute load per
+field (records are cache keys, so hashing them is on the hot path), and
+``==`` against an instance of any other class is ``NotImplemented``.
+``repr`` reads ``Name(field=value, ...)``.
 
 The standard library's frozen record decorator gives the same
 semantics, but its module imports ``inspect`` and it ``exec``s six
-methods per class; this base imports nothing and ``exec``s one, which
+methods per class; this base imports nothing and ``exec``s two, which
 keeps the cold start of every CLI process short.
 """
 
@@ -45,16 +47,15 @@ class Record:
         body = [f"    _setattr(self, {name!r}, {name})" for name in fields]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        src = f"def __init__({', '.join(['self', *params])}):\n" + ("\n".join(body) or "    pass")
+        src = (f"def __init__({', '.join(['self', *params])}):\n" + ("\n".join(body) or "    pass")
+               + "\ndef _values(self):\n    return (" + "".join(f"self.{n}, " for n in fields) + ")")
         exec(src, env)
-        init = env["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        init.__module__ = cls.__module__
-        cls.__init__ = init
+        for name in ("__init__", "_values"):
+            fn = env[name]
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            fn.__module__ = cls.__module__
+            setattr(cls, name, fn)
         cls._fields = fields
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -705,6 +705,18 @@ def random_quintuple_fp(rng, field) -> Quintuple:
             return Quintuple(Tensor(field, (2, 2, 2, 2), entries, SLOT_LABELS))
 
 
+def random_tensor_qq(rng, density, height=9) -> Quintuple:
+    """A nonzero quintuple over QQ whose entries are each a nonzero
+    rational of height at most ``height`` with probability ``density``."""
+    from ncquad.fields import QQ
+
+    while True:
+        entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height))
+                   if rng.random() < density else Fraction(0) for _ in range(16)]
+        if any(entries):
+            return Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
+
+
 def random_type_a_triple(rng, height=20):
     """A random rational triple accepted by the type-A constructor."""
     from ncquad.quintuples import build_type_a
@@ -1107,3 +1119,53 @@ def change_basis(q, gs) -> Quintuple:
             out[idx] = g[i, 0] * w[base] + g[i, 1] * w[base + stride]
         w = out
     return Quintuple(Tensor(field, (2, 2, 2, 2), w, SLOT_LABELS))
+
+
+# -- the relations and quiver stage documents, built inline ------------------
+#
+# The dict literals ``full_pipeline`` wrote for every input before it shared
+# each distinct stage document between inputs; the shared documents must
+# encode to the same bytes.
+
+
+def reference_relations_stage(rel, table) -> dict:
+    return {
+        "stage": "relations",
+        "passed": rel.valid,
+        "dims": dict(zip(("R0", "R1", "W"), rel.dims)),
+        "issues": list(rel.issues),
+        "window": {f"{i},{j}": list(table.cells[(i, j)])
+                   for (i, j) in sorted(table.cells)},
+        "window_mismatches": [list(c) for c in table.mismatches],
+    }
+
+
+def _reference_quiver_json(qa) -> dict:
+    return {
+        "vertices": list(qa.vertices),
+        "arrows": [
+            {"from": a.source, "to": a.target, "labels": list(a.labels), "space": a.space}
+            for a in qa.arrows
+        ],
+        "arrow_dim_total": sum(len(a.labels) for a in qa.arrows),
+        "relation_dim": qa.relation_dim,
+        "total_dim": qa.total_dim,
+        "gram": [list(r) for r in qa.gram],
+    }
+
+
+def reference_quiver_stage(bq, lq, mreport, base_changed) -> dict:
+    return {
+        "stage": "quiver",
+        "passed": bq.relation_dim == 4 and mreport.structural_match,
+        "block": _reference_quiver_json(bq),
+        "linear": _reference_quiver_json(lq),
+        "mutation": {
+            "orthogonality_bijective": mreport.orthogonality_bijective,
+            "a13_dim": mreport.a13_dim,
+            "new_hom_dim": mreport.new_hom_dim,
+            "structural_match": mreport.structural_match,
+            "notes": list(mreport.notes),
+            "base_changed_linear_gram": [list(r) for r in base_changed],
+        },
+    }

@@ -28,11 +28,11 @@ from helpers import (
     random_tensor_fp,
     reference_line_relation,
 )
-from ncquad.certify import _line_relation_json
+from ncquad.certify import _line_relation_json, full_pipeline
 from ncquad.fields import GF, QQ, PrimeField
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.grassmann import EmbeddedLine, hom_R_K_dim, line_relation
-from ncquad.linalg import Matrix
+from ncquad.linalg import Matrix, _identity
 from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a
 from ncquad.squares import GeometricSquare, NotGeneric, block_quiver, square_from_quintuple
 from ncquad.tensors import Tensor
@@ -157,6 +157,24 @@ def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
             bq, bq_fresh = block_quiver(kept_sq), block_quiver(fresh_sq)
             assert bq == bq_fresh
             assert (bq.relation_dim, bq.leg_ranks) == block_quiver_oracle(fresh_sq)
+
+
+def test_only_the_square_asks_for_the_public_identity(monkeypatch):
+    # block leg 0 and Hom(R, K_0) recognise the shared identity through
+    # linalg._identity, so a certified input calls Matrix.identity once
+    calls = []
+    original = Matrix.identity.__func__
+
+    def counting(cls, field, n):
+        calls.append((field, n))
+        return original(cls, field, n)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(counting))
+    for convention in ("ruling", "literal"):
+        calls.clear()
+        assert full_pipeline(build_type_a(1, 2, 3), convention).certified
+        assert calls == [(QQ, 4)]
+    assert Matrix.identity(GF(5), 4) is _identity(GF(5), 4)
 
 
 def test_type_a_squares_certify_through_the_integer_lines():

@@ -11,7 +11,9 @@ from helpers import (
     nonresidue_int,
     random_quintuple_fp,
     random_tensor_fp,
+    random_tensor_qq,
     random_type_a_triple,
+    rank_oracle,
     relations_oracle,
     span_contains,
     span_equal,
@@ -259,6 +261,27 @@ def test_window_is_valid_exactly_when_the_relations_are(field):
         rel = relations(q)
         assert truncated_dims(rel).valid == rel.valid
         seen[rel.valid] += 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "F5", "F7"])
+def test_rank_three_m1_forces_the_regular_relation_dims(field):
+    # the proof in ``relations``: rank M_1 >= 3 gives (R0, R1, W) = (2, 2, 1),
+    # so a tensor that passes geometricity (pair 1 of kernel dimension at
+    # most 1) never fails the relations stage; only that direction is proved
+    rng = random.Random(1707)
+    forced = 0
+    for _ in range(3000):
+        density = rng.uniform(0.2, 1.0)
+        if field is QQ:
+            q = random_tensor_qq(rng, density)
+        else:
+            q = random_tensor_fp(rng, field, density)
+        if rank_oracle(contraction_matrix(q, 1).rows, field) < 3:
+            continue
+        r0, r1_dim, line = relations_oracle(q)
+        assert (r0.ncols, r1_dim, line.ncols) == (2, 2, 1)
+        forced += 1
+    assert forced >= 1000
 
 
 def test_type_a_slot23_contraction_structure():
