@@ -5,8 +5,9 @@ Every field object exposes ``zero``/``one``, ``of`` (coercion from ints,
 ``Fraction``, strings and own elements), ``format`` for exact strings
 that ``of`` reads back, and decidable element equality.  Questions about
 the algebraic closure are never answered numerically: they are reduced to
-square tests (``is_square``/``sqrt``) and to explicit arithmetic in
-``QuadraticExtension``, i.e. in F[theta]/(theta^2 - d).
+square roots on integers (``_sqrt_mod_p``, or ``math.isqrt``), and a
+number in a quadratic extension F[theta]/(theta^2 - d) is printed as a
+``QuadElement`` of a ``QuadraticExtension``.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ class RationalField:
             return False
         n, d = x.numerator, x.denominator
         return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
-    def sqrt(self, x: Fraction) -> Fraction:
-        x = self.of(x)
-        if not self.is_square(x):
-            raise ValueError(f"{x} is not a square in QQ")
-        return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -274,13 +269,6 @@ class PrimeField:
     def is_square(self, x) -> bool:
         x = self.of(x)
         return x.value == 0 or pow(x.value, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, x) -> FpElement:
-        x = self.of(x)
-        r = _sqrt_mod_p(x.value, self.p)
-        if r is None:
-            raise ValueError(f"{x.value} is not a square mod {self.p}")
-        return FpElement(r, self)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,58 +1,23 @@
-"""Binary forms (homogeneous polynomials in two variables s, t) and the
-exact decision procedures built on them: gcd over the ground field and
-root classification of quadratics over the algebraic closure.
+"""Binary forms (homogeneous polynomials in two variables s, t) on
+integer coefficients, and the exact decision procedures built on them:
+gcd over the ground field and the roots of a quadratic over the
+algebraic closure.
 
 Coefficients are stored by descending s-power: a form of degree d is
 sum(coeffs[i] * s^(d-i) * t^i).  A common projective root over the
 closure exists iff the gcd has positive degree, so "no common root" is
 witnessed by a degree-0 gcd, never by numerics.  ``form_gcd`` takes and
 returns integer coefficients, residues mod p or integers for QQ, so the
-decision builds no field element; ``_monic`` makes a ``BinaryForm`` of a
-gcd whose roots are needed.
+decision builds no field element.  ``_quadratic_root`` is the one root
+classifier: geometricity and the line classifier both ask it whether a
+quadratic splits over the ground field.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+import math
 
-from .fields import QuadraticExtension
-from .records import Record
-
-
-class BinaryForm:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(field.of(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a form needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self) -> str:
-        d = self.degree
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*s^{d - i}*t^{i}")
-        return " + ".join(terms) if terms else "0"
+from .fields import _sqrt_mod_p
 
 
 # -- gcd on integer coefficients ------------------------------------------
@@ -80,7 +45,7 @@ def _poly_gcd(a: list, b: list, p: int) -> list:
             while a and not a[-1]:
                 a.pop()
         if a and not p:
-            content = gcd(*a)
+            content = math.gcd(*a)
             a = [x // content for x in a]
         a, b = b, a
     return a
@@ -118,58 +83,15 @@ def form_gcd(forms, p: int) -> list:
     return coeffs
 
 
-def _monic(field, coeffs) -> BinaryForm:
-    """The form over QQ or F_p whose integer coefficients (residues mod p)
-    are ``coeffs``, divided by its first nonzero coefficient."""
-    lead = next(c for c in coeffs if c)
-    p = field.characteristic
-    if p:
-        inv = pow(lead, -1, p)
-        return BinaryForm(field, [c * inv % p for c in coeffs])
-    return BinaryForm(field, [Fraction(c, lead) for c in coeffs])
-
-
-class RootStructure(Record):
-    """Classification of a nonzero binary quadratic over the closure.
-
-    kind is one of "split-rational" (two distinct roots in the ground
-    field), "double-rational", or "irreducible-quadratic"; roots are
-    projective pairs (s, t), living in QuadraticExtension(field, disc)
-    in the irreducible case.
-    """
-
-    kind: str
-    discriminant: object
-    roots: tuple
-    extension: object = None
-
-
-def root_structure(f: BinaryForm) -> RootStructure:
-    if f.degree != 2:
-        raise ValueError("root_structure expects a quadratic")
-    if f.is_zero():
-        raise ValueError("root_structure of the zero form")
-    field = f.field
-    a, b, c = f.coeffs  # a*s^2 + b*s*t + c*t^2
+def _quadratic_root(a: int, b: int, c: int, p: int) -> int | None:
+    """The field's square root of the discriminant b^2 - 4ac of the
+    quadratic a s^2 + b st + c t^2 on integers (residues mod p): the root
+    ``_sqrt_mod_p`` gives, or the nonnegative one on Z.  None when the
+    roots lie in a quadratic extension."""
     disc = b * b - 4 * a * c
-    if not disc:
-        if a:
-            root = (-b, 2 * a)
-        elif b:
-            # disc = b^2 = 0 contradicts b != 0
-            raise AssertionError("unreachable")
-        else:
-            root = (field.one, field.zero)  # c*t^2
-        return RootStructure("double-rational", disc, (root,))
-    if field.is_square(disc):
-        if a:
-            r = field.sqrt(disc)
-            roots = ((-b + r, 2 * a), (-b - r, 2 * a))
-        else:
-            # t * (b*s + c*t): roots (1:0) and (c:-b), distinct since b != 0
-            roots = ((field.one, field.zero), (c, -b))
-        return RootStructure("split-rational", disc, roots)
-    ext = QuadraticExtension(field, disc)
-    th = ext.theta
-    roots = ((ext.of(-b) + th, ext.of(2 * a)), (ext.of(-b) - th, ext.of(2 * a)))
-    return RootStructure("irreducible-quadratic", disc, roots, extension=ext)
+    if p:
+        return _sqrt_mod_p(disc, p)
+    if disc < 0:
+        return None
+    r = math.isqrt(disc)
+    return r if r * r == disc else None

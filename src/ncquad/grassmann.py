@@ -13,17 +13,22 @@ every square, and a line is compared with it exactly: whether some plane
 of its family equals a plane of the standard one reduces to common roots
 of three binary quadratics (the determinants of the 2x2 reshapes of a
 basis of the moving plane and their polar form).  They are integers, the
-numerators of phi^{-1} or its residues mod p, and so is their gcd; field
-elements are built only for meet parameters, returned exactly, in a
-quadratic extension when necessary.
+numerators of phi^{-1} or its residues mod p, and so is their gcd.  Its
+roots are classified on integers by ``forms._quadratic_root``, the
+classifier geometricity asks too, and the plane at each root is tested
+on integer pairs x + y theta.  Field elements are built only for the
+meet parameters a certificate prints, in a quadratic extension when
+necessary.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 
-from .forms import _monic, form_gcd, root_structure
-from .linalg import Matrix, _pick, _pick_kept
+from .fields import QuadElement, QuadraticExtension
+from .forms import _quadratic_root, form_gcd
+from .linalg import Matrix, _elements, _pick, _pick_kept
 from .records import Record
 
 
@@ -76,20 +81,29 @@ def _polar2(u, v):
     return u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - v[1] * u[2]
 
 
-def _rank_one(vecs) -> bool:
+def _rank_one(vecs, d: int, p: int) -> bool:
     """Whether 2-vectors span exactly a line: some vector is nonzero and
-    every 2x2 minor vanishes.  Exact over any field."""
-    return any(a or b for a, b in vecs) and not any(
-        u[0] * v[1] - u[1] * v[0] for i, u in enumerate(vecs) for v in vecs[i + 1:])
+    every 2x2 minor vanishes.  Each entry is a pair (x, y) of integers
+    (residues mod p, reduced) for x + y theta, theta^2 = d a non-square,
+    or d = 0 when every y is 0; x + y theta = 0 iff x = y = 0."""
+    if not any(x or y for v in vecs for x, y in v):
+        return False
+    for i, ((a, b), (c, e)) in enumerate(vecs):
+        for (f, g), (h, k) in vecs[i + 1:]:
+            # (a + b theta)(h + k theta) - (c + e theta)(f + g theta)
+            x, y = a * h + b * k * d - c * f - e * g * d, a * k + b * h - c * g - e * f
+            if (x % p or y % p) if p else (x or y):
+                return False
+    return True
 
 
-def _plane_type(n1, n2):
+def _plane_type(n1, n2, d: int, p: int):
     """Type of a 2-dim plane of 2x2-singular matrices: "left" when all
     columns share one direction (plane = l x U1), "right" when all rows do
-    (plane = U0 x m)."""
-    if _rank_one([(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])]):
+    (plane = U0 x m).  Entries as in ``_rank_one``."""
+    if _rank_one([(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])], d, p):
         return "left"
-    if _rank_one([(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])]):
+    if _rank_one([(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])], d, p):
         return "right"
     return "neither"
 
@@ -97,10 +111,8 @@ def _plane_type(n1, n2):
 def _left_direction(n1, n2):
     """The common column direction l of a left-type plane."""
     for v in (n1, n2):
-        col0 = (v[0], v[2])
-        col1 = (v[1], v[3])
-        for col in (col0, col1):
-            if col[0] or col[1]:
+        for col in ((v[0], v[2]), (v[1], v[3])):
+            if any(x or y for x, y in col):
                 return col
     raise AssertionError("zero plane")
 
@@ -117,6 +129,23 @@ def reshuffle_rank(psi: Matrix) -> int:
     return _pick(psi, 4, 4, _RESHUFFLE_PICKS).rank()
 
 
+def _gcd_roots(g, lead: int, p: int):
+    """The distinct roots (kx : ky) of the gcd g, integers (residues mod p)
+    led by ``lead`` > 0 (1 mod p), in the order of the monic gcd: kx a
+    pair (x, y) for (x + y theta') / lead, ky an integer for ky / lead,
+    and theta'^2, a non-square integer, or None for rational roots."""
+    if len(g) == 2:                  # a s + b t
+        a, b = g
+        return [((-b, 0), a)], None
+    a, b, c = g                      # a s^2 + b st + c t^2
+    if not a:                        # t (b s + c t), or c t^2
+        return [((lead, 0), 0)] + ([((c, 0), -b)] if b else []), None
+    r = _quadratic_root(a, b, c, p)
+    if r is None:
+        return [((-b, 1), 2 * a), ((-b, -1), 2 * a)], b * b - 4 * a * c
+    return [((-b + r, 0), 2 * a)] + ([((-b - r, 0), 2 * a)] if r else []), None
+
+
 def line_relation(line: EmbeddedLine) -> LineRelation:
     """Exact classifier of ``line`` against the standard line, phi = I
     with contracted factor 0, whose family is the left family {l x U1}.
@@ -127,7 +156,10 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     with a common left (column) factor; full decomposability is three
     binary quadratics in k, and the verdict follows from their gcd.
     Scaling M scales the three forms alike and leaves their gcd alone, so
-    the forms and the gcd are integers, from the numerators of M.
+    the forms and the gcd are integers, from the numerators of M, and so
+    is the plane at each root of the gcd (``_gcd_roots``).  Only printed
+    meet parameters are field elements: M's values at the roots of the
+    monic gcd, the same under any scaling.
     """
     field, p = line.field, line.field.characteristic
     M = line.phi_inv
@@ -146,83 +178,70 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     forms = [f for f in forms if any(f)]
 
     rr = reshuffle_rank(line.phi)
-    orientations = (0, line.contracted_factor)
+
+    def relation(verdict, **kw):
+        return LineRelation(verdict, psi_reshuffle_rank=rr,
+                            orientations=(0, line.contracted_factor), **kw)
 
     def plane_at(kx, ky):
-        # on field values of M, so a witness prints the same numbers under
-        # any scaling; at a root in an extension kx lies there, and so
-        # does every entry
-        a = [M.col(j) for j in a_cols]
-        b = [tuple(-x for x in M.col(j)) for j in b_cols]
-        return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
+        # n_1 and n_2 at k = (kx[0] + kx[1] theta' : ky), entries as pairs
+        n = [[(kx[0] * a + ky * b, kx[1] * a) for a, b in zip(A[i], B[i])] for i in (0, 1)]
+        return [[(x % p, y % p) for x, y in v] for v in n] if p else n
 
     if not forms:
         # every plane of the family is fully decomposable; the ruling type
         # is constant along the family, but sample three parameters anyway
-        types = set()
-        for kx, ky in ((field.one, field.zero), (field.zero, field.one), (field.one, field.one)):
-            n1, n2 = plane_at(kx, ky)
-            types.add(_plane_type(n1, n2))
+        types = {_plane_type(*plane_at(kx, ky), 0, p)
+                 for kx, ky in (((1, 0), 0), ((0, 0), 1), ((1, 0), 1))}
         if types != {"left"} and types != {"right"}:
             raise AssertionError(f"inconsistent decomposable family types: {types}")
         if types == {"left"}:
-            return LineRelation("coincide", psi_reshuffle_rank=rr, orientations=orientations)
-        return LineRelation(
-            "disjoint",
-            flag="opposite decomposable family",
-            psi_reshuffle_rank=rr,
-            orientations=orientations,
-        )
+            return relation("coincide")
+        return relation("disjoint", flag="opposite decomposable family")
 
     gcd = form_gcd(forms, p)
     if len(gcd) == 1:
-        return LineRelation("disjoint", psi_reshuffle_rank=rr, orientations=orientations)
-    gcd = _monic(field, gcd)
+        return relation("disjoint")
+    # monic as residues mod p, or over a positive lead on Z, so that the
+    # roots are those of the monic gcd in its order
+    lead = next(c for c in gcd if c)
+    if p:
+        inv = pow(lead, -1, p)
+        gcd, lead = [c * inv % p for c in gcd], 1
+    elif lead < 0:
+        gcd, lead = [-c for c in gcd], -lead
+    roots, disc = _gcd_roots(gcd, lead, p)
+    ext = None if disc is None else QuadraticExtension(
+        field, _elements(field, (disc,), lead * lead)[0])
 
-    # distinct projective roots of the gcd, possibly in an extension
-    if gcd.degree == 1:
-        a, b = gcd.coeffs  # a*s + b*t
-        roots = [((-b, a), None)]
-    else:
-        rs = root_structure(gcd)
-        if rs.kind == "double-rational":
-            roots = [(rs.roots[0], None)]
-        elif rs.kind == "split-rational":
-            roots = [(rs.roots[0], None), (rs.roots[1], None)]
-        else:
-            roots = [(r, rs.discriminant) for r in rs.roots]
+    def printed(pairs, den):
+        # the field values (x + y theta') / den, theta' = lead * theta
+        xs = _elements(field, [x for x, _ in pairs], den)
+        if ext is None:
+            return xs
+        return tuple(map(QuadElement, xs, _elements(field, [y * lead for _, y in pairs], den),
+                         repeat(ext)))
 
     witnesses = []
-    for (kx, ky), disc in roots:
+    for kx, ky in roots:
         n1, n2 = plane_at(kx, ky)
-        ptype = _plane_type(n1, n2)
+        ptype = _plane_type(n1, n2, disc or 0, p)
         if ptype == "neither":
             # at a gcd root every vector of the plane is singular, so the
             # plane must sit in one ruling
             raise AssertionError("plane at a common root is not decomposable")
         if ptype == "left":
-            ell = _left_direction(n1, n2)
+            (x0, y0), ell1 = _left_direction(n1, n2)
             witnesses.append(MeetWitness(
-                param_l1=(kx, ky),
-                param_l0=(ell[1], -ell[0]),
-                extension_disc=disc,
+                param_l1=printed((kx, (ky, 0)), lead),
+                param_l0=printed((ell1, (-x0, -y0)), lead * M._den),
+                extension_disc=None if ext is None else ext.disc,
             ))
         # right-type roots are decomposable planes of the opposite ruling,
         # not points of l0's family
     if witnesses:
-        return LineRelation(
-            "meet",
-            count=len(witnesses),
-            witnesses=tuple(witnesses),
-            psi_reshuffle_rank=rr,
-            orientations=orientations,
-        )
-    return LineRelation(
-        "disjoint",
-        flag="decomposable only at opposite-ruling parameters",
-        psi_reshuffle_rank=rr,
-        orientations=orientations,
-    )
+        return relation("meet", count=len(witnesses), witnesses=tuple(witnesses))
+    return relation("disjoint", flag="decomposable only at opposite-ruling parameters")
 
 
 def hom_R_K_dim(line: EmbeddedLine) -> int:

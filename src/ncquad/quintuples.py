@@ -30,17 +30,20 @@ sends M_{j+2} through an elimination of its own, for the kernel its
 witness is read from.  The square reads det M_0 and the mutation rank
 M_0 off the same elimination.  Geometricity decides on integers: the
 reduced kernel vectors of M_j off its echelon, the 2x2 determinants, and
-the discriminant and square root of det(s v1 + t v2).  Field elements
-are built only for the witness coordinates a certificate prints; a
-witness over a quadratic extension is combined in ``QuadraticExtension``.
+the roots of det(s v1 + t v2) by ``forms._quadratic_root``, the root
+classifier the line stage asks too.  A witness over a quadratic
+extension is divided on integers, times the conjugate over the norm.
+Field elements are built only for the witness coordinates a certificate
+prints.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
+from itertools import repeat
 
-from .fields import QQ, QuadElement, QuadraticExtension, _exact_str, _sqrt_mod_p
+from .fields import QQ, QuadElement, QuadraticExtension, _exact_str
+from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
 from .linalg import Matrix, _elements, _pick
 from .records import Record
@@ -186,8 +189,8 @@ def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     det(s v1 + t v2) = (a s^2 + b st + c t^2) / (d1 d2)^2, with b the
     polar form of y1 and y2 and c = det y2.  When a = 0, v1 itself is
     singular.  Otherwise (r - b : 2a) is a root, r a square root of the
-    discriminant: rational when r exists (d1, d2 > 0 keep r / (d1 d2)
-    the root the field's square root gives), and then
+    discriminant: rational when ``_quadratic_root`` finds r (d1, d2 > 0
+    keep r / (d1 d2) the root it gives for the field values), and then
     ((r - b) y1 + 2a y2) / (d1^2 d2) is singular."""
     kernel = m._kernel()
     kd, field = len(kernel), m.field
@@ -208,22 +211,27 @@ def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     if not a:
         note = "kernel basis vector is itself singular" if not (b or c) else rational
         return SlotPairReport(j, False, kd, _rank_one_factor(y1, d1, field), note)
-    disc = b * b - 4 * a * c
-    # the field's square root: ``_sqrt_mod_p``, or the nonnegative one on Z
-    r = _sqrt_mod_p(disc, p) if p else math.isqrt(disc) if disc >= 0 else None
-    if r is not None and (p or r * r == disc):
+    r = _quadratic_root(a, b, c, p)
+    if r is not None:
         combo = [(r - b) * u + 2 * a * v for u, v in zip(y1, y2)]
         combo = [x % p for x in combo] if p else combo
         return SlotPairReport(j, False, kd, _rank_one_factor(combo, d1 * d1 * d2, field), rational)
     # the root (theta - b : 2a), theta^2 = disc / (d1 d2)^2: the combination
-    # has rational part (2a y2 - b y1) / (d1^2 d2) and theta part v1, whose
-    # first row is nonzero since det v1 != 0
+    # k = (x + t theta') / (d1^2 d2), theta' = d1 d2 theta, has x = 2a y2 - b y1
+    # and t = y1, whose first row is nonzero since det v1 != 0; phi_1 is
+    # k[i + 2] / k[i], k[i + 2] times the conjugate of k[i] over its norm
+    disc = b * b - 4 * a * c
     ext = QuadraticExtension(field, _elements(field, (disc,), (d1 * d2) ** 2)[0])
-    base = _elements(field, [2 * a * v - b * u for u, v in zip(y1, y2)], d1 * d1 * d2)
-    k = [QuadElement(x, t, ext) for x, t in zip(base, _elements(field, y1, d1))]
-    i = 0 if k[0] else 1
-    witness = PureWitness((ext.one, k[i + 2] / k[i]), (k[0], k[1]), extension_disc=ext.disc)
-    return SlotPairReport(j, False, kd, witness,
+    xs = [2 * a * v - b * u for u, v in zip(y1, y2)]
+    xs = [x % p for x in xs] if p else xs
+    chi = tuple(map(QuadElement, _elements(field, xs[:2], d1 * d1 * d2),
+                    _elements(field, y1[:2], d1), repeat(ext)))
+    i = 0 if xs[0] or y1[0] else 1
+    (x0, x2), (t0, t2) = xs[i::2], y1[i::2]
+    norm = x0 * x0 - t0 * t0 * disc
+    ratio = QuadElement(*_elements(field, (x2 * x0 - t2 * t0 * disc, (t2 * x0 - x2 * t0) * d1 * d2),
+                                   norm), ext)
+    return SlotPairReport(j, False, kd, PureWitness((ext.one, ratio), chi, extension_disc=ext.disc),
                           f"singular combination exists only over theta^2 = {_exact_str(ext.disc)}")
 
 

@@ -97,15 +97,97 @@ def inverse(m):
     return _of_int_cols(m.field, cols, n, m._den)
 
 
+# -- binary forms on field elements (oracle copies, not in the package) -----
+
+
+class BinaryForm:
+    """A binary form over QQ or F_p by field-element coefficients of
+    descending s-power: sum(coeffs[i] * s^(d-i) * t^i)."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = tuple(field.of(c) for c in coeffs)
+        if not self.coeffs:
+            raise ValueError("a form needs at least one coefficient")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return all(not c for c in self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, BinaryForm) and self.field == other.field
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self) -> str:
+        d = self.degree
+        terms = [f"({c})*s^{d - i}*t^{i}" for i, c in enumerate(self.coeffs) if c]
+        return " + ".join(terms) if terms else "0"
+
+
 def monic(form):
     """The form divided by its first nonzero coefficient; zero stays zero."""
-    from ncquad.forms import BinaryForm
-
     for c in form.coeffs:
         if c:
             inv = form.field.one / c
             return BinaryForm(form.field, [inv * x for x in form.coeffs])
     return form
+
+
+def field_sqrt(field, x):
+    """The square root of a square x that the certificates print: the
+    nonnegative one in QQ, and mod p the residue ``fields._sqrt_mod_p``
+    gives, the convention that fixes the order of two rational roots."""
+    import math
+
+    from ncquad.fields import _sqrt_mod_p
+
+    x = field.of(x)
+    if not field.is_square(x):
+        raise ValueError(f"{x} is not a square in {field!r}")
+    if field.characteristic:
+        return field.of(_sqrt_mod_p(x.value, field.p))
+    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+
+
+def root_structure(f):
+    """How a nonzero binary quadratic a s^2 + b st + c t^2 splits over the
+    closure, on field elements: (kind, discriminant, roots, extension),
+    kind "split-rational", "double-rational" or "irreducible-quadratic",
+    roots projective pairs (s, t), in QuadraticExtension(field, disc) in
+    the irreducible case."""
+    from ncquad.fields import QuadraticExtension
+
+    if f.degree != 2:
+        raise ValueError("root_structure expects a quadratic")
+    if f.is_zero():
+        raise ValueError("root_structure of the zero form")
+    field = f.field
+    a, b, c = f.coeffs
+    disc = b * b - 4 * a * c
+    if not disc:
+        # b^2 = 4ac, so a = 0 forces b = 0 and the form c t^2
+        root = (-b, 2 * a) if a else (field.one, field.zero)
+        return "double-rational", disc, (root,), None
+    if field.is_square(disc):
+        if a:
+            r = field_sqrt(field, disc)
+            roots = ((-b + r, 2 * a), (-b - r, 2 * a))
+        else:
+            # t * (b*s + c*t): roots (1:0) and (c:-b), distinct since b != 0
+            roots = ((field.one, field.zero), (c, -b))
+        return "split-rational", disc, roots, None
+    ext = QuadraticExtension(field, disc)
+    th = ext.theta
+    roots = ((ext.of(-b) + th, ext.of(2 * a)), (ext.of(-b) - th, ext.of(2 * a)))
+    return "irreducible-quadratic", disc, roots, ext
 
 
 def euler_p1xp2(m: int, n: int) -> int:
@@ -273,22 +355,48 @@ def relative_line(l0, l1):
     return EmbeddedLine(matmul(l1.phi, t_inv), matmul(t, l1.phi_inv), l1.contracted_factor)
 
 
+def det2(v):
+    return v[0] * v[3] - v[1] * v[2]
+
+
+def polar2(u, v):
+    return u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - v[1] * u[2]
+
+
+def rank_one(vecs) -> bool:
+    """Whether 2-vectors of field elements span exactly a line."""
+    return any(a or b for a, b in vecs) and not any(
+        u[0] * v[1] - u[1] * v[0] for i, u in enumerate(vecs) for v in vecs[i + 1:])
+
+
+def plane_type(n1, n2):
+    """"left" when the columns of the 2x2 matrices n1, n2 (row-major)
+    share one direction, "right" when their rows do, else "neither"."""
+    if rank_one([(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])]):
+        return "left"
+    if rank_one([(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])]):
+        return "right"
+    return "neither"
+
+
+def left_direction(n1, n2):
+    """The first nonzero column of n1, n2, the direction of a left plane."""
+    for v in (n1, n2):
+        for col in ((v[0], v[2]), (v[1], v[3])):
+            if col[0] or col[1]:
+                return col
+    raise AssertionError("zero plane")
+
+
 def reference_line_relation(l0, l1):
     """The classifier of two arbitrary embedded lines, on field elements:
     ``line_relation`` before it compared one line with the standard line.
     It forms T l1.phi_inv and psi = l1.phi l0.phi_inv by matrix products,
-    builds the three quadratics as ``BinaryForm``s and takes their gcd by
-    ``euclid_form_gcd``, which shares no code with ``forms.form_gcd``."""
-    from ncquad.forms import BinaryForm, root_structure
-    from ncquad.grassmann import (
-        LineRelation,
-        MeetWitness,
-        _det2,
-        _left_direction,
-        _plane_type,
-        _polar2,
-        reshuffle_rank,
-    )
+    builds the three quadratics as ``BinaryForm``s, takes their gcd by
+    ``euclid_form_gcd``, which shares no code with ``forms.form_gcd``, and
+    classifies its roots and the planes there by the field-element copies
+    above, which share none with the integer classifier."""
+    from ncquad.grassmann import LineRelation, MeetWitness, reshuffle_rank
     from ncquad.linalg import _pick
 
     field = l0.field
@@ -306,12 +414,12 @@ def reference_line_relation(l0, l1):
     A = [ints[j::4] for j in a_cols]
     B = [tuple(-x for x in ints[j::4]) for j in b_cols]
 
-    q1 = BinaryForm(field, (_det2(A[0]), _polar2(A[0], B[0]), _det2(B[0])))
-    q2 = BinaryForm(field, (_det2(A[1]), _polar2(A[1], B[1]), _det2(B[1])))
+    q1 = BinaryForm(field, (det2(A[0]), polar2(A[0], B[0]), det2(B[0])))
+    q2 = BinaryForm(field, (det2(A[1]), polar2(A[1], B[1]), det2(B[1])))
     bform = BinaryForm(field, (
-        _polar2(A[0], A[1]),
-        _polar2(A[0], B[1]) + _polar2(B[0], A[1]),
-        _polar2(B[0], B[1]),
+        polar2(A[0], A[1]),
+        polar2(A[0], B[1]) + polar2(B[0], A[1]),
+        polar2(B[0], B[1]),
     ))
 
     psi = matmul(l1.phi, l0.phi_inv)
@@ -327,7 +435,7 @@ def reference_line_relation(l0, l1):
         types = set()
         for kx, ky in ((field.one, field.zero), (field.zero, field.one), (field.one, field.one)):
             n1, n2 = plane_at(kx, ky)
-            types.add(_plane_type(n1, n2))
+            types.add(plane_type(n1, n2))
         if types != {"left"} and types != {"right"}:
             raise AssertionError(f"inconsistent decomposable family types: {types}")
         if types == {"left"}:
@@ -347,22 +455,17 @@ def reference_line_relation(l0, l1):
         a, b = gcd.coeffs  # a*s + b*t
         roots = [((-b, a), None)]
     else:
-        rs = root_structure(gcd)
-        if rs.kind == "double-rational":
-            roots = [(rs.roots[0], None)]
-        elif rs.kind == "split-rational":
-            roots = [(rs.roots[0], None), (rs.roots[1], None)]
-        else:
-            roots = [(r, rs.discriminant) for r in rs.roots]
+        kind, disc, rs, _ = root_structure(gcd)
+        roots = [(r, disc if kind == "irreducible-quadratic" else None) for r in rs]
 
     witnesses = []
     for (kx, ky), disc in roots:
         n1, n2 = plane_at(kx, ky)
-        ptype = _plane_type(n1, n2)
+        ptype = plane_type(n1, n2)
         if ptype == "neither":
             raise AssertionError("plane at a common root is not decomposable")
         if ptype == "left":
-            ell = _left_direction(n1, n2)
+            ell = left_direction(n1, n2)
             witnesses.append(MeetWitness(
                 param_l1=(kx, ky),
                 param_l0=(ell[1], -ell[0]),
@@ -425,7 +528,7 @@ def binary_form_gcd(forms):
     every input is zero."""
     from math import lcm
 
-    from ncquad.forms import BinaryForm, _monic, form_gcd
+    from ncquad.forms import form_gcd
 
     field = forms[0].field
     p = field.characteristic
@@ -439,7 +542,7 @@ def binary_form_gcd(forms):
     nonzero = [f for f in ints if any(f)]
     if not nonzero:
         return BinaryForm(field, [field.zero])
-    return _monic(field, form_gcd(nonzero, p))
+    return monic(BinaryForm(field, form_gcd(nonzero, p)))
 
 
 # -- Euclid on field elements (oracle for forms.form_gcd) ------------------
@@ -474,8 +577,6 @@ def euclid_form_gcd(forms):
     """Monic gcd of binary forms over QQ or F_p by textbook Euclid, with
     the conventions of ``binary_form_gcd``: the zero form when every
     input is zero."""
-    from ncquad.forms import BinaryForm
-
     field = forms[0].field
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
@@ -968,6 +1069,25 @@ def nonresidue_int(p: int) -> int:
     return n
 
 
+def root_branches(stages) -> set:
+    """The rare root branches a certificate's stage documents show: a
+    geometricity witness over a quadratic extension, and a line relation
+    that coincides, meets at rational roots or meets at conjugate roots."""
+    kinds = set()
+    for stage in stages:
+        if stage["stage"] == "geometricity":
+            if any("extension_minpoly" in p.get("witness", {}) for p in stage["report"]["pairs"]):
+                kinds.add("extension witness")
+        elif stage["stage"] == "lines":
+            relation = stage["relation"]
+            if relation["verdict"] == "Coincide":
+                kinds.add("coincide")
+            elif relation["verdict"] == "Meet":
+                irreducible = any("extension_minpoly" in w for w in relation["witnesses"])
+                kinds.add("irreducible meet" if irreducible else "rational meet")
+    return kinds
+
+
 # -- geometricity on field elements (the reference for the integer path) ----
 
 
@@ -990,7 +1110,6 @@ def reference_pure_kernel_witness(kernel, field):
     """A pure tensor in the column span of a >=2 dimensional kernel of
     2x2 matrices, over the field itself or a quadratic extension, found by
     field-element arithmetic, ``BinaryForm`` and ``root_structure``."""
-    from ncquad.forms import BinaryForm, root_structure
     from ncquad.quintuples import PureWitness
 
     v1, v2 = kernel.col(0), kernel.col(1)
@@ -1004,20 +1123,18 @@ def reference_pure_kernel_witness(kernel, field):
             return PureWitness(u, v), "kernel basis vector is itself singular"
         u, v = rank_one_factor(v2[0], v2[1], v2[2], v2[3], field)
         return PureWitness(u, v), "kernel basis vector is itself singular"
-    rs = root_structure(form)
-    if rs.kind in ("split-rational", "double-rational"):
-        s, t = rs.roots[0]
+    _, disc, roots, ext = root_structure(form)
+    s, t = roots[0]
+    if ext is None:
         combo = [s * a + t * b for a, b in zip(v1, v2)]
         u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
         return PureWitness(u, v), "rational singular combination of kernel vectors"
-    ext = rs.extension
-    s, t = rs.roots[0]
     lift = lambda x: ext.of(x)
     combo = [s * lift(a) + t * lift(b) for a, b in zip(v1, v2)]
     u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], ext)
     return (
-        PureWitness(u, v, extension_disc=rs.discriminant),
-        f"singular combination exists only over theta^2 = {rs.discriminant}",
+        PureWitness(u, v, extension_disc=disc),
+        f"singular combination exists only over theta^2 = {disc}",
     )
 
 

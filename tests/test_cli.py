@@ -188,6 +188,42 @@ def test_command_stdout_and_exit_code_are_pinned(name, command, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _STDOUT_PINS[(name, command)]
 
 
+# witness-bearing inputs outside the corpus: ``check`` prints each witness
+# coordinate by ``cli._exact_repr``, a ``Fraction``, an ``FpElement`` or a
+# ``QuadElement`` over either
+_DATA = Path(__file__).with_name("data")
+_WITNESS_PINS = {
+    ("witness-qq-theta", "check"): (1, "3d4437f4676e6917d180c6de76dc73d34b612ee7f3dc2f4fd2cfd4eaf0749590"),
+    ("witness-qq-theta", "check --json"): (1, "e934c2dd025914781e2668cdbabd2495677b8fd273cdc0ac286cbc6fab20bfc0"),
+    ("witness-f5-rational", "check"): (1, "f38354932a07d134135768771da69894d3f3b9e6ca7e75ddbb76acdab9ae7ea0"),
+    ("witness-f5-rational", "check --json"): (1, "60f2a2f5956ddf2e340bd9acfc730c65105a4e2b536db4da36d38880628fadd1"),
+    ("witness-f5-theta", "check"): (1, "54c8c9e7aa8d3b45c75e2f603460b48cb3c58ef9d5d0edf67c6d4ef3d9976303"),
+    ("witness-f5-theta", "check --json"): (1, "f9172b73fefb7f033b6d078dbab5294f2453dc13c777a6e2fa40c14f0a2d89d5"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(_WITNESS_PINS))
+def test_witness_stdout_and_exit_code_are_pinned(name, command, capsys):
+    verb, *flags = command.split()
+    code = main([verb, str(_DATA / f"{name}.json"), *flags])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _WITNESS_PINS[(name, command)]
+
+
+_WITNESS_MARKS = {
+    "witness-qq-theta": ("Fraction(", ")*theta", "FAIL (rational"),
+    "witness-f5-rational": ("(mod 5)", "FAIL (kernel spanned by a singular"),
+    "witness-f5-theta": ("(mod 5)) + (", ")*theta", "FAIL (rational"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_MARKS))
+def test_witness_files_print_their_witness_kinds(name, capsys):
+    main(["check", str(_DATA / f"{name}.json")])
+    out = capsys.readouterr().out
+    assert all(m in out for m in _WITNESS_MARKS[name]), out
+
+
 def test_stdout_pins_cover_the_corpus():
     assert sorted({name + ".json" for name, _ in _STDOUT_PINS}) == corpus_names()
 

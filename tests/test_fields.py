@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import nonresidue_int
-from ncquad.fields import GF, QQ, QuadraticExtension, is_prime
+from ncquad.fields import GF, QQ, QuadraticExtension, _sqrt_mod_p, is_prime
+from ncquad.forms import _quadratic_root
 
 
 def test_rationals_lowest_terms():
@@ -18,11 +19,13 @@ def test_rationals_lowest_terms():
 
 def test_rational_squares():
     assert QQ.is_square(Fraction(9, 4))
-    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert not QQ.is_square(Fraction(2))
     assert not QQ.is_square(Fraction(-4))
-    with pytest.raises(ValueError):
-        QQ.sqrt(Fraction(2))
+    # on integers: the nonnegative root of the discriminant b^2 - 4ac
+    assert _quadratic_root(0, 3, 0, 0) == _quadratic_root(0, -3, 0, 0) == 3
+    assert _quadratic_root(4, 4, -8, 0) == 12
+    assert _quadratic_root(1, 0, -2, 0) is None
+    assert _quadratic_root(1, 0, 1, 0) is None
 
 
 def test_prime_field_restrictions():
@@ -54,10 +57,11 @@ def test_prime_field_sqrt_roundtrip():
             x = F.of(rng.randrange(p))
             sq = x * x
             assert F.is_square(sq)
-            r = F.sqrt(sq)
-            assert r * r == sq
+            r = _sqrt_mod_p(sq.value, p)
+            assert r is not None and r * r % p == sq.value
         nr = F.of(nonresidue_int(F.p))
         assert not F.is_square(nr)
+        assert _sqrt_mod_p(nr.value, p) is None
 
 
 def test_quadratic_extension_arithmetic():

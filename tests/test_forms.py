@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_form_gcd, euclid_form_gcd, evaluate, nonresidue_int
+from helpers import (
+    BinaryForm,
+    binary_form_gcd,
+    euclid_form_gcd,
+    evaluate,
+    nonresidue_int,
+    root_structure,
+)
 from ncquad.fields import GF, QQ
-from ncquad.forms import BinaryForm, root_structure
+from ncquad.forms import _quadratic_root
 
 
 def form(*coeffs, field=QQ):
@@ -90,59 +97,54 @@ def test_gcd_matches_euclid_oracle(forms):
     assert binary_form_gcd(forms) == euclid_form_gcd(forms)
 
 
+# -- the root structure of a quadratic: the integer classifier
+# ``_quadratic_root``, and the field-element oracle in ``helpers`` --------
+
+
+def _vanishes(a, b, c, x, y, p=0):
+    value = a * x * x + b * x * y + c * y * y
+    return not (value % p if p else value)
+
+
 def test_root_structure_split():
-    rs = root_structure(form(0, 1, 0))    # st
-    assert rs.kind == "split-rational"
-    for s, t in rs.roots:
-        assert evaluate(form(0, 1, 0), s, t) == 0
+    # st = 0 has the roots (1:0) and (0:1); its discriminant is 1
+    assert _quadratic_root(0, 1, 0, 0) == 1
+    assert _quadratic_root(0, 1, 0, 7) in (1, 6)
 
 
 def test_root_structure_double():
-    rs = root_structure(form(1, 0, 0))    # s^2
-    assert rs.kind == "double-rational"
-    (s, t), = rs.roots
-    assert t == 0 or s / t == 0   # root (0:1)
-    assert evaluate(form(1, 0, 0), s, t) == 0
+    # s^2: discriminant 0, the double root (-b : 2a) = (0 : 2)
+    for p in (0, 5, 11):
+        assert _quadratic_root(1, 0, 0, p) == 0
+        assert _vanishes(1, 0, 0, 0, 2, p)
 
 
 def test_root_structure_irreducible():
-    rs = root_structure(form(1, 0, 1))    # s^2 + t^2
-    assert rs.kind == "irreducible-quadratic"
-    assert rs.discriminant == Fraction(-4)
-    ext = rs.extension
-    for s, t in rs.roots:
-        val = ext.of(1) * s * s + ext.of(1) * t * t
-        assert not val
+    # s^2 + t^2: -4 is no square in QQ or mod 7, and 1 = 2^2 mod 5
+    assert _quadratic_root(1, 0, 1, 0) is None
+    assert _quadratic_root(1, 0, 1, 7) is None
+    r = _quadratic_root(1, 0, 1, 5)
+    assert r is not None and r * r % 5 == 1
 
 
 def test_root_structure_rational_roots_evaluate_to_zero():
     rng = random.Random(11)
     for _ in range(40):
-        r1 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        r2 = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        # (s - r1 t)(s - r2 t)
-        f = form(1, -(r1 + r2), r1 * r2)
-        rs = root_structure(f)
-        if r1 == r2:
-            assert rs.kind == "double-rational"
-        else:
-            assert rs.kind == "split-rational"
-        for s, t in rs.roots:
-            assert evaluate(f, s, t) == 0
+        n1, d1, n2, d2 = (rng.randint(-5, 5), rng.randint(1, 5), rng.randint(-5, 5), rng.randint(1, 5))
+        # (d1 s - n1 t)(d2 s - n2 t), roots n1/d1 and n2/d2
+        a, b, c = d1 * d2, -(d1 * n2 + d2 * n1), n1 * n2
+        r = _quadratic_root(a, b, c, 0)
+        assert r is not None and r >= 0
+        assert (r == 0) == (Fraction(n1, d1) == Fraction(n2, d2))
+        for x in (-b + r, -b - r):
+            assert _vanishes(a, b, c, x, 2 * a)
 
 
 def test_root_structure_prime_field():
-    F = GF(11)
-    f = BinaryForm(F, [F.one, F.zero, -F.one])   # s^2 - t^2
-    rs = root_structure(f)
-    assert rs.kind == "split-rational"
-    nr = F.of(nonresidue_int(F.p))
-    g = BinaryForm(F, [F.one, F.zero, -nr])      # s^2 - nr t^2
-    rs = root_structure(g)
-    assert rs.kind == "irreducible-quadratic"
-    ext = rs.extension
-    for s, t in rs.roots:
-        assert not (s * s - ext.of(nr) * t * t)
+    p = 11
+    r = _quadratic_root(1, 0, -1, p)      # s^2 - t^2
+    assert r is not None and r * r % p == 4
+    assert _quadratic_root(1, 0, -nonresidue_int(p), p) is None   # s^2 - nr t^2
 
 
 def test_root_structure_rejects_bad_input():
@@ -153,10 +155,30 @@ def test_root_structure_rejects_bad_input():
 
 
 def test_degenerate_leading_coefficient():
-    rs = root_structure(form(0, 1, 2))    # t(s + 2t)
-    assert rs.kind == "split-rational"
-    roots = set()
-    for s, t in rs.roots:
-        assert evaluate(form(0, 1, 2), s, t) == 0
-        roots.add((s, t))
-    assert len(roots) == 2
+    # t(s + 2t): the discriminant is 1 and b s + c t supplies the second root
+    assert _quadratic_root(0, 1, 2, 0) == 1
+    assert _vanishes(0, 1, 2, 1, 0) and _vanishes(0, 1, 2, 2, -1)
+
+
+@pytest.mark.parametrize("p", [0, 5, 7, 10007])
+def test_quadratic_root_matches_the_field_element_oracle(p):
+    # the kind, and the rational roots in their order, of ``root_structure``
+    # on field elements: the integer root r gives (-b + r : 2a), (-b - r : 2a)
+    field = GF(p) if p else QQ
+    rng = random.Random(1901 + p)
+    kinds = set()
+    for _ in range(600):
+        a, b, c = (rng.randint(-6, 6) if rng.random() < 0.8 else 0 for _ in range(3))
+        if p:
+            a, b, c = a % p, b % p, c % p
+        if not (a or b or c):
+            continue
+        kind, _, roots, _ = root_structure(form(a, b, c, field=field))
+        kinds.add(kind)
+        r = _quadratic_root(a, b, c, p)
+        assert kind == ("irreducible-quadratic" if r is None
+                        else "double-rational" if r == 0 else "split-rational")
+        if r is not None and a:
+            want = [(field.of(-b + r), field.of(2 * a)), (field.of(-b - r), field.of(2 * a))]
+            assert list(roots) == want[:len(roots)]
+    assert kinds == {"irreducible-quadratic", "double-rational", "split-rational"}

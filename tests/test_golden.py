@@ -4,9 +4,13 @@
 ``canonical_json_bytes(full_pipeline(q, convention).to_dict())``, for
 the bundled corpus under both conventions and for a fixed set of seeded
 inputs over QQ, F_5 and F_10007 whose verdicts span ``certified``,
-``geometricity``, ``determinant`` and ``lines``.  The seeded inputs are
-stored in the file in the quintuple file format, so the digests do not
-depend on any random generator.
+``geometricity``, ``determinant`` and ``lines``.  Targeted entries, drawn
+until a certificate shows a named branch (``kind``), cover the rare roots
+of the two root classifiers: meets at conjugate roots in a quadratic
+extension over QQ and F_5, a geometricity witness over an extension of
+QQ, and coinciding lines over F_5.  The seeded inputs are stored in the
+file in the quintuple file format, so the digests do not depend on any
+random generator.
 
 A refactor must leave every digest unchanged.  A deliberate change of
 certificate bytes bumps the certificate schema and rewrites the file:
@@ -21,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import root_branches
 from ncquad.certify import full_pipeline
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
@@ -37,6 +42,8 @@ GOLDEN = Path(__file__).with_name("golden.json")
 CONVENTIONS = ("ruling", "literal")
 REQUIRED_VERDICTS = {"certified", "geometricity", "determinant", "lines"}
 REQUIRED_FIELDS = {"Q", "Fp:5", "Fp:10007"}
+REQUIRED_KINDS = {("Q", "irreducible meet"), ("Fp:5", "irreducible meet"),
+                  ("Q", "extension witness"), ("Fp:5", "coincide")}
 
 
 def _digest_and_verdict(q, convention):
@@ -84,6 +91,14 @@ def test_golden_set_covers_corpus_fields_and_verdicts():
     assert {e["input"]["field"] for e in seeded} == REQUIRED_FIELDS
     assert {e["verdict"] for e in seeded} >= REQUIRED_VERDICTS
     assert set(CONVENTIONS) <= {e["convention"] for e in seeded}
+    assert {(e["input"]["field"], e["kind"]) for e in seeded if "kind" in e} == REQUIRED_KINDS
+
+
+def test_targeted_entries_show_their_kind():
+    for entry in _golden()["seeded"]:
+        if "kind" in entry:
+            cert = full_pipeline(_quintuple(entry), entry["convention"])
+            assert entry["kind"] in root_branches(cert.stages)
 
 
 # -- regeneration (run this file as a script) ---------------------------------
@@ -100,6 +115,15 @@ PLAN = (
     ("Fp:5", "ruling", "sparse", {"certified": 1, "geometricity": 1}),
     ("Fp:10007", "literal", "sparse", {"certified": 2, "geometricity": 2, "determinant": 1, "lines": 2}),
     ("Fp:10007", "ruling", "type-a", {"certified": 2, "determinant": 1}),
+)
+
+
+# (field, convention, sampler, kind), drawn from seed len(PLAN) + k
+TARGETED = (
+    ("Q", "literal", "sparse", "irreducible meet"),
+    ("Fp:5", "literal", "sparse", "irreducible meet"),
+    ("Q", "literal", "sparse", "extension witness"),
+    ("Fp:5", "literal", "sparse", "coincide"),
 )
 
 
@@ -145,6 +169,22 @@ def regenerate():
                 "verdict": verdict,
                 "sha256": digest,
             })
+    for k, (field_str, convention, sampler, kind) in enumerate(TARGETED):
+        rng = random.Random(len(PLAN) + k)
+        field = field_from_str(field_str)
+        while True:
+            q = _draw(rng, field, sampler)
+            cert = full_pipeline(q, convention)
+            if kind in root_branches(cert.stages):
+                break
+        digest, verdict = _digest_and_verdict(q, convention)
+        seeded.append({
+            "input": {"field": field_str, "w": tensor_nested_strings(q)},
+            "convention": convention,
+            "verdict": verdict,
+            "kind": kind,
+            "sha256": digest,
+        })
     doc = {"corpus": corpus, "seeded": seeded}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(corpus)} corpus and {len(seeded)} seeded digests to {GOLDEN}")

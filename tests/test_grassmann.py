@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BinaryForm,
     binary_form_gcd,
     from_cols,
     inverse,
@@ -148,8 +149,6 @@ def test_type_a_123_gcd_has_no_root():
     # the three decomposability quadratics for (1:2:3) under the literal
     # convention are proportional to a(c kx^2 - b ky^2), a(c ky^2 - b kx^2),
     # (c^2 - b^2) kx ky; no common projective root
-    from ncquad.forms import BinaryForm
-
     a, b, c = 1, 2, 3
     q1 = BinaryForm(QQ, (a * c, 0, -a * b))
     q2 = BinaryForm(QQ, (-a * b, 0, a * c))
@@ -349,17 +348,18 @@ def test_hom_R_O():
 
 # -- the rank-one test of _plane_type against the rank oracle --------------
 
-_PLANE_FIELDS = (QQ, GF(5), QuadraticExtension(QQ, 2))
+# 2 is a non-square in QQ and mod 5
+_PLANE_FIELDS = (QQ, GF(5), QuadraticExtension(QQ, 2), QuadraticExtension(GF(5), 2))
 
 
 @st.composite
 def _element(draw, field):
+    if isinstance(field, QuadraticExtension):
+        a, b = draw(_element(field.base)), draw(_element(field.base))
+        return field.of(a) + field.of(b) * field.theta
     if field is QQ:
         return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-    if field.characteristic:
-        return field.of(draw(st.integers(0, 4)))
-    a, b = (Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))) for _ in range(2))
-    return field.of(a) + field.of(b) * field.theta
+    return field.of(draw(st.integers(0, 4)))
 
 
 @st.composite
@@ -378,16 +378,37 @@ def _two_vectors(draw, field):
     return vecs
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def _integer_pairs(vecs, field):
+    """The vectors as the integer pairs (x, y), x + y theta, that
+    ``_rank_one`` reads, over one common positive denominator (which
+    changes no rank), and its (d, p): theta^2 = d, or d = 0 in the base."""
+    import math
+
+    ext = isinstance(field, QuadraticExtension)
+    base = field.base if ext else field
+    parts = [(x.a, x.b) if ext else (x, base.zero) for v in vecs for x in v]
+    p = base.characteristic
+    if p:
+        ints = [(x.value, y.value) for x, y in parts]
+        d = field.disc.value if ext else 0
+    else:
+        den = math.lcm(*(z.denominator for pair in parts for z in pair))
+        ints = [(int(x * den), int(y * den)) for x, y in parts]
+        d = int(field.disc) if ext else 0
+    return [(ints[2 * i], ints[2 * i + 1]) for i in range(len(vecs))], d, p
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_rank_one_matches_rank_oracle(data):
     from ncquad.grassmann import _plane_type, _rank_one
 
     field = data.draw(st.sampled_from(_PLANE_FIELDS))
     vecs = data.draw(_two_vectors(field))
-    assert _rank_one(vecs) == (rank_oracle(vecs, field) == 1)
+    pairs, d, p = _integer_pairs(vecs, field)
+    assert _rank_one(pairs, d, p) == (rank_oracle(vecs, field) == 1)
     # as the columns of two 2x2 matrices n1, n2 (row-major), these vectors
     # make a "left" plane exactly when they span one line
-    (a, c), (b, d), (e, g), (f, h) = vecs
-    left = _plane_type((a, b, c, d), (e, f, g, h)) == "left"
+    (a, c), (b, e), (f, h), (g, k) = pairs
+    left = _plane_type((a, b, c, e), (f, g, h, k), d, p) == "left"
     assert left == (rank_oracle(vecs, field) == 1)

@@ -2,13 +2,16 @@
 
 ``square_from_quintuple`` holds phi_1 as the integer adjugate of M_2,
 ``line_relation`` classifies line 1 against the standard line 0 with its
-quadratics and their gcd on integers, and the ranks read off the shared
+quadratics, their gcd, the gcd's roots (``forms._quadratic_root``) and
+the planes at those roots on integers, and the ranks read off the shared
 identity (block leg 0 and Hom(R, K_0)) are taken once per process.
 
 The reference for the classifier is the general two-line code in
 ``helpers.reference_line_relation``: matrix products with phi_0 and
-phi_0^{-1}, ``BinaryForm``s and a gcd by Euclid on field elements.  Both
-must write the same certificate bytes.
+phi_0^{-1}, the test copy of ``BinaryForm``, a gcd by Euclid, roots by
+the test copy of ``root_structure`` and the plane types, all on field
+elements; it imports no classifier from ``ncquad.forms`` or
+``ncquad.grassmann``.  Both must write the same certificate bytes.
 """
 
 import random
@@ -185,3 +188,22 @@ def test_type_a_squares_certify_through_the_integer_lines():
         sq = square_from_quintuple(q, convention)
         assert sq.phi1._den == 1
         assert line_relation(sq.line(1)) == reference_line_relation(sq.line(0), sq.line(1))
+
+
+def test_references_import_no_classifier_from_the_package():
+    # the field-element references of both root classifiers take records
+    # and the reshuffle rank from ``ncquad.grassmann``, and from
+    # ``ncquad.forms`` only the gcd that ``binary_form_gcd`` hands on
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(__file__).with_name("helpers.py").read_text())
+    allowed = {"ncquad.grassmann": {"EmbeddedLine", "LineRelation", "MeetWitness", "reshuffle_rank"},
+               "ncquad.forms": {"form_gcd"}}
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in allowed:
+            names = {a.name for a in node.names}
+            assert names <= allowed[node.module], (node.module, names)
+            seen |= names
+    assert {"LineRelation", "form_gcd"} <= seen

@@ -1,0 +1,82 @@
+"""``full_pipeline`` does no field-element arithmetic.
+
+Every decision runs on integers (numerators or residues mod p), and
+field elements are only built, never combined, for the numbers a
+certificate prints.  The inputs are built first; then every arithmetic
+operator of ``Fraction``, ``FpElement`` and ``QuadElement`` raises, and
+the golden inputs plus 3,000 sparse seeded tensors per field must still
+certify under both conventions.  The sparse tensors and the golden
+targeted entries reach the rare root branches: witnesses over a
+quadratic extension, and lines that coincide or meet at rational or
+conjugate roots.
+"""
+
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import root_branches
+from ncquad.certify import full_pipeline
+from ncquad.fields import GF, QQ, FpElement, QuadElement
+from ncquad.fileformat import parse_quintuple_file
+from ncquad.quintuples import SLOT_LABELS, Quintuple
+from ncquad.tensors import Tensor
+
+_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+              "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+              "__neg__", "__pos__", "__abs__")
+
+_POOLS = {QQ: (-1, 0, 0, 1, Fraction(1, 2)), GF(5): (0, 0, 1, 2, 3, 4), GF(10007): (-1, 0, 0, 1, 2)}
+
+
+def _sparse(field, seed, count):
+    """``count`` nonzero tensors with entries from a small pool, mostly zero."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        entries = [rng.choice(_POOLS[field]) for _ in range(16)]
+        if any(entries):
+            out.append(Quintuple(Tensor(field, (2, 2, 2, 2), [field.of(x) for x in entries],
+                                        SLOT_LABELS)))
+    return out
+
+
+def _golden_inputs():
+    doc = json.loads(Path(__file__).with_name("golden.json").read_text())
+    return [parse_quintuple_file(entry["input"])[0] for entry in doc["seeded"]]
+
+
+@pytest.fixture
+def no_field_arithmetic(monkeypatch):
+    def raiser(name):
+        def op(*args):
+            raise AssertionError(f"field-element arithmetic: {name}")
+        return op
+
+    for cls in (Fraction, FpElement, QuadElement):
+        for name in _OPERATORS:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, raiser(f"{cls.__name__}.{name}"))
+
+
+def test_full_pipeline_does_no_field_element_arithmetic(request):
+    inputs = _golden_inputs()
+    for k, field in enumerate(_POOLS):
+        inputs += _sparse(field, 1801 + k, 3000)
+    request.getfixturevalue("no_field_arithmetic")
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    branches = Counter()
+    for q in inputs:
+        for convention in ("ruling", "literal"):
+            cert = full_pipeline(q, convention)
+            for kind in root_branches(cert.stages):
+                branches[q.field.characteristic, kind] += 1
+    for p in (0, 5):
+        for kind in ("extension witness", "irreducible meet", "rational meet", "coincide"):
+            assert branches[p, kind] >= 1, (p, kind, branches)

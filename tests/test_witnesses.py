@@ -1,11 +1,15 @@
-"""Geometricity decides on the integers of the kept echelon and builds
+"""Geometricity decides on the integers of the kept echelon, classifies
+the roots of det(s v1 + t v2) by ``forms._quadratic_root`` and builds
 field elements only for the witness coordinates a certificate prints.
 
 The reference is the field-element path in ``helpers``
 (``reference_is_geometric``): the kernel as a ``Matrix``, the 2x2 tests
-on ``Fraction``s or ``FpElement``s, the binary quadratic as a
-``BinaryForm`` classified by ``root_structure``.  Both must write the
-same report bytes, and every witness must kill w.
+on ``Fraction``s or ``FpElement``s, the binary quadratic as the test
+copy of ``BinaryForm``, classified by the test copy of
+``root_structure``, and an extension witness divided in
+``QuadraticExtension``; it imports no classifier from ``ncquad.forms``
+or ``ncquad.grassmann``.  Both must write the same report bytes, and
+every witness must kill w.
 """
 
 import random
@@ -15,16 +19,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    BinaryForm,
     contraction_matrix,
     kernel_basis,
     random_tensor_fp,
     reference_is_geometric,
+    root_structure,
     verify_witness,
 )
 from ncquad.certify import _geometricity_json
 from ncquad.fields import GF, QQ, FpElement
 from ncquad.fileformat import canonical_json_bytes
-from ncquad.forms import BinaryForm, root_structure
 from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a, is_geometric
 from ncquad.tensors import Tensor
 
@@ -59,7 +64,7 @@ def _quadratic_kind(q, j):
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
     form = BinaryForm(q.field, (det1, polar, det2))
-    return "all-singular" if form.is_zero() else root_structure(form).kind
+    return "all-singular" if form.is_zero() else root_structure(form)[0]
 
 
 def test_integer_witnesses_match_the_field_element_reference():
