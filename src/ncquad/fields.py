@@ -1,13 +1,17 @@
 """Exact scalars: arbitrary-precision rationals, odd prime fields, and
 degree-2 extensions of either.
 
-Every field object exposes ``zero``/``one``, ``of`` (coercion from ints,
-``Fraction``, strings and own elements), ``format`` for exact strings
-that ``of`` reads back, and decidable element equality.  Questions about
-the algebraic closure are never answered numerically: they are reduced to
-square roots on integers (``_sqrt_mod_p``, or ``math.isqrt``), and a
-number in a quadratic extension F[theta]/(theta^2 - d) is printed as a
-``QuadElement`` of a ``QuadraticExtension``.
+``QQ`` and each ``PrimeField`` expose ``zero``/``one``, ``of`` (coercion
+from ints, ``Fraction``, strings and own elements), ``format`` for exact
+strings that ``of`` reads back, and ``is_square``.  Every decision runs on
+integers (numerators, or residues mod p), so field elements are values
+to print: ``Fraction``s over QQ, and ``FpElement``s and ``QuadElement``s
+with construction, equality, truth, hashing and repr but no arithmetic.
+Questions about the algebraic closure are never answered numerically:
+they are reduced to square roots on integers (``_sqrt_mod_p``, or
+``math.isqrt``), and a number in a quadratic extension
+F[theta]/(theta^2 - d) is printed as a ``QuadElement`` of a
+``QuadraticExtension``.
 """
 
 from __future__ import annotations
@@ -148,7 +152,9 @@ QQ = RationalField()
 
 
 class FpElement:
-    """An element of F_p, stored as the canonical representative 0..p-1."""
+    """An element of F_p, stored as the canonical representative 0..p-1.
+    A print-only value: construction, equality (ints and ``Fraction``s
+    coerce), truth, hashing and repr, but no arithmetic."""
 
     __slots__ = ("value", "field")
 
@@ -156,65 +162,15 @@ class FpElement:
         self.value = value % field.p
         self.field = field
 
-    def _coerce(self, other):
+    def __eq__(self, other):
         if isinstance(other, FpElement):
             if other.field.p != self.field.p:
                 raise ValueError("elements of different prime fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.of(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(o.value - self.value, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.value * pow(o.value, self.field.p - 2, self.field.p), self.field)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
-    def __neg__(self):
-        return FpElement(-self.value, self.field)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        elif isinstance(other, (int, Fraction)):
+            other = self.field.of(other)
+        else:
             return NotImplemented
-        return self.value == o.value
+        return self.value == other.value
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -285,7 +241,8 @@ def GF(p: int) -> PrimeField:
 
 
 class QuadElement:
-    """a + b*theta in a quadratic extension, theta^2 = disc."""
+    """a + b*theta in a quadratic extension, theta^2 = disc.  A print-only
+    value, like ``FpElement``: equality coerces base-field values."""
 
     __slots__ = ("a", "b", "field")
 
@@ -294,75 +251,16 @@ class QuadElement:
         self.b = b
         self.field = field
 
-    def _coerce(self, other):
+    def __eq__(self, other):
         if isinstance(other, QuadElement):
             if other.field != self.field:
                 raise ValueError("elements of different quadratic extensions")
-            return other
-        try:
-            return self.field.of(other)
-        except TypeError:
-            return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadElement(self.a + o.a, self.b + o.b, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadElement(self.a - o.a, self.b - o.b, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        d = self.field.disc
-        return QuadElement(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, self.field)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadElement(self.a, -self.b, self.field)
-
-    def norm(self):
-        return self.a * self.a - self.b * self.b * self.field.disc
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = o.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in quadratic extension")
-        num = self * o.conjugate()
-        return QuadElement(num.a / n, num.b / n, self.field)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
-    def __neg__(self):
-        return QuadElement(-self.a, -self.b, self.field)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        else:
+            try:
+                other = self.field.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -401,19 +299,8 @@ class QuadraticExtension:
         return QuadElement(self.base.of(x), self.base.zero, self)
 
     @property
-    def theta(self) -> QuadElement:
-        return QuadElement(self.base.zero, self.base.one, self)
-
-    @property
-    def zero(self) -> QuadElement:
-        return QuadElement(self.base.zero, self.base.zero, self)
-
-    @property
     def one(self) -> QuadElement:
         return QuadElement(self.base.one, self.base.zero, self)
-
-    def format(self, x: QuadElement) -> str:
-        return f"{self.base.format(x.a)}+{self.base.format(x.b)}*theta"
 
     def __eq__(self, other):
         return (

@@ -6,10 +6,12 @@ A quintuple file is JSON with exactly one of:
     {"family": "type-a", "a": "1", "b": "2", "c": "3"}
     {"w": [[[[...]]]]}            (2x2x2x2 nested exact-rational strings)
 
-plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q").  Rationals
-travel as strings to stay exact; the tensor index order is slots 0..3
-with basis index 0 = x and 1 = y.  Digests are over the canonical
-full-tensor form, so equivalent spellings of the same input agree.
+plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q").  A scalar
+is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
+(so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
+mod p over F_p; the tensor index order is slots 0..3 with basis index
+0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
+equivalent spellings of the same input agree.
 """
 
 from __future__ import annotations

@@ -29,13 +29,16 @@ zero, which is how tensors, quivers and the Hom counts assemble their
 matrices without arithmetic; ``_pick_kept`` picks from the shared
 identity once per process.
 
-Field elements exist only at the boundary.  ``Matrix(field, rows)``
-coerces every entry through ``field.of``, since callers pass ints and
-strings; ``rows``, ``col``, ``[i, j]`` and ``det`` build each entry on
-demand (``_elements``), one ``Fraction(num, den)`` over QQ or one
-``FpElement`` mod p, and geometricity builds only the witness coordinates
-a certificate prints.  Both are normal forms, so they are the values and
-bytes that elimination on field elements would give.
+Field elements exist only at the boundary, and ``FpElement`` has no
+arithmetic (``fields``).  ``Matrix(field, rows)`` coerces every entry
+through ``field.of``, since callers pass ints and strings, and
+``build_type_a`` reads its coefficients as such a 1x3 row to decide the
+excluded locus on integers.  ``rows``, ``col``, ``[i, j]`` and ``det``
+build each entry on demand (``_elements``), one ``Fraction(num, den)``
+over QQ or one ``FpElement`` mod p, and geometricity builds only the
+witness coordinates a certificate prints.  Both are normal forms, so
+they are the values and bytes that elimination on field elements would
+give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
 field.  Matrices are immutable; the kept echelon never changes them.

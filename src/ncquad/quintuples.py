@@ -106,17 +106,19 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
       + a x0x1y2y3 + b x0y1x2y3 + a y0x1x2y3 + c y0y1y2y3
 
     Points on the excluded locus S = {a^2 = b^2 = c^2} u {(0:0:1), (0:1:0)}
-    are rejected.
+    are rejected, decided on the integer row of (a, b, c): numerators over
+    one denominator on QQ, residues mod p.
     """
-    a, b, c = field.of(a), field.of(b), field.of(c)
-    if not (a or b or c):
+    a, b, c = abc = field.of(a), field.of(b), field.of(c)
+    x, y, z = Matrix(field, [abc])._num
+    p = field.characteristic
+    if not (x or y or z):
         raise ValueError("excluded locus S: (a:b:c) is not a projective point")
-    a2, b2, c2 = a * a, b * b, c * c
-    if a2 == b2 and b2 == c2:
+    if len({v * v % p if p else v * v for v in (x, y, z)}) == 1:
         raise ValueError("excluded locus S: a^2 = b^2 = c^2")
-    if not a and not b:
+    if not x and not y:
         raise ValueError("excluded locus S: point (0:0:1)")
-    if not a and not c:
+    if not x and not z:
         raise ValueError("excluded locus S: point (0:1:0)")
     entries = {
         (1, 1, 0, 0): a,

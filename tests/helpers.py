@@ -9,19 +9,143 @@ pair annihilates the tensor.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
+from ncquad.fields import FpElement, QuadElement, QuadraticExtension, _sqrt_mod_p
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
+
+
+# -- the tests' own field arithmetic ------------------------------------------
+#
+# ncquad's field values have no arithmetic; the package decides on integers.
+# The references compute on Fractions over QQ, ``Mod`` residues over F_p and
+# ``Quad`` pairs x + y theta over F[theta].  ``lift`` turns ncquad's values
+# into these, and ``lower`` turns them back for ncquad's records.
+
+
+def _residue(x, p: int) -> int:
+    if isinstance(x, Fraction):
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return (x.value if isinstance(x, FpElement) else int(x)) % p
+
+
+def _mod(r: int, p: int) -> "Mod":
+    """The Mod of an int r, reduced here."""
+    m = int.__new__(Mod, r % p)
+    m.p = p
+    return m
+
+
+def _mod_op(f):
+    def op(x, y):
+        if not isinstance(y, (int, Fraction, FpElement)):
+            return NotImplemented
+        return _mod(f(int(x), _residue(y, x.p), x.p), x.p)
+    return op
+
+
+class Mod(int):
+    """A residue mod p with the field operations; an int, so ``field.of``
+    and ``FpElement`` equality read it as it is."""
+
+    def __new__(cls, value, p: int):
+        return _mod(_residue(value, p), p)
+
+    value = property(int)
+    __add__ = __radd__ = _mod_op(lambda a, b, p: a + b)
+    __sub__ = _mod_op(lambda a, b, p: a - b)
+    __rsub__ = _mod_op(lambda a, b, p: b - a)
+    __mul__ = __rmul__ = _mod_op(lambda a, b, p: a * b)
+    __truediv__ = _mod_op(lambda a, b, p: a * pow(b, -1, p))
+    __rtruediv__ = _mod_op(lambda a, b, p: b * pow(a, -1, p))
+    __hash__ = int.__hash__
+
+    def __neg__(self):
+        return _mod(-int(self), self.p)
+
+    def __eq__(self, other):
+        if not isinstance(other, (int, Fraction, FpElement)):
+            return NotImplemented
+        return int(self) == _residue(other, self.p)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+class Quad:
+    """x + y theta, theta^2 = d, over Fractions or ``Mod``s."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def _of(self, x):
+        return x if isinstance(x, Quad) else Quad(x, 0, self.d)
+
+    def __add__(self, other):
+        o = self._of(other)
+        return Quad(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Quad(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __mul__(self, other):
+        o = self._of(other)
+        return Quad(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._of(other)
+        n = o.a * o.a - o.b * o.b * self.d
+        q = self * Quad(o.a, -o.b, self.d)
+        return Quad(q.a / n, q.b / n, self.d)
+
+    def __eq__(self, other):
+        o = self._of(other)
+        return self.a == o.a and self.b == o.b
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+
+def lift(x):
+    """ncquad's field values, alone or in tuples and lists, as Fractions,
+    ``Mod``s and ``Quad``s."""
+    if isinstance(x, FpElement):
+        return _mod(x.value, x.field.p)
+    if isinstance(x, QuadElement):
+        return Quad(lift(x.a), lift(x.b), lift(x.field.disc))
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(lift, x))
+    return x
+
+
+def lower(field, x):
+    """The values ``lift`` makes, alone or in tuples, as ncquad's over
+    ``field`` (QQ or F_p); None stays None."""
+    if isinstance(x, tuple):
+        return tuple(lower(field, y) for y in x)
+    if isinstance(x, Quad):
+        return QuadElement(field.of(x.a), field.of(x.b), QuadraticExtension(field, x.d))
+    return None if x is None else field.of(x)
 
 
 # -- plain functions over the library's public types -------------------------
 
 
 def tensor_entries(t: Tensor) -> tuple:
-    """The entries of t as field elements, row-major."""
-    return t._row.rows[0]
+    """The entries of t, row-major, lifted for arithmetic."""
+    return lift(t._row.rows[0])
 
 
 def tensor_entry(t: Tensor, idx):
@@ -29,19 +153,17 @@ def tensor_entry(t: Tensor, idx):
     flat = 0
     for i, n in zip(idx, t.shape):
         flat = flat * n + i
-    return tensor_entries(t)[flat]
+    return lift(t._row[0, flat])
 
 
 def matrix_cols(m) -> list[tuple]:
-    return [m.col(j) for j in range(m.ncols)]
+    return [lift(m.col(j)) for j in range(m.ncols)]
 
 
 def _of_int_cols(field, cols, nrows: int, scale: int):
     """The matrix whose column j is scale * y / den for the pair
     (y, den) = cols[j], over the common denominator of its columns.  Mod p
     the y are residues and scale and every den are 1."""
-    import math
-
     from ncquad.linalg import Matrix
 
     lcm = math.lcm(*[d for _, d in cols])
@@ -134,70 +256,51 @@ class BinaryForm:
 
 def monic(form):
     """The form divided by its first nonzero coefficient; zero stays zero."""
-    for c in form.coeffs:
+    coeffs = lift(form.coeffs)
+    for c in coeffs:
         if c:
-            inv = form.field.one / c
-            return BinaryForm(form.field, [inv * x for x in form.coeffs])
+            return BinaryForm(form.field, [x / c for x in coeffs])
     return form
-
-
-def field_sqrt(field, x):
-    """The square root of a square x that the certificates print: the
-    nonnegative one in QQ, and mod p the residue ``fields._sqrt_mod_p``
-    gives, the convention that fixes the order of two rational roots."""
-    import math
-
-    from ncquad.fields import _sqrt_mod_p
-
-    x = field.of(x)
-    if not field.is_square(x):
-        raise ValueError(f"{x} is not a square in {field!r}")
-    if field.characteristic:
-        return field.of(_sqrt_mod_p(x.value, field.p))
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
 
 def root_structure(f):
     """How a nonzero binary quadratic a s^2 + b st + c t^2 splits over the
     closure, on field elements: (kind, discriminant, roots, extension),
     kind "split-rational", "double-rational" or "irreducible-quadratic",
-    roots projective pairs (s, t), in QuadraticExtension(field, disc) in
-    the irreducible case."""
-    from ncquad.fields import QuadraticExtension
-
+    roots projective pairs (s, t) of lifted values, ``Quad``s over
+    QuadraticExtension(field, disc) in the irreducible case."""
     if f.degree != 2:
         raise ValueError("root_structure expects a quadratic")
     if f.is_zero():
         raise ValueError("root_structure of the zero form")
     field = f.field
-    a, b, c = f.coeffs
+    a, b, c = lift(f.coeffs)
+    one, zero = lift(field.one), lift(field.zero)
     disc = b * b - 4 * a * c
     if not disc:
         # b^2 = 4ac, so a = 0 forces b = 0 and the form c t^2
-        root = (-b, 2 * a) if a else (field.one, field.zero)
+        root = (-b, 2 * a) if a else (one, zero)
         return "double-rational", disc, (root,), None
     if field.is_square(disc):
         if a:
-            r = field_sqrt(field, disc)
+            # the root the certificates print: the nonnegative one in QQ, and
+            # mod p ``_sqrt_mod_p``'s, which fixes the order of the two roots
+            r = (Mod(_sqrt_mod_p(disc.value, field.p), field.p) if field.characteristic
+                 else Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)))
             roots = ((-b + r, 2 * a), (-b - r, 2 * a))
         else:
             # t * (b*s + c*t): roots (1:0) and (c:-b), distinct since b != 0
-            roots = ((field.one, field.zero), (c, -b))
+            roots = ((one, zero), (c, -b))
         return "split-rational", disc, roots, None
-    ext = QuadraticExtension(field, disc)
-    th = ext.theta
-    roots = ((ext.of(-b) + th, ext.of(2 * a)), (ext.of(-b) - th, ext.of(2 * a)))
-    return "irreducible-quadratic", disc, roots, ext
+    roots = ((Quad(-b, one, disc), Quad(2 * a, zero, disc)),
+             (Quad(-b, -one, disc), Quad(2 * a, zero, disc)))
+    return "irreducible-quadratic", disc, roots, QuadraticExtension(field, disc)
 
 
 def euler_p1xp2(m: int, n: int) -> int:
     """chi(O(m,n)) = (m+1)(n+1)(n+2)/2 on P^1 x P^2, the closed form the
     Kuenneth tables must hit."""
     return (m + 1) * (n + 1) * (n + 2) // 2
-
-
-def random_rational(rng, height=10) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
 
 def random_matrix_qq(rng, nrows, ncols, height=9):
@@ -302,8 +405,8 @@ def matmul_oracle(a, b, ncols, p=0):
 
 def rank_oracle(rows, field) -> int:
     """Rank of a list of rows of elements of any field (QQ, F_p or a
-    quadratic extension), by Gauss elimination on the elements."""
-    a = [list(r) for r in rows]
+    quadratic extension), by Gauss elimination on the lifted elements."""
+    a = [lift(list(r)) for r in rows]
     rank = 0
     for c in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
@@ -427,13 +530,13 @@ def reference_line_relation(l0, l1):
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
     def plane_at(kx, ky):
-        a = [M.col(j) for j in a_cols]
-        b = [tuple(-x for x in M.col(j)) for j in b_cols]
+        a = [lift(M.col(j)) for j in a_cols]
+        b = [tuple(-x for x in lift(M.col(j))) for j in b_cols]
         return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
 
     if q1.is_zero() and q2.is_zero() and bform.is_zero():
         types = set()
-        for kx, ky in ((field.one, field.zero), (field.zero, field.one), (field.one, field.one)):
+        for kx, ky in ((1, 0), (0, 1), (1, 1)):
             n1, n2 = plane_at(kx, ky)
             types.add(plane_type(n1, n2))
         if types != {"left"} and types != {"right"}:
@@ -452,7 +555,7 @@ def reference_line_relation(l0, l1):
         return LineRelation("disjoint", psi_reshuffle_rank=rr, orientations=orientations)
 
     if gcd.degree == 1:
-        a, b = gcd.coeffs  # a*s + b*t
+        a, b = lift(gcd.coeffs)  # a*s + b*t
         roots = [((-b, a), None)]
     else:
         kind, disc, rs, _ = root_structure(gcd)
@@ -467,9 +570,9 @@ def reference_line_relation(l0, l1):
         if ptype == "left":
             ell = left_direction(n1, n2)
             witnesses.append(MeetWitness(
-                param_l1=(kx, ky),
-                param_l0=(ell[1], -ell[0]),
-                extension_disc=disc,
+                param_l1=lower(field, (kx, ky)),
+                param_l0=lower(field, (ell[1], -ell[0])),
+                extension_disc=lower(field, disc),
             ))
     if witnesses:
         return LineRelation(
@@ -487,39 +590,29 @@ def reference_line_relation(l0, l1):
     )
 
 
-def kernel_at(line, s, t, fld=None):
+def kernel_at(line, s, t):
     """Basis of the point K(s:t) of an embedded line, as the 4 rows of a
-    4x2 matrix over ``fld`` (default: the line's field), entry by entry."""
-    fld = fld or line.field
-    s, t = fld.of(s), fld.of(t)
+    4x2 matrix of lifted values, entry by entry; s and t may be ``Quad``s
+    or ``QuadElement``s."""
+    s, t = lift((s, t))
     if not (s or t):
         raise ValueError("(0:0) is not a parameter")
-    phi_inv = [[fld.of(x) for x in r] for r in line.phi_inv.rows]
+    phi_inv = lift(line.phi_inv.rows)
     cols = []
     for b in range(2):
-        vec = [fld.zero] * 4
+        vec = [0] * 4
         if line.contracted_factor == 0:
             vec[b], vec[2 + b] = -t, s
         else:
             vec[2 * b], vec[2 * b + 1] = -t, s
-        cols.append([sum((r[k] * vec[k] for k in range(4)), fld.zero) for r in phi_inv])
+        cols.append([sum(r[k] * vec[k] for k in range(4)) for r in phi_inv])
     return [(cols[0][i], cols[1][i]) for i in range(4)]
 
 
 def evaluate(form, s, t):
-    """Value of a binary form at (s, t), term by term."""
-    fld = form.field
-    s, t = fld.of(s), fld.of(t)
+    """Value of a binary form at integer (s, t), term by term."""
     d = form.degree
-    acc = fld.zero
-    for i, c in enumerate(form.coeffs):
-        term = c
-        for _ in range(d - i):
-            term = term * s
-        for _ in range(i):
-            term = term * t
-        acc = acc + term
-    return acc
+    return sum(c * s ** (d - i) * t ** i for i, c in enumerate(lift(form.coeffs)))
 
 
 def binary_form_gcd(forms):
@@ -557,10 +650,10 @@ def _strip(p):
     return p
 
 
-def _poly_mod(a, b, field):
+def _poly_mod(a, b):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    inv = field.one / lb
+    inv = 1 / lb
     while len(a) - 1 >= db and _strip(a):
         a = _strip(a)
         if len(a) - 1 < db:
@@ -589,12 +682,12 @@ def euclid_form_gcd(forms):
         sm, tm = f.degree - hi, lo
         s_mult = sm if s_mult is None else min(s_mult, sm)
         t_mult = tm if t_mult is None else min(t_mult, tm)
-        polys.append(list(reversed(f.coeffs[lo:hi + 1])))
+        polys.append(lift(list(reversed(f.coeffs[lo:hi + 1]))))
     g = polys[0]
     for p in polys[1:]:
         a, b = _strip(list(g)), _strip(list(p))
         while b:
-            a, b = b, _poly_mod(a, b, field)
+            a, b = b, _poly_mod(a, b)
         g = a
     du = len(g) - 1
     total = du + s_mult + t_mult
@@ -773,7 +866,7 @@ def hom_R_K_oracle(line) -> int:
     field = line.field
     cols = []
     for u in range(2):
-        for g in line.phi_inv.rows:      # gamma_c in U0* x U1* coordinates
+        for g in lift(line.phi_inv.rows):      # gamma_c in U0* x U1* coordinates
             col = [field.zero] * 6
             for a in range(2):
                 for b in range(2):
@@ -879,13 +972,8 @@ def contraction_oracle(q: Quintuple, j: int):
 
 def verify_witness(q: Quintuple, j: int, witness) -> bool:
     """Check that <phi x chi, w> = 0 at slot pair (j, j+1), entry by entry
-    of w, lifted into QuadraticExtension(field, disc) when the witness
-    lives there."""
-    from ncquad.fields import QuadraticExtension
-
-    lift = lambda x: x
-    if witness.extension_disc is not None:
-        lift = QuadraticExtension(q.field, witness.extension_disc).of
+    of w, in the lifted arithmetic of the witness's field."""
+    phi, chi = lift(witness.phi), lift(witness.chi)
     a, b = j % 4, (j + 1) % 4
     others = [k for k in range(4) if k not in (a, b)]
     for rest in product(range(2), repeat=2):
@@ -895,7 +983,7 @@ def verify_witness(q: Quintuple, j: int, witness) -> bool:
             idx[a], idx[b] = x, y
             for k, i in zip(others, rest):
                 idx[k] = i
-            total = total + witness.phi[x] * witness.chi[y] * lift(tensor_entry(q.w, tuple(idx)))
+            total = total + phi[x] * chi[y] * tensor_entry(q.w, tuple(idx))
         if total:
             return False
     return True
@@ -922,15 +1010,12 @@ class GPoint:
             raise ValueError("kernel must be a 4x2 basis matrix")
         if kernel.rank() != 2:
             raise ValueError("kernel basis is degenerate")
-        field = kernel.field
-        p = []
-        for i, j in PLUECKER_PAIRS:
-            p.append(kernel[i, 0] * kernel[j, 1] - kernel[j, 0] * kernel[i, 1])
+        k = lift(kernel.rows)
+        p = [k[i][0] * k[j][1] - k[j][0] * k[i][1] for i, j in PLUECKER_PAIRS]
         # normalize: first nonzero coordinate 1
         for x in p:
             if x:
-                inv = field.one / x
-                p = [inv * y for y in p]
+                p = [y / x for y in p]
                 break
         pt = cls(kernel, tuple(p))
         if not pt.satisfies_pluecker():
@@ -1092,18 +1177,15 @@ def root_branches(stages) -> set:
 
 
 def rank_one_factor(k00, k01, k10, k11, field):
-    """Factor a nonzero singular 2x2 matrix as u x v (kappa[a][b] = u_a v_b)."""
+    """Factor a nonzero singular 2x2 matrix of lifted values as u x v
+    (kappa[a][b] = u_a v_b), written as ncquad's values over ``field``."""
     if k00 or k01:
-        v = (k00, k01)
-        if k00:
-            lam = k10 / k00
-        else:
-            lam = k11 / k01
-        u = (field.one, lam)
+        one = (k00 or k01) / (k00 or k01)
+        u, v = (one, k10 / k00 if k00 else k11 / k01), (k00, k01)
     else:
-        v = (k10, k11)
-        u = (field.zero, field.one)
-    return u, v
+        one = (k10 or k11) / (k10 or k11)
+        u, v = (one - one, one), (k10, k11)
+    return lower(field, u), lower(field, v)
 
 
 def reference_pure_kernel_witness(kernel, field):
@@ -1112,29 +1194,26 @@ def reference_pure_kernel_witness(kernel, field):
     field-element arithmetic, ``BinaryForm`` and ``root_structure``."""
     from ncquad.quintuples import PureWitness
 
-    v1, v2 = kernel.col(0), kernel.col(1)
+    v1, v2 = lift(kernel.col(0)), lift(kernel.col(1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
     form = BinaryForm(field, (det1, polar, det2))
     if form.is_zero():
-        if det1 == field.zero and any(v1):
+        if not det1 and any(v1):
             u, v = rank_one_factor(v1[0], v1[1], v1[2], v1[3], field)
             return PureWitness(u, v), "kernel basis vector is itself singular"
         u, v = rank_one_factor(v2[0], v2[1], v2[2], v2[3], field)
         return PureWitness(u, v), "kernel basis vector is itself singular"
     _, disc, roots, ext = root_structure(form)
     s, t = roots[0]
+    combo = [s * a + t * b for a, b in zip(v1, v2)]
+    u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
     if ext is None:
-        combo = [s * a + t * b for a, b in zip(v1, v2)]
-        u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
         return PureWitness(u, v), "rational singular combination of kernel vectors"
-    lift = lambda x: ext.of(x)
-    combo = [s * lift(a) + t * lift(b) for a, b in zip(v1, v2)]
-    u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], ext)
     return (
-        PureWitness(u, v, extension_disc=disc),
-        f"singular combination exists only over theta^2 = {disc}",
+        PureWitness(u, v, extension_disc=ext.disc),
+        f"singular combination exists only over theta^2 = {ext.disc}",
     )
 
 
@@ -1147,7 +1226,7 @@ def reference_pair_report(j: int, K, field):
     if kd == 0:
         return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
     if kd == 1:
-        v = K.col(0)
+        v = lift(K.col(0))
         if v[0] * v[3] - v[1] * v[2]:
             return SlotPairReport(j, True, 1,
                                   certificate="kernel spanned by a nonsingular 2x2 element")
@@ -1190,7 +1269,7 @@ def geometricity_oracle(q) -> dict:
         if not basis:
             passed, note = True, "contraction matrix invertible"
         elif len(basis) == 1:
-            v = [field.of(x) for x in basis[0]]
+            v = lift([field.of(x) for x in basis[0]])
             passed = bool(v[0] * v[3] - v[1] * v[2])
             if passed:
                 note = "kernel spanned by a nonsingular 2x2 element"

@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import nonresidue_int
-from ncquad.fields import GF, QQ, QuadraticExtension, _sqrt_mod_p, is_prime
+from helpers import Quad, lift, lower, nonresidue_int
+from ncquad.fields import GF, QQ, QuadElement, QuadraticExtension, _sqrt_mod_p, is_prime
 from ncquad.forms import _quadratic_root
 
 
@@ -38,13 +39,12 @@ def test_prime_field_restrictions():
 
 
 def test_prime_field_arithmetic():
+    # F_p values carry no arithmetic; the tests' residues compute on them
     F = GF(101)
-    a = F.of(77)
-    b = F.of("3/4")
+    a, b = lift(F.of(77)), lift(F.of("3/4"))
     assert b * 4 == F.of(3)
-    assert (a / a) == F.one
-    assert a - a == F.zero
-    assert F.of(Fraction(1, 2)) * 2 == F.one
+    assert a / a == F.one and a - a == F.zero
+    assert lift(F.of(Fraction(1, 2))) * 2 == F.one
     with pytest.raises(ZeroDivisionError):
         F.of(Fraction(1, 101))
 
@@ -54,8 +54,8 @@ def test_prime_field_sqrt_roundtrip():
     for p in (5, 11, 101, 10007):
         F = GF(p)
         for _ in range(20):
-            x = F.of(rng.randrange(p))
-            sq = x * x
+            x = rng.randrange(p)
+            sq = F.of(x * x)
             assert F.is_square(sq)
             r = _sqrt_mod_p(sq.value, p)
             assert r is not None and r * r % p == sq.value
@@ -65,15 +65,17 @@ def test_prime_field_sqrt_roundtrip():
 
 
 def test_quadratic_extension_arithmetic():
-    ext = QuadraticExtension(QQ, 5)
-    th = ext.theta
-    assert th * th == ext.of(5)
-    x = ext.of(Fraction(1, 2)) + ext.of(3) * th
-    assert (x / x) == ext.one
-    assert x * x - 2 * Fraction(1, 2) * Fraction(3) * th - ext.of(Fraction(1, 4) + 9 * 5) == ext.zero
+    # on the tests' pairs x + y theta, theta^2 = 5, and back as a QuadElement
+    th = Quad(0, 1, Fraction(5))
+    assert th * th == 5
+    x = Quad(Fraction(1, 2), 3, Fraction(5))
+    assert x / x == 1
+    assert x * x - 2 * Fraction(1, 2) * 3 * th - (Fraction(1, 4) + 9 * 5) == 0
     # reduction happens after every operation: (a + b th)^2 has no th^2 term
-    y = (th + 1) * (th - 1)
-    assert y == ext.of(4)
+    assert (th + 1) * (th - 1) == 4
+    ext = QuadraticExtension(QQ, 5)
+    assert lower(QQ, x) == QuadElement(Fraction(1, 2), Fraction(3), ext)
+    assert lift(lower(QQ, x)) == x
 
 
 def test_quadratic_extension_rejects_squares_and_towers():
@@ -89,9 +91,29 @@ def test_extension_over_prime_field():
     ext = QuadraticExtension(F, F.of(nonresidue_int(11)))
     rng = random.Random(1)
     for _ in range(30):
-        x = ext.of(rng.randrange(11)) + ext.of(rng.randrange(11)) * ext.theta
+        x = lift(QuadElement(F.of(rng.randrange(11)), F.of(rng.randrange(11)), ext))
         if x:
-            assert x * (ext.one / x) == ext.one
+            assert x / x == 1 and x * x / x == x
+
+
+def test_field_values_are_print_only():
+    # FpElement and QuadElement construct, compare, hash and print, and
+    # have no arithmetic: every decision in ncquad runs on integers
+    F = GF(7)
+    ext = QuadraticExtension(F, 3)
+    x, y = F.of("1/2"), QuadElement(F.of(1), F.of(2), ext)
+    assert x == 4 and x == Fraction(1, 2) and hash(x) == hash(F.of(11))
+    assert repr(x) == "4 (mod 7)" and repr(y) == "(1 (mod 7)) + (2 (mod 7))*theta"
+    assert y == QuadElement(F.of(8), F.of(2), ext) and y != 1 and y and not ext.of(0)
+    assert ext.of(3) == 3 and ext.one == 1
+    for v in (x, y):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(v, v)
+        with pytest.raises(TypeError):
+            -v
+    assert not any(hasattr(ext, name) for name in ("theta", "zero", "format"))
+    assert not any(hasattr(y, name) for name in ("conjugate", "norm"))
 
 
 def test_is_prime():

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     BinaryForm,
+    Mod,
+    Quad,
     binary_form_gcd,
     from_cols,
     inverse,
     kernel_at,
     kernel_basis,
+    lift,
     line_from_phi,
     matmul,
     point_at,
@@ -106,9 +109,8 @@ def test_kernel_dim_always_two():
         line = line_from_phi(phi, rng.randint(0, 1))
         for (s, t) in ((1, 0), (0, 1), (1, 1), (Fraction(2, 3), 1), (-5, 7)):
             assert rank_oracle(kernel_at(line, s, t), QQ) == 2
-        # a generic parameter in a quadratic extension
-        ext = QuadraticExtension(QQ, 2)
-        assert rank_oracle(kernel_at(line, ext.theta, ext.one, fld=ext), ext) == 2
+        # a generic parameter in a quadratic extension: (theta : 1), theta^2 = 2
+        assert rank_oracle(kernel_at(line, Quad(0, 1, Fraction(2)), 1), QQ) == 2
 
 
 def test_parametrization_injective():
@@ -176,11 +178,10 @@ def test_line_relation_symmetry():
 def _check_meet_witnesses(l0, l1, lr):
     # the two kernels span one plane: each has rank 2, and so do both together
     for w in lr.witnesses:
-        fld = QQ if w.extension_disc is None else QuadraticExtension(QQ, w.extension_disc)
-        k0 = kernel_at(l0, *w.param_l0, fld=fld)
-        k1 = kernel_at(l1, *w.param_l1, fld=fld)
+        k0 = kernel_at(l0, *w.param_l0)
+        k1 = kernel_at(l1, *w.param_l1)
         both = [a + b for a, b in zip(k0, k1)]
-        assert rank_oracle(k0, fld) == rank_oracle(k1, fld) == rank_oracle(both, fld) == 2
+        assert rank_oracle(k0, QQ) == rank_oracle(k1, QQ) == rank_oracle(both, QQ) == 2
 
 
 def test_line_relation_engineered_rational_meets():
@@ -356,10 +357,10 @@ _PLANE_FIELDS = (QQ, GF(5), QuadraticExtension(QQ, 2), QuadraticExtension(GF(5),
 def _element(draw, field):
     if isinstance(field, QuadraticExtension):
         a, b = draw(_element(field.base)), draw(_element(field.base))
-        return field.of(a) + field.of(b) * field.theta
+        return Quad(a, b, lift(field.disc))
     if field is QQ:
         return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-    return field.of(draw(st.integers(0, 4)))
+    return Mod(draw(st.integers(0, 4)), field.p)
 
 
 @st.composite
@@ -369,7 +370,7 @@ def _two_vectors(draw, field):
     for _ in range(4):
         kind = draw(st.sampled_from(("zero", "random", "multiple") if vecs else ("zero", "random")))
         if kind == "zero":
-            vecs.append((field.zero, field.zero))
+            vecs.append(lift((field.of(0), field.of(0))))
         elif kind == "random":
             vecs.append((draw(_element(field)), draw(_element(field))))
         else:

@@ -167,11 +167,12 @@ def test_rank_kernel_mod_large_prime():
 
 
 def test_matrix_rejects_quadratic_extension():
-    from ncquad.fields import QuadraticExtension
+    from ncquad.fields import QuadElement, QuadraticExtension
 
     ext = QuadraticExtension(QQ, 2)
+    theta = QuadElement(QQ.zero, QQ.one, ext)
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Matrix(ext, [[ext.theta, ext.one], [ext.one, ext.theta]])
+        Matrix(ext, [[theta, ext.one], [ext.one, theta]])
     with pytest.raises(TypeError, match="QQ or F_p"):
         from_cols(ext, [(1, 2)])
 

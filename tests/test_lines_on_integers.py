@@ -9,8 +9,9 @@ identity (block leg 0 and Hom(R, K_0)) are taken once per process.
 The reference for the classifier is the general two-line code in
 ``helpers.reference_line_relation``: matrix products with phi_0 and
 phi_0^{-1}, the test copy of ``BinaryForm``, a gcd by Euclid, roots by
-the test copy of ``root_structure`` and the plane types, all on field
-elements; it imports no classifier from ``ncquad.forms`` or
+the test copy of ``root_structure`` and the plane types, all on the
+tests' own field arithmetic (``Fraction``s, ``helpers.Mod`` and
+``helpers.Quad``); it imports no classifier from ``ncquad.forms`` or
 ``ncquad.grassmann``.  Both must write the same certificate bytes.
 """
 
@@ -25,6 +26,7 @@ from helpers import (
     det_oracle,
     hom_R_K_oracle,
     inverse,
+    lift,
     matmul,
     random_invertible_fp,
     random_invertible_qq,
@@ -121,7 +123,7 @@ def test_square_holds_the_adjugate_as_phi1(field):
         c = det_oracle(n, p) if p else Fraction(det_oracle(n, 0), m2._den)
         assert c and matmul(sq.phi1, m2) == Matrix(field, [[c * (i == j) for j in range(4)]
                                                     for i in range(4)])
-        assert sq.phi1 == Matrix(field, [[c * x for x in r] for r in inverse(m2).rows])
+        assert sq.phi1 == Matrix(field, [[c * x for x in r] for r in lift(inverse(m2).rows)])
         seen += 1
         if seen == 150:
             break

@@ -9,6 +9,12 @@ certify under both conventions.  The sparse tensors and the golden
 targeted entries reach the rare root branches: witnesses over a
 quadratic extension, and lines that coincide or meet at rational or
 conjugate roots.
+
+The input side holds to the same rule: ``parse_quintuple_file`` reads
+every corpus file, golden input and ``tests/data`` file (the type-A files
+over F_p among them) to the same quintuple, or the same rejection, with
+the operators raising; ``build_type_a`` decides the excluded locus on
+integers.
 """
 
 import json
@@ -21,6 +27,7 @@ import pytest
 
 from helpers import root_branches
 from ncquad.certify import full_pipeline
+from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ, FpElement, QuadElement
 from ncquad.fileformat import parse_quintuple_file
 from ncquad.quintuples import SLOT_LABELS, Quintuple
@@ -46,9 +53,29 @@ def _sparse(field, seed, count):
     return out
 
 
-def _golden_inputs():
+def _golden_documents():
     doc = json.loads(Path(__file__).with_name("golden.json").read_text())
-    return [parse_quintuple_file(entry["input"])[0] for entry in doc["seeded"]]
+    return [entry["input"] for entry in doc["seeded"]]
+
+
+def _golden_inputs():
+    return [parse_quintuple_file(doc)[0] for doc in _golden_documents()]
+
+
+def _input_documents():
+    """Every corpus file, golden input and ``tests/data`` file."""
+    paths = [corpus_path(name) for name in corpus_names()]
+    paths += sorted(Path(__file__).with_name("data").glob("*.json"))
+    return [json.loads(path.read_text()) for path in paths] + _golden_documents()
+
+
+def _parsed(doc):
+    """The quintuple and meta of a document, or its rejection."""
+    try:
+        q, meta = parse_quintuple_file(doc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return q.w, meta
 
 
 @pytest.fixture
@@ -80,3 +107,15 @@ def test_full_pipeline_does_no_field_element_arithmetic(request):
     for p in (0, 5):
         for kind in ("extension witness", "irreducible meet", "rational meet", "coincide"):
             assert branches[p, kind] >= 1, (p, kind, branches)
+
+
+def test_parsing_does_no_field_element_arithmetic(request):
+    docs = _input_documents()
+    expected = [_parsed(doc) for doc in docs]
+    request.getfixturevalue("no_field_arithmetic")
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) * 3
+    assert [_parsed(doc) for doc in docs] == expected
+    fields = {doc.get("field", "Q") for doc in docs if doc.get("family") == "type-a"}
+    assert {"Q", "Fp:5", "Fp:7", "Fp:101", "Fp:10007"} <= fields
+    assert sum(isinstance(out[0], type) for out in expected) >= 5

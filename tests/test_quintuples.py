@@ -8,6 +8,7 @@ from helpers import (
     enumeration_oracle_failing_pairs,
     enumeration_oracle_failing_pairs_rank,
     from_cols,
+    lift,
     nonresidue_int,
     random_quintuple_fp,
     random_tensor_fp,
@@ -159,7 +160,7 @@ def test_witnesses_over_a_quadratic_extension_verify():
     for p in pairs:
         assert verify_witness(q, p.j, p.witness)
     w = pairs[0].witness
-    assert not verify_witness(q, 0, PureWitness(w.phi, (w.chi[0], -w.chi[1]), w.extension_disc))
+    assert not verify_witness(q, 0, PureWitness(w.phi, (w.chi[0], -lift(w.chi[1])), w.extension_disc))
 
 
 def test_is_geometric_invariant_under_basis_change():

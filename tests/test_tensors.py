@@ -81,11 +81,11 @@ def test_entry_count_enforced():
 
 
 def test_tensor_holds_qq_or_fp_entries_only():
-    from ncquad.fields import QuadraticExtension
+    from ncquad.fields import QuadElement, QuadraticExtension
 
     ext = QuadraticExtension(QQ, 2)
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Tensor(ext, (2,), [ext.theta, ext.one], ("A",))
+        Tensor(ext, (2,), [QuadElement(QQ.zero, QQ.one, ext), ext.one], ("A",))
     half = Tensor(QQ, (2,), ["1/2", "-1/3"], ("A",))
     assert tensor_entries(half) == (Fraction(1, 2), Fraction(-1, 3))
     assert tensor_entries(Tensor(GF(5), (2,), ["1/2", -1], ("A",))) == (GF(5).of(3), GF(5).of(4))

@@ -2,12 +2,12 @@
 the roots of det(s v1 + t v2) by ``forms._quadratic_root`` and builds
 field elements only for the witness coordinates a certificate prints.
 
-The reference is the field-element path in ``helpers``
+The reference is the field-value path in ``helpers``
 (``reference_is_geometric``): the kernel as a ``Matrix``, the 2x2 tests
-on ``Fraction``s or ``FpElement``s, the binary quadratic as the test
-copy of ``BinaryForm``, classified by the test copy of
-``root_structure``, and an extension witness divided in
-``QuadraticExtension``; it imports no classifier from ``ncquad.forms``
+on ``Fraction``s or the tests' own ``Mod`` residues, the binary
+quadratic as the test copy of ``BinaryForm``, classified by the test
+copy of ``root_structure``, and an extension witness divided in the
+tests' ``Quad`` pairs; it imports no classifier from ``ncquad.forms``
 or ``ncquad.grassmann``.  Both must write the same report bytes, and
 every witness must kill w.
 """
@@ -22,6 +22,7 @@ from helpers import (
     BinaryForm,
     contraction_matrix,
     kernel_basis,
+    lift,
     random_tensor_fp,
     reference_is_geometric,
     root_structure,
@@ -59,7 +60,7 @@ def _inputs(seed):
 def _quadratic_kind(q, j):
     """How det(s v1 + t v2) splits, for the first two reduced kernel
     vectors of M_j, classified on field elements."""
-    v1, v2 = (kernel_basis(contraction_matrix(q, j)).col(k) for k in (0, 1))
+    v1, v2 = (lift(kernel_basis(contraction_matrix(q, j)).col(k)) for k in (0, 1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
