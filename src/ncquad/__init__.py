@@ -5,7 +5,7 @@ certificates."""
 
 __version__ = "0.1.0"
 
-from .fields import GF, QQ, PrimeField, QuadraticExtension  # noqa: F401
+from .fields import GF, QQ, PrimeField  # noqa: F401
 from .quintuples import (  # noqa: F401
     Quintuple,
     build_linear_quadric,

@@ -38,7 +38,7 @@ from functools import cache
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
-from .fields import _exact_str
+from .fields import _field_str
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import Quintuple, RelationData, is_geometric, relations, truncated_dims
@@ -470,25 +470,25 @@ def _json_vec(vec) -> list:
     return [scalar_json(x) for x in vec]
 
 
-def _geometricity_json(report) -> dict:
+def _geometricity_json(report, p: int) -> dict:
     pairs = []
-    for p in report.pairs:
+    for r in report.pairs:
         entry = {
-            "pair": [p.j, (p.j + 1) % 4],
-            "passed": p.passed,
-            "kernel_dim": p.kernel_dim,
-            "certificate": p.certificate,
+            "pair": [r.j, (r.j + 1) % 4],
+            "passed": r.passed,
+            "kernel_dim": r.kernel_dim,
+            "certificate": r.certificate,
         }
-        if p.witness is not None:
-            w = {"phi": _json_vec(p.witness.phi), "chi": _json_vec(p.witness.chi)}
-            if p.witness.extension_disc is not None:
-                w["extension_minpoly"] = f"theta^2-({_exact_str(p.witness.extension_disc)})"
+        if r.witness is not None:
+            w = {"phi": _json_vec(r.witness.phi), "chi": _json_vec(r.witness.chi)}
+            if r.witness.extension_disc is not None:
+                w["extension_minpoly"] = f"theta^2-({_field_str(r.witness.extension_disc, p)})"
             entry["witness"] = w
         pairs.append(entry)
     return {"passed": report.passed, "pairs": pairs}
 
 
-def _line_relation_json(lr) -> dict:
+def _line_relation_json(lr, p: int) -> dict:
     out = {
         "verdict": lr.verdict.capitalize(),
         "count": lr.count,
@@ -503,7 +503,7 @@ def _line_relation_json(lr) -> dict:
             "param_line0": _json_vec(w.param_l0),
         }
         if w.extension_disc is not None:
-            entry["extension_minpoly"] = f"theta^2-({_exact_str(w.extension_disc)})"
+            entry["extension_minpoly"] = f"theta^2-({_field_str(w.extension_disc, p)})"
         out["witnesses"].append(entry)
     return out
 
@@ -595,7 +595,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
 
     geo = is_geometric(q)
     stages.append({"stage": "geometricity", "passed": geo.passed,
-                   "report": _geometricity_json(geo)})
+                   "report": _geometricity_json(geo, q.field.characteristic)})
     if not geo.passed:
         return degenerate("geometricity",
                           f"pure witness at slot pairs {geo.failing_pairs()}")
@@ -617,7 +617,7 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     lr = line_relation(square.line(1))   # line 0 is the standard line
     lines_ok = lr.verdict == "disjoint"
     stages.append({"stage": "lines", "passed": lines_ok,
-                   "relation": _line_relation_json(lr)})
+                   "relation": _line_relation_json(lr, q.field.characteristic)})
     if not lines_ok:
         return degenerate("lines", lr.verdict.capitalize())
 

@@ -28,7 +28,7 @@ from .fileformat import (
     canonical_json_bytes,
     load_quintuple,
 )
-from .fields import QQ, QuadElement, _exact_str
+from .fields import QQ, _exact_str, _field_str
 from .quintuples import build_type_a, is_geometric, relations, truncated_dims
 from .squares import (
     CONVENTIONS,
@@ -52,13 +52,15 @@ def _print_gram(name, gram):
         print("   " + "  ".join(f"{x:2d}" for x in row))
 
 
-def _exact_repr(x) -> str:
-    """``repr`` of a witness coordinate, its integers written by ``_exact_str``."""
-    if isinstance(x, Fraction):
-        return f"Fraction({_exact_str(x.numerator)}, {_exact_str(x.denominator)})"
-    if isinstance(x, QuadElement):
-        return f"({_exact_repr(x.a)}) + ({_exact_repr(x.b)})*theta"
-    return repr(x)
+def _exact_repr(x, p: int) -> str:
+    """A witness coordinate over QQ (p = 0) or F_p as ``check`` prints it:
+    ``Fraction(n, d)``, ``_field_str``'s residue, or ``(x) + (y)*theta``
+    for an (x, y) pair, its integers written by ``_exact_str``."""
+    if isinstance(x, tuple):
+        return f"({_exact_repr(x[0], p)}) + ({_exact_repr(x[1], p)})*theta"
+    if p:
+        return _field_str(x, p)
+    return f"Fraction({_exact_str(x.numerator)}, {_exact_str(x.denominator)})"
 
 
 def cmd_check(args) -> int:
@@ -83,7 +85,8 @@ def cmd_check(args) -> int:
         for p in geo.pairs:
             line = f"  pair ({p.j},{(p.j + 1) % 4}): {'pass' if p.passed else 'FAIL'} ({p.certificate})"
             if p.witness is not None:
-                phi, chi = (", ".join(map(_exact_repr, v)) for v in (p.witness.phi, p.witness.chi))
+                phi, chi = (", ".join(_exact_repr(x, q.field.characteristic) for x in v)
+                            for v in (p.witness.phi, p.witness.chi))
                 line += f"  witness phi=({phi}) chi=({chi})"
             print(line)
         print(f"relation dims (R0, R1, W): {rel.dims}  issues: {list(rel.issues)}")

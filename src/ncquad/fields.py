@@ -1,22 +1,18 @@
-"""Exact scalars: arbitrary-precision rationals, odd prime fields, and
-degree-2 extensions of either.
+"""Exact scalars: arbitrary-precision rationals and odd prime fields.
 
-``QQ`` and each ``PrimeField`` expose ``zero``/``one``, ``of`` (coercion
-from ints, ``Fraction``, strings and own elements), ``format`` for exact
-strings that ``of`` reads back, and ``is_square``.  Every decision runs on
-integers (numerators, or residues mod p), so field elements are values
-to print: ``Fraction``s over QQ, and ``FpElement``s and ``QuadElement``s
-with construction, equality, truth, hashing and repr but no arithmetic.
-Questions about the algebraic closure are never answered numerically:
-they are reduced to square roots on integers (``_sqrt_mod_p``, or
-``math.isqrt``), and a number in a quadratic extension
-F[theta]/(theta^2 - d) is printed as a ``QuadElement`` of a
-``QuadraticExtension``.
+Every decision runs on integers (numerators, or residues mod p), so a
+scalar is the plain value it is decided on: a ``Fraction`` over QQ, an
+``int`` residue in [0, p) over F_p, and an ``(x, y)`` pair of those for
+x + y theta in F[theta]/(theta^2 - d), d a base-field value kept beside
+it.  ``QQ`` and each ``PrimeField`` expose only ``of``, the coercion from
+ints, ``Fraction``s and strings.  Questions about the algebraic closure
+are never answered numerically: they are reduced to square roots on
+integers (``_sqrt_mod_p``, or ``math.isqrt``).  ``_field_str`` is how
+schema/1 spells a base-field value in text, such as ``"2 (mod 5)"``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -81,7 +77,7 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
 
 
 def _exact_str(x) -> str:
-    """``str(x)`` of an int, a ``Fraction`` or a field element, also past the
+    """``str(x)`` of an int or a ``Fraction``, also past the
     interpreter's int-to-decimal limit (4300 digits since CPython 3.10.7)."""
     try:
         return str(x)
@@ -102,6 +98,13 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
+def _field_str(x, p: int) -> str:
+    """A base-field value as schema/1 spells it outside the JSON scalars:
+    ``_exact_str(x)`` over QQ (p = 0), the residue and its modulus,
+    ``"2 (mod 5)"``, over F_p."""
+    return f"{_exact_str(x)} (mod {p})" if p else _exact_str(x)
+
+
 class RationalField:
     """The rationals, with elements stored as ``fractions.Fraction``.
 
@@ -120,24 +123,6 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def format(self, x: Fraction) -> str:
-        return _exact_str(x)
-
-    def is_square(self, x: Fraction) -> bool:
-        x = self.of(x)
-        if x < 0:
-            return False
-        n, d = x.numerator, x.denominator
-        return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -151,39 +136,9 @@ class RationalField:
 QQ = RationalField()
 
 
-class FpElement:
-    """An element of F_p, stored as the canonical representative 0..p-1.
-    A print-only value: construction, equality (ints and ``Fraction``s
-    coerce), truth, hashing and repr, but no arithmetic."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: "PrimeField"):
-        self.value = value % field.p
-        self.field = field
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            if other.field.p != self.field.p:
-                raise ValueError("elements of different prime fields")
-        elif isinstance(other, (int, Fraction)):
-            other = self.field.of(other)
-        else:
-            return NotImplemented
-        return self.value == other.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"{_exact_str(self.value)} (mod {self.field.p})"
-
-
 class PrimeField:
-    """F_p for an odd prime p >= 5.
+    """F_p for an odd prime p >= 5, with elements stored as ``int``
+    residues in [0, p).
 
     Characteristics 2 and 3 are rejected: the discriminant logic used for
     closure decisions needs 2 and 3 invertible.
@@ -197,34 +152,15 @@ class PrimeField:
         self.p = p
         self.characteristic = p
 
-    def of(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.field.p != self.p:
-                raise ValueError("element of a different prime field")
-            return x
+    def of(self, x) -> int:
         if isinstance(x, int):
-            return FpElement(x, self)
+            return x % self.p
         if isinstance(x, (Fraction, str)):
             f = Fraction(x)
             if f.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {f} vanishes mod {self.p}")
-            return FpElement(f.numerator * pow(f.denominator, self.p - 2, self.p), self)
+            return f.numerator * pow(f.denominator, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self)
-
-    def format(self, x: FpElement) -> str:
-        return str(x.value)
-
-    def is_square(self, x) -> bool:
-        x = self.of(x)
-        return x.value == 0 or pow(x.value, (self.p - 1) // 2, self.p) == 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -238,79 +174,3 @@ class PrimeField:
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-class QuadElement:
-    """a + b*theta in a quadratic extension, theta^2 = disc.  A print-only
-    value, like ``FpElement``: equality coerces base-field values."""
-
-    __slots__ = ("a", "b", "field")
-
-    def __init__(self, a, b, field: "QuadraticExtension"):
-        self.a = a
-        self.b = b
-        self.field = field
-
-    def __eq__(self, other):
-        if isinstance(other, QuadElement):
-            if other.field != self.field:
-                raise ValueError("elements of different quadratic extensions")
-        else:
-            try:
-                other = self.field.of(other)
-            except TypeError:
-                return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"({self.a!r}) + ({self.b!r})*theta"
-
-
-class QuadraticExtension:
-    """F[theta]/(theta^2 - disc) for a non-square disc of the base field.
-
-    Towers are capped at total degree 2 over QQ or F_p: extending an
-    extension is rejected, since nothing downstream ever needs degree 4.
-    """
-
-    def __init__(self, base, disc):
-        if isinstance(base, QuadraticExtension):
-            raise ValueError("towers of quadratic extensions are not supported")
-        disc = base.of(disc)
-        if not disc:
-            raise ValueError("discriminant must be nonzero")
-        if base.is_square(disc):
-            raise ValueError("discriminant is a square; extension would not be a field")
-        self.base = base
-        self.disc = disc
-        self.characteristic = base.characteristic
-
-    def of(self, x) -> QuadElement:
-        if isinstance(x, QuadElement):
-            if x.field != self:
-                raise ValueError("element of a different extension")
-            return x
-        return QuadElement(self.base.of(x), self.base.zero, self)
-
-    @property
-    def one(self) -> QuadElement:
-        return QuadElement(self.base.one, self.base.zero, self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExtension)
-            and other.base == self.base
-            and other.disc == self.disc
-        )
-
-    def __hash__(self):
-        return hash(("quad", self.base, _exact_str(self.disc)))
-
-    def __repr__(self) -> str:
-        return f"{self.base!r}[theta]/(theta^2 - {self.disc})"

@@ -6,7 +6,9 @@ A quintuple file is JSON with exactly one of:
     {"family": "type-a", "a": "1", "b": "2", "c": "3"}
     {"w": [[[[...]]]]}            (2x2x2x2 nested exact-rational strings)
 
-plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q").  A scalar
+plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q"), the prime
+in its canonical decimal spelling (no sign, space, underscore, leading
+zero or non-ASCII digit).  A scalar
 is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
 (so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
 mod p over F_p; the tensor index order is slots 0..3 with basis index
@@ -22,7 +24,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .fields import GF, QQ, FpElement, PrimeField, QuadElement, RationalField, _exact_str
+from .fields import GF, QQ, PrimeField, RationalField, _exact_str
 from .quintuples import SLOT_LABELS, Quintuple, build_linear_quadric, build_type_a
 from .tensors import Tensor
 
@@ -55,6 +57,8 @@ def field_from_str(s: str):
             p = int(s[3:])
         except ValueError:
             raise InputError(f"bad prime in field spec {s!r}") from None
+        if s != f"Fp:{p}":
+            raise InputError(f"field spec {s!r} is not spelled Fp:{p}")
         try:
             return GF(p)
         except ValueError as exc:
@@ -63,16 +67,12 @@ def field_from_str(s: str):
 
 
 def scalar_json(x):
-    """JSON value for one scalar: rationals (``_exact_str``) and prime-field
-    elements as strings, quadratic-extension elements as [a, b] pairs."""
-    if isinstance(x, Fraction):
+    """JSON value for one scalar: a ``Fraction`` or an int (a residue mod p)
+    as its ``_exact_str``, and an (x, y) pair for x + y theta as [x, y]."""
+    if isinstance(x, (Fraction, int)):
         return _exact_str(x)
-    if isinstance(x, FpElement):
-        return str(x.value)    # a residue, below p < 2^82
-    if isinstance(x, QuadElement):
-        return [scalar_json(x.a), scalar_json(x.b)]
-    if isinstance(x, int):
-        return _exact_str(x)
+    if isinstance(x, tuple):
+        return [scalar_json(x[0]), scalar_json(x[1])]
     raise TypeError(f"not a scalar: {x!r}")
 
 
@@ -108,9 +108,9 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
                 raise ExcludedInput(str(exc)) from None
             meta = {
                 "family": "type-a",
-                "a": field.format(a),
-                "b": field.format(b),
-                "c": field.format(c),
+                "a": _exact_str(a),
+                "b": _exact_str(b),
+                "c": _exact_str(c),
                 "field": field_to_str(field),
             }
             return q, meta

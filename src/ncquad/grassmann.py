@@ -16,17 +16,15 @@ basis of the moving plane and their polar form).  They are integers, the
 numerators of phi^{-1} or its residues mod p, and so is their gcd.  Its
 roots are classified on integers by ``forms._quadratic_root``, the
 classifier geometricity asks too, and the plane at each root is tested
-on integer pairs x + y theta.  Field elements are built only for the
-meet parameters a certificate prints, in a quadratic extension when
-necessary.
+on integer pairs x + y theta.  Scalars are built only for the meet
+parameters a certificate prints: base-field values, or (x, y) pairs for
+x + y theta when the roots need a quadratic extension.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
 
-from .fields import QuadElement, QuadraticExtension
 from .forms import _quadratic_root, form_gcd
 from .linalg import Matrix, _elements, _pick, _pick_kept
 from .records import Record
@@ -57,7 +55,8 @@ class EmbeddedLine(Record):
 
 class MeetWitness(Record):
     """An intersection point: parameters on both lines, plus the minimal
-    polynomial data when the coordinates need a quadratic extension."""
+    polynomial data when the coordinates need a quadratic extension: then
+    they are (x, y) pairs for x + y theta, theta^2 = extension_disc."""
 
     param_l1: tuple
     param_l0: tuple
@@ -211,16 +210,14 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     elif lead < 0:
         gcd, lead = [-c for c in gcd], -lead
     roots, disc = _gcd_roots(gcd, lead, p)
-    ext = None if disc is None else QuadraticExtension(
-        field, _elements(field, (disc,), lead * lead)[0])
+    ext_disc = None if disc is None else _elements(field, (disc,), lead * lead)[0]
 
     def printed(pairs, den):
         # the field values (x + y theta') / den, theta' = lead * theta
         xs = _elements(field, [x for x, _ in pairs], den)
-        if ext is None:
+        if ext_disc is None:
             return xs
-        return tuple(map(QuadElement, xs, _elements(field, [y * lead for _, y in pairs], den),
-                         repeat(ext)))
+        return tuple(zip(xs, _elements(field, [y * lead for _, y in pairs], den)))
 
     witnesses = []
     for kx, ky in roots:
@@ -235,7 +232,7 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
             witnesses.append(MeetWitness(
                 param_l1=printed((kx, (ky, 0)), lead),
                 param_l0=printed((ell1, (-x0, -y0)), lead * M._den),
-                extension_disc=None if ext is None else ext.disc,
+                extension_disc=ext_disc,
             ))
         # right-type roots are decomposable planes of the opposite ruling,
         # not points of l0's family

@@ -29,16 +29,16 @@ zero, which is how tensors, quivers and the Hom counts assemble their
 matrices without arithmetic; ``_pick_kept`` picks from the shared
 identity once per process.
 
-Field elements exist only at the boundary, and ``FpElement`` has no
-arithmetic (``fields``).  ``Matrix(field, rows)`` coerces every entry
-through ``field.of``, since callers pass ints and strings, and
-``build_type_a`` reads its coefficients as such a 1x3 row to decide the
-excluded locus on integers.  ``rows``, ``col``, ``[i, j]`` and ``det``
-build each entry on demand (``_elements``), one ``Fraction(num, den)``
-over QQ or one ``FpElement`` mod p, and geometricity builds only the
-witness coordinates a certificate prints.  Both are normal forms, so
-they are the values and bytes that elimination on field elements would
-give.
+Scalars are the plain values they are decided on (``fields``):
+``Fraction``s over QQ and ``int`` residues in [0, p) over F_p.
+``Matrix(field, rows)`` coerces every entry through ``field.of``, since
+callers pass ints and strings, and ``build_type_a`` reads its
+coefficients as such a 1x3 row to decide the excluded locus on integers.
+``rows``, ``col``, ``[i, j]`` and ``det`` build each entry on demand
+(``_elements``), one ``Fraction(num, den)`` over QQ or one residue mod p,
+and geometricity builds only the witness coordinates a certificate
+prints.  Both are normal forms, so they are the values and bytes that
+elimination on field elements would give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
 field.  Matrices are immutable; the kept echelon never changes them.
@@ -52,7 +52,7 @@ from functools import cache
 from itertools import repeat
 from operator import mul, neg
 
-from .fields import FpElement, PrimeField, RationalField
+from .fields import PrimeField, RationalField
 
 
 class Matrix:
@@ -72,7 +72,7 @@ class Matrix:
             ncols = 0
         flat = [x for r in rows for x in r]
         if field.characteristic:
-            num, den = [x.value for x in flat], 1
+            num, den = flat, 1
         else:
             den = math.lcm(*[x.denominator for x in flat])
             num = [x.numerator * (den // x.denominator) for x in flat]
@@ -183,14 +183,12 @@ class Matrix:
 
 
 def _elements(field, num, den: int) -> tuple:
-    """The field elements num[k] / den in normal form: ``Fraction``s over
-    QQ, ``FpElement``s mod p (den a unit there)."""
+    """The scalars num[k] / den in normal form: ``Fraction``s over QQ,
+    residues in [0, p) mod p (den a unit there)."""
     p = field.characteristic
     if p:
-        if den != 1:
-            inv = pow(den, -1, p)
-            num = [x * inv for x in num]
-        return tuple(map(FpElement, num, repeat(field)))
+        inv = pow(den, -1, p)
+        return tuple(x * inv % p for x in num)
     return tuple(map(Fraction, num, repeat(den)))
 
 

@@ -33,16 +33,15 @@ reduced kernel vectors of M_j off its echelon, the 2x2 determinants, and
 the roots of det(s v1 + t v2) by ``forms._quadratic_root``, the root
 classifier the line stage asks too.  A witness over a quadratic
 extension is divided on integers, times the conjugate over the norm.
-Field elements are built only for the witness coordinates a certificate
-prints.
+Scalars are built only for the witness coordinates a certificate
+prints: base-field values, and (x, y) pairs for x + y theta.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import repeat
 
-from .fields import QQ, QuadElement, QuadraticExtension, _exact_str
+from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
 from .linalg import Matrix, _elements, _pick
@@ -130,7 +129,7 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
         (1, 0, 0, 1): a,
         (1, 1, 1, 1): c,
     }
-    flat = [entries.get((i0, i1, i2, i3), field.zero)
+    flat = [entries.get((i0, i1, i2, i3), 0)
             for i0 in range(2) for i1 in range(2) for i2 in range(2) for i3 in range(2)]
     return Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
 
@@ -138,9 +137,9 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
 class PureWitness(Record):
     """A nonzero pure functional pair annihilating w at one slot pair.
 
-    Coordinates live in the ground field, or in
-    QuadraticExtension(field, extension_disc) when no rational witness
-    exists (the discriminant certificate case).
+    Coordinates live in the ground field, or are (x, y) pairs for
+    x + y theta, theta^2 = extension_disc (a base-field value), when no
+    rational witness exists (the discriminant certificate case).
     """
 
     phi: tuple
@@ -223,18 +222,17 @@ def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     # and t = y1, whose first row is nonzero since det v1 != 0; phi_1 is
     # k[i + 2] / k[i], k[i + 2] times the conjugate of k[i] over its norm
     disc = b * b - 4 * a * c
-    ext = QuadraticExtension(field, _elements(field, (disc,), (d1 * d2) ** 2)[0])
+    ext_disc = _elements(field, (disc,), (d1 * d2) ** 2)[0]
     xs = [2 * a * v - b * u for u, v in zip(y1, y2)]
     xs = [x % p for x in xs] if p else xs
-    chi = tuple(map(QuadElement, _elements(field, xs[:2], d1 * d1 * d2),
-                    _elements(field, y1[:2], d1), repeat(ext)))
+    chi = tuple(zip(_elements(field, xs[:2], d1 * d1 * d2), _elements(field, y1[:2], d1)))
     i = 0 if xs[0] or y1[0] else 1
     (x0, x2), (t0, t2) = xs[i::2], y1[i::2]
     norm = x0 * x0 - t0 * t0 * disc
-    ratio = QuadElement(*_elements(field, (x2 * x0 - t2 * t0 * disc, (t2 * x0 - x2 * t0) * d1 * d2),
-                                   norm), ext)
-    return SlotPairReport(j, False, kd, PureWitness((ext.one, ratio), chi, extension_disc=ext.disc),
-                          f"singular combination exists only over theta^2 = {_exact_str(ext.disc)}")
+    phi = (_elements(field, (1, 0), 1),
+           _elements(field, (x2 * x0 - t2 * t0 * disc, (t2 * x0 - x2 * t0) * d1 * d2), norm))
+    return SlotPairReport(j, False, kd, PureWitness(phi, chi, extension_disc=ext_disc),
+                          f"singular combination exists only over theta^2 = {_field_str(ext_disc, p)}")
 
 
 def is_geometric(q: Quintuple) -> GeometricityReport:

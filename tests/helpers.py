@@ -13,23 +13,23 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from ncquad.fields import FpElement, QuadElement, QuadraticExtension, _sqrt_mod_p
+from ncquad.fields import _sqrt_mod_p
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
 
 
 # -- the tests' own field arithmetic ------------------------------------------
 #
-# ncquad's field values have no arithmetic; the package decides on integers.
-# The references compute on Fractions over QQ, ``Mod`` residues over F_p and
-# ``Quad`` pairs x + y theta over F[theta].  ``lift`` turns ncquad's values
-# into these, and ``lower`` turns them back for ncquad's records.
+# ncquad's scalars are plain values: Fractions over QQ, int residues over
+# F_p and (x, y) pairs for x + y theta over F[theta].  The references compute
+# on Fractions, ``Mod`` residues and ``Quad``s.  ``lift`` turns ncquad's
+# values into these, and ``lower`` turns them back for ncquad's records.
 
 
 def _residue(x, p: int) -> int:
     if isinstance(x, Fraction):
         return x.numerator * pow(x.denominator, -1, p) % p
-    return (x.value if isinstance(x, FpElement) else int(x)) % p
+    return int(x) % p
 
 
 def _mod(r: int, p: int) -> "Mod":
@@ -41,7 +41,7 @@ def _mod(r: int, p: int) -> "Mod":
 
 def _mod_op(f):
     def op(x, y):
-        if not isinstance(y, (int, Fraction, FpElement)):
+        if not isinstance(y, (int, Fraction)):
             return NotImplemented
         return _mod(f(int(x), _residue(y, x.p), x.p), x.p)
     return op
@@ -49,12 +49,11 @@ def _mod_op(f):
 
 class Mod(int):
     """A residue mod p with the field operations; an int, so ``field.of``
-    and ``FpElement`` equality read it as it is."""
+    reads it and ncquad's residues compare equal to it."""
 
     def __new__(cls, value, p: int):
         return _mod(_residue(value, p), p)
 
-    value = property(int)
     __add__ = __radd__ = _mod_op(lambda a, b, p: a + b)
     __sub__ = _mod_op(lambda a, b, p: a - b)
     __rsub__ = _mod_op(lambda a, b, p: b - a)
@@ -67,7 +66,7 @@ class Mod(int):
         return _mod(-int(self), self.p)
 
     def __eq__(self, other):
-        if not isinstance(other, (int, Fraction, FpElement)):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return int(self) == _residue(other, self.p)
 
@@ -118,26 +117,32 @@ class Quad:
         return bool(self.a) or bool(self.b)
 
 
-def lift(x):
-    """ncquad's field values, alone or in tuples and lists, as Fractions,
-    ``Mod``s and ``Quad``s."""
-    if isinstance(x, FpElement):
-        return _mod(x.value, x.field.p)
-    if isinstance(x, QuadElement):
-        return Quad(lift(x.a), lift(x.b), lift(x.field.disc))
+def lift(field, x, d=None):
+    """ncquad's values over ``field`` (QQ or F_p), alone or in tuples and
+    lists, as Fractions and ``Mod``s; given theta^2 = d, each (x, y) pair
+    of scalars is the ``Quad`` x + y theta.  ``Quad``s stay as they are."""
     if isinstance(x, (tuple, list)):
-        return type(x)(map(lift, x))
-    return x
+        if d is not None and len(x) == 2 and not isinstance(x[0], (tuple, list, Quad)):
+            return Quad(lift(field, x[0]), lift(field, x[1]), lift(field, d))
+        return type(x)(lift(field, y, d) for y in x)
+    p = field.characteristic
+    return Mod(x, p) if p and not isinstance(x, Quad) else x
 
 
 def lower(field, x):
     """The values ``lift`` makes, alone or in tuples, as ncquad's over
-    ``field`` (QQ or F_p); None stays None."""
+    ``field`` (QQ or F_p), a ``Quad`` as its (x, y) pair; None stays None."""
     if isinstance(x, tuple):
         return tuple(lower(field, y) for y in x)
     if isinstance(x, Quad):
-        return QuadElement(field.of(x.a), field.of(x.b), QuadraticExtension(field, x.d))
+        return field.of(x.a), field.of(x.b)
     return None if x is None else field.of(x)
+
+
+def spelled(x, field) -> str:
+    """A base-field value as certificates spell it: "2 (mod 5)" over F_5."""
+    p = field.characteristic
+    return f"{int(x) % p} (mod {p})" if p else str(x)
 
 
 # -- plain functions over the library's public types -------------------------
@@ -145,7 +150,7 @@ def lower(field, x):
 
 def tensor_entries(t: Tensor) -> tuple:
     """The entries of t, row-major, lifted for arithmetic."""
-    return lift(t._row.rows[0])
+    return lift(t.field, t._row.rows[0])
 
 
 def tensor_entry(t: Tensor, idx):
@@ -153,11 +158,11 @@ def tensor_entry(t: Tensor, idx):
     flat = 0
     for i, n in zip(idx, t.shape):
         flat = flat * n + i
-    return lift(t._row[0, flat])
+    return lift(t.field, t._row[0, flat])
 
 
 def matrix_cols(m) -> list[tuple]:
-    return [lift(m.col(j)) for j in range(m.ncols)]
+    return [lift(m.field, m.col(j)) for j in range(m.ncols)]
 
 
 def _of_int_cols(field, cols, nrows: int, scale: int):
@@ -256,7 +261,7 @@ class BinaryForm:
 
 def monic(form):
     """The form divided by its first nonzero coefficient; zero stays zero."""
-    coeffs = lift(form.coeffs)
+    coeffs = lift(form.field, form.coeffs)
     for c in coeffs:
         if c:
             return BinaryForm(form.field, [x / c for x in coeffs])
@@ -265,36 +270,36 @@ def monic(form):
 
 def root_structure(f):
     """How a nonzero binary quadratic a s^2 + b st + c t^2 splits over the
-    closure, on field elements: (kind, discriminant, roots, extension),
-    kind "split-rational", "double-rational" or "irreducible-quadratic",
-    roots projective pairs (s, t) of lifted values, ``Quad``s over
-    QuadraticExtension(field, disc) in the irreducible case."""
+    closure, on field elements: (kind, discriminant, roots), kind
+    "split-rational", "double-rational" or "irreducible-quadratic", roots
+    projective pairs (s, t) of lifted values, ``Quad``s with theta^2 the
+    discriminant in the irreducible case."""
     if f.degree != 2:
         raise ValueError("root_structure expects a quadratic")
     if f.is_zero():
         raise ValueError("root_structure of the zero form")
     field = f.field
-    a, b, c = lift(f.coeffs)
-    one, zero = lift(field.one), lift(field.zero)
+    a, b, c = lift(field, f.coeffs)
+    one, zero = lift(field, field.of(1)), lift(field, field.of(0))
     disc = b * b - 4 * a * c
     if not disc:
         # b^2 = 4ac, so a = 0 forces b = 0 and the form c t^2
         root = (-b, 2 * a) if a else (one, zero)
-        return "double-rational", disc, (root,), None
-    if field.is_square(disc):
-        if a:
-            # the root the certificates print: the nonnegative one in QQ, and
-            # mod p ``_sqrt_mod_p``'s, which fixes the order of the two roots
-            r = (Mod(_sqrt_mod_p(disc.value, field.p), field.p) if field.characteristic
-                 else Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator)))
-            roots = ((-b + r, 2 * a), (-b - r, 2 * a))
-        else:
-            # t * (b*s + c*t): roots (1:0) and (c:-b), distinct since b != 0
-            roots = ((one, zero), (c, -b))
-        return "split-rational", disc, roots, None
+        return "double-rational", disc, (root,)
+    # the root the certificates print: the nonnegative one in QQ, and mod p
+    # ``_sqrt_mod_p``'s, which fixes the order of the two roots
+    if field.characteristic:
+        r = _sqrt_mod_p(disc, field.p)
+    else:
+        r = Fraction(math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator))
+        r = r if r * r == disc else None
+    if r is not None:
+        # with a = 0, t * (b*s + c*t): roots (1:0) and (c:-b), distinct since b != 0
+        roots = ((-b + r, 2 * a), (-b - r, 2 * a)) if a else ((one, zero), (c, -b))
+        return "split-rational", disc, roots
     roots = ((Quad(-b, one, disc), Quad(2 * a, zero, disc)),
              (Quad(-b, -one, disc), Quad(2 * a, zero, disc)))
-    return "irreducible-quadratic", disc, roots, QuadraticExtension(field, disc)
+    return "irreducible-quadratic", disc, roots
 
 
 def euler_p1xp2(m: int, n: int) -> int:
@@ -403,10 +408,10 @@ def matmul_oracle(a, b, ncols, p=0):
             for i in range(len(a))]
 
 
-def rank_oracle(rows, field) -> int:
-    """Rank of a list of rows of elements of any field (QQ, F_p or a
-    quadratic extension), by Gauss elimination on the lifted elements."""
-    a = [lift(list(r)) for r in rows]
+def rank_oracle(rows) -> int:
+    """Rank of a list of rows of lifted values over QQ, F_p or a
+    quadratic extension (``Quad``s), by Gauss elimination."""
+    a = [list(r) for r in rows]
     rank = 0
     for c in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
@@ -530,8 +535,8 @@ def reference_line_relation(l0, l1):
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
     def plane_at(kx, ky):
-        a = [lift(M.col(j)) for j in a_cols]
-        b = [tuple(-x for x in lift(M.col(j))) for j in b_cols]
+        a = [lift(field, M.col(j)) for j in a_cols]
+        b = [tuple(-x for x in lift(field, M.col(j))) for j in b_cols]
         return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
 
     if q1.is_zero() and q2.is_zero() and bform.is_zero():
@@ -555,10 +560,10 @@ def reference_line_relation(l0, l1):
         return LineRelation("disjoint", psi_reshuffle_rank=rr, orientations=orientations)
 
     if gcd.degree == 1:
-        a, b = lift(gcd.coeffs)  # a*s + b*t
+        a, b = lift(field, gcd.coeffs)  # a*s + b*t
         roots = [((-b, a), None)]
     else:
-        kind, disc, rs, _ = root_structure(gcd)
+        kind, disc, rs = root_structure(gcd)
         roots = [(r, disc if kind == "irreducible-quadratic" else None) for r in rs]
 
     witnesses = []
@@ -592,12 +597,11 @@ def reference_line_relation(l0, l1):
 
 def kernel_at(line, s, t):
     """Basis of the point K(s:t) of an embedded line, as the 4 rows of a
-    4x2 matrix of lifted values, entry by entry; s and t may be ``Quad``s
-    or ``QuadElement``s."""
-    s, t = lift((s, t))
+    4x2 matrix of lifted values, entry by entry; s and t are lifted values
+    or ints, and may be ``Quad``s."""
     if not (s or t):
         raise ValueError("(0:0) is not a parameter")
-    phi_inv = lift(line.phi_inv.rows)
+    phi_inv = lift(line.field, line.phi_inv.rows)
     cols = []
     for b in range(2):
         vec = [0] * 4
@@ -612,7 +616,7 @@ def kernel_at(line, s, t):
 def evaluate(form, s, t):
     """Value of a binary form at integer (s, t), term by term."""
     d = form.degree
-    return sum(c * s ** (d - i) * t ** i for i, c in enumerate(lift(form.coeffs)))
+    return sum(c * s ** (d - i) * t ** i for i, c in enumerate(lift(form.field, form.coeffs)))
 
 
 def binary_form_gcd(forms):
@@ -628,13 +632,13 @@ def binary_form_gcd(forms):
     ints = []
     for f in forms:
         if p:
-            ints.append([c.value for c in f.coeffs])
+            ints.append(list(f.coeffs))
         else:
             den = lcm(*(c.denominator for c in f.coeffs))
             ints.append([c.numerator * (den // c.denominator) for c in f.coeffs])
     nonzero = [f for f in ints if any(f)]
     if not nonzero:
-        return BinaryForm(field, [field.zero])
+        return BinaryForm(field, [0])
     return monic(BinaryForm(field, form_gcd(nonzero, p)))
 
 
@@ -673,7 +677,7 @@ def euclid_form_gcd(forms):
     field = forms[0].field
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
-        return BinaryForm(field, [field.zero])
+        return BinaryForm(field, [0])
     s_mult = t_mult = None
     polys = []
     for f in nonzero:
@@ -682,7 +686,7 @@ def euclid_form_gcd(forms):
         sm, tm = f.degree - hi, lo
         s_mult = sm if s_mult is None else min(s_mult, sm)
         t_mult = tm if t_mult is None else min(t_mult, tm)
-        polys.append(lift(list(reversed(f.coeffs[lo:hi + 1]))))
+        polys.append(lift(field, list(reversed(f.coeffs[lo:hi + 1]))))
     g = polys[0]
     for p in polys[1:]:
         a, b = _strip(list(g)), _strip(list(p))
@@ -691,7 +695,7 @@ def euclid_form_gcd(forms):
         g = a
     du = len(g) - 1
     total = du + s_mult + t_mult
-    coeffs = [field.zero] * (total + 1)
+    coeffs = [0] * (total + 1)
     for k, c in enumerate(g):
         coeffs[total - (k + s_mult)] = c
     return monic(BinaryForm(field, coeffs))
@@ -750,9 +754,7 @@ def span_contains(space, vec) -> bool:
 def column_space_oracle(m):
     """The original columns of m at the pivot columns of its reduced row
     echelon form (``rref_oracle``)."""
-    p = m.field.characteristic
-    rows = [[x.value for x in r] for r in m.rows] if p else m.rows
-    _, pivots = rref_oracle(rows, m.ncols, p)
+    _, pivots = rref_oracle(m.rows, m.ncols, m.field.characteristic)
     return from_cols(m.field, [m.col(j) for j in pivots], m.nrows)
 
 
@@ -789,13 +791,13 @@ def relations_oracle(q):
     cols_a, cols_b = [], []
     for r in matrix_cols(r0):        # indexed by 4a+2b+c
         for d in range(2):
-            vec = [field.zero] * 16
+            vec = [0] * 16
             for i in range(8):
                 vec[2 * i + d] = r[i]
             cols_a.append(vec)
     for a in range(2):
         for r in matrix_cols(r1):    # indexed by 4b+2c+d
-            vec = [field.zero] * 16
+            vec = [0] * 16
             for i in range(8):
                 vec[8 * a + i] = r[i]
             cols_b.append(vec)
@@ -821,8 +823,8 @@ def block_composition_oracle(square):
         for o in range(2):
             for n in range(2):
                 a, b = (o, n) if line.contracted_factor == 0 else (n, o)
-                unit = [field.zero] * 4
-                unit[2 * a + b] = field.one
+                unit = [0] * 4
+                unit[2 * a + b] = 1
                 cols.append(apply(phit, unit))
     return from_cols(field, cols, 4)
 
@@ -840,8 +842,8 @@ def mutation_oracle(r0):
     cols = []
     for o in range(2):
         for n in range(2):
-            unit = [field.zero] * 4
-            unit[2 * o + n] = field.one
+            unit = [0] * 4
+            unit[2 * o + n] = 1
             cols.append(unit)
     for r in matrix_cols(r0):        # indexed by 4a+2b+c
         for z in range(2):
@@ -866,8 +868,8 @@ def hom_R_K_oracle(line) -> int:
     field = line.field
     cols = []
     for u in range(2):
-        for g in lift(line.phi_inv.rows):      # gamma_c in U0* x U1* coordinates
-            col = [field.zero] * 6
+        for g in lift(field, line.phi_inv.rows):      # gamma_c in U0* x U1* coordinates
+            col = [0] * 6
             for a in range(2):
                 for b in range(2):
                     pol, out = (_HOM_POLY[(u, a)], b) if line.contracted_factor == 0 \
@@ -941,7 +943,7 @@ def contract(t: Tensor, slot: int, functional) -> Tensor:
     rest = t.shape[:slot] + t.shape[slot + 1:]
     out = []
     for idx in product(*(range(n) for n in rest)):
-        s = field.zero
+        s = 0
         for a, c in enumerate(functional):
             s = s + c * tensor_entry(t, idx[:slot] + (a,) + idx[slot:])
         out.append(s)
@@ -973,7 +975,7 @@ def contraction_oracle(q: Quintuple, j: int):
 def verify_witness(q: Quintuple, j: int, witness) -> bool:
     """Check that <phi x chi, w> = 0 at slot pair (j, j+1), entry by entry
     of w, in the lifted arithmetic of the witness's field."""
-    phi, chi = lift(witness.phi), lift(witness.chi)
+    phi, chi = (lift(q.field, v, witness.extension_disc) for v in (witness.phi, witness.chi))
     a, b = j % 4, (j + 1) % 4
     others = [k for k in range(4) if k not in (a, b)]
     for rest in product(range(2), repeat=2):
@@ -1010,7 +1012,7 @@ class GPoint:
             raise ValueError("kernel must be a 4x2 basis matrix")
         if kernel.rank() != 2:
             raise ValueError("kernel basis is degenerate")
-        k = lift(kernel.rows)
+        k = lift(kernel.field, kernel.rows)
         p = [k[i][0] * k[j][1] - k[j][0] * k[i][1] for i, j in PLUECKER_PAIRS]
         # normalize: first nonzero coordinate 1
         for x in p:
@@ -1070,7 +1072,7 @@ def _slot_tables(q: Quintuple, j: int):
                     idx[(j + 1) % 4] = b
                     idx[other[0]] = c
                     idx[other[1]] = d
-                    vals.append(tensor_entry(q.w, tuple(idx)).value)
+                    vals.append(int(tensor_entry(q.w, tuple(idx))))
             tables[a][b] = vals
     return tables
 
@@ -1194,7 +1196,7 @@ def reference_pure_kernel_witness(kernel, field):
     field-element arithmetic, ``BinaryForm`` and ``root_structure``."""
     from ncquad.quintuples import PureWitness
 
-    v1, v2 = lift(kernel.col(0)), lift(kernel.col(1))
+    v1, v2 = lift(field, kernel.col(0)), lift(field, kernel.col(1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
@@ -1205,15 +1207,15 @@ def reference_pure_kernel_witness(kernel, field):
             return PureWitness(u, v), "kernel basis vector is itself singular"
         u, v = rank_one_factor(v2[0], v2[1], v2[2], v2[3], field)
         return PureWitness(u, v), "kernel basis vector is itself singular"
-    _, disc, roots, ext = root_structure(form)
+    kind, disc, roots = root_structure(form)
     s, t = roots[0]
     combo = [s * a + t * b for a, b in zip(v1, v2)]
     u, v = rank_one_factor(combo[0], combo[1], combo[2], combo[3], field)
-    if ext is None:
+    if kind != "irreducible-quadratic":
         return PureWitness(u, v), "rational singular combination of kernel vectors"
     return (
-        PureWitness(u, v, extension_disc=ext.disc),
-        f"singular combination exists only over theta^2 = {ext.disc}",
+        PureWitness(u, v, extension_disc=lower(field, disc)),
+        f"singular combination exists only over theta^2 = {spelled(disc, field)}",
     )
 
 
@@ -1226,7 +1228,7 @@ def reference_pair_report(j: int, K, field):
     if kd == 0:
         return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
     if kd == 1:
-        v = lift(K.col(0))
+        v = lift(field, K.col(0))
         if v[0] * v[3] - v[1] * v[2]:
             return SlotPairReport(j, True, 1,
                                   certificate="kernel spanned by a nonsingular 2x2 element")
@@ -1259,17 +1261,15 @@ def geometricity_oracle(q) -> dict:
     from ncquad.fileformat import scalar_json
 
     field = q.field
-    p = field.characteristic
-    raw = (lambda x: x.value) if p else (lambda x: x)
     pairs = []
     for j in range(4):
         m = contraction_matrix(q, j)
-        basis = kernel_oracle([[raw(x) for x in r] for r in m.rows], 4, p)
+        basis = kernel_oracle(m.rows, 4, field.characteristic)
         witness = None
         if not basis:
             passed, note = True, "contraction matrix invertible"
         elif len(basis) == 1:
-            v = lift([field.of(x) for x in basis[0]])
+            v = lift(field, basis[0])
             passed = bool(v[0] * v[3] - v[1] * v[2])
             if passed:
                 note = "kernel spanned by a nonsingular 2x2 element"
@@ -1286,7 +1286,7 @@ def geometricity_oracle(q) -> dict:
             entry["witness"] = {"phi": [scalar_json(x) for x in phi],
                                 "chi": [scalar_json(x) for x in chi]}
             if disc is not None:
-                entry["witness"]["extension_minpoly"] = f"theta^2-({disc})"
+                entry["witness"]["extension_minpoly"] = f"theta^2-({spelled(disc, field)})"
         pairs.append(entry)
     return {"passed": all(e["passed"] for e in pairs), "pairs": pairs}
 
@@ -1295,7 +1295,7 @@ def random_tensor_fp(rng, field, density) -> Quintuple:
     """A nonzero quintuple over F_p whose entries are each nonzero with
     probability ``density``."""
     while True:
-        entries = [field.of(rng.randrange(1, field.p)) if rng.random() < density else field.zero
+        entries = [field.of(rng.randrange(1, field.p)) if rng.random() < density else 0
                    for _ in range(16)]
         if any(entries):
             return Quintuple(Tensor(field, (2, 2, 2, 2), entries, SLOT_LABELS))
@@ -1308,7 +1308,7 @@ def change_basis(q, gs) -> Quintuple:
     w = list(tensor_entries(q.w))
     for slot, g in enumerate(gs):
         stride = 1 << (3 - slot)
-        out = [field.zero] * 16
+        out = [0] * 16
         for idx in range(16):
             i = (idx // stride) % 2
             base = idx - i * stride

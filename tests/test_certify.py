@@ -291,8 +291,8 @@ def _pure_tensor():
     from ncquad.fields import QQ
     from ncquad.tensors import Tensor
 
-    entries = [QQ.zero] * 16
-    entries[0] = QQ.one
+    entries = [QQ.of(0)] * 16
+    entries[0] = QQ.of(1)
     return Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
 
 

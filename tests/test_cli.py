@@ -189,8 +189,9 @@ def test_command_stdout_and_exit_code_are_pinned(name, command, capsys):
 
 
 # witness-bearing inputs outside the corpus: ``check`` prints each witness
-# coordinate by ``cli._exact_repr``, a ``Fraction``, an ``FpElement`` or a
-# ``QuadElement`` over either
+# coordinate by ``cli._exact_repr``, a ``Fraction``, a residue mod p or an
+# (x, y) pair over either; the meet files' certificates print a discriminant
+# mod p in the lines stage (``tests/golden.json``)
 _DATA = Path(__file__).with_name("data")
 _WITNESS_PINS = {
     ("witness-qq-theta", "check"): (1, "3d4437f4676e6917d180c6de76dc73d34b612ee7f3dc2f4fd2cfd4eaf0749590"),
@@ -199,6 +200,12 @@ _WITNESS_PINS = {
     ("witness-f5-rational", "check --json"): (1, "60f2a2f5956ddf2e340bd9acfc730c65105a4e2b536db4da36d38880628fadd1"),
     ("witness-f5-theta", "check"): (1, "54c8c9e7aa8d3b45c75e2f603460b48cb3c58ef9d5d0edf67c6d4ef3d9976303"),
     ("witness-f5-theta", "check --json"): (1, "f9172b73fefb7f033b6d078dbab5294f2453dc13c777a6e2fa40c14f0a2d89d5"),
+    ("witness-f7-theta", "check"): (1, "30e66ef90e88d250729b108cc0c8ae8f9afaacf0f78bac4a10b460f06239b3cd"),
+    ("witness-f7-theta", "check --json"): (1, "b130c580c71f3cdabff0344a6f5c91d7c8d72d5ff38bdbce0dd920affb7dcf12"),
+    ("meet-f7-theta", "check"): (0, "a810029f57d25f0e268b9c874f7cd053aa164941f53e3524cf65f322feb02158"),
+    ("meet-f7-theta", "check --json"): (0, "83769b7f13bd9c21b9a847c0dec0293af3ffdaf366bd9a40c3188d23f486d25c"),
+    ("meet-f10007-theta", "check"): (0, "a810029f57d25f0e268b9c874f7cd053aa164941f53e3524cf65f322feb02158"),
+    ("meet-f10007-theta", "check --json"): (0, "9bd1de4f2ebc2ba49fd0128cb14d240ca9a217d8ac1fd5c56c0d113035634ff9"),
 }
 
 
@@ -214,6 +221,7 @@ _WITNESS_MARKS = {
     "witness-qq-theta": ("Fraction(", ")*theta", "FAIL (rational"),
     "witness-f5-rational": ("(mod 5)", "FAIL (kernel spanned by a singular"),
     "witness-f5-theta": ("(mod 5)) + (", ")*theta", "FAIL (rational"),
+    "witness-f7-theta": ("theta^2 = 6 (mod 7)", "(mod 7)) + (", ")*theta"),
 }
 
 

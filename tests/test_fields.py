@@ -1,11 +1,16 @@
-import operator
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import Quad, lift, lower, nonresidue_int
-from ncquad.fields import GF, QQ, QuadElement, QuadraticExtension, _sqrt_mod_p, is_prime
+from ncquad import fields
+from ncquad.certify import full_pipeline
+from ncquad.fields import GF, QQ, _exact_str, _field_str, _sqrt_mod_p, is_prime
+from ncquad.fileformat import parse_quintuple_file
 from ncquad.forms import _quadratic_root
 
 
@@ -15,13 +20,10 @@ def test_rationals_lowest_terms():
     assert x.denominator == 2
     assert QQ.of(Fraction(-2, -4)) == Fraction(1, 2)
     assert QQ.of(Fraction(-2, -4)).denominator == 2
-    assert QQ.of(QQ.format(Fraction(-7, 3))) == Fraction(-7, 3)
+    assert QQ.of(_exact_str(Fraction(-7, 3))) == Fraction(-7, 3)
 
 
 def test_rational_squares():
-    assert QQ.is_square(Fraction(9, 4))
-    assert not QQ.is_square(Fraction(2))
-    assert not QQ.is_square(Fraction(-4))
     # on integers: the nonnegative root of the discriminant b^2 - 4ac
     assert _quadratic_root(0, 3, 0, 0) == _quadratic_root(0, -3, 0, 0) == 3
     assert _quadratic_root(4, 4, -8, 0) == 12
@@ -39,12 +41,15 @@ def test_prime_field_restrictions():
 
 
 def test_prime_field_arithmetic():
-    # F_p values carry no arithmetic; the tests' residues compute on them
+    # F_p values are plain int residues in [0, p); the tests' ``Mod``s
+    # compute on them
     F = GF(101)
-    a, b = lift(F.of(77)), lift(F.of("3/4"))
+    assert [F.of(x) for x in (-1, 202, "3/4", Fraction(1, 2))] == [100, 0, 26, 51]
+    assert all(type(F.of(x)) is int for x in (-1, "3/4", Fraction(1, 2)))
+    a, b = lift(F, F.of(77)), lift(F, F.of("3/4"))
     assert b * 4 == F.of(3)
-    assert a / a == F.one and a - a == F.zero
-    assert lift(F.of(Fraction(1, 2))) * 2 == F.one
+    assert a / a == 1 and a - a == 0
+    assert lift(F, F.of(Fraction(1, 2))) * 2 == 1
     with pytest.raises(ZeroDivisionError):
         F.of(Fraction(1, 101))
 
@@ -56,16 +61,13 @@ def test_prime_field_sqrt_roundtrip():
         for _ in range(20):
             x = rng.randrange(p)
             sq = F.of(x * x)
-            assert F.is_square(sq)
-            r = _sqrt_mod_p(sq.value, p)
-            assert r is not None and r * r % p == sq.value
-        nr = F.of(nonresidue_int(F.p))
-        assert not F.is_square(nr)
-        assert _sqrt_mod_p(nr.value, p) is None
+            r = _sqrt_mod_p(sq, p)
+            assert r is not None and r * r % p == sq
+        assert _sqrt_mod_p(F.of(nonresidue_int(F.p)), p) is None
 
 
 def test_quadratic_extension_arithmetic():
-    # on the tests' pairs x + y theta, theta^2 = 5, and back as a QuadElement
+    # on the tests' ``Quad``s x + y theta, theta^2 = 5, and back as an (x, y) pair
     th = Quad(0, 1, Fraction(5))
     assert th * th == 5
     x = Quad(Fraction(1, 2), 3, Fraction(5))
@@ -73,47 +75,56 @@ def test_quadratic_extension_arithmetic():
     assert x * x - 2 * Fraction(1, 2) * 3 * th - (Fraction(1, 4) + 9 * 5) == 0
     # reduction happens after every operation: (a + b th)^2 has no th^2 term
     assert (th + 1) * (th - 1) == 4
-    ext = QuadraticExtension(QQ, 5)
-    assert lower(QQ, x) == QuadElement(Fraction(1, 2), Fraction(3), ext)
-    assert lift(lower(QQ, x)) == x
+    assert lower(QQ, x) == (Fraction(1, 2), Fraction(3))
+    assert lift(QQ, lower(QQ, x), Fraction(5)) == x
 
 
-def test_quadratic_extension_rejects_squares_and_towers():
-    with pytest.raises(ValueError):
-        QuadraticExtension(QQ, 9)
-    ext = QuadraticExtension(QQ, 2)
-    with pytest.raises(ValueError):
-        QuadraticExtension(ext, 3)
+def test_extension_discriminants_are_non_squares_over_the_base():
+    # no extension is built over a square, and none over an extension: each
+    # discriminant the golden certificates print is a base-field non-square,
+    # and the coordinates beside it are pairs of base-field values
+    seen = set()
+    for entry in json.loads(Path(__file__).with_name("golden.json").read_text())["seeded"]:
+        if entry.get("kind") not in ("extension witness", "irreducible meet"):
+            continue
+        q, _ = parse_quintuple_file(entry["input"])
+        p = q.field.characteristic
+        for stage in full_pipeline(q, entry["convention"]).stages:
+            found = [pair.get("witness", {}) for pair in stage.get("report", {}).get("pairs", ())]
+            found += stage.get("relation", {}).get("witnesses", [])
+            for w in (w for w in found if "extension_minpoly" in w):
+                disc = w.pop("extension_minpoly").removeprefix("theta^2-(").removesuffix(")")
+                if p:
+                    value, modulus = disc.split(" (mod ")
+                    assert modulus == f"{p})" and _sqrt_mod_p(int(value), p) is None
+                else:
+                    n, d = Fraction(disc).as_integer_ratio()
+                    assert n < 0 or math.isqrt(n) ** 2 != n or math.isqrt(d) ** 2 != d
+                assert all(len(x) == 2 and all(isinstance(y, str) for y in x)
+                           for v in w.values() for x in v)
+                seen.add(p)
+    assert seen == {0, 5, 7, 10007}
 
 
 def test_extension_over_prime_field():
     F = GF(11)
-    ext = QuadraticExtension(F, F.of(nonresidue_int(11)))
+    d = F.of(nonresidue_int(11))
     rng = random.Random(1)
     for _ in range(30):
-        x = lift(QuadElement(F.of(rng.randrange(11)), F.of(rng.randrange(11)), ext))
+        x = lift(F, (F.of(rng.randrange(11)), F.of(rng.randrange(11))), d)
         if x:
             assert x / x == 1 and x * x / x == x
 
 
-def test_field_values_are_print_only():
-    # FpElement and QuadElement construct, compare, hash and print, and
-    # have no arithmetic: every decision in ncquad runs on integers
+def test_field_values_are_plain_values():
+    # a residue is an int in [0, p), an extension value an (x, y) pair;
+    # only ``_field_str`` spells a base-field value with its modulus
     F = GF(7)
-    ext = QuadraticExtension(F, 3)
-    x, y = F.of("1/2"), QuadElement(F.of(1), F.of(2), ext)
-    assert x == 4 and x == Fraction(1, 2) and hash(x) == hash(F.of(11))
-    assert repr(x) == "4 (mod 7)" and repr(y) == "(1 (mod 7)) + (2 (mod 7))*theta"
-    assert y == QuadElement(F.of(8), F.of(2), ext) and y != 1 and y and not ext.of(0)
-    assert ext.of(3) == 3 and ext.one == 1
-    for v in (x, y):
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-            with pytest.raises(TypeError):
-                op(v, v)
-        with pytest.raises(TypeError):
-            -v
-    assert not any(hasattr(ext, name) for name in ("theta", "zero", "format"))
-    assert not any(hasattr(y, name) for name in ("conjugate", "norm"))
+    assert F.of("1/2") == 4 and type(F.of("1/2")) is int and F.of(11) == 4
+    assert _field_str(4, 7) == "4 (mod 7)" and _field_str(Fraction(-7, 3), 0) == "-7/3"
+    assert _field_str(10 ** 5000 % 7, 7) == f"{10 ** 5000 % 7} (mod 7)"
+    assert not any(hasattr(fields, name) for name in ("FpElement", "QuadElement", "QuadraticExtension"))
+    assert not any(hasattr(k, name) for k in (QQ, F) for name in ("zero", "one", "format", "is_square"))
 
 
 def test_is_prime():

@@ -59,8 +59,8 @@ _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def _nested_by_field(q):
-    """w nested slot by slot from the field elements and ``field.format``."""
-    flat = [q.field.format(x) for x in tensor_entries(q.w)]
+    """w nested slot by slot from its entries, each written by ``str``."""
+    flat = [str(x) for x in tensor_entries(q.w)]
     for n in (2, 2, 2):
         flat = [flat[i:i + n] for i in range(0, len(flat), n)]
     return flat

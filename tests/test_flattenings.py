@@ -146,7 +146,7 @@ def test_singular_m1_witness_is_read_from_the_kernel_of_m3(eliminations):
     assert report.failing_pairs() == [1, 3]
     assert report.pairs[1].witness != report.pairs[3].witness
     assert all(verify_witness(q, j, report.pairs[j].witness) for j in (1, 3))
-    assert canonical_json_bytes(_geometricity_json(report)) == canonical_json_bytes(
+    assert canonical_json_bytes(_geometricity_json(report, 0)) == canonical_json_bytes(
         geometricity_oracle(q))
 
 
@@ -179,7 +179,7 @@ def test_geometricity_matches_the_four_kernel_oracle():
     inputs += [random_type_a_triple(rng)[1] for _ in range(40)]
     for q in inputs:
         report = is_geometric(q)
-        got = canonical_json_bytes(_geometricity_json(report))
+        got = canonical_json_bytes(_geometricity_json(report, q.field.characteristic))
         assert got == canonical_json_bytes(geometricity_oracle(q))
         seen.add(tuple((p.passed, p.kernel_dim) for p in report.pairs))
     # both halves of each pair are reached: invertible, and singular with
@@ -217,9 +217,7 @@ def test_square_determinant_is_det_m0():
     vanished = 0
     for q in inputs:
         field = q.field
-        raw = (lambda x: x.value) if field.characteristic else (lambda x: x)
-        rows = [[raw(x) for x in r] for r in contraction_matrix(q, 2).rows]
-        expected = field.of(det_oracle(rows, field.characteristic))
+        expected = field.of(det_oracle(contraction_matrix(q, 2).rows, field.characteristic))
         is_geometric(q)   # eliminates M_0 first, as the pipeline does
         assert q.contractions[0].det() == expected
         try:

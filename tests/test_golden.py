@@ -7,8 +7,9 @@ inputs over QQ, F_5 and F_10007 whose verdicts span ``certified``,
 ``geometricity``, ``determinant`` and ``lines``.  Targeted entries, drawn
 until a certificate shows a named branch (``kind``), cover the rare roots
 of the two root classifiers: meets at conjugate roots in a quadratic
-extension over QQ and F_5, a geometricity witness over an extension of
-QQ, and coinciding lines over F_5.  The seeded inputs are stored in the
+extension over QQ, F_5, F_7 and F_10007, a geometricity witness over an
+extension of QQ and of F_7, and coinciding lines over F_5.  The F_7 and
+F_10007 entries print a discriminant mod p in ``extension_minpoly``.  The seeded inputs are stored in the
 file in the quintuple file format, so the digests do not depend on any
 random generator.
 
@@ -21,6 +22,7 @@ certificate bytes bumps the certificate schema and rewrites the file:
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,9 +43,11 @@ from ncquad.tensors import Tensor
 GOLDEN = Path(__file__).with_name("golden.json")
 CONVENTIONS = ("ruling", "literal")
 REQUIRED_VERDICTS = {"certified", "geometricity", "determinant", "lines"}
-REQUIRED_FIELDS = {"Q", "Fp:5", "Fp:10007"}
+REQUIRED_FIELDS = {"Q", "Fp:5", "Fp:7", "Fp:10007"}
 REQUIRED_KINDS = {("Q", "irreducible meet"), ("Fp:5", "irreducible meet"),
-                  ("Q", "extension witness"), ("Fp:5", "coincide")}
+                  ("Q", "extension witness"), ("Fp:5", "coincide"),
+                  ("Fp:7", "extension witness"), ("Fp:7", "irreducible meet"),
+                  ("Fp:10007", "irreducible meet")}
 
 
 def _digest_and_verdict(q, convention):
@@ -105,6 +109,7 @@ def test_targeted_entries_show_their_kind():
 
 SPARSE = (-1, 0, 0, 1)
 SPARSE_F5 = (-1, 0, 0, 0, 1)
+WIDE = (-1, 0, 0, 1, 2, 3)
 
 # (field, convention, sampler, wanted count per verdict)
 PLAN = (
@@ -124,19 +129,22 @@ TARGETED = (
     ("Fp:5", "literal", "sparse", "irreducible meet"),
     ("Q", "literal", "sparse", "extension witness"),
     ("Fp:5", "literal", "sparse", "coincide"),
+    ("Fp:7", "literal", "wide", "extension witness"),
+    ("Fp:7", "literal", "wide", "irreducible meet"),
+    ("Fp:10007", "literal", "wide", "irreducible meet"),
 )
 
 
 def _draw(rng, field, sampler):
     if sampler == "type-a":
         while True:
-            triple = tuple(field.of(rng.randint(-20, 20)) / field.of(rng.randint(1, 20))
+            triple = tuple(field.of(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
                            for _ in range(3))
             try:
                 return build_type_a(*triple, field)
             except (ValueError, ZeroDivisionError):
                 continue
-    pool = SPARSE_F5 if getattr(field, "p", None) == 5 else SPARSE
+    pool = WIDE if sampler == "wide" else SPARSE_F5 if getattr(field, "p", None) == 5 else SPARSE
     while True:
         entries = [rng.choice(pool) for _ in range(16)]
         if any(entries):

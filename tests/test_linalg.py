@@ -167,12 +167,10 @@ def test_rank_kernel_mod_large_prime():
 
 
 def test_matrix_rejects_quadratic_extension():
-    from ncquad.fields import QuadElement, QuadraticExtension
-
-    ext = QuadraticExtension(QQ, 2)
-    theta = QuadElement(QQ.zero, QQ.one, ext)
+    # a stand-in for QQ[theta], whose values are (x, y) pairs
+    ext = type("Extension", (), {"characteristic": 0, "of": lambda self, x: x})()
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Matrix(ext, [[theta, ext.one], [ext.one, theta]])
+        Matrix(ext, [[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
     with pytest.raises(TypeError, match="QQ or F_p"):
         from_cols(ext, [(1, 2)])
 
@@ -180,7 +178,7 @@ def test_matrix_rejects_quadratic_extension():
 def test_empty_shapes():
     for field in (QQ, GF(5), GF(10007)):
         empty = Matrix(field, [], ncols=0)
-        assert empty.det() == field.one
+        assert empty.det() == 1
         assert inverse(empty) == empty
         assert empty.rank() == 0 and kernel_basis(empty) == empty
         wide, tall = Matrix(field, [], ncols=3), Matrix(field, [()] * 3, ncols=0)
@@ -244,11 +242,6 @@ def _field(p):
     return GF(p) if p else QQ
 
 
-def _raw(seq, p):
-    """Entries as the oracles hold them: Fractions over QQ, residues mod p."""
-    return tuple(x.value for x in seq) if p else tuple(seq)
-
-
 def _check_value_equality(m):
     """A result equals, and hashes like, the matrix rebuilt from its
     entries, whatever common denominator either one holds."""
@@ -262,7 +255,7 @@ def _check_rank_kernel_column_space(rows, ncols, p):
     assert m.rank() == len(pivots)
     k = kernel_basis(m)
     assert (k.nrows, k.ncols) == (ncols, ncols - len(pivots))
-    assert [_raw(c, p) for c in matrix_cols(k)] == kernel_oracle(rows, ncols, p)
+    assert matrix_cols(k) == kernel_oracle(rows, ncols, p)
     # geometricity reads square roots of discriminants over these
     # denominators, so each must be positive (1 mod p)
     assert all(den > 0 if p == 0 else den == 1 for _, den in m._kernel())
@@ -273,14 +266,14 @@ def _check_rank_kernel_column_space(rows, ncols, p):
 def _check_det_inverse(rows, p):
     n = len(rows)
     m = Matrix(_field(p), rows, ncols=n)
-    assert _raw([m.det()], p) == (det_oracle(rows, p),)
+    assert m.det() == det_oracle(rows, p)
     inv = inverse_oracle(rows, p)
     if inv is None:
         with pytest.raises(ValueError, match="singular"):
             inverse(m)
     else:
         got = inverse(m)
-        assert [_raw(r, p) for r in got.rows] == inv
+        assert list(got.rows) == inv
         assert matmul(m, got) == Matrix.identity(m.field, n)
         _check_value_equality(got)
 
@@ -307,10 +300,10 @@ def _check_product_apply(a, b, vec, ncols, p):
     ma, mb = Matrix(_field(p), a, ncols=len(vec)), Matrix(_field(p), b, ncols=ncols)
     prod = matmul(ma, mb)
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
-    assert [_raw(r, p) for r in prod.rows] == matmul_oracle(a, b, ncols, p)
+    assert list(prod.rows) == matmul_oracle(a, b, ncols, p)
     _check_value_equality(prod)
     column = Matrix(_field(p), [[x] for x in vec], ncols=1)
-    assert [_raw(r, p) for r in matmul(ma, column).rows] == matmul_oracle(
+    assert list(matmul(ma, column).rows) == matmul_oracle(
         a, [[x] for x in vec], 1, p)
 
 
@@ -386,10 +379,9 @@ def _entry_types(m):
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_results_hold_only_field_elements(field):
     from helpers import random_invertible_fp, random_invertible_qq
-    from ncquad.fields import FpElement
     from ncquad.tensors import Tensor
 
-    kind = Fraction if field is QQ else FpElement
+    kind = Fraction if field is QQ else int
     rng = random.Random(85)
     for _ in range(10):
         if field is QQ:
@@ -422,10 +414,9 @@ def test_public_constructors_still_coerce():
     assert c.rows == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
     assert _entry_types(c) == {Fraction}
     F = GF(5)
-    from ncquad.fields import FpElement
-
-    assert _entry_types(Matrix(F, [[1, "1/2"]])) == {FpElement}
-    assert Matrix(F, [[1, "1/2"]]) == Matrix(F, [[F.one, F.of(3)]])
+    assert _entry_types(Matrix(F, [[1, "1/2"]])) == {int}
+    assert Matrix(F, [[1, "1/2"]]).rows == ((1, 3),)
+    assert Matrix(F, [[1, "1/2"]]) == Matrix(F, [[F.of(1), F.of(3)]])
 
 
 def test_equality_and_hash_ignore_the_common_denominator():
@@ -458,10 +449,10 @@ def _check_det_after_kernel(rows, p):
     equals the Leibniz oracle, and reading it eliminates nothing."""
     n = len(rows)
     m = Matrix(_field(p), rows, ncols=n)
-    assert [_raw(c, p) for c in matrix_cols(kernel_basis(m))] == kernel_oracle(rows, n, p)
+    assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, n, p)
     with mock.patch.object(ncquad.linalg, "_int_echelon",
                            side_effect=AssertionError("eliminated again")):
-        assert _raw([m.det()], p) == (det_oracle(rows, p),)
+        assert m.det() == det_oracle(rows, p)
         assert m.rank() == len(rref_oracle(rows, n, p)[1])
 
 

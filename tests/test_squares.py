@@ -99,13 +99,13 @@ def test_block_relations_linear_quadric_commutation_form():
     # c = (y2, -x2), d = (y3, -x3) under the ruling convention
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     comp = block_composition_oracle(sq)
-    c_coeffs = ((QQ.zero, QQ.one), (-QQ.one, QQ.zero))     # c1 = y2, c2 = -x2
-    d_coeffs = ((QQ.zero, QQ.one), (-QQ.one, QQ.zero))     # d1 = y3, d2 = -x3
+    c_coeffs = ((QQ.of(0), QQ.of(1)), (-QQ.of(1), QQ.of(0)))     # c1 = y2, c2 = -x2
+    d_coeffs = ((QQ.of(0), QQ.of(1)), (-QQ.of(1), QQ.of(0)))     # d1 = y3, d2 = -x3
     commutators = []
     for i in range(2):
         for j in range(2):
-            vec = [QQ.zero] * 8
-            vec[2 * i + j] = QQ.one          # + b_i a_j
+            vec = [QQ.of(0)] * 8
+            vec[2 * i + j] = QQ.of(1)          # + b_i a_j
             for o in range(2):
                 for n in range(2):
                     vec[4 + 2 * o + n] -= d_coeffs[j][o] * c_coeffs[i][n]
@@ -130,26 +130,26 @@ def test_block_path_algebra_oracle():
     tgt = {"a": 1, "c": 2, "b": 3, "d": 3, "v": 3}
 
     def unit(i):
-        v = [field.zero] * 16
-        v[i] = field.one
+        v = [field.of(0)] * 16
+        v[i] = field.of(1)
         return v
 
     def mul(x_name, y_name):
         # y then x (right-to-left composition)
-        out = [field.zero] * 16
+        out = [field.of(0)] * 16
         if x_name.startswith("e") and y_name.startswith("e"):
             if x_name == y_name:
-                out[idx[x_name]] = field.one
+                out[idx[x_name]] = field.of(1)
             return out
         if x_name.startswith("e"):
             vert = ("eR", "eK0", "eK1", "eO").index(x_name)
             if tgt[y_name[0]] == vert:
-                out[idx[y_name]] = field.one
+                out[idx[y_name]] = field.of(1)
             return out
         if y_name.startswith("e"):
             vert = ("eR", "eK0", "eK1", "eO").index(y_name)
             if src[x_name[0]] == vert:
-                out[idx[x_name]] = field.one
+                out[idx[x_name]] = field.of(1)
             return out
         # arrow/long-path products: only out-arrow . in-arrow survives
         pair = (x_name[0], y_name[0])
@@ -170,7 +170,7 @@ def test_block_path_algebra_oracle():
             table[(x, y)] = mul(x, y)
 
     def mul_vec(xv, yv):
-        out = [field.zero] * 16
+        out = [field.of(0)] * 16
         for i, xc in enumerate(xv):
             if not xc:
                 continue
@@ -213,12 +213,12 @@ def test_linear_quiver_linear_quadric():
     assert lq.relation_dim == rel.r0_dim == 2
     r0, _, _ = relations_oracle(q)
     # relations are the displayed ones
-    r1 = [QQ.zero] * 8
-    r1[0b001] = QQ.one
-    r1[0b100] = -QQ.one
-    r2 = [QQ.zero] * 8
-    r2[0b011] = QQ.one
-    r2[0b110] = -QQ.one
+    r1 = [QQ.of(0)] * 8
+    r1[0b001] = QQ.of(1)
+    r1[0b100] = -QQ.of(1)
+    r2 = [QQ.of(0)] * 8
+    r2[0b011] = QQ.of(1)
+    r2[0b110] = -QQ.of(1)
     assert span_contains(r0, r1)
     assert span_contains(r0, r2)
     # the composition into A_{0,3} is the quotient by R_0: its rows span
@@ -232,8 +232,8 @@ def test_linear_quiver_rejects_invalid_window():
     from ncquad.quintuples import SLOT_LABELS, Quintuple
     from ncquad.tensors import Tensor
 
-    entries = [QQ.zero] * 16
-    entries[0] = QQ.one
+    entries = [QQ.of(0)] * 16
+    entries[0] = QQ.of(1)
     with pytest.raises(ValueError):
         _linear_quiver(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)))
 

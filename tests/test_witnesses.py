@@ -29,7 +29,8 @@ from helpers import (
     verify_witness,
 )
 from ncquad.certify import _geometricity_json
-from ncquad.fields import GF, QQ, FpElement
+from ncquad import linalg, quintuples
+from ncquad.fields import GF, QQ
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a, is_geometric
 from ncquad.tensors import Tensor
@@ -60,7 +61,7 @@ def _inputs(seed):
 def _quadratic_kind(q, j):
     """How det(s v1 + t v2) splits, for the first two reduced kernel
     vectors of M_j, classified on field elements."""
-    v1, v2 = (lift(kernel_basis(contraction_matrix(q, j)).col(k)) for k in (0, 1))
+    v1, v2 = (lift(q.field, kernel_basis(contraction_matrix(q, j)).col(k)) for k in (0, 1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
@@ -73,8 +74,9 @@ def test_integer_witnesses_match_the_field_element_reference():
     for q in _inputs(1511):
         report = is_geometric(q)
         reference = reference_is_geometric(q)
-        assert canonical_json_bytes(_geometricity_json(report)) == canonical_json_bytes(
-            _geometricity_json(reference))
+        p = q.field.characteristic
+        assert canonical_json_bytes(_geometricity_json(report, p)) == canonical_json_bytes(
+            _geometricity_json(reference, p))
         # the same element types too, which ``ncquad check`` prints by repr
         assert repr(report) == repr(reference)
         for pair in report.pairs:
@@ -89,15 +91,18 @@ def test_integer_witnesses_match_the_field_element_reference():
 
 @pytest.fixture
 def fp_elements(monkeypatch):
-    """The number of ``FpElement``s built so far, as a one-item list."""
+    """The number of scalars ``linalg._elements``, where every scalar of
+    the pipeline is built, has built so far, as a one-item list."""
     count = [0]
-    init = FpElement.__init__
+    build = linalg._elements
 
-    def counting(self, value, field):
-        count[0] += 1
-        init(self, value, field)
+    def counting(field, num, den):
+        out = build(field, num, den)
+        count[0] += len(out)
+        return out
 
-    monkeypatch.setattr(FpElement, "__init__", counting)
+    for module in (linalg, quintuples):
+        monkeypatch.setattr(module, "_elements", counting)
     return count
 
 
