@@ -27,9 +27,10 @@ records of small integers and fixed strings, so ``_relations_stage`` and
 ``_quiver_stage`` build and encode each distinct one once per process,
 while every rank behind those records still runs on every input.
 
-``full_pipeline`` calls the stage functions in order, handing each the
-artifacts it needs, and produces a deterministic certificate whose
-``to_dict()`` is serialized by ``canonical_json_bytes``.
+``full_pipeline`` decides: it calls the stage functions in order, hands
+each the artifacts it needs and returns a ``Certificate`` holding them; it
+builds no document and computes no digest.  ``Certificate.to_dict``
+renders schema/1 from those artifacts for ``canonical_json_bytes``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .blowup import canonical_class, coh_p1xp2, restrict_to_E
 from .fields import _field_str
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
-from .quintuples import Quintuple, RelationData, is_geometric, relations, truncated_dims
+from .quintuples import (GeometricityReport, Quintuple, RelationData, is_geometric,
+                         relations, truncated_dims)
 from .records import Record
 from .squares import (
     BLOCK_GRAM,
@@ -436,34 +438,7 @@ def _named_pair(node: dict):
     return None
 
 
-# -- full pipeline -----------------------------------------------------------
-
-
-class Certificate(Record):
-    """Machine-checkable record of the whole embedding pipeline for one
-    input: every stage's exact data plus a single verdict."""
-
-    schema: str
-    version: str
-    digest: str
-    field: str
-    convention: str
-    stages: tuple
-    verdict: dict
-
-    @property
-    def certified(self) -> bool:
-        return bool(self.verdict.get("certified"))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "version": self.version,
-            "input": {"digest": self.digest, "field": self.field},
-            "convention": self.convention,
-            "stages": list(self.stages),
-            "verdict": dict(self.verdict),
-        }
+# -- schema/1 rendering -------------------------------------------------------
 
 
 def _json_vec(vec) -> list:
@@ -566,20 +541,82 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport,
     })
 
 
-def _certificate(q: Quintuple, convention: str, stages: list, verdict: dict) -> Certificate:
-    return Certificate(
-        schema="ncquad.certificate/1",
-        version=_toolkit_version,
-        digest=input_digest(q),
-        field=field_to_str(q.field),
-        convention=convention,
-        stages=tuple(stages),
-        verdict=verdict,
-    )
+class Certificate(Record):
+    """What ``full_pipeline`` decided for one input: the artifacts of the
+    stages that ran and the stage that fixed the verdict, with its reason
+    ("" when certified).  ``to_dict`` renders them as schema/1."""
+
+    q: Quintuple
+    convention: str
+    geometricity: GeometricityReport
+    stage: str = ""
+    reason: str = ""
+    relations: RelationData | None = None
+    square: GeometricSquare | None = None
+    lines: LineRelation | None = None
+    quiver: tuple | None = None   # block, linear, mutation report, base-changed Gram
+    table: ExtTable | None = None
+    euler: tuple | None = None
+
+    @property
+    def certified(self) -> bool:
+        return not self.stage
+
+    @property
+    def digest(self) -> str:
+        return input_digest(self.q)
+
+    @property
+    def field(self) -> str:
+        return field_to_str(self.q.field)
+
+    @property
+    def verdict(self) -> dict:
+        if self.certified:
+            return {"certified": True}
+        return {"certified": False, "stage": self.stage, "reason": self.reason}
+
+    @property
+    def stages(self) -> list:
+        p = self.q.field.characteristic
+        geo = self.geometricity
+        out = [{"stage": "geometricity", "passed": geo.passed,
+                "report": _geometricity_json(geo, p)}]
+        if self.relations is not None:
+            out.append(_relations_stage(self.relations))
+        if self.square is not None:
+            out.append({"stage": "determinant", "passed": True,
+                        "det": scalar_json(self.square.contraction_det)})
+        elif self.stage == "determinant":
+            out.append({"stage": "determinant", "passed": False, "det": "0"})
+        if self.lines is not None:
+            out.append({"stage": "lines", "passed": self.lines.verdict == "disjoint",
+                        "relation": _line_relation_json(self.lines, p)})
+        if self.quiver is not None:
+            out.append(_quiver_stage(*self.quiver))
+        if self.table is not None:
+            out.append({"stage": "ext_table", "passed": True, "table": self.table.as_dict(),
+                        "axioms_tagged": ["pullback fully faithful",
+                                          "blow-up functors fully faithful"]})
+        elif self.stage == "ext_table":
+            out.append({"stage": "ext_table", "passed": False, "error": self.reason})
+        if self.euler is not None:
+            out.append({"stage": "gram", "passed": self.euler == BLOCK_GRAM,
+                        "euler": [list(r) for r in self.euler]})
+        return out
+
+    def to_dict(self) -> dict:
+        return {"schema": "ncquad.certificate/1", "version": _toolkit_version,
+                "input": {"digest": self.digest, "field": self.field},
+                "convention": self.convention, "stages": self.stages, "verdict": self.verdict}
+
+
+# -- full pipeline -----------------------------------------------------------
 
 
 def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
-    """Run every stage in order; the first failure fixes the verdict.
+    """Run every stage in order and return what they decided; the first
+    failure fixes the verdict.
 
     Stages: geometricity, relations (with the window table), determinant,
     lines, quiver (block + linear + mutation cross-check), ext_table,
@@ -587,63 +624,34 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    stages = []
-
-    def degenerate(stage, reason):
-        return _certificate(q, convention, stages,
-                            {"certified": False, "stage": stage, "reason": reason})
-
     geo = is_geometric(q)
-    stages.append({"stage": "geometricity", "passed": geo.passed,
-                   "report": _geometricity_json(geo, q.field.characteristic)})
     if not geo.passed:
-        return degenerate("geometricity",
-                          f"pure witness at slot pairs {geo.failing_pairs()}")
-
+        return Certificate(q, convention, geo, "geometricity",
+                           f"pure witness at slot pairs {geo.failing_pairs()}")
     rel = relations(q)
     table = truncated_dims(rel)
-    stages.append(_relations_stage(rel))
     if not rel.valid:
-        return degenerate("relations", "; ".join(rel.issues))
-
+        return Certificate(q, convention, geo, "relations", "; ".join(rel.issues), rel)
     try:
         square = square_from_quintuple(q, convention)
     except NotGeneric as exc:
-        stages.append({"stage": "determinant", "passed": False, "det": "0"})
-        return degenerate("determinant", exc.reason)
-    stages.append({"stage": "determinant", "passed": True,
-                   "det": scalar_json(square.contraction_det)})
-
+        return Certificate(q, convention, geo, "determinant", exc.reason, rel)
     lr = line_relation(square.line(1))   # line 0 is the standard line
-    lines_ok = lr.verdict == "disjoint"
-    stages.append({"stage": "lines", "passed": lines_ok,
-                   "relation": _line_relation_json(lr, q.field.characteristic)})
-    if not lines_ok:
-        return degenerate("lines", lr.verdict.capitalize())
-
+    if lr.verdict != "disjoint":
+        return Certificate(q, convention, geo, "lines", lr.verdict.capitalize(), rel, square, lr)
     bq = block_quiver(square)
     lq = linear_quiver(rel, table)
     _, mreport = mutate_linear_to_block(q, rel, bq)
-    base_changed = gram_base_change(lq)
-    stages.append(_quiver_stage(bq, lq, mreport, base_changed))
+    decided = (rel, square, lr, (bq, lq, mreport, gram_base_change(lq)))
     if not _quiver_passed(bq, mreport):
-        return degenerate("quiver", "; ".join(mreport.notes) or "dimension mismatch")
-
+        return Certificate(q, convention, geo, "quiver",
+                           "; ".join(mreport.notes) or "dimension mismatch", *decided)
     try:
         etable = ext_table(square, lr)
     except ExtTableError as exc:
-        stages.append({"stage": "ext_table", "passed": False, "error": str(exc)})
-        return degenerate("ext_table", str(exc))
-    stages.append({"stage": "ext_table", "passed": True,
-                   "table": etable.as_dict(),
-                   "axioms_tagged": ["pullback fully faithful",
-                                     "blow-up functors fully faithful"]})
-
+        return Certificate(q, convention, geo, "ext_table", str(exc), *decided)
     euler = gram_of(etable)
-    gram_ok = euler == BLOCK_GRAM
-    stages.append({"stage": "gram", "passed": gram_ok,
-                   "euler": [list(r) for r in euler]})
-    if not gram_ok:
-        return degenerate("gram", "Euler pairing disagrees with the block Gram")
-
-    return _certificate(q, convention, stages, {"certified": True})
+    if euler != BLOCK_GRAM:
+        return Certificate(q, convention, geo, "gram",
+                           "Euler pairing disagrees with the block Gram", *decided, etable, euler)
+    return Certificate(q, convention, geo, "", "", *decided, etable, euler)

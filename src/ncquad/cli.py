@@ -8,8 +8,9 @@ mathematical failures raised rather than reported are the inputs that
 name no quintuple (``ExcludedInput``).  ``--convention`` defaults to
 "ruling".
 
-``certify`` runs ``full_pipeline``; ``check``, ``quiver`` and ``mutate``
-call the stage functions they print directly.
+``certify`` runs ``full_pipeline`` and renders the certificate only for
+``--json``; ``sweep`` reads the stage that fixed each verdict; ``check``,
+``quiver`` and ``mutate`` call the stage functions they print directly.
 """
 
 from __future__ import annotations
@@ -97,16 +98,14 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     q, _ = load_quintuple(args.path)
     cert = full_pipeline(q, args.convention)
-    payload = cert.to_dict()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json_bytes(payload).decode())
+            fh.write(canonical_json_bytes(cert.to_dict()).decode())
             fh.write("\n")
-    verdict = payload["verdict"]
     if cert.certified:
         print(f"Certified (convention: {cert.convention}, digest: {cert.digest[:16]}...)")
         return EXIT_OK
-    print(f"Degenerate at stage {verdict['stage']!r}: {verdict['reason']}")
+    print(f"Degenerate at stage {cert.stage!r}: {cert.reason}")
     return EXIT_MATH
 
 
@@ -135,12 +134,8 @@ def cmd_sweep(args) -> int:
         except ValueError:
             counts["excluded"] = counts.get("excluded", 0) + 1
             continue
-        cert = full_pipeline(q, args.convention)
-        if cert.certified:
-            counts["certified"] = counts.get("certified", 0) + 1
-        else:
-            stage = cert.verdict["stage"]
-            counts[stage] = counts.get(stage, 0) + 1
+        stage = full_pipeline(q, args.convention).stage or "certified"
+        counts[stage] = counts.get(stage, 0) + 1
     report = {
         "family": args.family,
         "samples": args.samples,

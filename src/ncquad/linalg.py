@@ -34,11 +34,11 @@ Scalars are the plain values they are decided on (``fields``):
 ``Matrix(field, rows)`` coerces every entry through ``field.of``, since
 callers pass ints and strings, and ``build_type_a`` reads its
 coefficients as such a 1x3 row to decide the excluded locus on integers.
-``rows``, ``col``, ``[i, j]`` and ``det`` build each entry on demand
-(``_elements``), one ``Fraction(num, den)`` over QQ or one residue mod p,
-and geometricity builds only the witness coordinates a certificate
-prints.  Both are normal forms, so they are the values and bytes that
-elimination on field elements would give.
+``rows`` and ``det`` build each entry on demand (``_elements``), one
+``Fraction(num, den)`` over QQ or one residue mod p, and geometricity
+builds only the witness coordinates a certificate prints.  Both are
+normal forms, so they are the values and bytes that elimination on field
+elements would give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
 field.  Matrices are immutable; the kept echelon never changes them.
@@ -106,17 +106,6 @@ class Matrix:
         n = self.ncols
         return tuple(_elements(self.field, self._num[i * n:(i + 1) * n], self._den)
                      for i in range(self.nrows))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry {ij} outside a {self.nrows}x{self.ncols} matrix")
-        return _elements(self.field, (self._num[i * self.ncols + j],), self._den)[0]
-
-    def col(self, j: int) -> tuple:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} outside a {self.nrows}x{self.ncols} matrix")
-        return _elements(self.field, self._num[j::self.ncols], self._den)
 
     def _key(self):
         """(numerators, denominator) in lowest terms."""

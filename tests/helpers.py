@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from ncquad.fields import _sqrt_mod_p
+from ncquad.linalg import _elements
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
 
@@ -158,11 +159,25 @@ def tensor_entry(t: Tensor, idx):
     flat = 0
     for i, n in zip(idx, t.shape):
         flat = flat * n + i
-    return lift(t.field, t._row[0, flat])
+    return lift(t.field, entry(t._row, 0, flat))
+
+
+def col(m, j: int) -> tuple:
+    """Column j of the matrix m, as ncquad's scalars."""
+    if not 0 <= j < m.ncols:
+        raise IndexError(f"column {j} outside a {m.nrows}x{m.ncols} matrix")
+    return _elements(m.field, m._num[j::m.ncols], m._den)
+
+
+def entry(m, i: int, j: int):
+    """The entry of the matrix m at row i and column j, as ncquad's scalar."""
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise IndexError(f"entry {(i, j)} outside a {m.nrows}x{m.ncols} matrix")
+    return _elements(m.field, (m._num[i * m.ncols + j],), m._den)[0]
 
 
 def matrix_cols(m) -> list[tuple]:
-    return [lift(m.field, m.col(j)) for j in range(m.ncols)]
+    return [lift(m.field, col(m, j)) for j in range(m.ncols)]
 
 
 def _of_int_cols(field, cols, nrows: int, scale: int):
@@ -535,8 +550,8 @@ def reference_line_relation(l0, l1):
     orientations = (l0.contracted_factor, l1.contracted_factor)
 
     def plane_at(kx, ky):
-        a = [lift(field, M.col(j)) for j in a_cols]
-        b = [tuple(-x for x in lift(field, M.col(j))) for j in b_cols]
+        a = [lift(field, col(M, j)) for j in a_cols]
+        b = [tuple(-x for x in lift(field, col(M, j))) for j in b_cols]
         return [tuple(kx * x + ky * y for x, y in zip(a[i], b[i])) for i in (0, 1)]
 
     if q1.is_zero() and q2.is_zero() and bform.is_zero():
@@ -722,7 +737,7 @@ def transpose(m):
 
 def apply(m, vec) -> tuple:
     """Matrix times column vector, through the matrix product."""
-    return matmul(m, from_cols(m.field, [vec])).col(0)
+    return col(matmul(m, from_cols(m.field, [vec])), 0)
 
 
 def hstack(a, b):
@@ -755,7 +770,7 @@ def column_space_oracle(m):
     """The original columns of m at the pivot columns of its reduced row
     echelon form (``rref_oracle``)."""
     _, pivots = rref_oracle(m.rows, m.ncols, m.field.characteristic)
-    return from_cols(m.field, [m.col(j) for j in pivots], m.nrows)
+    return from_cols(m.field, [col(m, j) for j in pivots], m.nrows)
 
 
 def intersect_subspaces(a, b):
@@ -770,7 +785,7 @@ def intersect_subspaces(a, b):
         return from_cols(a.field, [], a.nrows)
     neg_b = from_cols(b.field, [[-x for x in c] for c in matrix_cols(b)], b.nrows)
     ker = kernel_basis(hstack(a, neg_b))
-    cand = [apply(a, ker.col(j)[:a.ncols]) for j in range(ker.ncols)]
+    cand = [apply(a, col(ker, j)[:a.ncols]) for j in range(ker.ncols)]
     return column_space_oracle(from_cols(a.field, cand, a.nrows))
 
 
@@ -1156,6 +1171,27 @@ def nonresidue_int(p: int) -> int:
     return n
 
 
+def schema2_projection(cert) -> dict:
+    """The leaves of a certificate that schema/2 keeps, built from the
+    record's fields through ``certify``'s leaf renderers: the digest,
+    field and convention, the geometricity report, ``det`` when the
+    determinant stage ran, the line relation when the lines stage ran,
+    and the verdict."""
+    from ncquad.certify import _geometricity_json, _line_relation_json
+    from ncquad.fileformat import scalar_json
+
+    p = cert.q.field.characteristic
+    out = {"digest": cert.digest, "field": cert.field, "convention": cert.convention,
+           "geometricity": _geometricity_json(cert.geometricity, p), "verdict": cert.verdict}
+    if cert.square is not None:
+        out["det"] = scalar_json(cert.square.contraction_det)
+    elif cert.stage == "determinant":
+        out["det"] = "0"
+    if cert.lines is not None:
+        out["lines"] = _line_relation_json(cert.lines, p)
+    return out
+
+
 def root_branches(stages) -> set:
     """The rare root branches a certificate's stage documents show: a
     geometricity witness over a quadratic extension, and a line relation
@@ -1196,7 +1232,7 @@ def reference_pure_kernel_witness(kernel, field):
     field-element arithmetic, ``BinaryForm`` and ``root_structure``."""
     from ncquad.quintuples import PureWitness
 
-    v1, v2 = lift(field, kernel.col(0)), lift(field, kernel.col(1))
+    v1, v2 = lift(field, col(kernel, 0)), lift(field, col(kernel, 1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
@@ -1228,7 +1264,7 @@ def reference_pair_report(j: int, K, field):
     if kd == 0:
         return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
     if kd == 1:
-        v = lift(field, K.col(0))
+        v = lift(field, col(K, 0))
         if v[0] * v[3] - v[1] * v[2]:
             return SlotPairReport(j, True, 1,
                                   certificate="kernel spanned by a nonsingular 2x2 element")
@@ -1312,7 +1348,7 @@ def change_basis(q, gs) -> Quintuple:
         for idx in range(16):
             i = (idx // stride) % 2
             base = idx - i * stride
-            out[idx] = g[i, 0] * w[base] + g[i, 1] * w[base + stride]
+            out[idx] = entry(g, i, 0) * w[base] + entry(g, i, 1) * w[base + stride]
         w = out
     return Quintuple(Tensor(field, (2, 2, 2, 2), w, SLOT_LABELS))
 

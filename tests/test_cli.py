@@ -110,6 +110,14 @@ def test_sweep_deterministic(capsys):
     assert sum(doc["counts"].values()) == 20
 
 
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_sweep_stdout_is_pinned(convention, capsys):
+    # sweep counts the stage of each decision and renders no certificate
+    assert main(["sweep", "--samples", "300", "--seed", "0", "--convention", convention]) == 0
+    pinned = Path(__file__).with_name("data") / f"sweep-300-seed0-{convention}.txt"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--height", "0"),
                                          ("--height", "-3")])
 def test_sweep_rejects_an_empty_draw_as_input_error(flag, value, capsys):

@@ -13,6 +13,12 @@ F_10007 entries print a discriminant mod p in ``extension_minpoly``.  The seeded
 file in the quintuple file format, so the digests do not depend on any
 random generator.
 
+``schema2_projection.json`` holds, for each entry in the same order, the
+leaves a schema/2 certificate keeps (``helpers.schema2_projection``):
+the digest, field and convention, the geometricity report, ``det`` and
+the line relation when those stages ran, and the verdict.  It was
+projected from the schema/1 bytes, and schema/2 must reproduce it.
+
 A refactor must leave every digest unchanged.  A deliberate change of
 certificate bytes bumps the certificate schema and rewrites the file:
 
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import root_branches
+from helpers import root_branches, schema2_projection
 from ncquad.certify import full_pipeline
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
@@ -41,6 +47,7 @@ from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a
 from ncquad.tensors import Tensor
 
 GOLDEN = Path(__file__).with_name("golden.json")
+PROJECTION = Path(__file__).with_name("schema2_projection.json")
 CONVENTIONS = ("ruling", "literal")
 REQUIRED_VERDICTS = {"certified", "geometricity", "determinant", "lines"}
 REQUIRED_FIELDS = {"Q", "Fp:5", "Fp:7", "Fp:10007"}
@@ -96,6 +103,18 @@ def test_golden_set_covers_corpus_fields_and_verdicts():
     assert {e["verdict"] for e in seeded} >= REQUIRED_VERDICTS
     assert set(CONVENTIONS) <= {e["convention"] for e in seeded}
     assert {(e["input"]["field"], e["kind"]) for e in seeded if "kind" in e} == REQUIRED_KINDS
+
+
+def test_schema2_projection_of_every_golden_certificate():
+    # the leaves a schema/2 certificate keeps, built from each decision;
+    # the committed file was projected from the schema/1 bytes
+    projections = json.loads(PROJECTION.read_text())
+    doc = _golden()
+    for part in ("corpus", "seeded"):
+        assert len(projections[part]) == len(doc[part])
+        for entry, projected in zip(doc[part], projections[part]):
+            cert = full_pipeline(_quintuple(entry), entry["convention"])
+            assert json.loads(canonical_json_bytes(schema2_projection(cert))) == projected
 
 
 def test_targeted_entries_show_their_kind():

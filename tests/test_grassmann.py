@@ -11,6 +11,8 @@ from helpers import (
     Mod,
     Quad,
     binary_form_gcd,
+    col,
+    entry,
     from_cols,
     inverse,
     kernel_at,
@@ -97,7 +99,7 @@ def test_linear_quadric_line1_is_second_ruling():
         # a plane of the form V0 x l contains vectors e_a x l: reshaped
         # columns must share the same right factor: rows of the reshape
         # span one direction
-        v1, v2 = k.col(0), k.col(1)
+        v1, v2 = col(k, 0), col(k, 1)
         rows = from_cols(
             QQ, [(v1[0], v1[1]), (v1[2], v1[3]), (v2[0], v2[1]), (v2[2], v2[3])], nrows=2)
         assert rows.rank() == 1
@@ -193,7 +195,7 @@ def test_line_relation_engineered_rational_meets():
     for _ in range(40):
         x = random_invertible_qq(rng, 4, height=4)
         y = random_invertible_qq(rng, 4, height=4)
-        cols = [tuple(y.col(0)), tuple(y.col(1)), tuple(x.col(2)), tuple(x.col(3))]
+        cols = [tuple(col(y, 0)), tuple(col(y, 1)), tuple(col(x, 2)), tuple(col(x, 3))]
         phi1_inv = from_cols(QQ, cols, nrows=4)
         if not phi1_inv.det():
             continue
@@ -273,7 +275,7 @@ def test_kronecker_psi_coincides_under_matching_orientation():
         a = random_invertible_qq(rng, 2, height=4)
         b = random_invertible_qq(rng, 2, height=4)
         kron = Matrix(QQ, [
-            [a[i1, i0] * b[j1, j0] for i0 in range(2) for j0 in range(2)]
+            [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
         l0 = line_from_phi(phi0, 0)
@@ -289,7 +291,7 @@ def test_reshuffle_rank_detects_kronecker():
         a = random_invertible_qq(rng, 2, height=5)
         b = random_invertible_qq(rng, 2, height=5)
         kron = Matrix(QQ, [
-            [a[i1, i0] * b[j1, j0] for i0 in range(2) for j0 in range(2)]
+            [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
         assert reshuffle_rank(kron) == 1
@@ -333,7 +335,7 @@ def test_hom_R_K_basis_invariance():
         a = random_invertible_qq(rng, 2, height=4)
         b = random_invertible_qq(rng, 2, height=4)
         kron = Matrix(QQ, [
-            [a[i1, i0] * b[j1, j0] for i0 in range(2) for j0 in range(2)]
+            [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
         assert hom_R_K_dim(line_from_phi(matmul(matmul(kron, phi), g4), 0)) == base == 2

@@ -7,6 +7,7 @@ from helpers import (
     contraction_matrix,
     enumeration_oracle_failing_pairs,
     enumeration_oracle_failing_pairs_rank,
+    entry,
     from_cols,
     lift,
     lower,
@@ -181,8 +182,8 @@ def test_is_geometric_invariant_under_basis_change():
                             for j1 in range(2):
                                 for j2 in range(2):
                                     for j3 in range(2):
-                                        acc += (gs[0][i0, j0] * gs[1][i1, j1]
-                                                * gs[2][i2, j2] * gs[3][i3, j3]
+                                        acc += (entry(gs[0], i0, j0) * entry(gs[1], i1, j1)
+                                                * entry(gs[2], i2, j2) * entry(gs[3], i3, j3)
                                                 * tensor_entry(q.w, (j0, j1, j2, j3)))
                         entries.append(acc)
         q2 = Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))

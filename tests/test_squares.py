@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     apply,
+    col,
     block_composition_oracle,
     block_quiver_oracle,
     contraction_matrix,
@@ -46,8 +47,7 @@ def test_linear_quadric_square_unit_determinant():
     # the contraction sends the four basis pure tensors to +-basis vectors
     m = contraction_matrix(build_linear_quadric(), 2)
     for j in range(4):
-        col = m.col(j)
-        assert sorted(abs(x) for x in col) == [0, 0, 0, 1]
+        assert sorted(abs(x) for x in col(m, j)) == [0, 0, 0, 1]
 
 
 def test_type_a_determinant_formula():
@@ -154,12 +154,12 @@ def test_block_path_algebra_oracle():
         # arrow/long-path products: only out-arrow . in-arrow survives
         pair = (x_name[0], y_name[0])
         if pair == ("b", "a"):
-            col = 2 * (int(x_name[1]) - 1) + (int(y_name[1]) - 1)
+            path = 2 * (int(x_name[1]) - 1) + (int(y_name[1]) - 1)
         elif pair == ("d", "c"):
-            col = 4 + 2 * (int(x_name[1]) - 1) + (int(y_name[1]) - 1)
+            path = 4 + 2 * (int(x_name[1]) - 1) + (int(y_name[1]) - 1)
         else:
             return out
-        comp = composition.col(col)
+        comp = col(composition, path)
         for k in range(4):
             out[idx[f"v{k}"]] = comp[k]
         return out
@@ -189,7 +189,7 @@ def test_block_path_algebra_oracle():
         assert left == right, (x, y, z)
 
     # total dimension: idempotents + arrows + span of long products
-    long_products = from_cols(field, [composition.col(j) for j in range(8)], nrows=4)
+    long_products = from_cols(field, [col(composition, j) for j in range(8)], nrows=4)
     assert 4 + 8 + long_products.rank() == 16
     assert 8 - long_products.rank() == bq.relation_dim
 

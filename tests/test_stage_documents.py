@@ -96,7 +96,8 @@ def test_stage_caches_stay_bounded():
     # constants; the block quiver's arrow spaces follow the convention (2),
     # its leg ranks lie in 0..4 (25), its relation dim is 4 (leg 0 holds
     # the rows of the identity), and the mutation report either matches or
-    # not (2): at most 100 keys
+    # not (2): at most 100 keys.  Rendering builds the documents, so
+    # each certificate renders
     _relations_stage.cache_clear()
     _quiver_stage.cache_clear()
     rng = random.Random(1706)
@@ -104,7 +105,7 @@ def test_stage_caches_stay_bounded():
     for k in range(5000):
         q = _draw(families[k % 3], rng)
         _relations_stage(relations(q))
-        full_pipeline(q, ("ruling", "literal")[k // 3 % 2])
+        full_pipeline(q, ("ruling", "literal")[k // 3 % 2]).to_dict()
     assert 6 <= _relations_stage.cache_info().currsize <= 10
     assert 1 <= _quiver_stage.cache_info().currsize <= 100
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     contract,
+    entry,
     from_cols,
     random_quintuple_fp,
     random_type_a_triple,
@@ -99,7 +100,7 @@ def test_reshape_roundtrip_indices():
         for b in range(2):
             for c in range(2):
                 for d in range(2):
-                    assert m[2 * c + d, 2 * a + b] == tensor_entry(t, (a, b, c, d))
+                    assert entry(m, 2 * c + d, 2 * a + b) == tensor_entry(t, (a, b, c, d))
 
 
 def test_contract_commutes_with_reduction_mod_p():

@@ -20,6 +20,7 @@ import pytest
 
 from helpers import (
     BinaryForm,
+    col,
     contraction_matrix,
     kernel_basis,
     lift,
@@ -61,7 +62,7 @@ def _inputs(seed):
 def _quadratic_kind(q, j):
     """How det(s v1 + t v2) splits, for the first two reduced kernel
     vectors of M_j, classified on field elements."""
-    v1, v2 = (lift(q.field, kernel_basis(contraction_matrix(q, j)).col(k)) for k in (0, 1))
+    v1, v2 = (lift(q.field, col(kernel_basis(contraction_matrix(q, j)), k)) for k in (0, 1))
     det1 = v1[0] * v1[3] - v1[1] * v1[2]
     det2 = v2[0] * v2[3] - v2[1] * v2[2]
     polar = v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2]
