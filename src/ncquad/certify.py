@@ -521,8 +521,7 @@ def _quiver_passed(bq: QuiverAlgebra, mreport: MutationReport) -> bool:
 
 
 @cache
-def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport,
-                  base_changed: tuple) -> FrozenJSON:
+def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport) -> FrozenJSON:
     """The quiver stage document: both quiver dumps, the mutation report
     and the base-changed linear Gram."""
     return FrozenJSON({
@@ -536,7 +535,7 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport,
             "new_hom_dim": mreport.new_hom_dim,
             "structural_match": mreport.structural_match,
             "notes": list(mreport.notes),
-            "base_changed_linear_gram": [list(r) for r in base_changed],
+            "base_changed_linear_gram": [list(r) for r in gram_base_change(lq)],
         },
     })
 
@@ -554,7 +553,7 @@ class Certificate(Record):
     relations: RelationData | None = None
     square: GeometricSquare | None = None
     lines: LineRelation | None = None
-    quiver: tuple | None = None   # block, linear, mutation report, base-changed Gram
+    quiver: tuple | None = None   # block, linear, mutation report
     table: ExtTable | None = None
     euler: tuple | None = None
 
@@ -618,8 +617,8 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     """Run every stage in order and return what they decided; the first
     failure fixes the verdict.
 
-    Stages: geometricity, relations (with the window table), determinant,
-    lines, quiver (block + linear + mutation cross-check), ext_table,
+    Stages: geometricity, relations, determinant, lines, quiver (block +
+    linear, which checks its window, + mutation cross-check), ext_table,
     gram.  An unknown convention raises ValueError before any stage runs.
     """
     if convention not in CONVENTIONS:
@@ -629,7 +628,6 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         return Certificate(q, convention, geo, "geometricity",
                            f"pure witness at slot pairs {geo.failing_pairs()}")
     rel = relations(q)
-    table = truncated_dims(rel)
     if not rel.valid:
         return Certificate(q, convention, geo, "relations", "; ".join(rel.issues), rel)
     try:
@@ -640,9 +638,9 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     if lr.verdict != "disjoint":
         return Certificate(q, convention, geo, "lines", lr.verdict.capitalize(), rel, square, lr)
     bq = block_quiver(square)
-    lq = linear_quiver(rel, table)
+    lq = linear_quiver(rel)
     _, mreport = mutate_linear_to_block(q, rel, bq)
-    decided = (rel, square, lr, (bq, lq, mreport, gram_base_change(lq)))
+    decided = (rel, square, lr, (bq, lq, mreport))
     if not _quiver_passed(bq, mreport):
         return Certificate(q, convention, geo, "quiver",
                            "; ".join(mreport.notes) or "dimension mismatch", *decided)

@@ -171,9 +171,8 @@ def cmd_cohomology(args) -> int:
 
 def cmd_quiver(args) -> int:
     q, _ = load_quintuple(args.path)
-    rel = relations(q)
     try:
-        lq = linear_quiver(rel, truncated_dims(rel))
+        lq = linear_quiver(relations(q))
     except ValueError as exc:   # its text starts "invalid window:"
         print(exc)
         return EXIT_MATH
@@ -197,7 +196,7 @@ def cmd_mutate(args) -> int:
     q, _ = load_quintuple(args.path)
     rel = relations(q)
     try:
-        lq = linear_quiver(rel, truncated_dims(rel))
+        lq = linear_quiver(rel)
     except ValueError as exc:   # its text starts "invalid window:"
         print(exc)
         return EXIT_MATH

@@ -8,7 +8,7 @@ A quintuple file is JSON with exactly one of:
 
 plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q"), the prime
 in its canonical decimal spelling (no sign, space, underscore, leading
-zero or non-ASCII digit).  A scalar
+zero or non-ASCII digit), and no other key.  A scalar
 is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
 (so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
 mod p over F_p; the tensor index order is slots 0..3 with basis index
@@ -27,6 +27,14 @@ from fractions import Fraction
 from .fields import GF, QQ, PrimeField, RationalField, _exact_str
 from .quintuples import SLOT_LABELS, Quintuple, build_linear_quadric, build_type_a
 from .tensors import Tensor
+
+
+# the keys each kind of quintuple file may hold
+_KEYS = {
+    "linear": {"family", "field"},
+    "type-a": {"family", "a", "b", "c", "field"},
+    "w": {"w", "field"},
+}
 
 
 class InputError(ValueError):
@@ -84,37 +92,37 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
     """
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
-    field = field_from_str(doc.get("field", "Q"))
     has_family = "family" in doc
-    has_w = "w" in doc
-    if has_family == has_w:
+    if has_family == ("w" in doc):
         raise InputError('provide exactly one of "family" or "w"')
-    if has_family:
-        fam = doc["family"]
-        if fam == "linear":
-            q = build_linear_quadric(field)
-            meta = {"family": "linear", "field": field_to_str(field)}
-            return q, meta
-        if fam == "type-a":
-            try:
-                a, b, c = (field.of(str(doc[k])) for k in ("a", "b", "c"))
-            except KeyError as exc:
-                raise InputError(f"type-a input needs coefficient {exc}") from None
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise InputError(f"bad coefficient: {exc}") from None
-            try:
-                q = build_type_a(a, b, c, field)
-            except ValueError as exc:
-                raise ExcludedInput(str(exc)) from None
-            meta = {
-                "family": "type-a",
-                "a": _exact_str(a),
-                "b": _exact_str(b),
-                "c": _exact_str(c),
-                "field": field_to_str(field),
-            }
-            return q, meta
-        raise InputError(f"unknown family {fam!r}")
+    kind = doc["family"] if has_family else "w"
+    if has_family and kind not in ("linear", "type-a"):   # before indexing: it may be unhashable
+        raise InputError(f"unknown family {kind!r}")
+    unknown = sorted(map(repr, doc.keys() - _KEYS[kind]))
+    if unknown:
+        raise InputError(f"unknown keys for a {kind} input: {', '.join(unknown)}")
+    field = field_from_str(doc.get("field", "Q"))
+    if kind == "linear":
+        return build_linear_quadric(field), {"family": "linear", "field": field_to_str(field)}
+    if kind == "type-a":
+        try:
+            a, b, c = (field.of(str(doc[k])) for k in ("a", "b", "c"))
+        except KeyError as exc:
+            raise InputError(f"type-a input needs coefficient {exc}") from None
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise InputError(f"bad coefficient: {exc}") from None
+        try:
+            q = build_type_a(a, b, c, field)
+        except ValueError as exc:
+            raise ExcludedInput(str(exc)) from None
+        meta = {
+            "family": "type-a",
+            "a": _exact_str(a),
+            "b": _exact_str(b),
+            "c": _exact_str(c),
+            "field": field_to_str(field),
+        }
+        return q, meta
     nested = doc["w"]
     flat = []
 

@@ -39,7 +39,7 @@ prints: base-field values, and (x, y) pairs for x + y theta.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
@@ -329,18 +329,15 @@ def relations(q: Quintuple) -> RelationData:
     return RelationData(r0_dim, r1_dim, w_dim, tuple(issues))
 
 
-@lru_cache(maxsize=None)
 def hilbert_dims(n: int) -> int:
     """Coefficient of t^n in 1/(1 - 2t + 2t^3 - t^4) = 1/((1-t)^2 (1-t^2)).
 
     This is the Hilbert series forced by the minimal free resolution shape
-    0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 -> P_i -> S_i -> 0.
+    0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 -> P_i -> S_i -> 0.  Its
+    coefficients are floor((n + 2)^2 / 4): the series counts the pairs
+    (k, m) with k + 2m = n, each weighted by k + 1.
     """
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    return 2 * hilbert_dims(n - 1) - 2 * hilbert_dims(n - 3) + hilbert_dims(n - 4)
+    return (n + 2) ** 2 // 4 if n >= 0 else 0
 
 
 class DimTable(Record):

@@ -30,17 +30,17 @@ kept.  The mutation's R_0 leg is M_2 with its columns permuted,
 transposed, so its rank is rank M_2 = rank M_0, read off the quintuple's
 elimination of M_0.
 
-The K-theoretic base change of the linear Gram matrix is a product of
-module constants, computed once per process.
+The linear quiver builds and checks the window of its own relation
+data.  The K-theoretic base change of its Gram matrix is a product of
+module constants; only the rendered quiver stage and ``ncquad mutate``
+print it.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .grassmann import EmbeddedLine
 from .linalg import Matrix, _adjugate, _pick_kept, _vstack
-from .quintuples import DimTable, Quintuple, RelationData, hilbert_dims
+from .quintuples import Quintuple, RelationData, hilbert_dims, truncated_dims
 from .records import Record
 
 CONVENTIONS = ("ruling", "literal")
@@ -192,11 +192,13 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     )
 
 
-def linear_quiver(rel: RelationData, table: DimTable) -> QuiverAlgebra:
-    """The linear collection of a quintuple, from its relation data and
-    window table: four vertices in a row with arrow spaces V2, V1, V0 and
-    relation space R_0 inside the length-3 path space V0 x V1 x V2; total
-    dimension 24."""
+def linear_quiver(rel: RelationData) -> QuiverAlgebra:
+    """The linear collection of a quintuple, from its relation data: four
+    vertices in a row with arrow spaces V2, V1, V0 and relation space R_0
+    inside the length-3 path space V0 x V1 x V2; total dimension 24.
+    Raises ValueError when the window of ``rel`` misses the Hilbert
+    series."""
+    table = truncated_dims(rel)
     if not table.valid:
         raise ValueError(f"invalid window: mismatched cells {table.mismatches}")
     arrows = (
@@ -309,13 +311,7 @@ def _int_transpose(a):
 
 def gram_base_change(linear: QuiverAlgebra) -> tuple:
     """Transform the Gram matrix of the linear quiver by the K-theory base
-    change of the mutation; the image must equal the block Gram."""
-    return _base_changed(linear.gram)
-
-
-@cache
-def _base_changed(gram: tuple) -> tuple:
-    """KTHEORY_BASE_CHANGE * gram * KTHEORY_BASE_CHANGE^T, once per Gram
-    matrix: every linear quiver has the constant ``LINEAR_GRAM``."""
+    change of the mutation, KTHEORY_BASE_CHANGE * gram * its transpose; the
+    image must equal the block Gram."""
     change = KTHEORY_BASE_CHANGE
-    return _int_matmul(_int_matmul(change, gram), _int_transpose(change))
+    return _int_matmul(_int_matmul(change, linear.gram), _int_transpose(change))

@@ -164,8 +164,7 @@ def test_criterion_05_quiver_dimensions(certified_samples):
             assert bq.relation_dim == 4
             assert bq.total_dim == 16
             assert bq.gram == ((1, 2, 2, 4), (0, 1, 0, 2), (0, 0, 1, 2), (0, 0, 0, 1))
-            rel = relations(q)
-            lq = linear_quiver(rel, truncated_dims(rel))
+            lq = linear_quiver(relations(q))
             assert lq.total_dim == 24
             assert lq.gram == ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 
@@ -174,7 +173,7 @@ def test_criterion_06_mutation(certified_samples):
     with criterion(6, "mutation"):
         for _, q in [((), build_linear_quadric())] + certified_samples:
             rel = relations(q)
-            assert gram_base_change(linear_quiver(rel, truncated_dims(rel))) == BLOCK_GRAM
+            assert gram_base_change(linear_quiver(rel)) == BLOCK_GRAM
             bq = block_quiver(square_from_quintuple(q, "ruling"))
             mutated, report = mutate_linear_to_block(q, rel, bq)
             assert report.orthogonality_bijective

@@ -31,7 +31,7 @@ from ncquad.fileformat import (
 )
 from ncquad.grassmann import line_relation
 from ncquad.linalg import Matrix
-from ncquad.quintuples import build_linear_quadric, build_type_a, relations, truncated_dims
+from ncquad.quintuples import build_linear_quadric, build_type_a, relations
 from ncquad.squares import (
     BLOCK_GRAM,
     gram_base_change,
@@ -268,8 +268,7 @@ def test_triple_gram_agreement_on_certified():
         square = square_from_quintuple(q, "ruling")
         lines = line_relation(square.line(1))
         assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
-        rel = relations(q)
-        assert gram_base_change(linear_quiver(rel, truncated_dims(rel))) == BLOCK_GRAM
+        assert gram_base_change(linear_quiver(relations(q))) == BLOCK_GRAM
         done += 1
 
 
@@ -328,8 +327,9 @@ COUNTED_STAGES = (
 )
 
 
-@pytest.mark.parametrize("convention", ["ruling", "literal"])
-def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
+def _count_calls(monkeypatch, stages) -> Counter:
+    """Rebind every ncquad binding of each stage function, so a call made
+    through any module's import of it is counted."""
     counts = Counter()
 
     def counting(name, fn):
@@ -338,20 +338,36 @@ def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
             return fn(*args, **kwargs)
         return wrapper
 
-    # rebind every ncquad binding of each stage function, so a call made
-    # through any module's import of it is counted
-    for modname, name in COUNTED_STAGES:
+    for modname, name in stages:
         original = getattr(import_module(f"ncquad.{modname}"), name)
         wrapper = counting(name, original)
         for mod in [m for k, m in sys.modules.items() if k.startswith("ncquad")]:
             if vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, wrapper)
+    return counts
 
+
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
+    counts = _count_calls(monkeypatch, COUNTED_STAGES)
     cert = full_pipeline(build_type_a(1, 2, 3), convention)
     assert cert.certified
     assert counts == {name: 1 for _, name in COUNTED_STAGES}
     # nothing inverts a matrix: the square writes phi_1 as an adjugate
     assert not hasattr(Matrix, "inverse")
+
+
+@pytest.mark.parametrize("q, convention, stage", [
+    (build_type_a(1, 1, 2), "ruling", "determinant"),
+    (load_quintuple(str(corpus_path("typea-0-1-1.json")))[0], "literal", "lines"),
+], ids=["determinant", "lines"])
+def test_an_input_stopping_before_the_quiver_builds_no_window(monkeypatch, q, convention, stage):
+    # the window belongs to the linear quiver, so deciding an input that
+    # stops at the determinant or at the lines never builds it
+    counts = _count_calls(monkeypatch, [("quintuples", "truncated_dims"),
+                                        ("squares", "linear_quiver")])
+    assert full_pipeline(q, convention).stage == stage
+    assert counts == {}
 
 
 def _vandalize(value):

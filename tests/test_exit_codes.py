@@ -16,12 +16,15 @@ import contextlib
 import io
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncquad.cli import main
+from ncquad.corpus import corpus_path
+from ncquad.fileformat import ExcludedInput, InputError, parse_quintuple_file
 
 _FIELDS = st.sampled_from([
     "Q", "Fp:5", "Fp:7", "Fp:101", "Fp:10007",
@@ -126,3 +129,45 @@ def test_non_canonical_field_specs_exit_two(tmp_path, spec):
     for doc in ({"family": "linear", "field": spec},
                 {"family": "type-a", "a": "1", "b": "2", "c": "3", "field": spec}):
         assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc
+
+
+_W = [[[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]], [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]]
+
+
+# each kind of file holds only its own keys: a misspelled "field" used to
+# certify over Q, and a stray key was ignored; a family that is not a
+# string is an unknown family, not an unhashable table key
+@pytest.mark.parametrize("doc, message", [
+    ({"family": "linear", "feild": "Fp:5"}, "unknown keys for a linear input: 'feild'"),
+    ({"family": "linear", "a": "1", "field": "Q"}, "unknown keys for a linear input: 'a'"),
+    ({"family": "type-a", "a": "1", "b": "2", "c": "3", "w": _W}, 'exactly one of "family" or "w"'),
+    ({"family": "type-a", "a": "1", "b": "2", "c": "3", "d": "4", "C": "5"},
+     "unknown keys for a type-a input: 'C', 'd'"),
+    ({"w": _W, "field": "Fp:5", "family ": "linear"}, "unknown keys for a w input: 'family '"),
+    ({"w": _W, "a": "1"}, "unknown keys for a w input: 'a'"),
+    ({"family": []}, r"unknown family \[\]"),
+    ({"family": {"linear": 1}}, "unknown family {'linear': 1}"),
+    ({"family": "w", "w": _W}, 'exactly one of "family" or "w"'),
+    ({"family": "w"}, "unknown family 'w'"),
+], ids=["linear-feild", "linear-a", "type-a-w", "type-a-d-C", "w-family-space", "w-a",
+        "family-list", "family-dict", "family-w-and-w", "family-w"])
+def test_a_key_outside_the_inputs_kind_exits_two(tmp_path, doc, message):
+    with pytest.raises(InputError, match=message):
+        parse_quintuple_file(doc)
+    assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc
+
+
+def test_every_bundled_and_golden_input_holds_only_its_kinds_keys():
+    tests = Path(__file__).parent
+    docs = [json.loads(path.read_text()) for path in
+            sorted(corpus_path("linear.json").parent.glob("*.json"))
+            + sorted((tests / "data").glob("*.json"))]
+    docs += [entry["input"] for entry in json.loads((tests / "golden.json").read_text())["seeded"]]
+    for doc in docs:
+        try:
+            parse_quintuple_file(doc)
+        except ExcludedInput:
+            pass
+        except InputError as exc:   # a malformed value, never a stray key
+            assert "unknown" not in str(exc), doc
+    assert {doc.get("family", "w") for doc in docs} == {"linear", "type-a", "w"}

@@ -230,6 +230,19 @@ def test_hilbert_dims_sequence():
         assert conv == (1 if n == 0 else 0)
 
 
+def test_hilbert_dims_closed_form_matches_the_series():
+    # expand 1/((1-t)^2 (1-t^2)) = 1/(1 - 2t + 2t^3 - t^4) by its
+    # recurrence, iteratively, and compare term by term; a recursion
+    # would exhaust the stack long before 10**6
+    series = [1, 2, 4, 6]
+    while len(series) < 10_000:
+        n = len(series)
+        series.append(2 * series[n - 1] - 2 * series[n - 3] + series[n - 4])
+    assert [hilbert_dims(n) for n in range(10_000)] == series
+    assert hilbert_dims(-1) == hilbert_dims(-5) == 0
+    assert hilbert_dims(10**6) == 250001000001
+
+
 def test_truncated_dims_linear_and_type_a():
     for q in (build_linear_quadric(), build_type_a(1, 2, 3)):
         t = truncated_dims(relations(q))

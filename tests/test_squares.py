@@ -25,7 +25,6 @@ from ncquad.quintuples import (
     build_linear_quadric,
     build_type_a,
     relations,
-    truncated_dims,
 )
 from ncquad.squares import (
     BLOCK_GRAM,
@@ -199,15 +198,10 @@ def test_block_gram_assembly():
     assert sum(sum(r) for r in BLOCK_GRAM) == 16
 
 
-def _linear_quiver(q):
-    rel = relations(q)
-    return linear_quiver(rel, truncated_dims(rel))
-
-
 def test_linear_quiver_linear_quadric():
     q = build_linear_quadric()
     rel = relations(q)
-    lq = linear_quiver(rel, truncated_dims(rel))
+    lq = linear_quiver(rel)
     assert lq.gram == LINEAR_GRAM
     assert lq.total_dim == 24
     assert lq.relation_dim == rel.r0_dim == 2
@@ -234,8 +228,8 @@ def test_linear_quiver_rejects_invalid_window():
 
     entries = [QQ.of(0)] * 16
     entries[0] = QQ.of(1)
-    with pytest.raises(ValueError):
-        _linear_quiver(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)))
+    with pytest.raises(ValueError, match=r"invalid window: mismatched cells \(\(0, 3\), "):
+        linear_quiver(relations(Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))))
 
 
 def test_mutation_matches_block():
@@ -260,7 +254,7 @@ def test_mutation_matches_block():
 
 
 def test_gram_base_change_values():
-    changed = gram_base_change(_linear_quiver(build_linear_quadric()))
+    changed = gram_base_change(linear_quiver(relations(build_linear_quadric())))
     assert changed == BLOCK_GRAM
     # spot entries from the bilinear expansion
     assert changed[2][3] == 2 * 4 - 6 == 2
@@ -282,5 +276,4 @@ def test_base_change_on_every_certified_sample():
     rng = random.Random(55)
     for _ in range(20):
         _, q = random_type_a_triple(rng)
-        lq = _linear_quiver(q)
-        assert gram_base_change(lq) == BLOCK_GRAM
+        assert gram_base_change(linear_quiver(relations(q))) == BLOCK_GRAM

@@ -49,10 +49,10 @@ def _draw(family, rng):
     return random_tensor_fp(rng, GF(int(family[-1])), rng.choice(SPARSE_DENSITIES))
 
 
-def _reference_quiver(q, rel, table, convention) -> dict:
+def _reference_quiver(q, rel, convention) -> dict:
     square = square_from_quintuple(q, convention)
     bq = block_quiver(square)
-    lq = linear_quiver(rel, table)
+    lq = linear_quiver(rel)
     _, mreport = mutate_linear_to_block(q, rel, bq)
     return reference_quiver_stage(bq, lq, mreport, gram_base_change(lq))
 
@@ -80,7 +80,7 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
             stages[1] = reference
         if len(stages) > 4:
             assert stages[4]["stage"] == "quiver"
-            stages[4] = _reference_quiver(q, rel, table, convention)
+            stages[4] = _reference_quiver(q, rel, convention)
             quivers += 1
         assert canonical_json_bytes(cert.to_dict()) == canonical_json_bytes(doc)
     assert quivers >= 100
@@ -92,8 +92,8 @@ def test_stage_caches_stay_bounded():
     # relations: R0 and R1 have dimension 1 or 2 (w != 0), W is at least 1
     # (w spans it) and at most 2 dim R0, and the dims fix the issues, so
     # at most 2 + 2 + 2 + 4 = 10 keys.  Quiver: the relation dims are
-    # (2, 2, 1), so the linear quiver and the base-changed Gram are
-    # constants; the block quiver's arrow spaces follow the convention (2),
+    # (2, 2, 1), so the linear quiver, which fixes the base-changed Gram,
+    # is a constant; the block quiver's arrow spaces follow the convention (2),
     # its leg ranks lie in 0..4 (25), its relation dim is 4 (leg 0 holds
     # the rows of the identity), and the mutation report either matches or
     # not (2): at most 100 keys.  Rendering builds the documents, so
