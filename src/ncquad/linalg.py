@@ -5,13 +5,17 @@ numerators, row-major in one flat tuple, over one common positive
 denominator (the matrix is ``_num / _den``; equality and hashing compare
 the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
 
+Determinants and full ranks are read off minors first: a 4x4 matrix
+keeps ``_det4`` of its integers, which gives ``det`` and, when nonzero,
+rank 4 and an empty kernel; an n x 2 matrix is ranked by ``_max_minor2``.
+
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
 fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
 exact divisions keep every entry a minor of the input, and Gauss mod p
 for p > 0.  A common denominator changes no rank, pivot or kernel.  A
 matrix keeps its echelon after the first elimination, so ``rank``,
-``_kernel`` and ``det`` of one matrix share it.  Everything else is read
-off the echelon:
+``_kernel`` and ``det`` of one matrix share it.  Everything the minors
+leave open is read off the echelon:
 
 * the rank is the number of pivots;
 * the reduced kernel basis, unique since it is the identity on the free
@@ -41,7 +45,7 @@ normal forms, so they are the values and bytes that elimination on field
 elements would give.
 
 ``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  Matrices are immutable; the kept echelon never changes them.
+field.  Matrices are immutable; what they keep never changes them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .fields import PrimeField, RationalField
 class Matrix:
     """Immutable rectangular matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech")
+    __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech", "_d4")
 
     def __init__(self, field, rows, ncols: int | None = None):
         if not isinstance(field, (RationalField, PrimeField)):
@@ -81,7 +85,7 @@ class Matrix:
         self.ncols = ncols
         self._num = tuple(num)
         self._den = den
-        self._ech = None
+        self._ech = self._d4 = None
 
     @classmethod
     def _of_num(cls, field, num, den: int, nrows: int, ncols: int) -> "Matrix":
@@ -93,7 +97,7 @@ class Matrix:
         m.ncols = ncols
         m._num = tuple(num)
         m._den = den
-        m._ech = None
+        m._ech = m._d4 = None
         return m
 
     @classmethod
@@ -138,14 +142,29 @@ class Matrix:
             self._ech = _int_echelon(rows, n, self.field.characteristic)
         return self._ech
 
+    def _kept_det4(self):
+        """``_det4`` of the integers (mod p) of a 4x4 matrix, computed once
+        and kept; None for any other shape."""
+        if self._d4 is None and self.nrows == self.ncols == 4:
+            p = self.field.characteristic
+            self._d4 = _det4(self._num) % p if p else _det4(self._num)
+        return self._d4
+
     def rank(self) -> int:
+        if self.ncols == 2:
+            return len(_max_minor2(self)[0])
+        if self._kept_det4():
+            return 4
         return len(self._echelon()[1])
 
     def _kernel(self) -> list:
         """The reduced basis of the right null space, as integers read off
         the kept echelon: for each free column f, in increasing order, the
         pair (y, den) of ``_int_kernel_vector``, so y / den is 1 at f and 0
-        at the other free columns.  rank + len(result) == ncols, always."""
+        at the other free columns (none for an invertible 4x4, read off its
+        determinant).  rank + len(result) == ncols, always."""
+        if self._kept_det4():
+            return []
         ech, pivots, _ = self._echelon()
         p, n = self.field.characteristic, self.ncols
         pivot_set = set(pivots)
@@ -155,13 +174,15 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        ech, pivots, sign = self._echelon()
-        if len(pivots) < n:
-            value = 0
-        elif self.field.characteristic:
-            value = sign * math.prod(row[r] for r, row in enumerate(ech))
-        else:
-            value = sign * ech[-1][-1] if n else 1
+        value = self._kept_det4()
+        if value is None:
+            ech, pivots, sign = self._echelon()
+            if len(pivots) < n:
+                value = 0
+            elif self.field.characteristic:
+                value = sign * math.prod(row[r] for r, row in enumerate(ech))
+            else:
+                value = sign * ech[-1][-1] if n else 1
         return _elements(self.field, (value,), self._den ** n)[0]
 
     def __repr__(self) -> str:
@@ -219,6 +240,20 @@ def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._of_num(top.field, num, den, top.nrows + bottom.nrows, top.ncols)
 
 
+def _det4(num) -> int:
+    """The determinant of a 4x4 matrix of flat row-major integers: the 2x2
+    minors s_jk, c_jk of rows (0, 1) and (2, 3) that ``_adjugate`` forms,
+    paired by complementary columns (Laplace expansion, Eberly 2008)."""
+    (a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a22, a23, a30, a31, a32, a33) = num
+    return ((a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
+            - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
+            + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
+            + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
+            - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
+            + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30))
+
+
 def _adjugate(m: Matrix) -> Matrix:
     """adj N = (det N / d) * m^-1 of a 4x4 matrix m = N / d, as integers
     (residues mod p), by Laplace expansion along complementary rows: s_jk
@@ -245,6 +280,22 @@ def _adjugate(m: Matrix) -> Matrix:
     if p:
         adj = [x % p for x in adj]
     return Matrix._of_num(m.field, adj, 1, 4, 4)
+
+
+def _max_minor2(m: Matrix) -> tuple:
+    """(rows, columns) of a nonzero maximal minor of an n x 2 matrix, whose
+    length is the rank: ((u, k), (0, 1)) for the first nonzero row u and a
+    later row k independent of it (mod p); else ((u,), (j,)); or ((), ())."""
+    num, p = m._num, m.field.characteristic
+    nz = [(i, num[2 * i], num[2 * i + 1]) for i in range(m.nrows) if num[2 * i] or num[2 * i + 1]]
+    if not nz:
+        return (), ()
+    u, a, b = nz[0]
+    for k, x, y in nz[1:]:
+        d = a * y - b * x
+        if d % p if p else d:
+            return (u, k), (0, 1)
+    return (u,), (0 if a else 1,)
 
 
 def _int_echelon(rows, ncols, p):

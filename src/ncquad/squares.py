@@ -9,12 +9,11 @@ determinant of the slot-(2,3) contraction) yields the square
     (V0 x V1, V0, V1, V2*, V3*, id, phi_w),   phi_w = <-, w>^{-1}.
 
 <-, w> is the contraction matrix M_2 of ``Quintuple.contractions``, the
-transpose of M_0, so its determinant is det M_0: over QQ the last pivot
-of the fraction-free echelon (Bareiss 1968) of M_0 that geometricity
-already ran, mod p the signed product of its pivots.  Only ranks are
-read from phi_w, so the square holds it up to a nonzero scalar: phi_1 is
-the integer adjugate adj M_2, written from 2x2 minors with no
-elimination, and phi_0 is the shared identity.
+transpose of M_0, so its determinant is det M_0: the value from 2x2
+minors that M_0 keeps since geometricity asked whether it is invertible,
+with no elimination.  Only ranks are read from phi_w, so the square
+holds it up to a nonzero scalar: phi_1 is the integer adjugate adj M_2,
+written from the same kind of minors, and phi_0 is the shared identity.
 
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
@@ -27,8 +26,7 @@ A quiver algebra here is its dimensions: the relation dimension and the
 rank of each leg of the long composition, each one rank of a matrix
 picked from phi_i or from w; no relation basis or composition map is
 kept.  The mutation's R_0 leg is M_2 with its columns permuted,
-transposed, so its rank is rank M_2 = rank M_0, read off the quintuple's
-elimination of M_0.
+transposed, so its rank is rank M_2 = rank M_0, read off det M_0.
 
 The linear quiver builds and checks the window of its own relation
 data.  The K-theoretic base change of its Gram matrix is a product of
@@ -167,7 +165,8 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     compose through phi_i transposed, so the path (o, n) of leg i (out
     index o, in index n) lands on row 2o+n of phi_i, or row 2n+o when
     the contracted factor is 1.  The relation dimension is 8 minus the
-    rank of those 8 rows.
+    rank of those 8 rows, which is 4 when either leg has rank 4: a stack
+    has at least the rank of each block and at most its 4 columns.
     """
     legs = []
     for i in range(2):
@@ -175,7 +174,6 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
         cf = line.contracted_factor
         rows = _pick_kept(line.phi, 4, 4, _LEG_PICKS[cf])
         legs.append((rows, _ARROW_SPACES[i][cf], _ARROW_SPACES[i][1 - cf]))
-    paths = _vstack(legs[0][0], legs[1][0])
 
     arrows = (
         Arrow(0, 1, ("a1", "a2"), legs[0][2]),
@@ -183,12 +181,13 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
         Arrow(1, 3, ("b1", "b2"), legs[0][1]),
         Arrow(2, 3, ("d1", "d2"), legs[1][1]),
     )
+    leg_ranks = tuple(rows.rank() for rows, _, _ in legs)
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
-        relation_dim=8 - paths.rank(),
+        relation_dim=8 - (4 if 4 in leg_ranks else _vstack(legs[0][0], legs[1][0]).rank()),
         gram=BLOCK_GRAM,
-        leg_ranks=tuple(rows.rank() for rows, _, _ in legs),
+        leg_ranks=leg_ranks,
     )
 
 

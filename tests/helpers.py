@@ -820,6 +820,38 @@ def relations_oracle(q):
     return r0, r1.ncols, line
 
 
+def record_eliminations(monkeypatch) -> list:
+    """Rebind ``linalg._int_echelon`` so that each call appends the
+    (rows, columns) it eliminates to the returned list."""
+    import ncquad.linalg
+
+    shapes = []
+    original = ncquad.linalg._int_echelon
+
+    def recording(rows, ncols, p):
+        shapes.append((len(rows), ncols))
+        return original(rows, ncols, p)
+
+    monkeypatch.setattr(ncquad.linalg, "_int_echelon", recording)
+    return shapes
+
+
+def span_rank_oracle(q) -> int:
+    """rank [R0 x V3 ; V0 x R1] from its 8 spanning vectors in the 16-dim
+    space, one per row, by Gauss elimination on lifted entries of w.
+    Vector (s, d) of R0 x V3 is (contraction by e_d) x e_s, whose entry
+    2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of V0 x R1 is
+    e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d, is
+    w[8a + i].  ``relations`` ranks V0 x R1 modulo R0 x V3 instead."""
+    w = tensor_entries(q.w)
+    zero = w[0] * 0
+    rows = [[w[t - s + d] if t % 2 == s else zero for t in range(16)]
+            for s in range(2) for d in range(2)]
+    rows += [[w[t % 8 + 8 * a] if t // 8 == s else zero for t in range(16)]
+             for s in range(2) for a in range(2)]
+    return rank_oracle(rows)
+
+
 def _composition_counts(comp, leg_width=4):
     """(dim ker comp, ranks of the consecutive column blocks of comp)."""
     legs = tuple(from_cols(comp.field, matrix_cols(comp)[off:off + leg_width], comp.nrows).rank()

@@ -308,7 +308,7 @@ def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsy
         raise RuntimeError("stage exploded")
 
     # the innermost ncquad frame is the stage that calls the patched helper
-    monkeypatch.setattr(ncquad.squares, "_vstack", broken)
+    monkeypatch.setattr(ncquad.squares, "_pick_kept", broken)
     assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error: RuntimeError: stage exploded (raised in ")

@@ -1,11 +1,13 @@
-"""One elimination per contraction-matrix pair.
+"""One determinant per contraction-matrix pair, and eliminations only
+where the minors leave a rank open.
 
 ``Quintuple.contractions`` holds M_0..M_3, and M_{j+2} is the transpose
 of M_j, so geometricity, the square's determinant and the mutation's R_0
-leg read the eliminations of M_0 and M_1, once per quintuple.  These
-tests count the eliminations of certified inputs and check every
-read-off against oracles in ``helpers`` that share no elimination or
-index code with the pipeline.
+leg read the determinants of M_0 and M_1, from 2x2 minors, once per
+quintuple, and eliminate only a singular one.  These tests record the
+eliminations of certified and singular inputs and check every read-off
+against oracles in ``helpers`` that share no elimination or index code
+with the pipeline.
 """
 
 import random
@@ -23,6 +25,7 @@ from helpers import (
     mutation_oracle,
     random_tensor_fp,
     random_type_a_triple,
+    record_eliminations,
     transpose,
     verify_witness,
 )
@@ -50,16 +53,9 @@ def _quintuple(entries, field=QQ):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The number of ``_int_echelon`` calls made so far, as a one-item list."""
-    count = [0]
-    original = ncquad.linalg._int_echelon
-
-    def counting(rows, ncols, p):
-        count[0] += 1
-        return original(rows, ncols, p)
-
-    monkeypatch.setattr(ncquad.linalg, "_int_echelon", counting)
-    return count
+    """The shapes (rows, columns) of the ``_int_echelon`` calls made so
+    far, in order."""
+    return record_eliminations(monkeypatch)
 
 
 @pytest.fixture
@@ -71,41 +67,50 @@ def warm():
         assert full_pipeline(build_type_a(2, 3, 5), convention).certified
 
 
+# the two eliminations of a certified input: V0 x R1 reduced modulo
+# R0 x V3 in ``relations``, and the Hom(R, K_1) section matrix
+CERTIFIED = [(4, 12), (6, 8)]
+
+
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
-def test_certified_type_a_input_eliminates_nine_times(warm, eliminations, convention):
-    # geometricity 2, relations 3, the line classifier's reshuffle rank 1,
-    # the block quiver 2 (leg 1 and the stacked paths) and Hom(R, K_1) 1;
-    # the determinant and the mutation's R_0 leg read the elimination of
-    # M_0, the square writes phi_1 as an adjugate with no elimination, and
-    # leg 0 and Hom(R, K_0) read the identity's kept ones
+def test_certified_type_a_input_eliminates_twice(warm, eliminations, convention):
+    # geometricity reads the determinants of M_0 and M_1 off minors, the
+    # R_0 and R_1 flattenings are ranked by minors, the determinant and
+    # the mutation's R_0 leg read the determinant M_0 keeps, the
+    # reshuffle rank and block leg 1 are 4x4s of nonzero determinant, a
+    # leg of rank 4 gives the stacked paths rank 4, the square writes
+    # phi_1 as an adjugate, and leg 0 and Hom(R, K_0) read the identity's
+    # kept ranks; only the reduced relations span and Hom(R, K_1) are
+    # eliminated
     assert full_pipeline(build_type_a(1, 2, 3), convention).certified
-    assert eliminations[0] == 9
+    assert eliminations == CERTIFIED
 
 
 def test_identity_ranks_are_eliminated_once_per_process(eliminations):
     # in a fresh process the first certified input also ranks block leg 0
-    # and Hom(R, K_0), once each; the caches are keyed by field, and the
+    # and Hom(R, K_0), once each, and only the 6x8 Hom(R, K_0) section
+    # matrix is eliminated; the caches are keyed by field, and the
     # standard line always contracts factor 0
     kept = ncquad.linalg._identity_pick
     kept.cache_clear()
     assert full_pipeline(build_type_a(1, 2, 3), "ruling").certified
-    assert eliminations[0] == 11
-    eliminations[0] = 0
+    assert sorted(eliminations) == sorted(CERTIFIED + [(6, 8)])
+    assert len(eliminations) == 3
+    eliminations.clear()
     assert full_pipeline(build_type_a(1, 2, 3), "literal").certified
-    assert eliminations[0] == 9
+    assert eliminations == CERTIFIED
     assert kept.cache_info().currsize == 2
 
 
-def test_second_convention_on_the_same_quintuple_eliminates_seven_times(warm, eliminations):
-    # the second run reads geometricity's eliminations of M_0 and M_1 off
-    # q; relations, the reshuffle rank, block leg 1, the stacked paths and
-    # Hom(R, K_1) belong to the convention's own analysis
+def test_second_convention_on_the_same_quintuple_eliminates_twice(warm, eliminations):
+    # the second run reads the determinants of M_0 and M_1 off q;
+    # relations and Hom(R, K_1) belong to the convention's own analysis
     q = build_type_a(1, 2, 3)
     assert full_pipeline(q, "ruling").certified
-    assert eliminations[0] == 9
-    eliminations[0] = 0
+    assert eliminations == CERTIFIED
+    eliminations.clear()
     assert full_pipeline(q, "literal").certified
-    assert eliminations[0] == 7
+    assert eliminations == CERTIFIED
 
 
 def test_contractions_are_picked_once_and_kept_out_of_the_record():
@@ -125,24 +130,29 @@ def test_singular_m1_still_eliminates_m3(warm, eliminations):
     q = _quintuple(CERTIFIED_M1_SINGULAR)
     flat = q.contractions
     assert flat[0].rank() == 4 and flat[1].rank() == 3
-    assert eliminations[0] == 2
+    # the invertible M_0 is ranked by its determinant; M_1 is eliminated
+    assert eliminations == [(4, 4)]
     report = is_geometric(q)
-    assert eliminations[0] == 3
+    # M_1's kept echelon, and one elimination of M_3 for its own kernel
+    assert eliminations == [(4, 4), (4, 4)]
+    assert flat[0]._ech is None and flat[2]._ech is None
     assert [(p.passed, p.kernel_dim) for p in report.pairs] == [
         (True, 0), (True, 1), (True, 0), (True, 1)]
     assert kernel_basis(flat[1]) != kernel_basis(flat[3])
 
-    eliminations[0] = 0
+    eliminations.clear()
     cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
-    assert eliminations[0] == 10
+    assert eliminations == [(4, 4), (4, 4)] + CERTIFIED
     assert cert.stages[0]["report"] == geometricity_oracle(q)
 
 
 def test_singular_m1_witness_is_read_from_the_kernel_of_m3(eliminations):
     q = _quintuple(FAILING_M1_SINGULAR)
     report = is_geometric(q)
-    assert eliminations[0] == 3
+    # M_0 is invertible by its determinant; M_1 and M_3 are eliminated
+    assert eliminations == [(4, 4), (4, 4)]
+    assert q.contractions[0]._ech is None
     assert report.failing_pairs() == [1, 3]
     assert report.pairs[1].witness != report.pairs[3].witness
     assert all(verify_witness(q, j, report.pairs[j].witness) for j in (1, 3))

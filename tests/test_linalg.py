@@ -18,18 +18,20 @@ from helpers import (
     inverse_oracle,
     kernel_basis,
     kernel_oracle,
+    lift,
     matmul,
     matmul_oracle,
     matrix_cols,
     random_matrix_fp,
     random_matrix_qq,
+    rank_oracle,
     rref_oracle,
     span_contains,
     span_equal,
 )
 import ncquad.linalg
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, _adjugate
+from ncquad.linalg import Matrix, _adjugate, _det4, _max_minor2
 
 
 def test_rank_identity_and_zero():
@@ -468,3 +470,99 @@ def test_qq_det_after_kernel_matches_oracle(rows):
 @given(st.data())
 def test_fp_det_after_kernel_matches_oracle(p, data):
     _check_det_after_kernel(data.draw(_square(p)), p)
+
+
+# -- determinants and full ranks read off minors ---------------------------
+
+_all_fields = pytest.mark.parametrize("p", [0, 5, 10007], ids=["QQ", "F5", "F10007"])
+_no_elimination = mock.patch.object(ncquad.linalg, "_int_echelon",
+                                    side_effect=AssertionError("eliminated"))
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_det4_matches_the_leibniz_oracle(p, data):
+    rows = data.draw(_rows(4, 4, p))
+    m = Matrix(_field(p), rows)
+    d = _det4(m._num)
+    if p:
+        assert d % p == det_oracle(rows, p)
+    else:
+        assert Fraction(d, m._den ** 4) == det_oracle(rows)
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_4x4_rank_kernel_and_det_agree_in_any_order(p, data):
+    """rank, the kernel and det of a 4x4 equal the oracles whichever is
+    read first, before or after the echelon ran; a nonzero determinant
+    answers all three with no elimination."""
+    rows = data.draw(_rows(4, 4, p))
+    order = data.draw(st.permutations(("rank", "kernel", "det", "echelon")))
+    order = order[:data.draw(st.integers(1, 4))]
+    m = Matrix(_field(p), rows)
+    read = {"rank": m.rank, "kernel": m._kernel, "det": m.det,
+            "echelon": lambda: m._echelon()[1]}
+    got = {call: read[call]() for call in order}
+    pivots = rref_oracle(rows, 4, p)[1]
+    det = det_oracle(rows, p)
+    expected = {"rank": len(pivots), "det": det, "echelon": pivots}
+    assert {k: v for k, v in got.items() if k != "kernel"} == {
+        k: expected[k] for k in got if k != "kernel"}
+    # only a singular matrix, asked for its rank or kernel, is eliminated
+    assert (m._ech is not None) == ("echelon" in order
+                                    or (not det and bool({"rank", "kernel"} & set(order))))
+    if "kernel" in got:
+        assert got["kernel"] == m._kernel()
+        assert len(got["kernel"]) == 4 - len(pivots)
+    assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
+    assert (m.rank(), m.det()) == (len(pivots), det)
+
+
+@st.composite
+def _two_columns(draw, p=0):
+    """Up to 8 rows of 2 entries: some zero, some multiples of earlier
+    rows, and mod p some entries shifted by multiples of p, so that rows
+    vanish, or are proportional, only mod p."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows))
+            k = draw(_entries(p))
+            row = [a * k, b * k]
+        elif draw(st.booleans()):
+            row = [0, 0]
+        else:
+            row = [draw(_entries(p)), draw(_entries(p))]
+        if p:
+            row = [x + p * draw(st.integers(-2, 2)) for x in row]
+        rows.append(row)
+    return rows
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_two_column_rank_by_minors_matches_the_oracle(p, data):
+    rows = data.draw(_two_columns(p))
+    field = _field(p)
+    m = Matrix(field, rows, ncols=2)
+    with _no_elimination:
+        rank = m.rank()
+    picked, cols = _max_minor2(m)
+    assert rank == len(picked) == len(cols) == rank_oracle(lift(field, m.rows))
+    minor = [[lift(field, m.rows[i][j]) for j in cols] for i in picked]
+    assert rank_oracle(minor) == rank
+
+
+def test_two_column_ranks_of_zero_matrices():
+    with _no_elimination:
+        assert Matrix(QQ, [], ncols=2).rank() == 0
+        assert Matrix(QQ, [[0, 0]] * 8).rank() == 0
+        assert Matrix(GF(5), [[5, -10], [0, 15]]).rank() == 0
+        assert Matrix(GF(5), [[1, 2], [6, 12], [0, 5]]).rank() == 1
+        assert Matrix(QQ, [[1, 2], [6, 12], [0, 5]]).rank() == 2
+    assert _max_minor2(Matrix(GF(7), [[0, 7], [0, 3], [1, 0]])) == ((1, 2), (0, 1))
+    assert _max_minor2(Matrix(QQ, [[0, 0], [0, 3], [0, -1]])) == ((1,), (1,))

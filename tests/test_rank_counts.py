@@ -26,6 +26,7 @@ from helpers import (
     random_type_a_triple,
     relations_oracle,
     span_contains,
+    span_rank_oracle,
     tensor_entries,
 )
 from ncquad.corpus import corpus_names, corpus_path
@@ -78,6 +79,7 @@ def test_counts_match_oracles_on_inputs():
         rel = relations(q)
         r0, r1_dim, line = relations_oracle(q)
         assert rel.dims == (r0.ncols, r1_dim, line.ncols)
+        assert rel.w_dim == 2 * (rel.r0_dim + rel.r1_dim) - span_rank_oracle(q)
         # w lies in both spans, so in the intersection, and spans it when
         # it is a line
         assert span_contains(line, tensor_entries(q.w))
