@@ -91,8 +91,10 @@ def test_gram_of_equals_block_gram():
 
 
 def _tampered(t, key, *path):
-    """A copy of table ``t`` and the node at ``path`` under cell ``key``."""
-    cells = copy.deepcopy(t.cells)
+    """A copy of table ``t`` whose cell ``key`` is a plain deep copy, and
+    the node at ``path`` under that cell; the other cells are shared."""
+    cells = dict(t.cells)
+    cells[key] = copy.deepcopy(cells[key])
     node = cells[key]["derivation"]
     for field in path:
         node = node[field]
@@ -125,23 +127,29 @@ def _node_paths(node, path=()):
             yield from _node_paths(value, path + (key,))
 
 
-def test_replay_rejects_every_single_dim_bump():
-    sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = _table(sq)
-    cases = 0
+def _dim_bumps(t):
+    """``t`` with one stored dim of one node raised by 1, every way."""
     for key, cell in t.cells.items():
         for path in _node_paths(cell["derivation"]):
             for k in range(5):
                 bad, node = _tampered(t, key, *path)
                 node["dims"][k] += 1
-                with pytest.raises(ExtTableError):
-                    replay_table(bad, sq)
-                cases += 1
+                yield bad
+
+
+def test_replay_rejects_every_single_dim_bump():
+    sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
+    t = _table(sq)
+    cases = 0
+    for bad in _dim_bumps(t):
+        with pytest.raises(ExtTableError):
+            replay_table(bad, sq)
+        cases += 1
     assert cases == 420
     assert replay_table(t, sq)
 
 
-@pytest.mark.parametrize("key, path, field, value, reason", [
+FIELD_TAMPERS = [
     ((0, 1), ("hom",), "value", 3, "hom-R-K leaf"),
     ((0, 2), ("hom",), "line", 0, "hom-R-K leaf"),
     ((0, 3), ("hom",), "value", 5, "strong-pair leaf"),
@@ -156,7 +164,10 @@ def test_replay_rejects_every_single_dim_bump():
     ((1, 3), (), "mode", "middle-vanishes", "middle-vanishes mode"),
     ((1, 0), (), "mode", "bogus", "unknown contravariant mode"),
     ((1, 2), ("sub", "quotient"), "objects", ["O_E0(1,0)", "O_E0(1,0)"], "distinct"),
-])
+]
+
+
+@pytest.mark.parametrize("key, path, field, value, reason", FIELD_TAMPERS)
 def test_replay_rejects_tampered_fields(key, path, field, value, reason):
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     t = _table(sq)
@@ -188,6 +199,13 @@ def _swapped(t, a, b):
     return ExtTable(t.objects, cells)
 
 
+def _equal_dims_swaps(t):
+    """Every pair of cells of ``t`` with equal dims."""
+    keys = sorted(t.cells)
+    return [(a, b) for n, a in enumerate(keys) for b in keys[n + 1:]
+            if t.cells[a]["dims"] == t.cells[b]["dims"]]
+
+
 def test_replay_rejects_swapped_cells_with_equal_dims():
     # (C0, C1) and (C1, C0) both derive zero, each from its own C_i; every
     # node replays, so only the pair a cell's top node names tells them apart
@@ -196,21 +214,23 @@ def test_replay_rejects_swapped_cells_with_equal_dims():
     with pytest.raises(ExtTableError, match=r"cell \(1,2\) derives the pair \('C1', 'C0'\)"):
         replay_table(_swapped(t, (1, 2), (2, 1)), sq)
     # so does every other swap of two cells with equal dims
-    keys = sorted(t.cells)
-    swaps = [(a, b) for n, a in enumerate(keys) for b in keys[n + 1:]
-             if t.cells[a]["dims"] == t.cells[b]["dims"]]
+    swaps = _equal_dims_swaps(t)
     assert len(swaps) == 33
     for a, b in swaps:
         with pytest.raises(ExtTableError, match="derives the pair"):
             replay_table(_swapped(t, a, b), sq)
 
 
+def _missing_cell(t):
+    bad, _ = _tampered(t, (0, 3))
+    del bad.cells[(0, 3)]
+    return bad
+
+
 def test_replay_rejects_a_table_with_a_missing_cell():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    bad, _ = _tampered(_table(sq), (0, 3))
-    del bad.cells[(0, 3)]
     with pytest.raises(ExtTableError, match=r"cell \(0,3\) is missing"):
-        replay_table(bad, sq)
+        replay_table(_missing_cell(_table(sq)), sq)
 
 
 def test_hom_leaf_failure_reason_is_pinned(monkeypatch):
@@ -454,3 +474,174 @@ def test_shared_cells_are_derived_once_per_process(monkeypatch):
     # only the per-input cells hold a Hom(R, K_i) leaf
     for cell in ncquad.certify._shared_cells().values():
         assert "hom-R-K-leaf" not in cell.text
+
+
+# -- the replayed reference: a cell equal to it is not walked again ------------
+
+
+def _parsed_table(q, convention="ruling"):
+    """The Ext table of ``q``'s certificate, parsed back from its bytes."""
+    doc = json.loads(canonical_json_bytes(full_pipeline(q, convention).to_dict()))
+    table = next(s for s in doc["stages"] if s["stage"] == "ext_table")["table"]
+    return ExtTable(tuple(table["objects"]),
+                    {tuple(map(int, key.split(","))): cell for key, cell in table["cells"].items()})
+
+
+def _outcome(table, sq):
+    try:
+        return replay_table(table, sq)
+    except ExtTableError as exc:
+        return str(exc)
+
+
+def _both_paths(monkeypatch, table, sq):
+    """The outcome of replaying ``table``, True or the error message; the
+    per-node walk of every cell, with no reference, must give the same."""
+    outcome = _outcome(table, sq)
+    with monkeypatch.context() as patch:
+        patch.setattr(ncquad.certify, "_reference", lambda hom: None)
+        assert _outcome(table, sq) == outcome
+    return outcome
+
+
+def _set(key, path, field, value):
+    def tamper(t):
+        bad, node = _tampered(t, key, *path)
+        node[field] = value
+        return bad
+    return tamper
+
+
+def _extra_cell(t):
+    bad, _ = _tampered(t, (0, 0))
+    bad.cells[(4, 4)] = bad.cells[(0, 0)]
+    return bad
+
+
+# (tamper, outcome): the note and extra keys are never read; ``==`` takes
+# 1.0 and True for 1, and the per-node walk indexes with a top node's i only
+NEW_TAMPERS = [
+    (_set((1, 0), ("sub",), "note", "changed"), True),
+    (_set((0, 3), (), "extra", 1), True),
+    (_extra_cell, True),
+    (_set((0, 1), (), "i", 0.0), "cell (0,1) has a malformed node: TypeError("),
+    (_set((0, 2), (), "i", 1.0), "cell (0,2) has a malformed node: TypeError("),
+    (_set((2, 3), (), "i", 1.0), "cell (2,3) has a malformed node: TypeError("),
+    (_set((0, 2), (), "i", True), True),
+    (_set((2, 1), (), "i", True), True),
+    (_set((1, 3), ("middle",), "copies", 2.0), True),
+    (_set((0, 1), ("quotient",), "m", 2.0), True),
+    (_set((1, 0), ("sub", "child"), "m", -2.0), True),
+]
+
+
+@pytest.mark.parametrize("base", ["shared", "parsed"])
+def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
+    tables = {"shared": lambda q, sq: _table(sq), "parsed": lambda q, sq: _parsed_table(q)}[base]
+    q = build_type_a(1, 2, 3)
+    sq = square_from_quintuple(q, "ruling")
+    t = tables(q, sq)
+    assert _both_paths(monkeypatch, t, sq) is True
+    assert sum(_both_paths(monkeypatch, bad, sq) is not True for bad in _dim_bumps(t)) == 420
+    q = build_linear_quadric()
+    sq = square_from_quintuple(q, "ruling")
+    t = tables(q, sq)
+    for key, path, field, value, reason in FIELD_TAMPERS:
+        assert reason in _both_paths(monkeypatch, _set(key, path, field, value)(t), sq)
+    swaps = _equal_dims_swaps(t)
+    assert len(swaps) == 33
+    for a, b in swaps:
+        assert "derives the pair" in _both_paths(monkeypatch, _swapped(t, a, b), sq)
+    assert _both_paths(monkeypatch, _missing_cell(t), sq) == "cell (0,3) is missing"
+    for tamper, outcome in NEW_TAMPERS:
+        got = _both_paths(monkeypatch, tamper(t), sq)
+        if outcome is True:
+            assert got is True
+        else:
+            assert got.startswith(outcome)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda cell: cell.pop("derivation"), r"KeyError\('derivation'\)"),
+    (lambda cell: cell.pop("dims"), r"KeyError\('dims'\)"),
+    (None, r"TypeError\("),
+    (lambda cell: cell["derivation"]["sub"]["quotient"].update(objects=["O_E0(1,0)"]),
+     r"ValueError\("),
+], ids=["no-derivation", "no-dims", "list", "one-object"])
+def test_replay_refuses_malformed_cells_with_ext_table_error(monkeypatch, tamper, message):
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    bad, _ = _tampered(_table(sq), (1, 2))
+    if tamper is None:
+        bad.cells[(1, 2)] = list(bad.cells[(1, 2)].values())
+    else:
+        tamper(bad.cells[(1, 2)])
+    with pytest.raises(ExtTableError, match=r"cell \(1,2\) has a malformed node: " + message):
+        replay_table(bad, sq)
+    _both_paths(monkeypatch, bad, sq)
+
+
+def _count_rule_dims(monkeypatch) -> list:
+    calls = []
+    original = ncquad.certify._rule_dims
+
+    def counting(node, hom):
+        calls.append(node)
+        return original(node, hom)
+
+    monkeypatch.setattr(ncquad.certify, "_rule_dims", counting)
+    return calls
+
+
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_an_untampered_table_replays_with_no_rule_evaluated(monkeypatch, convention):
+    q = build_type_a(1, 2, 3)
+    sq = square_from_quintuple(q, convention)
+    t, shared = _parsed_table(q, convention), _table(sq)
+    assert replay_table(t, sq)          # warm-up
+    calls = _count_rule_dims(monkeypatch)
+    assert replay_table(t, sq)
+    assert replay_table(shared, sq)
+    assert calls == []
+
+
+def test_a_tampered_cell_alone_is_walked(monkeypatch):
+    q = build_type_a(1, 2, 3)
+    sq = square_from_quintuple(q, "ruling")
+    t = _parsed_table(q)
+    assert replay_table(t, sq)
+    bad, node = _tampered(t, (0, 1), "quotient")
+    node["note"] = "changed"
+    calls = _count_rule_dims(monkeypatch)
+    assert replay_table(bad, sq)
+    walked = list(_node_paths(bad.cells[(0, 1)]["derivation"]))
+    assert len(calls) == len(walked) == 4
+    assert calls[-1] is bad.cells[(0, 1)]["derivation"]
+
+
+def test_the_reference_is_built_once_per_hom_pair(monkeypatch):
+    inputs = [(build_type_a(1, 2, 3), "ruling"), (build_type_a(1, 2, 3), "literal"),
+              (build_type_a(3, 5, 7), "literal"), (build_linear_quadric(), "ruling")]
+    tables = [(square_from_quintuple(q, c), _parsed_table(q, c)) for q, c in inputs]
+    built = Counter()
+    original = ncquad.certify._cell
+
+    def counting(hom, i, j):
+        built[hom] += 1
+        return original(hom, i, j)
+
+    monkeypatch.setattr(ncquad.certify, "_cell", counting)
+    ncquad.certify._reference.cache_clear()
+    for _ in range(3):
+        for sq, t in tables:
+            assert replay_table(t, sq)
+    assert built == {(2, 2): 16}
+    # with Hom(R, K_i) = 3 the rules derive no valid table: no reference,
+    # so every cell is walked and the hom-R-K leaf of cell (0,1) is refused
+    monkeypatch.setattr(ncquad.certify, "hom_R_K_dim", lambda line: 3)
+    for _ in range(2):
+        for sq, t in tables:
+            with pytest.raises(ExtTableError, match=r"hom-R-K leaf is not Hom\(R, K_0\) = 3"):
+                replay_table(t, sq)
+    assert ncquad.certify._reference((3, 3)) is None
+    assert ncquad.certify._reference.cache_info().misses == 2
+    assert set(built) == {(2, 2), (3, 3)} and built[(2, 2)] == 16
