@@ -94,8 +94,10 @@ AXIOM_DIMS = {
 
 
 def _coh_leaf(node: dict, hom) -> list:
-    copies = node["copies"]
-    return [copies * h for h in coh_p1xp2(node["m"], node["n"]).dims] + [0]
+    copies, twist = node["copies"], (node["m"], node["n"])
+    if any(t % 1 for t in twist):   # 2.0 reads as 2; 2.5, nan and inf do not
+        raise ExtTableError(f"coh-leaf twist {twist} is not a pair of integers", node)
+    return [copies * h for h in coh_p1xp2(*map(int, twist)).dims] + [0]
 
 
 def _serre_dual(node: dict, hom) -> list:
@@ -134,7 +136,7 @@ def _les_covariant(node: dict, hom) -> list:
         raise ExtTableError("covariant rule needs vanishing higher Ext against the middle", node)
     mode = node["hom_mode"]
     if mode == "leaf":
-        i = node["i"]
+        i = _line_index(node)
         h = hom[i]
         if node["hom"] != {"rule": "hom-R-K-leaf", "line": i, "value": h}:
             raise ExtTableError(f"hom-R-K leaf is not Hom(R, K_{i}) = {h}", node)
@@ -154,6 +156,13 @@ def _les_covariant(node: dict, hom) -> list:
     if ext1 < 0:
         raise ExtTableError("negative Ext^1 from exactness; leaf values inconsistent", node)
     return [h, ext1, quo[1], quo[2], quo[3]]
+
+
+def _line_index(node: dict):
+    """A node's line index ``i``, refused unless 0 or 1: -1 indexes from the end."""
+    if (i := node["i"]) not in (0, 1):
+        raise ExtTableError(f"line index {i!r} is not 0 or 1", node)
+    return i
 
 
 def _les_contravariant(node: dict, hom) -> list:
@@ -400,7 +409,7 @@ def _check_cell(i: int, j: int, cell, hom) -> dict:
         node = cell["derivation"]
         _replay(node, hom)
         named, stored = _named_pair(node), cell["dims"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise ExtTableError(f"cell ({i},{j}) has a malformed node: {exc!r}", node) from None
     if node["dims"] != stored:
         raise ExtTableError(f"cell ({i},{j}) replay mismatch", node)
@@ -444,9 +453,9 @@ def _named_pair(node: dict):
     node names it: a C_i by its index, an axiom by its name."""
     rule = node["rule"]
     if rule == "les-contravariant":
-        return _C[node["i"]], node["Y"]
+        return _C[_line_index(node)], node["Y"]
     if rule == "les-covariant":
-        return node["X"], _C[node["i"]]
+        return node["X"], _C[_line_index(node)]
     if rule == "axiom":
         return next((pair for pair, (name, _) in _AXIOM_CELLS.items()
                      if name == node["name"]), None)

@@ -23,8 +23,6 @@ x + y theta when the roots need a quadratic extension.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .forms import _quadratic_root, form_gcd
 from .linalg import Matrix, _elements, _pick, _pick_kept
 from .records import Record
@@ -241,6 +239,16 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     return relation("disjoint", flag="decomposable only at opposite-ruling parameters")
 
 
+# the section-restriction matrix of ``hom_R_K_dim`` as picks from phi^{-1},
+# by contracted factor: row 3o + m, column 4u + c holds the term of
+# k = u + 1 - m, and zero unless k is 0 or 1
+_HOM_PICKS = tuple(
+    tuple(None if k not in (0, 1) else x if k else ~x
+          for o in range(2) for m in range(3) for u in range(2) for c in range(4)
+          for k in (u + 1 - m,) for x in (4 * c + (2 * k + o if cf == 0 else 2 * o + k),))
+    for cf in (0, 1))
+
+
 def hom_R_K_dim(line: EmbeddedLine) -> int:
     """dim of the kernel of the 6x8 section-restriction matrix
 
@@ -258,21 +266,7 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     single monomial m = u + 1 - k, negated when k = 0, so column (u, c)
     carries g[2k+o] at row 3*o + u + 1 - k, where g = row c of phi^{-1}
     (g[2o+k] when the contracted factor is 1)."""
-    return 8 - _pick_kept(line.phi_inv, 6, 8, _hom_picks(line.contracted_factor)).rank()
-
-
-@cache
-def _hom_picks(cf: int) -> tuple:
-    """The entries of the section-restriction matrix as picks from
-    phi^{-1}, for contracted factor ``cf``; see ``hom_R_K_dim``."""
-    picks = [None] * 48
-    for c in range(4):
-        for o in range(2):
-            for k in range(2):
-                x = 4 * c + (2 * k + o if cf == 0 else 2 * o + k)
-                for u in range(2):
-                    picks[8 * (3 * o + u + 1 - k) + 4 * u + c] = x if k else ~x
-    return tuple(picks)
+    return 8 - _pick_kept(line.phi_inv, 6, 8, _HOM_PICKS[line.contracted_factor]).rank()
 
 
 def hom_R_O_dim() -> int:

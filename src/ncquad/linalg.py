@@ -7,7 +7,7 @@ the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
 
 Determinants and full ranks are read off minors first: a 4x4 matrix
 keeps ``_det4`` of its integers, which gives ``det`` and, when nonzero,
-rank 4 and an empty kernel; an n x 2 matrix is ranked by ``_max_minor2``.
+rank 4 and an empty kernel; an n x 2 matrix is ranked by ``_rank2``.
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
 fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
@@ -27,7 +27,8 @@ leave open is read off the echelon:
   signed product of the pivots mod p.
 
 No inverse is eliminated: ``_adjugate`` writes adj N = det N * N^-1 of a
-4x4 matrix from 2x2 minors, for questions that scaling does not change.
+4x4 matrix from the ``_minors2`` that ``_det4`` reads too, for questions
+that scaling does not change.
 ``_pick`` builds a matrix from named entries of another one, negated or
 zero, which is how tensors, quivers and the Hom counts assemble their
 matrices without arithmetic; ``_pick_kept`` picks from the shared
@@ -152,7 +153,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self.ncols == 2:
-            return len(_max_minor2(self)[0])
+            return _rank2(self._num, self.field.characteristic)
         if self._kept_det4():
             return 4
         return len(self._echelon()[1])
@@ -240,32 +241,34 @@ def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._of_num(top.field, num, den, top.nrows + bottom.nrows, top.ncols)
 
 
-def _det4(num) -> int:
-    """The determinant of a 4x4 matrix of flat row-major integers: the 2x2
-    minors s_jk, c_jk of rows (0, 1) and (2, 3) that ``_adjugate`` forms,
-    paired by complementary columns (Laplace expansion, Eberly 2008)."""
+def _minors2(num) -> tuple:
+    """The 2x2 minors of a 4x4 matrix of flat row-major integers on columns
+    j < k, in the order 01, 02, 03, 12, 13, 23: six s_jk of rows (0, 1),
+    then six c_jk of rows (2, 3), the minors that a Laplace expansion along
+    those row pairs reads (Eberly, The Laplace Expansion Theorem, 2008)."""
     (a00, a01, a02, a03, a10, a11, a12, a13,
      a20, a21, a22, a23, a30, a31, a32, a33) = num
-    return ((a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
-            - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
-            + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
-            + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
-            - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
-            + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30))
+    return (a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10,
+            a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12,
+            a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30,
+            a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32)
+
+
+def _det4(num) -> int:
+    """The determinant of a 4x4 matrix of flat row-major integers: the
+    ``_minors2`` of rows (0, 1) against those of rows (2, 3), paired by
+    complementary columns."""
+    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = _minors2(num)
+    return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
 
 
 def _adjugate(m: Matrix) -> Matrix:
     """adj N = (det N / d) * m^-1 of a 4x4 matrix m = N / d, as integers
-    (residues mod p), by Laplace expansion along complementary rows: s_jk
-    and c_jk are the 2x2 minors of rows (0, 1) and (2, 3) on columns
-    j < k, and each cofactor is one row of the other pair against three of
-    them (Eberly, The Laplace Expansion Theorem, 2008)."""
+    (residues mod p), by Laplace expansion along complementary rows: each
+    cofactor is one row of the other pair against three ``_minors2``."""
     (a00, a01, a02, a03, a10, a11, a12, a13,
      a20, a21, a22, a23, a30, a31, a32, a33) = m._num
-    s01, s02, s03 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
-    s12, s13, s23 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
-    c01, c02, c03 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
-    c12, c13, c23 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = _minors2(m._num)
     adj = (
         a11 * c23 - a12 * c13 + a13 * c12, a02 * c13 - a01 * c23 - a03 * c12,
         a31 * s23 - a32 * s13 + a33 * s12, a22 * s13 - a21 * s23 - a23 * s12,
@@ -282,20 +285,15 @@ def _adjugate(m: Matrix) -> Matrix:
     return Matrix._of_num(m.field, adj, 1, 4, 4)
 
 
-def _max_minor2(m: Matrix) -> tuple:
-    """(rows, columns) of a nonzero maximal minor of an n x 2 matrix, whose
-    length is the rank: ((u, k), (0, 1)) for the first nonzero row u and a
-    later row k independent of it (mod p); else ((u,), (j,)); or ((), ())."""
-    num, p = m._num, m.field.characteristic
-    nz = [(i, num[2 * i], num[2 * i + 1]) for i in range(m.nrows) if num[2 * i] or num[2 * i + 1]]
+def _rank2(num, p: int) -> int:
+    """The rank of an n x 2 matrix of flat row-major integers (residues
+    mod p), read off 2x2 minors: 0 with no nonzero row, else 2 when a later
+    row is independent of the first nonzero one (mod p), else 1."""
+    nz = [(x, y) for x, y in zip(num[::2], num[1::2]) if x or y]
     if not nz:
-        return (), ()
-    u, a, b = nz[0]
-    for k, x, y in nz[1:]:
-        d = a * y - b * x
-        if d % p if p else d:
-            return (u, k), (0, 1)
-    return (u,), (0 if a else 1,)
+        return 0
+    a, b = nz[0]
+    return 2 if any((a * y - b * x) % p if p else a * y - b * x for x, y in nz[1:]) else 1
 
 
 def _int_echelon(rows, ncols, p):

@@ -5,7 +5,7 @@ algebra window.
 
 Relation extraction keeps only the dimensions of R_0, of R_1 and of the
 line (R0 x V3) ∩ (V0 x R1): two ranks of 8x2 flattenings of w, read off
-2x2 minors, and the rank of V0 x R1 reduced modulo R0 x V3, 4x12.
+2x2 minors, and one elimination of the 8x16 span of both.
 
 Conventions, fixed throughout the package:
 
@@ -40,12 +40,11 @@ prints: base-field values, and (x, y) pairs for x + y theta.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
-from .linalg import Matrix, _elements, _max_minor2, _pick
+from .linalg import Matrix, _elements, _pick
 from .records import Record
 from .tensors import Tensor, _flattening_index
 
@@ -245,8 +244,6 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
     reports = [None] * 4
     for j in (0, 1):
         reports[j] = _pair_report(j, flat[j])
-        if reports[j].kernel_dim:
-            flat[j + 2]._d4 = 0   # det M_j^T = det M_j, read once
         reports[j + 2] = (_pair_report(j + 2, flat[j + 2])
                           if reports[j].kernel_dim else _invertible(j + 2))
     return GeometricityReport(tuple(reports))
@@ -270,36 +267,16 @@ class RelationData(Record):
         return (self.r0_dim, self.r1_dim, self.w_dim)
 
 
-def _v0r1_mod_r0v3(q: Quintuple, rows: tuple, cols: tuple) -> Matrix:
-    """V0 x R1 modulo R0 x V3: a 4 x (16 - 2 r0) integer matrix (residues
-    mod p), r0 = dim R0, whose row (s, a) is vector (s, a) of V0 x R1.
-
-    C[i, d] = w[2i + d] is the R_0 flattening, C_U its nonzero minor on
-    ``rows`` and ``cols``, D = det C_U.  Each part x_d of a vector (entries
-    2i + d) is taken modulo R0 by x'_i = D x_i - C[i, cols] adj(C_U) x_U,
-    i outside U.  Part d of vector (s, a) is w[8a + 2m + d] at 4s + m,
-    m < 4, and 0 elsewhere; X[i] holds entry i of every part, by (s, a, d)."""
-    w, p = q.w._row._num, q.field.characteristic
-    X = [w[2 * m:2 * m + 2] + w[8 + 2 * m:10 + 2 * m] + (0,) * 4 for m in range(4)]
-    X += [x[4:] + x[:4] for x in X]   # s = 1
-    block = [[w[2 * u + j] for j in cols] for u in rows]
-    if len(rows) == 1:
-        ((d,),), adj = block, ((1,),)
-    else:
-        ((a, b), (c, e)) = block
-        d, adj = a * e - b * c, ((e, -b), (-c, a))
-    adj_xu = [[sum(map(mul, row, x)) for x in zip(*[X[u] for u in rows])] for row in adj]
-    reduced = []
-    for i in [i for i in range(8) if i not in rows]:
-        r = [d * x for x in X[i]]
-        for j, zj in zip(cols, adj_xu):
-            if coef := w[2 * i + j]:
-                r = [x - coef * y for x, y in zip(r, zj)]
-        reduced.append(r)
-    out = [r[2 * sa + part] for sa in range(4) for part in range(2) for r in reduced]
-    if p:
-        out = [v % p for v in out]
-    return Matrix._of_num(q.field, out, 1, 4, 2 * len(reduced))
+# the spanning vectors of R0 x V3 and V0 x R1, one per row, picked from
+# the flat entries of w: vector (s, d) of R0 x V3 is (contraction by e_d)
+# x e_s, whose entry 2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of
+# V0 x R1 is e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d,
+# is w[8a + i]
+_SPAN_PICKS = tuple(
+    [t - s + d if t % 2 == s else None
+     for s in range(2) for d in range(2) for t in range(16)]
+    + [t % 8 + 8 * a if t // 8 == s else None
+       for s in range(2) for a in range(2) for t in range(16)])
 
 
 def relations(q: Quintuple) -> RelationData:
@@ -311,12 +288,12 @@ def relations(q: Quintuple) -> RelationData:
     0) is column d of the flattening with that slot alone on the columns,
     so both spans are column spaces of 8x2 flattenings, ranked by 2x2
     minors.  R0 x V3 and V0 x R1 are then spanned by the contractions
-    placed at each basis index of the free slot, and
+    placed at each basis index of the free slot, whose entries are
+    entries of w, and
 
-        dim (R0 x V3 ∩ V0 x R1) = 2 dim R0 + 2 dim R1 - rank[R0 x V3 | V0 x R1]
-                                = 2 dim R1 - rank (V0 x R1 modulo R0 x V3),
+        dim (R0 x V3 ∩ V0 x R1) = 2 dim R0 + 2 dim R1 - rank[R0 x V3 ; V0 x R1],
 
-    one elimination, reduced against the minor that gave dim R0 = 1 or 2.
+    the rank of one 8x16 matrix picked from w (``_SPAN_PICKS``).
 
     w = sum_d (column d) x e_d lies in R0 x V3, and likewise in V0 x R1,
     so it lies in the intersection; when that is a line, the nonzero w
@@ -340,10 +317,9 @@ def relations(q: Quintuple) -> RelationData:
       A non-scalar 2x2 matrix commutes only with the 2-dimensional span
       of I and itself, so β = λI, α = λI and W = 1.  A rank does not
       change under field extension, so W = 1 over the base field too."""
-    rows, cols = _max_minor2(q.w.reshape((0, 1, 2), (3,)))
-    r0_dim = len(rows)
+    r0_dim = q.w.reshape((0, 1, 2), (3,)).rank()
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
-    w_dim = 2 * r1_dim - _v0r1_mod_r0v3(q, rows, cols).rank()
+    w_dim = 2 * r0_dim + 2 * r1_dim - _pick(q.w._row, 8, 16, _SPAN_PICKS).rank()
 
     issues = []
     if r0_dim != 2:

@@ -842,7 +842,7 @@ def span_rank_oracle(q) -> int:
     Vector (s, d) of R0 x V3 is (contraction by e_d) x e_s, whose entry
     2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of V0 x R1 is
     e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d, is
-    w[8a + i].  ``relations`` ranks V0 x R1 modulo R0 x V3 instead."""
+    w[8a + i].  ``relations`` picks the same rows through its own table."""
     w = tensor_entries(q.w)
     zero = w[0] * 0
     rows = [[w[t - s + d] if t % 2 == s else zero for t in range(16)]

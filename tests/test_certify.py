@@ -12,6 +12,7 @@ import pytest
 
 from helpers import random_type_a_triple
 import ncquad.certify
+from ncquad.blowup import coh_p1xp2
 from ncquad.certify import (
     OBJECTS,
     ExtTable,
@@ -518,9 +519,22 @@ def _extra_cell(t):
     return bad
 
 
+def _line_minus_one(t):
+    """Cell (0,2) naming line -1 at its top node and at its hom leaf."""
+    bad, node = _tampered(t, (0, 2))
+    node["i"] = node["hom"]["line"] = -1
+    return bad
+
+
 # (tamper, outcome): the note and extra keys are never read; ``==`` takes
-# 1.0 and True for 1, and the per-node walk indexes with a top node's i only
+# 1.0 and True for 1, and the per-node walk indexes with a top node's i
+# only; a line index is 0 or 1, and a twist a whole number
 NEW_TAMPERS = [
+    (_line_minus_one, "line index -1 is not 0 or 1"),
+    (_set((2, 0), (), "i", -1), "line index -1 is not 0 or 1"),
+    (_set((0, 1), ("quotient",), "n", 0.0), True),
+    (_set((0, 1), ("quotient",), "m", 2.5), "coh-leaf twist (2.5, 0) is not a pair of integers"),
+    (_set((0, 1), ("quotient",), "m", "2"), "cell (0,1) has a malformed node: TypeError("),
     (_set((1, 0), ("sub",), "note", "changed"), True),
     (_set((0, 3), (), "extra", 1), True),
     (_extra_cell, True),
@@ -559,6 +573,37 @@ def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
             assert got is True
         else:
             assert got.startswith(outcome)
+
+
+def test_the_walk_does_not_read_the_twist_cache(monkeypatch):
+    # every outcome above holds when the walk finds coh_p1xp2's cache empty
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    t = _table(sq)
+    monkeypatch.setattr(ncquad.certify, "_reference", lambda hom: None)
+    for tamper, outcome in NEW_TAMPERS:
+        bad = tamper(t)
+        coh_p1xp2.cache_clear()
+        got = _outcome(bad, sq)
+        assert got is True if outcome is True else got.startswith(outcome)
+
+
+def _deep(depth):
+    """Cell (3,3) under ``depth`` consistent ``scale`` nodes of one copy."""
+    def tamper(t):
+        bad, node = _tampered(t, (3, 3))
+        for _ in range(depth):
+            node = {"rule": "scale", "copies": 1, "child": node, "dims": [1, 0, 0, 0, 0]}
+        bad.cells[(3, 3)]["derivation"] = node
+        return bad
+    return tamper
+
+
+def test_a_deep_derivation_is_refused_with_ext_table_error(monkeypatch):
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    t = _table(sq)
+    assert _both_paths(monkeypatch, _deep(100)(t), sq) == "cell (3,3) derives the pair None"
+    assert _both_paths(monkeypatch, _deep(2000)(t), sq).startswith(
+        "cell (3,3) has a malformed node: RecursionError(")
 
 
 @pytest.mark.parametrize("tamper, message", [

@@ -67,9 +67,9 @@ def warm():
         assert full_pipeline(build_type_a(2, 3, 5), convention).certified
 
 
-# the two eliminations of a certified input: V0 x R1 reduced modulo
-# R0 x V3 in ``relations``, and the Hom(R, K_1) section matrix
-CERTIFIED = [(4, 12), (6, 8)]
+# the two eliminations of a certified input: the 8x16 span of R0 x V3
+# and V0 x R1 in ``relations``, and the Hom(R, K_1) section matrix
+CERTIFIED = [(8, 16), (6, 8)]
 
 
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
@@ -80,8 +80,7 @@ def test_certified_type_a_input_eliminates_twice(warm, eliminations, convention)
     # reshuffle rank and block leg 1 are 4x4s of nonzero determinant, a
     # leg of rank 4 gives the stacked paths rank 4, the square writes
     # phi_1 as an adjugate, and leg 0 and Hom(R, K_0) read the identity's
-    # kept ranks; only the reduced relations span and Hom(R, K_1) are
-    # eliminated
+    # kept ranks; only the relations span and Hom(R, K_1) are eliminated
     assert full_pipeline(build_type_a(1, 2, 3), convention).certified
     assert eliminations == CERTIFIED
 

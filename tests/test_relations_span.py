@@ -1,15 +1,13 @@
-"""The relations span, ranked as V0 x R1 reduced modulo R0 x V3, against
-the 8x16 span of ``helpers.span_rank_oracle``.
+"""The relations span, one 8x16 elimination, against the oracles.
 
-``relations`` reads dim R0 off a nonzero maximal minor of the 8x2 R_0
-flattening and reduces the four spanning vectors of V0 x R1 against that
-minor, so dim R0 = 1 and dim R0 = 2 take the same path, with one
-elimination of a 4 x (16 - 2 dim R0) matrix.  Tensors that are pure in
-slot 3 (w = r x v) have dim R0 = 1, those pure in slot 0 have dim R1 = 1,
-and ``witness-qq-theta.json`` has a plane of relations.  The
-``relations-*.json`` files are the bundled inputs with dim R0 or dim R1
-below 2; their ``check`` output is pinned as written before the span was
-reduced.
+``relations`` reads dim R0 and dim R1 off 2x2 minors of the 8x2
+flattenings and eliminates the 8x16 span [R0 x V3 ; V0 x R1], picked from
+w, once, whatever the dims.  Tensors that are pure in slot 3 (w = r x v)
+have dim R0 = 1, those pure in slot 0 have dim R1 = 1, and
+``witness-qq-theta.json`` has a plane of relations; random sparse and
+dense tensors reach every dims tuple there is.  The ``relations-*.json``
+files are the bundled inputs with dim R0 or dim R1 below 2; their
+``check`` output is pinned as written before the span was first reduced.
 """
 
 import hashlib
@@ -51,10 +49,10 @@ def _quintuple(field, entries):
 
 def _check(q, eliminations):
     """The dims of ``relations(q)``, checked against both oracles, and the
-    one elimination the stage runs."""
+    one 8x16 elimination the stage runs."""
     eliminations.clear()
     rel = relations(q)
-    assert eliminations == [(4, 16 - 2 * rel.r0_dim)]
+    assert eliminations == [(8, 16)]
     r0, r1_dim, line = relations_oracle(q)
     assert rel.dims == (r0.ncols, r1_dim, line.ncols)
     assert rel.w_dim == 2 * (rel.r0_dim + rel.r1_dim) - span_rank_oracle(q)
@@ -66,18 +64,26 @@ def eliminations(monkeypatch):
     return record_eliminations(monkeypatch)
 
 
+_VALUES = (1, -1, 2, 3, -4, Fraction(1, 3), Fraction(-5, 2))
+
+
+def _draw(rng, field, n, density=7 / 8):
+    """n small entries, not all zero in ``field``, each nonzero with
+    probability ``density``; over QQ some are fractions."""
+    while True:
+        out = [rng.choice(_VALUES) if rng.random() < density else 0 for _ in range(n)]
+        if field.characteristic:
+            out = [int(x) if x.denominator == 1 else 1 for x in map(Fraction, out)]
+        if any(field.of(x) for x in out):
+            return out
+
+
 def _pure(rng, field, slots):
     """A random nonzero w that is a pure tensor in slot 3 (r x v), in slot 0
     (u x r'), or in both (u x m x v), with small entries and, over QQ,
     some fractions."""
     def draw(n):
-        while True:
-            out = [rng.choice((0, 1, -1, 2, 3, -4, Fraction(1, 3), Fraction(-5, 2)))
-                   for _ in range(n)]
-            if field.characteristic:
-                out = [int(x) if x.denominator == 1 else 1 for x in map(Fraction, out)]
-            if any(field.of(x) for x in out):
-                return out
+        return _draw(rng, field, n)
     if slots == {3}:
         r, v = draw(8), draw(2)
         return [r[i] * v[d] for i in range(8) for d in range(2)]
@@ -88,7 +94,7 @@ def _pure(rng, field, slots):
     return [u[a] * m[k] * v[d] for a in range(2) for k in range(4) for d in range(2)]
 
 
-def test_pure_tensors_take_the_reduced_path(eliminations):
+def test_pure_tensors_rank_the_8x16_span(eliminations):
     rng = random.Random(2303)
     seen = {}
     for field in (QQ, GF(5), GF(7), GF(10007)):
@@ -102,6 +108,18 @@ def test_pure_tensors_take_the_reduced_path(eliminations):
     assert seen[frozenset({0, 3})] == {(1, 1, 1)}
     assert all(dims[0] == 1 for dims in seen[frozenset({3})])
     assert all(dims[1] == 1 for dims in seen[frozenset({0})])
+
+
+# every (dim R0, dim R1, dim W) that random tensors reach
+_ALL_DIMS = {(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 2, 4)}
+
+
+def test_random_sparse_and_dense_tensors_reach_every_dims_tuple(eliminations):
+    rng = random.Random(2501)
+    for field in (QQ, GF(5), GF(7), GF(10007)):
+        seen = {_check(_quintuple(field, _draw(rng, field, 16, density)), eliminations)
+                for density in (0.1, 0.15, 0.2, 0.3, 0.5, 1.0) for _ in range(40)}
+        assert seen == _ALL_DIMS
 
 
 def test_plane_of_relations_matches_the_oracle(eliminations):
