@@ -18,21 +18,24 @@ every node, children first, trusting no stored conclusion.
 of Hom(R, K_i) dims, on the table the rules derive from it
 (``_reference``), and again on each cell of a table that differs from it.
 
-Every input runs the checks the table rests on (disjoint lines, both
-Hom(R, K_i) leaves equal to 2) and derives the two cells (p*R, C_i) that
-read those leaves.  The other 14 cells depend on the rule set alone, so
-they are derived, and encoded as canonical JSON, once per process and
-shared read-only by every table (``SharedCell``); ``canonical_json_bytes``
-splices their text into each certificate's bytes.  The relations and
-quiver stage documents are shared the same way: each is a function of
-records of small integers and fixed strings, so ``_relations_stage`` and
-``_quiver_stage`` build and encode each distinct one once per process,
-while every rank behind those records still runs on every input.
+Every input that reaches the table ranks both Hom(R, K_i) leaves and
+derives the two cells (p*R, C_i) that read them; ``_cell`` checks each
+cell against ``EXPECTED_HOM``, the one check on a cell.  The other 14
+cells depend on the rule set alone, so they are derived, and encoded as
+canonical JSON, once per process and shared read-only by every table
+(``SharedCell``); ``canonical_json_bytes`` splices their text into each
+certificate's bytes.  The relations and quiver stage documents are
+shared the same way: each is a function of records of small integers and
+fixed strings, so ``_relations_stage`` and ``_quiver_stage`` build and
+encode each distinct one once per process, while every rank behind those
+records still runs on every input.
 
 ``full_pipeline`` decides: it calls the stage functions in order, hands
 each the artifacts it needs and returns a ``Certificate`` holding them; it
-builds no document and computes no digest.  ``Certificate.to_dict``
-renders schema/1 from those artifacts for ``canonical_json_bytes``.
+builds no document and computes no digest.  Only geometricity, the
+determinant and the lines can fail; a failure in the stages that follow
+from them raises.  ``Certificate.to_dict`` renders schema/1 from those
+artifacts for ``canonical_json_bytes``.
 """
 
 from __future__ import annotations
@@ -349,26 +352,17 @@ def _shared_cells() -> dict:
     return {key: SharedCell(_cell(None, *key)) for key in _CELLS if key not in _INPUT_CELLS}
 
 
-def ext_table(square: GeometricSquare, lines: LineRelation) -> ExtTable:
-    """The complete table of a square; ``lines``, the relation of its two
-    lines, must be disjoint.
+def ext_table(square: GeometricSquare) -> ExtTable:
+    """The complete table of a square whose lines are disjoint, as the
+    ``lines`` stage has decided.
 
-    Both checks run for every square: the lines are disjoint, and both
-    Hom(R, K_i) leaves are ranked and equal 2.  The two cells that read
-    those leaves are then derived from them; the other 14 are the shared
-    ``_shared_cells``.  Any leaf or exactness failure raises ExtTableError
-    carrying the failing derivation node.
+    Both Hom(R, K_i) leaves are ranked for every square, and the two
+    cells that read them are derived from them; the other 14 are the
+    shared ``_shared_cells``.  ``_cell`` checks every cell against
+    ``EXPECTED_HOM``, so a leaf other than 2, or any exactness failure,
+    raises ExtTableError carrying the failing derivation node.
     """
-    if lines.verdict != "disjoint":
-        raise ExtTableError(
-            f"lines are not disjoint (verdict {lines.verdict}); "
-            "disjoint-support leaves are unavailable")
-
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
-    for i, value in enumerate(hom):
-        if value != 2:
-            raise ExtTableError(f"Hom(R, K_{i}) leaf is {value}, not 2",
-                                {"rule": "hom-R-K-leaf", "line": i, "value": value})
     shared = _shared_cells()
     cells = {key: shared[key] if key in shared else _cell(hom, *key) for key in _CELLS}
     return ExtTable(OBJECTS, cells)
@@ -542,17 +536,13 @@ def _relations_stage(rel: RelationData) -> FrozenJSON:
     })
 
 
-def _quiver_passed(bq: QuiverAlgebra, mreport: MutationReport) -> bool:
-    return bq.relation_dim == 4 and mreport.structural_match
-
-
 @cache
 def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport) -> FrozenJSON:
     """The quiver stage document: both quiver dumps, the mutation report
     and the base-changed linear Gram."""
     return FrozenJSON({
         "stage": "quiver",
-        "passed": _quiver_passed(bq, mreport),
+        "passed": bq.relation_dim == 4 and mreport.structural_match,
         "block": _quiver_json(bq),
         "linear": _quiver_json(lq),
         "mutation": {
@@ -623,8 +613,6 @@ class Certificate(Record):
             out.append({"stage": "ext_table", "passed": True, "table": self.table.as_dict(),
                         "axioms_tagged": ["pullback fully faithful",
                                           "blow-up functors fully faithful"]})
-        elif self.stage == "ext_table":
-            out.append({"stage": "ext_table", "passed": False, "error": self.reason})
         if self.euler is not None:
             out.append({"stage": "gram", "passed": self.euler == BLOCK_GRAM,
                         "euler": [list(r) for r in self.euler]})
@@ -640,12 +628,13 @@ class Certificate(Record):
 
 
 def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
-    """Run every stage in order and return what they decided; the first
-    failure fixes the verdict.
+    """Run every stage in order and return what they decided.
 
     Stages: geometricity, relations, determinant, lines, quiver (block +
-    linear, which checks its window, + mutation cross-check), ext_table,
-    gram.  An unknown convention raises ValueError before any stage runs.
+    linear + mutation cross-check), ext_table, gram.  The first of
+    geometricity, determinant and lines that fails fixes the verdict; the
+    other stages follow from those three, so a failure there is raised as
+    a bug.  An unknown convention raises ValueError before any stage runs.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -654,8 +643,6 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
         return Certificate(q, convention, geo, "geometricity",
                            f"pure witness at slot pairs {geo.failing_pairs()}")
     rel = relations(q)
-    if not rel.valid:
-        return Certificate(q, convention, geo, "relations", "; ".join(rel.issues), rel)
     try:
         square = square_from_quintuple(q, convention)
     except NotGeneric as exc:
@@ -666,16 +653,6 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     bq = block_quiver(square)
     lq = linear_quiver(rel)
     _, mreport = mutate_linear_to_block(q, rel, bq)
-    decided = (rel, square, lr, (bq, lq, mreport))
-    if not _quiver_passed(bq, mreport):
-        return Certificate(q, convention, geo, "quiver",
-                           "; ".join(mreport.notes) or "dimension mismatch", *decided)
-    try:
-        etable = ext_table(square, lr)
-    except ExtTableError as exc:
-        return Certificate(q, convention, geo, "ext_table", str(exc), *decided)
-    euler = gram_of(etable)
-    if euler != BLOCK_GRAM:
-        return Certificate(q, convention, geo, "gram",
-                           "Euler pairing disagrees with the block Gram", *decided, etable, euler)
-    return Certificate(q, convention, geo, "", "", *decided, etable, euler)
+    etable = ext_table(square)
+    return Certificate(q, convention, geo, "", "", rel, square, lr, (bq, lq, mreport),
+                       etable, gram_of(etable))

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes are uniform across commands: 0 success/certified, 1
-mathematical failure (with the failing stage named), 2 input error, 3
-internal error (a bug in ncquad, reported with its exception type and
-the innermost ncquad function and module on its traceback).  The only
+mathematical failure (``certify`` names geometricity, determinant or
+lines), 2 input error, 3 internal error (a bug in ncquad or a forced
+fact that fails, reported with its exception type and the innermost
+ncquad function and module on its traceback).  The only
 mathematical failures raised rather than reported are the inputs that
 name no quintuple (``ExcludedInput``).  ``--convention`` defaults to
 "ruling".

@@ -265,7 +265,12 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     functional of the contracted factor (k = 0 -> -t, 1 -> s) is the
     single monomial m = u + 1 - k, negated when k = 0, so column (u, c)
     carries g[2k+o] at row 3*o + u + 1 - k, where g = row c of phi^{-1}
-    (g[2o+k] when the contracted factor is 1)."""
+    (g[2o+k] when the contracted factor is 1).
+
+    The hom-R-K lemma: with N = phi^{-1}, column (u, c) is the sum over x
+    of N[c][x] times column (u, x) of S, the matrix at N = I; so the
+    matrix is S (I_2 x N^T), of rank rank S = 6 for every invertible N and
+    either factor, and Hom(R, K_i) = 2 on both lines of every square."""
     return 8 - _pick_kept(line.phi_inv, 6, 8, _HOM_PICKS[line.contracted_factor]).rank()
 
 

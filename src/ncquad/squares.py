@@ -234,8 +234,13 @@ def mutate_linear_to_block(
     dimensions, relation dimension, per-leg composition ranks, Gram
     matrix.  ``rel`` is the relation data of ``q`` and must be valid:
     callers check ``rel.valid``, or pass ``linear_quiver`` first, before
-    they mutate.  The contraction matrices of ``q`` give the R_0 leg's
-    rank.
+    they mutate.
+
+    On a square built from a quintuple the match is forced: block leg 0
+    is a row permutation of the identity (``_LEG_PICKS``), so the block
+    relation dimension is 8 - 4 = 4, and leg 1 one of adj M_2, of rank 4
+    when det <-, w> != 0.  The mutated legs are (4, rank M_0 = 4), and its
+    arrows, relations and Gram read dim R0 = 2 (relations-forced).
     """
     new_hom_dim = rel.r0_dim
 
@@ -246,15 +251,12 @@ def mutate_linear_to_block(
     # is its identity
     a13_dim = hilbert_dims(2)
 
-    # path space: leg via O(0,-1) is V0 x V1 (4), leg via O(-1,0) is
-    # R_0 x V2* (4); both compose into A_{0,2} = V0 x V1.  The first leg
-    # is the identity, of rank 4, so the composition is onto and the
-    # relations have dimension 4 + 2 dim R0 - 4.  Path (k, z) of the
-    # second leg is relation k contracted by e_z at V2.  A valid R_0 has
-    # dimension 2 and its basis is the (V0xV1xV2, V3) flattening of w, so
-    # the leg's entry at row (k, z), column (a, b) is w[a, b, z, k]: the
-    # leg is M_2 with its columns permuted, transposed, of rank
-    # rank M_2 = rank M_0
+    # path space: leg via O(0,-1) is the identity on V0 x V1, leg via
+    # O(-1,0) is R_0 x V2* (4); both compose onto A_{0,2} = V0 x V1, so
+    # the relations have dimension 4 + 2 dim R0 - 4.  Path (k, z) of the
+    # second leg is relation k, a column of the (V0xV1xV2, V3) flattening,
+    # contracted by e_z at V2: the entry at column (a, b) is w[a, b, z, k],
+    # so the leg is M_2 with its columns permuted, transposed, of rank M_0
 
     gram = (
         (1, 2, 2, 4),

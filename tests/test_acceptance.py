@@ -242,9 +242,7 @@ def test_criterion_10_certification():
             c = full_pipeline(q, "ruling")
             if c.certified:
                 certified += 1
-                square = square_from_quintuple(q, "ruling")
-                lines = line_relation(square.line(1))
-                assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
+                assert gram_of(ext_table(square_from_quintuple(q, "ruling"))) == BLOCK_GRAM
         assert certified >= 90
 
 

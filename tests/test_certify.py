@@ -23,6 +23,7 @@ from ncquad.certify import (
     gram_of,
     replay_table,
 )
+from ncquad.cli import main
 from ncquad.corpus import corpus_path
 from ncquad.fileformat import (
     canonical_json_bytes,
@@ -30,7 +31,6 @@ from ncquad.fileformat import (
     load_quintuple,
     parse_quintuple_file,
 )
-from ncquad.grassmann import line_relation
 from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, build_type_a, relations
 from ncquad.squares import (
@@ -41,13 +41,9 @@ from ncquad.squares import (
 )
 
 
-def _table(sq):
-    return ext_table(sq, line_relation(sq.line(1)))
-
-
 def test_ext_table_expected_cells():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     assert t.dims(0, 0) == (1, 0, 0, 0, 0)
     assert t.dims(0, 1) == (2, 0, 0, 0, 0)
     assert t.dims(0, 2) == (2, 0, 0, 0, 0)
@@ -65,7 +61,7 @@ def test_ext_table_expected_cells():
 
 def test_ext_table_leaf_values_in_derivations():
     sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     cell = t.cells[(0, 1)]["derivation"]
     assert cell["rule"] == "les-covariant"
     assert cell["hom"]["value"] == 2                     # Hom(p*R, C_i) leaf
@@ -77,15 +73,9 @@ def test_ext_table_leaf_values_in_derivations():
     assert back["sub"]["child"]["m"] == -2 and back["sub"]["child"]["n"] == -2
 
 
-def test_ext_table_requires_disjoint_lines():
-    sq = square_from_quintuple(build_type_a(0, 1, 1), "literal")
-    with pytest.raises(ExtTableError, match="disjoint"):
-        _table(sq)
-
-
 def test_gram_of_equals_block_gram():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     assert gram_of(t) == BLOCK_GRAM
     total = sum(sum(r) for r in gram_of(t))
     assert total == 16
@@ -104,7 +94,7 @@ def _tampered(t, key, *path):
 
 def test_replay_validates_and_detects_tampering():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     assert replay_table(t, sq)
     # tamper with a stored dimension: replay must refuse it
     bad, node = _tampered(t, (0, 1))
@@ -140,7 +130,7 @@ def _dim_bumps(t):
 
 def test_replay_rejects_every_single_dim_bump():
     sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     cases = 0
     for bad in _dim_bumps(t):
         with pytest.raises(ExtTableError):
@@ -171,7 +161,7 @@ FIELD_TAMPERS = [
 @pytest.mark.parametrize("key, path, field, value, reason", FIELD_TAMPERS)
 def test_replay_rejects_tampered_fields(key, path, field, value, reason):
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     bad, node = _tampered(t, key, *path)
     assert node[field] != value
     node[field] = value
@@ -183,7 +173,7 @@ def test_replay_rejects_a_consistent_table_with_wrong_values():
     # every node replays, but the (p*R, p*R) cell derives the backward
     # pair's zero and the Euler row 0 would read (0, 2, 2, 4)
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     bad, node = _tampered(t, (0, 0))
     node["name"] = "pair-backward:O,p*R"
     node["dims"] = [0, 0, 0, 0, 0]
@@ -211,7 +201,7 @@ def test_replay_rejects_swapped_cells_with_equal_dims():
     # (C0, C1) and (C1, C0) both derive zero, each from its own C_i; every
     # node replays, so only the pair a cell's top node names tells them apart
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     with pytest.raises(ExtTableError, match=r"cell \(1,2\) derives the pair \('C1', 'C0'\)"):
         replay_table(_swapped(t, (1, 2), (2, 1)), sq)
     # so does every other swap of two cells with equal dims
@@ -231,16 +221,21 @@ def _missing_cell(t):
 def test_replay_rejects_a_table_with_a_missing_cell():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     with pytest.raises(ExtTableError, match=r"cell \(0,3\) is missing"):
-        replay_table(_missing_cell(_table(sq)), sq)
+        replay_table(_missing_cell(ext_table(sq)), sq)
 
 
-def test_hom_leaf_failure_reason_is_pinned(monkeypatch):
+def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsys):
+    # Hom(R, K_i) = 2 is forced (the hom-R-K lemma), so no verdict names
+    # the Ext table: a wrong leaf fails _cell's EXPECTED_HOM check, and
+    # the CLI reports it as a bug
     monkeypatch.setattr("ncquad.certify.hom_R_K_dim", lambda line: 3)
-    cert = full_pipeline(build_type_a(1, 2, 3), "ruling")
-    assert cert.verdict == {"certified": False, "stage": "ext_table",
-                            "reason": "Hom(R, K_0) leaf is 3, not 2"}
-    assert cert.stages[-1] == {"stage": "ext_table", "passed": False,
-                               "error": "Hom(R, K_0) leaf is 3, not 2"}
+    reason = r"cell \(p\*R, C0\) has dims \[3, 1, 0, 0, 0\], expected \[2, 0, 0, 0, 0\]"
+    with pytest.raises(ExtTableError, match=reason):
+        full_pipeline(build_type_a(1, 2, 3), "ruling")
+    assert main(["certify", str(corpus_path("linear"))]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("internal error: ExtTableError: cell (p*R, C0) has dims [3, 1, 0, 0, 0]")
+    assert err.endswith("(raised in _cell, module ncquad.certify)")
 
 
 def test_full_pipeline_paper_verdicts():
@@ -286,9 +281,7 @@ def test_triple_gram_agreement_on_certified():
         cert = full_pipeline(q, "ruling")
         if not cert.certified:
             continue
-        square = square_from_quintuple(q, "ruling")
-        lines = line_relation(square.line(1))
-        assert gram_of(ext_table(square, lines)) == BLOCK_GRAM
+        assert gram_of(ext_table(square_from_quintuple(q, "ruling"))) == BLOCK_GRAM
         assert gram_base_change(linear_quiver(relations(q))) == BLOCK_GRAM
         done += 1
 
@@ -428,7 +421,7 @@ def test_shared_cells_survive_mutating_what_callers_get(convention):
     q = build_type_a(1, 2, 3)
     _vandalize(full_pipeline(q, convention).to_dict())
     square = square_from_quintuple(q, convention)
-    table = ext_table(square, line_relation(square.line(1)))
+    table = ext_table(square)
     shared = [cell for cell in table.cells.values() if isinstance(cell, SharedCell)]
     assert len(shared) == 14
     for cell in shared:
@@ -436,7 +429,7 @@ def test_shared_cells_survive_mutating_what_callers_get(convention):
             cell.text = "{}"
     _vandalize(table.cells)
     square = square_from_quintuple(q, convention)
-    fresh = ext_table(square, line_relation(square.line(1)))
+    fresh = ext_table(square)
     assert fresh.dims(0, 3) == (4, 0, 0, 0, 0)
     assert replay_table(fresh, square)
     goldens = list(_golden_certified(convention))
@@ -551,7 +544,7 @@ NEW_TAMPERS = [
 
 @pytest.mark.parametrize("base", ["shared", "parsed"])
 def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
-    tables = {"shared": lambda q, sq: _table(sq), "parsed": lambda q, sq: _parsed_table(q)}[base]
+    tables = {"shared": lambda q, sq: ext_table(sq), "parsed": lambda q, sq: _parsed_table(q)}[base]
     q = build_type_a(1, 2, 3)
     sq = square_from_quintuple(q, "ruling")
     t = tables(q, sq)
@@ -578,7 +571,7 @@ def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
 def test_the_walk_does_not_read_the_twist_cache(monkeypatch):
     # every outcome above holds when the walk finds coh_p1xp2's cache empty
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     monkeypatch.setattr(ncquad.certify, "_reference", lambda hom: None)
     for tamper, outcome in NEW_TAMPERS:
         bad = tamper(t)
@@ -600,7 +593,7 @@ def _deep(depth):
 
 def test_a_deep_derivation_is_refused_with_ext_table_error(monkeypatch):
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = _table(sq)
+    t = ext_table(sq)
     assert _both_paths(monkeypatch, _deep(100)(t), sq) == "cell (3,3) derives the pair None"
     assert _both_paths(monkeypatch, _deep(2000)(t), sq).startswith(
         "cell (3,3) has a malformed node: RecursionError(")
@@ -615,7 +608,7 @@ def test_a_deep_derivation_is_refused_with_ext_table_error(monkeypatch):
 ], ids=["no-derivation", "no-dims", "list", "one-object"])
 def test_replay_refuses_malformed_cells_with_ext_table_error(monkeypatch, tamper, message):
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    bad, _ = _tampered(_table(sq), (1, 2))
+    bad, _ = _tampered(ext_table(sq), (1, 2))
     if tamper is None:
         bad.cells[(1, 2)] = list(bad.cells[(1, 2)].values())
     else:
@@ -641,7 +634,7 @@ def _count_rule_dims(monkeypatch) -> list:
 def test_an_untampered_table_replays_with_no_rule_evaluated(monkeypatch, convention):
     q = build_type_a(1, 2, 3)
     sq = square_from_quintuple(q, convention)
-    t, shared = _parsed_table(q, convention), _table(sq)
+    t, shared = _parsed_table(q, convention), ext_table(sq)
     assert replay_table(t, sq)          # warm-up
     calls = _count_rule_dims(monkeypatch)
     assert replay_table(t, sq)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     col,
     entry,
     from_cols,
+    hom_R_K_oracle,
     inverse,
     kernel_at,
     kernel_basis,
@@ -31,12 +32,13 @@ from helpers import (
 )
 from ncquad.fields import GF, QQ
 from ncquad.grassmann import (
+    EmbeddedLine,
     hom_R_K_dim,
     hom_R_O_dim,
     line_relation,
     reshuffle_rank,
 )
-from ncquad.linalg import Matrix
+from ncquad.linalg import Matrix, _adjugate
 from ncquad.quintuples import build_linear_quadric, build_type_a
 from ncquad.squares import square_from_quintuple
 
@@ -339,6 +341,23 @@ def test_hom_R_K_basis_invariance():
             for i1 in range(2) for j1 in range(2)
         ])
         assert hom_R_K_dim(line_from_phi(matmul(matmul(kron, phi), g4), 0)) == base == 2
+
+
+_SPARSE_ENTRIES = st.sampled_from((-2, -1, 0, 0, 0, 1, 3))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((QQ, GF(5), GF(7), GF(10007))), st.booleans(), st.sampled_from((0, 1)),
+       st.data())
+def test_hom_R_K_lemma_on_every_invertible_phi_inverse(field, sparse, cf, data):
+    # the hom-R-K lemma (``hom_R_K_dim``): the section matrix is S (I_2 x N^T)
+    # for N = phi^{-1}, so it has rank 6, and Hom(R, K) = 2, whenever N is
+    # invertible, on either contracted factor
+    entries = _SPARSE_ENTRIES if sparse else st.integers(-10**6, 10**6)
+    n = Matrix(field, [data.draw(st.lists(entries, min_size=4, max_size=4)) for _ in range(4)])
+    assume(n.det())
+    line = EmbeddedLine(_adjugate(n), n, cf)
+    assert hom_R_K_dim(line) == 2 == hom_R_K_oracle(line)
 
 
 def test_hom_R_O():

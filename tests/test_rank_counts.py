@@ -6,9 +6,11 @@ matrix entries straight from w or phi_i and take one rank.  The oracles build wh
 (R0 x V3) ∩ (V0 x R1) as a basis, the compositions as products with unit
 vectors, and the Hom(R, K_i) section matrix from its product table.
 Inputs are the bundled corpus, the seeded golden inputs (QQ, F_5 and
-F_10007), seeded type-A members and random tensors over F_5 and F_7,
-under both conventions; then random, possibly singular, squares, so
-that the counts take more than their regular values.
+F_10007), seeded type-A members, random tensors over F_5 and F_7 and
+sparse ones over QQ, F_5 and F_7, under both conventions; on each square
+the counts also take the values that quiver-forced (the
+``mutate_linear_to_block`` docstring) proves.  Then random, possibly
+singular, squares, so that the counts take more than their regular values.
 """
 
 import json
@@ -34,7 +36,7 @@ from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple, parse_quintuple_file
 from ncquad.grassmann import EmbeddedLine, hom_R_K_dim
 from ncquad.linalg import Matrix
-from ncquad.quintuples import relations
+from ncquad.quintuples import SLOT_LABELS, Quintuple, relations
 from ncquad.squares import (
     CONVENTIONS,
     GeometricSquare,
@@ -43,6 +45,7 @@ from ncquad.squares import (
     mutate_linear_to_block,
     square_from_quintuple,
 )
+from ncquad.tensors import Tensor
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -58,6 +61,12 @@ def _inputs():
     for p in (5, 7):
         for _ in range(30):
             yield random_quintuple_fp(rng, GF(p))
+    # sparse tensors, entries as in the hom-R-K lemma test
+    for field in (QQ, GF(5), GF(7)):
+        for _ in range(40):
+            entries = [field.of(rng.choice((-2, -1, 0, 0, 0, 1, 3))) for _ in range(16)]
+            if any(entries):
+                yield Quintuple(Tensor(field, (2, 2, 2, 2), entries, SLOT_LABELS))
 
 
 def _check_square(sq, seen):
@@ -73,7 +82,8 @@ def _check_square(sq, seen):
 
 
 def test_counts_match_oracles_on_inputs():
-    seen = {"rel": set(), "block": set(), "mutation": set(), "hom": set(), "fields": set()}
+    seen = {"rel": set(), "block": set(), "mutation": set(), "hom": set(), "fields": set(),
+            "forced": 0}
     for q in _inputs():
         seen["fields"].add(q.field)
         rel = relations(q)
@@ -89,16 +99,24 @@ def test_counts_match_oracles_on_inputs():
                 block = _check_square(square_from_quintuple(q, convention), seen)
             except NotGeneric:
                 block = None
+            else:
+                # quiver-forced (``mutate_linear_to_block``): past the
+                # determinant both legs have rank 4 and 4 relations
+                assert (block.relation_dim, block.leg_ranks) == (4, (4, 4))
+                seen["forced"] += 1
             if rel.valid:
                 mutated, report = mutate_linear_to_block(q, rel, block)
                 counts = (mutated.relation_dim, mutated.leg_ranks)
                 assert counts == mutation_oracle(r0)
                 seen["mutation"].add(counts)
                 assert report.structural_match == (block is not None)
+                if block is not None:
+                    assert mutated.leg_ranks == (4, 4)
     assert {QQ, GF(5), GF(7), GF(10007)} <= seen["fields"]
     assert len(seen["rel"]) > 1
     assert len(seen["mutation"]) > 1
     assert seen["hom"] == {2}
+    assert seen["forced"] > 300
 
 
 def _singular(rng, field, n):
