@@ -23,12 +23,16 @@ derives the two cells (p*R, C_i) that read them; ``_cell`` checks each
 cell against ``EXPECTED_HOM``, the one check on a cell.  The other 14
 cells depend on the rule set alone, so they are derived, and encoded as
 canonical JSON, once per process and shared read-only by every table
-(``SharedCell``); ``canonical_json_bytes`` splices their text into each
-certificate's bytes.  The relations and quiver stage documents are
-shared the same way: each is a function of records of small integers and
-fixed strings, so ``_relations_stage`` and ``_quiver_stage`` build and
-encode each distinct one once per process, while every rank behind those
-records still runs on every input.
+(``SharedCell``).  A table is thus a function of its Hom(R, K_i) pair
+alone, and so is its stage document: ``_ext_table_stage`` builds and
+encodes it once per process for each pair, and ``_cell`` admits only
+(2, 2).  The relations and quiver stage documents are shared the same
+way: each is a function of records of small integers and fixed strings,
+so ``_relations_stage`` and ``_quiver_stage`` build and encode each
+distinct one once per process.  ``canonical_json_bytes`` splices the
+text of each shared document into the certificate's bytes, while every
+rank behind them, and the derivation of the cells (p*R, C_i), still run
+on every input.
 
 ``full_pipeline`` decides: it calls the stage functions in order, hands
 each the artifacts it needs and returns a ``Certificate`` holding them; it
@@ -302,6 +306,7 @@ class ExtTable(Record):
 
     objects: tuple
     cells: dict   # (i, j) -> {"dims": [...], "derivation": node}
+    hom: tuple | None = None   # the Hom(R, K_i) dims it is derived from; None if parsed
 
     def dims(self, i: int, j: int) -> tuple:
         return tuple(self.cells[(i, j)]["dims"])
@@ -352,6 +357,13 @@ def _shared_cells() -> dict:
     return {key: SharedCell(_cell(None, *key)) for key in _CELLS if key not in _INPUT_CELLS}
 
 
+def _table(hom) -> ExtTable:
+    """The table the rules derive from the Hom(R, K_i) dims ``hom``."""
+    shared = _shared_cells()
+    cells = {key: shared[key] if key in shared else _cell(hom, *key) for key in _CELLS}
+    return ExtTable(OBJECTS, cells, hom)
+
+
 def ext_table(square: GeometricSquare) -> ExtTable:
     """The complete table of a square whose lines are disjoint, as the
     ``lines`` stage has decided.
@@ -362,10 +374,7 @@ def ext_table(square: GeometricSquare) -> ExtTable:
     ``EXPECTED_HOM``, so a leaf other than 2, or any exactness failure,
     raises ExtTableError carrying the failing derivation node.
     """
-    hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
-    shared = _shared_cells()
-    cells = {key: shared[key] if key in shared else _cell(hom, *key) for key in _CELLS}
-    return ExtTable(OBJECTS, cells)
+    return _table((hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1))))
 
 
 def gram_of(table: ExtTable) -> tuple:
@@ -517,7 +526,7 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
     }
 
 
-# the two stage documents shared between inputs (see the module docstring);
+# the three stage documents shared between inputs (see the module docstring);
 # their keys hold dims at most 8, ranks at most 4 and fixed strings
 
 
@@ -554,6 +563,15 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport)
             "base_changed_linear_gram": [list(r) for r in gram_base_change(lq)],
         },
     })
+
+
+@cache
+def _ext_table_stage(hom: tuple) -> FrozenJSON:
+    """The ext_table stage document of every table derived from ``hom``:
+    a table is a function of its Hom(R, K_i) dims alone (``_table``)."""
+    return FrozenJSON({"stage": "ext_table", "passed": True, "table": _table(hom).as_dict(),
+                       "axioms_tagged": ["pullback fully faithful",
+                                         "blow-up functors fully faithful"]})
 
 
 class Certificate(Record):
@@ -610,9 +628,7 @@ class Certificate(Record):
         if self.quiver is not None:
             out.append(_quiver_stage(*self.quiver))
         if self.table is not None:
-            out.append({"stage": "ext_table", "passed": True, "table": self.table.as_dict(),
-                        "axioms_tagged": ["pullback fully faithful",
-                                          "blow-up functors fully faithful"]})
+            out.append(_ext_table_stage(self.table.hom))
         if self.euler is not None:
             out.append({"stage": "gram", "passed": self.euler == BLOCK_GRAM,
                         "euler": [list(r) for r in self.euler]})

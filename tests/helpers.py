@@ -1385,7 +1385,22 @@ def change_basis(q, gs) -> Quintuple:
     return Quintuple(Tensor(field, (2, 2, 2, 2), w, SLOT_LABELS))
 
 
-# -- the relations and quiver stage documents, built inline ------------------
+def permute_slots(q, sigma) -> Quintuple:
+    """The quintuple whose slot k holds slot ``sigma[k]`` of q: its entry
+    at (i_0, i_1, i_2, i_3) is the entry of w whose index in slot
+    ``sigma[k]`` is i_k.  A pick table on the 16 row-major entries, read
+    off the bits of each flat index."""
+    picks = []
+    for flat in range(16):
+        old = [0] * 4
+        for k in range(4):
+            old[sigma[k]] = (flat >> (3 - k)) & 1
+        picks.append(8 * old[0] + 4 * old[1] + 2 * old[2] + old[3])
+    w = tensor_entries(q.w)
+    return Quintuple(Tensor(q.field, (2, 2, 2, 2), [w[i] for i in picks], SLOT_LABELS))
+
+
+# -- the relations, quiver and ext_table stage documents, built inline -------
 #
 # The dict literals ``full_pipeline`` wrote for every input before it shared
 # each distinct stage document between inputs; the shared documents must
@@ -1433,3 +1448,8 @@ def reference_quiver_stage(bq, lq, mreport, base_changed) -> dict:
             "base_changed_linear_gram": [list(r) for r in base_changed],
         },
     }
+
+
+def reference_ext_table_stage(table) -> dict:
+    return {"stage": "ext_table", "passed": True, "table": table.as_dict(),
+            "axioms_tagged": ["pullback fully faithful", "blow-up functors fully faithful"]}

@@ -23,7 +23,7 @@ from ncquad.quintuples import build_type_a
 TESTS = Path(__file__).resolve().parent
 CONVENTIONS = ("ruling", "literal")
 RENDERERS = ("input_digest", "_geometricity_json", "_line_relation_json",
-             "_relations_stage", "_quiver_stage", "gram_base_change")
+             "_relations_stage", "_quiver_stage", "_ext_table_stage", "gram_base_change")
 
 
 def _golden():

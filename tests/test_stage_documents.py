@@ -1,9 +1,12 @@
-"""The relations and quiver stage documents, built once per distinct value.
+"""The relations, quiver and ext_table stage documents, built once per
+distinct value.
 
 ``certify._relations_stage`` and ``certify._quiver_stage`` cache each
-stage document by the records it prints.  These tests check that the
-shared documents encode to the bytes of the inline dicts they replaced
-(kept in ``helpers``), that both caches stay small, and that the golden
+stage document by the records it prints, and ``certify._ext_table_stage``
+by the Hom(R, K_i) pair its table is derived from.  These tests check
+that the shared documents encode to the bytes of the inline dicts they
+replaced (kept in ``helpers``), that the caches stay small, that the
+ext_table document is built once per Hom pair, and that the golden
 digests do not depend on the order in which a fresh process meets its
 inputs.
 """
@@ -20,10 +23,12 @@ import pytest
 from helpers import (
     random_tensor_fp,
     random_type_a_triple,
+    reference_ext_table_stage,
     reference_quiver_stage,
     reference_relations_stage,
 )
-from ncquad.certify import _quiver_stage, _relations_stage, full_pipeline
+from ncquad.certify import (ExtTable, _ext_table_stage, _quiver_stage, _relations_stage,
+                            full_pipeline)
 from ncquad.fields import GF
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.quintuples import relations, truncated_dims
@@ -63,7 +68,7 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
     # every relations document, failing ones included, and every
     # certificate, with its shared stages swapped for the inline dicts
     rng = random.Random(f"{family}-{convention}")
-    failures, quivers = set(), 0
+    failures, quivers, tables = set(), 0, 0
     for _ in range(2000):
         q = _draw(family, rng)
         rel = relations(q)
@@ -82,8 +87,13 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
             assert stages[4]["stage"] == "quiver"
             stages[4] = _reference_quiver(q, rel, convention)
             quivers += 1
+        if len(stages) > 5:
+            assert stages[5]["stage"] == "ext_table"
+            stages[5] = reference_ext_table_stage(cert.table)
+            tables += 1
         assert canonical_json_bytes(cert.to_dict()) == canonical_json_bytes(doc)
     assert quivers >= 100
+    assert tables == quivers
     if family != "typea-qq":
         assert failures == RELATIONS_FAILURES
 
@@ -96,10 +106,12 @@ def test_stage_caches_stay_bounded():
     # is a constant; the block quiver's arrow spaces follow the convention (2),
     # its leg ranks lie in 0..4 (25), its relation dim is 4 (leg 0 holds
     # the rows of the identity), and the mutation report either matches or
-    # not (2): at most 100 keys.  Rendering builds the documents, so
+    # not (2): at most 100 keys.  Ext table: ``_cell`` accepts only the
+    # Hom pair (2, 2), so one key.  Rendering builds the documents, so
     # each certificate renders
     _relations_stage.cache_clear()
     _quiver_stage.cache_clear()
+    _ext_table_stage.cache_clear()
     rng = random.Random(1706)
     families = ("typea-qq", "sparse-f5", "sparse-f7")
     for k in range(5000):
@@ -108,6 +120,34 @@ def test_stage_caches_stay_bounded():
         full_pipeline(q, ("ruling", "literal")[k // 3 % 2]).to_dict()
     assert 6 <= _relations_stage.cache_info().currsize <= 10
     assert 1 <= _quiver_stage.cache_info().currsize <= 100
+    info = _ext_table_stage.cache_info()
+    assert info.currsize == 1
+    _ext_table_stage((2, 2))     # the one key: a hit, not a new entry
+    assert _ext_table_stage.cache_info()[:2] == (info.hits + 1, info.misses)
+
+
+def test_ext_table_stage_is_built_once_per_hom_pair(monkeypatch):
+    # 40 certified renders, under both conventions, of tables all derived
+    # from the Hom pair (2, 2): one document, one ``as_dict``
+    as_dict, calls = ExtTable.as_dict, []
+
+    def counting(table):
+        calls.append(table.hom)
+        return as_dict(table)
+
+    monkeypatch.setattr(ExtTable, "as_dict", counting)
+    _ext_table_stage.cache_clear()
+    rng = random.Random(4027)
+    rendered = 0
+    while rendered < 40:
+        q = random_type_a_triple(rng)[1]
+        for convention in ("ruling", "literal"):
+            cert = full_pipeline(q, convention)
+            if cert.certified:
+                assert b'"stage":"ext_table"' in canonical_json_bytes(cert.to_dict())
+                rendered += 1
+    assert calls == [(2, 2)]
+    assert _ext_table_stage.cache_info().misses == 1
 
 
 _REPLAY_GOLDEN = """
