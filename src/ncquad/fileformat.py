@@ -14,6 +14,16 @@ is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
 mod p over F_p; the tensor index order is slots 0..3 with basis index
 0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
 equivalent spellings of the same input agree.
+
+``input_digest`` hashes the canonical bytes of the file
+{"field": <field spec>, "w": <nested exact strings>}, as
+``canonical_json_bytes`` would write it, but without building that
+document: one %-format of the module constant ``_DIGEST_TEXT`` fills in
+the field spec and the 16 entries of w's integer row, row-major.  Over
+F_p the entries are the residues; over QQ each is its numerator over the
+common denominator after one gcd, as ``tensor_nested_strings`` spells
+it.  An integer past the interpreter's int-to-decimal digit limit is
+written by ``fields._exact_str``.
 """
 
 from __future__ import annotations
@@ -153,13 +163,17 @@ def tensor_nested_strings(q: Quintuple):
     """The entries of w as exact strings, nested slot by slot, written
     from the integer row of w as ``str`` writes its field elements: each
     numerator over the common denominator (1 mod p) after one gcd."""
-    num, den = q.w._row._num, q.w._row._den
-    gs = [math.gcd(x, den) for x in num]
-    nested = [_exact_str(x // g) if g == den else f"{_exact_str(x // g)}/{_exact_str(den // g)}"
-              for x, g in zip(num, gs)]
+    nested = _entry_strings(q.w._row._num, q.w._row._den, _exact_str)
     for n in reversed(q.w.shape[1:]):
         nested = [nested[i:i + n] for i in range(0, len(nested), n)]
     return nested
+
+
+def _entry_strings(num, den: int, spell) -> list:
+    """The entries num / den in row order, each written by ``spell`` as
+    its numerator over the denominator after one gcd with den."""
+    return [spell(x // g) if (g := math.gcd(x, den)) == den else f"{spell(x // g)}/{spell(den // g)}"
+            for x in num]
 
 
 class FrozenJSON(Mapping):
@@ -220,12 +234,24 @@ def canonical_json_bytes(obj) -> bytes:
     return out.encode()
 
 
+# the canonical bytes of {"field": f, "w": w} with the 16 entries of w
+# filled in row-major order, as canonical_json_bytes writes that document
+_DIGEST_TEXT = ('{"field":"%s","w":[[[["%s","%s"],["%s","%s"]],[["%s","%s"],["%s","%s"]]],'
+                '[[["%s","%s"],["%s","%s"]],[["%s","%s"],["%s","%s"]]]]}')
+
+
 def input_digest(q: Quintuple) -> str:
-    doc = {
-        "field": field_to_str(q.field),
-        "w": tensor_nested_strings(q),
-    }
-    return hashlib.sha256(canonical_json_bytes(doc)).hexdigest()
+    """The sha256 of the canonical input file {"field", "w"} of q, with w
+    as ``tensor_nested_strings`` writes it, formatted straight from the
+    integer row of w."""
+    num, den = q.w._row._num, q.w._row._den
+    field = field_to_str(q.field)
+    try:
+        # den is 1 over F_p and for integral w over QQ: the integers as is
+        text = _DIGEST_TEXT % (field, *(num if den == 1 else _entry_strings(num, den, str)))
+    except ValueError:      # an integer past the int-to-decimal digit limit
+        text = _DIGEST_TEXT % (field, *_entry_strings(num, den, _exact_str))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load_quintuple(path: str) -> tuple[Quintuple, dict]:

@@ -5,7 +5,7 @@ algebra window.
 
 Relation extraction keeps only the dimensions of R_0, of R_1 and of the
 line (R0 x V3) ∩ (V0 x R1): two ranks of 8x2 flattenings of w, read off
-2x2 minors, and one elimination of the 8x16 span of both.
+2x2 minors, and one elimination of the 7x16 span of both.
 
 Conventions, fixed throughout the package:
 
@@ -271,12 +271,13 @@ class RelationData(Record):
 # the flat entries of w: vector (s, d) of R0 x V3 is (contraction by e_d)
 # x e_s, whose entry 2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of
 # V0 x R1 is e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d,
-# is w[8a + i]
+# is w[8a + i].  Vector (1, 1) of V0 x R1 is row 0 + row 3 - row 4 and
+# is left out (see ``relations``)
 _SPAN_PICKS = tuple(
     [t - s + d if t % 2 == s else None
      for s in range(2) for d in range(2) for t in range(16)]
     + [t % 8 + 8 * a if t // 8 == s else None
-       for s in range(2) for a in range(2) for t in range(16)])
+       for s, a in ((0, 0), (0, 1), (1, 0)) for t in range(16)])
 
 
 def relations(q: Quintuple) -> RelationData:
@@ -293,7 +294,12 @@ def relations(q: Quintuple) -> RelationData:
 
         dim (R0 x V3 ∩ V0 x R1) = 2 dim R0 + 2 dim R1 - rank[R0 x V3 ; V0 x R1],
 
-    the rank of one 8x16 matrix picked from w (``_SPAN_PICKS``).
+    the rank of the 8 spanning vectors.  For every w, vectors (0, 0) and
+    (1, 1) of R0 x V3 sum to w, and so do vectors (0, 0) and (1, 1) of
+    V0 x R1.  So vector (1, 1) of V0 x R1 is (0, 0) + (1, 1) of R0 x V3
+    less (0, 0) of V0 x R1, and the rank is that of the other 7: one 7x16
+    matrix picked from w (``_SPAN_PICKS``), whose rows 0 + 3 - 4 are the
+    vector left out.
 
     w = sum_d (column d) x e_d lies in R0 x V3, and likewise in V0 x R1,
     so it lies in the intersection; when that is a line, the nonzero w
@@ -319,7 +325,7 @@ def relations(q: Quintuple) -> RelationData:
       change under field extension, so W = 1 over the base field too."""
     r0_dim = q.w.reshape((0, 1, 2), (3,)).rank()
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
-    w_dim = 2 * r0_dim + 2 * r1_dim - _pick(q.w._row, 8, 16, _SPAN_PICKS).rank()
+    w_dim = 2 * r0_dim + 2 * r1_dim - _pick(q.w._row, 7, 16, _SPAN_PICKS).rank()
 
     issues = []
     if r0_dim != 2:

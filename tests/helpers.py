@@ -836,20 +836,26 @@ def record_eliminations(monkeypatch) -> list:
     return shapes
 
 
-def span_rank_oracle(q) -> int:
-    """rank [R0 x V3 ; V0 x R1] from its 8 spanning vectors in the 16-dim
-    space, one per row, by Gauss elimination on lifted entries of w.
-    Vector (s, d) of R0 x V3 is (contraction by e_d) x e_s, whose entry
-    2i + s, i = 4a+2b+c, is w[2i + d]; vector (s, a) of V0 x R1 is
-    e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d, is
-    w[8a + i].  ``relations`` picks the same rows through its own table."""
+def span_vectors_oracle(q) -> list:
+    """The 8 spanning vectors of [R0 x V3 ; V0 x R1] in the 16-dim space,
+    one per row, as lifted entries of w.  Vector (s, d) of R0 x V3 is
+    (contraction by e_d) x e_s, whose entry 2i + s, i = 4a+2b+c, is
+    w[2i + d]; vector (s, a) of V0 x R1 is e_s x (contraction by e_a),
+    whose entry 8s + i, i = 4b+2c+d, is w[8a + i].  ``relations`` picks
+    the first 7 through its own table."""
     w = tensor_entries(q.w)
     zero = w[0] * 0
     rows = [[w[t - s + d] if t % 2 == s else zero for t in range(16)]
             for s in range(2) for d in range(2)]
     rows += [[w[t % 8 + 8 * a] if t // 8 == s else zero for t in range(16)]
              for s in range(2) for a in range(2)]
-    return rank_oracle(rows)
+    return rows
+
+
+def span_rank_oracle(q) -> int:
+    """rank [R0 x V3 ; V0 x R1] from all 8 of its spanning vectors
+    (``span_vectors_oracle``), by Gauss elimination."""
+    return rank_oracle(span_vectors_oracle(q))
 
 
 def _composition_counts(comp, leg_width=4):

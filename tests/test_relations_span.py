@@ -1,13 +1,14 @@
-"""The relations span, one 8x16 elimination, against the oracles.
+"""The relations span, one 7x16 elimination, against the oracles.
 
 ``relations`` reads dim R0 and dim R1 off 2x2 minors of the 8x2
-flattenings and eliminates the 8x16 span [R0 x V3 ; V0 x R1], picked from
-w, once, whatever the dims.  Tensors that are pure in slot 3 (w = r x v)
-have dim R0 = 1, those pure in slot 0 have dim R1 = 1, and
-``witness-qq-theta.json`` has a plane of relations; random sparse and
-dense tensors reach every dims tuple there is.  The ``relations-*.json``
-files are the bundled inputs with dim R0 or dim R1 below 2; their
-``check`` output is pinned as written before the span was first reduced.
+flattenings and eliminates the span [R0 x V3 ; V0 x R1], 7 of its 8
+spanning vectors picked from w, once, whatever the dims.  Tensors that
+are pure in slot 3 (w = r x v) have dim R0 = 1, those pure in slot 0
+have dim R1 = 1, and ``witness-qq-theta.json`` has a plane of relations;
+random sparse and dense tensors reach every dims tuple there is.  The
+``relations-*.json`` files are the bundled inputs with dim R0 or dim R1
+below 2; their ``check`` output is pinned as written before the span
+was first reduced.
 """
 
 import hashlib
@@ -17,11 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import record_eliminations, relations_oracle, span_rank_oracle
+from helpers import (
+    lift,
+    record_eliminations,
+    relations_oracle,
+    span_rank_oracle,
+    span_vectors_oracle,
+    tensor_entries,
+)
 from ncquad.cli import main
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple
-from ncquad.quintuples import SLOT_LABELS, Quintuple, relations
+from ncquad.linalg import _pick
+from ncquad.quintuples import _SPAN_PICKS, SLOT_LABELS, Quintuple, relations
 from ncquad.tensors import Tensor
 
 _DATA = Path(__file__).with_name("data")
@@ -49,10 +58,10 @@ def _quintuple(field, entries):
 
 def _check(q, eliminations):
     """The dims of ``relations(q)``, checked against both oracles, and the
-    one 8x16 elimination the stage runs."""
+    one 7x16 elimination the stage runs."""
     eliminations.clear()
     rel = relations(q)
-    assert eliminations == [(8, 16)]
+    assert eliminations == [(7, 16)]
     r0, r1_dim, line = relations_oracle(q)
     assert rel.dims == (r0.ncols, r1_dim, line.ncols)
     assert rel.w_dim == 2 * (rel.r0_dim + rel.r1_dim) - span_rank_oracle(q)
@@ -120,6 +129,26 @@ def test_random_sparse_and_dense_tensors_reach_every_dims_tuple(eliminations):
         seen = {_check(_quintuple(field, _draw(rng, field, 16, density)), eliminations)
                 for density in (0.1, 0.15, 0.2, 0.3, 0.5, 1.0) for _ in range(40)}
         assert seen == _ALL_DIMS
+
+
+def test_the_left_out_span_vector_is_row_0_plus_row_3_less_row_4():
+    # vectors (0, 0) + (1, 1) of R0 x V3 sum to w, and so do vectors
+    # (0, 0) + (1, 1) of V0 x R1; so the eighth vector, which
+    # ``relations`` leaves out, is row 0 + row 3 - row 4 of its 7 picks
+    rng = random.Random(2801)
+    for field in (QQ, GF(5), GF(7), GF(10007)):
+        for density in (0.2, 0.5, 1.0):
+            for _ in range(30):
+                q = _quintuple(field, _draw(rng, field, 16, density))
+                w = list(tensor_entries(q.w))
+                picked = _pick(q.w._row, 7, 16, _SPAN_PICKS)
+                rows = [list(lift(field, r)) for r in picked.rows]
+                vectors = span_vectors_oracle(q)
+                assert rows == vectors[:7]
+                assert [a + b for a, b in zip(rows[0], rows[3])] == w
+                assert [a + b for a, b in zip(rows[4], vectors[7])] == w
+                assert [a + b - c for a, b, c in zip(rows[0], rows[3], rows[4])] == vectors[7]
+                assert picked.rank() == span_rank_oracle(q)
 
 
 def test_plane_of_relations_matches_the_oracle(eliminations):

@@ -19,10 +19,14 @@ image is M_{j+2} = M_j^T of w:
   so it is asserted only where it is decided;
 - so the verdict stage is unchanged.
 
-The shift by one and the reversal also map the failing-pair set (j to
-j - 1, and j to 2 - j), but they are not asserted to keep the verdict:
-``det <-, w>`` and the two lines are read off fixed slots, M_0 and M_2,
-and the shift by one and the reversal move other contractions there.
+All eight elements map the failing-pair set, and that is asserted for
+each: the shift by r (slot k of the image holds slot k + r) maps j to
+j - r, and the reflection whose slot k holds slot c - k maps j to
+c - 1 - j, so the shift by one maps j to j - 1 and the reversal
+(c = 3) maps j to 2 - j.  The shift by one and the reversal are not
+asserted to keep the verdict: ``det <-, w>`` and the two lines are read
+off fixed slots, M_0 and M_2, and the shift by one and the reversal move
+other contractions there.
 On 2,400 seeded sparse tensors over F_5, F_7 and QQ, under both
 conventions, the shift by one changed the stage on 401 and the reversal
 on 85, each between ``determinant`` or ``lines`` and certified.
@@ -48,6 +52,13 @@ from ncquad.quintuples import build_type_a, is_geometric
 from ncquad.squares import CONVENTIONS, NotGeneric, square_from_quintuple
 
 SHIFT_BY_TWO = (2, 3, 0, 1)     # slot k of the image holds slot k + 2
+# the dihedral group of the 4-cycle: each element as (the slot of w that
+# slot k of the image holds, the image of pair j), both indexed by k and j
+DIHEDRAL = (
+    [(tuple((k + r) % 4 for k in range(4)), tuple((j - r) % 4 for j in range(4)))
+     for r in range(4)]
+    + [(tuple((c - k) % 4 for k in range(4)), tuple((c - 1 - j) % 4 for j in range(4)))
+       for c in range(4)])
 FIELDS = {"QQ": QQ, "F5": GF(5), "F7": GF(7), "F10007": GF(10007)}
 DENSITIES = (0.2, 0.3, 0.4, 0.6, 1.0)
 
@@ -113,3 +124,21 @@ def test_shift_by_two_maps_failing_pairs_and_keeps_the_verdict(name):
             stages[base[0]] += 1
     # every verdict stage is reached, so each assertion above is exercised
     assert set(stages) == {"", "geometricity", "determinant", "lines"}, stages
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_dihedral_element_maps_the_failing_pairs(name):
+    field = FIELDS[name]
+    rng = random.Random(f"slot-dihedral-{name}")
+    failing_counts = Counter()
+    for k in range(300):
+        density = DENSITIES[k % len(DENSITIES)]
+        q = (random_tensor_qq(rng, density, height=3) if field is QQ
+             else random_tensor_fp(rng, field, density))
+        failing = is_geometric(q).failing_pairs()
+        failing_counts[len(failing)] += 1
+        for sigma, image in DIHEDRAL:
+            moved = is_geometric(permute_slots(q, sigma)).failing_pairs()
+            assert sorted(moved) == sorted(image[j] for j in failing), (name, sigma, failing)
+    # inputs failing at no pair and at all four, and at some between, are met
+    assert {0, 4} <= set(failing_counts) and len(failing_counts) >= 4, failing_counts
