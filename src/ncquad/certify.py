@@ -14,25 +14,20 @@ Every derivation is a tree of JSON-ready nodes carrying their rule, the
 fields that rule reads and their dims.  ``_rule_dims`` states each rule
 once: building a node stores its result, and a replay recomputes it on
 every node, children first, trusting no stored conclusion.
-``replay_table`` runs that per-node replay once per process for each pair
-of Hom(R, K_i) dims, on the table the rules derive from it
-(``_reference``), and again on each cell of a table that differs from it.
 
-Every input that reaches the table ranks both Hom(R, K_i) leaves and
-derives the two cells (p*R, C_i) that read them; ``_cell`` checks each
-cell against ``EXPECTED_HOM``, the one check on a cell.  The other 14
-cells depend on the rule set alone, so they are derived, and encoded as
-canonical JSON, once per process and shared read-only by every table
-(``SharedCell``).  A table is thus a function of its Hom(R, K_i) pair
-alone, and so is its stage document: ``_ext_table_stage`` builds and
-encodes it once per process for each pair, and ``_cell`` admits only
-(2, 2).  The relations and quiver stage documents are shared the same
-way: each is a function of records of small integers and fixed strings,
-so ``_relations_stage`` and ``_quiver_stage`` build and encode each
-distinct one once per process.  ``canonical_json_bytes`` splices the
-text of each shared document into the certificate's bytes, while every
-rank behind them, and the derivation of the cells (p*R, C_i), still run
-on every input.
+A table is a function of its Hom(R, K_i) pair alone, and ``_cell``
+admits only (2, 2).  ``_derived(hom)`` derives the 16 cells once per
+process for each pair; ``_shared_cells`` keeps the 14 that read no leaf
+as read-only ``SharedCell`` texts, ``_ext_table_stage`` encodes them,
+and ``_reference`` replays them once, so ``replay_table`` walks only the
+cells that differ.  Each input that reaches the table still ranks both
+leaves and derives the two cells (p*R, C_i), which ``_cell`` checks
+against ``EXPECTED_HOM``, the one check on a cell; that pair goes only
+with ROADMAP item 16, after item 9, as the perfbench self-test counts
+its spans.  The relations and quiver stage documents, functions of
+records of small integers and fixed strings, are built and encoded once
+per process for each distinct value.  ``canonical_json_bytes`` splices
+the text of each shared document into the certificate's bytes.
 
 ``full_pipeline`` decides: it calls the stage functions in order, hands
 each the artifacts it needs and returns a ``Certificate`` holding them; it
@@ -311,12 +306,6 @@ class ExtTable(Record):
     def dims(self, i: int, j: int) -> tuple:
         return tuple(self.cells[(i, j)]["dims"])
 
-    def as_dict(self) -> dict:
-        return {
-            "objects": list(self.objects),
-            "cells": {f"{i},{j}": self.cells[(i, j)] for i, j in _CELLS},
-        }
-
 
 class SharedCell(FrozenJSON):
     """A cell whose derivation reads no input, held as the canonical text
@@ -349,19 +338,18 @@ def _cell(hom, i: int, j: int) -> dict:
 
 
 @cache
-def _shared_cells() -> dict:
-    """(i, j) -> SharedCell for the 14 cells outside ``_INPUT_CELLS``.
-    They depend on the rule set alone (``hom`` is never read, so it is
-    None here), so they are derived and encoded on the first input that
-    reaches the table and then shared: once per process."""
-    return {key: SharedCell(_cell(None, *key)) for key in _CELLS if key not in _INPUT_CELLS}
+def _derived(hom: tuple) -> dict:
+    """(i, j) -> the cell the rules derive from the Hom(R, K_i) dims
+    ``hom``; ``_cell`` raises ExtTableError for a pair with no valid table."""
+    return {key: _cell(hom, *key) for key in _CELLS}
 
 
-def _table(hom) -> ExtTable:
-    """The table the rules derive from the Hom(R, K_i) dims ``hom``."""
-    shared = _shared_cells()
-    cells = {key: shared[key] if key in shared else _cell(hom, *key) for key in _CELLS}
-    return ExtTable(OBJECTS, cells, hom)
+@cache
+def _shared_cells(hom: tuple) -> dict:
+    """(i, j) -> SharedCell for the 14 cells of ``_derived(hom)`` that read
+    no Hom(R, K_i) leaf, shared by every table derived from ``hom``."""
+    derived = _derived(hom)
+    return {key: SharedCell(derived[key]) for key in _CELLS if key not in _INPUT_CELLS}
 
 
 def ext_table(square: GeometricSquare) -> ExtTable:
@@ -370,11 +358,14 @@ def ext_table(square: GeometricSquare) -> ExtTable:
 
     Both Hom(R, K_i) leaves are ranked for every square, and the two
     cells that read them are derived from them; the other 14 are the
-    shared ``_shared_cells``.  ``_cell`` checks every cell against
-    ``EXPECTED_HOM``, so a leaf other than 2, or any exactness failure,
-    raises ExtTableError carrying the failing derivation node.
+    ``_shared_cells`` of that pair.  ``_cell`` checks each derived cell
+    against ``EXPECTED_HOM``, so a leaf other than 2, or any exactness
+    failure, raises ExtTableError carrying the failing derivation node.
     """
-    return _table((hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1))))
+    hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
+    inputs = {key: _cell(hom, *key) for key in _INPUT_CELLS}
+    shared = _shared_cells(hom)
+    return ExtTable(OBJECTS, {key: inputs.get(key) or shared[key] for key in _CELLS}, hom)
 
 
 def gram_of(table: ExtTable) -> tuple:
@@ -425,10 +416,10 @@ def _check_cell(i: int, j: int, cell, hom) -> dict:
 
 @cache
 def _reference(hom: tuple) -> dict | None:
-    """(i, j) -> the cell the rules derive from ``hom``, checked once per
-    process by ``_check_cell``; None if they derive no valid table."""
+    """``_derived(hom)``, each cell checked by ``_check_cell`` once per
+    process; None if the rules derive no valid table from ``hom``."""
     try:
-        return {(i, j): _check_cell(i, j, _cell(hom, i, j), hom) for i, j in _CELLS}
+        return {key: _check_cell(*key, cell, hom) for key, cell in _derived(hom).items()}
     except ExtTableError:
         return None
 
@@ -568,8 +559,10 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport)
 @cache
 def _ext_table_stage(hom: tuple) -> FrozenJSON:
     """The ext_table stage document of every table derived from ``hom``:
-    a table is a function of its Hom(R, K_i) dims alone (``_table``)."""
-    return FrozenJSON({"stage": "ext_table", "passed": True, "table": _table(hom).as_dict(),
+    ``_derived(hom)``, its 14 ``_shared_cells`` spliced as encoded."""
+    cells = {**_derived(hom), **_shared_cells(hom)}
+    table = {"objects": list(OBJECTS), "cells": {f"{i},{j}": c for (i, j), c in cells.items()}}
+    return FrozenJSON({"stage": "ext_table", "passed": True, "table": table,
                        "axioms_tagged": ["pullback fully faithful",
                                          "blow-up functors fully faithful"]})
 

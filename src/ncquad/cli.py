@@ -155,14 +155,11 @@ def cmd_cohomology(args) -> int:
         table = coh_p1(args.m)
     elif args.space == "p2":
         table = coh_p2(args.m)
-    elif args.space == "p1xp2":
+    else:   # --space has its choices, so this is p1xp2
         if args.n is None:
             print("p1xp2 needs both -m and -n", file=sys.stderr)
             return EXIT_INPUT
         table = coh_p1xp2(args.m, args.n)
-    else:
-        print(f"unknown space {args.space!r}", file=sys.stderr)
-        return EXIT_INPUT
     print(f"space {table.space}, twist {table.twist}")
     for k, d in table.pairs:
         print(f"  h^{k} = {d}")

@@ -3,19 +3,19 @@ throughout the test suite and the docs)."""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
+
+_CORPUS = Path(__file__).with_name("corpus")
 
 
 def corpus_names() -> list[str]:
-    root = resources.files(__package__) / "corpus"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name for p in _CORPUS.iterdir() if p.name.endswith(".json"))
 
 
 def corpus_path(name: str) -> Path:
     if not name.endswith(".json"):
         name += ".json"
-    path = resources.files(__package__) / "corpus" / name
+    path = _CORPUS / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled input named {name!r}")
-    return Path(str(path))
+    return path

@@ -11,7 +11,8 @@ in its canonical decimal spelling (no sign, space, underscore, leading
 zero or non-ASCII digit), and no other key.  A scalar
 is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
 (so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
-mod p over F_p; the tensor index order is slots 0..3 with basis index
+mod p over F_p, unless it holds an underscore or whitespace
+(``_scalar``); the tensor index order is slots 0..3 with basis index
 0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
 equivalent spellings of the same input agree.
 
@@ -94,6 +95,14 @@ def scalar_json(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def _scalar(field, value):
+    """``field.of(str(value))``, refused with an underscore or whitespace,
+    which ``Fraction`` reads on some supported Pythons only ("1_000")."""
+    if "_" in (text := str(value)) or any(c.isspace() for c in text):
+        raise ValueError(f"{text!r} holds an underscore or whitespace, which no scalar may")
+    return field.of(text)
+
+
 def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
     """Parse a quintuple file dict into (Quintuple, meta).
 
@@ -116,7 +125,7 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
         return build_linear_quadric(field), {"family": "linear", "field": field_to_str(field)}
     if kind == "type-a":
         try:
-            a, b, c = (field.of(str(doc[k])) for k in ("a", "b", "c"))
+            a, b, c = (_scalar(field, doc[k]) for k in ("a", "b", "c"))
         except KeyError as exc:
             raise InputError(f"type-a input needs coefficient {exc}") from None
         except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -141,7 +150,7 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
             if isinstance(node, (list, dict, bool)) or node is None:
                 raise InputError("tensor entries must be rational strings or ints")
             try:
-                flat.append(field.of(str(node)))
+                flat.append(_scalar(field, node))
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise InputError(f"bad tensor entry {node!r}: {exc}") from None
             return

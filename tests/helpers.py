@@ -1457,5 +1457,7 @@ def reference_quiver_stage(bq, lq, mreport, base_changed) -> dict:
 
 
 def reference_ext_table_stage(table) -> dict:
-    return {"stage": "ext_table", "passed": True, "table": table.as_dict(),
+    cells = {f"{i},{j}": table.cells[(i, j)] for i in range(4) for j in range(4)}
+    return {"stage": "ext_table", "passed": True,
+            "table": {"objects": list(table.objects), "cells": cells},
             "axioms_tagged": ["pullback fully faithful", "blow-up functors fully faithful"]}

@@ -440,14 +440,16 @@ def test_shared_cells_survive_mutating_what_callers_get(convention):
 
 
 def test_shared_cells_are_derived_once_per_process(monkeypatch):
-    # count the top-level derivations of each cell: the 14 shared cells
-    # once, the two (p*R, C_i) cells once per table
-    top, depth = Counter(), [0]
+    # count the top-level derivations of each cell: every cell once, in
+    # the one derivation of the Hom pair (2, 2), and the two (p*R, C_i)
+    # cells again for each table; no cell is derived with hom=None
+    top, homs, depth = Counter(), set(), [0]
     original = ncquad.certify._ext
 
     def counting(hom, x, y):
         if depth[0] == 0:
             top[(x, y)] += 1
+            homs.add(hom)
         depth[0] += 1
         try:
             return original(hom, x, y)
@@ -455,6 +457,7 @@ def test_shared_cells_are_derived_once_per_process(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(ncquad.certify, "_ext", counting)
+    ncquad.certify._derived.cache_clear()
     ncquad.certify._shared_cells.cache_clear()
     rng = random.Random(72)
     certified = Counter()
@@ -464,9 +467,12 @@ def test_shared_cells_are_derived_once_per_process(monkeypatch):
             if certified[convention] < 20 and full_pipeline(q, convention).certified:
                 certified[convention] += 1
     input_cells = {("p*R", "C0"), ("p*R", "C1")}
-    assert top == {(x, y): 40 if (x, y) in input_cells else 1 for x in OBJECTS for y in OBJECTS}
+    assert top == {(x, y): 41 if (x, y) in input_cells else 1 for x in OBJECTS for y in OBJECTS}
+    assert homs == {(2, 2)}
     # only the per-input cells hold a Hom(R, K_i) leaf
-    for cell in ncquad.certify._shared_cells().values():
+    shared = ncquad.certify._shared_cells((2, 2))
+    assert len(shared) == 14
+    for cell in shared.values():
         assert "hom-R-K-leaf" not in cell.text
 
 
@@ -668,6 +674,7 @@ def test_the_reference_is_built_once_per_hom_pair(monkeypatch):
         return original(hom, i, j)
 
     monkeypatch.setattr(ncquad.certify, "_cell", counting)
+    ncquad.certify._derived.cache_clear()
     ncquad.certify._reference.cache_clear()
     for _ in range(3):
         for sq, t in tables:
@@ -682,4 +689,5 @@ def test_the_reference_is_built_once_per_hom_pair(monkeypatch):
                 replay_table(t, sq)
     assert ncquad.certify._reference((3, 3)) is None
     assert ncquad.certify._reference.cache_info().misses == 2
-    assert set(built) == {(2, 2), (3, 3)} and built[(2, 2)] == 16
+    # the derivation stops at cell (0,1), the first to read the leaf
+    assert built == {(2, 2): 16, (3, 3): 2}

@@ -136,6 +136,11 @@ def test_cohomology_command(capsys):
     out = capsys.readouterr().out
     assert "h^1 = 7" in out
     assert main(["cohomology", "--space", "p1xp2", "-m", "1"]) == 2
+    # argparse refuses a space outside --space's choices before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--space", "p3", "-m", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_quiver_and_mutate_commands(capsys):
@@ -354,3 +359,14 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_corpus_names_and_paths():
+    names = corpus_names()
+    assert names == sorted(names) and {"linear.json", "typea-1-2-3.json"} <= set(names)
+    for name in names:
+        path = corpus_path(name)
+        assert isinstance(path, Path) and path.is_file()
+        assert corpus_path(name.removesuffix(".json")) == path
+    with pytest.raises(FileNotFoundError, match="no bundled input named 'nope.json'"):
+        corpus_path("nope")

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import ncquad.certify
-from ncquad.certify import ExtTable, full_pipeline
+from ncquad.certify import full_pipeline
 from ncquad.corpus import corpus_path
-from ncquad.fileformat import load_quintuple, parse_quintuple_file
+from ncquad.fileformat import FrozenJSON, load_quintuple, parse_quintuple_file
 from ncquad.quintuples import build_type_a
 
 TESTS = Path(__file__).resolve().parent
@@ -54,7 +54,8 @@ def test_deciding_renders_nothing(monkeypatch):
 
     for name in RENDERERS:
         monkeypatch.setattr(ncquad.certify, name, refuse)
-    monkeypatch.setattr(ExtTable, "as_dict", refuse)
+    # the cases above built the shared Ext cells, so deciding encodes no JSON
+    monkeypatch.setattr(FrozenJSON, "__init__", refuse)
     stages = set()
     for q, convention, expected in cases:
         cert = full_pipeline(q, convention)

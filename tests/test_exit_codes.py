@@ -171,3 +171,17 @@ def test_every_bundled_and_golden_input_holds_only_its_kinds_keys():
         except InputError as exc:   # a malformed value, never a stray key
             assert "unknown" not in str(exc), doc
     assert {doc.get("family", "w") for doc in docs} == {"linear", "type-a", "w"}
+
+
+# ``Fraction`` reads "1_000" from Python 3.11 on and "2 / 3" from 3.12 on,
+# so a scalar holding an underscore or whitespace is refused on every Python
+@pytest.mark.parametrize("spelling", ["1_000", "2 / 3", " 3", "3 ", "1/\t3", "-1_0/3", "\u00a03"])
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_scalars_with_underscores_or_whitespace_exit_two(tmp_path, spelling, field):
+    w = json.loads(json.dumps(_W))
+    w[1][0][1][1] = spelling
+    for doc in ({"family": "type-a", "a": "1", "b": spelling, "c": "3", "field": field},
+                {"w": w, "field": field}):
+        with pytest.raises(InputError, match="holds an underscore or whitespace"):
+            parse_quintuple_file(doc)
+        assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc

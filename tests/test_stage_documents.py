@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,8 @@ from helpers import (
     reference_quiver_stage,
     reference_relations_stage,
 )
-from ncquad.certify import (ExtTable, _ext_table_stage, _quiver_stage, _relations_stage,
-                            full_pipeline)
+import ncquad.certify
+from ncquad.certify import _ext_table_stage, _quiver_stage, _relations_stage, full_pipeline
 from ncquad.fields import GF
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.quintuples import relations, truncated_dims
@@ -128,15 +129,18 @@ def test_stage_caches_stay_bounded():
 
 def test_ext_table_stage_is_built_once_per_hom_pair(monkeypatch):
     # 40 certified renders, under both conventions, of tables all derived
-    # from the Hom pair (2, 2): one document, one ``as_dict``
-    as_dict, calls = ExtTable.as_dict, []
+    # from the Hom pair (2, 2): one document, read off the one derivation
+    # of its 16 cells, and two cells derived for each input
+    built = Counter()
+    original = ncquad.certify._cell
 
-    def counting(table):
-        calls.append(table.hom)
-        return as_dict(table)
+    def counting(hom, i, j):
+        built[hom] += 1
+        return original(hom, i, j)
 
-    monkeypatch.setattr(ExtTable, "as_dict", counting)
-    _ext_table_stage.cache_clear()
+    monkeypatch.setattr(ncquad.certify, "_cell", counting)
+    for cached in (_ext_table_stage, ncquad.certify._derived, ncquad.certify._shared_cells):
+        cached.cache_clear()
     rng = random.Random(4027)
     rendered = 0
     while rendered < 40:
@@ -146,7 +150,7 @@ def test_ext_table_stage_is_built_once_per_hom_pair(monkeypatch):
             if cert.certified:
                 assert b'"stage":"ext_table"' in canonical_json_bytes(cert.to_dict())
                 rendered += 1
-    assert calls == [(2, 2)]
+    assert built == {(2, 2): 16 + 2 * rendered}
     assert _ext_table_stage.cache_info().misses == 1
 
 
