@@ -113,9 +113,6 @@ def cmd_certify(args) -> int:
 def cmd_sweep(args) -> int:
     import random  # only sweep draws samples; keeps it out of every other command's start
 
-    if args.family != "type-a":
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT
     if args.samples < 1:
         print("need at least one sample", file=sys.stderr)
         return EXIT_INPUT
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="sample a family and count verdict stages")
-    p.add_argument("--family", default="type-a")
+    p.add_argument("--family", choices=("type-a",), default="type-a")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=20)

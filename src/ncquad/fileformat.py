@@ -11,9 +11,9 @@ in its canonical decimal spelling (no sign, space, underscore, leading
 zero or non-ASCII digit), and no other key.  A scalar
 is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
 (so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
-mod p over F_p, unless it holds an underscore or whitespace
-(``_scalar``); the tensor index order is slots 0..3 with basis index
-0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
+mod p over F_p, unless it holds an underscore or whitespace, or a
+decimal exponent past ±10000 (``_scalar``); the tensor index order is
+slots 0..3 with basis index 0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
 equivalent spellings of the same input agree.
 
 ``input_digest`` hashes the canonical bytes of the file
@@ -95,11 +95,20 @@ def scalar_json(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
+# the largest |e| of a scalar's decimal exponent: Fraction builds 10**e
+# before anything reduces it, and every stage then computes on its digits
+_MAX_EXPONENT = 10_000
+
+
 def _scalar(field, value):
     """``field.of(str(value))``, refused with an underscore or whitespace,
-    which ``Fraction`` reads on some supported Pythons only ("1_000")."""
+    which ``Fraction`` reads on some supported Pythons only ("1_000"), or
+    with a decimal exponent past ``_MAX_EXPONENT`` in absolute value."""
     if "_" in (text := str(value)) or any(c.isspace() for c in text):
         raise ValueError(f"{text!r} holds an underscore or whitespace, which no scalar may")
+    _, e, exp = text.lower().rpartition("e")
+    if e and exp.lstrip("+-").isdecimal() and abs(int(exp)) > _MAX_EXPONENT:
+        raise ValueError(f"{text!r} has a decimal exponent past ±{_MAX_EXPONENT}, which no scalar may")
     return field.of(text)
 
 

@@ -5,26 +5,26 @@ numerators, row-major in one flat tuple, over one common positive
 denominator (the matrix is ``_num / _den``; equality and hashing compare
 the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
 
-Determinants and full ranks are read off minors first: a 4x4 matrix
-keeps ``_det4`` of its integers, which gives ``det`` and, when nonzero,
-rank 4 and an empty kernel; an n x 2 matrix is ranked by ``_rank2``.
+Determinants and full ranks are read off minors: a 4x4 matrix keeps
+``_det4`` of its integers, which gives ``det`` and, when nonzero, rank 4
+and an empty kernel; an n x 2 matrix is ranked by ``_rank2``.  ``det``
+answers for 4x4 matrices only, the one size the pipeline asks for
+(det <-, w> = det M_0), and raises ``ValueError`` for any other.
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
 fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
 exact divisions keep every entry a minor of the input, and Gauss mod p
 for p > 0.  A common denominator changes no rank, pivot or kernel.  A
-matrix keeps its echelon after the first elimination, so ``rank``,
-``_kernel`` and ``det`` of one matrix share it.  Everything the minors
-leave open is read off the echelon:
+matrix keeps its echelon after the first elimination, so ``rank`` and
+``_kernel`` of one matrix share it.  Everything the minors leave open is
+read off the echelon:
 
 * the rank is the number of pivots;
 * the reduced kernel basis, unique since it is the identity on the free
   columns (the complement of the lexicographically first independent
   columns), is back-substituted by ``_int_kernel_vector`` over one
   positive running denominator on Z, or solved mod p; ``_kernel`` hands
-  it out as those integers, and geometricity decides on them;
-* the determinant is the last Bareiss pivot over den^n on Z, or the
-  signed product of the pivots mod p.
+  it out as those integers, and geometricity decides on them.
 
 No inverse is eliminated: ``_adjugate`` writes adj N = det N * N^-1 of a
 4x4 matrix from the ``_minors2`` that ``_det4`` reads too, for questions
@@ -135,8 +135,8 @@ class Matrix:
 
     def _echelon(self):
         """``_int_echelon`` of a copy of the integer rows, run on the first
-        call and kept, so ``rank``, ``_kernel`` and ``det`` of one matrix
-        read one elimination.  Nothing mutates the kept rows."""
+        call and kept, so ``rank`` and ``_kernel`` of one matrix read one
+        elimination.  Nothing mutates the kept rows."""
         if self._ech is None:
             num, n = self._num, self.ncols
             rows = [list(num[i * n:(i + 1) * n]) for i in range(self.nrows)]
@@ -166,25 +166,18 @@ class Matrix:
         determinant).  rank + len(result) == ncols, always."""
         if self._kept_det4():
             return []
-        ech, pivots, _ = self._echelon()
+        ech, pivots = self._echelon()
         p, n = self.field.characteristic, self.ncols
         pivot_set = set(pivots)
         return [_int_kernel_vector(ech, pivots, f, n, p) for f in range(n) if f not in pivot_set]
 
     def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
+        """The determinant of a 4x4 matrix, read off ``_kept_det4``;
+        ``ValueError`` for any other shape."""
         value = self._kept_det4()
         if value is None:
-            ech, pivots, sign = self._echelon()
-            if len(pivots) < n:
-                value = 0
-            elif self.field.characteristic:
-                value = sign * math.prod(row[r] for r, row in enumerate(ech))
-            else:
-                value = sign * ech[-1][-1] if n else 1
-        return _elements(self.field, (value,), self._den ** n)[0]
+            raise ValueError(f"det is taken of 4x4 matrices only, not {self.nrows}x{self.ncols}")
+        return _elements(self.field, (value,), self._den ** 4)[0]
 
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
@@ -298,17 +291,16 @@ def _rank2(num, p: int) -> int:
 
 def _int_echelon(rows, ncols, p):
     """Row echelon form of integer rows, eliminated in place:
-    (nonzero rows, pivot columns, sign of the row permutation).
+    (nonzero rows, pivot columns).
 
     With p == 0 this is fraction-free Bareiss elimination over Z: every
-    division is exact, and the last pivot of a nonsingular square matrix
-    is its determinant up to that sign.  With p > 0 it is Gauss
-    elimination on residues mod p, with the pivot rows left unscaled.
+    division is exact.  With p > 0 it is Gauss elimination on residues
+    mod p, with the pivot rows left unscaled.
     """
     m = len(rows)
     pivots = []
     r = 0
-    prev = sign = 1
+    prev = 1
     for c in range(ncols):
         piv = None
         for i in range(r, m):
@@ -319,7 +311,6 @@ def _int_echelon(rows, ncols, p):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         pc = rows[r][c]
         if p:
             inv, prow = pow(pc, -1, p), rows[r][c:]
@@ -339,7 +330,7 @@ def _int_echelon(rows, ncols, p):
         r += 1
         if r == m:
             break
-    return rows[:r], pivots, sign
+    return rows[:r], pivots
 
 
 def _int_kernel_vector(ech, pivots, f, ncols, p) -> tuple[list[int], int]:

@@ -46,14 +46,12 @@ from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
 from .linalg import Matrix, _elements, _pick
 from .records import Record
-from .tensors import Tensor, _flattening_index
-
-SLOT_LABELS = ("V0", "V1", "V2", "V3")
+from .tensors import SLOT_LABELS, Tensor, _flattening_index
 
 # M_j picked from the 16 entries of w in flat order: rows over the slots
 # j+2, j+3 and columns over j, j+1, each group row-major
 _CONTRACTION_INDEX = tuple(
-    _flattening_index((2, 2, 2, 2), ((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
+    _flattening_index(((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
     for j in range(4))
 
 
@@ -63,8 +61,6 @@ class Quintuple(Record):
     w: Tensor
 
     def __post_init__(self):
-        if self.w.shape != (2, 2, 2, 2) or self.w.slots != SLOT_LABELS:
-            raise ValueError("w must have shape (2,2,2,2) with slots V0..V3")
         if not any(self.w._row._num):   # numerators, or residues mod p
             raise ValueError("w must be nonzero")
 

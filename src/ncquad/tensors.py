@@ -1,12 +1,14 @@
-"""Multilinear algebra: dense tensors with labeled slots and their
+"""The tensor w in V0 x V1 x V2 x V3, each V_i of dimension 2, and its
 flattenings into matrices.
 
-Shapes stay tiny here (axes of length 2, arity at most 4); entries are
-exact scalars of QQ or F_p, held in row-major order as the one row of a
-``Matrix``, so they share its integer form.  A flattening is a pure copy:
-``reshape`` reads the flat entry index of every matrix cell from a table
-cached per (shape, row slots, column slots) and picks those entries,
-without arithmetic or coercion.
+``Tensor`` holds only w: shape (2, 2, 2, 2) and slot labels V0..V3 are
+class constants, and any other shape or labelling is refused.  The 16
+entries are exact scalars of QQ or F_p, held in row-major order (flat
+index 8*i0 + 4*i1 + 2*i2 + i3) as the one row of a ``Matrix``, so they
+share its integer form.  A flattening is a pure copy: ``reshape`` reads
+the flat entry index of every matrix cell from a table cached per (row
+slots, column slots) and picks those entries, without arithmetic or
+coercion.
 """
 
 from __future__ import annotations
@@ -15,20 +17,18 @@ from functools import cache
 
 from .linalg import Matrix, _pick
 
+SLOT_LABELS = ("V0", "V1", "V2", "V3")
+
 
 @cache
-def _flattening_index(shape, row_slots, col_slots):
+def _flattening_index(row_slots, col_slots):
     """(nrows, ncols, picks): the flat entry index of every cell, row-major,
-    of the flattening of a tensor of ``shape`` with multi-indices over
-    ``row_slots`` and ``col_slots`` (row-major in each group)."""
-    strides = [1] * len(shape)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-
+    of the flattening of w with multi-indices over ``row_slots`` and
+    ``col_slots`` (row-major in each group); slot s has stride 8 >> s."""
     def offsets(group):
         out = [0]
         for s in group:
-            out = [o + i * strides[s] for o in out for i in range(shape[s])]
+            out = [o + i * (8 >> s) for o in out for i in range(2)]
         return out
 
     rows, cols = offsets(row_slots), offsets(col_slots)
@@ -36,51 +36,37 @@ def _flattening_index(shape, row_slots, col_slots):
 
 
 class Tensor:
-    __slots__ = ("field", "shape", "slots", "_row")
+    """w in V0 x V1 x V2 x V3; ``Tensor(field, shape, entries, slots)``
+    raises ``ValueError`` unless shape is (2, 2, 2, 2), slots are V0..V3
+    and there are 16 entries."""
+
+    __slots__ = ("field", "_row")
+    shape = (2, 2, 2, 2)
+    slots = SLOT_LABELS
 
     def __init__(self, field, shape, entries, slots):
-        shape = tuple(int(s) for s in shape)
-        slots = tuple(slots)
-        if len(slots) != len(shape):
-            raise ValueError("one slot label per axis")
-        if len(set(slots)) != len(slots):
-            raise ValueError("slot labels must be pairwise distinct")
+        if tuple(shape) != self.shape or tuple(slots) != self.slots:
+            raise ValueError("w must have shape (2,2,2,2) with slots V0..V3")
         row = Matrix(field, [entries])
-        size = 1
-        for s in shape:
-            size *= s
-        if row.ncols != size:
-            raise ValueError(f"expected {size} entries, got {row.ncols}")
+        if row.ncols != 16:
+            raise ValueError(f"expected 16 entries, got {row.ncols}")
         self.field = field
-        self.shape = shape
-        self.slots = slots
         self._row = row
-
-    @property
-    def arity(self) -> int:
-        return len(self.shape)
 
     def reshape(self, row_slots, col_slots) -> Matrix:
         """Matrix whose (row, col) multi-indices run over the given slot
         positions, row-major in each group; an empty group gives one row
         (or column)."""
-        row_slots = tuple(row_slots)
-        col_slots = tuple(col_slots)
-        if sorted(row_slots + col_slots) != list(range(self.arity)):
+        row_slots, col_slots = tuple(row_slots), tuple(col_slots)
+        if sorted(row_slots + col_slots) != [0, 1, 2, 3]:
             raise ValueError("row and column slots must partition the axes")
-        return _pick(self._row, *_flattening_index(self.shape, row_slots, col_slots))
+        return _pick(self._row, *_flattening_index(row_slots, col_slots))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self.slots == other.slots
-            and self._row == other._row
-        )
+        return isinstance(other, Tensor) and self._row == other._row
 
     def __hash__(self):
-        return hash((self.shape, self.slots, self._row))
+        return hash(self._row)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, slots={self.slots})"

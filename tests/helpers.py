@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from ncquad.fields import _sqrt_mod_p
+from ncquad.fields import PrimeField, RationalField, _sqrt_mod_p
 from ncquad.linalg import _elements
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
@@ -149,17 +149,55 @@ def spelled(x, field) -> str:
 # -- plain functions over the library's public types -------------------------
 
 
-def tensor_entries(t: Tensor) -> tuple:
-    """The entries of t, row-major, lifted for arithmetic."""
-    return lift(t.field, t._row.rows[0])
+class GeneralTensor:
+    """A dense tensor of any shape over QQ or F_p, one label per axis,
+    entries row-major in normal form: the reference for ncquad's
+    ``Tensor``, which holds only w, of shape (2, 2, 2, 2) with slots
+    V0..V3.  Contractions of w (``contract``) are tensors of lower arity."""
+
+    __slots__ = ("field", "shape", "slots", "entries")
+
+    def __init__(self, field, shape, entries, slots):
+        shape, slots = tuple(shape), tuple(slots)
+        if len(slots) != len(shape):
+            raise ValueError("one slot label per axis")
+        if len(set(slots)) != len(slots):
+            raise ValueError("slot labels must be pairwise distinct")
+        if not isinstance(field, (RationalField, PrimeField)):
+            raise TypeError(f"tensors are over QQ or F_p, not {field!r}")
+        entries = tuple(field.of(x) for x in entries)
+        if len(entries) != math.prod(shape):
+            raise ValueError(f"expected {math.prod(shape)} entries, got {len(entries)}")
+        self.field, self.shape, self.slots, self.entries = field, shape, slots, entries
+
+    @classmethod
+    def of(cls, t) -> "GeneralTensor":
+        """t itself, or w (an ncquad ``Tensor``) copied entry by entry."""
+        if isinstance(t, cls):
+            return t
+        return cls(t.field, t.shape, t._row.rows[0], t.slots)
+
+    def __eq__(self, other):
+        return (isinstance(other, GeneralTensor)
+                and (self.field, self.shape, self.slots, self.entries)
+                == (other.field, other.shape, other.slots, other.entries))
 
 
-def tensor_entry(t: Tensor, idx):
-    """The entry of t at the multi-index idx, row-major."""
+def tensor_entries(t) -> tuple:
+    """The entries of t (w or a ``GeneralTensor``), row-major, lifted for
+    arithmetic."""
+    t = GeneralTensor.of(t)
+    return lift(t.field, t.entries)
+
+
+def tensor_entry(t, idx):
+    """The entry of t (w or a ``GeneralTensor``) at the multi-index idx,
+    row-major."""
+    t = GeneralTensor.of(t)
     flat = 0
     for i, n in zip(idx, t.shape):
         flat = flat * n + i
-    return lift(t.field, entry(t._row, 0, flat))
+    return lift(t.field, t.entries[flat])
 
 
 def col(m, j: int) -> tuple:
@@ -229,7 +267,7 @@ def inverse(m):
     n = m.nrows
     p, num = m.field.characteristic, m._num
     aug = [list(num[i * n:(i + 1) * n]) + [-(j == i) for j in range(n)] for i in range(n)]
-    ech, pivots, _ = _int_echelon(aug, 2 * n, p)
+    ech, pivots = _int_echelon(aug, 2 * n, p)
     if n and pivots[-1] != n - 1:
         raise ValueError("matrix is singular")
     cols = []
@@ -334,7 +372,7 @@ def random_matrix_qq(rng, nrows, ncols, height=9):
 def random_invertible_qq(rng, n, height=9):
     while True:
         m = random_matrix_qq(rng, n, n, height)
-        if m.det():
+        if det_oracle(m.rows):
             return m
 
 
@@ -943,7 +981,7 @@ def random_matrix_fp(rng, field, nrows, ncols):
 def random_invertible_fp(rng, field, n):
     while True:
         m = random_matrix_fp(rng, field, n, n)
-        if m.det():
+        if det_oracle(m.rows, field.p):
             return m
 
 
@@ -981,12 +1019,14 @@ def random_type_a_triple(rng, height=20):
 
 # -- contraction by functionals (oracle for the flattenings of w) ---------
 #
-# Per-entry sums over tensor_entry, sharing no code with Tensor.reshape.
+# Per-entry sums over tensor_entry, sharing no code with Tensor.reshape;
+# a contraction of w is a ``GeneralTensor``.
 
 
-def contract(t: Tensor, slot: int, functional) -> Tensor:
-    """Pair axis ``slot`` of ``t`` against a functional (coefficient
-    sequence); the arity drops by one."""
+def contract(t, slot: int, functional) -> GeneralTensor:
+    """Pair axis ``slot`` of ``t`` (w or a ``GeneralTensor``) against a
+    functional (coefficient sequence); the arity drops by one."""
+    t = GeneralTensor.of(t)
     if not 0 <= slot < len(t.shape):
         raise ValueError(f"slot {slot} out of range for arity {len(t.shape)}")
     field = t.field
@@ -1000,7 +1040,7 @@ def contract(t: Tensor, slot: int, functional) -> Tensor:
         for a, c in enumerate(functional):
             s = s + c * tensor_entry(t, idx[:slot] + (a,) + idx[slot:])
         out.append(s)
-    return Tensor(field, rest, out, t.slots[:slot] + t.slots[slot + 1:])
+    return GeneralTensor(field, rest, out, t.slots[:slot] + t.slots[slot + 1:])
 
 
 def contraction_oracle(q: Quintuple, j: int):

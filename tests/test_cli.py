@@ -125,6 +125,15 @@ def test_sweep_rejects_an_empty_draw_as_input_error(flag, value, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_sweep_refuses_a_family_outside_its_choices(capsys):
+    # argparse refuses any family but type-a before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "type-b"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'type-b'" in captured.err and captured.out == ""
+
+
 def test_cohomology_command(capsys):
     assert main(["cohomology", "--space", "p1xp2", "-m", "-3", "-n", "-2"]) == 0
     out = capsys.readouterr().out

@@ -7,14 +7,14 @@ documents are recursive JSON of every leaf type, quintuple files with
 wrong shapes, odd field specs and scalars written as integers,
 fractions, decimals and exponent forms up to 1e400.  A field spec names
 F_p only when it is spelled ``Fp:<p>`` exactly as ``str`` writes p; every
-other spelling int() reads is malformed.  Exponents far
-beyond that (``"1e3000000"`` over F_p) take seconds each and are left
-to the bound on accepted scalars (ROADMAP item 2).
+other spelling int() reads is malformed.  A decimal exponent past ±10000
+is malformed too: ``Fraction`` builds 10**e before anything reduces it.
 """
 
 import contextlib
 import io
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -185,3 +185,40 @@ def test_scalars_with_underscores_or_whitespace_exit_two(tmp_path, spelling, fie
         with pytest.raises(InputError, match="holds an underscore or whitespace"):
             parse_quintuple_file(doc)
         assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc
+
+
+# Fraction builds 10**e before anything reduces it, so an exponent past
+# ±10000 is refused before Fraction reads the string, and quickly
+@pytest.mark.parametrize("spelling", ["1e100000", "-1E100000", "1e-100000", "2.5e+100000"])
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_scalars_with_huge_decimal_exponents_exit_two_within_seconds(tmp_path, spelling, field):
+    w = json.loads(json.dumps(_W))
+    w[1][0][1][1] = spelling
+    for doc in ({"family": "type-a", "a": "1", "b": spelling, "c": "3", "field": field},
+                {"w": w, "field": field}):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="decimal exponent past ±10000"):
+            parse_quintuple_file(doc)
+        assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc
+        assert time.perf_counter() - start < 5, doc
+
+
+def test_the_exponent_bound_is_ten_thousand_either_way():
+    for spelling in ("1e10001", "1E-10001", "3.5e+10001", "1e0010001"):
+        with pytest.raises(InputError, match="decimal exponent past ±10000"):
+            parse_quintuple_file({"family": "type-a", "a": "1", "b": spelling, "c": "3"})
+    for spelling in ("1e10000", "1E-10000", "3.5e+10000", "1e00010000"):
+        parse_quintuple_file({"family": "type-a", "a": "1", "b": spelling, "c": "3"})
+
+
+@pytest.mark.parametrize("spelling", ["1e400", "1e5000"])
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_exponents_within_the_bound_still_certify(tmp_path, spelling, field):
+    w = json.loads(json.dumps(_W))
+    w[0][0][0][0] = spelling
+    path = tmp_path / "doc.json"
+    for doc in ({"family": "type-a", "a": "1", "b": spelling, "c": "3", "field": field},
+                {"w": w, "field": field}):
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["certify", str(path)]) == 0, doc

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GeneralTensor,
     contract,
     entry,
     from_cols,
@@ -20,12 +21,12 @@ from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple
 from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, relations
-from ncquad.tensors import Tensor
+from ncquad.tensors import SLOT_LABELS, Tensor
 
 
 def test_contract_pure_tensor():
     # e_x (x) e_y contracted against x* in slot 0 leaves e_y
-    t = Tensor(QQ, (2, 2), [0, 1, 0, 0], ("A", "B"))
+    t = GeneralTensor(QQ, (2, 2), [0, 1, 0, 0], ("A", "B"))
     out = contract(t, 0, (1, 0))
     assert out.shape == (2,) and out.slots == ("B",)
     assert tensor_entries(out) == (QQ.of(0), QQ.of(1))
@@ -52,7 +53,7 @@ def test_contract_multilinearity():
     rng = random.Random(81)
     for _ in range(20):
         entries = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
-        t = Tensor(QQ, (2, 2, 2, 2), entries, ("A", "B", "C", "D"))
+        t = GeneralTensor(QQ, (2, 2, 2, 2), entries, ("A", "B", "C", "D"))
         slot = rng.randrange(4)
         a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
         phi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
@@ -61,40 +62,71 @@ def test_contract_multilinearity():
         lhs = contract(t, slot, combo)
         left, right = contract(t, slot, phi), contract(t, slot, chi)
         pairs = zip(tensor_entries(left), tensor_entries(right))
-        rhs = Tensor(QQ, left.shape, [a * x + b * y for x, y in pairs], left.slots)
+        rhs = GeneralTensor(QQ, left.shape, [a * x + b * y for x, y in pairs], left.slots)
         assert lhs == rhs
 
 
 def test_contract_slot_out_of_range():
-    t = Tensor(QQ, (2, 2), [1, 0, 0, 1], ("A", "B"))
+    t = GeneralTensor(QQ, (2, 2), [1, 0, 0, 1], ("A", "B"))
     with pytest.raises(ValueError):
         contract(t, 2, (1, 0))
 
 
 def test_slot_labels_distinct():
     with pytest.raises(ValueError):
-        Tensor(QQ, (2, 2), [1, 0, 0, 1], ("A", "A"))
+        GeneralTensor(QQ, (2, 2), [1, 0, 0, 1], ("A", "A"))
+    # w's slots are V0..V3, in that order, and no other labelling
+    for slots in (("V0", "V0", "V2", "V3"), ("V1", "V0", "V2", "V3"),
+                  ("A", "B", "C", "D"), SLOT_LABELS[:3], SLOT_LABELS + ("V4",)):
+        with pytest.raises(ValueError, match="slots V0..V3"):
+            Tensor(QQ, (2, 2, 2, 2), [1] * 16, slots)
 
 
 def test_entry_count_enforced():
     with pytest.raises(ValueError):
-        Tensor(QQ, (2, 2, 2), [1, 0], ("A", "B", "C"))
+        GeneralTensor(QQ, (2, 2, 2), [1, 0], ("A", "B", "C"))
+    for count in (0, 15, 17):
+        with pytest.raises(ValueError, match="expected 16 entries"):
+            Tensor(QQ, (2, 2, 2, 2), [1] * count, SLOT_LABELS)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=5))
+def test_tensor_refuses_every_shape_but_w(shape):
+    # any other shape is refused, whatever the entry count and labels
+    shape = tuple(shape)
+    if shape == (2, 2, 2, 2):
+        shape += (1,)
+    slots = tuple(f"V{k}" for k in range(len(shape)))
+    size = 1
+    for n in shape:
+        size *= n
+    for entries in ([1] * size, [1] * 16):
+        with pytest.raises(ValueError, match="shape"):
+            Tensor(QQ, shape, entries, slots)
+    assert not hasattr(Tensor(QQ, (2, 2, 2, 2), [1] * 16, SLOT_LABELS), "arity")
 
 
 def test_tensor_holds_qq_or_fp_entries_only():
     # a stand-in for QQ[theta], whose values are (x, y) pairs
     ext = type("Extension", (), {"characteristic": 0, "of": lambda self, x: x})()
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Tensor(ext, (2,), [(0, 1), (1, 0)], ("A",))
-    half = Tensor(QQ, (2,), ["1/2", "-1/3"], ("A",))
-    assert tensor_entries(half) == (Fraction(1, 2), Fraction(-1, 3))
-    assert tensor_entries(Tensor(GF(5), (2,), ["1/2", -1], ("A",))) == (GF(5).of(3), GF(5).of(4))
+        Tensor(ext, (2, 2, 2, 2), [(0, 1), (1, 0)] * 8, SLOT_LABELS)
+    with pytest.raises(TypeError, match="QQ or F_p"):
+        GeneralTensor(ext, (2,), [(0, 1), (1, 0)], ("A",))
+    half = Tensor(QQ, (2, 2, 2, 2), ["1/2", "-1/3"] * 8, SLOT_LABELS)
+    assert tensor_entries(half) == (Fraction(1, 2), Fraction(-1, 3)) * 8
+    five = Tensor(GF(5), (2, 2, 2, 2), ["1/2", -1] * 8, SLOT_LABELS)
+    assert tensor_entries(five) == (GF(5).of(3), GF(5).of(4)) * 8
+    assert five == Tensor(GF(5), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS)
+    assert hash(five) == hash(Tensor(GF(5), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS))
+    assert five != Tensor(GF(7), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS)
 
 
 def test_reshape_roundtrip_indices():
     rng = random.Random(82)
     entries = [Fraction(rng.randint(-9, 9)) for _ in range(16)]
-    t = Tensor(QQ, (2, 2, 2, 2), entries, ("A", "B", "C", "D"))
+    t = Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS)
     m = t.reshape((2, 3), (0, 1))
     for a in range(2):
         for b in range(2):
@@ -109,13 +141,13 @@ def test_contract_commutes_with_reduction_mod_p():
     for _ in range(20):
         entries = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
                    for _ in range(16)]
-        t = Tensor(QQ, (2, 2, 2, 2), entries, ("A", "B", "C", "D"))
+        t = GeneralTensor(QQ, (2, 2, 2, 2), entries, ("A", "B", "C", "D"))
         phi = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
         slot = rng.randrange(4)
-        reduced = Tensor(F, t.shape, [F.of(x) for x in tensor_entries(t)], t.slots)
+        reduced = GeneralTensor(F, t.shape, [F.of(x) for x in tensor_entries(t)], t.slots)
         lhs = contract(reduced, slot, tuple(F.of(x) for x in phi))
         over_q = contract(t, slot, phi)
-        rhs = Tensor(F, over_q.shape, [F.of(x) for x in tensor_entries(over_q)], over_q.slots)
+        rhs = GeneralTensor(F, over_q.shape, [F.of(x) for x in tensor_entries(over_q)], over_q.slots)
         assert lhs == rhs
 
 
@@ -131,7 +163,8 @@ def test_contraction_matrix_rank_four():
 
 
 def _reshape_oracle(t, row_slots, col_slots):
-    """Rows of the flattening, one tensor_entry lookup per cell."""
+    """Rows of the flattening, one tensor_entry lookup per cell of the
+    ``GeneralTensor`` t."""
     def multi(group):
         return list(product(*(range(t.shape[s]) for s in group)))
 
@@ -148,37 +181,34 @@ def _reshape_oracle(t, row_slots, col_slots):
 
 
 @st.composite
-def _small_tensor(draw):
+def _w(draw):
     field = draw(st.sampled_from((QQ, GF(5))))
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
-    size = 1
-    for n in shape:
-        size *= n
     if field is QQ:
         scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     else:
         scalar = st.integers(0, 4)
-    entries = draw(st.lists(scalar, min_size=size, max_size=size))
-    return Tensor(field, shape, entries, tuple(f"S{k}" for k in range(len(shape))))
+    return Tensor(field, (2, 2, 2, 2), draw(st.lists(scalar, min_size=16, max_size=16)),
+                  SLOT_LABELS)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(_small_tensor())
+@given(_w())
 def test_reshape_matches_entry_oracle_on_every_split(t):
-    arity = len(t.shape)
-    for order in permutations(range(arity)):
-        for cut in range(arity + 1):
+    ref = GeneralTensor.of(t)
+    assert (ref.shape, ref.slots) == ((2, 2, 2, 2), SLOT_LABELS)
+    for order in permutations(range(4)):
+        for cut in range(5):
             rows, cols = order[:cut], order[cut:]
             m = t.reshape(rows, cols)
-            expected = _reshape_oracle(t, rows, cols)
+            expected = _reshape_oracle(ref, rows, cols)
             assert (m.nrows, m.ncols) == (len(expected), len(expected[0]))
             assert list(m.rows) == expected
             assert m == Matrix(t.field, expected)
-    rest = tuple(range(1, arity))
+    rest = (1, 2, 3)
     bad = (
-        (tuple(range(arity)), (0,)),          # slot 0 twice
+        ((0, 1, 2, 3), (0,)),                 # slot 0 twice
         (rest, ()),                           # slot 0 missing
-        (rest, (arity,)),                     # slot 0 replaced: out of range
+        (rest, (4,)),                         # slot 0 replaced: out of range
         (rest, (-1,)),                        # slot 0 replaced: negative
     )
     for rows, cols in bad:
