@@ -29,12 +29,14 @@ records of small integers and fixed strings, are built and encoded once
 per process for each distinct value.  ``canonical_json_bytes`` splices
 the text of each shared document into the certificate's bytes.
 
-``full_pipeline`` decides: it calls the stage functions in order, hands
-each the artifacts it needs and returns a ``Certificate`` holding them; it
-builds no document and computes no digest.  Only geometricity, the
-determinant and the lines can fail; a failure in the stages that follow
-from them raises.  ``Certificate.to_dict`` renders schema/1 from those
-artifacts for ``canonical_json_bytes``.
+``full_pipeline`` decides: it runs geometricity, the square (the
+determinant) and the lines, the only stages that can fail, and returns a
+``Certificate`` holding their artifacts; it builds no document and
+computes no digest.  ``Certificate.to_dict`` explains: it renders
+schema/1 for ``canonical_json_bytes`` and computes from w the stages those
+three force (the relations past geometricity; the quivers, the mutation,
+the Ext table and the gram once certified).  A failure there raises, so
+it surfaces only where a certificate is rendered.
 """
 
 from __future__ import annotations
@@ -569,20 +571,16 @@ def _ext_table_stage(hom: tuple) -> FrozenJSON:
 
 class Certificate(Record):
     """What ``full_pipeline`` decided for one input: the artifacts of the
-    stages that ran and the stage that fixed the verdict, with its reason
-    ("" when certified).  ``to_dict`` renders them as schema/1."""
+    deciding stages that ran, and the stage that fixed the verdict with its
+    reason ("" when certified).  ``to_dict`` renders schema/1 from them and w."""
 
     q: Quintuple
     convention: str
     geometricity: GeometricityReport
     stage: str = ""
     reason: str = ""
-    relations: RelationData | None = None
     square: GeometricSquare | None = None
     lines: LineRelation | None = None
-    quiver: tuple | None = None   # block, linear, mutation report
-    table: ExtTable | None = None
-    euler: tuple | None = None
 
     @property
     def certified(self) -> bool:
@@ -604,27 +602,31 @@ class Certificate(Record):
 
     @property
     def stages(self) -> list:
-        p = self.q.field.characteristic
-        geo = self.geometricity
+        q, p = self.q, self.q.field.characteristic
+        geo, square = self.geometricity, self.square
         out = [{"stage": "geometricity", "passed": geo.passed,
                 "report": _geometricity_json(geo, p)}]
-        if self.relations is not None:
-            out.append(_relations_stage(self.relations))
-        if self.square is not None:
-            out.append({"stage": "determinant", "passed": True,
-                        "det": scalar_json(self.square.contraction_det)})
-        elif self.stage == "determinant":
+        if not geo.passed:
+            return out
+        rel = relations(q)
+        out.append(_relations_stage(rel))
+        if square is None:
             out.append({"stage": "determinant", "passed": False, "det": "0"})
-        if self.lines is not None:
-            out.append({"stage": "lines", "passed": self.lines.verdict == "disjoint",
-                        "relation": _line_relation_json(self.lines, p)})
-        if self.quiver is not None:
-            out.append(_quiver_stage(*self.quiver))
-        if self.table is not None:
-            out.append(_ext_table_stage(self.table.hom))
-        if self.euler is not None:
-            out.append({"stage": "gram", "passed": self.euler == BLOCK_GRAM,
-                        "euler": [list(r) for r in self.euler]})
+            return out
+        out.append({"stage": "determinant", "passed": True,
+                    "det": scalar_json(square.contraction_det)})
+        out.append({"stage": "lines", "passed": self.certified,
+                    "relation": _line_relation_json(self.lines, p)})
+        if not self.certified:
+            return out
+        bq = block_quiver(square)
+        lq = linear_quiver(rel)
+        _, mreport = mutate_linear_to_block(q, rel, bq)
+        table = ext_table(square)
+        euler = gram_of(table)
+        out += [_quiver_stage(bq, lq, mreport), _ext_table_stage(table.hom),
+                {"stage": "gram", "passed": euler == BLOCK_GRAM,
+                 "euler": [list(r) for r in euler]}]
         return out
 
     def to_dict(self) -> dict:
@@ -637,13 +639,12 @@ class Certificate(Record):
 
 
 def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
-    """Run every stage in order and return what they decided.
+    """Decide the verdict of ``q``: geometricity, then the determinant
+    (the square), then the lines; the first that fails fixes it.
 
-    Stages: geometricity, relations, determinant, lines, quiver (block +
-    linear + mutation cross-check), ext_table, gram.  The first of
-    geometricity, determinant and lines that fails fixes the verdict; the
-    other stages follow from those three, so a failure there is raised as
-    a bug.  An unknown convention raises ValueError before any stage runs.
+    The stages that follow from those three (relations, quiver, ext_table,
+    gram) do not run here: ``Certificate.to_dict`` computes them when it
+    renders.  An unknown convention raises ValueError before any stage runs.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -651,17 +652,11 @@ def full_pipeline(q: Quintuple, convention: str = "ruling") -> Certificate:
     if not geo.passed:
         return Certificate(q, convention, geo, "geometricity",
                            f"pure witness at slot pairs {geo.failing_pairs()}")
-    rel = relations(q)
     try:
         square = square_from_quintuple(q, convention)
     except NotGeneric as exc:
-        return Certificate(q, convention, geo, "determinant", exc.reason, rel)
+        return Certificate(q, convention, geo, "determinant", exc.reason)
     lr = line_relation(square.line(1))   # line 0 is the standard line
     if lr.verdict != "disjoint":
-        return Certificate(q, convention, geo, "lines", lr.verdict.capitalize(), rel, square, lr)
-    bq = block_quiver(square)
-    lq = linear_quiver(rel)
-    _, mreport = mutate_linear_to_block(q, rel, bq)
-    etable = ext_table(square)
-    return Certificate(q, convention, geo, "", "", rel, square, lr, (bq, lq, mreport),
-                       etable, gram_of(etable))
+        return Certificate(q, convention, geo, "lines", lr.verdict.capitalize(), square, lr)
+    return Certificate(q, convention, geo, "", "", square, lr)

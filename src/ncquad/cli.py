@@ -2,16 +2,19 @@
 
 Exit codes are uniform across commands: 0 success/certified, 1
 mathematical failure (``certify`` names geometricity, determinant or
-lines), 2 input error, 3 internal error (a bug in ncquad or a forced
-fact that fails, reported with its exception type and the innermost
-ncquad function and module on its traceback).  The only
+lines), 2 input error, 3 internal error (a bug in ncquad, reported with
+its exception type and the innermost ncquad function and module on its
+traceback).  The only
 mathematical failures raised rather than reported are the inputs that
 name no quintuple (``ExcludedInput``).  ``--convention`` defaults to
 "ruling".
 
-``certify`` runs ``full_pipeline`` and renders the certificate only for
-``--json``; ``sweep`` reads the stage that fixed each verdict; ``check``,
-``quiver`` and ``mutate`` call the stage functions they print directly.
+``certify`` and ``sweep`` call ``full_pipeline``, which runs only the
+three deciding stages; ``sweep`` counts the stage that fixed each
+verdict.  The forced stages run only where ``certify --json`` renders
+the certificate, so a forced fact that fails exits 3 there alone.
+``check``, ``quiver`` and ``mutate`` call the stage functions they print
+directly.
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     q, _ = load_quintuple(args.path)
     cert = full_pipeline(q, args.convention)
-    if args.json:
+    if args.json:   # rendered before the file opens: a forced stage may raise
+        text = canonical_json_bytes(cert.to_dict()).decode()
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json_bytes(cert.to_dict()).decode())
-            fh.write("\n")
+            fh.write(text + "\n")
     if cert.certified:
         print(f"Certified (convention: {cert.convention}, digest: {cert.digest[:16]}...)")
         return EXIT_OK

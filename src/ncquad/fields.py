@@ -158,7 +158,8 @@ class PrimeField:
         if isinstance(x, (Fraction, str)):
             f = Fraction(x)
             if f.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {f} vanishes mod {self.p}")
+                # not f itself: its digits may pass the int-to-decimal limit
+                raise ZeroDivisionError(f"the denominator vanishes mod {self.p}")
             return f.numerator * pow(f.denominator, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 

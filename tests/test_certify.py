@@ -224,15 +224,17 @@ def test_replay_rejects_a_table_with_a_missing_cell():
         replay_table(_missing_cell(ext_table(sq)), sq)
 
 
-def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsys):
+def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsys, tmp_path):
     # Hom(R, K_i) = 2 is forced (the hom-R-K lemma), so no verdict names
-    # the Ext table: a wrong leaf fails _cell's EXPECTED_HOM check, and
-    # the CLI reports it as a bug
+    # the Ext table: a wrong leaf fails _cell's EXPECTED_HOM check when
+    # the certificate is rendered, and the CLI reports it as a bug
     monkeypatch.setattr("ncquad.certify.hom_R_K_dim", lambda line: 3)
     reason = r"cell \(p\*R, C0\) has dims \[3, 1, 0, 0, 0\], expected \[2, 0, 0, 0, 0\]"
+    cert = full_pipeline(build_type_a(1, 2, 3), "ruling")
+    assert cert.certified
     with pytest.raises(ExtTableError, match=reason):
-        full_pipeline(build_type_a(1, 2, 3), "ruling")
-    assert main(["certify", str(corpus_path("linear"))]) == 3
+        cert.to_dict()
+    assert main(["certify", str(corpus_path("linear")), "--json", str(tmp_path / "c.json")]) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error: ExtTableError: cell (p*R, C0) has dims [3, 1, 0, 0, 0]")
     assert err.endswith("(raised in _cell, module ncquad.certify)")
@@ -363,9 +365,14 @@ def _count_calls(monkeypatch, stages) -> Counter:
 
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
 def test_full_pipeline_computes_each_stage_once(monkeypatch, convention):
+    q = build_type_a(1, 2, 3)
+    full_pipeline(q, convention).to_dict()   # builds the shared stage documents
     counts = _count_calls(monkeypatch, COUNTED_STAGES)
-    cert = full_pipeline(build_type_a(1, 2, 3), convention)
+    cert = full_pipeline(q, convention)
     assert cert.certified
+    # deciding runs the square and the lines; rendering runs the rest
+    assert counts == {"square_from_quintuple": 1, "line_relation": 1}
+    cert.to_dict()
     assert counts == {name: 1 for _, name in COUNTED_STAGES}
     # nothing inverts a matrix: the square writes phi_1 as an adjugate
     assert not hasattr(Matrix, "inverse")
@@ -464,7 +471,9 @@ def test_shared_cells_are_derived_once_per_process(monkeypatch):
     while min(certified["ruling"], certified["literal"]) < 20:
         _, q = random_type_a_triple(rng)
         for convention in ("ruling", "literal"):
-            if certified[convention] < 20 and full_pipeline(q, convention).certified:
+            cert = full_pipeline(q, convention)
+            if certified[convention] < 20 and cert.certified:
+                cert.to_dict()
                 certified[convention] += 1
     input_cells = {("p*R", "C0"), ("p*R", "C1")}
     assert top == {(x, y): 41 if (x, y) in input_cells else 1 for x in OBJECTS for y in OBJECTS}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncquad.cli import EXIT_INTERNAL, main
+from ncquad.cli import EXIT_INTERNAL, EXIT_OK, main
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
     load_quintuple,
@@ -315,31 +315,37 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert "input error" not in err
 
 
-def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsys):
+def test_internal_error_names_the_ncquad_function_that_raised(monkeypatch, capsys, tmp_path):
     import ncquad.squares
 
     def broken(*args, **kwargs):
         raise RuntimeError("stage exploded")
 
-    # the innermost ncquad frame is the stage that calls the patched helper
+    # the innermost ncquad frame is the stage that calls the patched helper;
+    # the block quiver is a forced stage, so only rendering reaches it
     monkeypatch.setattr(ncquad.squares, "_pick_kept", broken)
-    assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
+    out = tmp_path / "cert.json"
+    assert main(["certify", str(corpus_path("linear")), "--json", str(out)]) == EXIT_INTERNAL
+    assert not out.exists()
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error: RuntimeError: stage exploded (raised in ")
     assert err.endswith("block_quiver, module ncquad.squares)")
 
 
-def test_value_error_inside_a_stage_is_an_internal_error(monkeypatch, capsys):
+def test_value_error_inside_a_stage_is_an_internal_error(monkeypatch, capsys, tmp_path):
     import ncquad.certify
 
     def broken(*args, **kwargs):
         raise ValueError("unexpected shape")
 
     monkeypatch.setattr(ncquad.certify, "block_quiver", broken)
-    assert main(["certify", str(corpus_path("linear"))]) == EXIT_INTERNAL
+    out = tmp_path / "cert.json"
+    assert main(["certify", str(corpus_path("linear")), "--json", str(out)]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error: ValueError: unexpected shape")
     assert "rejected" not in err
+    # deciding runs no forced stage, so plain certify cannot meet the fault
+    assert main(["certify", str(corpus_path("linear"))]) == EXIT_OK
 
 
 def test_internal_error_under_python_m_names_the_cli_module(tmp_path):

@@ -1,11 +1,14 @@
-"""Deciding and rendering are separate steps.
+"""``full_pipeline`` decides and ``Certificate.to_dict`` explains.
 
-``full_pipeline`` returns the record of what the stages decided; only
-``Certificate.to_dict`` builds the schema/1 document, and only it hashes
-the input.  These tests check that deciding touches none of the
-renderers, and that every stage call stays a direct call from
-``full_pipeline``, which is how the span tracer in ``perfbench/spans.py``
-attributes time to stages.
+``full_pipeline`` runs the three stages that can fail (geometricity, the
+determinant and the lines) and returns the record of what they decided.
+Only ``Certificate.to_dict`` builds the schema/1 document, hashes the
+input and runs the stages those three force: relations, the quivers and
+the mutation, the Ext table and the gram.  These tests check that
+deciding touches none of the renderers and none of the forced stages,
+that every deciding stage call stays a direct call from
+``full_pipeline``, and that rendering calls each forced stage once,
+directly from ``to_dict``.
 """
 
 import json
@@ -19,11 +22,16 @@ from ncquad.certify import full_pipeline
 from ncquad.corpus import corpus_path
 from ncquad.fileformat import FrozenJSON, load_quintuple, parse_quintuple_file
 from ncquad.quintuples import build_type_a
+from test_certify import _count_calls
 
 TESTS = Path(__file__).resolve().parent
 CONVENTIONS = ("ruling", "literal")
 RENDERERS = ("input_digest", "_geometricity_json", "_line_relation_json",
              "_relations_stage", "_quiver_stage", "_ext_table_stage", "gram_base_change")
+FORCED = (("quintuples", "relations"), ("quintuples", "truncated_dims"),
+          ("squares", "block_quiver"), ("squares", "linear_quiver"),
+          ("squares", "mutate_linear_to_block"), ("certify", "ext_table"),
+          ("certify", "gram_of"))
 
 
 def _golden():
@@ -54,6 +62,7 @@ def test_deciding_renders_nothing(monkeypatch):
 
     for name in RENDERERS:
         monkeypatch.setattr(ncquad.certify, name, refuse)
+    forced = _count_calls(monkeypatch, FORCED)
     # the cases above built the shared Ext cells, so deciding encodes no JSON
     monkeypatch.setattr(FrozenJSON, "__init__", refuse)
     stages = set()
@@ -64,6 +73,7 @@ def test_deciding_renders_nothing(monkeypatch):
         with pytest.raises(AssertionError, match="deciding rendered"):
             cert.to_dict()
     assert stages == {"", "geometricity", "determinant", "lines"}
+    assert forced == {}
 
 
 def _spans_module():
@@ -75,27 +85,44 @@ def _spans_module():
     return module
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_every_stage_call_is_a_direct_call_from_full_pipeline(convention):
-    spans = _spans_module()
+def _trace(spans, call):
+    """``call()`` and the spans recorded while it runs."""
     with spans.Tracer() as tracer:
         tracer.recording = True
-        cert = ncquad.certify.full_pipeline(build_type_a(1, 2, 3), convention)
+        result = call()
         tracer.recording = False
-        recorded = tracer.take()
+        return result, tracer.take()
+
+
+def _stage_calls(recorded, keys) -> list:
+    """(key, caller) of each recorded call whose key is in ``keys``."""
+    return [(key, recorded[parent][0] if parent >= 0 else None)
+            for key, parent, _, _ in recorded if key in keys]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_every_deciding_stage_call_is_a_direct_call_from_full_pipeline(convention):
+    spans = _spans_module()
+    cert, recorded = _trace(spans, lambda: ncquad.certify.full_pipeline(
+        build_type_a(1, 2, 3), convention))
     assert cert.certified
-    direct = set()
-    for key, parent, _, _ in recorded:
-        if key not in spans.STAGE_OF:
-            continue
-        assert parent >= 0, key
-        caller = recorded[parent][0]
-        if caller == spans.PIPELINE:
-            direct.add(spans.STAGE_OF[key])
-        else:
-            # block_quiver and ext_table read square.line themselves; any
-            # other caller is a wrapped helper that would hide the stage
-            assert caller in spans.STAGE_OF, (key, caller)
-    assert direct == set(spans.STAGES[:7])
+    calls = _stage_calls(recorded, spans.STAGE_OF)
+    assert {caller for _, caller in calls} == {spans.PIPELINE}
+    assert {spans.STAGE_OF[key] for key, _ in calls} == {"geometricity", "determinant", "lines"}
     stage_ms = spans.summarize(recorded)["stage_ms"]
-    assert set(spans.STAGES[:7]) <= set(stage_ms)
+    assert {"geometricity", "determinant", "lines"} <= set(stage_ms)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_rendering_calls_each_forced_stage_once_from_to_dict(convention):
+    spans = _spans_module()
+    cert = full_pipeline(build_type_a(1, 2, 3), convention)
+    cert.to_dict()   # builds the shared stage documents
+    # to_dict is looked up inside the call, so the tracer's wrapper runs
+    _, recorded = _trace(spans, lambda: cert.to_dict())
+    forced = {f"{mod}.{name}" for mod, name in FORCED}
+    calls = sorted(_stage_calls(recorded, forced))
+    # the relations document is shared, so only the linear quiver reads the window
+    assert calls == sorted([(key, "certify.Certificate.to_dict")
+                            for key in forced - {"quintuples.truncated_dims"}]
+                           + [("quintuples.truncated_dims", "squares.linear_quiver")])

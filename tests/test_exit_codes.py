@@ -222,3 +222,19 @@ def test_exponents_within_the_bound_still_certify(tmp_path, spelling, field):
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["certify", str(path)]) == 0, doc
+
+
+# the message names the vanishing denominator, never its digits: those of
+# 10**5000 pass the interpreter's int-to-decimal limit (4300 by default)
+@pytest.mark.parametrize("entry", ["1e-5000", "1/5"])
+def test_a_denominator_vanishing_mod_p_exits_two_and_says_so(tmp_path, entry, capsys):
+    w = json.loads(json.dumps(_W))
+    w[0][0][0][0] = entry
+    path = tmp_path / "doc.json"
+    for doc in ({"w": w, "field": "Fp:5"},
+                {"family": "type-a", "a": "1", "b": entry, "c": "3", "field": "Fp:5"}):
+        path.write_text(json.dumps(doc))
+        assert main(["certify", str(path)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.rstrip().endswith(
+            ": the denominator vanishes mod 5"), err

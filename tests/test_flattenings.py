@@ -58,18 +58,30 @@ def eliminations(monkeypatch):
     return record_eliminations(monkeypatch)
 
 
+def _certify(q, convention, eliminations):
+    """Decide and render ``q``, checking that it certifies and that only
+    rendering eliminates: the deciding stages of a certified input read
+    every rank off minors or determinants.  Returns the certificate."""
+    before = list(eliminations)
+    cert = full_pipeline(q, convention)
+    assert cert.certified
+    assert eliminations == before
+    cert.to_dict()
+    return cert
+
+
 @pytest.fixture
 def warm():
     """Certify one QQ input under both conventions, so the ranks read off
     the shared identity (block leg 0 and Hom(R, K_0) of the standard
     line), which a process eliminates once, are already kept."""
     for convention in ("ruling", "literal"):
-        assert full_pipeline(build_type_a(2, 3, 5), convention).certified
+        _certify(build_type_a(2, 3, 5), convention, [])
 
 
-# the two eliminations of a certified input: the 7x16 span of R0 x V3
-# and V0 x R1 in ``relations`` (its eighth vector is a sum of three of
-# them), and the Hom(R, K_1) section matrix
+# the two eliminations of a certified input, both in forced stages: the
+# 7x16 span of R0 x V3 and V0 x R1 in ``relations`` (its eighth vector is
+# a sum of three of them), and the Hom(R, K_1) section matrix
 CERTIFIED = [(7, 16), (6, 8)]
 
 
@@ -82,7 +94,7 @@ def test_certified_type_a_input_eliminates_twice(warm, eliminations, convention)
     # leg of rank 4 gives the stacked paths rank 4, the square writes
     # phi_1 as an adjugate, and leg 0 and Hom(R, K_0) read the identity's
     # kept ranks; only the relations span and Hom(R, K_1) are eliminated
-    assert full_pipeline(build_type_a(1, 2, 3), convention).certified
+    _certify(build_type_a(1, 2, 3), convention, eliminations)
     assert eliminations == CERTIFIED
 
 
@@ -93,11 +105,11 @@ def test_identity_ranks_are_eliminated_once_per_process(eliminations):
     # standard line always contracts factor 0
     kept = ncquad.linalg._identity_pick
     kept.cache_clear()
-    assert full_pipeline(build_type_a(1, 2, 3), "ruling").certified
+    _certify(build_type_a(1, 2, 3), "ruling", eliminations)
     assert sorted(eliminations) == sorted(CERTIFIED + [(6, 8)])
     assert len(eliminations) == 3
     eliminations.clear()
-    assert full_pipeline(build_type_a(1, 2, 3), "literal").certified
+    _certify(build_type_a(1, 2, 3), "literal", eliminations)
     assert eliminations == CERTIFIED
     assert kept.cache_info().currsize == 2
 
@@ -106,10 +118,10 @@ def test_second_convention_on_the_same_quintuple_eliminates_twice(warm, eliminat
     # the second run reads the determinants of M_0 and M_1 off q;
     # relations and Hom(R, K_1) belong to the convention's own analysis
     q = build_type_a(1, 2, 3)
-    assert full_pipeline(q, "ruling").certified
+    _certify(q, "ruling", eliminations)
     assert eliminations == CERTIFIED
     eliminations.clear()
-    assert full_pipeline(q, "literal").certified
+    _certify(q, "literal", eliminations)
     assert eliminations == CERTIFIED
 
 
@@ -143,6 +155,8 @@ def test_singular_m1_still_eliminates_m3(warm, eliminations):
     eliminations.clear()
     cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
+    assert eliminations == [(4, 4), (4, 4)]
+    cert.to_dict()
     assert eliminations == [(4, 4), (4, 4)] + CERTIFIED
     assert cert.stages[0]["report"] == geometricity_oracle(q)
 

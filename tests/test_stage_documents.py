@@ -29,7 +29,8 @@ from helpers import (
     reference_relations_stage,
 )
 import ncquad.certify
-from ncquad.certify import _ext_table_stage, _quiver_stage, _relations_stage, full_pipeline
+from ncquad.certify import (_ext_table_stage, _quiver_stage, _relations_stage, ext_table,
+                            full_pipeline)
 from ncquad.fields import GF
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.quintuples import relations, truncated_dims
@@ -90,7 +91,7 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
             quivers += 1
         if len(stages) > 5:
             assert stages[5]["stage"] == "ext_table"
-            stages[5] = reference_ext_table_stage(cert.table)
+            stages[5] = reference_ext_table_stage(ext_table(square_from_quintuple(q, convention)))
             tables += 1
         assert canonical_json_bytes(cert.to_dict()) == canonical_json_bytes(doc)
     assert quivers >= 100

@@ -72,7 +72,7 @@ _REJECTIONS = {
     "typea-f5-excluded-001": "rejected: excluded locus S: point (0:0:1)",
     "typea-f7-excluded-010": "rejected: excluded locus S: point (0:1:0)",
     "typea-f10007-excluded-squares": "rejected: excluded locus S: a^2 = b^2 = c^2",
-    "malformed-typea-f5-denominator": "input error: bad coefficient: denominator of 1/5 vanishes mod 5",
+    "malformed-typea-f5-denominator": "input error: bad coefficient: the denominator vanishes mod 5",
 }
 
 
