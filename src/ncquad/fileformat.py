@@ -88,7 +88,7 @@ def field_from_str(s: str):
 def scalar_json(x):
     """JSON value for one scalar: a ``Fraction`` or an int (a residue mod p)
     as its ``_exact_str``, and an (x, y) pair for x + y theta as [x, y]."""
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, (int, Fraction)):
         return _exact_str(x)
     if isinstance(x, tuple):
         return [scalar_json(x[0]), scalar_json(x[1])]

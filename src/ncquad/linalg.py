@@ -5,11 +5,13 @@ numerators, row-major in one flat tuple, over one common positive
 denominator (the matrix is ``_num / _den``; equality and hashing compare
 the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
 
-Determinants and full ranks are read off minors: a 4x4 matrix keeps
+Determinants and ranks 4 and 3 are read off minors: a 4x4 matrix keeps
 ``_det4`` of its integers, which gives ``det`` and, when nonzero, rank 4
-and an empty kernel; an n x 2 matrix is ranked by ``_rank2``.  ``det``
-answers for 4x4 matrices only, the one size the pipeline asks for
-(det <-, w> = det M_0), and raises ``ValueError`` for any other.
+and an empty kernel; when it vanishes, a nonzero adjugate, from the same
+``_minors2``, gives rank 3 and the kernel line.  An n x 2 matrix is
+ranked by ``_rank2``.  ``det`` answers for 4x4 matrices only, the one
+size the pipeline asks for (det <-, w> = det M_0), and raises
+``ValueError`` for any other.
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
 fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
@@ -63,7 +65,7 @@ from .fields import PrimeField, RationalField
 class Matrix:
     """Immutable rectangular matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech", "_d4")
+    __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech", "_d4", "_adj")
 
     def __init__(self, field, rows, ncols: int | None = None):
         if not isinstance(field, (RationalField, PrimeField)):
@@ -86,7 +88,7 @@ class Matrix:
         self.ncols = ncols
         self._num = tuple(num)
         self._den = den
-        self._ech = self._d4 = None
+        self._ech = self._d4 = self._adj = None
 
     @classmethod
     def _of_num(cls, field, num, den: int, nrows: int, ncols: int) -> "Matrix":
@@ -98,7 +100,7 @@ class Matrix:
         m.ncols = ncols
         m._num = tuple(num)
         m._den = den
-        m._ech = m._d4 = None
+        m._ech = m._d4 = m._adj = None
         return m
 
     @classmethod
@@ -145,27 +147,46 @@ class Matrix:
 
     def _kept_det4(self):
         """``_det4`` of the integers (mod p) of a 4x4 matrix, computed once
-        and kept; None for any other shape."""
+        and kept; None for any other shape.  A singular one also keeps its
+        adjugate, from the same ``_minors2``, in ``_adj`` when it is nonzero,
+        that is when the rank is exactly 3."""
         if self._d4 is None and self.nrows == self.ncols == 4:
-            p = self.field.characteristic
-            self._d4 = _det4(self._num) % p if p else _det4(self._num)
+            p, minors = self.field.characteristic, _minors2(self._num)
+            self._d4 = _det4(minors) % p if p else _det4(minors)
+            if not self._d4:
+                adj = _adjugate(self, minors)._num
+                self._adj = adj if any(adj) else None
         return self._d4
 
     def rank(self) -> int:
+        """Read off minors for n x 2 and off the kept determinant and
+        adjugate for a 4x4 of rank 4 or 3, else off the kept echelon."""
         if self.ncols == 2:
             return _rank2(self._num, self.field.characteristic)
         if self._kept_det4():
             return 4
+        if self._adj:
+            return 3
         return len(self._echelon()[1])
 
     def _kernel(self) -> list:
-        """The reduced basis of the right null space, as integers read off
-        the kept echelon: for each free column f, in increasing order, the
-        pair (y, den) of ``_int_kernel_vector``, so y / den is 1 at f and 0
-        at the other free columns (none for an invertible 4x4, read off its
-        determinant).  rank + len(result) == ncols, always."""
+        """The reduced basis of the right null space, as integers: for each
+        free column f, in increasing order, a pair (y, den), den > 0 (1 mod
+        p), so y / den is 1 at f and 0 at the other free columns.  None
+        for an invertible 4x4; for rank 3, N adj N = det N * I = 0, so a
+        nonzero column y of adj N spans the kernel, and f is its last
+        nonzero entry; else ``_int_kernel_vector`` off the kept echelon.
+        rank + len(result) == ncols, always."""
         if self._kept_det4():
             return []
+        if self._adj:
+            p = self.field.characteristic
+            y = next(c for c in (list(self._adj[k::4]) for k in range(4)) if any(c))
+            f = max(k for k in range(4) if y[k])
+            if p:
+                inv = pow(y[f], -1, p)
+                return [([v * inv % p for v in y], 1)]
+            return [(y, y[f]) if y[f] > 0 else ([-v for v in y], -y[f])]
         ech, pivots = self._echelon()
         p, n = self.field.characteristic, self.ncols
         pivot_set = set(pivots)
@@ -247,21 +268,21 @@ def _minors2(num) -> tuple:
             a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32)
 
 
-def _det4(num) -> int:
-    """The determinant of a 4x4 matrix of flat row-major integers: the
-    ``_minors2`` of rows (0, 1) against those of rows (2, 3), paired by
+def _det4(minors) -> int:
+    """The determinant of a 4x4 matrix of integers from its ``_minors2``:
+    those of rows (0, 1) against those of rows (2, 3), paired by
     complementary columns."""
-    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = _minors2(num)
+    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = minors
     return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
 
 
-def _adjugate(m: Matrix) -> Matrix:
+def _adjugate(m: Matrix, minors=None) -> Matrix:
     """adj N = (det N / d) * m^-1 of a 4x4 matrix m = N / d, as integers
     (residues mod p), by Laplace expansion along complementary rows: each
     cofactor is one row of the other pair against three ``_minors2``."""
     (a00, a01, a02, a03, a10, a11, a12, a13,
      a20, a21, a22, a23, a30, a31, a32, a33) = m._num
-    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = _minors2(m._num)
+    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = minors or _minors2(m._num)
     adj = (
         a11 * c23 - a12 * c13 + a13 * c12, a02 * c13 - a01 * c23 - a03 * c12,
         a31 * s23 - a32 * s13 + a33 * s12, a22 * s13 - a21 * s23 - a23 * s12,
@@ -276,6 +297,14 @@ def _adjugate(m: Matrix) -> Matrix:
     if p:
         adj = [x % p for x in adj]
     return Matrix._of_num(m.field, adj, 1, 4, 4)
+
+
+def _keep_transpose(m: Matrix, mt: Matrix) -> None:
+    """Keep in mt = m^T, for a 4x4 m, the determinant m keeps and its
+    adjugate transposed: det m^T = det m and adj m^T = (adj m)^T, so the
+    kernel of mt is read off the rows of adj m."""
+    m._kept_det4()
+    mt._d4, mt._adj = m._d4, m._adj and tuple(x for k in range(4) for x in m._adj[k::4])
 
 
 def _rank2(num, p: int) -> int:

@@ -25,16 +25,18 @@ over the closure).
 
 M_{j+2} = M_j^T, so ``Quintuple.contractions`` picks all four from the
 integer row of w once per input, and a ``Matrix`` keeps its determinant
-from 2x2 minors: an invertible M_j makes M_{j+2} invertible too, and only
-a singular M_j is eliminated, with M_{j+2}, for the kernels its witness
-is read from.  The square reads det M_0 and the mutation rank M_0 off
-the same determinant.  Geometricity decides on integers: the reduced
-kernel vectors of M_j off its echelon, the 2x2 determinants, and the
-roots of det(s v1 + t v2) by ``forms._quadratic_root``, the root
-classifier the line stage asks too.  A witness over a quadratic
-extension is divided on integers, times the conjugate over the norm.
-Scalars are built only for the witness coordinates a certificate
-prints: base-field values, and (x, y) pairs for x + y theta.
+from 2x2 minors: an invertible M_j makes M_{j+2} invertible too.  A
+singular M_j of rank 3 keeps its nonzero adjugate from the same minors,
+and the kernel lines of M_j and M_{j+2} are a column and a row of it;
+only an M_j of rank <= 2 is eliminated, with M_{j+2}.  The square reads
+det M_0 and the mutation rank M_0 off the same determinant.  Geometricity
+decides on integers: the reduced kernel vectors of M_j, the 2x2
+determinants, and the roots of det(s v1 + t v2) by
+``forms._quadratic_root``, the root classifier the line stage asks too.
+A witness over a quadratic extension is divided on integers, times the
+conjugate over the norm.  Scalars are built only for the witness
+coordinates a certificate prints: base-field values, and (x, y) pairs
+for x + y theta.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import cached_property
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
-from .linalg import Matrix, _elements, _pick
+from .linalg import Matrix, _elements, _keep_transpose, _pick
 from .records import Record
 from .tensors import SLOT_LABELS, Tensor, _flattening_index
 
@@ -179,8 +181,8 @@ def _invertible(j: int) -> SlotPairReport:
 
 def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     """The report of slot pair j, decided on the integers of the reduced
-    kernel vectors y / d of M_j that ``Matrix._kernel`` reads off its kept
-    echelon (residues mod p, where d = 1).
+    kernel vectors y / d of M_j that ``Matrix._kernel`` reads off its
+    adjugate or its echelon (residues mod p, where d = 1).
 
     One vector fails exactly when a = det y vanishes.  For two or more,
     det(s v1 + t v2) = (a s^2 + b st + c t^2) / (d1 d2)^2, with b the
@@ -235,13 +237,17 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
     """Per-slot-pair geometricity report with explicit witnesses on failure.
 
     M_0 and M_1 are asked first; M_{j+2} = M_j^T only when M_j is
-    singular, since an invertible M_j leaves it no kernel."""
+    singular, since an invertible M_j leaves it no kernel, and then it
+    takes the determinant and the adjugate M_j keeps, transposed."""
     flat = q.contractions
     reports = [None] * 4
     for j in (0, 1):
         reports[j] = _pair_report(j, flat[j])
-        reports[j + 2] = (_pair_report(j + 2, flat[j + 2])
-                          if reports[j].kernel_dim else _invertible(j + 2))
+        if reports[j].kernel_dim:
+            _keep_transpose(flat[j], flat[j + 2])
+            reports[j + 2] = _pair_report(j + 2, flat[j + 2])
+        else:
+            reports[j + 2] = _invertible(j + 2)
     return GeometricityReport(tuple(reports))
 
 

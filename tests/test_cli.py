@@ -218,6 +218,8 @@ _DATA = Path(__file__).with_name("data")
 _WITNESS_PINS = {
     ("witness-qq-theta", "check"): (1, "3d4437f4676e6917d180c6de76dc73d34b612ee7f3dc2f4fd2cfd4eaf0749590"),
     ("witness-qq-theta", "check --json"): (1, "e934c2dd025914781e2668cdbabd2495677b8fd273cdc0ac286cbc6fab20bfc0"),
+    ("witness-qq-rational", "check"): (1, "6e6dd74c78af90488029b11c9d38aed8ef4882ae6f8b7c7dd0ae4338980fe492"),
+    ("witness-qq-rational", "check --json"): (1, "4febe23707dd2540716d13866fb454b8faccdd2c850ed9bbe01d74dda672cfad"),
     ("witness-f5-rational", "check"): (1, "f38354932a07d134135768771da69894d3f3b9e6ca7e75ddbb76acdab9ae7ea0"),
     ("witness-f5-rational", "check --json"): (1, "60f2a2f5956ddf2e340bd9acfc730c65105a4e2b536db4da36d38880628fadd1"),
     ("witness-f5-theta", "check"): (1, "54c8c9e7aa8d3b45c75e2f603460b48cb3c58ef9d5d0edf67c6d4ef3d9976303"),
@@ -241,6 +243,7 @@ def test_witness_stdout_and_exit_code_are_pinned(name, command, capsys):
 
 _WITNESS_MARKS = {
     "witness-qq-theta": ("Fraction(", ")*theta", "FAIL (rational"),
+    "witness-qq-rational": ("Fraction(", "FAIL (kernel spanned by a singular"),
     "witness-f5-rational": ("(mod 5)", "FAIL (kernel spanned by a singular"),
     "witness-f5-theta": ("(mod 5)) + (", ")*theta", "FAIL (rational"),
     "witness-f7-theta": ("theta^2 = 6 (mod 7)", "(mod 7)) + (", ")*theta"),

@@ -4,10 +4,12 @@ where the minors leave a rank open.
 ``Quintuple.contractions`` holds M_0..M_3, and M_{j+2} is the transpose
 of M_j, so geometricity, the square's determinant and the mutation's R_0
 leg read the determinants of M_0 and M_1, from 2x2 minors, once per
-quintuple, and eliminate only a singular one.  These tests record the
-eliminations of certified and singular inputs and check every read-off
-against oracles in ``helpers`` that share no elimination or index code
-with the pipeline.
+quintuple.  A singular M_j of rank 3 keeps its nonzero adjugate from the
+same minors, and the kernels of M_j and M_{j+2} are a column and a row of
+it; only an M_j of rank <= 2 is eliminated, with M_{j+2}.  These tests
+record the eliminations of certified and singular inputs and check every
+read-off against oracles in ``helpers`` that share no elimination or index
+code with the pipeline.
 """
 
 import random
@@ -22,6 +24,8 @@ from helpers import (
     det_oracle,
     geometricity_oracle,
     kernel_basis,
+    kernel_oracle,
+    matrix_cols,
     mutation_oracle,
     random_tensor_fp,
     random_type_a_triple,
@@ -138,40 +142,76 @@ def test_contractions_are_picked_once_and_kept_out_of_the_record():
     assert q.contractions == fresh.contractions
 
 
-def test_singular_m1_still_eliminates_m3(warm, eliminations):
+def test_rank_3_m1_eliminates_neither_m1_nor_m3(warm, eliminations):
     q = _quintuple(CERTIFIED_M1_SINGULAR)
     flat = q.contractions
     assert flat[0].rank() == 4 and flat[1].rank() == 3
-    # the invertible M_0 is ranked by its determinant; M_1 is eliminated
-    assert eliminations == [(4, 4)]
+    # M_0 is ranked by its determinant and M_1 by its nonzero adjugate
+    assert eliminations == []
     report = is_geometric(q)
-    # M_1's kept echelon, and one elimination of M_3 for its own kernel
-    assert eliminations == [(4, 4), (4, 4)]
-    assert flat[0]._ech is None and flat[2]._ech is None
+    # M_3 = M_1^T reads its kernel off the rows of the adjugate M_1 keeps
+    assert eliminations == []
+    assert all(m._ech is None for m in flat)
     assert [(p.passed, p.kernel_dim) for p in report.pairs] == [
         (True, 0), (True, 1), (True, 0), (True, 1)]
+    for j in (1, 3):
+        m = flat[j]
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(m.rows, 4)
     assert kernel_basis(flat[1]) != kernel_basis(flat[3])
 
-    eliminations.clear()
     cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
-    assert eliminations == [(4, 4), (4, 4)]
+    assert eliminations == []
     cert.to_dict()
-    assert eliminations == [(4, 4), (4, 4)] + CERTIFIED
+    assert eliminations == CERTIFIED
     assert cert.stages[0]["report"] == geometricity_oracle(q)
 
 
 def test_singular_m1_witness_is_read_from_the_kernel_of_m3(eliminations):
     q = _quintuple(FAILING_M1_SINGULAR)
     report = is_geometric(q)
-    # M_0 is invertible by its determinant; M_1 and M_3 are eliminated
-    assert eliminations == [(4, 4), (4, 4)]
-    assert q.contractions[0]._ech is None
+    # M_0 is invertible by its determinant; M_1 has rank 3, and the
+    # kernels of M_1 and M_3 are a column and a row of its adjugate
+    assert eliminations == []
+    assert q.contractions[1].rank() == 3
+    assert all(m._ech is None for m in q.contractions)
     assert report.failing_pairs() == [1, 3]
     assert report.pairs[1].witness != report.pairs[3].witness
     assert all(verify_witness(q, j, report.pairs[j].witness) for j in (1, 3))
     assert canonical_json_bytes(_geometricity_json(report, 0)) == canonical_json_bytes(
         geometricity_oracle(q))
+
+
+def test_rank_2_pair_still_eliminates_both_matrices(eliminations):
+    rng = random.Random(5)
+    q = next(q for q in _random_inputs(rng, 500) if contraction_oracle(q, 0).rank() == 2)
+    eliminations.clear()
+    flat = q.contractions
+    report = is_geometric(q)
+    # M_0 keeps its echelon; M_2 = M_0^T is eliminated for its own kernel
+    assert eliminations[:2] == [(4, 4), (4, 4)]
+    assert flat[0]._ech is not None and flat[2]._ech is not None
+    assert report.pairs[0].kernel_dim == report.pairs[2].kernel_dim == 2
+    assert canonical_json_bytes(_geometricity_json(report, q.field.characteristic)) == (
+        canonical_json_bytes(geometricity_oracle(q)))
+
+
+def test_sparse_f5_inputs_are_mostly_decided_without_elimination(eliminations):
+    # 2,000 tensors over F_5 with entries drawn from {-1, 0, 0, 0, 1}, the
+    # draw of the benchmark's sparse workload: most have a singular M_0 or
+    # M_1, of rank 3 in most of those, and only rank <= 2 is eliminated
+    rng = random.Random(0)
+    count = 0
+    ranks = set()
+    while count < 2000:
+        entries = [rng.choice((-1, 0, 0, 0, 1)) for _ in range(16)]
+        if any(entries):
+            q = _quintuple(entries, GF(5))
+            is_geometric(q)
+            ranks.update(m.rank() for m in q.contractions[:2])
+            count += 1
+    assert len(eliminations) <= 0.8 * count
+    assert {2, 3, 4} <= ranks
 
 
 def test_flattenings_are_the_contraction_matrices_and_transpose_in_pairs():

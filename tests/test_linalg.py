@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -28,10 +28,11 @@ from helpers import (
     rref_oracle,
     span_contains,
     span_equal,
+    transpose,
 )
 import ncquad.linalg
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, _adjugate, _det4
+from ncquad.linalg import Matrix, _adjugate, _det4, _keep_transpose, _minors2
 
 
 def test_rank_identity_and_zero():
@@ -483,7 +484,7 @@ _no_elimination = mock.patch.object(ncquad.linalg, "_int_echelon",
 def test_det4_matches_the_leibniz_oracle(p, data):
     rows = data.draw(_rows(4, 4, p))
     m = Matrix(_field(p), rows)
-    d = _det4(m._num)
+    d = _det4(_minors2(m._num))
     if p:
         assert d % p == det_oracle(rows, p)
     else:
@@ -496,7 +497,8 @@ def test_det4_matches_the_leibniz_oracle(p, data):
 def test_4x4_rank_kernel_and_det_agree_in_any_order(p, data):
     """rank, the kernel and det of a 4x4 equal the oracles whichever is
     read first, before or after the echelon ran; a nonzero determinant
-    answers all three with no elimination."""
+    answers all three with no elimination, and a nonzero adjugate (rank
+    3) the rank and the kernel."""
     rows = data.draw(_rows(4, 4, p))
     order = data.draw(st.permutations(("rank", "kernel", "det", "echelon")))
     order = order[:data.draw(st.integers(1, 4))]
@@ -509,14 +511,79 @@ def test_4x4_rank_kernel_and_det_agree_in_any_order(p, data):
     expected = {"rank": len(pivots), "det": det, "echelon": pivots}
     assert {k: v for k, v in got.items() if k != "kernel"} == {
         k: expected[k] for k in got if k != "kernel"}
-    # only a singular matrix, asked for its rank or kernel, is eliminated
+    # only a matrix of rank <= 2, asked for its rank or kernel, is eliminated
     assert (m._ech is not None) == ("echelon" in order
-                                    or (not det and bool({"rank", "kernel"} & set(order))))
+                                    or (len(pivots) <= 2 and bool({"rank", "kernel"} & set(order))))
     if "kernel" in got:
         assert got["kernel"] == m._kernel()
         assert len(got["kernel"]) == 4 - len(pivots)
     assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
     assert (m.rank(), m.det()) == (len(pivots), det)
+
+
+@st.composite
+def _lower_rank(draw, p, rank):
+    """4x4 rows of the given rank < 4: rank 3 has its kernel line spanned
+    by a y whose last nonzero entry falls at a drawn column f, each row
+    drawn freely off f and solved at f; rank 2 is a product of 4x2 and
+    2x4 factors."""
+    if rank == 2:
+        left = [[draw(_entries(p)) for _ in range(2)] for _ in range(4)]
+        right = [[draw(_entries(p)) for _ in range(4)] for _ in range(2)]
+        rows = matmul_oracle(left, right, 4, p)
+    else:
+        f = draw(st.integers(0, 3))
+        y = [draw(_entries(p)) for _ in range(f)] + [draw(_entries(p).filter(bool))]
+        rows = []
+        for _ in range(4):
+            r = [draw(_entries(p)) for _ in range(4)]
+            s = sum(a * b for a, b in zip(r[:f], y))
+            r[f] = -s * pow(y[f], -1, p) % p if p else -s / y[f]
+            rows.append(r)
+    assume(len(rref_oracle(rows, 4, p)[1]) == rank)
+    return rows
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_rank_3_kernel_is_read_off_the_adjugate(p, data):
+    """A 4x4 of rank 3 is ranked, and its one kernel vector read, off its
+    nonzero adjugate, and so are those of its transpose, from the rows of
+    the same adjugate: no elimination, and the oracles' values."""
+    rows = data.draw(_lower_rank(p, 3))
+    m = Matrix(_field(p), rows)
+    t = transpose(m)
+    with _no_elimination:
+        assert m.rank() == 3
+        _keep_transpose(m, t)
+        assert t.rank() == 3
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
+        assert matrix_cols(kernel_basis(t)) == kernel_oracle(t.rows, 4, p)
+        kernels = [m._kernel(), t._kernel()]
+    for [(y, den)] in kernels:
+        assert den == 1 if p else den > 0
+        assert y[max(k for k in range(4) if y[k])] == den
+    assert m._ech is None and t._ech is None
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_rank_2_kernel_still_eliminates(p, data):
+    """A 4x4 of rank 2 has adjugate 0, so it and its transpose are each
+    eliminated once for the rank and the kernel."""
+    rows = data.draw(_lower_rank(p, 2))
+    m = Matrix(_field(p), rows)
+    t = transpose(m)
+    with mock.patch.object(ncquad.linalg, "_int_echelon",
+                           wraps=ncquad.linalg._int_echelon) as spy:
+        assert m.rank() == 2
+        _keep_transpose(m, t)
+        assert t.rank() == 2
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
+        assert matrix_cols(kernel_basis(t)) == kernel_oracle(t.rows, 4, p)
+    assert spy.call_count == 2
 
 
 @st.composite
