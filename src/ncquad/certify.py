@@ -22,9 +22,7 @@ as read-only ``SharedCell`` texts, ``_ext_table_stage`` encodes them,
 and ``_reference`` replays them once, so ``replay_table`` walks only the
 cells that differ.  Each input that reaches the table still ranks both
 leaves and derives the two cells (p*R, C_i), which ``_cell`` checks
-against ``EXPECTED_HOM``, the one check on a cell; that pair goes only
-with ROADMAP item 16, after item 9, as the perfbench self-test counts
-its spans.  The relations and quiver stage documents, functions of
+against ``EXPECTED_HOM``, the one check on a cell.  The relations and quiver stage documents, functions of
 records of small integers and fixed strings, are built and encoded once
 per process for each distinct value.  ``canonical_json_bytes`` splices
 the text of each shared document into the certificate's bytes.

@@ -123,9 +123,6 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
     def __hash__(self) -> int:
         return hash("QQ")
 

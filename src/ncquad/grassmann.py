@@ -157,6 +157,13 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     is the plane at each root of the gcd (``_gcd_roots``).  Only printed
     meet parameters are field elements: M's values at the roots of the
     monic gcd, the same under any scaling.
+
+    When no form survives, every P(k) is fully decomposable.  For an
+    invertible phi^{-1}, which every line of a square has, each plane P(k)
+    is then a line on the smooth quadric surface {det = 0} in P^3, and
+    k -> P(k) maps the connected P^1 into one of the quadric's two
+    disjoint rulings, so the type cannot change: it is read at one
+    parameter, k = (1 : 0).
     """
     field, p = line.field, line.field.characteristic
     M = line.phi_inv
@@ -186,13 +193,7 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
         return [[(x % p, y % p) for x, y in v] for v in n] if p else n
 
     if not forms:
-        # every plane of the family is fully decomposable; the ruling type
-        # is constant along the family, but sample three parameters anyway
-        types = {_plane_type(*plane_at(kx, ky), 0, p)
-                 for kx, ky in (((1, 0), 0), ((0, 0), 1), ((1, 0), 1))}
-        if types != {"left"} and types != {"right"}:
-            raise AssertionError(f"inconsistent decomposable family types: {types}")
-        if types == {"left"}:
+        if _plane_type(*plane_at((1, 0), 0), 0, p) == "left":
             return relation("coincide")
         return relation("disjoint", flag="opposite decomposable family")
 

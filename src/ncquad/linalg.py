@@ -2,8 +2,9 @@
 
 A ``Matrix`` stores integers, never field elements: over QQ integer
 numerators, row-major in one flat tuple, over one common positive
-denominator (the matrix is ``_num / _den``; equality and hashing compare
-the reduced form, ``_key``), over F_p residues in [0, p) with ``_den`` 1.
+denominator (the matrix is ``_num / _den``), over F_p residues in
+[0, p) with ``_den`` 1.  A matrix has no value equality: ``==`` and
+``hash`` are those of the object, since no caller compares matrices.
 
 Determinants and ranks 4 and 3 are read off minors: a 4x4 matrix keeps
 ``_det4`` of its integers, which gives ``det`` and, when nonzero, rank 4
@@ -41,7 +42,7 @@ Scalars are the plain values they are decided on (``fields``):
 ``Matrix(field, rows)`` coerces every entry through ``field.of``, since
 callers pass ints and strings, and ``build_type_a`` reads its
 coefficients as such a 1x3 row to decide the excluded locus on integers.
-``rows`` and ``det`` build each entry on demand (``_elements``), one
+``det`` builds its value on demand (``_elements``), one
 ``Fraction(num, den)`` over QQ or one residue mod p, and geometricity
 builds only the witness coordinates a certificate prints.  Both are
 normal forms, so they are the values and bytes that elimination on field
@@ -107,31 +108,6 @@ class Matrix:
     def identity(cls, field, n: int) -> "Matrix":
         """The n x n identity, one shared matrix per field and size."""
         return _identity(field, n)
-
-    @property
-    def rows(self) -> tuple:
-        n = self.ncols
-        return tuple(_elements(self.field, self._num[i * n:(i + 1) * n], self._den)
-                     for i in range(self.nrows))
-
-    def _key(self):
-        """(numerators, denominator) in lowest terms."""
-        g = math.gcd(self._den, *self._num)
-        if g == 1:
-            return self._num, self._den
-        return tuple(x // g for x in self._num), self._den // g
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._key() == other._key()
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self._key()))
 
     # -- elimination ----------------------------------------------------
 
@@ -203,7 +179,8 @@ class Matrix:
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
             return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        n, entries = self.ncols, _elements(self.field, self._num, self._den)
+        body = "; ".join(" ".join(map(str, entries[i:i + n])) for i in range(0, len(entries), n))
         return f"Matrix({self.field!r}, [{body}])"
 
 
@@ -245,14 +222,6 @@ def _pick_kept(m: Matrix, nrows: int, ncols: int, picks: tuple) -> Matrix:
 @cache
 def _identity_pick(field, nrows: int, ncols: int, picks: tuple) -> Matrix:
     return _pick(_identity(field, 4), nrows, ncols, picks)
-
-
-def _vstack(top: Matrix, bottom: Matrix) -> Matrix:
-    """``top`` over ``bottom``, two matrices with the same columns."""
-    den = math.lcm(top._den, bottom._den)
-    num = ([x * (den // top._den) for x in top._num]
-           + [x * (den // bottom._den) for x in bottom._num])
-    return Matrix._of_num(top.field, num, den, top.nrows + bottom.nrows, top.ncols)
 
 
 def _minors2(num) -> tuple:

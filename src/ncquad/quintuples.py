@@ -75,7 +75,8 @@ class Quintuple(Record):
         """(M_0, M_1, M_2, M_3), M_j the 4x4 matrix of V_j^* x V_{j+1}^* ->
         V_{j+2} x V_{j+3}, phi x chi -> <phi x chi, w> (indices mod 4,
         multi-indices row-major), and M_{j+2} = M_j^T.  Kept beside the
-        field w, which alone ``==``, ``hash`` and ``repr`` read; each
+        record's one field w, so ``repr`` never prints them; ``==`` and
+        ``hash`` read w, a ``Tensor`` with no value equality.  Each
         matrix keeps its echelon, so it is eliminated once per input."""
         return tuple(_pick(self.w._row, *index) for index in _CONTRACTION_INDEX)
 

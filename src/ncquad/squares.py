@@ -8,12 +8,15 @@ determinant of the slot-(2,3) contraction) yields the square
 
     (V0 x V1, V0, V1, V2*, V3*, id, phi_w),   phi_w = <-, w>^{-1}.
 
-<-, w> is the contraction matrix M_2 of ``Quintuple.contractions``, the
-transpose of M_0, so its determinant is det M_0: the value from 2x2
-minors that M_0 keeps since geometricity asked whether it is invertible,
-with no elimination.  Only ranks are read from phi_w, so the square
-holds it up to a nonzero scalar: phi_1 is the integer adjugate adj M_2,
-written from the same kind of minors, and phi_0 is the shared identity.
+Its phi0 is the identity, so line 0 is the standard line by
+construction, and a ``GeometricSquare`` stores only phi1 and its
+inverse; ``line(0)`` hands out the shared identity.  <-, w> is the
+contraction matrix M_2 of ``Quintuple.contractions``, the transpose of
+M_0, so its determinant is det M_0: the value from 2x2 minors that M_0
+keeps since geometricity asked whether it is invertible, with no
+elimination.  Only ranks are read from phi_w, so the square holds it up
+to a nonzero scalar: phi_1 is the integer adjugate adj M_2, written from
+the same kind of minors.
 
 The convention flag records which factor of phi1's codomain the second
 line contracts: "literal" contracts U0^1, "ruling" contracts U1^1.  The
@@ -37,7 +40,7 @@ print it.
 from __future__ import annotations
 
 from .grassmann import EmbeddedLine
-from .linalg import Matrix, _adjugate, _pick_kept, _vstack
+from .linalg import Matrix, _adjugate, _pick_kept
 from .quintuples import Quintuple, RelationData, hilbert_dims, truncated_dims
 from .records import Record
 
@@ -69,13 +72,12 @@ class NotGeneric(Exception):
 
 
 class GeometricSquare(Record):
-    """The septuple, with phi0 and phi1 stored next to their inverses,
-    which the lines consume and the constructor already knows; phi_i may
-    be any nonzero multiple of the inverse of phi_i_inv."""
+    """The square of a quintuple, (V0 x V1, V0, V1, V2*, V3*, id, phi1):
+    phi1 is stored next to its inverse, which the lines consume and the
+    constructor already knows, and may be any nonzero multiple of the
+    inverse of phi1_inv; phi0 is the identity."""
 
-    phi0: Matrix
     phi1: Matrix
-    phi0_inv: Matrix
     phi1_inv: Matrix
     convention: str = "ruling"
     contraction_det: object = None
@@ -83,15 +85,17 @@ class GeometricSquare(Record):
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        for phi in (self.phi0, self.phi1, self.phi0_inv, self.phi1_inv):
+        for phi in (self.phi1, self.phi1_inv):
             if phi.nrows != 4 or phi.ncols != 4:
                 raise ValueError("phi matrices must be 4x4")
 
     def line(self, i: int) -> EmbeddedLine:
-        """The two embedded lines; line 1's contracted factor follows the
-        convention flag."""
+        """The two embedded lines: line 0 is the standard line, the
+        identity with contracted factor 0, and line 1's contracted factor
+        follows the convention flag."""
         if i == 0:
-            return EmbeddedLine(self.phi0, self.phi0_inv, 0)
+            ident = Matrix.identity(self.phi1.field, 4)
+            return EmbeddedLine(ident, ident, 0)
         if i == 1:
             return EmbeddedLine(self.phi1, self.phi1_inv,
                                 0 if self.convention == "literal" else 1)
@@ -111,11 +115,8 @@ def square_from_quintuple(q: Quintuple, convention: str = "ruling") -> Geometric
     det = m0.det()   # det M_2 = det M_0
     if not det:
         raise NotGeneric("determinant", "det <-, w> = 0")
-    ident = Matrix.identity(q.field, 4)
     return GeometricSquare(
-        phi0=ident,
         phi1=_adjugate(m),   # a nonzero multiple of phi_w = M_2^{-1}
-        phi0_inv=ident,
         phi1_inv=m,
         convention=convention,
         contraction_det=det,
@@ -165,8 +166,10 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     compose through phi_i transposed, so the path (o, n) of leg i (out
     index o, in index n) lands on row 2o+n of phi_i, or row 2n+o when
     the contracted factor is 1.  The relation dimension is 8 minus the
-    rank of those 8 rows, which is 4 when either leg has rank 4: a stack
-    has at least the rank of each block and at most its 4 columns.
+    rank of those 8 rows.  Leg 0 picks the rows of the identity, so it has
+    full column rank 4, and so has the 8x4 stack of both legs, which has
+    at least the rank of each block and at most its 4 columns: the
+    relation dimension is 8 - leg_ranks[0] = 4.
     """
     legs = []
     for i in range(2):
@@ -185,7 +188,7 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
-        relation_dim=8 - (4 if 4 in leg_ranks else _vstack(legs[0][0], legs[1][0]).rank()),
+        relation_dim=8 - leg_ranks[0],
         gram=BLOCK_GRAM,
         leg_ranks=leg_ranks,
     )

@@ -62,11 +62,5 @@ class Tensor:
             raise ValueError("row and column slots must partition the axes")
         return _pick(self._row, *_flattening_index(row_slots, col_slots))
 
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self._row == other._row
-
-    def __hash__(self):
-        return hash(self._row)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, slots={self.slots})"

@@ -175,7 +175,7 @@ class GeneralTensor:
         """t itself, or w (an ncquad ``Tensor``) copied entry by entry."""
         if isinstance(t, cls):
             return t
-        return cls(t.field, t.shape, t._row.rows[0], t.slots)
+        return cls(t.field, t.shape, rows(t._row)[0], t.slots)
 
     def __eq__(self, other):
         return (isinstance(other, GeneralTensor)
@@ -372,7 +372,7 @@ def random_matrix_qq(rng, nrows, ncols, height=9):
 def random_invertible_qq(rng, n, height=9):
     while True:
         m = random_matrix_qq(rng, n, n, height)
-        if det_oracle(m.rows):
+        if det_oracle(rows(m)):
             return m
 
 
@@ -654,7 +654,7 @@ def kernel_at(line, s, t):
     or ints, and may be ``Quad``s."""
     if not (s or t):
         raise ValueError("(0:0) is not a parameter")
-    phi_inv = lift(line.field, line.phi_inv.rows)
+    phi_inv = lift(line.field, rows(line.phi_inv))
     cols = []
     for b in range(2):
         vec = [0] * 4
@@ -757,6 +757,14 @@ def euclid_form_gcd(forms):
 # -- column spans (oracle tools built on Matrix(field, rows)) -------------
 
 
+def rows(m) -> tuple:
+    """The rows of a ``Matrix`` as tuples of scalars in normal form:
+    ``Fraction``s over QQ, residues in [0, p) over F_p."""
+    n = m.ncols
+    entries = _elements(m.field, m._num, m._den)
+    return tuple(entries[i * n:(i + 1) * n] for i in range(m.nrows))
+
+
 def from_cols(field, cols, nrows=None):
     """The matrix with the given columns, each entry coerced by field.of."""
     from ncquad.linalg import Matrix
@@ -770,7 +778,7 @@ def from_cols(field, cols, nrows=None):
 
 
 def transpose(m):
-    return from_cols(m.field, m.rows, m.ncols)
+    return from_cols(m.field, rows(m), m.ncols)
 
 
 def apply(m, vec) -> tuple:
@@ -786,7 +794,7 @@ def hstack(a, b):
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in hstack")
-    return Matrix(a.field, [r1 + r2 for r1, r2 in zip(a.rows, b.rows)], a.ncols + b.ncols)
+    return Matrix(a.field, [r1 + r2 for r1, r2 in zip(rows(a), rows(b))], a.ncols + b.ncols)
 
 
 def span_equal(a, b) -> bool:
@@ -807,7 +815,7 @@ def span_contains(space, vec) -> bool:
 def column_space_oracle(m):
     """The original columns of m at the pivot columns of its reduced row
     echelon form (``rref_oracle``)."""
-    _, pivots = rref_oracle(m.rows, m.ncols, m.field.characteristic)
+    _, pivots = rref_oracle(rows(m), m.ncols, m.field.characteristic)
     return from_cols(m.field, [col(m, j) for j in pivots], m.nrows)
 
 
@@ -906,7 +914,7 @@ def _composition_counts(comp, leg_width=4):
 def block_composition_oracle(square):
     """The 4x8 composition of the block quiver: the path (o, n) of leg i is
     phi_i^T applied to the unit vector of its (contracted, other) index."""
-    field = square.phi0.field
+    field = square.phi1.field
     cols = []
     for i in range(2):
         line = square.line(i)
@@ -959,7 +967,7 @@ def hom_R_K_oracle(line) -> int:
     field = line.field
     cols = []
     for u in range(2):
-        for g in lift(field, line.phi_inv.rows):      # gamma_c in U0* x U1* coordinates
+        for g in lift(field, rows(line.phi_inv)):      # gamma_c in U0* x U1* coordinates
             col = [0] * 6
             for a in range(2):
                 for b in range(2):
@@ -981,7 +989,7 @@ def random_matrix_fp(rng, field, nrows, ncols):
 def random_invertible_fp(rng, field, n):
     while True:
         m = random_matrix_fp(rng, field, n, n)
-        if det_oracle(m.rows, field.p):
+        if det_oracle(rows(m), field.p):
             return m
 
 
@@ -1105,7 +1113,7 @@ class GPoint:
             raise ValueError("kernel must be a 4x2 basis matrix")
         if kernel.rank() != 2:
             raise ValueError("kernel basis is degenerate")
-        k = lift(kernel.field, kernel.rows)
+        k = lift(kernel.field, rows(kernel))
         p = [k[i][0] * k[j][1] - k[j][0] * k[i][1] for i, j in PLUECKER_PAIRS]
         # normalize: first nonzero coordinate 1
         for x in p:
@@ -1378,7 +1386,7 @@ def geometricity_oracle(q) -> dict:
     pairs = []
     for j in range(4):
         m = contraction_matrix(q, j)
-        basis = kernel_oracle(m.rows, 4, field.characteristic)
+        basis = kernel_oracle(rows(m), 4, field.characteristic)
         witness = None
         if not basis:
             passed, note = True, "contraction matrix invertible"

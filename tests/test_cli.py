@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import GeneralTensor
 from ncquad.cli import EXIT_INTERNAL, EXIT_OK, main
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fileformat import (
@@ -267,16 +268,16 @@ def test_roundtrip_parse_serialize_parse():
         doc = dict(meta)
         q2, meta2 = parse_quintuple_file(doc)
         assert meta == meta2
-        assert q.w == q2.w
+        assert GeneralTensor.of(q.w) == GeneralTensor.of(q2.w)
 
 
 def test_roundtrip_w_form(tmp_path):
     q, meta = load_quintuple(str(corpus_path("linear")))
     doc = {"w": tensor_nested_strings(q), "field": "Q"}
     q2, meta2 = parse_quintuple_file(doc)
-    assert q2.w == q.w
+    assert GeneralTensor.of(q2.w) == GeneralTensor.of(q.w)
     q3, meta3 = parse_quintuple_file(dict(meta2))
-    assert meta2 == meta3 and q3.w == q2.w
+    assert meta2 == meta3 and GeneralTensor.of(q3.w) == GeneralTensor.of(q2.w)
 
 
 def test_prime_field_input(tmp_path):

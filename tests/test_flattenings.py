@@ -30,6 +30,7 @@ from helpers import (
     random_tensor_fp,
     random_type_a_triple,
     record_eliminations,
+    rows,
     transpose,
     verify_witness,
 )
@@ -133,13 +134,12 @@ def test_contractions_are_picked_once_and_kept_out_of_the_record():
     q = build_type_a(1, 2, 3)
     fresh = build_type_a(1, 2, 3)
     assert q.contractions is q.contractions
-    before = (repr(q), hash(q), input_digest(q))
+    before = (repr(q), input_digest(q))
     assert full_pipeline(q, "ruling").certified
-    assert q == fresh and fresh == q
-    assert (repr(q), hash(q), input_digest(q)) == before
-    assert before == (repr(fresh), hash(fresh), input_digest(fresh))
+    assert q._values() == (q.w,)
+    assert (repr(q), input_digest(q)) == before == (repr(fresh), input_digest(fresh))
     assert q.contractions is not fresh.contractions
-    assert q.contractions == fresh.contractions
+    assert [rows(m) for m in q.contractions] == [rows(m) for m in fresh.contractions]
 
 
 def test_rank_3_m1_eliminates_neither_m1_nor_m3(warm, eliminations):
@@ -156,8 +156,8 @@ def test_rank_3_m1_eliminates_neither_m1_nor_m3(warm, eliminations):
         (True, 0), (True, 1), (True, 0), (True, 1)]
     for j in (1, 3):
         m = flat[j]
-        assert matrix_cols(kernel_basis(m)) == kernel_oracle(m.rows, 4)
-    assert kernel_basis(flat[1]) != kernel_basis(flat[3])
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows(m), 4)
+    assert rows(kernel_basis(flat[1])) != rows(kernel_basis(flat[3]))
 
     cert = full_pipeline(_quintuple(CERTIFIED_M1_SINGULAR), "ruling")
     assert cert.certified
@@ -223,9 +223,9 @@ def test_flattenings_are_the_contraction_matrices_and_transpose_in_pairs():
         flat = q.contractions
         assert len(flat) == 4
         for j in range(4):
-            assert flat[j] == contraction_matrix(q, j) == contraction_oracle(q, j)
+            assert rows(flat[j]) == rows(contraction_matrix(q, j)) == rows(contraction_oracle(q, j))
         for j in range(2):
-            assert flat[j + 2] == transpose(flat[j])
+            assert rows(flat[j + 2]) == rows(transpose(flat[j]))
 
 
 def _random_inputs(rng, count):
@@ -281,7 +281,7 @@ def test_square_determinant_is_det_m0():
     vanished = 0
     for q in inputs:
         field = q.field
-        expected = field.of(det_oracle(contraction_matrix(q, 2).rows, field.characteristic))
+        expected = field.of(det_oracle(rows(contraction_matrix(q, 2)), field.characteristic))
         is_geometric(q)   # eliminates M_0 first, as the pipeline does
         assert q.contractions[0].det() == expected
         try:

@@ -28,6 +28,7 @@ from helpers import (
     rank_oracle,
     reference_line_relation,
     relative_line,
+    rows,
     span_equal,
 )
 from ncquad.fields import GF, QQ
@@ -255,7 +256,7 @@ def test_line_relation_agrees_with_prime_field_reduction():
         phi1 = random_invertible_qq(rng, 4, height=6)
         cf0, cf1 = rng.randint(0, 1), rng.randint(0, 1)
         lr = line_relation(relative_line(line_from_phi(phi0, cf0), line_from_phi(phi1, cf1)))
-        red = lambda m: Matrix(F, [[F.of(x) for x in row] for row in m.rows])
+        red = lambda m: Matrix(F, [[F.of(x) for x in row] for row in rows(m)])
         r0, r1 = red(phi0), red(phi1)
         if not r0.det() or not r1.det():
             continue

@@ -25,6 +25,7 @@ from helpers import (
     random_matrix_fp,
     random_matrix_qq,
     rank_oracle,
+    rows,
     rref_oracle,
     span_contains,
     span_equal,
@@ -81,7 +82,7 @@ def test_det_and_inverse():
         d = m.det()
         if d:
             inv = inverse(m)
-            assert matmul(m, inv) == Matrix.identity(QQ, 4)
+            assert rows(matmul(m, inv)) == rows(Matrix.identity(QQ, 4))
             assert inv.det() * d == 1
         else:
             with pytest.raises(ValueError):
@@ -142,9 +143,9 @@ def test_reduction_mod_p_commutes_with_products():
         a = random_matrix_qq(rng, 3, 4)
         b = random_matrix_qq(rng, 4, 2)
         ab = matmul(a, b)
-        ared = Matrix(F, [[F.of(x) for x in row] for row in a.rows])
-        bred = Matrix(F, [[F.of(x) for x in row] for row in b.rows])
-        assert matmul(ared, bred) == Matrix(F, [[F.of(x) for x in row] for row in ab.rows])
+        ared = Matrix(F, [[F.of(x) for x in row] for row in rows(a)])
+        bred = Matrix(F, [[F.of(x) for x in row] for row in rows(b)])
+        assert rows(matmul(ared, bred)) == tuple(tuple(F.of(x) for x in row) for row in rows(ab))
 
 
 def test_rank_kernel_mod_large_prime():
@@ -154,7 +155,7 @@ def test_rank_kernel_mod_large_prime():
     F = GF(2**61 - 1)
     for _ in range(20):
         m = random_matrix_qq(rng, rng.randint(1, 5), rng.randint(1, 5), height=20)
-        mred = Matrix(F, [[F.of(x) for x in row] for row in m.rows], ncols=m.ncols)
+        mred = Matrix(F, [[F.of(x) for x in row] for row in rows(m)], ncols=m.ncols)
         assert m.rank() == mred.rank()
         assert kernel_basis(m).ncols == kernel_basis(mred).ncols
 
@@ -169,16 +170,17 @@ def test_matrix_rejects_quadratic_extension():
 
 
 def test_empty_shapes():
+    shape = lambda m: (m.nrows, m.ncols)
     for field in (QQ, GF(5), GF(10007)):
         empty = Matrix(field, [], ncols=0)
-        assert inverse(empty) == empty
-        assert empty.rank() == 0 and kernel_basis(empty) == empty
+        assert shape(inverse(empty)) == (0, 0)
+        assert empty.rank() == 0 and shape(kernel_basis(empty)) == (0, 0)
         wide, tall = Matrix(field, [], ncols=3), Matrix(field, [()] * 3, ncols=0)
         assert wide.rank() == tall.rank() == 0
-        assert kernel_basis(wide) == Matrix.identity(field, 3)
-        assert kernel_basis(tall) == empty
-        assert matmul(tall, wide) == Matrix(field, [[0] * 3] * 3)
-        assert matmul(tall, Matrix(field, [], ncols=1)) == Matrix(field, [[0]] * 3)
+        assert rows(kernel_basis(wide)) == rows(Matrix.identity(field, 3))
+        assert shape(kernel_basis(tall)) == (0, 0)
+        assert rows(matmul(tall, wide)) == ((0, 0, 0),) * 3
+        assert rows(matmul(tall, Matrix(field, [], ncols=1))) == ((0,),) * 3
 
 
 # -- the QQ and F_p kernels against the naive oracles ----------------------
@@ -234,13 +236,6 @@ def _field(p):
     return GF(p) if p else QQ
 
 
-def _check_value_equality(m):
-    """A result equals, and hashes like, the matrix rebuilt from its
-    entries, whatever common denominator either one holds."""
-    again = Matrix(m.field, m.rows, ncols=m.ncols)
-    assert m == again and hash(m) == hash(again)
-
-
 def _check_rank_kernel_column_space(rows, ncols, p):
     m = Matrix(_field(p), rows, ncols=ncols)
     _, pivots = rref_oracle(rows, ncols, p)
@@ -265,19 +260,18 @@ def _check_det(m, rows, p):
             m.det()
 
 
-def _check_det_inverse(rows, p):
-    n = len(rows)
-    m = Matrix(_field(p), rows, ncols=n)
-    _check_det(m, rows, p)
-    inv = inverse_oracle(rows, p)
+def _check_det_inverse(entries, p):
+    n = len(entries)
+    m = Matrix(_field(p), entries, ncols=n)
+    _check_det(m, entries, p)
+    inv = inverse_oracle(entries, p)
     if inv is None:
         with pytest.raises(ValueError, match="singular"):
             inverse(m)
     else:
         got = inverse(m)
-        assert list(got.rows) == inv
-        assert matmul(m, got) == Matrix.identity(m.field, n)
-        _check_value_equality(got)
+        assert list(rows(got)) == inv
+        assert rows(matmul(m, got)) == rows(Matrix.identity(m.field, n))
 
 
 def _check_adjugate(rows, p):
@@ -302,10 +296,9 @@ def _check_product_apply(a, b, vec, ncols, p):
     ma, mb = Matrix(_field(p), a, ncols=len(vec)), Matrix(_field(p), b, ncols=ncols)
     prod = matmul(ma, mb)
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
-    assert list(prod.rows) == matmul_oracle(a, b, ncols, p)
-    _check_value_equality(prod)
+    assert list(rows(prod)) == matmul_oracle(a, b, ncols, p)
     column = Matrix(_field(p), [[x] for x in vec], ncols=1)
-    assert list(matmul(ma, column).rows) == matmul_oracle(
+    assert list(rows(matmul(ma, column))) == matmul_oracle(
         a, [[x] for x in vec], 1, p)
 
 
@@ -375,7 +368,7 @@ def test_fp_product_and_apply_match_oracle(p, nrows, inner, ncols, data):
 
 
 def _entry_types(m):
-    return {type(x) for r in m.rows for x in r}
+    return {type(x) for r in rows(m) for x in r}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
@@ -404,33 +397,30 @@ def test_results_hold_only_field_elements(field):
         ]
         for m in results:
             assert _entry_types(m) <= {kind}
-            assert all(type(r) is tuple for r in m.rows)
-            assert all(len(r) == m.ncols for r in m.rows)
+            assert all(type(r) is tuple for r in rows(m))
+            assert all(len(r) == m.ncols for r in rows(m))
 
 
 def test_public_constructors_still_coerce():
     m = Matrix(QQ, [[1, "1/2"]])
-    assert m.rows == ((Fraction(1), Fraction(1, 2)),)
+    assert rows(m) == ((Fraction(1), Fraction(1, 2)),)
     assert _entry_types(m) == {Fraction}
     c = from_cols(QQ, [(1, "2/3"), ("-1", 0)])
-    assert c.rows == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
+    assert rows(c) == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
     assert _entry_types(c) == {Fraction}
     F = GF(5)
     assert _entry_types(Matrix(F, [[1, "1/2"]])) == {int}
-    assert Matrix(F, [[1, "1/2"]]).rows == ((1, 3),)
-    assert Matrix(F, [[1, "1/2"]]) == Matrix(F, [[F.of(1), F.of(3)]])
+    assert rows(Matrix(F, [[1, "1/2"]])) == ((1, 3),)
+    assert rows(Matrix(F, [[1, "1/2"]])) == rows(Matrix(F, [[F.of(1), F.of(3)]]))
 
 
-def test_equality_and_hash_ignore_the_common_denominator():
+def test_entries_ignore_the_common_denominator():
     quarter = matmul(Matrix(QQ, [[1, 2]]), Matrix(QQ, [["1/2"], ["1/4"]]))   # 1, as 4/4
-    one = Matrix(QQ, [[1]])
-    assert quarter == one and hash(quarter) == hash(one)
-    assert quarter.rows == ((Fraction(1),),)
-    assert quarter != Matrix(QQ, [["1/4"]])
+    assert rows(quarter) == rows(Matrix(QQ, [[1]])) == ((Fraction(1),),)
+    assert rows(quarter) != rows(Matrix(QQ, [["1/4"]]))
     half = Matrix(QQ, [["1/2", 0], [0, "1/3"]])
-    assert inverse(half) == Matrix(QQ, [[2, 0], [0, 3]])
-    assert matmul(half, inverse(half)) == Matrix.identity(QQ, 2)
-    assert len({inverse(half), Matrix(QQ, [[2, 0], [0, 3]])}) == 1
+    assert rows(inverse(half)) == rows(Matrix(QQ, [[2, 0], [0, 3]]))
+    assert rows(matmul(half, inverse(half))) == rows(Matrix.identity(QQ, 2))
 
 
 def test_hstack_rejects_mixed_fields():
@@ -551,15 +541,15 @@ def test_rank_3_kernel_is_read_off_the_adjugate(p, data):
     """A 4x4 of rank 3 is ranked, and its one kernel vector read, off its
     nonzero adjugate, and so are those of its transpose, from the rows of
     the same adjugate: no elimination, and the oracles' values."""
-    rows = data.draw(_lower_rank(p, 3))
-    m = Matrix(_field(p), rows)
+    entries = data.draw(_lower_rank(p, 3))
+    m = Matrix(_field(p), entries)
     t = transpose(m)
     with _no_elimination:
         assert m.rank() == 3
         _keep_transpose(m, t)
         assert t.rank() == 3
-        assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
-        assert matrix_cols(kernel_basis(t)) == kernel_oracle(t.rows, 4, p)
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(entries, 4, p)
+        assert matrix_cols(kernel_basis(t)) == kernel_oracle(rows(t), 4, p)
         kernels = [m._kernel(), t._kernel()]
     for [(y, den)] in kernels:
         assert den == 1 if p else den > 0
@@ -573,16 +563,16 @@ def test_rank_3_kernel_is_read_off_the_adjugate(p, data):
 def test_rank_2_kernel_still_eliminates(p, data):
     """A 4x4 of rank 2 has adjugate 0, so it and its transpose are each
     eliminated once for the rank and the kernel."""
-    rows = data.draw(_lower_rank(p, 2))
-    m = Matrix(_field(p), rows)
+    entries = data.draw(_lower_rank(p, 2))
+    m = Matrix(_field(p), entries)
     t = transpose(m)
     with mock.patch.object(ncquad.linalg, "_int_echelon",
                            wraps=ncquad.linalg._int_echelon) as spy:
         assert m.rank() == 2
         _keep_transpose(m, t)
         assert t.rank() == 2
-        assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, 4, p)
-        assert matrix_cols(kernel_basis(t)) == kernel_oracle(t.rows, 4, p)
+        assert matrix_cols(kernel_basis(m)) == kernel_oracle(entries, 4, p)
+        assert matrix_cols(kernel_basis(t)) == kernel_oracle(rows(t), 4, p)
     assert spy.call_count == 2
 
 
@@ -611,12 +601,12 @@ def _two_columns(draw, p=0):
 @_oracle_settings
 @given(st.data())
 def test_two_column_rank_by_minors_matches_the_oracle(p, data):
-    rows = data.draw(_two_columns(p))
+    entries = data.draw(_two_columns(p))
     field = _field(p)
-    m = Matrix(field, rows, ncols=2)
+    m = Matrix(field, entries, ncols=2)
     with _no_elimination:
         rank = m.rank()
-    assert rank == rank_oracle(lift(field, m.rows))
+    assert rank == rank_oracle(lift(field, rows(m)))
 
 
 def test_two_column_ranks_of_zero_matrices():
@@ -629,4 +619,4 @@ def test_two_column_ranks_of_zero_matrices():
         # the first nonzero row is not row 0, and mod 7 row 0 vanishes
         for m, rank in ((Matrix(GF(7), [[0, 7], [0, 3], [1, 0]]), 2),
                         (Matrix(QQ, [[0, 0], [0, 3], [0, -1]]), 1)):
-            assert m.rank() == rank == rank_oracle(lift(m.field, m.rows))
+            assert m.rank() == rank == rank_oracle(lift(m.field, rows(m)))

@@ -32,14 +32,16 @@ from helpers import (
     random_invertible_qq,
     random_tensor_fp,
     reference_line_relation,
+    rows,
 )
 from ncquad.certify import _line_relation_json, full_pipeline
 from ncquad.fields import GF, QQ, PrimeField
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.grassmann import EmbeddedLine, hom_R_K_dim, line_relation
-from ncquad.linalg import Matrix, _identity
+from ncquad.linalg import Matrix, _identity, _pick
 from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a
-from ncquad.squares import GeometricSquare, NotGeneric, block_quiver, square_from_quintuple
+from ncquad.squares import (_LEG_PICKS, GeometricSquare, NotGeneric, block_quiver,
+                            square_from_quintuple)
 from ncquad.tensors import Tensor
 
 
@@ -117,14 +119,17 @@ def test_square_holds_the_adjugate_as_phi1(field):
         except NotGeneric:
             continue
         m2 = q.contractions[2]
-        assert sq.phi1_inv is m2 and sq.phi0 is sq.phi0_inv is Matrix.identity(field, 4)
+        line0 = sq.line(0)
+        assert sq.phi1_inv is m2 and line0.contracted_factor == 0
+        assert line0.phi is line0.phi_inv is Matrix.identity(field, 4)
         # phi1 * M_2 = c * I for the nonzero scalar c = det N / d, M_2 = N / d
         n = [m2._num[4 * i:4 * i + 4] for i in range(4)]
         p = field.characteristic
         c = det_oracle(n, p) if p else Fraction(det_oracle(n, 0), m2._den)
-        assert c and matmul(sq.phi1, m2) == Matrix(field, [[c * (i == j) for j in range(4)]
-                                                    for i in range(4)])
-        assert sq.phi1 == Matrix(field, [[c * x for x in r] for r in lift(field, inverse(m2).rows)])
+        assert c and rows(matmul(sq.phi1, m2)) == tuple(tuple(c * (i == j) for j in range(4))
+                                                        for i in range(4))
+        assert rows(sq.phi1) == tuple(tuple(c * x for x in r)
+                                      for r in lift(field, rows(inverse(m2))))
         seen += 1
         if seen == 150:
             break
@@ -144,7 +149,7 @@ def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
     shared = Matrix.identity(field, 4)
     assert Matrix.identity(field, 4) is shared
     fresh = Matrix(field, [[int(i == j) for j in range(4)] for i in range(4)])
-    assert fresh == shared and fresh is not shared
+    assert rows(fresh) == rows(shared) and fresh is not shared
     rng = random.Random(1603)
     for cf in (0, 1):
         kept = EmbeddedLine(shared, shared, cf)
@@ -158,16 +163,17 @@ def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
                 phi = random_invertible_qq(rng, 4, height=5)
             else:
                 phi = random_invertible_fp(rng, field, 4)
-            kept_sq = GeometricSquare(shared, phi, shared, inverse(phi), convention)
-            fresh_sq = GeometricSquare(fresh, phi, fresh, inverse(phi), convention)
-            bq, bq_fresh = block_quiver(kept_sq), block_quiver(fresh_sq)
-            assert bq == bq_fresh
-            assert (bq.relation_dim, bq.leg_ranks) == block_quiver_oracle(fresh_sq)
+            sq = GeometricSquare(phi, inverse(phi), convention)
+            bq = block_quiver(sq)
+            assert bq.leg_ranks[0] == _pick(fresh, 4, 4, _LEG_PICKS[0]).rank()
+            assert (bq.relation_dim, bq.leg_ranks) == block_quiver_oracle(sq)
 
 
 def test_only_the_square_asks_for_the_public_identity(monkeypatch):
-    # block leg 0 and Hom(R, K_0) recognise the shared identity through
-    # linalg._identity, so a certified input calls Matrix.identity once
+    # line 0 of a square is the shared identity, which line(0) asks of
+    # Matrix.identity; block leg 0 and Hom(R, K_0) recognise it through
+    # linalg._identity.  Deciding asks for line 1 alone, and rendering
+    # asks for line 0 twice: in block_quiver and in ext_table
     calls = []
     original = Matrix.identity.__func__
 
@@ -178,8 +184,14 @@ def test_only_the_square_asks_for_the_public_identity(monkeypatch):
     monkeypatch.setattr(Matrix, "identity", classmethod(counting))
     for convention in ("ruling", "literal"):
         calls.clear()
-        assert full_pipeline(build_type_a(1, 2, 3), convention).certified
+        cert = full_pipeline(build_type_a(1, 2, 3), convention)
+        assert cert.certified and calls == []
+        cert.to_dict()
+        assert calls == [(QQ, 4)] * 2
+        calls.clear()
+        line0 = cert.square.line(0)
         assert calls == [(QQ, 4)]
+        assert line0 == EmbeddedLine(_identity(QQ, 4), _identity(QQ, 4), 0)
     assert Matrix.identity(GF(5), 4) is _identity(GF(5), 4)
 
 

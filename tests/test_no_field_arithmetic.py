@@ -71,12 +71,13 @@ def _input_documents():
 
 
 def _parsed(doc):
-    """The quintuple and meta of a document, or its rejection."""
+    """The field and integer entries of a document's w with its meta, or
+    its rejection."""
     try:
         q, meta = parse_quintuple_file(doc)
     except ValueError as exc:
         return type(exc), str(exc)
-    return q.w, meta
+    return (q.field, q.w._row._num, q.w._row._den), meta
 
 
 @pytest.fixture

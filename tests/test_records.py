@@ -76,6 +76,6 @@ def test_repr():
 def test_post_init_runs():
     ident = Matrix.identity(QQ, 4)
     with pytest.raises(ValueError, match="unknown convention"):
-        GeometricSquare(ident, ident, ident, ident, convention="bogus")
-    sq = GeometricSquare(ident, ident, ident, ident)
+        GeometricSquare(ident, ident, convention="bogus")
+    sq = GeometricSquare(ident, ident)
     assert sq.convention == "ruling" and sq.contraction_det is None

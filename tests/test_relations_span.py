@@ -22,6 +22,7 @@ from helpers import (
     lift,
     record_eliminations,
     relations_oracle,
+    rows,
     span_rank_oracle,
     span_vectors_oracle,
     tensor_entries,
@@ -142,12 +143,12 @@ def test_the_left_out_span_vector_is_row_0_plus_row_3_less_row_4():
                 q = _quintuple(field, _draw(rng, field, 16, density))
                 w = list(tensor_entries(q.w))
                 picked = _pick(q.w._row, 7, 16, _SPAN_PICKS)
-                rows = [list(lift(field, r)) for r in picked.rows]
+                span = [list(lift(field, r)) for r in rows(picked)]
                 vectors = span_vectors_oracle(q)
-                assert rows == vectors[:7]
-                assert [a + b for a, b in zip(rows[0], rows[3])] == w
-                assert [a + b for a, b in zip(rows[4], vectors[7])] == w
-                assert [a + b - c for a, b, c in zip(rows[0], rows[3], rows[4])] == vectors[7]
+                assert span == vectors[:7]
+                assert [a + b for a, b in zip(span[0], span[3])] == w
+                assert [a + b for a, b in zip(span[4], vectors[7])] == w
+                assert [a + b - c for a, b, c in zip(span[0], span[3], span[4])] == vectors[7]
                 assert picked.rank() == span_rank_oracle(q)
 
 

@@ -70,9 +70,8 @@ def test_block_quiver_dimensions_any_square():
     rng = random.Random(52)
     for field, rand_inv in ((QQ, random_invertible_qq),):
         for _ in range(15):
-            phi0, phi1 = rand_inv(rng, 4), rand_inv(rng, 4)
-            sq = GeometricSquare(phi0, phi1, inverse(phi0), inverse(phi1),
-                                 convention=rng.choice(("ruling", "literal")))
+            phi1 = rand_inv(rng, 4)
+            sq = GeometricSquare(phi1, inverse(phi1), convention=rng.choice(("ruling", "literal")))
             bq = block_quiver(sq)
             assert len(bq.vertices) == 4
             assert sum(len(a.labels) for a in bq.arrows) == 8
@@ -87,8 +86,8 @@ def test_block_quiver_dimensions_prime_field():
     rng = random.Random(53)
     F = GF(31)
     for _ in range(10):
-        phi0, phi1 = random_invertible_fp(rng, F, 4), random_invertible_fp(rng, F, 4)
-        sq = GeometricSquare(phi0, phi1, inverse(phi0), inverse(phi1))
+        phi1 = random_invertible_fp(rng, F, 4)
+        sq = GeometricSquare(phi1, inverse(phi1))
         bq = block_quiver(sq)
         assert bq.relation_dim == 4 and bq.total_dim == 16
 

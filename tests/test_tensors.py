@@ -13,13 +13,13 @@ from helpers import (
     from_cols,
     random_quintuple_fp,
     random_type_a_triple,
+    rows,
     tensor_entries,
     tensor_entry,
 )
 from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple
-from ncquad.linalg import Matrix
 from ncquad.quintuples import build_linear_quadric, relations
 from ncquad.tensors import SLOT_LABELS, Tensor
 
@@ -118,9 +118,6 @@ def test_tensor_holds_qq_or_fp_entries_only():
     assert tensor_entries(half) == (Fraction(1, 2), Fraction(-1, 3)) * 8
     five = Tensor(GF(5), (2, 2, 2, 2), ["1/2", -1] * 8, SLOT_LABELS)
     assert tensor_entries(five) == (GF(5).of(3), GF(5).of(4)) * 8
-    assert five == Tensor(GF(5), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS)
-    assert hash(five) == hash(Tensor(GF(5), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS))
-    assert five != Tensor(GF(7), (2, 2, 2, 2), [3, 4] * 8, SLOT_LABELS)
 
 
 def test_reshape_roundtrip_indices():
@@ -198,12 +195,11 @@ def test_reshape_matches_entry_oracle_on_every_split(t):
     assert (ref.shape, ref.slots) == ((2, 2, 2, 2), SLOT_LABELS)
     for order in permutations(range(4)):
         for cut in range(5):
-            rows, cols = order[:cut], order[cut:]
-            m = t.reshape(rows, cols)
-            expected = _reshape_oracle(ref, rows, cols)
+            row_slots, col_slots = order[:cut], order[cut:]
+            m = t.reshape(row_slots, col_slots)
+            expected = _reshape_oracle(ref, row_slots, col_slots)
             assert (m.nrows, m.ncols) == (len(expected), len(expected[0]))
-            assert list(m.rows) == expected
-            assert m == Matrix(t.field, expected)
+            assert list(rows(m)) == expected
     rest = (1, 2, 3)
     bad = (
         ((0, 1, 2, 3), (0,)),                 # slot 0 twice
@@ -211,10 +207,10 @@ def test_reshape_matches_entry_oracle_on_every_split(t):
         (rest, (4,)),                         # slot 0 replaced: out of range
         (rest, (-1,)),                        # slot 0 replaced: negative
     )
-    for rows, cols in bad:
+    for row_slots, col_slots in bad:
         for _ in range(2):
             with pytest.raises(ValueError, match="partition"):
-                t.reshape(rows, cols)
+                t.reshape(row_slots, col_slots)
 
 
 def _relation_inputs():
