@@ -15,12 +15,12 @@ size the pipeline asks for (det <-, w> = det M_0), and raises
 ``ValueError`` for any other.
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
-fraction-free Bareiss elimination over Z for p == 0 (Bareiss 1968), whose
-exact divisions keep every entry a minor of the input, and Gauss mod p
-for p > 0.  A common denominator changes no rank, pivot or kernel.  A
-matrix keeps its echelon after the first elimination, so ``rank`` and
-``_kernel`` of one matrix share it.  Everything the minors leave open is
-read off the echelon:
+fraction-free elimination on primitive rows over Z for p == 0, whose
+entries never exceed Bareiss's minors of the input, and Gauss mod p for
+p > 0.  A common denominator changes no rank, pivot or kernel.  A matrix
+keeps its echelon after the first elimination, so ``rank`` and ``_kernel``
+of one matrix share it.  Everything the minors leave open is read off the
+echelon:
 
 * the rank is the number of pivots;
 * the reduced kernel basis, unique since it is the identity on the free
@@ -291,14 +291,22 @@ def _int_echelon(rows, ncols, p):
     """Row echelon form of integer rows, eliminated in place:
     (nonzero rows, pivot columns).
 
-    With p == 0 this is fraction-free Bareiss elimination over Z: every
-    division is exact.  With p > 0 it is Gauss elimination on residues
-    mod p, with the pivot rows left unscaled.
+    With p == 0 this is fraction-free elimination on primitive rows: at
+    pivot (r, c) each later row i with ric = row_i[c] != 0 becomes
+    (pc/g) row_i - (ric/g) row_r, g = gcd(pc, ric), divided by the gcd of
+    its entries.  With p > 0 it is Gauss mod p, pivot rows unscaled.
+    Either way a row that is 0 in the pivot column is left alone.
+
+    Entries stay small: after k pivots a non-pivot row lies in the span of
+    the pivot rows and its input row, and vanishes on the k pivot columns,
+    where the pivot rows are independent; so it lies on a line.  Bareiss's
+    row there (Bareiss 1968) has (k+1)-minors for entries, and the
+    primitive row, or the input row left alone, divides it: no entry
+    exceeds the Bareiss (Hadamard) bound, and pivots and kernel agree.
     """
     m = len(rows)
     pivots = []
     r = 0
-    prev = 1
     for c in range(ncols):
         piv = None
         for i in range(r, m):
@@ -309,21 +317,23 @@ def _int_echelon(rows, ncols, p):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        pc = rows[r][c]
+        prow = rows[r]
+        pc = prow[c]
         if p:
-            inv, prow = pow(pc, -1, p), rows[r][c:]
+            inv = pow(pc, -1, p)
             for i in range(r + 1, m):
                 f = rows[i][c] * inv % p
                 if f:
-                    rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], prow)]
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         else:
-            prow = rows[r]
             for i in range(r + 1, m):
-                row = rows[i]
-                ric = row[c]
-                for j in range(c, ncols):
-                    row[j] = (pc * row[j] - ric * prow[j]) // prev
-            prev = pc
+                ric = rows[i][c]
+                if ric:
+                    g = math.gcd(pc, ric)
+                    a, b = pc // g, ric // g
+                    row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                    g = math.gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == m:

@@ -430,6 +430,46 @@ def kernel_oracle(rows, ncols, p=0):
     return basis
 
 
+def bareiss_echelon(rows, ncols, p=0):
+    """Row echelon form of integer rows by textbook fraction-free Bareiss
+    elimination (Bareiss 1968): (nonzero rows, pivot columns).  Every row
+    below a pivot is rewritten, zero in the pivot column or not, and every
+    division is exact, so each entry is a minor of the input.  With p > 0
+    it is Gauss elimination on residues mod p, pivot rows unscaled.  The
+    tests hold ``linalg._int_echelon``, which keeps its rows primitive, to
+    these pivots, to these rows up to scale and to these entry sizes."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pc = rows[r][c]
+        if p:
+            inv, prow = pow(pc, -1, p), rows[r][c:]
+            for i in range(r + 1, m):
+                f = rows[i][c] * inv % p
+                if f:
+                    rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], prow)]
+        else:
+            prow = rows[r]
+            for i in range(r + 1, m):
+                row = rows[i]
+                ric = row[c]
+                for j in range(c, ncols):
+                    row[j] = (pc * row[j] - ric * prow[j]) // prev
+            prev = pc
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
 def det_oracle(rows, p=0):
     """Leibniz formula: the signed sum over all permutations."""
     n = len(rows)

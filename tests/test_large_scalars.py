@@ -18,12 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tensor_entries
+from helpers import bareiss_echelon, tensor_entries
 
 import ncquad.fields
 from ncquad.cli import main
 from ncquad.fields import GF, QQ, _exact_str, _field_str
 from ncquad.fileformat import canonical_json_bytes, load_quintuple, scalar_json
+from ncquad.grassmann import _HOM_PICKS
+from ncquad.linalg import _int_echelon, _pick
+from ncquad.quintuples import _SPAN_PICKS
+from ncquad.squares import square_from_quintuple
 
 
 def _digits(rng, n: int) -> str:
@@ -169,6 +173,32 @@ def test_large_scalars_never_exit_3(name, tmp_path, capsys):
     cert = json.loads(out.read_text())
     assert cert["input"]["digest"] == hashlib.sha256(canonical_json_bytes(
         {"field": "Q", "w": _exact_w(q)})).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["entry-1e5000", "entry-1e-5000", "tensor-2000-digits"])
+def test_eliminations_stay_within_the_bareiss_bound(name, tmp_path):
+    """The two eliminations of a certified input, the 7x16 relations span
+    (``_SPAN_PICKS`` of w) and the 6x8 Hom(R, K_1) matrices (``_HOM_PICKS``
+    of line 1's phi^-1, either contracted factor), keep no entry longer
+    than textbook Bareiss elimination does, and find its pivots."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(_dumps(LARGE[name][0]))
+    q, _ = load_quintuple(str(path))
+    phi_inv = square_from_quintuple(q).line(1).phi_inv
+    matrices = [_pick(q.w._row, 7, 16, _SPAN_PICKS)]
+    matrices += [_pick(phi_inv, 6, 8, picks) for picks in _HOM_PICKS]
+    longest = 0
+    for m in matrices:
+        n = m.ncols
+        rows = [list(m._num[i * n:(i + 1) * n]) for i in range(m.nrows)]
+        ech, pivots = _int_echelon([list(r) for r in rows], n, 0)
+        ref, ref_pivots = bareiss_echelon(rows, n)
+        assert pivots == ref_pivots
+        for row, ref_row in zip(ech, ref):
+            assert all(abs(x).bit_length() <= abs(y).bit_length() for x, y in zip(row, ref_row))
+        longest = max(longest, max(abs(x).bit_length() for row in ech for x in row))
+    # the long scalars reach the eliminated entries (10^5000 has 16,610 bits)
+    assert longest > 6000
 
 
 def _dumps(doc) -> str:

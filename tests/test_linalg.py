@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     apply,
+    bareiss_echelon,
     col,
     det_oracle,
     from_cols,
@@ -33,7 +35,15 @@ from helpers import (
 )
 import ncquad.linalg
 from ncquad.fields import GF, QQ
-from ncquad.linalg import Matrix, _adjugate, _det4, _keep_transpose, _minors2
+from ncquad.linalg import (
+    Matrix,
+    _adjugate,
+    _det4,
+    _int_echelon,
+    _int_kernel_vector,
+    _keep_transpose,
+    _minors2,
+)
 
 
 def test_rank_identity_and_zero():
@@ -620,3 +630,65 @@ def test_two_column_ranks_of_zero_matrices():
         for m, rank in ((Matrix(GF(7), [[0, 7], [0, 3], [1, 0]]), 2),
                         (Matrix(QQ, [[0, 0], [0, 3], [0, -1]]), 1)):
             assert m.rank() == rank == rank_oracle(lift(m.field, rows(m)))
+
+
+# -- the primitive-row echelon against textbook Bareiss ---------------------
+
+
+@st.composite
+def _up_to_7x16(draw, p):
+    """The integer rows (residues mod p) of a matrix of up to 7 rows and 16
+    columns drawn by ``_rows`` (low rank about half the time, some rows and
+    columns zeroed), with the field's rows they come from."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 16))
+    entries = draw(_rows(nrows, ncols, p))
+    num = Matrix(_field(p), entries, ncols=ncols)._num
+    return entries, [list(num[i * ncols:(i + 1) * ncols]) for i in range(nrows)], ncols
+
+
+@_all_fields
+@_oracle_settings
+@given(st.data())
+def test_primitive_rows_match_bareiss_up_to_scale(p, data):
+    """``_int_echelon`` finds Bareiss's pivots; over QQ each of its rows is
+    a multiple of Bareiss's row by a nonzero rational and no entry is
+    larger in absolute value, and mod p the rows are Bareiss's.  The
+    reduced kernel pairs (y, den) are identical at every free column, and
+    ``Matrix._kernel`` is the Gauss-Jordan oracle's basis."""
+    entries, int_rows, n = data.draw(_up_to_7x16(p))
+    copies = [list(r) for r in int_rows]
+    ech, pivots = _int_echelon(list(copies), n, p)
+    ref, ref_pivots = bareiss_echelon(int_rows, n, p)
+    assert pivots == ref_pivots and len(ech) == len(ref)
+    for row, ref_row in zip(ech, ref):
+        if p:
+            assert row == ref_row
+            continue
+        # an input row left alone, or a rewritten one divided by its content
+        assert any(row is r for r in copies) or math.gcd(*row) == 1
+        k = next(j for j, x in enumerate(ref_row) if x)
+        assert all(x * ref_row[k] == y * row[k] for x, y in zip(row, ref_row))
+        assert all(abs(x) <= abs(y) for x, y in zip(row, ref_row))
+    free = [f for f in range(n) if f not in pivots]
+    assert ([_int_kernel_vector(ech, pivots, f, n, p) for f in free]
+            == [_int_kernel_vector(ref, ref_pivots, f, n, p) for f in free])
+    kernel = Matrix(_field(p), entries, ncols=n)._kernel()
+    assert ([tuple(y) if p else tuple(Fraction(v, den) for v in y) for y, den in kernel]
+            == kernel_oracle(entries, n, p))
+
+
+def test_rows_zero_in_the_pivot_column_are_left_alone():
+    """Only the rows that are nonzero in a pivot column are rewritten; each
+    rewritten row is divided by the gcd of its entries, where Bareiss
+    rewrites every row below the pivot and keeps the minors."""
+    rows = [[2, 4, 6, 8], [0, 3, 9, 12], [4, 2, 0, 2], [0, 0, 5, 10]]
+    ech, pivots = _int_echelon(list(rows), 4, 0)
+    assert pivots == [0, 1, 2, 3]
+    # row 1 is 0 at column 0, the first pivot, and stays the same list;
+    # the rewritten rows are new lists, so the input rows are unchanged
+    assert ech[1] is rows[1] and rows[1:] == [[0, 3, 9, 12], [4, 2, 0, 2], [0, 0, 5, 10]]
+    # row 2 - 2 row 0 = (0, -6, -12, -14) over 2; plus row 1, (0, 0, 3, 5);
+    # row 3, 0 at columns 0 and 1, becomes 3 row 3 - 5 row 2 = (0, 0, 0, 5) over 5
+    assert ech == [[2, 4, 6, 8], [0, 3, 9, 12], [0, 0, 3, 5], [0, 0, 0, 1]]
+    assert bareiss_echelon(rows, 4) == (
+        [[2, 4, 6, 8], [0, 6, 18, 24], [0, 0, 36, 60], [0, 0, 0, 60]], pivots)
