@@ -17,15 +17,15 @@ every node, children first, trusting no stored conclusion.
 
 A table is a function of its Hom(R, K_i) pair alone, and ``_cell``
 admits only (2, 2).  ``_derived(hom)`` derives the 16 cells once per
-process for each pair; ``_shared_cells`` keeps the 14 that read no leaf
-as read-only ``SharedCell`` texts, ``_ext_table_stage`` encodes them,
-and ``_reference`` replays them once, so ``replay_table`` walks only the
-cells that differ.  Each input that reaches the table still ranks both
-leaves and derives the two cells (p*R, C_i), which ``_cell`` checks
-against ``EXPECTED_HOM``, the one check on a cell.  The relations and quiver stage documents, functions of
-records of small integers and fixed strings, are built and encoded once
-per process for each distinct value.  ``canonical_json_bytes`` splices
-the text of each shared document into the certificate's bytes.
+process for each pair; ``_ext_table_stage`` encodes them and
+``replay_table`` walks only the cells that differ from them.  Each input
+that reaches the table still ranks both leaves and derives the two cells
+(p*R, C_i), which ``_cell`` checks against ``EXPECTED_HOM``; the other 14
+cells are ``_shared_cells``, read-only views of their dims.  The relations
+and quiver stage documents, functions of records of small integers and
+fixed strings, are built and encoded once per process for each distinct
+value.  ``canonical_json_bytes`` alone reads the text of each shared
+document, which it splices into the certificate's bytes.
 
 ``full_pipeline`` decides: it runs geometricity, the square (the
 determinant) and the lines, the only stages that can fail, and returns a
@@ -39,7 +39,8 @@ it surfaces only where a certificate is rendered.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
+from types import MappingProxyType
 
 from . import __version__ as _toolkit_version
 from .blowup import canonical_class, coh_p1xp2, restrict_to_E
@@ -297,30 +298,15 @@ def _ext(hom, x: str, y: str) -> dict:
 
 
 class ExtTable(Record):
-    """Degree-indexed Ext dimensions for (p*R, C0, C1, O) with derivations."""
+    """Degree-indexed Ext dimensions for (p*R, C0, C1, O), each cell with
+    its derivation unless it is shared (see ``ext_table``)."""
 
     objects: tuple
-    cells: dict   # (i, j) -> {"dims": [...], "derivation": node}
+    cells: dict   # (i, j) -> {"dims": [...], "derivation": node}, or {"dims": (...)} if shared
     hom: tuple | None = None   # the Hom(R, K_i) dims it is derived from; None if parsed
 
     def dims(self, i: int, j: int) -> tuple:
         return tuple(self.cells[(i, j)]["dims"])
-
-
-class SharedCell(FrozenJSON):
-    """A cell whose derivation reads no input, held as the canonical text
-    of ``{"dims": [...], "derivation": node}`` and shared read-only by
-    every table.  Its dims are kept beside the text, so ``cell["dims"]``
-    is a fresh list read without a parse."""
-
-    __slots__ = ("_dims",)
-
-    def __init__(self, cell: dict):
-        super().__init__(cell)
-        object.__setattr__(self, "_dims", tuple(cell["dims"]))
-
-    def __getitem__(self, key):
-        return list(self._dims) if key == "dims" else super().__getitem__(key)
 
 
 # the cells (p*R, C_i), the only ones whose derivation reads Hom(R, K_i)
@@ -346,22 +332,22 @@ def _derived(hom: tuple) -> dict:
 
 @cache
 def _shared_cells(hom: tuple) -> dict:
-    """(i, j) -> SharedCell for the 14 cells of ``_derived(hom)`` that read
-    no Hom(R, K_i) leaf, shared by every table derived from ``hom``."""
+    """(i, j) -> a read-only view of the dims of each cell of ``_derived(hom)``
+    that reads no Hom(R, K_i) leaf, shared by every table derived from ``hom``."""
     derived = _derived(hom)
-    return {key: SharedCell(derived[key]) for key in _CELLS if key not in _INPUT_CELLS}
+    return {key: MappingProxyType({"dims": tuple(derived[key]["dims"])})
+            for key in _CELLS if key not in _INPUT_CELLS}
 
 
 def ext_table(square: GeometricSquare) -> ExtTable:
-    """The complete table of a square whose lines are disjoint, as the
-    ``lines`` stage has decided.
+    """The table of a square whose lines are disjoint, as the ``lines``
+    stage has decided.
 
-    Both Hom(R, K_i) leaves are ranked for every square, and the two
-    cells that read them are derived from them; the other 14 are the
-    ``_shared_cells`` of that pair.  ``_cell`` checks each derived cell
+    Both Hom(R, K_i) leaves are ranked for every square, and the two cells
+    that read them are derived from them; the other 14 are the dims alone
+    of that pair's ``_shared_cells``.  ``_cell`` checks each derived cell
     against ``EXPECTED_HOM``, so a leaf other than 2, or any exactness
-    failure, raises ExtTableError carrying the failing derivation node.
-    """
+    failure, raises ExtTableError carrying the failing derivation node."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
     inputs = {key: _cell(hom, *key) for key in _INPUT_CELLS}
     shared = _shared_cells(hom)
@@ -414,29 +400,23 @@ def _check_cell(i: int, j: int, cell, hom) -> dict:
     return cell
 
 
-@cache
-def _reference(hom: tuple) -> dict | None:
-    """``_derived(hom)``, each cell checked by ``_check_cell`` once per
-    process; None if the rules derive no valid table from ``hom``."""
-    try:
-        return {key: _check_cell(*key, cell, hom) for key, cell in _derived(hom).items()}
-    except ExtTableError:
-        return None
-
-
 def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
     """Re-derive every cell of ``table`` from its leaves and rules alone;
     raises ExtTableError at the first missing cell or the first that fails
-    ``_check_cell``.  A cell equal to the ``_reference`` for the square's
-    Hom dims passed those checks there, so only a cell that differs is walked."""
+    ``_check_cell``.  A cell equal to ``_derived``'s for the square's Hom
+    dims passes: ``_rule_dims`` built its nodes, ``_cell`` checked its dims
+    and ``_ext`` named its pair.  Every other cell is walked."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
-    reference = _reference(hom)
+    try:
+        derived = _derived(hom)
+    except ExtTableError:
+        derived = None
     for i, j in _CELLS:
         cell = table.cells.get((i, j))
         if cell is None:
             raise ExtTableError(f"cell ({i},{j}) is missing")
         # ``==`` takes 1.0 and True for 1; a top node's i is the one index read
-        if (reference is None or cell != reference[(i, j)]
+        if (derived is None or cell != derived[(i, j)]
                 or type(cell["derivation"].get("i", 0)) is not int):
             _check_cell(i, j, cell, hom)
     return True
@@ -559,9 +539,9 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport)
 @cache
 def _ext_table_stage(hom: tuple) -> FrozenJSON:
     """The ext_table stage document of every table derived from ``hom``:
-    ``_derived(hom)``, its 14 ``_shared_cells`` spliced as encoded."""
-    cells = {**_derived(hom), **_shared_cells(hom)}
-    table = {"objects": list(OBJECTS), "cells": {f"{i},{j}": c for (i, j), c in cells.items()}}
+    the 16 cells of ``_derived(hom)``."""
+    cells = {f"{i},{j}": cell for (i, j), cell in _derived(hom).items()}
+    table = {"objects": list(OBJECTS), "cells": cells}
     return FrozenJSON({"stage": "ext_table", "passed": True, "table": table,
                        "axioms_tagged": ["pullback fully faithful",
                                          "blow-up functors fully faithful"]})
@@ -584,7 +564,7 @@ class Certificate(Record):
     def certified(self) -> bool:
         return not self.stage
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return input_digest(self.q)
 

@@ -104,8 +104,11 @@ def cmd_certify(args) -> int:
     cert = full_pipeline(q, args.convention)
     if args.json:   # rendered before the file opens: a forced stage may raise
         text = canonical_json_bytes(cert.to_dict()).decode()
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.json}: {exc}") from None
     if cert.certified:
         print(f"Certified (convention: {cert.convention}, digest: {cert.digest[:16]}...)")
         return EXIT_OK

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField, RationalField, _exact_str
@@ -194,12 +193,11 @@ def _entry_strings(num, den: int, spell) -> list:
             for x in num]
 
 
-class FrozenJSON(Mapping):
+class FrozenJSON:
     """A read-only JSON object held as its canonical text, for a value
-    derived once and shared by many documents.  Each read, and a deep
-    copy, parses the text afresh, so callers get plain data they may
-    change without touching the shared value; ``canonical_json_bytes``
-    writes the text as is."""
+    derived once and shared by many documents.  ``canonical_json_bytes``
+    writes the text as is, and nothing else reads it: a caller reads a
+    certificate through its bytes."""
 
     __slots__ = ("text",)
 
@@ -208,18 +206,6 @@ class FrozenJSON(Mapping):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of a read-only {type(self).__name__}")
-
-    def __deepcopy__(self, memo):
-        return json.loads(self.text)    # a plain document the caller may change
-
-    def __getitem__(self, key):
-        return json.loads(self.text)[key]
-
-    def __iter__(self):
-        return iter(json.loads(self.text))
-
-    def __len__(self) -> int:
-        return len(json.loads(self.text))
 
 
 # what the encoder writes for a FrozenJSON before its text is spliced in;

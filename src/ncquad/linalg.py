@@ -39,9 +39,9 @@ identity once per process.
 
 Scalars are the plain values they are decided on (``fields``):
 ``Fraction``s over QQ and ``int`` residues in [0, p) over F_p.
-``Matrix(field, rows)`` coerces every entry through ``field.of``, since
-callers pass ints and strings, and ``build_type_a`` reads its
-coefficients as such a 1x3 row to decide the excluded locus on integers.
+``Matrix(field, rows)`` passes each entry through ``field.of``, which keeps
+a field value: ``Tensor`` hands it w's entries, and ``build_type_a`` its
+coefficients as a 1x3 row, to decide the excluded locus on integers.
 ``det`` builds its value on demand (``_elements``), one
 ``Fraction(num, den)`` over QQ or one residue mod p, and geometricity
 builds only the witness coordinates a certificate prints.  Both are

@@ -9,11 +9,13 @@ pair annihilates the tensor.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import permutations, product
 
 from ncquad.fields import PrimeField, RationalField, _sqrt_mod_p
+from ncquad.fileformat import canonical_json_bytes
 from ncquad.linalg import _elements
 from ncquad.quintuples import Quintuple, SLOT_LABELS
 from ncquad.tensors import Tensor
@@ -1318,6 +1320,12 @@ def schema2_projection(cert) -> dict:
     return out
 
 
+def certificate_json(cert) -> dict:
+    """The schema/1 document of ``cert`` as its readers get it: parsed
+    from its canonical bytes, every shared stage document spliced in."""
+    return json.loads(canonical_json_bytes(cert.to_dict()))
+
+
 def root_branches(stages) -> set:
     """The rare root branches a certificate's stage documents show: a
     geometricity witness over a quadratic extension, and a line relation
@@ -1544,8 +1552,11 @@ def reference_quiver_stage(bq, lq, mreport, base_changed) -> dict:
     }
 
 
-def reference_ext_table_stage(table) -> dict:
-    cells = {f"{i},{j}": table.cells[(i, j)] for i in range(4) for j in range(4)}
+def reference_ext_table_stage(hom) -> dict:
+    """Every cell derived afresh by ``_cell`` from the Hom(R, K_i) dims ``hom``."""
+    from ncquad.certify import OBJECTS, _cell
+
+    cells = {f"{i},{j}": _cell(hom, i, j) for i in range(4) for j in range(4)}
     return {"stage": "ext_table", "passed": True,
-            "table": {"objects": list(table.objects), "cells": cells},
+            "table": {"objects": list(OBJECTS), "cells": cells},
             "axioms_tagged": ["pullback fully faithful", "blow-up functors fully faithful"]}

@@ -23,6 +23,7 @@ from functools import cache
 
 import pytest
 
+from helpers import certificate_json
 from ncquad.certify import full_pipeline
 from ncquad.fields import GF, QQ
 from ncquad.quintuples import SLOT_LABELS, Quintuple
@@ -134,7 +135,7 @@ def test_every_representative_past_geometricity_renders(field_name):
         for mask, cert in _decided(field_name)[convention].items():
             if not cert.geometricity.passed:
                 continue
-            doc = cert.to_dict()
+            doc = certificate_json(cert)
             assert doc["verdict"] == cert.verdict
             stages = doc["stages"]
             passed = [s["passed"] for s in stages]

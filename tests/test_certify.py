@@ -10,14 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_type_a_triple
+from helpers import certificate_json, random_type_a_triple
 import ncquad.certify
 from ncquad.blowup import coh_p1xp2
 from ncquad.certify import (
+    _CELLS,
     OBJECTS,
     ExtTable,
     ExtTableError,
-    SharedCell,
+    _check_cell,
+    _derived,
     full_pipeline,
     ext_table,
     gram_of,
@@ -26,6 +28,7 @@ from ncquad.certify import (
 from ncquad.cli import main
 from ncquad.corpus import corpus_path
 from ncquad.fileformat import (
+    FrozenJSON,
     canonical_json_bytes,
     input_digest,
     load_quintuple,
@@ -60,8 +63,7 @@ def test_ext_table_expected_cells():
 
 
 def test_ext_table_leaf_values_in_derivations():
-    sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = ext_table(sq)
+    t = _parsed_table(build_type_a(1, 2, 3))
     cell = t.cells[(0, 1)]["derivation"]
     assert cell["rule"] == "les-covariant"
     assert cell["hom"]["value"] == 2                     # Hom(p*R, C_i) leaf
@@ -81,6 +83,21 @@ def test_gram_of_equals_block_gram():
     assert total == 16
 
 
+def _parsed_table(q, convention="ruling"):
+    """The Ext table of ``q``'s certificate, parsed back from its bytes as
+    ``perfbench/run.py`` builds it: the table that ``replay_table`` checks."""
+    table = next(s for s in certificate_json(full_pipeline(q, convention))["stages"]
+                 if s["stage"] == "ext_table")["table"]
+    return ExtTable(tuple(table["objects"]),
+                    {tuple(map(int, key.split(","))): cell for key, cell in table["cells"].items()})
+
+
+def _certified_table(q=None, convention="ruling"):
+    """The square of ``q`` (the linear quadric by default) and its parsed table."""
+    q = build_linear_quadric() if q is None else q
+    return square_from_quintuple(q, convention), _parsed_table(q, convention)
+
+
 def _tampered(t, key, *path):
     """A copy of table ``t`` whose cell ``key`` is a plain deep copy, and
     the node at ``path`` under that cell; the other cells are shared."""
@@ -93,8 +110,7 @@ def _tampered(t, key, *path):
 
 
 def test_replay_validates_and_detects_tampering():
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table()
     assert replay_table(t, sq)
     # tamper with a stored dimension: replay must refuse it
     bad, node = _tampered(t, (0, 1))
@@ -129,8 +145,7 @@ def _dim_bumps(t):
 
 
 def test_replay_rejects_every_single_dim_bump():
-    sq = square_from_quintuple(build_type_a(1, 2, 3), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table(build_type_a(1, 2, 3))
     cases = 0
     for bad in _dim_bumps(t):
         with pytest.raises(ExtTableError):
@@ -160,8 +175,7 @@ FIELD_TAMPERS = [
 
 @pytest.mark.parametrize("key, path, field, value, reason", FIELD_TAMPERS)
 def test_replay_rejects_tampered_fields(key, path, field, value, reason):
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table()
     bad, node = _tampered(t, key, *path)
     assert node[field] != value
     node[field] = value
@@ -172,8 +186,7 @@ def test_replay_rejects_tampered_fields(key, path, field, value, reason):
 def test_replay_rejects_a_consistent_table_with_wrong_values():
     # every node replays, but the (p*R, p*R) cell derives the backward
     # pair's zero and the Euler row 0 would read (0, 2, 2, 4)
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table()
     bad, node = _tampered(t, (0, 0))
     node["name"] = "pair-backward:O,p*R"
     node["dims"] = [0, 0, 0, 0, 0]
@@ -200,8 +213,7 @@ def _equal_dims_swaps(t):
 def test_replay_rejects_swapped_cells_with_equal_dims():
     # (C0, C1) and (C1, C0) both derive zero, each from its own C_i; every
     # node replays, so only the pair a cell's top node names tells them apart
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table()
     with pytest.raises(ExtTableError, match=r"cell \(1,2\) derives the pair \('C1', 'C0'\)"):
         replay_table(_swapped(t, (1, 2), (2, 1)), sq)
     # so does every other swap of two cells with equal dims
@@ -219,9 +231,19 @@ def _missing_cell(t):
 
 
 def test_replay_rejects_a_table_with_a_missing_cell():
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    sq, t = _certified_table()
     with pytest.raises(ExtTableError, match=r"cell \(0,3\) is missing"):
-        replay_table(_missing_cell(ext_table(sq)), sq)
+        replay_table(_missing_cell(t), sq)
+
+
+def test_every_derived_cell_passes_check_cell():
+    # the per-node walk on the one table the rules derive: each node came
+    # from _rule_dims, _cell checked the dims and _ext named the pair, so
+    # replay_table passes a cell equal to it without walking it
+    derived = _derived((2, 2))
+    assert list(derived) == list(_CELLS)
+    for (i, j), cell in derived.items():
+        assert _check_cell(i, j, cell, (2, 2)) is cell
 
 
 def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsys, tmp_path):
@@ -243,7 +265,7 @@ def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsy
 def test_full_pipeline_paper_verdicts():
     cert = full_pipeline(build_linear_quadric(), "ruling")
     assert cert.certified
-    assert [s["stage"] for s in cert.stages] == [
+    assert [s["stage"] for s in certificate_json(cert)["stages"]] == [
         "geometricity", "relations", "determinant", "lines",
         "quiver", "ext_table", "gram"]
 
@@ -269,7 +291,7 @@ def test_certificate_determinism():
 
 def test_certificate_serializes_witnesses():
     cert = full_pipeline(build_type_a(0, 1, 1), "literal")
-    doc = cert.to_dict()
+    doc = certificate_json(cert)
     lines_stage = [s for s in doc["stages"] if s["stage"] == "lines"][0]
     assert lines_stage["relation"]["verdict"] == "Coincide"
     assert lines_stage["relation"]["psi_reshuffle_rank"] == 1
@@ -316,7 +338,7 @@ def test_degenerate_reports_first_failing_stage():
     assert not cert.certified
     assert cert.verdict["stage"] == "geometricity"
     # stage list stops at the failure
-    assert [s["stage"] for s in cert.stages] == ["geometricity"]
+    assert [s["stage"] for s in certificate_json(cert)["stages"]] == ["geometricity"]
 
 
 def test_unknown_convention_rejected_before_any_stage(monkeypatch):
@@ -393,7 +415,8 @@ def test_an_input_stopping_before_the_quiver_builds_no_window(monkeypatch, q, co
 
 def _vandalize(value):
     """Change in place every dict and list reachable from ``value``; a
-    read-only mapping is walked through the values it hands out."""
+    read-only mapping is walked through the values it hands out, and a
+    frozen document refuses a new text."""
     if isinstance(value, dict):
         for item in list(value.values()):
             _vandalize(item)
@@ -409,6 +432,9 @@ def _vandalize(value):
             _vandalize(item)
         with pytest.raises(TypeError):
             value["cells"] = {}
+    elif isinstance(value, FrozenJSON):
+        with pytest.raises(AttributeError, match="read-only FrozenJSON"):
+            value.text = "{}"
 
 
 def _golden_certified(convention):
@@ -425,20 +451,26 @@ def _golden_certified(convention):
 
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
 def test_shared_cells_survive_mutating_what_callers_get(convention):
+    # the 14 cells an ext_table() result shares are read-only views of dims
+    # alone; changing everything else a table or a to_dict() result hands
+    # out moves no later certificate byte
     q = build_type_a(1, 2, 3)
     _vandalize(full_pipeline(q, convention).to_dict())
     square = square_from_quintuple(q, convention)
     table = ext_table(square)
-    shared = [cell for cell in table.cells.values() if isinstance(cell, SharedCell)]
-    assert len(shared) == 14
-    for cell in shared:
-        with pytest.raises(AttributeError, match="read-only SharedCell"):
-            cell.text = "{}"
+    shared = {key: cell for key, cell in table.cells.items() if not isinstance(cell, dict)}
+    assert sorted(shared) == sorted(set(_CELLS) - {(0, 1), (0, 2)})
+    for key, cell in shared.items():
+        assert list(cell) == ["dims"]
+        assert cell["dims"] == tuple(_derived((2, 2))[key]["dims"])
+        with pytest.raises(TypeError):
+            cell["derivation"] = {}
     _vandalize(table.cells)
     square = square_from_quintuple(q, convention)
     fresh = ext_table(square)
     assert fresh.dims(0, 3) == (4, 0, 0, 0, 0)
-    assert replay_table(fresh, square)
+    assert gram_of(fresh) == BLOCK_GRAM
+    assert replay_table(_parsed_table(q, convention), square)
     goldens = list(_golden_certified(convention))
     assert goldens
     for other, sha256 in goldens:
@@ -478,22 +510,15 @@ def test_shared_cells_are_derived_once_per_process(monkeypatch):
     input_cells = {("p*R", "C0"), ("p*R", "C1")}
     assert top == {(x, y): 41 if (x, y) in input_cells else 1 for x in OBJECTS for y in OBJECTS}
     assert homs == {(2, 2)}
-    # only the per-input cells hold a Hom(R, K_i) leaf
+    # only the per-input cells hold a Hom(R, K_i) leaf; the shared ones are dims
     shared = ncquad.certify._shared_cells((2, 2))
     assert len(shared) == 14
-    for cell in shared.values():
-        assert "hom-R-K-leaf" not in cell.text
+    for key, cell in shared.items():
+        assert list(cell) == ["dims"]
+        assert "hom-R-K-leaf" not in json.dumps(ncquad.certify._derived((2, 2))[key])
 
 
-# -- the replayed reference: a cell equal to it is not walked again ------------
-
-
-def _parsed_table(q, convention="ruling"):
-    """The Ext table of ``q``'s certificate, parsed back from its bytes."""
-    doc = json.loads(canonical_json_bytes(full_pipeline(q, convention).to_dict()))
-    table = next(s for s in doc["stages"] if s["stage"] == "ext_table")["table"]
-    return ExtTable(tuple(table["objects"]),
-                    {tuple(map(int, key.split(","))): cell for key, cell in table["cells"].items()})
+# -- the derived table is the replay's reference: a cell equal to it is not walked
 
 
 def _outcome(table, sq):
@@ -503,12 +528,17 @@ def _outcome(table, sq):
         return str(exc)
 
 
+def _no_table(hom):
+    raise ExtTableError(f"no valid table from {hom}")
+
+
 def _both_paths(monkeypatch, table, sq):
     """The outcome of replaying ``table``, True or the error message; the
-    per-node walk of every cell, with no reference, must give the same."""
+    per-node walk of every cell, with no derived table to compare against,
+    must give the same."""
     outcome = _outcome(table, sq)
     with monkeypatch.context() as patch:
-        patch.setattr(ncquad.certify, "_reference", lambda hom: None)
+        patch.setattr(ncquad.certify, "_derived", _no_table)
         assert _outcome(table, sq) == outcome
     return outcome
 
@@ -557,17 +587,11 @@ NEW_TAMPERS = [
 ]
 
 
-@pytest.mark.parametrize("base", ["shared", "parsed"])
-def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
-    tables = {"shared": lambda q, sq: ext_table(sq), "parsed": lambda q, sq: _parsed_table(q)}[base]
-    q = build_type_a(1, 2, 3)
-    sq = square_from_quintuple(q, "ruling")
-    t = tables(q, sq)
+def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch):
+    sq, t = _certified_table(build_type_a(1, 2, 3))
     assert _both_paths(monkeypatch, t, sq) is True
     assert sum(_both_paths(monkeypatch, bad, sq) is not True for bad in _dim_bumps(t)) == 420
-    q = build_linear_quadric()
-    sq = square_from_quintuple(q, "ruling")
-    t = tables(q, sq)
+    sq, t = _certified_table()
     for key, path, field, value, reason in FIELD_TAMPERS:
         assert reason in _both_paths(monkeypatch, _set(key, path, field, value)(t), sq)
     swaps = _equal_dims_swaps(t)
@@ -585,9 +609,8 @@ def test_reference_shortcut_agrees_with_the_per_node_walk(monkeypatch, base):
 
 def test_the_walk_does_not_read_the_twist_cache(monkeypatch):
     # every outcome above holds when the walk finds coh_p1xp2's cache empty
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
-    monkeypatch.setattr(ncquad.certify, "_reference", lambda hom: None)
+    sq, t = _certified_table()
+    monkeypatch.setattr(ncquad.certify, "_derived", _no_table)
     for tamper, outcome in NEW_TAMPERS:
         bad = tamper(t)
         coh_p1xp2.cache_clear()
@@ -607,8 +630,7 @@ def _deep(depth):
 
 
 def test_a_deep_derivation_is_refused_with_ext_table_error(monkeypatch):
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    t = ext_table(sq)
+    sq, t = _certified_table()
     assert _both_paths(monkeypatch, _deep(100)(t), sq) == "cell (3,3) derives the pair None"
     assert _both_paths(monkeypatch, _deep(2000)(t), sq).startswith(
         "cell (3,3) has a malformed node: RecursionError(")
@@ -622,8 +644,8 @@ def test_a_deep_derivation_is_refused_with_ext_table_error(monkeypatch):
      r"ValueError\("),
 ], ids=["no-derivation", "no-dims", "list", "one-object"])
 def test_replay_refuses_malformed_cells_with_ext_table_error(monkeypatch, tamper, message):
-    sq = square_from_quintuple(build_linear_quadric(), "ruling")
-    bad, _ = _tampered(ext_table(sq), (1, 2))
+    sq, t = _certified_table()
+    bad, _ = _tampered(t, (1, 2))
     if tamper is None:
         bad.cells[(1, 2)] = list(bad.cells[(1, 2)].values())
     else:
@@ -647,20 +669,15 @@ def _count_rule_dims(monkeypatch) -> list:
 
 @pytest.mark.parametrize("convention", ["ruling", "literal"])
 def test_an_untampered_table_replays_with_no_rule_evaluated(monkeypatch, convention):
-    q = build_type_a(1, 2, 3)
-    sq = square_from_quintuple(q, convention)
-    t, shared = _parsed_table(q, convention), ext_table(sq)
-    assert replay_table(t, sq)          # warm-up
+    sq, t = _certified_table(build_type_a(1, 2, 3), convention)
+    assert replay_table(t, sq)          # warm-up: derives the reference
     calls = _count_rule_dims(monkeypatch)
     assert replay_table(t, sq)
-    assert replay_table(shared, sq)
     assert calls == []
 
 
 def test_a_tampered_cell_alone_is_walked(monkeypatch):
-    q = build_type_a(1, 2, 3)
-    sq = square_from_quintuple(q, "ruling")
-    t = _parsed_table(q)
+    sq, t = _certified_table(build_type_a(1, 2, 3))
     assert replay_table(t, sq)
     bad, node = _tampered(t, (0, 1), "quotient")
     node["note"] = "changed"
@@ -674,7 +691,7 @@ def test_a_tampered_cell_alone_is_walked(monkeypatch):
 def test_the_reference_is_built_once_per_hom_pair(monkeypatch):
     inputs = [(build_type_a(1, 2, 3), "ruling"), (build_type_a(1, 2, 3), "literal"),
               (build_type_a(3, 5, 7), "literal"), (build_linear_quadric(), "ruling")]
-    tables = [(square_from_quintuple(q, c), _parsed_table(q, c)) for q, c in inputs]
+    tables = [_certified_table(q, c) for q, c in inputs]
     built = Counter()
     original = ncquad.certify._cell
 
@@ -684,19 +701,17 @@ def test_the_reference_is_built_once_per_hom_pair(monkeypatch):
 
     monkeypatch.setattr(ncquad.certify, "_cell", counting)
     ncquad.certify._derived.cache_clear()
-    ncquad.certify._reference.cache_clear()
     for _ in range(3):
         for sq, t in tables:
             assert replay_table(t, sq)
     assert built == {(2, 2): 16}
     # with Hom(R, K_i) = 3 the rules derive no valid table: no reference,
-    # so every cell is walked and the hom-R-K leaf of cell (0,1) is refused
+    # so every cell is walked and the hom-R-K leaf of cell (0,1) is refused;
+    # a failed derivation is not cached, and each replay's stops at cell
+    # (0,1), the first to read the leaf
     monkeypatch.setattr(ncquad.certify, "hom_R_K_dim", lambda line: 3)
     for _ in range(2):
         for sq, t in tables:
             with pytest.raises(ExtTableError, match=r"hom-R-K leaf is not Hom\(R, K_0\) = 3"):
                 replay_table(t, sq)
-    assert ncquad.certify._reference((3, 3)) is None
-    assert ncquad.certify._reference.cache_info().misses == 2
-    # the derivation stops at cell (0,1), the first to read the leaf
-    assert built == {(2, 2): 16, (3, 3): 2}
+    assert built == {(2, 2): 16, (3, 3): 2 * 2 * len(tables)}

@@ -353,17 +353,41 @@ def test_value_error_inside_a_stage_is_an_internal_error(monkeypatch, capsys, tm
 
 
 def test_internal_error_under_python_m_names_the_cli_module(tmp_path):
-    # run as a script, the cli module is __main__; open() in cmd_certify
-    # raises, so no deeper ncquad frame exists
+    # run as a script, the cli module is __main__; sitecustomize, imported
+    # at start-up, swaps in a full_pipeline defined outside ncquad, so
+    # cmd_certify is the innermost ncquad frame when it raises
+    (tmp_path / "sitecustomize.py").write_text(
+        "import ncquad.certify\n\n\n"
+        "def full_pipeline(q, convention):\n"
+        "    raise RuntimeError('injected fault')\n\n\n"
+        "ncquad.certify.full_pipeline = full_pipeline\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
     proc = subprocess.run(
-        [sys.executable, "-m", "ncquad.cli", "certify", str(corpus_path("linear")),
-         "--json", str(tmp_path / "missing" / "out.json")],
-        env=env, capture_output=True, text=True)
+        [sys.executable, "-m", "ncquad.cli", "certify", str(corpus_path("linear"))],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == EXIT_INTERNAL
-    assert proc.stderr.startswith("internal error: FileNotFoundError: ")
-    assert proc.stderr.strip().endswith("(raised in cmd_certify, module ncquad.cli)")
+    assert proc.stderr.strip() == ("internal error: RuntimeError: injected fault "
+                                   "(raised in cmd_certify, module ncquad.cli)")
+
+
+def test_certify_json_computes_the_input_digest_once(monkeypatch, tmp_path, capsys):
+    # the certificate's input.digest and the "Certified" line read one digest
+    import ncquad.certify
+
+    calls = []
+    original = ncquad.certify.input_digest
+
+    def counting(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(ncquad.certify, "input_digest", counting)
+    out = tmp_path / "cert.json"
+    assert main(["certify", str(corpus_path("typea-1-2-3")), "--json", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    digest = json.loads(out.read_text())["input"]["digest"]
+    assert f"digest: {digest[:16]}..." in capsys.readouterr().out
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -63,7 +63,7 @@ def test_deciding_renders_nothing(monkeypatch):
     for name in RENDERERS:
         monkeypatch.setattr(ncquad.certify, name, refuse)
     forced = _count_calls(monkeypatch, FORCED)
-    # the cases above built the shared Ext cells, so deciding encodes no JSON
+    # deciding builds no shared stage document, so it encodes no JSON
     monkeypatch.setattr(FrozenJSON, "__init__", refuse)
     stages = set()
     for q, convention, expected in cases:

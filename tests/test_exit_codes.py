@@ -14,6 +14,9 @@ is malformed too: ``Fraction`` builds 10**e before anything reduces it.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -238,3 +241,23 @@ def test_a_denominator_vanishing_mod_p_exits_two_and_says_so(tmp_path, entry, ca
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.rstrip().endswith(
             ": the denominator vanishes mod 5"), err
+
+
+# a certificate path that cannot be written is a bad argument, as an input
+# file that cannot be read is: it exits 2 with one line naming the path
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.json", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_an_unwritable_json_path_exits_two_and_names_it(tmp_path, target, reason):
+    out = tmp_path / target if target else tmp_path
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncquad.cli", "certify", str(corpus_path("linear")),
+         "--json", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: cannot write {out}: [Errno ")
+    assert reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr

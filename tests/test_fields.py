@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import Quad, lift, lower, nonresidue_int
+from helpers import Quad, certificate_json, lift, lower, nonresidue_int
 from ncquad import fields
 from ncquad.certify import full_pipeline
 from ncquad.fields import GF, QQ, _exact_str, _field_str, _sqrt_mod_p, is_prime
@@ -89,7 +89,7 @@ def test_extension_discriminants_are_non_squares_over_the_base():
             continue
         q, _ = parse_quintuple_file(entry["input"])
         p = q.field.characteristic
-        for stage in full_pipeline(q, entry["convention"]).stages:
+        for stage in certificate_json(full_pipeline(q, entry["convention"]))["stages"]:
             found = [pair.get("witness", {}) for pair in stage.get("report", {}).get("pairs", ())]
             found += stage.get("relation", {}).get("witnesses", [])
             for w in (w for w in found if "extension_minpoly" in w):

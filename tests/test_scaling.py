@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import certificate_json
 from ncquad.certify import full_pipeline
 from ncquad.fields import QQ
 from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a
@@ -93,8 +94,8 @@ def test_certificate_of_a_multiple_differs_only_in_the_scaled_fields(spec, scale
         q = _quintuple(spec, 1)
     except ValueError:              # the excluded locus of the type-A family
         return
-    before = full_pipeline(q, convention).to_dict()
-    after = full_pipeline(_quintuple(spec, scale), convention).to_dict()
+    before = certificate_json(full_pipeline(q, convention))
+    after = certificate_json(full_pipeline(_quintuple(spec, scale), convention))
     rest_before, det_before, params_before = _split(before)
     rest_after, det_after, params_after = _split(after)
     assert rest_after == rest_before
