@@ -5,8 +5,9 @@ scalar is the plain value it is decided on: a ``Fraction`` over QQ, an
 ``int`` residue in [0, p) over F_p, and an ``(x, y)`` pair of those for
 x + y theta in F[theta]/(theta^2 - d), d a base-field value kept beside
 it.  ``QQ`` and each ``PrimeField`` expose only ``of``, the coercion from
-ints, ``Fraction``s and strings.  Questions about the algebraic closure
-are never answered numerically: they are reduced to square roots on
+ints and ``Fraction``s; text is read only by ``fileformat._scalar``,
+which states its grammar.  Questions about the algebraic closure are
+never answered numerically: they are reduced to square roots on
 integers (``_sqrt_mod_p``, or ``math.isqrt``).  ``_field_str`` is how
 schema/1 spells a base-field value in text, such as ``"2 (mod 5)"``.
 """
@@ -119,8 +120,6 @@ class RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def __hash__(self) -> int:
@@ -152,12 +151,11 @@ class PrimeField:
     def of(self, x) -> int:
         if isinstance(x, int):
             return x % self.p
-        if isinstance(x, (Fraction, str)):
-            f = Fraction(x)
-            if f.denominator % self.p == 0:
-                # not f itself: its digits may pass the int-to-decimal limit
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                # not x itself: its digits may pass the int-to-decimal limit
                 raise ZeroDivisionError(f"the denominator vanishes mod {self.p}")
-            return f.numerator * pow(f.denominator, self.p - 2, self.p) % self.p
+            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def __eq__(self, other):

@@ -1,4 +1,4 @@
-"""Input files, canonical serialization, and digests.
+r"""Input files, canonical serialization, and digests.
 
 A quintuple file is JSON with exactly one of:
 
@@ -8,13 +8,18 @@ A quintuple file is JSON with exactly one of:
 
 plus an optional {"field": "Q" | "Fp:<prime>"} (default "Q"), the prime
 in its canonical decimal spelling (no sign, space, underscore, leading
-zero or non-ASCII digit), and no other key.  A scalar
-is whatever ``fractions.Fraction`` reads from ``str`` of the JSON value
-(so ``0.1`` is 1/10, and ``"1e400"`` builds the whole integer), reduced
-mod p over F_p, unless it holds an underscore or whitespace, or a
-decimal exponent past ±10000 (``_scalar``); the tensor index order is
-slots 0..3 with basis index 0 = x and 1 = y.  Digests are over the canonical full-tensor form, so
-equivalent spellings of the same input agree.
+zero or non-ASCII digit), and no other key.  A scalar is ``str`` of its
+JSON value (so ``0.1`` is 1/10) in one ASCII grammar, an integer, a
+fraction or a decimal whose exponent is at most 10000 in absolute value,
+which ``_scalar`` checks before ``fractions.Fraction`` reads the text;
+it is reduced mod p over F_p:
+
+    [-+]?[0-9]+  |  [-+]?[0-9]+/[0-9]+  |  [-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?
+
+Any other text (".5", "5.", "1_000", whitespace, a non-ASCII digit) is
+refused on every Python.  The tensor index order is slots 0..3 with basis
+index 0 = x and 1 = y.  Digests are over the canonical full-tensor form,
+so equivalent spellings of the same input agree.
 
 ``input_digest`` hashes the canonical bytes of the file
 {"field": <field spec>, "w": <nested exact strings>}, as
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField, RationalField, _exact_str
@@ -98,17 +104,27 @@ def scalar_json(x):
 # before anything reduces it, and every stage then computes on its digits
 _MAX_EXPONENT = 10_000
 
+# the grammar of a scalar's text, an integer, a fraction or a decimal, in
+# ASCII digits only: the module docstring states it, and _RULE in messages
+_SCALAR = re.compile(r"[-+]?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
+_RULE = ("a scalar is an integer [-+]?[0-9]+, a fraction [-+]?[0-9]+/[0-9]+ or a decimal "
+         r"[-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?, and no scalar holds an underscore or "
+         "whitespace")
+
 
 def _scalar(field, value):
-    """``field.of(str(value))``, refused with an underscore or whitespace,
-    which ``Fraction`` reads on some supported Pythons only ("1_000"), or
-    with a decimal exponent past ``_MAX_EXPONENT`` in absolute value."""
-    if "_" in (text := str(value)) or any(c.isspace() for c in text):
-        raise ValueError(f"{text!r} holds an underscore or whitespace, which no scalar may")
-    _, e, exp = text.lower().rpartition("e")
-    if e and exp.lstrip("+-").isdecimal() and abs(int(exp)) > _MAX_EXPONENT:
-        raise ValueError(f"{text!r} has a decimal exponent past ±{_MAX_EXPONENT}, which no scalar may")
-    return field.of(text)
+    """The field value of ``str(value)``: ``Fraction`` of the text, reduced
+    mod p over F_p, once it is in the grammar ``_SCALAR``.  ``ValueError``,
+    naming the rule, for any other text."""
+    match = _SCALAR.fullmatch(text := str(value))
+    if not match:
+        raise ValueError(f"{ascii(text)} is outside the grammar: {_RULE}")
+    exp = (match["exp"] or "").lstrip("+-0")
+    # digit counts first: int() of a long exponent is slow, or refused
+    if len(exp) > len(str(_MAX_EXPONENT)) or exp and int(exp) > _MAX_EXPONENT:
+        raise ValueError(f"{ascii(text)} has a decimal exponent past ±{_MAX_EXPONENT}, "
+                         f"which no scalar may: {_RULE}")
+    return field.of(Fraction(text))
 
 
 def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:

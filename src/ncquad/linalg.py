@@ -39,17 +39,18 @@ identity once per process.
 
 Scalars are the plain values they are decided on (``fields``):
 ``Fraction``s over QQ and ``int`` residues in [0, p) over F_p.
-``Matrix(field, rows)`` passes each entry through ``field.of``, which keeps
-a field value: ``Tensor`` hands it w's entries, and ``build_type_a`` its
-coefficients as a 1x3 row, to decide the excluded locus on integers.
+``Matrix(field, num, den, nrows, ncols)`` is the one constructor, from
+integers, and ``_integers`` the one coercion of field values into them:
+``Tensor`` hands it w's entries, and ``build_type_a`` its coefficients,
+whose integers decide the excluded locus and are picked into w's row.
 ``det`` builds its value on demand (``_elements``), one
 ``Fraction(num, den)`` over QQ or one residue mod p, and geometricity
 builds only the witness coordinates a certificate prints.  Both are
 normal forms, so they are the values and bytes that elimination on field
 elements would give.
 
-``Matrix`` accepts only QQ and F_p, and raises ``TypeError`` for any other
-field.  Matrices are immutable; what they keep never changes them.
+``_integers`` accepts only QQ and F_p, and raises ``TypeError`` for any
+other field.  Matrices are immutable; what they keep never changes them.
 """
 
 from __future__ import annotations
@@ -68,41 +69,15 @@ class Matrix:
 
     __slots__ = ("field", "nrows", "ncols", "_num", "_den", "_ech", "_d4", "_adj")
 
-    def __init__(self, field, rows, ncols: int | None = None):
-        if not isinstance(field, (RationalField, PrimeField)):
-            raise TypeError(f"matrices are over QQ or F_p, not {field!r}")
-        rows = [[field.of(x) for x in row] for row in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            ncols = 0
-        flat = [x for r in rows for x in r]
-        if field.characteristic:
-            num, den = flat, 1
-        else:
-            den = math.lcm(*[x.denominator for x in flat])
-            num = [x.numerator * (den // x.denominator) for x in flat]
+    def __init__(self, field, num, den: int, nrows: int, ncols: int):
+        """num / den, num flat row-major integers (residues mod p, den 1),
+        which ``_integers`` makes from field values."""
         self.field = field
-        self.nrows = len(rows)
+        self.nrows = nrows
         self.ncols = ncols
         self._num = tuple(num)
         self._den = den
         self._ech = self._d4 = self._adj = None
-
-    @classmethod
-    def _of_num(cls, field, num, den: int, nrows: int, ncols: int) -> "Matrix":
-        """The matrix num / den from flat row-major integers that are
-        already reduced mod p over F_p (den is then 1)."""
-        m = object.__new__(cls)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m._num = tuple(num)
-        m._den = den
-        m._ech = m._d4 = m._adj = None
-        return m
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -184,6 +159,20 @@ class Matrix:
         return f"Matrix({self.field!r}, [{body}])"
 
 
+def _integers(field, values) -> tuple[list, int]:
+    """The one coercion of field values into a matrix's integers, (num,
+    den): ``field.of`` of each value, then over QQ the numerators over
+    their least common denominator, over F_p the residues over 1.
+    ``TypeError`` for a field other than QQ or F_p."""
+    if not isinstance(field, (RationalField, PrimeField)):
+        raise TypeError(f"matrices are over QQ or F_p, not {field!r}")
+    values = [field.of(x) for x in values]
+    if field.characteristic:
+        return values, 1
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _elements(field, num, den: int) -> tuple:
     """The scalars num[k] / den in normal form: ``Fraction``s over QQ,
     residues in [0, p) mod p (den a unit there)."""
@@ -201,14 +190,14 @@ def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
     num, p = m._num, m.field.characteristic
     minus = (lambda x: -x % p) if p else neg
     out = [0 if k is None else num[k] if k >= 0 else minus(num[~k]) for k in picks]
-    return Matrix._of_num(m.field, out, m._den, nrows, ncols)
+    return Matrix(m.field, out, m._den, nrows, ncols)
 
 
 @cache
 def _identity(field, n: int) -> Matrix:
     """The shared n x n identity behind ``Matrix.identity``, which the
     pickers below recognise without a public call."""
-    return Matrix._of_num(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
+    return Matrix(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
 
 
 def _pick_kept(m: Matrix, nrows: int, ncols: int, picks: tuple) -> Matrix:
@@ -265,7 +254,7 @@ def _adjugate(m: Matrix, minors=None) -> Matrix:
     p = m.field.characteristic
     if p:
         adj = [x % p for x in adj]
-    return Matrix._of_num(m.field, adj, 1, 4, 4)
+    return Matrix(m.field, adj, 1, 4, 4)
 
 
 def _keep_transpose(m: Matrix, mt: Matrix) -> None:

@@ -14,6 +14,9 @@ Conventions, fixed throughout the package:
   flat index 8*i0 + 4*i1 + 2*i2 + i3;
 * slot pairs are adjacent pairs (j, j+1 mod 4).
 
+``build_type_a`` picks w's integer row from that of (a, b, c), which
+``linalg._integers`` coerces once; ``build_linear_quadric`` writes one.
+
 Geometricity of w means: for every j and all nonzero functionals
 phi_j, phi_{j+1}, the contraction <phi_j x phi_{j+1}, w> is nonzero.
 The decision is closure-correct without ever leaving exact arithmetic:
@@ -46,15 +49,19 @@ from functools import cached_property
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
-from .linalg import Matrix, _elements, _keep_transpose, _pick
+from .linalg import Matrix, _elements, _integers, _keep_transpose, _pick
 from .records import Record
-from .tensors import SLOT_LABELS, Tensor, _flattening_index
+from .tensors import SLOT_LABELS, Tensor, _flattening_index, _of_row
 
 # M_j picked from the 16 entries of w in flat order: rows over the slots
 # j+2, j+3 and columns over j, j+1, each group row-major
 _CONTRACTION_INDEX = tuple(
     _flattening_index(((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
     for j in range(4))
+
+# w of build_type_a in flat order picked from the row (a, b, c): c at
+# x0x1x2x3 and y0y1y2y3, b at x0y1x2y3 and y0x1y2x3, a at the other four
+_TYPE_A_PICKS = (2, None, None, 0, None, 1, 0, None, None, 0, 1, None, 0, None, None, 2)
 
 
 class Quintuple(Record):
@@ -85,15 +92,8 @@ def build_linear_quadric(field=QQ) -> Quintuple:
     """The quintuple of the commutative quadric surface:
     w = x0 x1 y2 y3 - y0 x1 x2 y3 - x0 y1 y2 x3 + y0 y1 x2 x3.
     """
-    entries = {
-        (0, 0, 1, 1): 1,
-        (1, 0, 0, 1): -1,
-        (0, 1, 1, 0): -1,
-        (1, 1, 0, 0): 1,
-    }
-    flat = [field.of(entries.get((a, b, c, d), 0))
-            for a in range(2) for b in range(2) for c in range(2) for d in range(2)]
-    return Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
+    row = (0, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0)
+    return Quintuple(Tensor(field, Tensor.shape, row, SLOT_LABELS))
 
 
 def build_type_a(a, b, c, field=QQ) -> Quintuple:
@@ -104,11 +104,10 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
       + a x0x1y2y3 + b x0y1x2y3 + a y0x1x2y3 + c y0y1y2y3
 
     Points on the excluded locus S = {a^2 = b^2 = c^2} u {(0:0:1), (0:1:0)}
-    are rejected, decided on the integer row of (a, b, c): numerators over
-    one denominator on QQ, residues mod p.
+    are rejected, decided on the integer row of (a, b, c) that w's row is
+    picked from: numerators over one denominator on QQ, residues mod p.
     """
-    a, b, c = abc = field.of(a), field.of(b), field.of(c)
-    x, y, z = Matrix(field, [abc])._num
+    (x, y, z), den = _integers(field, (a, b, c))
     p = field.characteristic
     if not (x or y or z):
         raise ValueError("excluded locus S: (a:b:c) is not a projective point")
@@ -118,19 +117,7 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
         raise ValueError("excluded locus S: point (0:0:1)")
     if not x and not z:
         raise ValueError("excluded locus S: point (0:1:0)")
-    entries = {
-        (1, 1, 0, 0): a,
-        (1, 0, 1, 0): b,
-        (0, 1, 1, 0): a,
-        (0, 0, 0, 0): c,
-        (0, 0, 1, 1): a,
-        (0, 1, 0, 1): b,
-        (1, 0, 0, 1): a,
-        (1, 1, 1, 1): c,
-    }
-    flat = [entries.get((i0, i1, i2, i3), 0)
-            for i0 in range(2) for i1 in range(2) for i2 in range(2) for i3 in range(2)]
-    return Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
+    return Quintuple(_of_row(_pick(Matrix(field, (x, y, z), den, 1, 3), 1, 16, _TYPE_A_PICKS)))
 
 
 class PureWitness(Record):

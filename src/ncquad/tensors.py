@@ -3,19 +3,19 @@ flattenings into matrices.
 
 ``Tensor`` holds only w: shape (2, 2, 2, 2) and slot labels V0..V3 are
 class constants, and any other shape or labelling is refused.  The 16
-entries are exact scalars of QQ or F_p, held in row-major order (flat
-index 8*i0 + 4*i1 + 2*i2 + i3) as the one row of a ``Matrix``, so they
-share its integer form.  A flattening is a pure copy: ``reshape`` reads
-the flat entry index of every matrix cell from a table cached per (row
-slots, column slots) and picks those entries, without arithmetic or
-coercion.
+entries are the one integer row of a ``Matrix``, row-major (flat index
+8*i0 + 4*i1 + 2*i2 + i3): ``Tensor`` coerces scalars of QQ or F_p into it
+by ``_integers``, and ``_of_row`` wraps a row of integers as it is.  A
+flattening is a pure copy: ``reshape`` reads the flat entry index of
+every matrix cell from a table cached per (row slots, column slots) and
+picks those entries, without arithmetic or coercion.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .linalg import Matrix, _pick
+from .linalg import Matrix, _integers, _pick
 
 SLOT_LABELS = ("V0", "V1", "V2", "V3")
 
@@ -47,11 +47,11 @@ class Tensor:
     def __init__(self, field, shape, entries, slots):
         if tuple(shape) != self.shape or tuple(slots) != self.slots:
             raise ValueError("w must have shape (2,2,2,2) with slots V0..V3")
-        row = Matrix(field, [entries])
-        if row.ncols != 16:
-            raise ValueError(f"expected 16 entries, got {row.ncols}")
+        num, den = _integers(field, entries)
+        if len(num) != 16:
+            raise ValueError(f"expected 16 entries, got {len(num)}")
         self.field = field
-        self._row = row
+        self._row = Matrix(field, num, den, 1, 16)
 
     def reshape(self, row_slots, col_slots) -> Matrix:
         """Matrix whose (row, col) multi-indices run over the given slot
@@ -64,3 +64,10 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, slots={self.slots})"
+
+
+def _of_row(row: Matrix) -> Tensor:
+    """w whose entries are the 1 x 16 integer row ``row``, kept as is."""
+    w = object.__new__(Tensor)
+    w.field, w._row = row.field, row
+    return w

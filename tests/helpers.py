@@ -202,6 +202,22 @@ def tensor_entry(t, idx):
     return lift(t.field, t.entries[flat])
 
 
+def matrix(field, rows, ncols=None):
+    """The matrix with the given rows of field values, ints or exact
+    strings (read by ``Fraction``), coerced once by ``linalg._integers``,
+    so ``TypeError`` for a field other than QQ or F_p: how the tests build
+    a ``Matrix`` from values.  ``ncols`` sizes a matrix with no rows."""
+    from ncquad.linalg import Matrix, _integers
+
+    rows = [[Fraction(x) if isinstance(x, str) else x for x in row] for row in rows]
+    if rows:
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+    num, den = _integers(field, [x for r in rows for x in r])
+    return Matrix(field, num, den, len(rows), ncols or 0)
+
+
 def col(m, j: int) -> tuple:
     """Column j of the matrix m, as ncquad's scalars."""
     if not 0 <= j < m.ncols:
@@ -230,7 +246,7 @@ def _of_int_cols(field, cols, nrows: int, scale: int):
     g = math.gcd(scale, lcm)
     factors = [scale // g * (lcm // d) for _, d in cols]
     num = [y[i] * f for i in range(nrows) for (y, _), f in zip(cols, factors)]
-    return Matrix._of_num(field, num, lcm // g, nrows, len(cols))
+    return Matrix(field, num, lcm // g, nrows, len(cols))
 
 
 def kernel_basis(m):
@@ -255,7 +271,7 @@ def matmul(a, b):
            for i in range(a.nrows) for c in right]
     if p:
         num = [x % p for x in num]
-    return Matrix._of_num(a.field, num, a._den * b._den, a.nrows, k)
+    return Matrix(a.field, num, a._den * b._den, a.nrows, k)
 
 
 def inverse(m):
@@ -365,9 +381,8 @@ def euler_p1xp2(m: int, n: int) -> int:
 
 def random_matrix_qq(rng, nrows, ncols, height=9):
     from ncquad.fields import QQ
-    from ncquad.linalg import Matrix
 
-    return Matrix(QQ, [[Fraction(rng.randint(-height, height)) for _ in range(ncols)]
+    return matrix(QQ, [[Fraction(rng.randint(-height, height)) for _ in range(ncols)]
                        for _ in range(nrows)])
 
 
@@ -796,7 +811,7 @@ def euclid_form_gcd(forms):
     return monic(BinaryForm(field, coeffs))
 
 
-# -- column spans (oracle tools built on Matrix(field, rows)) -------------
+# -- column spans (oracle tools built on matrix(field, rows)) -------------
 
 
 def rows(m) -> tuple:
@@ -808,15 +823,13 @@ def rows(m) -> tuple:
 
 
 def from_cols(field, cols, nrows=None):
-    """The matrix with the given columns, each entry coerced by field.of."""
-    from ncquad.linalg import Matrix
-
+    """The matrix with the given columns, built by ``matrix``."""
     cols = [tuple(c) for c in cols]
     if cols:
-        return Matrix(field, list(zip(*cols)))
+        return matrix(field, list(zip(*cols)))
     if nrows is None:
         raise ValueError("empty column list needs an explicit nrows")
-    return Matrix(field, [()] * nrows, ncols=0)
+    return matrix(field, [()] * nrows, ncols=0)
 
 
 def transpose(m):
@@ -830,13 +843,11 @@ def apply(m, vec) -> tuple:
 
 def hstack(a, b):
     """[a | b] for two matrices over one field with equal row counts."""
-    from ncquad.linalg import Matrix
-
     if a.field != b.field:
         raise ValueError("field mismatch")
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in hstack")
-    return Matrix(a.field, [r1 + r2 for r1, r2 in zip(rows(a), rows(b))], a.ncols + b.ncols)
+    return matrix(a.field, [r1 + r2 for r1, r2 in zip(rows(a), rows(b))], a.ncols + b.ncols)
 
 
 def span_equal(a, b) -> bool:
@@ -1022,9 +1033,7 @@ def hom_R_K_oracle(line) -> int:
 
 
 def random_matrix_fp(rng, field, nrows, ncols):
-    from ncquad.linalg import Matrix
-
-    return Matrix(field, [[field.of(rng.randrange(field.p)) for _ in range(ncols)]
+    return matrix(field, [[field.of(rng.randrange(field.p)) for _ in range(ncols)]
                           for _ in range(nrows)])
 
 
@@ -1052,6 +1061,52 @@ def random_tensor_qq(rng, density, height=9) -> Quintuple:
                    if rng.random() < density else Fraction(0) for _ in range(16)]
         if any(entries):
             return Quintuple(Tensor(QQ, (2, 2, 2, 2), entries, SLOT_LABELS))
+
+
+def _reference_integers(field, values) -> tuple[list, int]:
+    """Each value through ``field.of``, then over QQ the numerators over
+    their least common denominator, over F_p the residues over 1: the
+    coercion ``Matrix(field, rows)`` once made."""
+    values = [field.of(x) for x in values]
+    if field.characteristic:
+        return values, 1
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _reference_row(field, entries) -> tuple[list, int]:
+    """w's row from its entries keyed by multi-index (i0, i1, i2, i3)."""
+    return _reference_integers(field, [entries.get(idx, 0) for idx in product(range(2), repeat=4)])
+
+
+def reference_type_a_row(a, b, c, field) -> tuple[list, int]:
+    """(num, den) of w's row for ``build_type_a(a, b, c, field)``, built as
+    the library built it before it picked the row from (a, b, c): each
+    coefficient through ``field.of``, the excluded locus decided on their
+    integers, and the eight monomials of its docstring placed in a dict.
+    ``ValueError`` on the excluded locus, with the library's messages."""
+    a, b, c = field.of(a), field.of(b), field.of(c)
+    p = field.characteristic
+    (x, y, z), _ = _reference_integers(field, (a, b, c))
+    if not (x or y or z):
+        raise ValueError("excluded locus S: (a:b:c) is not a projective point")
+    if len({v * v % p if p else v * v for v in (x, y, z)}) == 1:
+        raise ValueError("excluded locus S: a^2 = b^2 = c^2")
+    if not x and not y:
+        raise ValueError("excluded locus S: point (0:0:1)")
+    if not x and not z:
+        raise ValueError("excluded locus S: point (0:1:0)")
+    return _reference_row(field, {
+        (1, 1, 0, 0): a, (1, 0, 1, 0): b, (0, 1, 1, 0): a, (0, 0, 0, 0): c,
+        (0, 0, 1, 1): a, (0, 1, 0, 1): b, (1, 0, 0, 1): a, (1, 1, 1, 1): c,
+    })
+
+
+def reference_linear_row(field) -> tuple[list, int]:
+    """(num, den) of w's row for ``build_linear_quadric(field)``, from the
+    four monomials of its docstring placed in a dict."""
+    return _reference_row(field, {(0, 0, 1, 1): 1, (1, 0, 0, 1): -1,
+                                  (0, 1, 1, 0): -1, (1, 1, 0, 0): 1})
 
 
 def random_type_a_triple(rng, height=20):
@@ -1186,9 +1241,7 @@ def point_from_quotient(f) -> GPoint:
 
 def point_at(line, s, t) -> GPoint:
     """The point K(s:t) of an embedded line."""
-    from ncquad.linalg import Matrix
-
-    return GPoint.from_kernel(Matrix(line.field, kernel_at(line, s, t)))
+    return GPoint.from_kernel(matrix(line.field, kernel_at(line, s, t)))
 
 
 # -- exhaustive pure-pair enumeration over F_{p^2} -------------------------

@@ -14,6 +14,7 @@ from helpers import (
     kernel_basis,
     line_from_phi,
     matmul,
+    matrix,
     nonresidue_int,
     random_invertible_fp,
     random_invertible_qq,
@@ -33,7 +34,6 @@ from ncquad.blowup import (
 from ncquad.certify import ext_table, full_pipeline, gram_of
 from ncquad.fields import GF, QQ
 from ncquad.grassmann import hom_R_K_dim, hom_R_O_dim, line_relation
-from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,
     Quintuple,
@@ -267,7 +267,7 @@ def test_criterion_11_oracle_agreement():
         for _ in range(25):
             a = random_matrix_qq(rng, 3, 4)
             b = random_matrix_qq(rng, 4, 2)
-            red = lambda m, f: Matrix(f, [[f.of(x) for x in row] for row in rows(m)],
+            red = lambda m, f: matrix(f, [[f.of(x) for x in row] for row in rows(m)],
                                       ncols=m.ncols)
             assert rows(matmul(red(a, F101), red(b, F101))) == rows(red(matmul(a, b), F101))
         # rank/kernel dims survive reduction mod a 61-bit prime (no minor of
@@ -275,7 +275,7 @@ def test_criterion_11_oracle_agreement():
         big = GF(2**61 - 1)
         for _ in range(25):
             m = random_matrix_qq(rng, rng.randint(1, 5), rng.randint(1, 5), height=20)
-            mred = Matrix(big, [[big.of(x) for x in row] for row in rows(m)],
+            mred = matrix(big, [[big.of(x) for x in row] for row in rows(m)],
                           ncols=m.ncols)
             assert m.rank() == mred.rank()
             assert kernel_basis(m).ncols == kernel_basis(mred).ncols

@@ -9,6 +9,9 @@ fractions, decimals and exponent forms up to 1e400.  A field spec names
 F_p only when it is spelled ``Fp:<p>`` exactly as ``str`` writes p; every
 other spelling int() reads is malformed.  A decimal exponent past ±10000
 is malformed too: ``Fraction`` builds 10**e before anything reduces it.
+So is any scalar outside the ASCII grammar of ``fileformat``, whichever
+spellings the running Python's ``Fraction`` reads, and the message names
+the grammar.
 """
 
 import contextlib
@@ -188,6 +191,31 @@ def test_scalars_with_underscores_or_whitespace_exit_two(tmp_path, spelling, fie
         with pytest.raises(InputError, match="holds an underscore or whitespace"):
             parse_quintuple_file(doc)
         assert _exit_codes(tmp_path / "doc.json", doc) == [2] * len(_COMMANDS), doc
+
+
+# the three productions of the scalar grammar, which every refusal names
+_GRAMMAR = ("[-+]?[0-9]+", "[-+]?[0-9]+/[0-9]+", r"[-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+# spellings that Fraction reads on some supported Python, or that int()
+# refused with a message naming no rule: no digit before or after the
+# point, an Arabic-Indic and a fullwidth digit, a doubled exponent sign
+@pytest.mark.parametrize("spelling", [".5", "5.", "+.5e1", "\u0661", "\uff11", "1e+-5"])
+@pytest.mark.parametrize("field", ["Q", "Fp:7"])
+def test_spellings_outside_the_scalar_grammar_exit_two_and_name_it(tmp_path, spelling, field):
+    w = json.loads(json.dumps(_W))
+    w[1][0][1][1] = spelling
+    path = tmp_path / "doc.json"
+    for doc in ({"family": "type-a", "a": "1", "b": spelling, "c": "3", "field": field},
+                {"w": w, "field": field}):
+        with pytest.raises(InputError, match="is outside the grammar") as exc:
+            parse_quintuple_file(doc)
+        assert all(rule in str(exc.value) for rule in _GRAMMAR), exc.value
+        assert _exit_codes(path, doc) == [2] * len(_COMMANDS), doc
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(["certify", str(path)]) == 2
+        assert all(rule in stderr.getvalue() for rule in _GRAMMAR), stderr.getvalue()
 
 
 # Fraction builds 10**e before anything reduces it, so an exponent past

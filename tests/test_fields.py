@@ -15,12 +15,20 @@ from ncquad.forms import _quadratic_root
 
 
 def test_rationals_lowest_terms():
-    x = QQ.of("6/4")
+    x = QQ.of(Fraction(6, 4))
     assert x == Fraction(3, 2)
     assert x.denominator == 2
     assert QQ.of(Fraction(-2, -4)) == Fraction(1, 2)
     assert QQ.of(Fraction(-2, -4)).denominator == 2
-    assert QQ.of(_exact_str(Fraction(-7, 3))) == Fraction(-7, 3)
+    assert Fraction(_exact_str(Fraction(-7, 3))) == Fraction(-7, 3)
+
+
+def test_fields_read_no_text():
+    # text becomes a scalar only through fileformat's one scalar reader
+    for field in (QQ, GF(7)):
+        for text in ("6/4", "1", "\u0661"):
+            with pytest.raises(TypeError):
+                field.of(text)
 
 
 def test_rational_squares():
@@ -44,9 +52,9 @@ def test_prime_field_arithmetic():
     # F_p values are plain int residues in [0, p); the tests' ``Mod``s
     # compute on them
     F = GF(101)
-    assert [F.of(x) for x in (-1, 202, "3/4", Fraction(1, 2))] == [100, 0, 26, 51]
-    assert all(type(F.of(x)) is int for x in (-1, "3/4", Fraction(1, 2)))
-    a, b = lift(F, F.of(77)), lift(F, F.of("3/4"))
+    assert [F.of(x) for x in (-1, 202, Fraction(3, 4), Fraction(1, 2))] == [100, 0, 26, 51]
+    assert all(type(F.of(x)) is int for x in (-1, Fraction(3, 4), Fraction(1, 2)))
+    a, b = lift(F, F.of(77)), lift(F, F.of(Fraction(3, 4)))
     assert b * 4 == F.of(3)
     assert a / a == 1 and a - a == 0
     assert lift(F, F.of(Fraction(1, 2))) * 2 == 1
@@ -120,7 +128,7 @@ def test_field_values_are_plain_values():
     # a residue is an int in [0, p), an extension value an (x, y) pair;
     # only ``_field_str`` spells a base-field value with its modulus
     F = GF(7)
-    assert F.of("1/2") == 4 and type(F.of("1/2")) is int and F.of(11) == 4
+    assert F.of(Fraction(1, 2)) == 4 and type(F.of(Fraction(1, 2))) is int and F.of(11) == 4
     assert _field_str(4, 7) == "4 (mod 7)" and _field_str(Fraction(-7, 3), 0) == "-7/3"
     assert _field_str(10 ** 5000 % 7, 7) == f"{10 ** 5000 % 7} (mod 7)"
     assert not any(hasattr(fields, name) for name in ("FpElement", "QuadElement", "QuadraticExtension"))

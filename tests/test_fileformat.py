@@ -95,6 +95,6 @@ def test_nested_strings_reduce_each_entry(entries):
     assert tensor_nested_strings(q) == _nested_by_field(q)
     # the same w held over a common denominator that is not the least one
     row = q.w._row
-    q.w._row = Matrix._of_num(QQ, [7 * x for x in row._num], 7 * row._den, 1, 16)
+    q.w._row = Matrix(QQ, [7 * x for x in row._num], 7 * row._den, 1, 16)
     assert tensor_nested_strings(q) == _nested_by_field(q)
     assert tensor_nested_strings(q)[0][0][0][0] == str(Fraction(entries[0]))

@@ -21,6 +21,7 @@ from helpers import (
     lift,
     line_from_phi,
     matmul,
+    matrix,
     point_at,
     point_from_quotient,
     random_invertible_fp,
@@ -45,7 +46,7 @@ from ncquad.squares import square_from_quintuple
 
 
 def test_point_from_coordinate_quotient():
-    f = Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    f = matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0]])
     pt = point_from_quotient(f)
     expected = from_cols(QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4)
     expected = [QQ.of(x) for x in (0, 0, 0, 0, 0, 1)]
@@ -57,7 +58,7 @@ def test_point_from_coordinate_quotient():
 def test_row_equivalent_quotients_same_point():
     rng = random.Random(31)
     for _ in range(20):
-        f = Matrix(QQ, [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)])
+        f = matrix(QQ, [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)])
         if f.rank() != 2:
             continue
         g = random_invertible_qq(rng, 2, height=5)
@@ -69,25 +70,25 @@ def test_row_equivalent_quotients_same_point():
 def test_pluecker_relation_random():
     rng = random.Random(32)
     for _ in range(30):
-        f = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(4)] for _ in range(2)])
+        f = matrix(QQ, [[rng.randint(-9, 9) for _ in range(4)] for _ in range(2)])
         if f.rank() == 2:
             assert point_from_quotient(f).satisfies_pluecker()
 
 
 def test_rank_one_quotient_rejected():
     with pytest.raises(ValueError):
-        point_from_quotient(Matrix(QQ, [[1, 2, 3, 4], [2, 4, 6, 8]]))
+        point_from_quotient(matrix(QQ, [[1, 2, 3, 4], [2, 4, 6, 8]]))
 
 
 def test_identity_line_families():
     ident = Matrix.identity(QQ, 4)
     first = line_from_phi(ident, 0)
     # K(s:t) = span(-t, s) x U1: at (1:0) the kernel is y0 x U1 = e2, e3
-    k = Matrix(QQ, kernel_at(first, 1, 0))
+    k = matrix(QQ, kernel_at(first, 1, 0))
     assert span_equal(k, from_cols(
         QQ, [(0, 0, 1, 0), (0, 0, 0, 1)], nrows=4))
     second = line_from_phi(ident, 1)
-    k2 = Matrix(QQ, kernel_at(second, 1, 0))
+    k2 = matrix(QQ, kernel_at(second, 1, 0))
     assert span_equal(k2, from_cols(
         QQ, [(0, 1, 0, 0), (0, 0, 0, 1)], nrows=4))
 
@@ -98,7 +99,7 @@ def test_linear_quadric_line1_is_second_ruling():
     sq = square_from_quintuple(build_linear_quadric(), "ruling")
     line1 = sq.line(1)
     for (s, t) in ((1, 0), (0, 1), (1, 1), (2, 3)):
-        k = Matrix(QQ, kernel_at(line1, s, t))
+        k = matrix(QQ, kernel_at(line1, s, t))
         # a plane of the form V0 x l contains vectors e_a x l: reshaped
         # columns must share the same right factor: rows of the reshape
         # span one direction
@@ -256,7 +257,7 @@ def test_line_relation_agrees_with_prime_field_reduction():
         phi1 = random_invertible_qq(rng, 4, height=6)
         cf0, cf1 = rng.randint(0, 1), rng.randint(0, 1)
         lr = line_relation(relative_line(line_from_phi(phi0, cf0), line_from_phi(phi1, cf1)))
-        red = lambda m: Matrix(F, [[F.of(x) for x in row] for row in rows(m)])
+        red = lambda m: matrix(F, [[F.of(x) for x in row] for row in rows(m)])
         r0, r1 = red(phi0), red(phi1)
         if not r0.det() or not r1.det():
             continue
@@ -277,7 +278,7 @@ def test_kronecker_psi_coincides_under_matching_orientation():
         phi0 = random_invertible_qq(rng, 4, height=4)
         a = random_invertible_qq(rng, 2, height=4)
         b = random_invertible_qq(rng, 2, height=4)
-        kron = Matrix(QQ, [
+        kron = matrix(QQ, [
             [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
@@ -293,7 +294,7 @@ def test_reshuffle_rank_detects_kronecker():
     for _ in range(10):
         a = random_invertible_qq(rng, 2, height=5)
         b = random_invertible_qq(rng, 2, height=5)
-        kron = Matrix(QQ, [
+        kron = matrix(QQ, [
             [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
@@ -306,7 +307,7 @@ def test_hom_R_K_identity_phi():
     # oracle: the kernel of the twisted multiplication map
     # H0(O(1)) x H0(O(1)) -> H0(O(2)) is 1-dimensional, and the section
     # matrix is that map tensored with the 2-dimensional dual factor
-    mult = Matrix(QQ, [
+    mult = matrix(QQ, [
         [0, 1, 0, 0],
         [-1, 0, 0, 1],
         [0, 0, -1, 0],
@@ -337,7 +338,7 @@ def test_hom_R_K_basis_invariance():
         g4 = random_invertible_qq(rng, 4, height=4)
         a = random_invertible_qq(rng, 2, height=4)
         b = random_invertible_qq(rng, 2, height=4)
-        kron = Matrix(QQ, [
+        kron = matrix(QQ, [
             [entry(a, i1, i0) * entry(b, j1, j0) for i0 in range(2) for j0 in range(2)]
             for i1 in range(2) for j1 in range(2)
         ])
@@ -355,7 +356,7 @@ def test_hom_R_K_lemma_on_every_invertible_phi_inverse(field, sparse, cf, data):
     # for N = phi^{-1}, so it has rank 6, and Hom(R, K) = 2, whenever N is
     # invertible, on either contracted factor
     entries = _SPARSE_ENTRIES if sparse else st.integers(-10**6, 10**6)
-    n = Matrix(field, [data.draw(st.lists(entries, min_size=4, max_size=4)) for _ in range(4)])
+    n = matrix(field, [data.draw(st.lists(entries, min_size=4, max_size=4)) for _ in range(4)])
     assume(n.det())
     line = EmbeddedLine(_adjugate(n), n, cf)
     assert hom_R_K_dim(line) == 2 == hom_R_K_oracle(line)

@@ -8,7 +8,11 @@ inputs, the bundled corpus, every loadable file in ``tests/data`` and
 10,000 seeded inputs: fractions and negative entries over QQ, residues
 over F_5, F_7 and F_10007, integers past the int-to-decimal digit limit
 (4300 digits since CPython 3.10.7) and fractions whose denominators are
-past it, which ``fields._exact_str`` writes.
+past it, which ``fields._exact_str`` writes.  ``recompute_input_digest``,
+which imports nothing from ncquad and writes a family file's w from the
+monomials of its docstring, must agree on every w-file and on every
+family file that names an admissible input: the corpus, the type-A files
+of ``tests/data`` and seeded type-A and linear documents.
 """
 
 import hashlib
@@ -115,3 +119,38 @@ def test_stdlib_recomputation_agrees_on_every_w_file():
     assert len(docs) >= 59
     for doc in docs:
         assert recompute(doc) == input_digest(parse_quintuple_file(doc)[0]), doc
+
+
+def _coefficient(rng) -> str:
+    """A type-A coefficient as a file spells it: an integer, a fraction or a
+    decimal, small enough to meet the excluded locus, over a denominator
+    that no prime of FIELDS divides."""
+    n = rng.randint(-4, 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return str(n)
+    if kind == 1:
+        return f"{n}/{rng.choice((1, 2, 3, 4, 6, 12))}"
+    return f"{n}.{rng.choice(('5', '25', '0'))}"
+
+
+def test_stdlib_recomputation_agrees_on_every_family_file():
+    from recompute_input_digest import recompute
+
+    docs = [json.loads(corpus_path(name).read_text()) for name in corpus_names()]
+    docs += [json.loads(path.read_text()) for path in sorted((_TESTS / "data").glob("typea-*.json"))]
+    specs = [field_to_str(field) for field in FIELDS]
+    docs += [{"family": "linear", "field": spec} for spec in specs]
+    rng = random.Random(3601)
+    docs += [{"family": "type-a", "field": specs[k % 4], **{key: _coefficient(rng) for key in "abc"}}
+             for k in range(800)]
+    checked = excluded = 0
+    for doc in docs:
+        try:
+            q = parse_quintuple_file(doc)[0]
+        except ExcludedInput:
+            excluded += 1
+            continue
+        assert recompute(doc) == input_digest(q), doc
+        checked += 1
+    assert checked >= 700 and excluded >= 20, (checked, excluded)

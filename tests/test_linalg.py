@@ -23,6 +23,7 @@ from helpers import (
     lift,
     matmul,
     matmul_oracle,
+    matrix,
     matrix_cols,
     random_matrix_fp,
     random_matrix_qq,
@@ -48,7 +49,7 @@ from ncquad.linalg import (
 
 def test_rank_identity_and_zero():
     assert Matrix.identity(QQ, 4).rank() == 4
-    assert Matrix(QQ, [[0] * 5] * 3).rank() == 0
+    assert matrix(QQ, [[0] * 5] * 3).rank() == 0
 
 
 def test_kernel_identity_empty():
@@ -57,7 +58,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_one_by_two():
-    m = Matrix(QQ, [[1, 1]])
+    m = matrix(QQ, [[1, 1]])
     k = kernel_basis(m)
     assert k.ncols == 1
     x = col(k, 0)
@@ -153,8 +154,8 @@ def test_reduction_mod_p_commutes_with_products():
         a = random_matrix_qq(rng, 3, 4)
         b = random_matrix_qq(rng, 4, 2)
         ab = matmul(a, b)
-        ared = Matrix(F, [[F.of(x) for x in row] for row in rows(a)])
-        bred = Matrix(F, [[F.of(x) for x in row] for row in rows(b)])
+        ared = matrix(F, [[F.of(x) for x in row] for row in rows(a)])
+        bred = matrix(F, [[F.of(x) for x in row] for row in rows(b)])
         assert rows(matmul(ared, bred)) == tuple(tuple(F.of(x) for x in row) for row in rows(ab))
 
 
@@ -165,7 +166,7 @@ def test_rank_kernel_mod_large_prime():
     F = GF(2**61 - 1)
     for _ in range(20):
         m = random_matrix_qq(rng, rng.randint(1, 5), rng.randint(1, 5), height=20)
-        mred = Matrix(F, [[F.of(x) for x in row] for row in rows(m)], ncols=m.ncols)
+        mred = matrix(F, [[F.of(x) for x in row] for row in rows(m)], ncols=m.ncols)
         assert m.rank() == mred.rank()
         assert kernel_basis(m).ncols == kernel_basis(mred).ncols
 
@@ -174,7 +175,7 @@ def test_matrix_rejects_quadratic_extension():
     # a stand-in for QQ[theta], whose values are (x, y) pairs
     ext = type("Extension", (), {"characteristic": 0, "of": lambda self, x: x})()
     with pytest.raises(TypeError, match="QQ or F_p"):
-        Matrix(ext, [[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
+        matrix(ext, [[(0, 1), (1, 0)], [(1, 0), (0, 1)]])
     with pytest.raises(TypeError, match="QQ or F_p"):
         from_cols(ext, [(1, 2)])
 
@@ -182,15 +183,15 @@ def test_matrix_rejects_quadratic_extension():
 def test_empty_shapes():
     shape = lambda m: (m.nrows, m.ncols)
     for field in (QQ, GF(5), GF(10007)):
-        empty = Matrix(field, [], ncols=0)
+        empty = matrix(field, [], ncols=0)
         assert shape(inverse(empty)) == (0, 0)
         assert empty.rank() == 0 and shape(kernel_basis(empty)) == (0, 0)
-        wide, tall = Matrix(field, [], ncols=3), Matrix(field, [()] * 3, ncols=0)
+        wide, tall = matrix(field, [], ncols=3), matrix(field, [()] * 3, ncols=0)
         assert wide.rank() == tall.rank() == 0
         assert rows(kernel_basis(wide)) == rows(Matrix.identity(field, 3))
         assert shape(kernel_basis(tall)) == (0, 0)
         assert rows(matmul(tall, wide)) == ((0, 0, 0),) * 3
-        assert rows(matmul(tall, Matrix(field, [], ncols=1))) == ((0,),) * 3
+        assert rows(matmul(tall, matrix(field, [], ncols=1))) == ((0,),) * 3
 
 
 # -- the QQ and F_p kernels against the naive oracles ----------------------
@@ -247,7 +248,7 @@ def _field(p):
 
 
 def _check_rank_kernel_column_space(rows, ncols, p):
-    m = Matrix(_field(p), rows, ncols=ncols)
+    m = matrix(_field(p), rows, ncols=ncols)
     _, pivots = rref_oracle(rows, ncols, p)
     assert m.rank() == len(pivots)
     k = kernel_basis(m)
@@ -272,7 +273,7 @@ def _check_det(m, rows, p):
 
 def _check_det_inverse(entries, p):
     n = len(entries)
-    m = Matrix(_field(p), entries, ncols=n)
+    m = matrix(_field(p), entries, ncols=n)
     _check_det(m, entries, p)
     inv = inverse_oracle(entries, p)
     if inv is None:
@@ -288,7 +289,7 @@ def _check_adjugate(rows, p):
     # m = N / d; the adjugate is of the integer numerators N (residues mod
     # p), so adj N * N = N * adj N = det N * I on integers, and adj N has
     # rank 4, 1 or 0 as N has rank 4, 3 or less
-    m = Matrix(_field(p), rows, ncols=4)
+    m = matrix(_field(p), rows, ncols=4)
     adj = _adjugate(m)
     assert adj.field == m.field and (adj.nrows, adj.ncols, adj._den) == (4, 4, 1)
     n = [m._num[4 * i:4 * i + 4] for i in range(4)]
@@ -303,11 +304,11 @@ def _check_adjugate(rows, p):
 
 
 def _check_product_apply(a, b, vec, ncols, p):
-    ma, mb = Matrix(_field(p), a, ncols=len(vec)), Matrix(_field(p), b, ncols=ncols)
+    ma, mb = matrix(_field(p), a, ncols=len(vec)), matrix(_field(p), b, ncols=ncols)
     prod = matmul(ma, mb)
     assert (prod.nrows, prod.ncols) == (len(a), ncols)
     assert list(rows(prod)) == matmul_oracle(a, b, ncols, p)
-    column = Matrix(_field(p), [[x] for x in vec], ncols=1)
+    column = matrix(_field(p), [[x] for x in vec], ncols=1)
     assert list(rows(matmul(ma, column))) == matmul_oracle(
         a, [[x] for x in vec], 1, p)
 
@@ -399,7 +400,7 @@ def test_results_hold_only_field_elements(field):
             c = random_matrix_fp(rng, field, 5, 3)
             sq = random_invertible_fp(rng, field, 4)
             w = [rng.randrange(5) for _ in range(16)]
-        low = matmul(a, Matrix(field, [[1, 0, 0, 0, 0]] * 5))   # rank <= 1
+        low = matmul(a, matrix(field, [[1, 0, 0, 0, 0]] * 5))   # rank <= 1
         t = Tensor(field, (2, 2, 2, 2), w, SLOT_LABELS)
         results = [
             matmul(a, c), inverse(sq), kernel_basis(a), kernel_basis(low),
@@ -412,34 +413,34 @@ def test_results_hold_only_field_elements(field):
 
 
 def test_public_constructors_still_coerce():
-    m = Matrix(QQ, [[1, "1/2"]])
+    m = matrix(QQ, [[1, "1/2"]])
     assert rows(m) == ((Fraction(1), Fraction(1, 2)),)
     assert _entry_types(m) == {Fraction}
     c = from_cols(QQ, [(1, "2/3"), ("-1", 0)])
     assert rows(c) == ((Fraction(1), Fraction(-1)), (Fraction(2, 3), Fraction(0)))
     assert _entry_types(c) == {Fraction}
     F = GF(5)
-    assert _entry_types(Matrix(F, [[1, "1/2"]])) == {int}
-    assert rows(Matrix(F, [[1, "1/2"]])) == ((1, 3),)
-    assert rows(Matrix(F, [[1, "1/2"]])) == rows(Matrix(F, [[F.of(1), F.of(3)]]))
+    assert _entry_types(matrix(F, [[1, "1/2"]])) == {int}
+    assert rows(matrix(F, [[1, "1/2"]])) == ((1, 3),)
+    assert rows(matrix(F, [[1, "1/2"]])) == rows(matrix(F, [[F.of(1), F.of(3)]]))
 
 
 def test_entries_ignore_the_common_denominator():
-    quarter = matmul(Matrix(QQ, [[1, 2]]), Matrix(QQ, [["1/2"], ["1/4"]]))   # 1, as 4/4
-    assert rows(quarter) == rows(Matrix(QQ, [[1]])) == ((Fraction(1),),)
-    assert rows(quarter) != rows(Matrix(QQ, [["1/4"]]))
-    half = Matrix(QQ, [["1/2", 0], [0, "1/3"]])
-    assert rows(inverse(half)) == rows(Matrix(QQ, [[2, 0], [0, 3]]))
+    quarter = matmul(matrix(QQ, [[1, 2]]), matrix(QQ, [["1/2"], ["1/4"]]))   # 1, as 4/4
+    assert rows(quarter) == rows(matrix(QQ, [[1]])) == ((Fraction(1),),)
+    assert rows(quarter) != rows(matrix(QQ, [["1/4"]]))
+    half = matrix(QQ, [["1/2", 0], [0, "1/3"]])
+    assert rows(inverse(half)) == rows(matrix(QQ, [[2, 0], [0, 3]]))
     assert rows(matmul(half, inverse(half))) == rows(Matrix.identity(QQ, 2))
 
 
 def test_hstack_rejects_mixed_fields():
     with pytest.raises(ValueError, match="field mismatch"):
-        hstack(Matrix(QQ, [[1]]), Matrix(GF(5), [[1]]))
+        hstack(matrix(QQ, [[1]]), matrix(GF(5), [[1]]))
 
 
 def test_product_and_hstack_reject_mixed_fields():
-    a, b = Matrix(QQ, [[1, 2]]), Matrix(GF(5), [[1], [2]])
+    a, b = matrix(QQ, [[1, 2]]), matrix(GF(5), [[1], [2]])
     with pytest.raises(ValueError, match="field mismatch"):
         matmul(a, b)
     with pytest.raises(ValueError, match="field mismatch"):
@@ -450,7 +451,7 @@ def _check_det_after_kernel(rows, p):
     """After the kernel (``_kernel``) kept its echelon, det and rank equal
     the oracles, and reading them eliminates nothing."""
     n = len(rows)
-    m = Matrix(_field(p), rows, ncols=n)
+    m = matrix(_field(p), rows, ncols=n)
     assert matrix_cols(kernel_basis(m)) == kernel_oracle(rows, n, p)
     with mock.patch.object(ncquad.linalg, "_int_echelon",
                            side_effect=AssertionError("eliminated again")):
@@ -483,7 +484,7 @@ _no_elimination = mock.patch.object(ncquad.linalg, "_int_echelon",
 @given(st.data())
 def test_det4_matches_the_leibniz_oracle(p, data):
     rows = data.draw(_rows(4, 4, p))
-    m = Matrix(_field(p), rows)
+    m = matrix(_field(p), rows)
     d = _det4(_minors2(m._num))
     if p:
         assert d % p == det_oracle(rows, p)
@@ -502,7 +503,7 @@ def test_4x4_rank_kernel_and_det_agree_in_any_order(p, data):
     rows = data.draw(_rows(4, 4, p))
     order = data.draw(st.permutations(("rank", "kernel", "det", "echelon")))
     order = order[:data.draw(st.integers(1, 4))]
-    m = Matrix(_field(p), rows)
+    m = matrix(_field(p), rows)
     read = {"rank": m.rank, "kernel": m._kernel, "det": m.det,
             "echelon": lambda: m._echelon()[1]}
     got = {call: read[call]() for call in order}
@@ -552,7 +553,7 @@ def test_rank_3_kernel_is_read_off_the_adjugate(p, data):
     nonzero adjugate, and so are those of its transpose, from the rows of
     the same adjugate: no elimination, and the oracles' values."""
     entries = data.draw(_lower_rank(p, 3))
-    m = Matrix(_field(p), entries)
+    m = matrix(_field(p), entries)
     t = transpose(m)
     with _no_elimination:
         assert m.rank() == 3
@@ -574,7 +575,7 @@ def test_rank_2_kernel_still_eliminates(p, data):
     """A 4x4 of rank 2 has adjugate 0, so it and its transpose are each
     eliminated once for the rank and the kernel."""
     entries = data.draw(_lower_rank(p, 2))
-    m = Matrix(_field(p), entries)
+    m = matrix(_field(p), entries)
     t = transpose(m)
     with mock.patch.object(ncquad.linalg, "_int_echelon",
                            wraps=ncquad.linalg._int_echelon) as spy:
@@ -613,7 +614,7 @@ def _two_columns(draw, p=0):
 def test_two_column_rank_by_minors_matches_the_oracle(p, data):
     entries = data.draw(_two_columns(p))
     field = _field(p)
-    m = Matrix(field, entries, ncols=2)
+    m = matrix(field, entries, ncols=2)
     with _no_elimination:
         rank = m.rank()
     assert rank == rank_oracle(lift(field, rows(m)))
@@ -621,14 +622,14 @@ def test_two_column_rank_by_minors_matches_the_oracle(p, data):
 
 def test_two_column_ranks_of_zero_matrices():
     with _no_elimination:
-        assert Matrix(QQ, [], ncols=2).rank() == 0
-        assert Matrix(QQ, [[0, 0]] * 8).rank() == 0
-        assert Matrix(GF(5), [[5, -10], [0, 15]]).rank() == 0
-        assert Matrix(GF(5), [[1, 2], [6, 12], [0, 5]]).rank() == 1
-        assert Matrix(QQ, [[1, 2], [6, 12], [0, 5]]).rank() == 2
+        assert matrix(QQ, [], ncols=2).rank() == 0
+        assert matrix(QQ, [[0, 0]] * 8).rank() == 0
+        assert matrix(GF(5), [[5, -10], [0, 15]]).rank() == 0
+        assert matrix(GF(5), [[1, 2], [6, 12], [0, 5]]).rank() == 1
+        assert matrix(QQ, [[1, 2], [6, 12], [0, 5]]).rank() == 2
         # the first nonzero row is not row 0, and mod 7 row 0 vanishes
-        for m, rank in ((Matrix(GF(7), [[0, 7], [0, 3], [1, 0]]), 2),
-                        (Matrix(QQ, [[0, 0], [0, 3], [0, -1]]), 1)):
+        for m, rank in ((matrix(GF(7), [[0, 7], [0, 3], [1, 0]]), 2),
+                        (matrix(QQ, [[0, 0], [0, 3], [0, -1]]), 1)):
             assert m.rank() == rank == rank_oracle(lift(m.field, rows(m)))
 
 
@@ -642,7 +643,7 @@ def _up_to_7x16(draw, p):
     columns zeroed), with the field's rows they come from."""
     nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 16))
     entries = draw(_rows(nrows, ncols, p))
-    num = Matrix(_field(p), entries, ncols=ncols)._num
+    num = matrix(_field(p), entries, ncols=ncols)._num
     return entries, [list(num[i * ncols:(i + 1) * ncols]) for i in range(nrows)], ncols
 
 
@@ -672,7 +673,7 @@ def test_primitive_rows_match_bareiss_up_to_scale(p, data):
     free = [f for f in range(n) if f not in pivots]
     assert ([_int_kernel_vector(ech, pivots, f, n, p) for f in free]
             == [_int_kernel_vector(ref, ref_pivots, f, n, p) for f in free])
-    kernel = Matrix(_field(p), entries, ncols=n)._kernel()
+    kernel = matrix(_field(p), entries, ncols=n)._kernel()
     assert ([tuple(y) if p else tuple(Fraction(v, den) for v in y) for y, den in kernel]
             == kernel_oracle(entries, n, p))
 

@@ -28,6 +28,7 @@ from helpers import (
     inverse,
     lift,
     matmul,
+    matrix,
     random_invertible_fp,
     random_invertible_qq,
     random_tensor_fp,
@@ -148,7 +149,7 @@ def _f2():
 def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
     shared = Matrix.identity(field, 4)
     assert Matrix.identity(field, 4) is shared
-    fresh = Matrix(field, [[int(i == j) for j in range(4)] for i in range(4)])
+    fresh = matrix(field, [[int(i == j) for j in range(4)] for i in range(4)])
     assert rows(fresh) == rows(shared) and fresh is not shared
     rng = random.Random(1603)
     for cf in (0, 1):
@@ -157,7 +158,7 @@ def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
         assert hom_R_K_dim(kept) == hom_R_K_dim(kept) == hom_R_K_dim(again) == hom_R_K_oracle(again)
         for convention in ("ruling", "literal"):
             if field.characteristic == 2:
-                phi = Matrix(field, [[int(i == j or j == i + 1) for j in range(4)]
+                phi = matrix(field, [[int(i == j or j == i + 1) for j in range(4)]
                                      for i in range(4)])
             elif field is QQ:
                 phi = random_invertible_qq(rng, 4, height=5)

@@ -21,6 +21,7 @@ from helpers import (
     block_quiver_oracle,
     hom_R_K_oracle,
     matmul,
+    matrix,
     mutation_oracle,
     random_matrix_fp,
     random_matrix_qq,
@@ -35,7 +36,6 @@ from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
 from ncquad.fileformat import load_quintuple, parse_quintuple_file
 from ncquad.grassmann import EmbeddedLine, hom_R_K_dim
-from ncquad.linalg import Matrix
 from ncquad.quintuples import SLOT_LABELS, Quintuple, relations
 from ncquad.squares import (
     CONVENTIONS,
@@ -124,10 +124,10 @@ def _singular(rng, field, n):
     or a sparse matrix of 0 and +-1, whose coincidences dense draws miss."""
     rank = rng.randint(0, n)
     if rng.random() < 0.5:
-        return Matrix(field, [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)]
+        return matrix(field, [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)]
                               for _ in range(n)])
     if rank == 0:
-        return Matrix(field, [[0] * n] * n)
+        return matrix(field, [[0] * n] * n)
     draw = random_matrix_qq if field is QQ else (lambda r, a, b: random_matrix_fp(r, field, a, b))
     return matmul(draw(rng, n, rank), draw(rng, rank, n))
 

@@ -114,10 +114,14 @@ def test_tensor_holds_qq_or_fp_entries_only():
         Tensor(ext, (2, 2, 2, 2), [(0, 1), (1, 0)] * 8, SLOT_LABELS)
     with pytest.raises(TypeError, match="QQ or F_p"):
         GeneralTensor(ext, (2,), [(0, 1), (1, 0)], ("A",))
-    half = Tensor(QQ, (2, 2, 2, 2), ["1/2", "-1/3"] * 8, SLOT_LABELS)
+    half = Tensor(QQ, (2, 2, 2, 2), [Fraction(1, 2), Fraction(-1, 3)] * 8, SLOT_LABELS)
     assert tensor_entries(half) == (Fraction(1, 2), Fraction(-1, 3)) * 8
-    five = Tensor(GF(5), (2, 2, 2, 2), ["1/2", -1] * 8, SLOT_LABELS)
+    five = Tensor(GF(5), (2, 2, 2, 2), [Fraction(1, 2), -1] * 8, SLOT_LABELS)
     assert tensor_entries(five) == (GF(5).of(3), GF(5).of(4)) * 8
+    # text is read by fileformat's scalar reader alone
+    for field in (QQ, GF(5)):
+        with pytest.raises(TypeError):
+            Tensor(field, (2, 2, 2, 2), ["1/2", -1] * 8, SLOT_LABELS)
 
 
 def test_reshape_roundtrip_indices():
