@@ -17,11 +17,12 @@ every node, children first, trusting no stored conclusion.
 
 A table is a function of its Hom(R, K_i) pair alone, and ``_cell``
 admits only (2, 2).  ``_derived(hom)`` derives the 16 cells once per
-process for each pair; ``_ext_table_stage`` encodes them and
-``replay_table`` walks only the cells that differ from them.  Each input
-that reaches the table still ranks both leaves and derives the two cells
-(p*R, C_i), which ``_cell`` checks against ``EXPECTED_HOM``; the other 14
-cells are ``_shared_cells``, read-only views of their dims.  The relations
+process for each pair (and keeps None for a pair with no valid table);
+``_ext_table_stage`` encodes them and ``replay_table`` walks only the
+cells that differ from them.  Each input that reaches the table still
+ranks both leaves and derives the two cells (p*R, C_i), which ``_cell``
+checks against ``EXPECTED_HOM``; the other 14 cells are
+``_shared_cells``, read-only views of their dims.  The relations
 and quiver stage documents, functions of records of small integers and
 fixed strings, are built and encoded once per process for each distinct
 value.  ``canonical_json_bytes`` alone reads the text of each shared
@@ -324,16 +325,22 @@ def _cell(hom, i: int, j: int) -> dict:
 
 
 @cache
-def _derived(hom: tuple) -> dict:
+def _derived(hom: tuple) -> dict | None:
     """(i, j) -> the cell the rules derive from the Hom(R, K_i) dims
-    ``hom``; ``_cell`` raises ExtTableError for a pair with no valid table."""
-    return {key: _cell(hom, *key) for key in _CELLS}
+    ``hom``, or None, kept as well, for a pair with no valid table, where
+    ``_cell`` raises ExtTableError."""
+    try:
+        return {key: _cell(hom, *key) for key in _CELLS}
+    except ExtTableError:
+        return None
 
 
 @cache
 def _shared_cells(hom: tuple) -> dict:
     """(i, j) -> a read-only view of the dims of each cell of ``_derived(hom)``
-    that reads no Hom(R, K_i) leaf, shared by every table derived from ``hom``."""
+    that reads no Hom(R, K_i) leaf, shared by every table derived from ``hom``.
+    ``ext_table`` asks only once ``_cell`` has passed the input cells, so
+    ``hom`` has a valid table."""
     derived = _derived(hom)
     return {key: MappingProxyType({"dims": tuple(derived[key]["dims"])})
             for key in _CELLS if key not in _INPUT_CELLS}
@@ -407,10 +414,7 @@ def replay_table(table: ExtTable, square: GeometricSquare) -> bool:
     dims passes: ``_rule_dims`` built its nodes, ``_cell`` checked its dims
     and ``_ext`` named its pair.  Every other cell is walked."""
     hom = (hom_R_K_dim(square.line(0)), hom_R_K_dim(square.line(1)))
-    try:
-        derived = _derived(hom)
-    except ExtTableError:
-        derived = None
+    derived = _derived(hom)
     for i, j in _CELLS:
         cell = table.cells.get((i, j))
         if cell is None:

@@ -12,7 +12,8 @@ zero or non-ASCII digit), and no other key.  A scalar is ``str`` of its
 JSON value (so ``0.1`` is 1/10) in one ASCII grammar, an integer, a
 fraction or a decimal whose exponent is at most 10000 in absolute value,
 which ``_scalar`` checks before ``fractions.Fraction`` reads the text;
-it is reduced mod p over F_p:
+the one coercion of w's row, ``linalg._integers``, reduces it mod p over
+F_p:
 
     [-+]?[0-9]+  |  [-+]?[0-9]+/[0-9]+  |  [-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?
 
@@ -112,10 +113,9 @@ _RULE = ("a scalar is an integer [-+]?[0-9]+, a fraction [-+]?[0-9]+/[0-9]+ or a
          "whitespace")
 
 
-def _scalar(field, value):
-    """The field value of ``str(value)``: ``Fraction`` of the text, reduced
-    mod p over F_p, once it is in the grammar ``_SCALAR``.  ``ValueError``,
-    naming the rule, for any other text."""
+def _scalar(value) -> Fraction:
+    """``Fraction`` of ``str(value)``, once the text is in the grammar
+    ``_SCALAR``.  ``ValueError``, naming the rule, for any other text."""
     match = _SCALAR.fullmatch(text := str(value))
     if not match:
         raise ValueError(f"{ascii(text)} is outside the grammar: {_RULE}")
@@ -124,7 +124,7 @@ def _scalar(field, value):
     if len(exp) > len(str(_MAX_EXPONENT)) or exp and int(exp) > _MAX_EXPONENT:
         raise ValueError(f"{ascii(text)} has a decimal exponent past ±{_MAX_EXPONENT}, "
                          f"which no scalar may: {_RULE}")
-    return field.of(Fraction(text))
+    return Fraction(text)
 
 
 def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
@@ -149,34 +149,33 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
         return build_linear_quadric(field), {"family": "linear", "field": field_to_str(field)}
     if kind == "type-a":
         try:
-            a, b, c = (_scalar(field, doc[k]) for k in ("a", "b", "c"))
+            a, b, c = (_scalar(doc[k]) for k in ("a", "b", "c"))
         except KeyError as exc:
             raise InputError(f"type-a input needs coefficient {exc}") from None
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coefficient: {exc}") from None
         try:
             q = build_type_a(a, b, c, field)
+        except ZeroDivisionError as exc:     # a denominator that vanishes mod p
+            raise InputError(f"bad coefficient: {exc}") from None
         except ValueError as exc:
             raise ExcludedInput(str(exc)) from None
-        meta = {
-            "family": "type-a",
-            "a": _exact_str(a),
-            "b": _exact_str(b),
-            "c": _exact_str(c),
-            "field": field_to_str(field),
-        }
-        return q, meta
+        # a, b and c are entries 3, 5 and 0 of w's row
+        num = q.w._row._num
+        a, b, c = _entry_strings((num[3], num[5], num[0]), q.w._row._den, _exact_str)
+        return q, {"family": "type-a", "a": a, "b": b, "c": c, "field": field_to_str(field)}
     nested = doc["w"]
-    flat = []
+    flat, texts = [], []
 
     def walk(node, depth):
         if depth == 4:
             if isinstance(node, (list, dict, bool)) or node is None:
                 raise InputError("tensor entries must be rational strings or ints")
             try:
-                flat.append(_scalar(field, node))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                flat.append(_scalar(node))
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad tensor entry {node!r}: {exc}") from None
+            texts.append(node)
             return
         if not isinstance(node, list) or len(node) != 2:
             raise InputError("w must be a 2x2x2x2 nested array")
@@ -186,6 +185,9 @@ def parse_quintuple_file(doc: dict) -> tuple[Quintuple, dict]:
     walk(nested, 0)
     try:
         q = Quintuple(Tensor(field, (2, 2, 2, 2), flat, SLOT_LABELS))
+    except ZeroDivisionError as exc:     # the first entry whose denominator vanishes mod p
+        node = next(t for t, x in zip(texts, flat) if x.denominator % field.characteristic == 0)
+        raise InputError(f"bad tensor entry {node!r}: {exc}") from None
     except ValueError as exc:
         raise ExcludedInput(str(exc)) from None
     meta = {"w": tensor_nested_strings(q), "field": field_to_str(field)}

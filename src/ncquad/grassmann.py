@@ -15,8 +15,9 @@ of three binary quadratics (the determinants of the 2x2 reshapes of a
 basis of the moving plane and their polar form).  They are integers, the
 numerators of phi^{-1} or its residues mod p, and so is their gcd.  Its
 roots are classified on integers by ``forms._quadratic_root``, the
-classifier geometricity asks too, and the plane at each root is tested
-on integer pairs x + y theta.  Scalars are built only for the meet
+classifier geometricity asks too, and the plane at each root is a meet
+when its columns share one direction, decided on integer pairs
+x + y theta (``_left_direction``).  Scalars are built only for the meet
 parameters a certificate prints: base-field values, or (x, y) pairs for
 x + y theta when the roots need a quadratic extension.
 """
@@ -78,40 +79,24 @@ def _polar2(u, v):
     return u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - v[1] * u[2]
 
 
-def _rank_one(vecs, d: int, p: int) -> bool:
-    """Whether 2-vectors span exactly a line: some vector is nonzero and
-    every 2x2 minor vanishes.  Each entry is a pair (x, y) of integers
-    (residues mod p, reduced) for x + y theta, theta^2 = d a non-square,
-    or d = 0 when every y is 0; x + y theta = 0 iff x = y = 0."""
-    if not any(x or y for v in vecs for x, y in v):
-        return False
-    for i, ((a, b), (c, e)) in enumerate(vecs):
-        for (f, g), (h, k) in vecs[i + 1:]:
-            # (a + b theta)(h + k theta) - (c + e theta)(f + g theta)
-            x, y = a * h + b * k * d - c * f - e * g * d, a * k + b * h - c * g - e * f
-            if (x % p or y % p) if p else (x or y):
-                return False
-    return True
-
-
-def _plane_type(n1, n2, d: int, p: int):
-    """Type of a 2-dim plane of 2x2-singular matrices: "left" when all
-    columns share one direction (plane = l x U1), "right" when all rows do
-    (plane = U0 x m).  Entries as in ``_rank_one``."""
-    if _rank_one([(n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3])], d, p):
-        return "left"
-    if _rank_one([(n1[0], n1[1]), (n1[2], n1[3]), (n2[0], n2[1]), (n2[2], n2[3])], d, p):
-        return "right"
-    return "neither"
-
-
-def _left_direction(n1, n2):
-    """The common column direction l of a left-type plane."""
-    for v in (n1, n2):
-        for col in ((v[0], v[2]), (v[1], v[3])):
-            if any(x or y for x, y in col):
-                return col
-    raise AssertionError("zero plane")
+def _left_direction(n1, n2, d: int, p: int):
+    """The first nonzero column of the 2x2 matrices n1, n2 (row-major)
+    when every column is a multiple of it, that is when their span is the
+    plane l x U1 of the standard family for that column l; None otherwise.
+    Each entry is a pair (x, y) of integers (residues mod p, reduced) for
+    x + y theta, theta^2 = d a non-square, or d = 0 when every y is 0;
+    x + y theta = 0 iff x = y = 0."""
+    cols = ((n1[0], n1[2]), (n1[1], n1[3]), (n2[0], n2[2]), (n2[1], n2[3]))
+    lead = next((col for col in cols if any(x or y for x, y in col)), None)
+    if lead is None:
+        return None
+    (a, b), (c, e) = lead
+    for (f, g), (h, k) in cols:
+        # (a + b theta)(h + k theta) - (c + e theta)(f + g theta)
+        x, y = a * h + b * k * d - c * f - e * g * d, a * k + b * h - c * g - e * f
+        if (x % p or y % p) if p else (x or y):
+            return None
+    return lead
 
 
 # entry (2i'+i, 2j'+j) of the reshuffle is entry (2i'+j', 2i+j) of psi
@@ -158,12 +143,17 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     meet parameters are field elements: M's values at the roots of the
     monic gcd, the same under any scaling.
 
-    When no form survives, every P(k) is fully decomposable.  For an
-    invertible phi^{-1}, which every line of a square has, each plane P(k)
-    is then a line on the smooth quadric surface {det = 0} in P^3, and
-    k -> P(k) maps the connected P^1 into one of the quadric's two
-    disjoint rulings, so the type cannot change: it is read at one
-    parameter, k = (1 : 0).
+    The ruling lemma: a 2-dimensional space of singular 2x2 matrices is a
+    line on the smooth quadric surface {det = 0} ~ P^1 x P^1 in P^3, so it
+    lies in one of the quadric's two rulings: it is l x U1 (every column a
+    multiple of l) or U0 x m (every row a multiple of m).  So at a root of
+    the gcd, where every element of P(k) is singular, P(k) is a point of
+    the standard family exactly when ``_left_direction`` finds its column
+    l, and that root is a meet; otherwise it lies in the opposite ruling.
+    When no form survives, every element of every P(k) is singular; for an
+    invertible phi^{-1}, which every line of a square has, k -> P(k) maps
+    the connected P^1 into one of the two disjoint rulings, so the ruling
+    is read at one parameter, k = (1 : 0).
     """
     field, p = line.field, line.field.characteristic
     M = line.phi_inv
@@ -193,7 +183,7 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
         return [[(x % p, y % p) for x, y in v] for v in n] if p else n
 
     if not forms:
-        if _plane_type(*plane_at((1, 0), 0), 0, p) == "left":
+        if _left_direction(*plane_at((1, 0), 0), 0, p) is not None:
             return relation("coincide")
         return relation("disjoint", flag="opposite decomposable family")
 
@@ -220,21 +210,14 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
 
     witnesses = []
     for kx, ky in roots:
-        n1, n2 = plane_at(kx, ky)
-        ptype = _plane_type(n1, n2, disc or 0, p)
-        if ptype == "neither":
-            # at a gcd root every vector of the plane is singular, so the
-            # plane must sit in one ruling
-            raise AssertionError("plane at a common root is not decomposable")
-        if ptype == "left":
-            (x0, y0), ell1 = _left_direction(n1, n2)
+        ell = _left_direction(*plane_at(kx, ky), disc or 0, p)
+        if ell is not None:
+            (x0, y0), ell1 = ell
             witnesses.append(MeetWitness(
                 param_l1=printed((kx, (ky, 0)), lead),
                 param_l0=printed((ell1, (-x0, -y0)), lead * M._den),
                 extension_disc=ext_disc,
             ))
-        # right-type roots are decomposable planes of the opposite ruling,
-        # not points of l0's family
     if witnesses:
         return relation("meet", count=len(witnesses), witnesses=tuple(witnesses))
     return relation("disjoint", flag="decomposable only at opposite-ruling parameters")

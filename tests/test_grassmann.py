@@ -18,6 +18,7 @@ from helpers import (
     inverse,
     kernel_at,
     kernel_basis,
+    left_direction,
     lift,
     line_from_phi,
     matmul,
@@ -372,7 +373,7 @@ def test_hom_R_O():
     assert hom_R_O_dim() == 2 * 2
 
 
-# -- the rank-one test of _plane_type against the rank oracle --------------
+# -- the column test of _left_direction against the rank oracle -----------
 
 # (base field, d): values in the base for d = 0, else in the base[theta],
 # theta^2 = d; 2 is a non-square in QQ and mod 5
@@ -408,7 +409,7 @@ def _two_vectors(draw, field, d):
 
 def _integer_pairs(vecs, field, d):
     """The vectors as the integer pairs (x, y), x + y theta, that
-    ``_rank_one`` reads, over one common positive denominator (which
+    ``_left_direction`` reads, over one common positive denominator (which
     changes no rank), and its (d, p): theta^2 = d, or d = 0 in the base."""
     parts = [(x.a, x.b) if isinstance(x, Quad) else (x, 0) for v in vecs for x in v]
     p = field.characteristic
@@ -422,15 +423,20 @@ def _integer_pairs(vecs, field, d):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.data())
-def test_rank_one_matches_rank_oracle(data):
-    from ncquad.grassmann import _plane_type, _rank_one
+def test_left_direction_matches_rank_oracle(data):
+    from ncquad.grassmann import _left_direction
 
     field, d = data.draw(st.sampled_from(_PLANE_FIELDS))
     vecs = data.draw(_two_vectors(field, d))
     pairs, d, p = _integer_pairs(vecs, field, d)
-    assert _rank_one(pairs, d, p) == (rank_oracle(vecs) == 1)
-    # as the columns of two 2x2 matrices n1, n2 (row-major), these vectors
-    # make a "left" plane exactly when they span one line
+    # the vectors are the columns, in order, of two 2x2 matrices n1, n2
+    # (row-major): a direction exactly when they span one line, and then
+    # the first nonzero column, as helpers.left_direction finds it
     (a, c), (b, e), (f, h), (g, k) = pairs
-    left = _plane_type((a, b, c, e), (f, g, h, k), d, p) == "left"
-    assert left == (rank_oracle(vecs) == 1)
+    got = _left_direction((a, b, c, e), (f, g, h, k), d, p)
+    if rank_oracle(vecs) != 1:
+        assert got is None
+        return
+    (a, c), (b, e), (f, h), (g, k) = vecs
+    ell = left_direction((a, b, c, e), (f, g, h, k))
+    assert got == pairs[vecs.index(ell)]

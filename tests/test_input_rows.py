@@ -7,12 +7,17 @@ the excluded locus on those integers and picks w's row from them;
 dict-and-``field.of`` construction they replace, over QQ, F_5, F_7 and
 F_10007, excluded points and vanishing denominators included.  ``ncquad
 sweep`` makes at most three ``field.of`` calls per sample, those of its
-three coefficients.
+three coefficients, and loading a file one per scalar it holds: 16 for a
+w-file, whose reader hands ``Fraction``s to ``Tensor``, and 3 for a type-A
+file.
 """
 
 import contextlib
 import io
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +25,13 @@ from hypothesis import strategies as st
 
 from helpers import reference_linear_row, reference_type_a_row
 from ncquad import cli, fields
+from ncquad.corpus import corpus_names, corpus_path
 from ncquad.fields import GF, QQ
+from ncquad.fileformat import ExcludedInput, InputError, load_quintuple
 from ncquad.quintuples import build_linear_quadric, build_type_a
 
 FIELDS = (QQ, GF(5), GF(7), GF(10007))
+DATA = Path(__file__).resolve().parent / "data"
 
 # small coefficients meet the excluded locus and, over F_5 and F_7, the
 # vanishing denominators often; large ones meet wide lcms and residues
@@ -72,7 +80,8 @@ def test_the_linear_row_is_the_reference_row(field):
     assert (list(row._num), row._den) == reference_linear_row(field)
 
 
-def test_sweep_makes_at_most_three_field_coercions_per_sample(monkeypatch):
+def _count_coercions(monkeypatch) -> list:
+    """The values that ``field.of`` receives from now on, QQ and F_p alike."""
     calls = []
 
     def counting(of):
@@ -83,7 +92,34 @@ def test_sweep_makes_at_most_three_field_coercions_per_sample(monkeypatch):
 
     for cls in (fields.RationalField, fields.PrimeField):
         monkeypatch.setattr(cls, "of", counting(cls.of))
+    return calls
+
+
+def test_sweep_makes_at_most_three_field_coercions_per_sample(monkeypatch):
+    calls = _count_coercions(monkeypatch)
     samples = 200
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sweep", "--samples", str(samples), "--seed", "0"]) == 0
     assert 0 < len(calls) <= 3 * samples
+
+
+# field.of runs once per scalar a file holds: 16 for w, 3 for (a, b, c)
+_COERCIONS = {"w": 16, "type-a": 3}
+
+
+def test_a_file_coerces_each_scalar_once(monkeypatch):
+    calls = _count_coercions(monkeypatch)
+    loaded = Counter()
+    for path in [corpus_path(name) for name in corpus_names()] + sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        kind = doc.get("family", "w")
+        if kind not in _COERCIONS:
+            continue
+        del calls[:]
+        try:
+            load_quintuple(str(path))
+        except (ExcludedInput, InputError):
+            continue
+        assert len(calls) == _COERCIONS[kind], path.name
+        loaded[kind] += 1
+    assert loaded["w"] >= 5 and loaded["type-a"] >= 10, loaded

@@ -12,7 +12,8 @@ phi_0^{-1}, the test copy of ``BinaryForm``, a gcd by Euclid, roots by
 the test copy of ``root_structure`` and the plane types, all on the
 tests' own field arithmetic (``Fraction``s, ``helpers.Mod`` and
 ``helpers.Quad``); it imports no classifier from ``ncquad.forms`` or
-``ncquad.grassmann``.  Both must write the same certificate bytes.
+``ncquad.grassmann``.  Both must write the same certificate bytes, on
+seeded tensors and on the orbit representatives of the {0,1} census.
 """
 
 import random
@@ -44,6 +45,8 @@ from ncquad.quintuples import SLOT_LABELS, Quintuple, build_type_a
 from ncquad.squares import (_LEG_PICKS, GeometricSquare, NotGeneric, block_quiver,
                             square_from_quintuple)
 from ncquad.tensors import Tensor
+from test_binary_census import _orbits
+from test_binary_census import _quintuple as binary_quintuple
 
 
 def _kronecker(rng, field):
@@ -84,11 +87,13 @@ def _kind(lr) -> str:
     return f"{lr.verdict}: {lr.flag}" if lr.flag else lr.verdict
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "F5", "F7"])
-def test_line_relation_writes_the_reference_bytes(field):
+def _reference_kinds(field, quintuples, limit) -> Counter:
+    """The kind of each line relation of the squares of ``quintuples``
+    under both conventions, up to ``limit`` squares (all when None), each
+    written with the reference's bytes and equal to it."""
     kinds = Counter()
-    squares = 0
-    for q in _quintuples(field, 1601):
+    p = field.characteristic
+    for q in quintuples:
         for convention in ("ruling", "literal"):
             try:
                 sq = square_from_quintuple(q, convention)
@@ -96,18 +101,28 @@ def test_line_relation_writes_the_reference_bytes(field):
                 continue
             got = line_relation(sq.line(1))
             reference = reference_line_relation(sq.line(0), sq.line(1))
-            p = field.characteristic
             assert canonical_json_bytes(_line_relation_json(got, p)) == canonical_json_bytes(
                 _line_relation_json(reference, p))
             assert got == reference
             kinds[_kind(got)] += 1
-            squares += 1
-        if squares >= 2000:
+        if limit is not None and sum(kinds.values()) >= limit:
             break
-    for kind in ("rational meet", "irreducible-discriminant meet", "coincide",
-                 "disjoint: opposite decomposable family",
-                 "disjoint: decomposable only at opposite-ruling parameters", "disjoint"):
-        assert kinds[kind] >= 1, (kind, kinds)
+    return kinds
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=["QQ", "F5", "F7"])
+def test_line_relation_writes_the_reference_bytes(field):
+    # seeded tensors, then one representative of each symmetry orbit of the
+    # {0,1} tensors; the reference raises on a plane at a gcd root in
+    # neither ruling, so the ruling lemma behind line_relation's single
+    # column test is checked on both sets
+    for kinds in (_reference_kinds(field, _quintuples(field, 1601), 2000),
+                  _reference_kinds(field, (binary_quintuple(mask, field) for mask, _ in _orbits()),
+                                   None)):
+        for kind in ("rational meet", "irreducible-discriminant meet", "coincide",
+                     "disjoint: opposite decomposable family",
+                     "disjoint: decomposable only at opposite-ruling parameters", "disjoint"):
+            assert kinds[kind] >= 1, (kind, kinds)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(10007)], ids=["QQ", "F5", "F10007"])

@@ -3,11 +3,12 @@
 The reader accepts exactly an ASCII grammar: an integer, a fraction of an
 integer over digits, or a decimal with digits on both sides of its point
 and an optional exponent of at most 10000 in absolute value.  On that
-language it equals ``Fraction`` of the text, reduced mod p over F_p; a
-denominator that vanishes mod p raises ``ZeroDivisionError``.  Every other
-text, whatever the running Python's ``Fraction`` makes of it, raises
-``ValueError``, which the CLI answers with exit 2.  The grammar is written
-out here again, apart from the reader's own pattern.
+language it equals ``Fraction`` of the text, which ``field.of`` reduces
+mod p over F_p; a denominator that vanishes mod p raises
+``ZeroDivisionError``.  A text of the grammar whose exponent is past the
+bound, and every other text, whatever the running Python's ``Fraction``
+makes of it, raises ``ValueError``, which the CLI answers with exit 2.  The
+grammar is written out here again, apart from the reader's own pattern.
 """
 
 import re
@@ -22,7 +23,14 @@ from ncquad.fileformat import _scalar
 
 FIELDS = (QQ, GF(5), GF(7), GF(10007))
 INTEGER = r"[-+]?[0-9]+"
-GRAMMAR = re.compile(rf"{INTEGER}|{INTEGER}/[0-9]+|{INTEGER}(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+GRAMMAR = re.compile(
+    rf"{INTEGER}|{INTEGER}/[0-9]+|{INTEGER}(\.[0-9]+)?([eE](?P<exp>[-+]?[0-9]+))?")
+MAX_EXPONENT = 10000
+
+
+def _past_the_bound(match) -> bool:
+    """Whether a text of the grammar has a decimal exponent past ±10000."""
+    return match["exp"] is not None and abs(int(match["exp"])) > MAX_EXPONENT
 
 
 def _expected(text, field):
@@ -41,7 +49,7 @@ def _expected(text, field):
 
 def _read(text, field):
     try:
-        return _scalar(field, text)
+        return field.of(_scalar(text))
     except ZeroDivisionError:
         return ZeroDivisionError
 
@@ -78,22 +86,28 @@ _NEAR = st.text(alphabet="0123456789+-./eE_ \t\u00a0\u0661\uff11x", max_size=10)
 @example("\uff11", GF(7))
 @example("1e+-5", QQ)
 @example("1_000", GF(5))
+@example("0E10001", QQ)
+@example("1e-10001", GF(5))
 def test_off_the_grammar_the_reader_refuses(text, field):
-    if GRAMMAR.fullmatch(text):
+    match = GRAMMAR.fullmatch(text)
+    if match and _past_the_bound(match):
+        with pytest.raises(ValueError, match="decimal exponent past"):
+            _scalar(text)
+    elif match:
         assert _read(text, field) == _expected(text, field)
-        return
-    with pytest.raises(ValueError, match="is outside the grammar"):
-        _scalar(field, text)
+    else:
+        with pytest.raises(ValueError, match="is outside the grammar"):
+            _scalar(text)
 
 
 @pytest.mark.parametrize("value, want", [(0.1, Fraction(1, 10)), (-2.5e-3, Fraction(-1, 400)),
                                          (1e16, Fraction(10 ** 16)), (7, Fraction(7))])
 def test_json_numbers_are_read_through_their_str(value, want):
-    assert _scalar(QQ, value) == want
-    assert _scalar(GF(7), value) == _expected(str(value), GF(7))
+    assert _scalar(value) == want
+    assert _read(value, GF(7)) == _expected(str(value), GF(7))
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), True, None, [1], {"a": 1}])
 def test_values_whose_str_is_outside_the_grammar_are_refused(value):
     with pytest.raises(ValueError, match="is outside the grammar"):
-        _scalar(QQ, value)
+        _scalar(value)
