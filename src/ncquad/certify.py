@@ -22,11 +22,19 @@ process for each pair (and keeps None for a pair with no valid table);
 cells that differ from them.  Each input that reaches the table still
 ranks both leaves and derives the two cells (p*R, C_i), which ``_cell``
 checks against ``EXPECTED_HOM``; the other 14 cells are
-``_shared_cells``, read-only views of their dims.  The relations
-and quiver stage documents, functions of records of small integers and
-fixed strings, are built and encoded once per process for each distinct
-value.  ``canonical_json_bytes`` alone reads the text of each shared
-document, which it splices into the certificate's bytes.
+``_shared_cells``, read-only views of their dims.
+
+Every stage document that holds no witness is a function of records of
+small integers, flags and fixed strings, so it is built and encoded once
+per process for each distinct value: the relations, quiver, ext_table
+and gram documents always, the geometricity document when no pair of
+the report carries a ``PureWitness`` (every pair passed), and the lines
+document when the ``LineRelation`` carries no ``MeetWitness`` (disjoint,
+or coincide).  A document that holds a witness stays an inline dict: its
+coordinates are field values, which would make the cache keys unbounded.
+So a certified certificate encodes only its input digest, ``det`` and
+verdict per input.  ``canonical_json_bytes`` alone reads the text of
+each shared document, which it splices into the certificate's bytes.
 
 ``full_pipeline`` decides: it runs geometricity, the square (the
 determinant) and the lines, the only stages that can fail, and returns a
@@ -501,8 +509,17 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
     }
 
 
-# the three stage documents shared between inputs (see the module docstring);
-# their keys hold dims at most 8, ranks at most 4 and fixed strings
+# the stage documents shared between inputs (see the module docstring);
+# their keys hold dims at most 8, ranks at most 4, flags and fixed strings
+
+
+@cache
+def _geometricity_stage(report: GeometricityReport) -> FrozenJSON:
+    """The geometricity stage document of a report with no witness, which
+    reads no field: every pair passed with kernel dimension 0 or a
+    nonsingular kernel line."""
+    return FrozenJSON({"stage": "geometricity", "passed": report.passed,
+                       "report": _geometricity_json(report, 0)})
 
 
 @cache
@@ -541,6 +558,14 @@ def _quiver_stage(bq: QuiverAlgebra, lq: QuiverAlgebra, mreport: MutationReport)
 
 
 @cache
+def _lines_stage(relation: LineRelation, passed: bool) -> FrozenJSON:
+    """The lines stage document of a relation with no meet witness, which
+    reads no field: disjoint with its flag, or coincide."""
+    return FrozenJSON({"stage": "lines", "passed": passed,
+                       "relation": _line_relation_json(relation, 0)})
+
+
+@cache
 def _ext_table_stage(hom: tuple) -> FrozenJSON:
     """The ext_table stage document of every table derived from ``hom``:
     the 16 cells of ``_derived(hom)``."""
@@ -549,6 +574,13 @@ def _ext_table_stage(hom: tuple) -> FrozenJSON:
     return FrozenJSON({"stage": "ext_table", "passed": True, "table": table,
                        "axioms_tagged": ["pullback fully faithful",
                                          "blow-up functors fully faithful"]})
+
+
+@cache
+def _gram_stage(euler: tuple) -> FrozenJSON:
+    """The gram stage document of the Euler pairing ``euler``."""
+    return FrozenJSON({"stage": "gram", "passed": euler == BLOCK_GRAM,
+                       "euler": [list(r) for r in euler]})
 
 
 class Certificate(Record):
@@ -585,9 +617,12 @@ class Certificate(Record):
     @property
     def stages(self) -> list:
         q, p = self.q, self.q.field.characteristic
-        geo, square = self.geometricity, self.square
-        out = [{"stage": "geometricity", "passed": geo.passed,
-                "report": _geometricity_json(geo, p)}]
+        geo, square, lr = self.geometricity, self.square, self.lines
+        if any(r.witness for r in geo.pairs):
+            out = [{"stage": "geometricity", "passed": geo.passed,
+                    "report": _geometricity_json(geo, p)}]
+        else:
+            out = [_geometricity_stage(geo)]
         if not geo.passed:
             return out
         rel = relations(q)
@@ -597,18 +632,19 @@ class Certificate(Record):
             return out
         out.append({"stage": "determinant", "passed": True,
                     "det": scalar_json(square.contraction_det)})
-        out.append({"stage": "lines", "passed": self.certified,
-                    "relation": _line_relation_json(self.lines, p)})
+        if lr.witnesses:
+            out.append({"stage": "lines", "passed": self.certified,
+                        "relation": _line_relation_json(lr, p)})
+        else:
+            out.append(_lines_stage(lr, self.certified))
         if not self.certified:
             return out
         bq = block_quiver(square)
         lq = linear_quiver(rel)
         _, mreport = mutate_linear_to_block(q, rel, bq)
         table = ext_table(square)
-        euler = gram_of(table)
         out += [_quiver_stage(bq, lq, mreport), _ext_table_stage(table.hom),
-                {"stage": "gram", "passed": euler == BLOCK_GRAM,
-                 "euler": [list(r) for r in euler]}]
+                _gram_stage(gram_of(table))]
         return out
 
     def to_dict(self) -> dict:

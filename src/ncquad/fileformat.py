@@ -42,8 +42,8 @@ import re
 from fractions import Fraction
 
 from .fields import GF, QQ, PrimeField, RationalField, _exact_str
-from .quintuples import SLOT_LABELS, Quintuple, build_linear_quadric, build_type_a
-from .tensors import Tensor
+from .quintuples import Quintuple, build_linear_quadric, build_type_a
+from .tensors import SLOT_LABELS, Tensor
 
 
 # the keys each kind of quintuple file may hold
@@ -237,7 +237,12 @@ def canonical_json_bytes(obj) -> bytes:
     input file and of everything else ncquad hashes or writes: sorted
     keys, no whitespace, ASCII only.  A ``FrozenJSON`` inside ``obj`` is
     written as its stored text; a document without one is encoded in a
-    single pass with no further work."""
+    single pass with no further work.
+
+    The encoder keeps no record of the containers it is inside
+    (``check_circular=False``): every document is a tree that ncquad
+    builds, and a cycle would still end in ``RecursionError``, which the
+    CLI reports as an internal error (exit 3)."""
     texts = []
 
     def splice(value):
@@ -247,7 +252,7 @@ def canonical_json_bytes(obj) -> bytes:
         return _SPLICE
 
     out = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-                           default=splice).encode(obj)
+                           check_circular=False, default=splice).encode(obj)
     if texts:
         parts = out.split(_SPLICED)
         if len(parts) != len(texts) + 1:

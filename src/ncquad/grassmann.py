@@ -25,7 +25,7 @@ x + y theta when the roots need a quadratic extension.
 from __future__ import annotations
 
 from .forms import _quadratic_root, form_gcd
-from .linalg import Matrix, _elements, _pick, _pick_kept
+from .linalg import Matrix, _elements, _pick, _pick_kept, _Picks
 from .records import Record
 
 
@@ -100,15 +100,15 @@ def _left_direction(n1, n2, d: int, p: int):
 
 
 # entry (2i'+i, 2j'+j) of the reshuffle is entry (2i'+j', 2i+j) of psi
-_RESHUFFLE_PICKS = tuple(4 * (2 * i1 + j1) + 2 * i0 + j0
-                         for i1 in range(2) for i0 in range(2)
-                         for j1 in range(2) for j0 in range(2))
+_RESHUFFLE_PICKS = _Picks(4, 4, [4 * (2 * i1 + j1) + 2 * i0 + j0
+                                 for i1 in range(2) for i0 in range(2)
+                                 for j1 in range(2) for j0 in range(2)], 16)
 
 
 def reshuffle_rank(psi: Matrix) -> int:
     """Rank of the partial transpose R[2i'+i][2j'+j] = psi[2i'+j'][2i+j];
     rank one detects Kronecker-decomposable maps."""
-    return _pick(psi, 4, 4, _RESHUFFLE_PICKS).rank()
+    return _pick(psi, _RESHUFFLE_PICKS).rank()
 
 
 def _gcd_roots(g, lead: int, p: int):
@@ -227,9 +227,10 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
 # by contracted factor: row 3o + m, column 4u + c holds the term of
 # k = u + 1 - m, and zero unless k is 0 or 1
 _HOM_PICKS = tuple(
-    tuple(None if k not in (0, 1) else x if k else ~x
-          for o in range(2) for m in range(3) for u in range(2) for c in range(4)
-          for k in (u + 1 - m,) for x in (4 * c + (2 * k + o if cf == 0 else 2 * o + k),))
+    _Picks(6, 8, [None if k not in (0, 1) else x if k else ~x
+                  for o in range(2) for m in range(3) for u in range(2) for c in range(4)
+                  for k in (u + 1 - m,) for x in (4 * c + (2 * k + o if cf == 0 else 2 * o + k),)],
+           16)
     for cf in (0, 1))
 
 
@@ -255,7 +256,7 @@ def hom_R_K_dim(line: EmbeddedLine) -> int:
     of N[c][x] times column (u, x) of S, the matrix at N = I; so the
     matrix is S (I_2 x N^T), of rank rank S = 6 for every invertible N and
     either factor, and Hom(R, K_i) = 2 on both lines of every square."""
-    return 8 - _pick_kept(line.phi_inv, 6, 8, _HOM_PICKS[line.contracted_factor]).rank()
+    return 8 - _pick_kept(line.phi_inv, _HOM_PICKS[line.contracted_factor]).rank()
 
 
 def hom_R_O_dim() -> int:

@@ -34,8 +34,12 @@ No inverse is eliminated: ``_adjugate`` writes adj N = det N * N^-1 of a
 that scaling does not change.
 ``_pick`` builds a matrix from named entries of another one, negated or
 zero, which is how tensors, quivers and the Hom counts assemble their
-matrices without arithmetic; ``_pick_kept`` picks from the shared
-identity once per process.
+matrices without arithmetic.  It is one gather: each pick table is a
+``_Picks``, compiled once where it is defined into an
+``operator.itemgetter`` over the source laid out as (*num, 0, *negated
+num), negation mod p over F_p, so a pick runs no Python loop.
+``_pick_kept`` picks from the shared identity once per process, keyed
+by the compiled table.
 
 Scalars are the plain values they are decided on (``fields``):
 ``Fraction``s over QQ and ``int`` residues in [0, p) over F_p.
@@ -59,7 +63,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 
 from .fields import PrimeField, RationalField
 
@@ -183,14 +187,43 @@ def _elements(field, num, den: int) -> tuple:
     return tuple(map(Fraction, num, repeat(den)))
 
 
-def _pick(m: Matrix, nrows: int, ncols: int, picks) -> Matrix:
-    """The nrows x ncols matrix whose flat row-major entries are named by
-    ``picks``: an index k >= 0 is entry k of m (row-major), ~k its
-    negation, and None is zero."""
-    num, p = m._num, m.field.characteristic
-    minus = (lambda x: -x % p) if p else neg
-    out = [0 if k is None else num[k] if k >= 0 else minus(num[~k]) for k in picks]
-    return Matrix(m.field, out, m._den, nrows, ncols)
+class _Picks:
+    """A pick table, compiled once: the nrows x ncols matrix whose flat
+    row-major entries ``picks`` names from a source of ``size`` entries,
+    an index k >= 0 for entry k, ~k for its negation and None for zero.
+    ``get`` gathers them from the source laid out as (*num, 0, *negated
+    num), where entry k sits at k, zero at size and the negation of entry
+    k at size + 1 + k; ``negates`` says whether the table reads the
+    negated block.  A one-entry table gathers a slice, so that ``get``
+    returns a tuple there too.  ``ValueError`` unless there are nrows *
+    ncols picks, each None or in [-size, size)."""
+
+    __slots__ = ("nrows", "ncols", "picks", "negates", "get")
+
+    def __init__(self, nrows: int, ncols: int, picks, size: int):
+        picks = tuple(picks)
+        if len(picks) != nrows * ncols or any(k is not None and not -size <= k < size
+                                              for k in picks):
+            raise ValueError(f"{len(picks)} picks do not name a {nrows}x{ncols} matrix "
+                             f"of the {size} entries")
+        at = [size if k is None else k if k >= 0 else size + 1 + ~k for k in picks]
+        self.nrows, self.ncols, self.picks = nrows, ncols, picks
+        self.negates = any(k > size for k in at)
+        self.get = itemgetter(*at) if len(at) != 1 else itemgetter(slice(at[0], at[0] + 1))
+
+
+_ZERO = (0,)
+
+
+def _pick(m: Matrix, table: _Picks) -> Matrix:
+    """The matrix that the compiled pick table ``table`` gathers from the
+    flat row-major entries of m."""
+    num = m._num
+    source = num + _ZERO
+    if table.negates:
+        p = m.field.characteristic
+        source += tuple([-x % p for x in num] if p else map(neg, num))
+    return Matrix(m.field, table.get(source), m._den, table.nrows, table.ncols)
 
 
 @cache
@@ -200,17 +233,18 @@ def _identity(field, n: int) -> Matrix:
     return Matrix(field, [int(i == j) for i in range(n) for j in range(n)], 1, n, n)
 
 
-def _pick_kept(m: Matrix, nrows: int, ncols: int, picks: tuple) -> Matrix:
+def _pick_kept(m: Matrix, table: _Picks) -> Matrix:
     """``_pick``, except that from the shared 4x4 identity each matrix is
-    picked once per process, by field and picks, and keeps its echelon."""
+    picked once per process, by field and compiled table, and keeps its
+    echelon."""
     if m is _identity(m.field, 4):
-        return _identity_pick(m.field, nrows, ncols, picks)
-    return _pick(m, nrows, ncols, picks)
+        return _identity_pick(m.field, table)
+    return _pick(m, table)
 
 
 @cache
-def _identity_pick(field, nrows: int, ncols: int, picks: tuple) -> Matrix:
-    return _pick(_identity(field, 4), nrows, ncols, picks)
+def _identity_pick(field, table: _Picks) -> Matrix:
+    return _pick(_identity(field, 4), table)
 
 
 def _minors2(num) -> tuple:

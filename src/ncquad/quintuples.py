@@ -15,7 +15,8 @@ Conventions, fixed throughout the package:
 * slot pairs are adjacent pairs (j, j+1 mod 4).
 
 ``build_type_a`` picks w's integer row from that of (a, b, c), which
-``linalg._integers`` coerces once; ``build_linear_quadric`` writes one.
+``linalg._integers`` coerces once; ``build_linear_quadric`` writes its
+row of integers as it is, -1 as the residue p - 1 over F_p.
 
 Geometricity of w means: for every j and all nonzero functionals
 phi_j, phi_{j+1}, the contraction <phi_j x phi_{j+1}, w> is nonzero.
@@ -49,19 +50,24 @@ from functools import cached_property
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
-from .linalg import Matrix, _elements, _integers, _keep_transpose, _pick
+from .linalg import Matrix, _elements, _integers, _keep_transpose, _pick, _Picks
 from .records import Record
-from .tensors import SLOT_LABELS, Tensor, _flattening_index, _of_row
+from .tensors import Tensor, _flattening_index, _of_row
 
-# M_j picked from the 16 entries of w in flat order: rows over the slots
-# j+2, j+3 and columns over j, j+1, each group row-major
+# re-exported: perfbench/workloads.py and the tests build a Quintuple
+# from a Tensor labelled by SLOT_LABELS read from this module
+from .tensors import SLOT_LABELS as SLOT_LABELS
+
+# M_j, one for each slot j, picked from the 16 entries of w in flat order:
+# rows over the slots j+2, j+3 and columns over j, j+1, each group row-major
 _CONTRACTION_INDEX = tuple(
     _flattening_index(((j + 2) % 4, (j + 3) % 4), (j, (j + 1) % 4))
     for j in range(4))
 
 # w of build_type_a in flat order picked from the row (a, b, c): c at
 # x0x1x2x3 and y0y1y2y3, b at x0y1x2y3 and y0x1y2x3, a at the other four
-_TYPE_A_PICKS = (2, None, None, 0, None, 1, 0, None, None, 0, 1, None, 0, None, None, 2)
+_TYPE_A_PICKS = _Picks(1, 16, (2, None, None, 0, None, 1, 0, None,
+                               None, 0, 1, None, 0, None, None, 2), 3)
 
 
 class Quintuple(Record):
@@ -85,15 +91,18 @@ class Quintuple(Record):
         record's one field w, so ``repr`` never prints them; ``==`` and
         ``hash`` read w, a ``Tensor`` with no value equality.  Each
         matrix keeps its echelon, so it is eliminated once per input."""
-        return tuple(_pick(self.w._row, *index) for index in _CONTRACTION_INDEX)
+        return tuple(_pick(self.w._row, index) for index in _CONTRACTION_INDEX)
 
 
 def build_linear_quadric(field=QQ) -> Quintuple:
     """The quintuple of the commutative quadric surface:
-    w = x0 x1 y2 y3 - y0 x1 x2 y3 - x0 y1 y2 x3 + y0 y1 x2 x3.
+    w = x0 x1 y2 y3 - y0 x1 x2 y3 - x0 y1 y2 x3 + y0 y1 x2 x3,
+    its row written as integers, -1 as the residue p - 1 over F_p.
     """
-    row = (0, 0, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 1, 0, 0, 0)
-    return Quintuple(Tensor(field, Tensor.shape, row, SLOT_LABELS))
+    p = field.characteristic
+    minus = p - 1 if p else -1
+    row = (0, 0, 0, 1, 0, 0, minus, 0, 0, minus, 0, 0, 1, 0, 0, 0)
+    return Quintuple(_of_row(Matrix(field, row, 1, 1, 16)))
 
 
 def build_type_a(a, b, c, field=QQ) -> Quintuple:
@@ -117,7 +126,7 @@ def build_type_a(a, b, c, field=QQ) -> Quintuple:
         raise ValueError("excluded locus S: point (0:0:1)")
     if not x and not z:
         raise ValueError("excluded locus S: point (0:1:0)")
-    return Quintuple(_of_row(_pick(Matrix(field, (x, y, z), den, 1, 3), 1, 16, _TYPE_A_PICKS)))
+    return Quintuple(_of_row(_pick(Matrix(field, (x, y, z), den, 1, 3), _TYPE_A_PICKS)))
 
 
 class PureWitness(Record):
@@ -263,11 +272,10 @@ class RelationData(Record):
 # V0 x R1 is e_s x (contraction by e_a), whose entry 8s + i, i = 4b+2c+d,
 # is w[8a + i].  Vector (1, 1) of V0 x R1 is row 0 + row 3 - row 4 and
 # is left out (see ``relations``)
-_SPAN_PICKS = tuple(
-    [t - s + d if t % 2 == s else None
-     for s in range(2) for d in range(2) for t in range(16)]
-    + [t % 8 + 8 * a if t // 8 == s else None
-       for s, a in ((0, 0), (0, 1), (1, 0)) for t in range(16)])
+_SPAN_PICKS = _Picks(7, 16, [t - s + d if t % 2 == s else None
+                             for s in range(2) for d in range(2) for t in range(16)]
+                     + [t % 8 + 8 * a if t // 8 == s else None
+                        for s, a in ((0, 0), (0, 1), (1, 0)) for t in range(16)], 16)
 
 
 def relations(q: Quintuple) -> RelationData:
@@ -315,7 +323,7 @@ def relations(q: Quintuple) -> RelationData:
       change under field extension, so W = 1 over the base field too."""
     r0_dim = q.w.reshape((0, 1, 2), (3,)).rank()
     r1_dim = q.w.reshape((1, 2, 3), (0,)).rank()
-    w_dim = 2 * r0_dim + 2 * r1_dim - _pick(q.w._row, 7, 16, _SPAN_PICKS).rank()
+    w_dim = 2 * r0_dim + 2 * r1_dim - _pick(q.w._row, _SPAN_PICKS).rank()
 
     issues = []
     if r0_dim != 2:

@@ -40,7 +40,7 @@ print it.
 from __future__ import annotations
 
 from .grassmann import EmbeddedLine
-from .linalg import Matrix, _adjugate, _pick_kept
+from .linalg import Matrix, _adjugate, _pick_kept, _Picks
 from .quintuples import Quintuple, RelationData, hilbert_dims, truncated_dims
 from .records import Record
 
@@ -54,8 +54,9 @@ LINEAR_GRAM = ((1, 2, 4, 6), (0, 1, 2, 4), (0, 0, 1, 2), (0, 0, 0, 1))
 _ARROW_SPACES = (("V0*", "V1*"), ("V2", "V3"))
 
 # the rows of phi on the paths (o, n) of a leg contracting factor cf (``block_quiver``)
-_LEG_PICKS = tuple(tuple(4 * (2 * o + n if cf == 0 else 2 * n + o) + j
-                         for o in range(2) for n in range(2) for j in range(4)) for cf in (0, 1))
+_LEG_PICKS = tuple(_Picks(4, 4, [4 * (2 * o + n if cf == 0 else 2 * n + o) + j
+                                 for o in range(2) for n in range(2) for j in range(4)], 16)
+                   for cf in (0, 1))
 
 # K-theory classes of the reordered collection in terms of the linear one:
 # (v1, v2, 2*v1 - v0, v3)
@@ -175,7 +176,7 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     for i in range(2):
         line = square.line(i)
         cf = line.contracted_factor
-        rows = _pick_kept(line.phi, 4, 4, _LEG_PICKS[cf])
+        rows = _pick_kept(line.phi, _LEG_PICKS[cf])
         legs.append((rows, _ARROW_SPACES[i][cf], _ARROW_SPACES[i][1 - cf]))
 
     arrows = (

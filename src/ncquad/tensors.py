@@ -6,25 +6,25 @@ class constants, and any other shape or labelling is refused.  The 16
 entries are the one integer row of a ``Matrix``, row-major (flat index
 8*i0 + 4*i1 + 2*i2 + i3): ``Tensor`` coerces scalars of QQ or F_p into it
 by ``_integers``, and ``_of_row`` wraps a row of integers as it is.  A
-flattening is a pure copy: ``reshape`` reads the flat entry index of
-every matrix cell from a table cached per (row slots, column slots) and
-picks those entries, without arithmetic or coercion.
+flattening is a pure copy: ``reshape`` gathers the entries of w's row
+by a pick table compiled once per (row slots, column slots), without
+arithmetic or coercion.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .linalg import Matrix, _integers, _pick
+from .linalg import Matrix, _integers, _pick, _Picks
 
 SLOT_LABELS = ("V0", "V1", "V2", "V3")
 
 
 @cache
 def _flattening_index(row_slots, col_slots):
-    """(nrows, ncols, picks): the flat entry index of every cell, row-major,
-    of the flattening of w with multi-indices over ``row_slots`` and
-    ``col_slots`` (row-major in each group); slot s has stride 8 >> s."""
+    """The compiled pick table of the flat entry index of every cell,
+    row-major, of the flattening of w with multi-indices over ``row_slots``
+    and ``col_slots`` (row-major in each group); slot s has stride 8 >> s."""
     def offsets(group):
         out = [0]
         for s in group:
@@ -32,7 +32,7 @@ def _flattening_index(row_slots, col_slots):
         return out
 
     rows, cols = offsets(row_slots), offsets(col_slots)
-    return len(rows), len(cols), tuple(r + c for r in rows for c in cols)
+    return _Picks(len(rows), len(cols), [r + c for r in rows for c in cols], 16)
 
 
 class Tensor:
@@ -60,7 +60,7 @@ class Tensor:
         row_slots, col_slots = tuple(row_slots), tuple(col_slots)
         if sorted(row_slots + col_slots) != [0, 1, 2, 3]:
             raise ValueError("row and column slots must partition the axes")
-        return _pick(self._row, *_flattening_index(row_slots, col_slots))
+        return _pick(self._row, _flattening_index(row_slots, col_slots))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, slots={self.slots})"

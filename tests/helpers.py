@@ -13,6 +13,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from operator import neg
 
 from ncquad.fields import PrimeField, RationalField, _sqrt_mod_p
 from ncquad.fileformat import canonical_json_bytes
@@ -216,6 +217,19 @@ def matrix(field, rows, ncols=None):
             raise ValueError("ragged rows")
     num, den = _integers(field, [x for r in rows for x in r])
     return Matrix(field, num, den, len(rows), ncols or 0)
+
+
+def reference_pick(m, nrows: int, ncols: int, picks):
+    """The nrows x ncols matrix whose flat row-major entries are named by
+    ``picks`` from those of m: an index k >= 0 is entry k, ~k its negation
+    (mod p over F_p), and None is zero.  The loop ``linalg._pick`` ran
+    before it became one gather over a compiled table."""
+    from ncquad.linalg import Matrix
+
+    num, p = m._num, m.field.characteristic
+    minus = (lambda x: -x % p) if p else neg
+    out = [0 if k is None else num[k] if k >= 0 else minus(num[~k]) for k in picks]
+    return Matrix(m.field, out, m._den, nrows, ncols)
 
 
 def col(m, j: int) -> tuple:
@@ -552,7 +566,9 @@ def line_from_phi(phi, contracted_factor=0):
     return EmbeddedLine(phi, inverse(phi), contracted_factor)
 
 
-_SWAP_PICKS = tuple(4 * r + j for r in (0, 2, 1, 3) for j in range(4))
+# the rows, and the columns, of a 4x4 matrix in the order 0, 2, 1, 3
+_SWAP_ROWS = [4 * r + j for r in (0, 2, 1, 3) for j in range(4)]
+_SWAP_COLUMNS = [4 * r + j for r in range(4) for j in (0, 2, 1, 3)]
 
 
 def relative_line(l0, l1):
@@ -563,13 +579,12 @@ def relative_line(l0, l1):
     and witnesses of ``reference_line_relation(l0, l1)``, and also its
     reshuffle rank and orientations when l0 contracts factor 0."""
     from ncquad.grassmann import EmbeddedLine
-    from ncquad.linalg import _pick
 
     if l0.contracted_factor == 0:
         t, t_inv = l0.phi, l0.phi_inv
     else:
-        t = _pick(l0.phi, 4, 4, _SWAP_PICKS)
-        t_inv = _pick(l0.phi_inv, 4, 4, [4 * r + j for r in range(4) for j in (0, 2, 1, 3)])
+        t = reference_pick(l0.phi, 4, 4, _SWAP_ROWS)
+        t_inv = reference_pick(l0.phi_inv, 4, 4, _SWAP_COLUMNS)
     return EmbeddedLine(matmul(l1.phi, t_inv), matmul(t, l1.phi_inv), l1.contracted_factor)
 
 
@@ -615,13 +630,12 @@ def reference_line_relation(l0, l1):
     classifies its roots and the planes there by the field-element copies
     above, which share none with the integer classifier."""
     from ncquad.grassmann import LineRelation, MeetWitness, reshuffle_rank
-    from ncquad.linalg import _pick
 
     field = l0.field
     if l1.field != field:
         raise ValueError("lines over different fields")
     # swapping the factors of l0's codomain moves row 2a+b of phi to row 2b+a
-    T = l0.phi if l0.contracted_factor == 0 else _pick(l0.phi, 4, 4, _SWAP_PICKS)
+    T = l0.phi if l0.contracted_factor == 0 else reference_pick(l0.phi, 4, 4, _SWAP_ROWS)
     M = matmul(T, l1.phi_inv)
 
     # moving plane basis n_i(k) = kx * A_i + ky * B_i, A_i and -B_i columns
@@ -1613,3 +1627,45 @@ def reference_ext_table_stage(hom) -> dict:
     return {"stage": "ext_table", "passed": True,
             "table": {"objects": list(OBJECTS), "cells": cells},
             "axioms_tagged": ["pullback fully faithful", "blow-up functors fully faithful"]}
+
+
+def _reference_witness_coordinates(witness, p: int, **coordinates) -> dict:
+    from ncquad.fields import _field_str
+    from ncquad.fileformat import scalar_json
+
+    out = {key: [scalar_json(x) for x in vec] for key, vec in coordinates.items()}
+    if witness.extension_disc is not None:
+        out["extension_minpoly"] = f"theta^2-({_field_str(witness.extension_disc, p)})"
+    return out
+
+
+def reference_geometricity_stage(report, p: int) -> dict:
+    pairs = []
+    for r in report.pairs:
+        entry = {"pair": [r.j, (r.j + 1) % 4], "passed": r.passed,
+                 "kernel_dim": r.kernel_dim, "certificate": r.certificate}
+        if r.witness is not None:
+            entry["witness"] = _reference_witness_coordinates(
+                r.witness, p, phi=r.witness.phi, chi=r.witness.chi)
+        pairs.append(entry)
+    return {"stage": "geometricity", "passed": report.passed,
+            "report": {"passed": report.passed, "pairs": pairs}}
+
+
+def reference_lines_stage(lr, passed: bool, p: int) -> dict:
+    return {"stage": "lines", "passed": passed, "relation": {
+        "verdict": lr.verdict.capitalize(),
+        "count": lr.count,
+        "flag": lr.flag,
+        "psi_reshuffle_rank": lr.psi_reshuffle_rank,
+        "orientations": list(lr.orientations),
+        "witnesses": [_reference_witness_coordinates(w, p, param_line1=w.param_l1,
+                                                     param_line0=w.param_l0)
+                      for w in lr.witnesses],
+    }}
+
+
+def reference_gram_stage(euler) -> dict:
+    from ncquad.squares import BLOCK_GRAM
+
+    return {"stage": "gram", "passed": euler == BLOCK_GRAM, "euler": [list(r) for r in euler]}

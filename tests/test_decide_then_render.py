@@ -27,7 +27,8 @@ from test_certify import _count_calls
 TESTS = Path(__file__).resolve().parent
 CONVENTIONS = ("ruling", "literal")
 RENDERERS = ("input_digest", "_geometricity_json", "_line_relation_json",
-             "_relations_stage", "_quiver_stage", "_ext_table_stage", "gram_base_change")
+             "_geometricity_stage", "_lines_stage", "_relations_stage", "_quiver_stage",
+             "_ext_table_stage", "_gram_stage", "gram_base_change")
 FORCED = (("quintuples", "relations"), ("quintuples", "truncated_dims"),
           ("squares", "block_quiver"), ("squares", "linear_quiver"),
           ("squares", "mutate_linear_to_block"), ("certify", "ext_table"),

@@ -2,14 +2,15 @@
 
 ``build_type_a`` coerces (a, b, c) once, by ``linalg._integers``, decides
 the excluded locus on those integers and picks w's row from them;
-``build_linear_quadric`` writes a constant row.  Both are held to
+``build_linear_quadric`` writes its row of integers as it is and
+coerces nothing.  Both are held to
 ``helpers.reference_type_a_row`` and ``helpers.reference_linear_row``, the
 dict-and-``field.of`` construction they replace, over QQ, F_5, F_7 and
 F_10007, excluded points and vanishing denominators included.  ``ncquad
 sweep`` makes at most three ``field.of`` calls per sample, those of its
 three coefficients, and loading a file one per scalar it holds: 16 for a
-w-file, whose reader hands ``Fraction``s to ``Tensor``, and 3 for a type-A
-file.
+w-file, whose reader hands ``Fraction``s to ``Tensor``, 3 for a type-A
+file and none for the linear quadric, which holds none.
 """
 
 import contextlib
@@ -103,8 +104,9 @@ def test_sweep_makes_at_most_three_field_coercions_per_sample(monkeypatch):
     assert 0 < len(calls) <= 3 * samples
 
 
-# field.of runs once per scalar a file holds: 16 for w, 3 for (a, b, c)
-_COERCIONS = {"w": 16, "type-a": 3}
+# field.of runs once per scalar a file holds: 16 for w, 3 for (a, b, c),
+# none for the linear quadric
+_COERCIONS = {"w": 16, "type-a": 3, "linear": 0}
 
 
 def test_a_file_coerces_each_scalar_once(monkeypatch):
@@ -122,4 +124,4 @@ def test_a_file_coerces_each_scalar_once(monkeypatch):
             continue
         assert len(calls) == _COERCIONS[kind], path.name
         loaded[kind] += 1
-    assert loaded["w"] >= 5 and loaded["type-a"] >= 10, loaded
+    assert loaded["w"] >= 5 and loaded["type-a"] >= 10 and loaded["linear"] >= 1, loaded

@@ -28,6 +28,7 @@ from helpers import (
     random_matrix_fp,
     random_matrix_qq,
     rank_oracle,
+    reference_pick,
     rows,
     rref_oracle,
     span_contains,
@@ -44,6 +45,8 @@ from ncquad.linalg import (
     _int_kernel_vector,
     _keep_transpose,
     _minors2,
+    _pick,
+    _Picks,
 )
 
 
@@ -693,3 +696,79 @@ def test_rows_zero_in_the_pivot_column_are_left_alone():
     assert ech == [[2, 4, 6, 8], [0, 3, 9, 12], [0, 0, 3, 5], [0, 0, 0, 1]]
     assert bareiss_echelon(rows, 4) == (
         [[2, 4, 6, 8], [0, 6, 18, 24], [0, 0, 36, 60], [0, 0, 0, 60]], pivots)
+
+
+def _pick_tables() -> list:
+    """Every compiled pick table of the package, with its source size:
+    the contractions, the relations span, Hom(R, K_i), the block legs,
+    the reshuffle, type A and every flattening of w."""
+    from itertools import permutations
+
+    from ncquad.grassmann import _HOM_PICKS, _RESHUFFLE_PICKS
+    from ncquad.quintuples import _CONTRACTION_INDEX, _SPAN_PICKS, _TYPE_A_PICKS
+    from ncquad.squares import _LEG_PICKS
+    from ncquad.tensors import _flattening_index
+
+    tables = [*_CONTRACTION_INDEX, _SPAN_PICKS, *_HOM_PICKS, *_LEG_PICKS, _RESHUFFLE_PICKS]
+    tables += [_flattening_index(order[:k], order[k:])
+               for order in permutations(range(4)) for k in range(5)]
+    return [(t, 16) for t in tables] + [(_TYPE_A_PICKS, 3)]
+
+
+def _source(rng, field, size: int) -> Matrix:
+    """A 1 x size matrix with zeros, small and large entries, over a
+    common denominator on QQ."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if field is QQ:
+            return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 40))
+        return rng.randrange(field.p)
+    return matrix(field, [[entry() for _ in range(size)]])
+
+
+def _same(a: Matrix, b: Matrix):
+    return (a.field, a.nrows, a.ncols, a._num, a._den) == (b.field, b.nrows, b.ncols, b._num, b._den)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10007)], ids=str)
+def test_the_gather_is_the_reference_pick_on_every_table(field):
+    rng = random.Random(f"gather-{field}")
+    tables = _pick_tables()
+    assert any(t.negates for t, _ in tables) and any(None in t.picks for t, _ in tables)
+    for table, size in tables:
+        for _ in range(20):
+            m = _source(rng, field, size)
+            got = _pick(m, table)
+            assert type(got._num) is tuple
+            assert _same(got, reference_pick(m, table.nrows, table.ncols, table.picks))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10007)], ids=str)
+def test_negated_zero_and_one_entry_tables_gather_as_the_reference(field):
+    # itemgetter of one index returns a bare value; the 1x1 pick must
+    # still be a 1x1 matrix, and a negated zero is zero mod p
+    rng = random.Random(f"one-{field}")
+    size = 5
+    tables = [_Picks(1, 1, [k], size) for k in (*range(size), *(~k for k in range(size)), None)]
+    tables += [_Picks(2, 3, [~4, None, 0, ~0, 4, None], size),
+               _Picks(1, 2 * size + 1, [*range(size), None, *(~k for k in range(size))], size),
+               _Picks(3, 1, [None] * 3, size)]
+    for table in tables:
+        for _ in range(10):
+            m = _source(rng, field, size)
+            got = _pick(m, table)
+            assert len(got._num) == table.nrows * table.ncols
+            assert _same(got, reference_pick(m, table.nrows, table.ncols, table.picks))
+    zero = matrix(field, [[0] * size])
+    assert _pick(zero, _Picks(1, 1, [~2], size))._num == (0,)
+
+
+@pytest.mark.parametrize("nrows, ncols, picks", [
+    (2, 2, [0, 1, 2]),          # three picks for four entries
+    (1, 2, [0, 3]),             # past the end of a source of 3
+    (1, 2, [~3, 0]),            # the negation of an entry past the end
+])
+def test_a_table_that_names_no_matrix_of_its_source_is_refused(nrows, ncols, picks):
+    with pytest.raises(ValueError, match="do not name"):
+        _Picks(nrows, ncols, picks, 3)

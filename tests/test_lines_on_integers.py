@@ -181,7 +181,7 @@ def test_identity_ranks_equal_a_fresh_computation_and_the_oracle(field):
                 phi = random_invertible_fp(rng, field, 4)
             sq = GeometricSquare(phi, inverse(phi), convention)
             bq = block_quiver(sq)
-            assert bq.leg_ranks[0] == _pick(fresh, 4, 4, _LEG_PICKS[0]).rank()
+            assert bq.leg_ranks[0] == _pick(fresh, _LEG_PICKS[0]).rank()
             assert (bq.relation_dim, bq.leg_ranks) == block_quiver_oracle(sq)
 
 

@@ -142,7 +142,7 @@ def test_the_left_out_span_vector_is_row_0_plus_row_3_less_row_4():
             for _ in range(30):
                 q = _quintuple(field, _draw(rng, field, 16, density))
                 w = list(tensor_entries(q.w))
-                picked = _pick(q.w._row, 7, 16, _SPAN_PICKS)
+                picked = _pick(q.w._row, _SPAN_PICKS)
                 span = [list(lift(field, r)) for r in rows(picked)]
                 vectors = span_vectors_oracle(q)
                 assert span == vectors[:7]

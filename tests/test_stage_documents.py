@@ -1,14 +1,16 @@
-"""The relations, quiver and ext_table stage documents, built once per
-distinct value.
+"""The stage documents that hold no witness, built once per distinct
+value.
 
-``certify._relations_stage`` and ``certify._quiver_stage`` cache each
-stage document by the records it prints, and ``certify._ext_table_stage``
-by the Hom(R, K_i) pair its table is derived from.  These tests check
-that the shared documents encode to the bytes of the inline dicts they
-replaced (kept in ``helpers``), that the caches stay small, that the
-ext_table document is built once per Hom pair, and that the golden
-digests do not depend on the order in which a fresh process meets its
-inputs.
+``certify._relations_stage``, ``_quiver_stage``, ``_geometricity_stage``,
+``_lines_stage`` and ``_gram_stage`` cache each stage document by the
+records it prints, and ``certify._ext_table_stage`` by the Hom(R, K_i)
+pair its table is derived from; a geometricity report or line relation
+that carries a witness is written inline.  These tests check that the
+shared documents encode to the bytes of the inline dicts they replaced
+(kept in ``helpers``), that the caches stay small and never hold a
+witness, that the ext_table document is built once per Hom pair, and that
+the golden digests do not depend on the order in which a fresh process
+meets its inputs.
 """
 
 import json
@@ -26,12 +28,15 @@ from helpers import (
     random_tensor_fp,
     random_type_a_triple,
     reference_ext_table_stage,
+    reference_geometricity_stage,
+    reference_gram_stage,
+    reference_lines_stage,
     reference_quiver_stage,
     reference_relations_stage,
 )
 import ncquad.certify
-from ncquad.certify import (_ext_table_stage, _quiver_stage, _relations_stage, ext_table,
-                            full_pipeline)
+from ncquad.certify import (_ext_table_stage, _geometricity_stage, _gram_stage, _lines_stage,
+                            _quiver_stage, _relations_stage, ext_table, full_pipeline, gram_of)
 from ncquad.fields import GF
 from ncquad.fileformat import canonical_json_bytes
 from ncquad.quintuples import relations, truncated_dims
@@ -84,16 +89,25 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
         cert = full_pipeline(q, convention)
         doc = certificate_json(cert)
         stages = doc["stages"]
+        p = q.field.characteristic
+        assert stages[0]["stage"] == "geometricity"
+        stages[0] = reference_geometricity_stage(cert.geometricity, p)
         if len(stages) > 1:
             assert stages[1]["stage"] == "relations"
             stages[1] = reference
+        if len(stages) > 3:
+            assert stages[3]["stage"] == "lines"
+            stages[3] = reference_lines_stage(cert.lines, cert.certified, p)
         if len(stages) > 4:
             assert stages[4]["stage"] == "quiver"
             stages[4] = _reference_quiver(q, rel, convention)
             quivers += 1
         if len(stages) > 5:
             assert stages[5]["stage"] == "ext_table"
-            stages[5] = reference_ext_table_stage(ext_table(square_from_quintuple(q, convention)).hom)
+            table = ext_table(square_from_quintuple(q, convention))
+            stages[5] = reference_ext_table_stage(table.hom)
+            assert stages[6]["stage"] == "gram"
+            stages[6] = reference_gram_stage(gram_of(table))
             tables += 1
         assert canonical_json_bytes(cert.to_dict()) == canonical_json_bytes(doc)
     assert quivers >= 100
@@ -102,7 +116,7 @@ def test_shared_stage_documents_have_the_inline_bytes(family, convention):
         assert failures == RELATIONS_FAILURES
 
 
-def test_stage_caches_stay_bounded():
+def test_stage_caches_stay_bounded(monkeypatch):
     # relations: R0 and R1 have dimension 1 or 2 (w != 0), W is at least 1
     # (w spans it) and at most 2 dim R0, and the dims fix the issues, so
     # at most 2 + 2 + 2 + 4 = 10 keys.  Quiver: the relation dims are
@@ -111,19 +125,43 @@ def test_stage_caches_stay_bounded():
     # its leg ranks lie in 0..4 (25), its relation dim is 4 (leg 0 holds
     # the rows of the identity), and the mutation report either matches or
     # not (2): at most 100 keys.  Ext table: ``_cell`` accepts only the
-    # Hom pair (2, 2), so one key.  Rendering builds the documents, so
-    # each certificate renders
-    _relations_stage.cache_clear()
-    _quiver_stage.cache_clear()
-    _ext_table_stage.cache_clear()
+    # Hom pair (2, 2), so one key, and so one gram.  Geometricity: every
+    # failing pair carries a witness, so each pair of a witness-free
+    # report has kernel dim 0 or a nonsingular kernel line: at most 2^4 =
+    # 16 keys.  Lines: with no meet witness the relation is disjoint under
+    # one of three flags or coincide (4), at one of five reshuffle ranks
+    # and two orientations, passed or not: at most 80 keys.  Rendering
+    # builds the documents, so each certificate renders
+    shared = (_relations_stage, _quiver_stage, _ext_table_stage,
+              _geometricity_stage, _lines_stage, _gram_stage)
+    for cached in shared:
+        cached.cache_clear()
+    keys = {name: set() for name in ("_geometricity_stage", "_lines_stage")}
+    for name in keys:
+        def recording(*args, _name=name, _cached=getattr(ncquad.certify, name)):
+            keys[_name].add(args[0])
+            return _cached(*args)
+        monkeypatch.setattr(ncquad.certify, name, recording)
     rng = random.Random(1706)
     families = ("typea-qq", "sparse-f5", "sparse-f7")
+    inline = Counter()
     for k in range(5000):
         q = _draw(families[k % 3], rng)
         _relations_stage(relations(q))
-        full_pipeline(q, ("ruling", "literal")[k // 3 % 2]).to_dict()
+        cert = full_pipeline(q, ("ruling", "literal")[k // 3 % 2])
+        cert.to_dict()
+        inline["geometricity"] += any(r.witness for r in cert.geometricity.pairs)
+        inline["lines"] += bool(cert.lines and cert.lines.witnesses)
+    # a witness never enters a cache: those documents were written inline
+    assert all(r.witness is None for report in keys["_geometricity_stage"]
+               for r in report.pairs)
+    assert all(not relation.witnesses for relation in keys["_lines_stage"])
+    assert inline["geometricity"] >= 100 and inline["lines"] >= 10, inline
     assert 6 <= _relations_stage.cache_info().currsize <= 10
     assert 1 <= _quiver_stage.cache_info().currsize <= 100
+    assert len(keys["_geometricity_stage"]) == _geometricity_stage.cache_info().currsize <= 16
+    assert 2 <= _lines_stage.cache_info().currsize <= 80
+    assert _gram_stage.cache_info().currsize == 1
     info = _ext_table_stage.cache_info()
     assert info.currsize == 1
     _ext_table_stage((2, 2))     # the one key: a hit, not a new entry

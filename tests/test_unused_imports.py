@@ -4,7 +4,9 @@ Each ``ncquad/*.py`` except ``__init__.py``, whose imports are the
 package's exports, is parsed with ``ast``.  Every name an ``import`` or
 ``from ... import`` binds must be read somewhere in the module, as a
 name or as the base of an attribute; a name read only inside a string
-annotation does not count.  ``from __future__`` imports bind nothing.
+annotation does not count.  ``from __future__`` imports bind nothing,
+and neither does an explicit re-export, ``from m import X as X``: it
+names a module's own export of a name that it does not use itself.
 A deletion that leaves an import behind fails here.
 """
 
@@ -25,7 +27,8 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update(a.asname or a.name.split(".")[0] for a in node.names if a.name != "*")
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names
+                         if a.name != "*" and a.asname != a.name)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(bound - read)
 
@@ -34,6 +37,12 @@ def test_the_check_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport math\nimport os.path\n"
               "from itertools import chain, repeat as rep\nx = chain(os.path.sep)\n")
     assert unused_imports(source) == ["math", "rep"]
+
+
+def test_an_explicit_re_export_is_not_unused():
+    source = ("from itertools import chain as chain, repeat\n"
+              "from os import path as sep\n")
+    assert unused_imports(source) == ["repeat", "sep"]
 
 
 def test_modules_are_found():
