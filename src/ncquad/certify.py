@@ -28,7 +28,8 @@ Every stage document that holds no witness is a function of records of
 small integers, flags and fixed strings, so it is built and encoded once
 per process for each distinct value: the relations, quiver, ext_table
 and gram documents always, the geometricity document when no pair of
-the report carries a ``PureWitness`` (every pair passed), and the lines
+the report carries a ``PureWitness`` (every pair passed, so its four
+kernel dims, each 0 or 1, fix the report and key the cache), the lines
 document when the ``LineRelation`` carries no ``MeetWitness`` (disjoint,
 or coincide).  A document that holds a witness stays an inline dict: its
 coordinates are field values, which would make the cache keys unbounded.
@@ -56,7 +57,7 @@ from .blowup import canonical_class, coh_p1xp2, restrict_to_E
 from .fields import _field_str
 from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
-from .quintuples import (GeometricityReport, Quintuple, RelationData, is_geometric,
+from .quintuples import (GeometricityReport, Quintuple, RelationData, _passed, is_geometric,
                          relations, truncated_dims)
 from .records import Record
 from .squares import (
@@ -514,11 +515,12 @@ def _quiver_json(qa: QuiverAlgebra) -> dict:
 
 
 @cache
-def _geometricity_stage(report: GeometricityReport) -> FrozenJSON:
+def _geometricity_stage(kernel_dims: tuple) -> FrozenJSON:
     """The geometricity stage document of a report with no witness, which
-    reads no field: every pair passed with kernel dimension 0 or a
-    nonsingular kernel line."""
-    return FrozenJSON({"stage": "geometricity", "passed": report.passed,
+    reads no field: every pair passed, and its kernel dimension, 0 or a
+    nonsingular kernel line, fixes its report."""
+    report = GeometricityReport(tuple(_passed(j, kd) for j, kd in enumerate(kernel_dims)))
+    return FrozenJSON({"stage": "geometricity", "passed": True,
                        "report": _geometricity_json(report, 0)})
 
 
@@ -622,7 +624,7 @@ class Certificate(Record):
             out = [{"stage": "geometricity", "passed": geo.passed,
                     "report": _geometricity_json(geo, p)}]
         else:
-            out = [_geometricity_stage(geo)]
+            out = [_geometricity_stage(tuple(r.kernel_dim for r in geo.pairs))]
         if not geo.passed:
             return out
         rel = relations(q)

@@ -13,11 +13,12 @@ every square, and a line is compared with it exactly: whether some plane
 of its family equals a plane of the standard one reduces to common roots
 of three binary quadratics (the determinants of the 2x2 reshapes of a
 basis of the moving plane and their polar form).  They are integers, the
-numerators of phi^{-1} or its residues mod p, and so is their gcd.  Its
-roots are classified on integers by ``forms._quadratic_root``, the
-classifier geometricity asks too, and the plane at each root is a meet
-when its columns share one direction, decided on integer pairs
-x + y theta (``_left_direction``).  Scalars are built only for the meet
+numerators of phi^{-1} or its residues mod p, and so is their gcd, which
+``forms.form_gcd`` reads off their coefficient vectors.  Its roots are
+classified on integers by ``forms._quadratic_root``, the classifier
+geometricity asks too, and the plane at each root is a meet when its
+columns share one direction, decided on integer pairs x + y theta
+(``_left_direction``).  Scalars are built only for the meet
 parameters a certificate prints: base-field values, or (x, y) pairs for
 x + y theta when the roots need a quadratic extension.
 """
@@ -136,7 +137,8 @@ def line_relation(line: EmbeddedLine) -> LineRelation:
     the parameter k, columns of M = phi^{-1}.  P(k) is a point of the
     standard family iff every element of P(k) is a singular 2x2 matrix
     with a common left (column) factor; full decomposability is three
-    binary quadratics in k, and the verdict follows from their gcd.
+    binary quadratics in k, and the verdict follows from their gcd, of
+    degree 0 to 2, which ``form_gcd`` reads off their coefficients.
     Scaling M scales the three forms alike and leaves their gcd alone, so
     the forms and the gcd are integers, from the numerators of M, and so
     is the plane at each root of the gcd (``_gcd_roots``).  Only printed

@@ -172,8 +172,13 @@ def _rank_one_factor(k, den: int, field) -> PureWitness:
     return PureWitness(_elements(field, (0, 1), 1), _elements(field, k[2:], den))
 
 
-def _invertible(j: int) -> SlotPairReport:
-    return SlotPairReport(j, True, 0, certificate="contraction matrix invertible")
+_PASSED = ("contraction matrix invertible", "kernel spanned by a nonsingular 2x2 element")
+
+
+def _passed(j: int, kernel_dim: int) -> SlotPairReport:
+    """The report of slot pair j passed, with no witness: M_j invertible,
+    or its kernel a line spanned by a nonsingular 2x2 element."""
+    return SlotPairReport(j, True, kernel_dim, certificate=_PASSED[kernel_dim])
 
 
 def _pair_report(j: int, m: Matrix) -> SlotPairReport:
@@ -191,15 +196,14 @@ def _pair_report(j: int, m: Matrix) -> SlotPairReport:
     kernel = m._kernel()
     kd, field = len(kernel), m.field
     if not kd:
-        return _invertible(j)
+        return _passed(j, 0)
     p = field.characteristic
     y1, d1 = kernel[0]
     a = _det2(y1) % p if p else _det2(y1)
     rational = "rational singular combination of kernel vectors"
     if kd == 1:
         if a:
-            return SlotPairReport(j, True, 1,
-                                  certificate="kernel spanned by a nonsingular 2x2 element")
+            return _passed(j, 1)
         note = "kernel spanned by a singular 2x2 element"
         return SlotPairReport(j, False, 1, _rank_one_factor(y1, d1, field), note)
     y2, d2 = kernel[1]
@@ -244,7 +248,7 @@ def is_geometric(q: Quintuple) -> GeometricityReport:
             _keep_transpose(flat[j], flat[j + 2])
             reports[j + 2] = _pair_report(j + 2, flat[j + 2])
         else:
-            reports[j + 2] = _invertible(j + 2)
+            reports[j + 2] = _passed(j + 2, 0)
     return GeometricityReport(tuple(reports))
 
 

@@ -744,9 +744,10 @@ def evaluate(form, s, t):
 
 
 def binary_form_gcd(forms):
-    """Monic gcd of a non-empty list of ``BinaryForm``s over QQ or F_p by
-    ``forms.form_gcd`` on their integer coefficients; the zero form when
-    every input is zero."""
+    """Monic gcd of one to three binary quadratics (``BinaryForm``s of
+    degree 2 over QQ or F_p) by ``forms.form_gcd`` on the integer
+    coefficients of the nonzero ones; the zero form when every input is
+    zero."""
     from math import lcm
 
     from ncquad.forms import form_gcd

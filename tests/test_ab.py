@@ -138,7 +138,12 @@ def test_raw_figures_sit_beside_the_calibrated_ones():
 
 
 def test_seeds_of_earlier_bench_files_are_known(tmp_path):
+    # a seed anywhere in the file counts, inside ``runs`` or not, and so
+    # does every int of a ``seeds`` list; a seed that is no int does not
     (tmp_path / "BENCH_1.json").write_text(json.dumps(
-        {"runs": [{"seed": 7, "result": {"seed": "x"}}, {"seed": 0}], "protocol": {"seed": 99}}))
+        {"runs": [{"seed": 7, "result": {"seed": "x"}}, {"seed": 0}], "protocol": {"seed": 99},
+         "earlier_rounds": [{"seeds": [60, 61, "x"]}]}))
     (tmp_path / "BENCH_2.json").write_text(json.dumps({"bench": "BENCH_2"}))
-    assert ab.used_seeds(tmp_path) == {0, 7}
+    assert ab.used_seeds(tmp_path) == {0, 7, 99, 60, 61}
+    # the committed files record seeds outside their ``runs`` too
+    assert {30, 60, 161, 2861} <= ab.used_seeds(ab.ROOT)

@@ -48,13 +48,12 @@ def test_gcd_all_zero_flagged():
 
 
 def test_gcd_respects_t_powers():
-    # both divisible by t^2: f = t^2 s, g = t^3
-    f = form(0, 1, 0, 0)          # s^2 t? no: degree 3, coeffs (s^3, s^2 t, s t^2, t^3)
-    f = form(0, 0, 1, 0)          # s t^2
-    g = form(0, 0, 0, 1)          # t^3
-    h = binary_form_gcd([f, g])
-    assert h.degree == 2
-    assert evaluate(h, 1, 0) == 0
+    # st and t^2 share t, the root (1:0); s^2 and st share s, the root (0:1)
+    for field in _FIELDS.values():
+        def f(*coeffs):
+            return form(*coeffs, field=field)
+        assert binary_form_gcd([f(0, 1, 0), f(0, 0, 1)]) == f(0, 1)
+        assert binary_form_gcd([f(1, 0, 0), f(0, 1, 0)]) == f(1, 0)
 
 
 def _times(f, g):
@@ -71,19 +70,20 @@ _FIELDS = {"QQ": QQ, "F_5": GF(5), "F_10007": GF(10007)}
 
 @st.composite
 def _form_lists(draw):
-    """One to four forms over one field, multiples of a drawn common factor
-    (of degree 0 to 2, possibly a power of s or t alone) plus noise; some
-    of them zero."""
+    """One to three quadratics over one field, each a drawn common factor
+    of degree 0 to 2 (possibly a power of s or t alone) times a cofactor
+    of the complementary degree, plus optional noise; some of them zero."""
     name = draw(st.sampled_from(sorted(_FIELDS)))
     field = _FIELDS[name]
     if field is QQ:
         coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     else:
         coeff = st.integers(0, field.p - 1) | st.integers(-3, 3)
-    common = draw(st.lists(coeff, min_size=1, max_size=3))
+    degree = draw(st.integers(0, 2))
+    common = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
     forms = []
-    for _ in range(draw(st.integers(1, 4))):
-        cofactor = draw(st.lists(coeff, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        cofactor = draw(st.lists(coeff, min_size=3 - degree, max_size=3 - degree))
         coeffs = _times(common, cofactor)
         if draw(st.booleans()):
             coeffs = [c + draw(coeff) for c in coeffs]
@@ -95,6 +95,35 @@ def _form_lists(draw):
 @given(_form_lists())
 def test_gcd_matches_euclid_oracle(forms):
     assert binary_form_gcd(forms) == euclid_form_gcd(forms)
+
+
+# -- one case per branch of ``form_gcd``: every form proportional to the
+# first; a pencil f, g with n = f x g, and a third form h -----------------
+
+
+_BRANCHES = {
+    # (s - t)(s - 2t) three times, the first not primitive over Z
+    "proportional": ([(2, -6, 4), (1, -3, 2), (-3, 9, -6)], (1, -3, 2)),
+    # (s - t)(s - 2t) and s(s - t) share s - t, at the root (1 : 1)
+    "pencil with a root": ([(1, -3, 2), (1, -1, 0)], (1, -1)),
+    # s(s + t) and s(2s - t) share s, at the root (0 : 1), where n0 = 0
+    "pencil with the root (0 : 1)": ([(1, 1, 0), (2, -1, 0)], (1, 0)),
+    # s^2 and t^2 share no root
+    "pencil without a root": ([(1, 0, 0), (0, 0, 1)], (1,)),
+    # s^2 and st share s, but t^2 is independent of both
+    "three independent forms": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1,)),
+    # the second form is twice the first, the third is s(s - t)
+    "proportional second, independent third": ([(1, -3, 2), (2, -6, 4), (1, -1, 0)], (1, -1)),
+}
+
+
+@pytest.mark.parametrize("name", ["QQ", "F_5", "F_10007"])
+@pytest.mark.parametrize("case", sorted(_BRANCHES))
+def test_gcd_branches(case, name):
+    field = _FIELDS[name]
+    coeffs, want = _BRANCHES[case]
+    forms = [form(*c, field=field) for c in coeffs]
+    assert binary_form_gcd(forms) == euclid_form_gcd(forms) == form(*want, field=field)
 
 
 # -- the root structure of a quadratic: the integer classifier

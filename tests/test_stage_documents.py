@@ -38,7 +38,7 @@ import ncquad.certify
 from ncquad.certify import (_ext_table_stage, _geometricity_stage, _gram_stage, _lines_stage,
                             _quiver_stage, _relations_stage, ext_table, full_pipeline, gram_of)
 from ncquad.fields import GF
-from ncquad.fileformat import canonical_json_bytes
+from ncquad.fileformat import FrozenJSON, canonical_json_bytes
 from ncquad.quintuples import relations, truncated_dims
 from ncquad.squares import (
     block_quiver,
@@ -127,10 +127,11 @@ def test_stage_caches_stay_bounded(monkeypatch):
     # not (2): at most 100 keys.  Ext table: ``_cell`` accepts only the
     # Hom pair (2, 2), so one key, and so one gram.  Geometricity: every
     # failing pair carries a witness, so each pair of a witness-free
-    # report has kernel dim 0 or a nonsingular kernel line: at most 2^4 =
-    # 16 keys.  Lines: with no meet witness the relation is disjoint under
-    # one of three flags or coincide (4), at one of five reshuffle ranks
-    # and two orientations, passed or not: at most 80 keys.  Rendering
+    # report has kernel dim 0 or a nonsingular kernel line, and the key,
+    # its four kernel dims, takes at most 2^4 = 16 values.  Lines: with no
+    # meet witness the relation is disjoint under one of three flags or
+    # coincide (4), at one of five reshuffle ranks and two orientations,
+    # passed or not: at most 80 keys.  Rendering
     # builds the documents, so each certificate renders
     shared = (_relations_stage, _quiver_stage, _ext_table_stage,
               _geometricity_stage, _lines_stage, _gram_stage)
@@ -149,12 +150,14 @@ def test_stage_caches_stay_bounded(monkeypatch):
         q = _draw(families[k % 3], rng)
         _relations_stage(relations(q))
         cert = full_pipeline(q, ("ruling", "literal")[k // 3 % 2])
-        cert.to_dict()
-        inline["geometricity"] += any(r.witness for r in cert.geometricity.pairs)
+        stages = cert.to_dict()["stages"]
+        witness = any(r.witness for r in cert.geometricity.pairs)
+        inline["geometricity"] += witness
         inline["lines"] += bool(cert.lines and cert.lines.witnesses)
-    # a witness never enters a cache: those documents were written inline
-    assert all(r.witness is None for report in keys["_geometricity_stage"]
-               for r in report.pairs)
+        # a witness never enters a cache: those documents were written inline
+        assert isinstance(stages[0], FrozenJSON) is not witness
+    assert all(isinstance(dims, tuple) and len(dims) == 4 and set(dims) <= {0, 1}
+               for dims in keys["_geometricity_stage"])
     assert all(not relation.witnesses for relation in keys["_lines_stage"])
     assert inline["geometricity"] >= 100 and inline["lines"] >= 10, inline
     assert 6 <= _relations_stage.cache_info().currsize <= 10

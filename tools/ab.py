@@ -113,13 +113,17 @@ def compare(pairs, better: str, bound: float) -> dict:
 
 
 def used_seeds(root: Path) -> set:
-    """Every seed a committed BENCH file records for one of its runs."""
+    """Every seed a committed BENCH file records anywhere: each int under a
+    ``seed`` key and each int in a ``seeds`` list, inside or outside its
+    ``runs``."""
     seeds = set()
 
     def walk(node):
         if isinstance(node, dict):
             if isinstance(node.get("seed"), int):
                 seeds.add(node["seed"])
+            if isinstance(node.get("seeds"), list):
+                seeds.update(s for s in node["seeds"] if isinstance(s, int))
             for value in node.values():
                 walk(value)
         elif isinstance(node, list):
@@ -127,7 +131,7 @@ def used_seeds(root: Path) -> set:
                 walk(value)
 
     for path in root.glob("BENCH_*.json"):
-        walk(json.loads(path.read_text()).get("runs", []))
+        walk(json.loads(path.read_text()))
     return seeds
 
 
