@@ -33,6 +33,8 @@ kernel dims, each 0 or 1, fix the report and key the cache), the lines
 document when the ``LineRelation`` carries no ``MeetWitness`` (disjoint,
 or coincide).  A document that holds a witness stays an inline dict: its
 coordinates are field values, which would make the cache keys unbounded.
+The quiver document's key is the three records that ``squares`` builds
+once per process, so its lookup hits by identity on their kept hashes.
 So a certified certificate encodes only its input digest, ``det`` and
 verdict per input.  ``canonical_json_bytes`` alone reads the text of
 each shared document, which it splices into the certificate's bytes.

@@ -3,16 +3,21 @@
 A subclass lists its fields as annotated names in its class body, in
 order, with a class attribute as the default where there is one; a field
 without a default may not follow one with a default (``TypeError``).
-Only the class's own annotations count, and records do not subclass
-each other.  Each subclass gets one generated ``__init__`` with the
-positional-or-keyword signature of its fields; it stores them through
-``object.__setattr__`` and then calls ``__post_init__`` when the class
-defines one.  Instances are frozen: assignment and deletion raise
-``AttributeError``.  ``==`` and ``hash`` act on the tuple of field
-values, read by a generated ``_values`` with one attribute load per
-field (records are cache keys, so hashing them is on the hot path), and
-``==`` against an instance of any other class is ``NotImplemented``.
-``repr`` reads ``Name(field=value, ...)``.
+Only the class's own annotations count, records do not subclass each
+other, and names that begin with an underscore are the base's own.
+Each subclass gets one generated ``__init__`` with the
+positional-or-keyword signature of its fields; it loads the instance
+dict once, writes each field into it with one store, and then calls
+``__post_init__`` when the class defines one.  Instances are frozen:
+assignment and deletion raise ``AttributeError``.  ``==`` and ``hash``
+act on the tuple of field values, read by a generated ``_values`` with
+one attribute load per field, and ``==`` against an instance of any
+other class is ``NotImplemented``.  ``repr`` reads
+``Name(field=value, ...)``.  Records are cache keys, so the hash is
+computed once per instance and kept in its dict as ``_hash``, which a
+frozen record cannot make stale; an unhashable field raises
+``TypeError`` on every ``hash`` and keeps nothing.  String hashes differ
+between processes, so records are not pickled.
 
 The standard library's frozen record decorator gives the same
 semantics, but its module imports ``inspect`` and it ``exec``s six
@@ -31,7 +36,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__annotations__", {}))
-        params, env = [], {"_setattr": object.__setattr__}
+        params, env = [], {}
         seen_default = False
         for name in fields:
             default = cls.__dict__.get(name, _MISSING)
@@ -44,10 +49,10 @@ class Record:
                 seen_default = True
                 env[f"_d_{name}"] = default
                 params.append(f"{name}=_d_{name}")
-        body = [f"    _setattr(self, {name!r}, {name})" for name in fields]
+        body = ["    _d = self.__dict__", *(f"    _d[{name!r}] = {name}" for name in fields)]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        src = (f"def __init__({', '.join(['self', *params])}):\n" + ("\n".join(body) or "    pass")
+        src = (f"def __init__({', '.join(['self', *params])}):\n" + "\n".join(body)
                + "\ndef _values(self):\n    return (" + "".join(f"self.{n}, " for n in fields) + ")")
         exec(src, env)
         for name in ("__init__", "_values"):
@@ -63,7 +68,11 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash(self._values())
+            return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -35,9 +35,16 @@ The linear quiver builds and checks the window of its own relation
 data.  The K-theoretic base change of its Gram matrix is a product of
 module constants; only the rendered quiver stage and ``ncquad mutate``
 print it.
+
+Each quiver call computes its integers from its input (both lines and
+leg ranks, the window check, ``hilbert_dims(2)`` and rank M_0); a private
+``functools.cache``d builder makes the records of those integers once
+per process, so the certificate's quiver stage finds them by identity.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .grassmann import EmbeddedLine
 from .linalg import Matrix, _adjugate, _pick_kept, _Picks
@@ -172,20 +179,22 @@ def block_quiver(square: GeometricSquare) -> QuiverAlgebra:
     at least the rank of each block and at most its 4 columns: the
     relation dimension is 8 - leg_ranks[0] = 4.
     """
-    legs = []
-    for i in range(2):
-        line = square.line(i)
-        cf = line.contracted_factor
-        rows = _pick_kept(line.phi, _LEG_PICKS[cf])
-        legs.append((rows, _ARROW_SPACES[i][cf], _ARROW_SPACES[i][1 - cf]))
+    line0, line1 = square.line(0), square.line(1)
+    cf0, cf1 = line0.contracted_factor, line1.contracted_factor
+    return _block_quiver((cf0, cf1), (_pick_kept(line0.phi, _LEG_PICKS[cf0]).rank(),
+                                      _pick_kept(line1.phi, _LEG_PICKS[cf1]).rank()))
 
+
+@cache
+def _block_quiver(factors: tuple, leg_ranks: tuple) -> QuiverAlgebra:
+    (in0, out0), (in1, out1) = ((spaces[1 - cf], spaces[cf])
+                                for spaces, cf in zip(_ARROW_SPACES, factors))
     arrows = (
-        Arrow(0, 1, ("a1", "a2"), legs[0][2]),
-        Arrow(0, 2, ("c1", "c2"), legs[1][2]),
-        Arrow(1, 3, ("b1", "b2"), legs[0][1]),
-        Arrow(2, 3, ("d1", "d2"), legs[1][1]),
+        Arrow(0, 1, ("a1", "a2"), in0),
+        Arrow(0, 2, ("c1", "c2"), in1),
+        Arrow(1, 3, ("b1", "b2"), out0),
+        Arrow(2, 3, ("d1", "d2"), out1),
     )
-    leg_ranks = tuple(rows.rank() for rows, _, _ in legs)
     return QuiverAlgebra(
         vertices=("R", "K0", "K1", "O"),
         arrows=arrows,
@@ -204,6 +213,11 @@ def linear_quiver(rel: RelationData) -> QuiverAlgebra:
     table = truncated_dims(rel)
     if not table.valid:
         raise ValueError(f"invalid window: mismatched cells {table.mismatches}")
+    return _linear_quiver(rel.r0_dim)
+
+
+@cache
+def _linear_quiver(r0_dim: int) -> QuiverAlgebra:
     arrows = (
         Arrow(0, 1, ("x2", "y2"), "V2"),
         Arrow(1, 2, ("x1", "y1"), "V1"),
@@ -212,7 +226,7 @@ def linear_quiver(rel: RelationData) -> QuiverAlgebra:
     return QuiverAlgebra(
         vertices=("O(-1,-2)", "O(-1,-1)", "O(0,-1)", "O(0,0)"),
         arrows=arrows,
-        relation_dim=rel.r0_dim,
+        relation_dim=r0_dim,
         gram=LINEAR_GRAM,
     )
 
@@ -246,8 +260,6 @@ def mutate_linear_to_block(
     when det <-, w> != 0.  The mutated legs are (4, rank M_0 = 4), and its
     arrows, relations and Gram read dim R0 = 2 (relations-forced).
     """
-    new_hom_dim = rel.r0_dim
-
     # orthogonality: the multiplication V1 x V2 -> A_{1,3} is bijective
     # for every input.  The relations R_i lie in V_i x V_{i+1} x V_{i+2},
     # on paths of length 3, so the width-2 window A_{1,3} is all of
@@ -261,7 +273,12 @@ def mutate_linear_to_block(
     # second leg is relation k, a column of the (V0xV1xV2, V3) flattening,
     # contracted by e_z at V2: the entry at column (a, b) is w[a, b, z, k],
     # so the leg is M_2 with its columns permuted, transposed, of rank M_0
+    return _mutation(rel.r0_dim, a13_dim, q.contractions[0].rank(), block)
 
+
+@cache
+def _mutation(new_hom_dim: int, a13_dim: int, rank_m0: int,
+              block: QuiverAlgebra | None) -> tuple[QuiverAlgebra, MutationReport]:
     gram = (
         (1, 2, 2, 4),
         (0, 1, 0, 2),
@@ -279,7 +296,7 @@ def mutate_linear_to_block(
         arrows=arrows,
         relation_dim=2 * new_hom_dim,
         gram=gram,
-        leg_ranks=(4, q.contractions[0].rank()),
+        leg_ranks=(4, rank_m0),
     )
 
     notes = []

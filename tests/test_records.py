@@ -69,6 +69,45 @@ def test_eq_and_hash_by_value():
     assert Point(1, 2) != (1, 2, "p", ())
 
 
+class CountingHash:
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+def test_the_hash_is_computed_once_per_instance():
+    field = CountingHash()
+    p = Point(1, 2, tags=(field,))
+    assert hash(p) == hash(p) == hash((1, 2, "p", (field,)))
+    assert field.calls == 2   # once for p, once for the plain tuple
+    assert hash(Point(1, 2, tags=(field,))) == hash(p) and field.calls == 3
+
+
+def test_an_unhashable_field_raises_on_every_hash_and_keeps_nothing():
+    p = Point(1, 2, label={})
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(p)
+    assert vars(p) == {"x": 1, "y": 2, "label": {}, "tags": ()}
+
+
+def test_a_kept_hash_changes_nothing_else():
+    p = Point(1, 2, tags=("a",))
+    hash(p)
+    assert "_hash" in vars(p)
+    assert p == Point(1, 2, tags=("a",)) and p != Point(1, 3, tags=("a",))
+    assert repr(p) == "Point(x=1, y=2, label='p', tags=('a',))"
+    for attr in ("x", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, attr)
+    assert (p.x, p.y) == (1, 2) and hash(p) == hash(Point(1, 2, tags=("a",)))
+
+
 def test_repr():
     assert repr(Point(1, 2, tags=("a",))) == "Point(x=1, y=2, label='p', tags=('a',))"
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,11 @@ from helpers import (
     span_contains,
     transpose,
 )
+from ncquad import squares
+from ncquad.certify import full_pipeline
 from ncquad.fields import GF, QQ
+from ncquad.fileformat import input_digest
+from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     build_linear_quadric,
     build_type_a,
@@ -32,6 +37,7 @@ from ncquad.squares import (
     LINEAR_GRAM,
     GeometricSquare,
     NotGeneric,
+    QuiverAlgebra,
     block_quiver,
     gram_base_change,
     linear_quiver,
@@ -225,6 +231,7 @@ def test_linear_quiver_rejects_invalid_window():
     from ncquad.quintuples import SLOT_LABELS, Quintuple
     from ncquad.tensors import Tensor
 
+    linear_quiver(relations(build_linear_quadric()))   # a valid window fills the record cache
     entries = [QQ.of(0)] * 16
     entries[0] = QQ.of(1)
     with pytest.raises(ValueError, match=r"invalid window: mismatched cells \(\(0, 3\), "):
@@ -276,3 +283,94 @@ def test_base_change_on_every_certified_sample():
     for _ in range(20):
         _, q = random_type_a_triple(rng)
         assert gram_base_change(linear_quiver(relations(q))) == BLOCK_GRAM
+
+
+# -- quiver records are built once per process --------------------------------
+
+
+def _certified(rng, convention, count):
+    """``count`` distinct certified type-A inputs under ``convention``."""
+    out = []
+    while len(out) < count:
+        _, q = random_type_a_triple(rng)
+        if full_pipeline(q, convention).certified:
+            out.append(q)
+    return out
+
+
+def _quiver_records(q, convention):
+    rel = relations(q)
+    bq = block_quiver(square_from_quintuple(q, convention))
+    return bq, linear_quiver(rel), mutate_linear_to_block(q, rel, bq)
+
+
+@pytest.mark.parametrize("convention", ["ruling", "literal"])
+def test_certified_inputs_share_their_quiver_records(convention):
+    q1, q2 = _certified(random.Random(56), convention, 2)
+    assert input_digest(q1) != input_digest(q2)
+    first, second = _quiver_records(q1, convention), _quiver_records(q2, convention)
+    assert first[0] is second[0] and first[1] is second[1]
+    assert first[2][0] is second[2][0] and first[2][1] is second[2][1]
+    assert first[2][1].structural_match
+
+
+def test_each_quiver_call_still_runs_its_per_input_work(monkeypatch):
+    rng = random.Random(57)
+    q0, q = _certified(rng, "ruling", 2)
+    _quiver_records(q0, "ruling")   # every record cache now holds what q needs
+    sq, rel = square_from_quintuple(q), relations(q)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(GeometricSquare, "line", counting("line", GeometricSquare.line))
+    monkeypatch.setattr(Matrix, "rank", counting("rank", Matrix.rank))
+    monkeypatch.setattr(squares, "truncated_dims", counting("truncated_dims",
+                                                            squares.truncated_dims))
+    bq = block_quiver(sq)
+    assert [name for name, _ in calls] == ["line", "line", "rank", "rank"]
+    assert all(arg is sq for _, arg in calls[:2])
+    calls.clear()
+    linear_quiver(rel)
+    assert calls == [("truncated_dims", rel)]
+    calls.clear()
+    mutate_linear_to_block(q, rel, bq)
+    assert calls == [("rank", q.contractions[0])]
+
+
+def test_a_block_with_other_leg_ranks_is_still_a_mismatch():
+    q = build_type_a(1, 2, 3)
+    rel = relations(q)
+    bq = block_quiver(square_from_quintuple(q))
+    assert mutate_linear_to_block(q, rel, bq)[1].structural_match
+    for leg_ranks in ((4, 3), (3, 4)):
+        hand = QuiverAlgebra(bq.vertices, bq.arrows, bq.relation_dim, bq.gram, leg_ranks)
+        _, report = mutate_linear_to_block(q, rel, hand)
+        assert not report.structural_match
+        assert report.notes == ("structural mismatch with the block quiver",)
+    assert mutate_linear_to_block(q, rel, bq)[1].structural_match
+
+
+def test_quiver_record_caches_stay_small_on_sweep_draws():
+    builders = (squares._block_quiver, squares._linear_quiver, squares._mutation)
+    for builder in builders:
+        builder.cache_clear()
+    certified = 0
+    for convention in ("ruling", "literal"):
+        rng = random.Random(58)
+        for _ in range(2000):   # drawn as ``ncquad sweep`` draws them, height 20
+            triple = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3))
+            try:
+                q = build_type_a(*triple, QQ)
+            except ValueError:
+                continue
+            cert = full_pipeline(q, convention)
+            if cert.certified:
+                cert.to_dict()
+                certified += 1
+    assert certified > 3000
+    assert all(0 < builder.cache_info().currsize <= 4 for builder in builders)
