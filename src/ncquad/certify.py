@@ -51,7 +51,7 @@ it surfaces only where a certificate is rendered.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from types import MappingProxyType
 
 from . import __version__ as _toolkit_version
@@ -61,7 +61,7 @@ from .fileformat import FrozenJSON, field_to_str, input_digest, scalar_json
 from .grassmann import LineRelation, hom_R_K_dim, hom_R_O_dim, line_relation
 from .quintuples import (GeometricityReport, Quintuple, RelationData, _passed, is_geometric,
                          relations, truncated_dims)
-from .records import Record
+from .records import Record, kept
 from .squares import (
     BLOCK_GRAM,
     CONVENTIONS,
@@ -604,7 +604,7 @@ class Certificate(Record):
     def certified(self) -> bool:
         return not self.stage
 
-    @cached_property
+    @kept
     def digest(self) -> str:
         return input_digest(self.q)
 

@@ -163,10 +163,11 @@ def cmd_cohomology(args) -> int:
             print("p1xp2 needs both -m and -n", file=sys.stderr)
             return EXIT_INPUT
         table = coh_p1xp2(args.m, args.n)
-    print(f"space {table.space}, twist {table.twist}")
+    twist = ", ".join(map(_exact_str, table.twist)) + "," * (len(table.twist) == 1)
+    print(f"space {table.space}, twist ({twist})")
     for k, d in table.pairs:
-        print(f"  h^{k} = {d}")
-    print(f"  chi = {table.euler()}")
+        print(f"  h^{k} = {_exact_str(d)}")
+    print(f"  chi = {_exact_str(table.euler())}")
     return EXIT_OK
 
 

@@ -8,11 +8,11 @@ denominator (the matrix is ``_num / _den``), over F_p residues in
 
 Determinants and ranks 4 and 3 are read off minors: a 4x4 matrix keeps
 ``_det4`` of its integers, which gives ``det`` and, when nonzero, rank 4
-and an empty kernel; when it vanishes, a nonzero adjugate, from the same
-``_minors2``, gives rank 3 and the kernel line.  An n x 2 matrix is
-ranked by ``_rank2``.  ``det`` answers for 4x4 matrices only, the one
-size the pipeline asks for (det <-, w> = det M_0), and raises
-``ValueError`` for any other.
+and an empty kernel; when it vanishes, a nonzero adjugate's integers
+(``_adjugate_num``, from the same ``_minors2``) give rank 3 and the
+kernel line, and ``_keep_transpose`` hands them to the transpose.  An
+n x 2 matrix is ranked by ``_rank2``.  ``det`` answers for 4x4 matrices
+only (det <-, w> = det M_0), and raises ``ValueError`` for any other.
 
 Every elimination runs in one function, ``_int_echelon(rows, ncols, p)``:
 fraction-free elimination on primitive rows over Z for p == 0, whose
@@ -29,9 +29,8 @@ echelon:
   positive running denominator on Z, or solved mod p; ``_kernel`` hands
   it out as those integers, and geometricity decides on them.
 
-No inverse is eliminated: ``_adjugate`` writes adj N = det N * N^-1 of a
-4x4 matrix from the ``_minors2`` that ``_det4`` reads too, for questions
-that scaling does not change.
+No inverse is eliminated: ``_adjugate`` is the matrix adj N = det N *
+N^-1 of a 4x4, for questions that scaling does not change.
 ``_pick`` builds a matrix from named entries of another one, negated or
 zero, which is how tensors, quivers and the Hom counts assemble their
 matrices without arithmetic.  It is one gather: each pick table is a
@@ -109,7 +108,7 @@ class Matrix:
             p, minors = self.field.characteristic, _minors2(self._num)
             self._d4 = _det4(minors) % p if p else _det4(minors)
             if not self._d4:
-                adj = _adjugate(self, minors)._num
+                adj = _adjugate_num(self._num, minors, p)
                 self._adj = adj if any(adj) else None
         return self._d4
 
@@ -127,24 +126,26 @@ class Matrix:
     def _kernel(self) -> list:
         """The reduced basis of the right null space, as integers: for each
         free column f, in increasing order, a pair (y, den), den > 0 (1 mod
-        p), so y / den is 1 at f and 0 at the other free columns.  None
-        for an invertible 4x4; for rank 3, N adj N = det N * I = 0, so a
-        nonzero column y of adj N spans the kernel, and f is its last
+        p), so y / den is 1 at f and 0 at the other free columns.  Empty
+        for an invertible 4x4; for rank 3, N adj N = det N * I = 0, so the
+        first nonzero column y of adj N spans the kernel, and f is its last
         nonzero entry; else ``_int_kernel_vector`` off the kept echelon.
         rank + len(result) == ncols, always."""
         if self._kept_det4():
             return []
-        if self._adj:
-            p = self.field.characteristic
-            y = next(c for c in (list(self._adj[k::4]) for k in range(4)) if any(c))
-            f = max(k for k in range(4) if y[k])
+        adj, p = self._adj, self.field.characteristic
+        if adj:
+            for k in range(4):
+                y = adj[k::4]
+                if any(y):
+                    break
+            f = 3 if y[3] else 2 if y[2] else 1 if y[1] else 0
             if p:
                 inv = pow(y[f], -1, p)
                 return [([v * inv % p for v in y], 1)]
             return [(y, y[f]) if y[f] > 0 else ([-v for v in y], -y[f])]
         ech, pivots = self._echelon()
-        p, n = self.field.characteristic, self.ncols
-        pivot_set = set(pivots)
+        pivot_set, n = set(pivots), self.ncols
         return [_int_kernel_vector(ech, pivots, f, n, p) for f in range(n) if f not in pivot_set]
 
     def det(self):
@@ -183,7 +184,7 @@ def _elements(field, num, den: int) -> tuple:
     p = field.characteristic
     if p:
         inv = pow(den, -1, p)
-        return tuple(x * inv % p for x in num)
+        return tuple([x * inv % p for x in num])
     return tuple(map(Fraction, num, repeat(den)))
 
 
@@ -268,13 +269,18 @@ def _det4(minors) -> int:
     return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
 
 
-def _adjugate(m: Matrix, minors=None) -> Matrix:
-    """adj N = (det N / d) * m^-1 of a 4x4 matrix m = N / d, as integers
-    (residues mod p), by Laplace expansion along complementary rows: each
-    cofactor is one row of the other pair against three ``_minors2``."""
+def _adjugate(m: Matrix) -> Matrix:
+    """adj N = (det N / d) m^-1 of a 4x4 m = N / d: integers (residues mod p) over 1."""
+    return Matrix(m.field, _adjugate_num(m._num, _minors2(m._num), m.field.characteristic), 1, 4, 4)
+
+
+def _adjugate_num(num, minors, p: int):
+    """adj N of the flat integers N of a 4x4 matrix (residues mod p) from
+    their ``_minors2``, by Laplace expansion along complementary rows:
+    each cofactor is one row of the other pair against three minors."""
     (a00, a01, a02, a03, a10, a11, a12, a13,
-     a20, a21, a22, a23, a30, a31, a32, a33) = m._num
-    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = minors or _minors2(m._num)
+     a20, a21, a22, a23, a30, a31, a32, a33) = num
+    s01, s02, s03, s12, s13, s23, c01, c02, c03, c12, c13, c23 = minors
     adj = (
         a11 * c23 - a12 * c13 + a13 * c12, a02 * c13 - a01 * c23 - a03 * c12,
         a31 * s23 - a32 * s13 + a33 * s12, a22 * s13 - a21 * s23 - a23 * s12,
@@ -285,18 +291,15 @@ def _adjugate(m: Matrix, minors=None) -> Matrix:
         a11 * c02 - a10 * c12 - a12 * c01, a00 * c12 - a01 * c02 + a02 * c01,
         a31 * s02 - a30 * s12 - a32 * s01, a20 * s12 - a21 * s02 + a22 * s01,
     )
-    p = m.field.characteristic
-    if p:
-        adj = [x % p for x in adj]
-    return Matrix(m.field, adj, 1, 4, 4)
+    return [x % p for x in adj] if p else adj
 
 
 def _keep_transpose(m: Matrix, mt: Matrix) -> None:
     """Keep in mt = m^T, for a 4x4 m, the determinant m keeps and its
-    adjugate transposed: det m^T = det m and adj m^T = (adj m)^T, so the
-    kernel of mt is read off the rows of adj m."""
+    adjugate transposed, its four columns laid end to end: det m^T = det m
+    and adj m^T = (adj m)^T, so the kernel of mt is read off adj m's rows."""
     m._kept_det4()
-    mt._d4, mt._adj = m._d4, m._adj and tuple(x for k in range(4) for x in m._adj[k::4])
+    mt._d4, mt._adj = m._d4, m._adj and m._adj[0::4] + m._adj[1::4] + m._adj[2::4] + m._adj[3::4]
 
 
 def _rank2(num, p: int) -> int:

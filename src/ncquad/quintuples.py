@@ -30,28 +30,29 @@ over the closure).
 M_{j+2} = M_j^T, so ``Quintuple.contractions`` picks all four from the
 integer row of w once per input, and a ``Matrix`` keeps its determinant
 from 2x2 minors: an invertible M_j makes M_{j+2} invertible too.  A
-singular M_j of rank 3 keeps its nonzero adjugate from the same minors,
-and the kernel lines of M_j and M_{j+2} are a column and a row of it;
-only an M_j of rank <= 2 is eliminated, with M_{j+2}.  The square reads
-det M_0 and the mutation rank M_0 off the same determinant.  Geometricity
-decides on integers: the reduced kernel vectors of M_j, the 2x2
-determinants, and the roots of det(s v1 + t v2) by
-``forms._quadratic_root``, the root classifier the line stage asks too.
-A witness over a quadratic extension is divided on integers, times the
-conjugate over the norm.  Scalars are built only for the witness
-coordinates a certificate prints: base-field values, and (x, y) pairs
-for x + y theta.
+singular M_j of rank 3 keeps the integers of its nonzero adjugate from
+the same minors, and M_{j+2} keeps them transposed, so the kernel lines
+of both are a column and a row of it; only an M_j of rank <= 2 is
+eliminated, with M_{j+2}.  The square reads det M_0 and the mutation
+rank M_0 off the same determinant.  Geometricity decides on integers:
+the reduced kernel vectors of M_j, the 2x2 determinants, and the roots
+of det(s v1 + t v2) by ``forms._quadratic_root``, the root classifier
+the line stage asks too.  A passed pair's report is one shared record
+per (j, kernel dim).  A witness over a quadratic extension is divided
+on integers, times the conjugate over the norm.  Scalars are built only
+for the witness coordinates a certificate prints: base-field values,
+and (x, y) pairs for x + y theta.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache
 
 from .fields import QQ, _field_str
 from .forms import _quadratic_root
 from .grassmann import _det2, _polar2
 from .linalg import Matrix, _elements, _integers, _keep_transpose, _pick, _Picks
-from .records import Record
+from .records import Record, kept
 from .tensors import Tensor, _flattening_index, _of_row
 
 # re-exported: perfbench/workloads.py and the tests build a Quintuple
@@ -83,7 +84,7 @@ class Quintuple(Record):
     def field(self):
         return self.w.field
 
-    @cached_property
+    @kept
     def contractions(self) -> tuple[Matrix, ...]:
         """(M_0, M_1, M_2, M_3), M_j the 4x4 matrix of V_j^* x V_{j+1}^* ->
         V_{j+2} x V_{j+3}, phi x chi -> <phi x chi, w> (indices mod 4,
@@ -91,7 +92,7 @@ class Quintuple(Record):
         record's one field w, so ``repr`` never prints them; ``==`` and
         ``hash`` read w, a ``Tensor`` with no value equality.  Each
         matrix keeps its echelon, so it is eliminated once per input."""
-        return tuple(_pick(self.w._row, index) for index in _CONTRACTION_INDEX)
+        return tuple([_pick(self.w._row, index) for index in _CONTRACTION_INDEX])
 
 
 def build_linear_quadric(field=QQ) -> Quintuple:
@@ -153,7 +154,7 @@ class SlotPairReport(Record):
 class GeometricityReport(Record):
     pairs: tuple
 
-    @property
+    @kept
     def passed(self) -> bool:
         return all(p.passed for p in self.pairs)
 
@@ -175,9 +176,10 @@ def _rank_one_factor(k, den: int, field) -> PureWitness:
 _PASSED = ("contraction matrix invertible", "kernel spanned by a nonsingular 2x2 element")
 
 
+@cache
 def _passed(j: int, kernel_dim: int) -> SlotPairReport:
-    """The report of slot pair j passed, with no witness: M_j invertible,
-    or its kernel a line spanned by a nonsingular 2x2 element."""
+    """The shared report of slot pair j passed, with no witness: M_j
+    invertible, or its kernel a line spanned by a nonsingular 2x2 element."""
     return SlotPairReport(j, True, kernel_dim, certificate=_PASSED[kernel_dim])
 
 

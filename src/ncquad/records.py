@@ -14,10 +14,10 @@ act on the tuple of field values, read by a generated ``_values`` with
 one attribute load per field, and ``==`` against an instance of any
 other class is ``NotImplemented``.  ``repr`` reads
 ``Name(field=value, ...)``.  Records are cache keys, so the hash is
-computed once per instance and kept in its dict as ``_hash``, which a
-frozen record cannot make stale; an unhashable field raises
-``TypeError`` on every ``hash`` and keeps nothing.  String hashes differ
-between processes, so records are not pickled.
+computed once per instance and kept in its dict as ``_hash``, like the
+value of a ``kept`` property, which a frozen record cannot make stale;
+an unhashable field raises ``TypeError`` on every ``hash`` and keeps
+nothing.  String hashes differ between processes, so no record is pickled.
 
 The standard library's frozen record decorator gives the same
 semantics, but its module imports ``inspect`` and it ``exec``s six
@@ -83,3 +83,17 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+class kept:
+    """A record's property computed on the first read and kept in its dict:
+    ``functools.cached_property`` without the lock it takes up to Python 3.11."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,49 @@ def test_cohomology_command(capsys):
         main(["cohomology", "--space", "p3", "-m", "1"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+_LONG = int("9" * 4200)   # 4,200 digits: its str is within the limit, h^0 of P^2 is not
+
+
+def _p1(m):
+    return (comb(m + 1, 1) if m >= 0 else 0, comb(-m - 1, 1) if m <= -2 else 0)
+
+
+def _p2(n):
+    return (comb(n + 2, 2) if n >= 0 else 0, 0, comb(-n - 1, 2) if n <= -3 else 0)
+
+
+@pytest.mark.parametrize("space, twist", [
+    ("p1", (_LONG,)), ("p1", (-_LONG,)), ("p2", (_LONG,)), ("p2", (-_LONG,)),
+    ("p1xp2", (_LONG, _LONG)), ("p1xp2", (-_LONG, -_LONG))],
+    ids=["p1+", "p1-", "p2+", "p2-", "p1xp2+", "p1xp2-"])
+def test_cohomology_of_a_long_twist_exits_0(space, twist, capsys):
+    """Every h^k and chi is printed in full, also past the interpreter's
+    int-to-decimal digit limit (about 8,400 digits for P^2 and 12,600 for
+    P^1 x P^2), and equals the Kuenneth sum of binomials."""
+    argv = ["cohomology", "--space", space, "-m", str(twist[0])]
+    assert main(argv + (["-n", str(twist[1])] if space == "p1xp2" else [])) == 0
+    if space == "p1xp2":
+        a, b = _p1(twist[0]), _p2(twist[1])
+        dims = [sum(a[i] * b[k - i] for i in range(2) if 0 <= k - i < 3) for k in range(4)]
+    else:
+        dims = list((_p1 if space == "p1" else _p2)(twist[0]))
+    lines = capsys.readouterr().out.splitlines()
+    before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        head, _, printed = lines[0].partition(", twist ")
+        assert head == f"space {space.upper().replace('X', 'x')}"
+        assert tuple(int(t) for t in printed.strip("(,)").split(", ")) == twist
+        values = [int(line.partition(" = ")[2]) for line in lines[1:]]
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
+    assert [line.split(" = ")[0] for line in lines[1:]] == [
+        f"  h^{k}" for k in range(len(dims))] + ["  chi"]
+    assert values == dims + [sum((-1) ** k * d for k, d in enumerate(dims))]
 
 
 def test_quiver_and_mutate_commands(capsys):

@@ -5,10 +5,13 @@ import pytest
 
 from helpers import (
     contraction_matrix,
+    det_oracle,
     enumeration_oracle_failing_pairs,
     enumeration_oracle_failing_pairs_rank,
     entry,
     from_cols,
+    geometricity_oracle,
+    kernel_oracle,
     lift,
     lower,
     nonresidue_int,
@@ -25,13 +28,14 @@ from helpers import (
     tensor_entry,
     verify_witness,
 )
-from ncquad import linalg, quintuples
+from ncquad import certify, linalg, quintuples
 from ncquad.fields import GF, QQ
 from ncquad.linalg import Matrix
 from ncquad.quintuples import (
     SLOT_LABELS,
     PureWitness,
     Quintuple,
+    SlotPairReport,
     build_linear_quadric,
     build_type_a,
     hilbert_dims,
@@ -326,3 +330,88 @@ def test_decision_procedure_vs_enumeration_f101():
         q = random_quintuple_fp(rng, F)
         got = set(is_geometric(q).failing_pairs())
         assert got == enumeration_oracle_failing_pairs_rank(q, nu)
+
+
+# -- the records and the 4x4 reads geometricity decides on --------------------
+
+
+def _draw(rng, p):
+    """A fresh sparse quintuple over QQ or F_p, whose contraction matrices
+    are often singular, of rank 3 or less."""
+    return random_tensor_fp(rng, GF(p), 0.35) if p else random_tensor_qq(rng, 0.35)
+
+
+def test_passed_pair_reports_are_shared_records():
+    """A passed pair has no witness, so its report is fixed by j and the
+    kernel dim: every input that passes pair j with one kernel dim hands
+    out the same record."""
+    rng = random.Random(4101)
+    shared = {}
+    for p in (0, 5, 7, 10007):
+        for _ in range(150):
+            for r in is_geometric(_draw(rng, p)).pairs:
+                if r.passed:
+                    shared.setdefault((r.j, r.kernel_dim), set()).add(id(r))
+    assert set(shared) == {(j, kd) for j in range(4) for kd in (0, 1)}
+    assert all(len(ids) == 1 for ids in shared.values())
+    a, b = build_type_a(1, 2, 3), build_type_a(2, 5, 7)
+    assert [r.kernel_dim for r in is_geometric(a).pairs] == [0] * 4
+    assert all(x is y for x, y in zip(is_geometric(a).pairs, is_geometric(b).pairs))
+
+
+def test_once_warm_an_all_pass_input_builds_no_pair_report(monkeypatch):
+    rng = random.Random(4102)
+    for _ in range(300):         # meets every (j, kernel dim) of a passed pair
+        is_geometric(_draw(rng, 5))
+    built = []
+    init = SlotPairReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SlotPairReport, "__init__", counting)
+    passing = failing = 0
+    for p in (0, 5, 7, 10007):
+        for _ in range(60):
+            report = is_geometric(_draw(rng, p))
+            # a failed pair carries its own witness, so only it builds a record
+            assert len(built) == len(report.failing_pairs())
+            passing += report.passed
+            failing += not report.passed
+            built.clear()
+    assert passing > 20 and failing > 20
+
+
+def _adjugate_oracle(n, p):
+    """adj N, row-major: entry (i, k) is (-1)^(i+k) times the Leibniz
+    determinant of N without row k and column i (mod p)."""
+    adj = [(-1) ** (i + k) * det_oracle([[x for c, x in enumerate(r) if c != i]
+                                         for rr, r in enumerate(n) if rr != k])
+           for i in range(4) for k in range(4)]
+    return [x % p if p else x for x in adj]
+
+
+@pytest.mark.parametrize("p", [0, 5, 7, 10007], ids=["QQ", "F5", "F7", "F10007"])
+def test_the_4x4_reads_of_geometricity_equal_the_oracles(p):
+    """On a seeded stream: the adjugate each rank-3 M_j keeps, read off its
+    own minors for pairs 0 and 1 and transposed from M_{j-2} for pairs 2
+    and 3, is the cofactor oracle's; the kernel line read off it is the
+    reduced kernel of the elimination oracle; and every report, witness
+    coordinates included, renders as the oracle's, whose kernels share no
+    code with ncquad's."""
+    rng = random.Random(4103 + p)
+    rank3 = [0] * 4
+    for _ in range(150):
+        q = _draw(rng, p)
+        report = is_geometric(q)
+        assert certify._geometricity_json(report, p) == geometricity_oracle(q)
+        for j, m in enumerate(q.contractions):
+            if not m._adj:
+                continue
+            n = [list(m._num[4 * i:4 * i + 4]) for i in range(4)]
+            assert list(m._adj) == _adjugate_oracle(n, p)
+            [(y, den)] = m._kernel()
+            assert [tuple(y) if p else tuple(Fraction(v, den) for v in y)] == kernel_oracle(n, 4, p)
+            rank3[j] += 1
+    assert min(rank3) >= 10
