@@ -154,6 +154,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.space != "p1xp2" and args.n is not None:
+        print(f"{args.space} takes -m only", file=sys.stderr)
+        return EXIT_INPUT
     if args.space == "p1":
         table = coh_p1(args.m)
     elif args.space == "p2":

@@ -147,6 +147,12 @@ def test_cohomology_command(capsys):
     out = capsys.readouterr().out
     assert "h^1 = 7" in out
     assert main(["cohomology", "--space", "p1xp2", "-m", "1"]) == 2
+    assert capsys.readouterr().err == "p1xp2 needs both -m and -n\n"
+    # -n on P^1 or P^2 is refused, not ignored
+    for space in ("p1", "p2"):
+        assert main(["cohomology", "--space", space, "-m", "1", "-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{space} takes -m only\n" and captured.out == ""
     # argparse refuses a space outside --space's choices before the command runs
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--space", "p3", "-m", "1"])

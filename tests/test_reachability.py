@@ -91,8 +91,9 @@ def _traffic(work: Path) -> None:
         runs += [["check", f], ["check", f, "--json"], ["mutate", f]]
     for conv in squares.CONVENTIONS:
         runs.append(["sweep", "--samples", "50", "--convention", conv])
-    for space in ("p1", "p2", "p1xp2"):
-        runs.append(["cohomology", "--space", space, "-m", "1", "-n", "0"])
+    for space in ("p1", "p2"):
+        runs.append(["cohomology", "--space", space, "-m", "1"])
+    runs.append(["cohomology", "--space", "p1xp2", "-m", "1", "-n", "0"])
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
