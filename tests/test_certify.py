@@ -353,6 +353,22 @@ def test_a_wrong_hom_leaf_is_an_internal_error_raised_by_cell(monkeypatch, capsy
     assert err.endswith("(raised in _cell, module ncquad.certify)")
 
 
+def test_cell_is_the_one_gate_on_a_hom_pair(monkeypatch):
+    # the rules derive a table from (2, 2) alone; for any other leaf h the
+    # first input cell, (p*R, C0), has dims [h, h-2, 0, 0, 0], and _cell's
+    # EXPECTED_HOM check is what refuses it
+    for hom in ((a, b) for a in range(12) for b in range(12)):
+        assert (_derived(hom) is None) == (hom != (2, 2)), hom
+    sq = square_from_quintuple(build_linear_quadric(), "ruling")
+    for h in range(12):
+        if h == 2:
+            continue
+        monkeypatch.setattr("ncquad.certify.hom_R_K_dim", lambda line: h)
+        reason = rf"^cell \(p\*R, C0\) has dims \[{h}, {h - 2}, 0, 0, 0\], expected \[2, 0, 0, 0, 0\]"
+        with pytest.raises(ExtTableError, match=reason):
+            ext_table(sq)
+
+
 def test_full_pipeline_paper_verdicts():
     cert = full_pipeline(build_linear_quadric(), "ruling")
     assert cert.certified
